@@ -1,6 +1,7 @@
-// Flat vs BST engine: the practical atomic-array engine against the
-// faithful Algorithm 2 treap formulation, plus the unweighted specialist.
-// Quantifies the O(log n)-factor bookkeeping the paper's analysis charges.
+// Flat engine vs the Algorithm 2 reference: the practical atomic-array
+// engine against the faithful treap formulation (core/rs_bst.hpp), plus the
+// unweighted specialist. Quantifies the O(log n)-factor bookkeeping the
+// paper's analysis charges.
 #include <benchmark/benchmark.h>
 
 #include "core/radii.hpp"

@@ -9,12 +9,8 @@
 //            across the per-worker context pool when the batch is at least
 //            as wide as the worker count).
 //
-// The three strategies run for the flat engine (metric names seq_qps /
-// ctx_qps / batch_qps) and for Algorithm 2 on both ordered-set substrates
-// (bst_* for the arena treap, bstflat_* for the flat sorted array), so the
-// BENCH json captures the substrate crossover and the arena's warm-context
-// effect per commit. Every strategy's distances are checked against the
-// flat baseline.
+// Metric names seq_qps / ctx_qps / batch_qps. Every strategy's distances
+// are checked against fresh per-source queries.
 //
 // Targeted point-to-point serving (PR 5) is tracked alongside: p2p1_qps /
 // p2p8_qps / p2p64_qps time a warm-context serve() loop over the same
@@ -30,10 +26,8 @@
 // distances, so it doubles as an end-to-end smoke test.
 //
 // Knobs: RS_SCALE / RS_THREADS as usual, RS_BATCH (sources per batch,
-// default 64), RS_REPS (timing repetitions, default 5; the slower bst
-// strategies run max(2, RS_REPS - 2) reps), RS_RHO (preprocessing rho,
-// default 32).
-#include <algorithm>
+// default 64), RS_REPS (timing repetitions, default 5), RS_RHO
+// (preprocessing rho, default 32).
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -64,18 +58,16 @@ double best_seconds(int reps, const std::function<void()>& run) {
 }
 
 /// One targeted request per source: `targets_per` random targets drawn
-/// deterministically per request (same requests for every engine/rep).
+/// deterministically per request (same requests for every rep).
 std::vector<QueryRequest> make_p2p_requests(const Graph& g,
                                             const std::vector<Vertex>& sources,
-                                            int targets_per,
-                                            QueryEngine engine) {
+                                            int targets_per) {
   const SplitRng rng(4242);
   std::vector<QueryRequest> requests;
   requests.reserve(sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
     QueryRequest req;
     req.source = sources[i];
-    req.engine = engine;
     req.targets.reserve(static_cast<std::size_t>(targets_per));
     for (int t = 0; t < targets_per; ++t) {
       req.targets.push_back(static_cast<Vertex>(rng.bounded(
@@ -99,23 +91,12 @@ int main() {
   print_header("Query throughput — serving strategies (queries/sec)", s,
                graphs);
   std::printf("batch=%d  reps=%d  rho=%u\n\n", batch, reps, rho);
-  std::printf("  %-8s  %-8s  %10s  %10s  %10s  %8s  %10s  %10s  %10s\n",
-              "graph", "engine", "seq_qps", "ctx_qps", "batch_qps", "speedup",
-              "p2p1_qps", "p2p8_qps", "p2p64_qps");
+  std::printf("  %-8s  %10s  %10s  %10s  %8s  %10s  %10s  %10s\n", "graph",
+              "seq_qps", "ctx_qps", "batch_qps", "speedup", "p2p1_qps",
+              "p2p8_qps", "p2p64_qps");
 
   BenchJson json("gb_query_throughput", s);
   bool ok = true;
-
-  struct EngineRow {
-    QueryEngine engine;
-    const char* label;   // table column / json label
-    const char* prefix;  // metric-name prefix ("" = flat, the PR 2 names)
-  };
-  const EngineRow rows[] = {
-      {QueryEngine::kFlat, "flat", ""},
-      {QueryEngine::kBst, "bst", "bst_"},
-      {QueryEngine::kBstFlat, "bstflat", "bstflat_"},
-  };
 
   for (const auto& [name, g0] : graphs) {
     const Graph g = paper_weighted(g0);
@@ -126,155 +107,101 @@ int main() {
     const std::vector<Vertex> sources =
         sample_sources(g, batch, /*seed=*/777);
 
-    // Reference distances: fresh flat queries, computed once per graph.
-    std::vector<QueryResult> flat_ref;
-    flat_ref.reserve(sources.size());
-    for (const Vertex src : sources) flat_ref.push_back(engine.query(src));
+    // Reference distances: fresh queries, computed once per graph.
+    std::vector<QueryResult> ref;
+    ref.reserve(sources.size());
+    for (const Vertex src : sources) ref.push_back(engine.query(src));
 
-    for (const auto& row : rows) {
-      // The ordered-set engines are slower; trim their repetitions.
-      const int row_reps =
-          row.engine == QueryEngine::kFlat ? reps : std::max(2, reps - 2);
+    // Baseline: the pre-batching query_batch — one fresh query/source.
+    std::vector<QueryResult> seq_results;
+    const auto run_seq = [&] {
+      seq_results.clear();
+      seq_results.reserve(sources.size());
+      for (const Vertex src : sources) seq_results.push_back(engine.query(src));
+    };
 
-      // Baseline: the pre-batching query_batch — one fresh query/source.
-      std::vector<QueryResult> seq_results;
-      const auto run_seq = [&] {
-        seq_results.clear();
-        seq_results.reserve(sources.size());
-        for (const Vertex src : sources) {
-          seq_results.push_back(engine.query(src, row.engine));
-        }
-      };
-
-      // One warm reused context, sequential batch loop.
-      QueryContext ctx(g.num_vertices());
-      std::vector<QueryResult> ctx_results;
-      const auto run_ctx = [&] {
-        ctx_results.clear();
-        ctx_results.reserve(sources.size());
-        for (const Vertex src : sources) {
-          ctx_results.push_back(engine.query(src, row.engine, ctx));
-        }
-      };
-
-      // The two-level batch scheduler.
-      std::vector<QueryResult> batch_results;
-      const auto run_batch = [&] {
-        batch_results = engine.query_batch(sources, row.engine);
-      };
-
-      // Warm-up (also materializes every result for the equality check).
-      run_seq();
-      run_ctx();
-      run_batch();
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        if (seq_results[i].dist != flat_ref[i].dist ||
-            ctx_results[i].dist != flat_ref[i].dist ||
-            batch_results[i].dist != flat_ref[i].dist) {
-          std::fprintf(stderr, "MISMATCH on %s engine %s source %u\n",
-                       name.c_str(), row.label, sources[i]);
-          ok = false;
-        }
+    // One warm reused context, sequential batch loop.
+    QueryContext ctx(g.num_vertices());
+    std::vector<QueryResult> ctx_results;
+    const auto run_ctx = [&] {
+      ctx_results.clear();
+      ctx_results.reserve(sources.size());
+      for (const Vertex src : sources) {
+        ctx_results.push_back(engine.query(src, QueryEngine::kFlat, ctx));
       }
+    };
 
-      const double t_seq = best_seconds(row_reps, run_seq);
-      const double t_ctx = best_seconds(row_reps, run_ctx);
-      const double t_batch = best_seconds(row_reps, run_batch);
-      const double b = static_cast<double>(batch);
-      const double seq_qps = b / t_seq;
-      const double ctx_qps = b / t_ctx;
-      const double batch_qps = b / t_batch;
-      const double speedup = batch_qps / seq_qps;
+    // The two-level batch scheduler.
+    std::vector<QueryResult> batch_results;
+    const auto run_batch = [&] { batch_results = engine.query_batch(sources); };
 
-      // Targeted point-to-point serving: one warm context + reused
-      // response over per-source requests with 1 / 8 / 64 random targets
-      // (early termination + O(|targets|) responses). Distances are
-      // verified against the full-SSSP reference during warm-up.
-      const int target_counts[] = {1, 8, 64};
-      double p2p_qps[3] = {0.0, 0.0, 0.0};
-      QueryContext p2p_ctx(g.num_vertices());
-      QueryResponse p2p_resp;
-      for (int ti = 0; ti < 3; ++ti) {
-        const std::vector<QueryRequest> requests =
-            make_p2p_requests(g, sources, target_counts[ti], row.engine);
-        for (std::size_t i = 0; i < requests.size(); ++i) {  // warm + check
-          engine.serve(requests[i], p2p_ctx, p2p_resp);
-          for (const TargetResult& tr : p2p_resp.targets) {
-            if (tr.dist != flat_ref[i].dist[tr.target]) {
-              std::fprintf(stderr,
-                           "P2P MISMATCH on %s engine %s source %u "
-                           "target %u\n",
-                           name.c_str(), row.label, requests[i].source,
-                           tr.target);
-              ok = false;
-            }
-          }
-        }
-        const double t_p2p = best_seconds(row_reps, [&] {
-          for (const QueryRequest& req : requests) {
-            engine.serve(req, p2p_ctx, p2p_resp);
-          }
-        });
-        p2p_qps[ti] = b / t_p2p;
+    // Warm-up (also materializes every result for the equality check).
+    run_seq();
+    run_ctx();
+    run_batch();
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      if (seq_results[i].dist != ref[i].dist ||
+          ctx_results[i].dist != ref[i].dist ||
+          batch_results[i].dist != ref[i].dist) {
+        std::fprintf(stderr, "MISMATCH on %s source %u\n", name.c_str(),
+                     sources[i]);
+        ok = false;
       }
-
-      std::printf("  %-8s  %-8s  %10.1f  %10.1f  %10.1f  %7.2fx  %10.1f  "
-                  "%10.1f  %10.1f\n",
-                  name.c_str(), row.label, seq_qps, ctx_qps, batch_qps,
-                  speedup, p2p_qps[0], p2p_qps[1], p2p_qps[2]);
-
-      // The engine lives in the metric-name prefix, NOT in a label: the
-      // flat metrics keep their PR 2 identity (name + labels), so the CI
-      // comparator matches them against pre-existing baselines instead of
-      // opening a blind window on the commit that adds the bst rows.
-      const BenchJson::Labels labels{{"graph", name},
-                                     {"batch", std::to_string(batch)},
-                                     {"rho", std::to_string(rho)}};
-      const std::string p(row.prefix);
-      json.add(p + "seq_qps", seq_qps, "queries/sec", labels);
-      json.add(p + "ctx_qps", ctx_qps, "queries/sec", labels);
-      json.add(p + "batch_qps", batch_qps, "queries/sec", labels);
-      json.add(p + "batch_speedup", speedup, "x", labels);
-      json.add(p + "p2p1_qps", p2p_qps[0], "queries/sec", labels);
-      json.add(p + "p2p8_qps", p2p_qps[1], "queries/sec", labels);
-      json.add(p + "p2p64_qps", p2p_qps[2], "queries/sec", labels);
     }
 
-    // Fragment-count sweep: the fragment-parallel engine over the
-    // partitioned substrate at F = 1, 2, 4, 8, warm-context loop (the
-    // ctx_qps regime), distances checked against the flat reference —
-    // frag{F}_qps regression-locks the new path per fragment count.
-    for (const std::size_t fc : {1, 2, 4, 8}) {
-      SsspEngine frag_engine = engine;  // shares the preprocessed graph
-      frag_engine.enable_fragments(fc);
-      QueryContext fctx(g.num_vertices());
-      std::vector<QueryResult> frag_results;
-      const auto run_frag = [&] {
-        frag_results.clear();
-        frag_results.reserve(sources.size());
-        for (const Vertex src : sources) {
-          frag_results.push_back(
-              frag_engine.query(src, QueryEngine::kFragment, fctx));
-        }
-      };
-      run_frag();  // warm-up + equality check
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        if (frag_results[i].dist != flat_ref[i].dist) {
-          std::fprintf(stderr, "MISMATCH on %s fragments=%zu source %u\n",
-                       name.c_str(), fc, sources[i]);
-          ok = false;
+    const double t_seq = best_seconds(reps, run_seq);
+    const double t_ctx = best_seconds(reps, run_ctx);
+    const double t_batch = best_seconds(reps, run_batch);
+    const double b = static_cast<double>(batch);
+    const double seq_qps = b / t_seq;
+    const double ctx_qps = b / t_ctx;
+    const double batch_qps = b / t_batch;
+    const double speedup = batch_qps / seq_qps;
+
+    // Targeted point-to-point serving: one warm context + reused response
+    // over per-source requests with 1 / 8 / 64 random targets (early
+    // termination + O(|targets|) responses). Distances are verified against
+    // the full-SSSP reference during warm-up.
+    const int target_counts[] = {1, 8, 64};
+    double p2p_qps[3] = {0.0, 0.0, 0.0};
+    QueryContext p2p_ctx(g.num_vertices());
+    QueryResponse p2p_resp;
+    for (int ti = 0; ti < 3; ++ti) {
+      const std::vector<QueryRequest> requests =
+          make_p2p_requests(g, sources, target_counts[ti]);
+      for (std::size_t i = 0; i < requests.size(); ++i) {  // warm + check
+        engine.serve(requests[i], p2p_ctx, p2p_resp);
+        for (const TargetResult& tr : p2p_resp.targets) {
+          if (tr.dist != ref[i].dist[tr.target]) {
+            std::fprintf(stderr, "P2P MISMATCH on %s source %u target %u\n",
+                         name.c_str(), requests[i].source, tr.target);
+            ok = false;
+          }
         }
       }
-      const double t_frag = best_seconds(reps, run_frag);
-      const double frag_qps = static_cast<double>(batch) / t_frag;
-      std::printf("  %-8s  frag%-4zu  %10s  %10.1f\n", name.c_str(), fc, "-",
-                  frag_qps);
-      const BenchJson::Labels labels{{"graph", name},
-                                     {"batch", std::to_string(batch)},
-                                     {"rho", std::to_string(rho)}};
-      json.add("frag" + std::to_string(fc) + "_qps", frag_qps, "queries/sec",
-               labels);
+      const double t_p2p = best_seconds(reps, [&] {
+        for (const QueryRequest& req : requests) {
+          engine.serve(req, p2p_ctx, p2p_resp);
+        }
+      });
+      p2p_qps[ti] = b / t_p2p;
     }
+
+    std::printf("  %-8s  %10.1f  %10.1f  %10.1f  %7.2fx  %10.1f  %10.1f  "
+                "%10.1f\n",
+                name.c_str(), seq_qps, ctx_qps, batch_qps, speedup, p2p_qps[0],
+                p2p_qps[1], p2p_qps[2]);
+
+    const BenchJson::Labels labels{{"graph", name},
+                                   {"batch", std::to_string(batch)},
+                                   {"rho", std::to_string(rho)}};
+    json.add("seq_qps", seq_qps, "queries/sec", labels);
+    json.add("ctx_qps", ctx_qps, "queries/sec", labels);
+    json.add("batch_qps", batch_qps, "queries/sec", labels);
+    json.add("batch_speedup", speedup, "x", labels);
+    json.add("p2p1_qps", p2p_qps[0], "queries/sec", labels);
+    json.add("p2p8_qps", p2p_qps[1], "queries/sec", labels);
+    json.add("p2p64_qps", p2p_qps[2], "queries/sec", labels);
   }
 
   const std::string path = json.write();

@@ -36,18 +36,11 @@
 // RS_TOPK (k for the top-k loop, default 8), RS_TRACE (trace every Nth
 // request through the server's span pipeline, 0 = off — for measuring
 // tracing overhead under load).
-//
-// `--engine flat|bst|bstflat|fragment` (or RS_ENGINE; argv wins) selects
-// the query engine every request runs on; fragment builds the partitioned
-// substrate first (RS_FRAGMENTS fragments). The engine label lands in the
-// JSON only when it is NOT flat, so the default metrics stay comparable
-// across history.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <future>
 #include <string>
@@ -72,14 +65,13 @@ using namespace rs::serve;
 /// deterministically. Request i is always answered against reference i.
 std::vector<QueryRequest> make_requests(const Graph& g,
                                         const std::vector<Vertex>& sources,
-                                        int targets_per, QueryEngine qe) {
+                                        int targets_per) {
   const SplitRng rng(4242);
   std::vector<QueryRequest> requests;
   requests.reserve(sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
     QueryRequest req;
     req.source = sources[i];
-    req.engine = qe;
     req.targets.reserve(static_cast<std::size_t>(targets_per));
     for (int t = 0; t < targets_per; ++t) {
       req.targets.push_back(static_cast<Vertex>(rng.bounded(
@@ -142,7 +134,7 @@ struct ClosedResult {
 ClosedResult run_closed(const SsspEngine& engine, ServerOptions opts,
                         const std::vector<QueryRequest>& requests,
                         const VerifySlot& check, std::uint64_t total,
-                        int clients, LatencyHistogram::Snapshot* latency,
+                        int clients, obs::Histogram::Snapshot* latency,
                         ServerStats* stats,
                         const std::vector<std::size_t>* schedule = nullptr,
                         const std::vector<QueryRequest>* warm = nullptr) {
@@ -201,7 +193,7 @@ struct OpenResult {
 OpenResult run_open(const SsspEngine& engine, ServerOptions opts,
                     const std::vector<QueryRequest>& requests,
                     const std::vector<QueryResult>& ref, std::uint64_t total,
-                    double rate, LatencyHistogram::Snapshot* latency) {
+                    double rate, obs::Histogram::Snapshot* latency) {
   SsspServer server(engine, opts);
   OpenResult out;
   out.offered_qps = rate;
@@ -241,27 +233,9 @@ OpenResult run_open(const SsspEngine& engine, ServerOptions opts,
   return out;
 }
 
-/// Engine selector: `--engine X` on the command line wins over RS_ENGINE;
-/// unknown names abort loudly rather than silently benching flat.
-QueryEngine parse_engine(int argc, char** argv, std::string& name_out) {
-  std::string name = rs::env_string("RS_ENGINE", "flat");
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--engine") name = argv[i + 1];
-  }
-  name_out = name;
-  if (name == "flat") return QueryEngine::kFlat;
-  if (name == "bst") return QueryEngine::kBst;
-  if (name == "bstflat") return QueryEngine::kBstFlat;
-  if (name == "fragment") return QueryEngine::kFragment;
-  std::fprintf(stderr,
-               "loadgen: unknown engine '%s' (flat|bst|bstflat|fragment)\n",
-               name.c_str());
-  std::exit(1);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace rs::exp;
   const Scale s = scale_from_env();
   const bool ci = s.name == "ci";
@@ -271,8 +245,6 @@ int main(int argc, char** argv) {
   const int targets_per = static_cast<int>(env_int64("RS_TARGETS", 1));
   const auto rho = static_cast<Vertex>(env_int64("RS_RHO", 32));
   const std::string mode = env_string("RS_MODE", "closed");
-  std::string engine_name;
-  const QueryEngine qe = parse_engine(argc, argv, engine_name);
 
   ServerOptions opts;
   opts.queue_capacity =
@@ -298,26 +270,21 @@ int main(int argc, char** argv) {
               static_cast<std::size_t>(g.num_edges()));
   std::printf(
       "requests=%llu clients=%d targets=%d queue=%zu max_batch=%zu "
-      "budget=%lldus batchers=%d mode=%s engine=%s\n\n",
+      "budget=%lldus batchers=%d mode=%s\n\n",
       static_cast<unsigned long long>(total), clients, targets_per,
       opts.queue_capacity, opts.max_batch,
       static_cast<long long>(opts.batch_budget.count()), opts.batchers,
-      mode.c_str(), engine_name.c_str());
+      mode.c_str());
 
   PreprocessOptions popts;
   popts.rho = rho;
   popts.k = 2;
-  SsspEngine engine(g, popts);
-  if (qe == QueryEngine::kFragment) {
-    engine.enable_fragments();  // RS_FRAGMENTS (default: worker count)
-    std::printf("fragment substrate: %zu fragments\n\n",
-                engine.fragments().num_fragments());
-  }
+  const SsspEngine engine(g, popts);
 
   const int pool = 64;
   const std::vector<Vertex> sources = sample_sources(g, pool, /*seed=*/777);
   const std::vector<QueryRequest> requests =
-      make_requests(g, sources, targets_per, qe);
+      make_requests(g, sources, targets_per);
   std::vector<QueryResult> ref;
   ref.reserve(sources.size());
   for (const Vertex src : sources) ref.push_back(engine.query(src));
@@ -327,14 +294,11 @@ int main(int argc, char** argv) {
   (void)engine.serve_batch(requests);
 
   BenchJson json("sssp_serve", s);
-  BenchJson::Labels labels{
+  const BenchJson::Labels labels{
       {"graph", graph_name},
       {"clients", std::to_string(clients)},
       {"targets", std::to_string(targets_per)},
       {"max_batch", std::to_string(opts.max_batch)}};
-  // Only a non-default engine gets a label: the flat metrics must stay
-  // byte-comparable to every historical run the comparator holds.
-  if (qe != QueryEngine::kFlat) labels.push_back({"engine", engine_name});
   bool ok = true;
 
   const VerifySlot check_targets = [&](const QueryResponse& resp,
@@ -343,7 +307,7 @@ int main(int argc, char** argv) {
   };
 
   if (mode == "closed" || mode == "both") {
-    LatencyHistogram::Snapshot lat;
+    obs::Histogram::Snapshot lat;
     ServerStats stats;
     const ClosedResult r = run_closed(engine, opts, requests, check_targets,
                                       total, clients, &lat, &stats);
@@ -392,7 +356,6 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < sources.size(); ++i) {
       QueryRequest req;
       req.source = sources[i];
-      req.engine = qe;
       req.kind = RequestKind::kTopK;
       req.k = k;
       topk_requests.push_back(std::move(req));
@@ -440,7 +403,7 @@ int main(int argc, char** argv) {
       rate = 0.7 * cal.qps;
       if (rate < 1.0) rate = 1.0;
     }
-    LatencyHistogram::Snapshot lat;
+    obs::Histogram::Snapshot lat;
     const OpenResult r =
         run_open(engine, opts, requests, ref, total, rate, &lat);
     ok = ok && r.ok;

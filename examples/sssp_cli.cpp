@@ -5,7 +5,7 @@
 //   sssp_cli gen --type grid2d --side 200 --weights 10000 -o g.gr
 //   sssp_cli stats g.gr
 //   sssp_cli preprocess g.gr --rho 64 --k 3 --heuristic dp -o g.pre
-//   sssp_cli query g.gr g.pre --source 0 --targets 39999,1250 --engine flat
+//   sssp_cli query g.gr g.pre --source 0 --targets 39999,1250
 //   sssp_cli run g.gr --algo all --source 0
 //
 // The query subcommand is a targeted serve: with --targets (or --target)
@@ -230,12 +230,11 @@ int cmd_query(const Args& args) {
   if (args.positional().size() < 2) {
     std::fprintf(stderr,
                  "usage: sssp_cli query <graph> <pre> --source S "
-                 "[--targets A,B,C | --target T] [--paths 0|1] "
-                 "[--engine flat|bst|bstflat|fragment] [--fragments F]\n");
+                 "[--targets A,B,C | --target T] [--paths 0|1]\n");
     return 1;
   }
   const Graph g = load_graph(args.positional()[0]);
-  SsspEngine engine(g, load_preprocessing_file(args.positional()[1]));
+  const SsspEngine engine(g, load_preprocessing_file(args.positional()[1]));
 
   constexpr long kMaxVertex =
       static_cast<long>(std::numeric_limits<Vertex>::max());
@@ -250,22 +249,6 @@ int cmd_query(const Args& args) {
   // No targets: a classic full-SSSP probe (stats + full vector held only
   // long enough to report). With targets the response is O(|targets|).
   req.want_full_distances = req.targets.empty();
-  const std::string which = args.get("--engine", "flat");
-  if (which == "bst") {
-    req.engine = QueryEngine::kBst;
-  } else if (which == "bstflat") {
-    req.engine = QueryEngine::kBstFlat;
-  } else if (which == "fragment") {
-    req.engine = QueryEngine::kFragment;
-    // 0 = the RS_FRAGMENTS env default (falls back to the worker count).
-    engine.enable_fragments(static_cast<std::size_t>(
-        get_checked(args, "--fragments", 0, 0, 1 << 20)));
-  } else if (which == "flat") {
-    req.engine = QueryEngine::kFlat;
-  } else {
-    throw std::invalid_argument("unknown --engine " + which +
-                                " (flat|bst|bstflat|fragment)");
-  }
 
   Timer t;
   const QueryResponse resp = engine.serve(req);

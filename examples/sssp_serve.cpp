@@ -11,10 +11,10 @@
 // Daemon flags: --port P (TCP listener; default stdin), --queue N
 // (admission queue depth, default 1024), --max-batch N (micro-batch cap,
 // default 64), --budget-us N (coalescing window, default 200),
-// --batchers N (batcher threads, default 1), --engine flat|bst|bstflat,
-// --cache 0|1 (hot-source result cache, default 0), --landmarks N (ALT
-// oracle with N landmarks, default 0 = off), --dynamic 0|1 (live weight
-// updates; requires in-process preprocessing, default 0),
+// --batchers N (batcher threads, default 1), --cache 0|1 (hot-source
+// result cache, default 0), --landmarks N (ALT oracle with N landmarks,
+// default 0 = off), --dynamic 0|1 (live weight updates; requires
+// in-process preprocessing, default 0),
 // --trace-sample N (trace every Nth request, 0 = off; default from the
 // RS_TRACE env var), --slow-query-us N (log traced spans of requests
 // slower than N us to stderr, 0 = off), --flush-ms N / --flush-dirty F
@@ -146,14 +146,13 @@ Vertex parse_vertex(const std::string& item) {
 }
 
 /// "<source> <t1>[,<t2>,...]" -> request. Throws on any malformed piece.
-QueryRequest parse_line(const std::string& line, QueryEngine engine) {
+QueryRequest parse_line(const std::string& line) {
   const std::size_t space = line.find(' ');
   if (space == std::string::npos) {
     throw std::invalid_argument("expected '<source> <t1>[,<t2>,...]'");
   }
   QueryRequest req;
   req.source = parse_vertex(line.substr(0, space));
-  req.engine = engine;
   std::size_t pos = space + 1;
   while (pos <= line.size()) {
     std::size_t comma = line.find(',', pos);
@@ -169,7 +168,7 @@ QueryRequest parse_line(const std::string& line, QueryEngine engine) {
 }
 
 /// "<source> <k>" -> kTopK request. Throws on any malformed piece.
-QueryRequest parse_topk(const std::string& rest, QueryEngine engine) {
+QueryRequest parse_topk(const std::string& rest) {
   const std::size_t space = rest.find(' ');
   if (space == std::string::npos) {
     throw std::invalid_argument("expected 'topk <source> <k>'");
@@ -179,7 +178,6 @@ QueryRequest parse_topk(const std::string& rest, QueryEngine engine) {
   req.source = parse_vertex(rest.substr(0, space));
   // parse_vertex's strict digits-and-range contract fits k as well.
   req.k = parse_vertex(rest.substr(space + 1));
-  req.engine = engine;
   return req;
 }
 
@@ -243,7 +241,7 @@ std::string format_targets(const QueryResponse& resp, bool topk) {
 /// update / stage / flush / qc when `dyn` is non-null) and falls back to
 /// the bare legacy "<source> <targets>" form for anything else.
 std::string answer_line(SsspServer& server, rs::serve::DynamicSsspService* dyn,
-                        const std::string& line, QueryEngine qe) {
+                        const std::string& line) {
   const std::size_t sp = line.find(' ');
   const std::string verb = line.substr(0, sp);
   const std::string rest = sp == std::string::npos ? "" : line.substr(sp + 1);
@@ -281,7 +279,7 @@ std::string answer_line(SsspServer& server, rs::serve::DynamicSsspService* dyn,
         return buf;
       }
       if (verb == "flush") return format_update_report(dyn->flush());
-      return format_targets(dyn->serve_corrected(parse_line(rest, qe)),
+      return format_targets(dyn->serve_corrected(parse_line(rest)),
                             /*topk=*/false);
     } catch (const std::exception& e) {
       return std::string("error: ") + e.what();
@@ -291,11 +289,11 @@ std::string answer_line(SsspServer& server, rs::serve::DynamicSsspService* dyn,
   QueryRequest req;
   try {
     if (verb == "q") {
-      req = parse_line(rest, qe);
+      req = parse_line(rest);
     } else if (verb == "topk") {
-      req = parse_topk(rest, qe);
+      req = parse_topk(rest);
     } else {
-      req = parse_line(line, qe);  // legacy bare form
+      req = parse_line(line);  // legacy bare form
     }
   } catch (const std::exception& e) {
     return std::string("error: ") + e.what();
@@ -329,7 +327,7 @@ void on_signal(int) {
 /// connections feed the same server, so requests from different clients
 /// coalesce into shared micro-batches.
 int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
-              QueryEngine engine, int port) {
+              int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     std::perror("sssp_serve: socket");
@@ -356,7 +354,7 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
   while (g_stop == 0) {
     const int client = ::accept(fd, nullptr, nullptr);
     if (client < 0) break;  // listener closed by the signal handler
-    conns.emplace_back([client, &server, dyn, engine] {
+    conns.emplace_back([client, &server, dyn] {
       std::string buf;
       char chunk[4096];
       ssize_t got;
@@ -369,7 +367,7 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
           buf.erase(0, nl + 1);
           if (line.empty()) continue;
           const std::string reply =
-              answer_line(server, dyn, line, engine) + "\n";
+              answer_line(server, dyn, line) + "\n";
           if (::write(client, reply.data(), reply.size()) < 0) break;
         }
       }
@@ -382,8 +380,7 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
 }
 
 /// Stdin front-end: one request line in, one response line out.
-int stdio_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
-                QueryEngine engine) {
+int stdio_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn) {
   std::string line;
   char chunk[4096];
   while (std::fgets(chunk, sizeof(chunk), stdin) != nullptr) {
@@ -392,7 +389,7 @@ int stdio_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
       line.pop_back();
     }
     if (line.empty()) continue;
-    std::printf("%s\n", answer_line(server, dyn, line, engine).c_str());
+    std::printf("%s\n", answer_line(server, dyn, line).c_str());
     std::fflush(stdout);
   }
   return 0;
@@ -583,11 +580,6 @@ int main(int argc, char** argv) {
       opts.landmarks.count = static_cast<std::size_t>(landmarks);
     }
 
-    const std::string which = args.get("--engine", "flat");
-    const QueryEngine qe = which == "bst"       ? QueryEngine::kBst
-                           : which == "bstflat" ? QueryEngine::kBstFlat
-                                                : QueryEngine::kFlat;
-
     PreprocessOptions popts;
     popts.rho = static_cast<Vertex>(args.get_int("--rho", 64));
     popts.k = static_cast<Vertex>(args.get_int("--k", 3));
@@ -624,8 +616,8 @@ int main(int argc, char** argv) {
     SsspServer& server = dyn != nullptr ? dyn->server() : *static_server;
 
     const int port = static_cast<int>(args.get_int("--port", 0));
-    const int rc = port > 0 ? tcp_serve(server, dyn.get(), qe, port)
-                            : stdio_serve(server, dyn.get(), qe);
+    const int rc = port > 0 ? tcp_serve(server, dyn.get(), port)
+                            : stdio_serve(server, dyn.get());
     server.drain();
     print_stats(server);
     server.shutdown();

@@ -6,8 +6,6 @@
 #include <omp.h>
 
 #include "core/radius_stepping.hpp"
-#include "core/rs_bst.hpp"
-#include "core/rs_fragment.hpp"
 #include "core/rs_unweighted.hpp"
 #include "core/sp_tree.hpp"
 #include "parallel/primitives.hpp"
@@ -32,9 +30,6 @@ SsspEngine::SsspEngine(Graph original, PreprocessResult pre)
 SsspEngine::SsspEngine(const SsspEngine& other)
     : original_(other.original_),
       pre_(other.pre_),
-      // The fragment substrate is immutable once built: share it.
-      fragments_(other.fragments_),
-      fragment_mode_(other.fragment_mode_),
       graph_epoch_(other.graph_epoch_) {}
 
 SsspEngine& SsspEngine::operator=(const SsspEngine& other) {
@@ -42,8 +37,6 @@ SsspEngine& SsspEngine::operator=(const SsspEngine& other) {
     original_ = other.original_;
     pre_ = other.pre_;
     graph_epoch_ = other.graph_epoch_;
-    fragments_ = other.fragments_;
-    fragment_mode_ = other.fragment_mode_;
     batch_pools_ = std::make_unique<BatchPools>();
     transpose_ = std::make_unique<TransposeCache>();
   }
@@ -54,51 +47,16 @@ SsspEngine SsspEngine::next_epoch(const SsspEngine& prior, Graph original,
                                   PreprocessResult pre) {
   SsspEngine next(std::move(original), std::move(pre));
   next.graph_epoch_ = prior.graph_epoch_ + 1;
-  if (prior.fragments_ != nullptr) {
-    next.enable_fragments(prior.fragments_->num_fragments(),
-                          prior.fragment_mode_);
-  }
   return next;
 }
 
-void SsspEngine::enable_fragments(std::size_t count, PartitionMode mode) {
-  fragments_ = std::make_shared<const FragmentedGraph>(pre_.graph, count, mode);
-  fragment_mode_ = mode;
-}
-
-void SsspEngine::replace(Graph original, PreprocessResult pre) {
-  if (pre.graph.num_vertices() != original.num_vertices() ||
-      pre.radius.size() != original.num_vertices()) {
-    throw std::invalid_argument(
-        "SsspEngine::replace: preprocessing/graph mismatch");
-  }
-  original_ = std::move(original);
-  pre_ = std::move(pre);
-  if (fragments_ != nullptr) {
-    // Re-partition the new graph the same way (resolved count, same mode),
-    // so kFragment keeps working across the swap.
-    fragments_ = std::make_shared<const FragmentedGraph>(
-        pre_.graph, fragments_->num_fragments(), fragment_mode_);
-  }
-  transpose_ = std::make_unique<TransposeCache>();
-  ++graph_epoch_;
-}
-
-void SsspEngine::check_engine(QueryEngine engine) const {
-  if (engine == QueryEngine::kUnweighted &&
+void SsspEngine::validate(const QueryRequest& req) const {
+  if (req.engine == QueryEngine::kUnweighted &&
       (pre_.added_edges != 0 || pre_.graph.max_weight() != 1)) {
     throw std::invalid_argument(
         "SsspEngine: unweighted engine needs a unit-weight graph with no "
         "shortcut edges (use ShortcutHeuristic::kNone)");
   }
-  if (engine == QueryEngine::kFragment && fragments_ == nullptr) {
-    throw std::invalid_argument(
-        "SsspEngine: fragment engine needs enable_fragments() first");
-  }
-}
-
-void SsspEngine::validate(const QueryRequest& req) const {
-  check_engine(req.engine);
   const Vertex n = pre_.graph.num_vertices();
   if (req.source >= n) {
     throw std::invalid_argument("SsspEngine: bad source");
@@ -164,27 +122,12 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
     if (topk && !req.want_full_distances) ctx.set_k_goal(req.k);
   }
 
-  switch (req.engine) {
-    case QueryEngine::kFlat:
-      radius_stepping_partial(pre_.graph, req.source, pre_.radius, ctx,
-                              &resp.stats);
-      break;
-    case QueryEngine::kBst:
-      radius_stepping_bst_partial(pre_.graph, req.source, pre_.radius, ctx,
-                                  &resp.stats);
-      break;
-    case QueryEngine::kBstFlat:
-      radius_stepping_flatset_partial(pre_.graph, req.source, pre_.radius,
-                                      ctx, &resp.stats);
-      break;
-    case QueryEngine::kUnweighted:
-      radius_stepping_unweighted_partial(pre_.graph, req.source, pre_.radius,
-                                         ctx, &resp.stats);
-      break;
-    case QueryEngine::kFragment:
-      radius_stepping_fragment_partial(*fragments_, req.source, pre_.radius,
+  if (req.engine == QueryEngine::kUnweighted) {
+    radius_stepping_unweighted_partial(pre_.graph, req.source, pre_.radius,
                                        ctx, &resp.stats);
-      break;
+  } else {
+    radius_stepping_partial(pre_.graph, req.source, pre_.radius, ctx,
+                            &resp.stats);
   }
 
   if (topk) {

@@ -1,7 +1,8 @@
 /// \file
 /// SsspEngine: the batteries-included entry point a downstream application
 /// uses. Owns the preprocessed (k, rho)-graph and radii and serves typed
-/// QueryRequests with the engine of your choice (core/request.hpp).
+/// QueryRequests (core/request.hpp) with the flat radius-stepping engine,
+/// or the BFS-style one on unit-weight graphs without shortcuts.
 ///
 /// \code
 ///   SsspEngine engine(graph, {.rho = 64, .k = 3});
@@ -37,7 +38,6 @@
 #include "core/query_context.hpp"
 #include "core/request.hpp"
 #include "core/stats.hpp"
-#include "graph/fragment.hpp"
 #include "graph/graph.hpp"
 #include "parallel/context_pool.hpp"
 #include "shortcut/preprocess_context.hpp"
@@ -73,10 +73,10 @@ class SsspEngine {
   /// Wraps an existing preprocessing result (e.g. loaded from disk).
   SsspEngine(Graph original, PreprocessResult pre);
 
-  /// Copies share the immutable fragment substrate and keep the epoch but
-  /// get their own (cold) context pool.
+  /// Copies keep the epoch but get their own (cold) context pool and
+  /// transpose cache.
   SsspEngine(const SsspEngine& other);
-  /// Copy assignment: same sharing rules as the copy constructor.
+  /// Copy assignment: same rules as the copy constructor.
   SsspEngine& operator=(const SsspEngine& other);
   /// Moves transfer the warm pool with the engine.
   SsspEngine(SsspEngine&&) = default;
@@ -85,10 +85,10 @@ class SsspEngine {
 
   /// Builds the successor snapshot of `prior` for a graph swap: a fresh
   /// engine over (original, pre) whose graph_epoch() is
-  /// prior.graph_epoch() + 1, with the fragment substrate re-partitioned
-  /// the same way when `prior` had one. `prior` is not touched — it keeps
-  /// serving until the caller publishes the successor (e.g. via
-  /// SsspServer::swap_engine) and the last reader unpins it.
+  /// prior.graph_epoch() + 1. `prior` is not touched — it keeps serving
+  /// until the caller publishes the successor (e.g. via
+  /// SsspServer::swap_engine) and the last reader unpins it. This is the
+  /// one graph-swap path: an engine never changes its graph in place.
   static SsspEngine next_epoch(const SsspEngine& prior, Graph original,
                                PreprocessResult pre);
 
@@ -141,9 +141,7 @@ class SsspEngine {
 
   /// Legacy wrapper over a caller-owned reusable context: after the first
   /// query the engine hot path performs no heap allocations (the returned
-  /// QueryResult::dist is the one unavoidable output allocation). This
-  /// covers every engine, including kBst — its treap nodes come from the
-  /// context's arena and are recycled across queries.
+  /// QueryResult::dist is the one unavoidable output allocation).
   QueryResult query(Vertex source, QueryEngine engine,
                     QueryContext& ctx) const;
 
@@ -167,37 +165,13 @@ class SsspEngine {
   const PreprocessResult& preprocessing() const { return pre_; }
 
   /// Preprocessing generation this engine is serving. Starts at 1 and is
-  /// bumped by every replace() and next_epoch(); responses are stamped
-  /// with it
+  /// bumped by every next_epoch(); responses are stamped with it
   /// (QueryResponse::graph_epoch), and the caching layer
   /// (serve/result_cache.hpp, serve/landmark_oracle.hpp) keys on it so a
   /// graph swap implicitly invalidates every cached row. Copies keep the
   /// epoch: they serve the same preprocessing, so their answers are
   /// interchangeable with the original's.
   std::uint64_t graph_epoch() const { return graph_epoch_; }
-
-  // --- fragment-partitioned substrate (QueryEngine::kFragment) -------------
-  /// Builds the fragment-partitioned view of the preprocessed graph so
-  /// kFragment requests can be served. `count` == 0 means
-  /// default_num_fragments() (the RS_FRAGMENTS env var, else a
-  /// worker-count-derived default). Idempotent in effect: calling again
-  /// rebuilds with the new count/mode. replace() re-partitions the new
-  /// graph with the same resolved count and mode automatically.
-  void enable_fragments(std::size_t count = 0,
-                        PartitionMode mode = PartitionMode::kContiguous);
-  /// True once enable_fragments() has built the substrate; kFragment
-  /// requests are rejected by validate() until then.
-  bool fragments_enabled() const { return fragments_ != nullptr; }
-  /// The fragmented view (requires fragments_enabled()).
-  const FragmentedGraph& fragments() const { return *fragments_; }
-
-  /// Swaps in a new graph + preprocessing (same validation as the wrapping
-  /// constructor) and bumps graph_epoch(), instantly staling every cached
-  /// answer derived from the old preprocessing. Warm context pools are
-  /// kept (contexts grow on demand and never shrink); the transpose cache
-  /// is rebuilt lazily. NOT thread-safe against concurrent serves — stop
-  /// serving, swap, resume (the serving daemon does exactly that).
-  void replace(Graph original, PreprocessResult pre);
 
  private:
   /// Request execution into `resp`. Validation must have happened already
@@ -206,10 +180,6 @@ class SsspEngine {
   void run_serve(const QueryRequest& req, QueryContext& ctx,
                  const Graph* transpose, QueryResponse& resp) const;
 
-  /// Throws if `engine` cannot run on this preprocessing (kUnweighted on a
-  /// weighted/shortcutted graph).
-  void check_engine(QueryEngine engine) const;
-
   /// The cached transpose of the original graph (built at most once,
   /// shared by all path reconstructions). On a moved-from engine the
   /// cache is gone: the transpose is built into `local` instead.
@@ -217,16 +187,7 @@ class SsspEngine {
 
   Graph original_;
   PreprocessResult pre_;
-  // Fragment substrate for kFragment requests. Immutable once built, so
-  // copies SHARE it (shared_ptr) — a copied engine serves identical
-  // answers from the identical partition without re-partitioning. Null
-  // until enable_fragments(). The resolved count/mode are kept so
-  // replace() can re-partition the new graph the same way.
-  std::shared_ptr<const FragmentedGraph> fragments_;
-  PartitionMode fragment_mode_ = PartitionMode::kContiguous;
-  // Plain (not atomic) by design: replace() is documented as mutually
-  // exclusive with serving, and an atomic member would forfeit the
-  // defaulted move operations.
+  // Set once, at construction (next_epoch bumps the successor's).
   std::uint64_t graph_epoch_ = 1;
 
   // Reusable per-worker context pools for serve_batch, boxed so the

@@ -133,24 +133,4 @@ IndexedHeap<Dist>& QueryContext::heap() {
   return heap_;
 }
 
-QueryContext::FragmentScratch& QueryContext::fragment_scratch(
-    std::size_t fragments) {
-  FragmentScratch& fs = fragment_scratch_;
-  const auto prepare = [fragments](std::vector<std::vector<Vertex>>& lists) {
-    if (lists.size() < fragments) lists.resize(fragments);
-    for (std::size_t f = 0; f < fragments; ++f) lists[f].clear();
-  };
-  prepare(fs.frontier);
-  prepare(fs.rebuilt);
-  prepare(fs.active);
-  prepare(fs.next_active);
-  prepare(fs.updated);
-  prepare(fs.newly_frontier);
-  prepare(fs.newly_settled);
-  if (fs.frontier_min.size() < fragments) fs.frontier_min.resize(fragments);
-  if (fs.relaxed.size() < fragments) fs.relaxed.resize(fragments);
-  fs.messages.reset(fragments);
-  return fs;
-}
-
 }  // namespace rs

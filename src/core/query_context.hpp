@@ -26,9 +26,7 @@
 #include <vector>
 
 #include "graph/types.hpp"
-#include "parallel/message_buffer.hpp"
 #include "pq/binary_heap.hpp"
-#include "pset/treap.hpp"
 
 namespace rs {
 
@@ -55,7 +53,7 @@ class QueryContext {
   void set_sequential(bool sequential) { sequential_ = sequential; }
 
   /// True when the engines should take per-phase clock readings into
-  /// RunStats (relax/exchange/partition ns) for this run — set per
+  /// RunStats (relax/partition ns) for this run — set per
   /// request by SsspEngine::run_serve from QueryRequest::trace. Off by
   /// default: untraced runs take zero clock readings.
   bool trace_phases() const { return trace_phases_; }
@@ -254,77 +252,6 @@ class QueryContext {
   /// Indexed heap sized to capacity() (Dijkstra). Cleared on hand-out.
   IndexedHeap<Dist>& heap();
 
-  // --- ordered-set engine state (Algorithm 2 / kBst) -----------------------
-  /// Ordered-set keys are (distance, vertex) pairs — Q holds (delta(v), v),
-  /// R holds (delta(v) + r(v), v).
-  using SetKey = std::pair<Dist, Vertex>;
-
-  /// Reusable sorted-key staging buffers for the batched Q/R updates: the
-  /// step's split-off active keys, their R counterparts, and the four
-  /// per-substep batch-update lists. All keep capacity across queries; the
-  /// engine clears what it uses.
-  struct KeyBuffers {
-    std::vector<SetKey> moved;     // A_i keys split off Q (sorted)
-    std::vector<SetKey> r_moved;   // same vertices keyed for R
-    std::vector<SetKey> q_remove;  // per-substep batch updates
-    std::vector<SetKey> r_remove;
-    std::vector<SetKey> q_insert;
-    std::vector<SetKey> r_insert;
-  };
-  KeyBuffers& key_buffers() { return key_buffers_; }
-
-  /// Freelist-backed node pools for the treap substrate: Q/R nodes are
-  /// recycled across substeps AND across queries, so a warm context runs
-  /// kBst without per-key-move heap traffic. The pool holds one arena per
-  /// worker — the parallel kBst twin hands the whole pool to its treaps
-  /// (each OpenMP thread recycles through its own arena, keeping the
-  /// bulk-op task recursion), while the sequential twin uses arena 0 alone
-  /// (tree_arena()), never opening a region. `workers` must cover the
-  /// largest team the caller's treap operations can run with.
-  TreapArenaPool<SetKey>& tree_arenas(std::size_t workers) {
-    tree_arenas_.ensure(workers);
-    return tree_arenas_;
-  }
-  /// The sequential twin's single arena (arena 0 of the pool).
-  TreapArena<SetKey>& tree_arena() {
-    tree_arenas_.ensure(1);
-    return tree_arenas_.arena(0);
-  }
-
-  /// Pre-substep distance snapshot array for touched vertices, grown to
-  /// cover `n` vertices (values unspecified; the engine writes before it
-  /// reads). Lazily sized so non-kBst contexts never pay for it.
-  std::vector<Dist>& old_dist(Vertex n) {
-    if (old_dist_.size() < n) old_dist_.resize(n);
-    return old_dist_;
-  }
-
-  // --- fragment-parallel engine state (core/rs_fragment.hpp) ---------------
-  /// Per-fragment scratch: the list families the fragment engine keeps one
-  /// of per fragment (mirroring the flat engine's frontier/next/active/
-  /// updated/scratch roles, plus the settled hand-off to the coordinator),
-  /// per-fragment reduction slots, and the boundary message buffer. All of
-  /// it keeps capacity across queries — a warm fragment serve allocates
-  /// nothing.
-  struct FragmentScratch {
-    std::vector<std::vector<Vertex>> frontier;        // local inner ids
-    std::vector<std::vector<Vertex>> rebuilt;         // frontier rebuild out
-    std::vector<std::vector<Vertex>> active;          // current substep
-    std::vector<std::vector<Vertex>> next_active;     // partition pass out
-    std::vector<std::vector<Vertex>> updated;         // claimed this substep
-    std::vector<std::vector<Vertex>> newly_frontier;  // beyond-d_i arrivals
-    std::vector<std::vector<Vertex>> newly_settled;   // GLOBAL ids, drained
-                                                      // by the coordinator
-    std::vector<Dist> frontier_min;     // per-fragment d_i candidate
-    std::vector<std::size_t> relaxed;   // per-fragment relaxation count
-    MessageBuffer<DistMessage> messages;
-  };
-
-  /// Hands out the fragment scratch sized for `fragments` fragments: every
-  /// list family has one empty entry per fragment (capacities kept), the
-  /// reduction slots are sized, and the message buffer is reset.
-  FragmentScratch& fragment_scratch(std::size_t fragments);
-
  private:
   Vertex n_ = 0;
   bool sequential_ = false;
@@ -359,11 +286,7 @@ class QueryContext {
   std::vector<std::vector<Vertex>> bucket_slots_;
   std::vector<std::vector<Vertex>> touched_{1};  // per-worker first-touches
   IndexedHeap<Dist> heap_{0};
-  KeyBuffers key_buffers_;
-  TreapArenaPool<SetKey> tree_arenas_;
-  std::vector<Dist> old_dist_;
   std::vector<std::pair<Dist, Vertex>> topk_buffer_;
-  FragmentScratch fragment_scratch_;
 };
 
 }  // namespace rs

@@ -3,8 +3,8 @@
 // The "flat" engine here keeps tentative distances in an atomic array and
 // runs each Bellman-Ford substep as a parallel edge-map with WriteMin; the
 // step boundary d_i is a parallel min-reduce over the frontier. This is the
-// engine a practical implementation uses (the BST engine of Algorithm 2
-// lives in core/rs_bst.hpp and produces identical results).
+// engine a practical implementation uses (Algorithm 2's ordered-set form
+// is the test reference in core/rs_bst.hpp and produces identical results).
 //
 // Given radii from preprocessing (r(v) = r_rho(v) on a (k, rho)-graph) the
 // run obeys the paper's bounds: <= ceil(n/rho) * (1 + ceil(log2(rho * L)))

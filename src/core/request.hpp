@@ -40,18 +40,13 @@
 
 namespace rs {
 
-/// Which Radius-Stepping implementation answers a request.
+/// Which Radius-Stepping implementation answers a request. Algorithm 2
+/// (the paper's ordered-set formulation) is not served: it survives as the
+/// full-output reference in core/rs_bst.hpp that tests check kFlat against.
 enum class QueryEngine : std::uint8_t {
-  kFlat,        ///< Atomic-array engine (default; fastest).
-  kBst,         ///< Algorithm 2 on the arena-treap substrate (O(p log q)
-                ///< set operations).
-  kBstFlat,     ///< Algorithm 2 on the flat sorted-array substrate.
+  kFlat,        ///< Atomic-array engine (default).
   kUnweighted,  ///< BFS-style engine; only valid when the graph is
                 ///< unit-weight and preprocessing added no shortcuts.
-  kFragment,    ///< Fragment-parallel engine over the partitioned
-                ///< substrate (core/rs_fragment.hpp); only valid after
-                ///< SsspEngine::enable_fragments(); distances
-                ///< bit-identical to kFlat.
 };
 
 /// What a request asks for.
@@ -116,7 +111,7 @@ struct QueryRequest {
   QueryEngine engine = QueryEngine::kFlat;
 
   /// Trace this request: the engines take per-phase clock readings into
-  /// RunStats (relax/exchange/partition ns) and the server assembles a
+  /// RunStats (relax/partition ns) and the server assembles a
   /// span breakdown into QueryResponse::trace. Normally set by the
   /// server's sampling knob (ServerOptions::trace_sample), not by hand.
   bool trace = false;

@@ -1,64 +1,38 @@
-// Radius-Stepping, Algorithm 2: the BST formulation.
+// Radius-Stepping, Algorithm 2: the paper's ordered-set formulation, kept
+// as a full-output reference.
 //
-// This engine follows the paper's efficient implementation literally: two
-// ordered sets Q (tentative distances) and R (tentative distance + vertex
-// radius) stored in join-based treaps; the round distance d_i is R's
-// minimum, the active set A_i is Q.split(d_i), and each substep's batch of
-// successful relaxations is applied to Q and R with bulk
-// difference / union operations — the O(log n)-per-update bookkeeping the
-// work/depth analysis (Lemma 3.9) charges.
+// Two ordered sets Q (tentative distances) and R (tentative distance +
+// vertex radius); the round distance d_i is R's minimum, the active set
+// A_i is Q.split(d_i), and each substep's batch of successful relaxations
+// is applied to Q and R with bulk difference / union operations — the
+// O(log n)-per-update bookkeeping the work/depth analysis (Lemma 3.9)
+// charges.
 //
-// It computes identical distances AND an identical step sequence to the
-// flat engine (core/radius_stepping.hpp); tests assert both.
+// Queries are served by the flat engine (core/radius_stepping.hpp). This
+// reference computes identical distances AND an identical step sequence;
+// tests assert both. Each call owns its sets and per-vertex arrays.
 #pragma once
 
 #include <vector>
 
-#include "core/query_context.hpp"
 #include "core/stats.hpp"
 #include "graph/graph.hpp"
 
 namespace rs {
 
-/// Serving form: runs out of a reusable QueryContext (distance array,
-/// stamps, key buffers, and the treap node arena all come from `ctx`).
-/// After warm-up, a sequential-mode context answers with zero heap
-/// allocations — treap nodes are recycled through the context's freelist
-/// arena. Distances land in `out` (resized to n).
-void radius_stepping_bst(const Graph& g, Vertex source,
-                         const std::vector<Dist>& radius, QueryContext& ctx,
-                         std::vector<Dist>& out, RunStats* stats = nullptr);
-
-/// Convenience form: fresh context per call.
+/// Algorithm 2 on the join-based treap (pset/treap.hpp): O(p log q) bulk
+/// set operations, task-parallel on large batches. Each substep gathers
+/// its relaxation proposals over num_workers() threads. Returns the full
+/// distance vector.
 std::vector<Dist> radius_stepping_bst(const Graph& g, Vertex source,
                                       const std::vector<Dist>& radius,
                                       RunStats* stats = nullptr);
 
-/// Serving primitive: distances stay in `ctx` (read via ctx.read_dist(),
-/// then finish_query() or the O(touched) reset_touched()); honors
-/// ctx.has_targets() step-boundary early termination (see
-/// core/radius_stepping.hpp).
-void radius_stepping_bst_partial(const Graph& g, Vertex source,
-                                 const std::vector<Dist>& radius,
-                                 QueryContext& ctx, RunStats* stats = nullptr);
-
-/// The same Algorithm 2 on the flat sorted-array substrate
-/// (pset/flat_set.hpp): O(n)-copy bulk operations instead of the treap's
-/// O(p log q). Identical results; exists to show the analysis only needs
-/// the ordered-set interface and to benchmark the substrate crossover.
-void radius_stepping_flatset(const Graph& g, Vertex source,
-                             const std::vector<Dist>& radius,
-                             QueryContext& ctx, std::vector<Dist>& out,
-                             RunStats* stats = nullptr);
-
+/// The same Algorithm 2 on the flat sorted array (pset/flat_set.hpp):
+/// O(n)-copy bulk operations instead of the treap's O(p log q). Identical
+/// results; shows the analysis only needs the ordered-set interface.
 std::vector<Dist> radius_stepping_flatset(const Graph& g, Vertex source,
                                           const std::vector<Dist>& radius,
                                           RunStats* stats = nullptr);
-
-/// Serving primitive for the flat-set substrate (see *_bst_partial).
-void radius_stepping_flatset_partial(const Graph& g, Vertex source,
-                                     const std::vector<Dist>& radius,
-                                     QueryContext& ctx,
-                                     RunStats* stats = nullptr);
 
 }  // namespace rs

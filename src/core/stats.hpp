@@ -35,10 +35,8 @@ struct RunStats {
   // (QueryContext::trace_phases; see obs/trace.hpp) — the RunStats hooks
   // the observability subsystem turns into engine-detail trace spans.
   // Zero on untraced runs: the engines take no clock readings then.
-  /// Relaxation substeps (Algorithm 1's inner loop; fragment Phase 1).
+  /// Relaxation substeps (Algorithm 1's inner loop).
   std::uint64_t relax_ns = 0;
-  /// Fragment ghost exchange (kFragment only).
-  std::uint64_t exchange_ns = 0;
   /// Frontier drain + A_i/B_i partitioning after each substep.
   std::uint64_t partition_ns = 0;
 };

@@ -1,10 +1,10 @@
 /// \file
 /// Live edge-weight updates over the immutable CSR Graph.
 ///
-/// The Graph class is deliberately immutable — every engine, fragment
-/// substrate, and cached row assumes the CSR it was built from never
-/// changes under it. Dynamic traffic (road congestion, link cost churn)
-/// is therefore modeled as a BATCH transformation: apply_weight_updates()
+/// The Graph class is deliberately immutable — every engine and cached
+/// row assumes the CSR it was built from never changes under it. Dynamic
+/// traffic (road congestion, link cost churn) is therefore modeled as a
+/// BATCH transformation: apply_weight_updates()
 /// takes the current graph plus a list of WeightUpdate records and
 /// returns a NEW graph with identical topology (same offsets/targets
 /// arrays, so every EdgeId keeps its meaning) and the requested weights,

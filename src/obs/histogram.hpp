@@ -1,9 +1,8 @@
 // Fixed-bucket log-linear histogram (HDR-histogram style) — the one
 // distribution type of the observability subsystem (obs/metrics.hpp).
 //
-// Grown out of serve/latency_histogram.hpp (which now just aliases this
-// class): the serving daemon records end-to-end latency here, but the
-// registry can hold a Histogram for any magnitude-style quantity.
+// The serving daemon records end-to-end latency here, but the registry can
+// hold a Histogram for any magnitude-style quantity.
 //
 // The record path is the constraint: it runs once per served request, from
 // the batcher thread, and must never allocate or take a lock — one bucket

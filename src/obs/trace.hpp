@@ -17,7 +17,6 @@
 ///   depth 1 (inside `engine`; duration-only — their start is the engine
 ///   span's start, and they need not tile it):
 ///     relax        relaxation substeps (Algorithm 1's inner loop)
-///     exchange     fragment ghost exchange (kFragment only)
 ///     partition    frontier drain + A_i/B_i partitioning
 ///   cache-hit requests replace queue_wait..respond with:
 ///     cache_hit    answered synchronously from a cached row at submit
@@ -50,7 +49,6 @@ enum class SpanId : std::uint8_t {
   kRespond,    ///< Engine done -> promise fulfilled.
   kCacheHit,   ///< Synchronous cached answer at submit time.
   kRelax,      ///< Engine detail: relaxation substeps.
-  kExchange,   ///< Engine detail: fragment ghost exchange.
   kPartition,  ///< Engine detail: frontier drain + partition.
 };
 
@@ -72,8 +70,6 @@ inline const char* to_string(SpanId id) {
       return "cache_hit";
     case SpanId::kRelax:
       return "relax";
-    case SpanId::kExchange:
-      return "exchange";
     case SpanId::kPartition:
       return "partition";
   }
@@ -120,7 +116,7 @@ struct TraceBuffer {
 };
 
 /// Parses the RS_TRACE environment knob: unset/0 = off, N = trace every
-/// Nth request. Mirrors the RS_THREADS/RS_FRAGMENTS convention.
+/// Nth request. Mirrors the RS_THREADS convention.
 inline std::uint32_t trace_sample_from_env() {
   const char* env = std::getenv("RS_TRACE");
   if (env == nullptr || *env == '\0') return 0;

@@ -8,7 +8,7 @@
 
 namespace rs {
 
-int parse_count_env(const char* name, const char* value, int fallback) {
+int parse_worker_count(const char* value, int fallback) {
   // Unset / empty behaves exactly like an absent variable (CI's
   // default-thread matrix leg sets RS_THREADS=""), silently.
   if (value == nullptr || *value == '\0') return fallback;
@@ -23,16 +23,12 @@ int parse_count_env(const char* name, const char* value, int fallback) {
     // the count. (Don't print `fallback` — some callers pass a sentinel
     // meaning "leave the current setting alone".)
     std::fprintf(stderr,
-                 "[rs] warning: %s=\"%s\" is not a count in [1, %d]; "
+                 "[rs] warning: RS_THREADS=\"%s\" is not a count in [1, %d]; "
                  "falling back to the default\n",
-                 name, value, kMaxWorkers);
+                 value, kMaxWorkers);
     return fallback;
   }
   return static_cast<int>(v);
-}
-
-int parse_worker_count(const char* value, int fallback) {
-  return parse_count_env("RS_THREADS", value, fallback);
 }
 
 namespace {

@@ -36,11 +36,6 @@ inline constexpr int kMaxWorkers = 8192;
 /// `fallback` with a warning on stderr. Exposed for tests.
 int parse_worker_count(const char* value, int fallback);
 
-/// Shared parser behind every RS_*-count environment knob (RS_THREADS,
-/// RS_FRAGMENTS): same grammar and range as parse_worker_count, with the
-/// warning naming `name` so a misconfigured variable is identifiable.
-int parse_count_env(const char* name, const char* value, int fallback);
-
 /// Reads an integer environment variable, returning `fallback` when unset
 /// or unparsable. Used by benches for RS_SOURCES / RS_THREADS overrides.
 std::int64_t env_int64(const char* name, std::int64_t fallback);

@@ -4,9 +4,9 @@
 // different cost profile: split/union/difference are O(n) copies instead
 // of O(p log q) pointer surgery — better constants on small sets (cache
 // contiguity), asymptotically worse on large ones. Algorithm 2 runs
-// unchanged on either (core/rs_bst_impl.hpp is templated over the set),
-// which demonstrates that the paper's analysis depends only on the ordered
-// -set interface; gb_pq_micro and gb_engines quantify the crossover.
+// unchanged on either (core/rs_bst.cpp is templated over the set), which
+// demonstrates that the paper's analysis depends only on the ordered-set
+// interface; gb_engines quantifies the crossover.
 #pragma once
 
 #include <algorithm>
@@ -102,8 +102,7 @@ class FlatSet {
 
   std::vector<Key> to_vector() const { return keys_; }
 
-  /// Capacity-keeping variant (interface parity with Treap): clears `out`
-  /// and appends the sorted keys.
+  /// Interface parity with Treap: replaces `out` with the sorted keys.
   void to_vector(std::vector<Key>& out) const {
     out.assign(keys_.begin(), keys_.end());
   }

@@ -13,12 +13,9 @@ DynamicSsspService::DynamicSsspService(Graph g, const Options& options)
       incr_(g, options.preprocess),
       staged_graph_(incr_.graph()),
       staged_transpose_(staged_graph_.transposed()) {
-  SsspEngine engine(incr_.graph(), incr_.result());
-  if (options_.enable_fragments) {
-    engine.enable_fragments(options_.fragments, options_.fragment_mode);
-  }
   server_ = std::make_unique<SsspServer>(
-      std::make_shared<const SsspEngine>(std::move(engine)), options_.server);
+      std::make_shared<const SsspEngine>(incr_.graph(), incr_.result()),
+      options_.server);
   dirty_fraction_ = &server_->metrics().gauge(
       "rs_dyn_dirty_fraction", {},
       "Fraction of balls the staged (unflushed) updates would dirty");

@@ -43,7 +43,6 @@
 
 #include "core/engine.hpp"
 #include "core/request.hpp"
-#include "graph/fragment.hpp"
 #include "graph/graph.hpp"
 #include "graph/update.hpp"
 #include "obs/metrics.hpp"
@@ -79,13 +78,6 @@ class DynamicSsspService {
     PreprocessOptions preprocess;
     /// Daemon configuration (queue, batching, cache, landmarks).
     ServerOptions server;
-    /// Build the fragment substrate so kFragment requests work; carried
-    /// across every epoch swap by next_epoch().
-    bool enable_fragments = false;
-    /// Fragment count (0 = default_num_fragments()).
-    std::size_t fragments = 0;
-    /// Partition mode for the fragment substrate.
-    PartitionMode fragment_mode = PartitionMode::kContiguous;
     /// Background flush timer: when nonzero, a flusher thread wakes every
     /// this many milliseconds and flushes whatever is staged. 0 disables
     /// the timer (flushes still happen on explicit flush()/apply_updates()

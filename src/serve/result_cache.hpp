@@ -149,7 +149,7 @@ class ResultCache {
   RowPtr lookup(const CacheKey& key);
 
   /// Drops every READY row with graph_epoch < min_epoch — the eager
-  /// reclamation hook after SsspEngine::replace() (stale rows can never
+  /// reclamation hook SsspServer::swap_engine() runs (stale rows can never
   /// match again; this just frees their memory early). In-flight entries
   /// are left alone.
   void purge_stale(std::uint64_t min_epoch);

@@ -318,17 +318,6 @@ void SsspServer::swap_engine(std::shared_ptr<const SsspEngine> next) {
   swaps_.add();
 }
 
-void SsspServer::on_graph_replaced() {
-  const std::shared_ptr<const SsspEngine> eng = pin(engine_);
-  if (cache_ != nullptr) cache_->purge_stale(eng->graph_epoch());
-  if (opts_.enable_landmarks) {
-    auto fresh = std::make_shared<const LandmarkOracle>(*eng,
-                                                        opts_.landmarks);
-    std::atomic_store_explicit(&oracle_, std::move(fresh),
-                               std::memory_order_release);
-  }
-}
-
 bool SsspServer::wait_not_paused() {
   std::unique_lock<std::mutex> lock(pause_mutex_);
   pause_cv_.wait(lock, [&] {
@@ -413,10 +402,6 @@ void SsspServer::assemble_trace(Pending& p, QueryResponse& resp,
     // run.
     if (resp.stats.relax_ns != 0) {
       tb.add(obs::SpanId::kRelax, 1, rel(p.t_exec), resp.stats.relax_ns);
-    }
-    if (resp.stats.exchange_ns != 0) {
-      tb.add(obs::SpanId::kExchange, 1, rel(p.t_exec),
-             resp.stats.exchange_ns);
     }
     if (resp.stats.partition_ns != 0) {
       tb.add(obs::SpanId::kPartition, 1, rel(p.t_exec),

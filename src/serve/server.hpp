@@ -54,7 +54,7 @@
 ///
 /// Every completion records end-to-end latency (submit to promise
 /// fulfillment, queueing and coalescing included — the number a client
-/// actually experiences) into an allocation-free LatencyHistogram.
+/// actually experiences) into an allocation-free obs::Histogram.
 #pragma once
 
 #include <atomic>
@@ -74,7 +74,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/landmark_oracle.hpp"
-#include "serve/latency_histogram.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/result_cache.hpp"
 
@@ -131,7 +130,7 @@ struct ServerOptions {
   /// runs) and used to annotate targeted requests with admissible
   /// per-target lower bounds, letting the engines prove far targets
   /// settled early. Only annotates while the oracle matches the engine's
-  /// graph_epoch — see on_graph_replaced().
+  /// graph_epoch; swap_engine() rebuilds it for the successor.
   bool enable_landmarks = false;
   /// Selection knobs for the oracle (used iff enable_landmarks).
   LandmarkOptions landmarks;
@@ -260,7 +259,7 @@ class SsspServer {
       MetricsFormat format = MetricsFormat::kPrometheus) const;
 
   /// End-to-end request latency (microseconds, submit to completion).
-  const LatencyHistogram& latency() const { return latency_; }
+  const obs::Histogram& latency() const { return latency_; }
 
   /// The options the server was constructed with.
   const ServerOptions& options() const { return opts_; }
@@ -287,13 +286,6 @@ class SsspServer {
   /// rebuilds the landmark oracle against `next`. Build `next` with
   /// SsspEngine::next_epoch so the epoch strictly increases.
   void swap_engine(std::shared_ptr<const SsspEngine> next);
-
-  /// Post-SsspEngine::replace() hook for the legacy IN-PLACE mutation
-  /// flow: purges stale cache rows and rebuilds the landmark rows against
-  /// the (mutated) current engine. Call at a quiescent point (paused or
-  /// drained), like replace() itself. New code should prefer
-  /// swap_engine(), which needs no quiescent point.
-  void on_graph_replaced();
 
  private:
   /// How a request's answer is produced. Cache hits never reach the

@@ -1,9 +1,8 @@
 // Pins the zero-allocation contract of the warm serving hot path by
 // REPLACING the global allocator with a counting one: after a warm-up
 // query, a sequential-mode query through a reused QueryContext must
-// perform ZERO heap allocations in the engine — for the flat engine
-// (PR 2's contract) and now for the kBst treap engine, whose nodes are
-// recycled through the context's freelist arena.
+// perform ZERO heap allocations in the engine — for the flat engine, the
+// unweighted engine, a targeted serve with paths, and a cached serve.
 //
 // The counter only ticks between arm()/disarm(), so gtest's own setup
 // allocations don't pollute the measurement. Measured queries reuse the
@@ -21,13 +20,9 @@
 #include "core/query_context.hpp"
 #include "core/radii.hpp"
 #include "core/radius_stepping.hpp"
-#include "core/rs_bst.hpp"
-#include "core/rs_fragment.hpp"
 #include "core/rs_unweighted.hpp"
-#include "graph/fragment.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
-#include "parallel/primitives.hpp"
 #include "serve/result_cache.hpp"
 #include "shortcut/ball_search.hpp"
 #include "shortcut/kradius.hpp"
@@ -99,129 +94,6 @@ TEST(AllocFree, WarmSequentialFlatQueryAllocatesNothing) {
   EXPECT_EQ(measured, 0u);
 }
 
-TEST(AllocFree, WarmSequentialBstTreapQueryAllocatesNothing) {
-  // The acceptance pin for the arena treap: a warm sequential kBst query
-  // runs entirely out of the context — recycled treap nodes, reused key
-  // buffers, reused proposal buckets, reused vertex lists.
-  const Graph g = test_graph();
-  const auto radius = all_radii(g, 10);
-  QueryContext ctx;
-  ctx.set_sequential(true);
-  std::vector<Dist> out;
-  radius_stepping_bst(g, 3, radius, ctx, out);  // warm-up
-  ASSERT_EQ(out, dijkstra(g, 3));
-  const std::size_t high_water = ctx.tree_arena().total_nodes();
-
-  std::uint64_t measured;
-  {
-    AllocationWindow window;
-    radius_stepping_bst(g, 3, radius, ctx, out);
-    measured = window.count();
-  }
-  EXPECT_EQ(measured, 0u);
-  // And the arena stayed at its high-water mark (pure freelist recycling).
-  EXPECT_EQ(ctx.tree_arena().total_nodes(), high_water);
-  ASSERT_EQ(out, dijkstra(g, 3));
-}
-
-TEST(AllocFree, WarmParallelBstTreapQueryRunsFromWorkerArenas) {
-  // The per-worker arena pool pin: the PARALLEL kBst twin draws treap
-  // nodes from the pool (each OpenMP thread's own freelist), so a warm
-  // parallel-mode query allocates nothing and the pool stays at its
-  // high-water mark. One worker keeps the run deterministic — the pool
-  // path is what's under test, not the schedule.
-  const int before = num_workers();
-  set_num_workers(1);
-  const Graph g = test_graph();
-  const auto radius = all_radii(g, 10);
-  QueryContext ctx;  // parallel mode: the Par twin, pool-backed treaps
-  std::vector<Dist> out;
-  radius_stepping_bst(g, 3, radius, ctx, out);  // warm-up
-  ASSERT_EQ(out, dijkstra(g, 3));
-  const std::size_t high_water = ctx.tree_arenas(1).total_nodes();
-  EXPECT_GT(high_water, 0u);  // nodes really came from the pool
-
-  std::uint64_t measured;
-  {
-    AllocationWindow window;
-    radius_stepping_bst(g, 3, radius, ctx, out);
-    measured = window.count();
-  }
-  set_num_workers(before);
-  EXPECT_EQ(measured, 0u);
-  EXPECT_EQ(ctx.tree_arenas(1).total_nodes(), high_water);
-  ASSERT_EQ(out, dijkstra(g, 3));
-}
-
-TEST(AllocFree, WarmSequentialFragmentQueryAllocatesNothing) {
-  // The PR 8 engine pin: a warm sequential fragment-engine query runs
-  // entirely out of the context's FragmentScratch — per-fragment lists,
-  // message lanes, touch buckets all keep their capacity.
-  const Graph g = test_graph();
-  const auto radius = all_radii(g, 10);
-  const FragmentedGraph fg(g, 4);
-  QueryContext ctx;
-  ctx.set_sequential(true);
-  std::vector<Dist> out;
-  // TWO warm-ups: the per-fragment frontier lists double-buffer via swap,
-  // so with an odd step count the buffer capacities sit in swapped slots
-  // at the next query's start — the second pass grows the other parity.
-  radius_stepping_fragment(fg, 3, radius, ctx, out);
-  radius_stepping_fragment(fg, 3, radius, ctx, out);
-  ASSERT_EQ(out, dijkstra(g, 3));
-
-  std::uint64_t measured;
-  {
-    AllocationWindow window;
-    radius_stepping_fragment(fg, 3, radius, ctx, out);
-    measured = window.count();
-  }
-  EXPECT_EQ(measured, 0u);
-}
-
-TEST(AllocFree, WarmTargetedFragmentServeAllocatesNothing) {
-  // End-to-end kFragment serve: targets, paths, reused context and
-  // response — zero heap allocations once warm, like kFlat and kBst.
-  const Graph g = test_graph();
-  PreprocessOptions opts;
-  opts.rho = 10;
-  opts.k = 2;
-  SsspEngine engine(g, opts);
-  engine.enable_fragments(4);
-
-  QueryRequest req;
-  req.source = 3;
-  req.targets = {37, 220, 338};
-  req.want_paths = true;
-  req.engine = QueryEngine::kFragment;
-
-  QueryContext ctx;
-  ctx.set_sequential(true);
-  QueryResponse resp;
-  // Two warm-ups: the frontier double-buffers swap capacities every step,
-  // so both parities must see their high-water before the measured run
-  // (also builds the transpose).
-  engine.serve(req, ctx, resp);
-  engine.serve(req, ctx, resp);
-  const QueryResult full = engine.query(3);
-  for (const TargetResult& tr : resp.targets) {
-    ASSERT_EQ(tr.dist, full.dist[tr.target]);
-  }
-
-  std::uint64_t measured;
-  {
-    AllocationWindow window;
-    engine.serve(req, ctx, resp);
-    measured = window.count();
-  }
-  EXPECT_EQ(measured, 0u);
-  ASSERT_EQ(resp.targets.size(), req.targets.size());
-  for (const TargetResult& tr : resp.targets) {
-    ASSERT_EQ(tr.dist, full.dist[tr.target]);
-    ASSERT_EQ(tr.path.back(), tr.target);
-  }
-}
-
 TEST(AllocFree, WarmSequentialUnweightedQueryAllocatesNothing) {
   const Graph g = gen::grid2d(20, 18);
   const auto radius = all_radii(g, 6);
@@ -266,24 +138,17 @@ TEST(AllocFree, WarmTargetedServeAllocatesNothing) {
     ASSERT_EQ(tr.dist, full.dist[tr.target]);
   }
 
-  // kBstFlat is exempt: its flat-set substrate reallocates set storage by
-  // design (see the engine matrix in README). kFlat and kBst carry the
-  // zero-allocation contract.
-  for (const QueryEngine qe : {QueryEngine::kFlat, QueryEngine::kBst}) {
-    req.engine = qe;
-    engine.serve(req, ctx, resp);  // warm this engine's scratch too
-    std::uint64_t measured;
-    {
-      AllocationWindow window;
-      engine.serve(req, ctx, resp);
-      measured = window.count();
-    }
-    EXPECT_EQ(measured, 0u) << "engine " << static_cast<int>(qe);
-    ASSERT_EQ(resp.targets.size(), req.targets.size());
-    for (const TargetResult& tr : resp.targets) {
-      ASSERT_EQ(tr.dist, full.dist[tr.target]);  // still exact when warm
-      ASSERT_EQ(tr.path.back(), tr.target);
-    }
+  std::uint64_t measured;
+  {
+    AllocationWindow window;
+    engine.serve(req, ctx, resp);
+    measured = window.count();
+  }
+  EXPECT_EQ(measured, 0u);
+  ASSERT_EQ(resp.targets.size(), req.targets.size());
+  for (const TargetResult& tr : resp.targets) {
+    ASSERT_EQ(tr.dist, full.dist[tr.target]);  // still exact when warm
+    ASSERT_EQ(tr.path.back(), tr.target);
   }
 }
 

@@ -10,8 +10,8 @@
 //  * epoch-swapped serving under load: client threads race update/flush
 //    cycles and every response is consistent with the single epoch it is
 //    stamped with — no torn reads;
-//  * the fragment substrate and the result cache both survive swaps
-//    (kFragment keeps serving; stale rows never answer a new epoch);
+//  * the result cache survives swaps (stale rows never answer a new
+//    epoch);
 //  * adversarial (directed/multigraph) inputs stay exact through the
 //    kNone heuristic, which preserves the graph as built.
 #include <gtest/gtest.h>
@@ -41,12 +41,10 @@ DynamicSsspService::Options small_options() {
   return o;
 }
 
-QueryRequest targeted(Vertex source, std::vector<Vertex> targets,
-                      QueryEngine engine = QueryEngine::kFlat) {
+QueryRequest targeted(Vertex source, std::vector<Vertex> targets) {
   QueryRequest req;
   req.source = source;
   req.targets = std::move(targets);
-  req.engine = engine;
   return req;
 }
 
@@ -190,37 +188,6 @@ TEST(DynamicService, CachePurgedAcrossSwap) {
   EXPECT_FALSE(fresh.served_from_cache);
   EXPECT_EQ(fresh.graph_epoch, 2u);
   expect_matches_dijkstra(fresh, mutated, 5, "post-swap");
-}
-
-void fragment_swap_case(std::size_t fragments) {
-  const Graph g = test::weighted_suite(66)[1].graph;  // grid3d
-  auto options = small_options();
-  options.enable_fragments = true;
-  options.fragments = fragments;
-  DynamicSsspService svc(g, options);
-  const auto targets = spread_targets(g, 4);
-
-  const QueryResponse before = svc.server().serve_sync(
-      targeted(2, targets, QueryEngine::kFragment));
-  expect_matches_dijkstra(before, g, 2, "fragment-before");
-
-  const std::vector<WeightUpdate> batch = {
-      {2, g.arc_target(g.first_arc(2)), 133},
-      {targets[2], g.arc_target(g.first_arc(targets[2])), 1}};
-  const Graph mutated = apply_weight_updates(g, batch).graph;
-  svc.apply_updates(batch);
-
-  // next_epoch re-partitioned the successor: kFragment keeps serving.
-  const QueryResponse after = svc.server().serve_sync(
-      targeted(2, targets, QueryEngine::kFragment));
-  EXPECT_EQ(after.graph_epoch, 2u);
-  expect_matches_dijkstra(after, mutated, 2, "fragment-after");
-}
-
-TEST(DynamicService, FragmentsSurviveSwapOneFragment) { fragment_swap_case(1); }
-
-TEST(DynamicService, FragmentsSurviveSwapFourFragments) {
-  fragment_swap_case(4);
 }
 
 TEST(DynamicService, AdversarialGraphsStayExactUnderChurn) {

@@ -25,7 +25,6 @@ TEST(SsspEngine, QueryMatchesDijkstraOnAllEngines) {
     const SsspEngine engine(g, opts);
     const auto ref = dijkstra(g, 0);
     EXPECT_EQ(engine.query(0, QueryEngine::kFlat).dist, ref) << name;
-    EXPECT_EQ(engine.query(0, QueryEngine::kBst).dist, ref) << name;
   }
 }
 

@@ -8,14 +8,14 @@
 //    mirrored form is unsound there and must stay opt-in);
 //  * exactness under assistance — an ALT-annotated targeted serve returns
 //    distances BIT-IDENTICAL to the plain serve in at most as many steps,
-//    across engines and worker counts (lower-bound exits must be
-//    invisible in the answers);
+//    across worker counts (lower-bound exits must be invisible in the
+//    answers);
 //  * top-k — kTopK responses equal the sorted (dist, vertex) prefix of a
-//    full Dijkstra run, across engines, k regimes, and disconnected
+//    full Dijkstra run, across both engines, k regimes, and disconnected
 //    graphs (fewer than k reachable);
-//  * epoch discipline — replace() invalidates the oracle; rebuild()
-//    revalidates it; annotate() touches only early-terminating targeted
-//    requests.
+//  * epoch discipline — a next_epoch() successor invalidates the oracle;
+//    rebuild() revalidates it; annotate() touches only early-terminating
+//    targeted requests.
 //  * persistence — save()/load() round-trips landmarks + rows (a restart
 //    skips `count` full SSSP rebuilds); corrupt or truncated input fails
 //    as a clean parse error behind bounds-checked header counts, never
@@ -131,33 +131,27 @@ TEST(LandmarkOracle, AssistedServeBitIdenticalAcrossEnginesAndWorkers) {
   const Vertex n = g.num_vertices();
   for (const int workers : {1, 3, 8}) {
     set_num_workers(workers);
-    for (const QueryEngine qe :
-         {QueryEngine::kFlat, QueryEngine::kBst, QueryEngine::kBstFlat}) {
-      QueryContext ctx;
-      for (const Vertex s : spread_sources(g, 5)) {
-        QueryRequest plain;
-        plain.source = s;
-        plain.engine = qe;
-        plain.targets = {static_cast<Vertex>((s + n / 2) % n),
-                         static_cast<Vertex>((s + 17) % n),
-                         static_cast<Vertex>(n - 1 - s)};
-        QueryRequest assisted = plain;
-        oracle.annotate(assisted);
-        ASSERT_EQ(assisted.target_lower_bounds.size(),
-                  assisted.targets.size());
+    QueryContext ctx;
+    for (const Vertex s : spread_sources(g, 5)) {
+      QueryRequest plain;
+      plain.source = s;
+      plain.targets = {static_cast<Vertex>((s + n / 2) % n),
+                       static_cast<Vertex>((s + 17) % n),
+                       static_cast<Vertex>(n - 1 - s)};
+      QueryRequest assisted = plain;
+      oracle.annotate(assisted);
+      ASSERT_EQ(assisted.target_lower_bounds.size(), assisted.targets.size());
 
-        const QueryResponse want = engine.serve(plain, ctx);
-        const QueryResponse got = engine.serve(assisted, ctx);
-        ASSERT_EQ(got.targets.size(), want.targets.size());
-        for (std::size_t i = 0; i < want.targets.size(); ++i) {
-          ASSERT_EQ(got.targets[i].target, want.targets[i].target);
-          ASSERT_EQ(got.targets[i].dist, want.targets[i].dist)
-              << "workers=" << workers << " engine=" << static_cast<int>(qe)
-              << " s=" << s;
-        }
-        // A bound only ever ADDS early-exit opportunities.
-        EXPECT_LE(got.stats.steps, want.stats.steps);
+      const QueryResponse want = engine.serve(plain, ctx);
+      const QueryResponse got = engine.serve(assisted, ctx);
+      ASSERT_EQ(got.targets.size(), want.targets.size());
+      for (std::size_t i = 0; i < want.targets.size(); ++i) {
+        ASSERT_EQ(got.targets[i].target, want.targets[i].target);
+        ASSERT_EQ(got.targets[i].dist, want.targets[i].dist)
+            << "workers=" << workers << " s=" << s;
       }
+      // A bound only ever ADDS early-exit opportunities.
+      EXPECT_LE(got.stats.steps, want.stats.steps);
     }
   }
 }
@@ -203,21 +197,16 @@ TEST(LandmarkOracle, TopKMatchesSortedDijkstraPrefix) {
       for (const std::uint32_t k :
            {std::uint32_t{1}, std::uint32_t{5}, std::uint32_t{32},
             static_cast<std::uint32_t>(n + 7)}) {
-        for (const QueryEngine qe :
-             {QueryEngine::kFlat, QueryEngine::kBst, QueryEngine::kBstFlat}) {
-          QueryRequest req;
-          req.source = s;
-          req.kind = RequestKind::kTopK;
-          req.k = k;
-          req.engine = qe;
-          const QueryResponse resp = engine.serve(req, ctx);
-          const std::size_t m = std::min<std::size_t>(k, order.size());
-          ASSERT_EQ(resp.targets.size(), m)
-              << c.name << " s=" << s << " k=" << k;
-          for (std::size_t i = 0; i < m; ++i) {
-            ASSERT_EQ(resp.targets[i].target, order[i].second);
-            ASSERT_EQ(resp.targets[i].dist, order[i].first);
-          }
+        QueryRequest req;
+        req.source = s;
+        req.kind = RequestKind::kTopK;
+        req.k = k;
+        const QueryResponse resp = engine.serve(req, ctx);
+        const std::size_t m = std::min<std::size_t>(k, order.size());
+        ASSERT_EQ(resp.targets.size(), m) << c.name << " s=" << s << " k=" << k;
+        for (std::size_t i = 0; i < m; ++i) {
+          ASSERT_EQ(resp.targets[i].target, order[i].second);
+          ASSERT_EQ(resp.targets[i].dist, order[i].first);
         }
       }
     }
@@ -254,18 +243,19 @@ TEST(LandmarkOracle, ReplaceInvalidatesAndRebuildRevalidates) {
   PreprocessOptions popts;
   popts.rho = 12;
   popts.k = 2;
-  SsspEngine engine(g1, popts);
+  const SsspEngine engine(g1, popts);
   LandmarkOracle oracle(engine, {});
   ASSERT_TRUE(oracle.valid_for(engine));
 
   const Graph g2 =
       assign_uniform_weights(gen::road_network(10, 10, 5), 6, 1, 100);
-  engine.replace(g2, preprocess(g2, popts));
-  EXPECT_FALSE(oracle.valid_for(engine));
+  const SsspEngine next =
+      SsspEngine::next_epoch(engine, g2, preprocess(g2, popts));
+  EXPECT_FALSE(oracle.valid_for(next));
 
-  oracle.rebuild(engine);
-  EXPECT_TRUE(oracle.valid_for(engine));
-  EXPECT_EQ(oracle.graph_epoch(), engine.graph_epoch());
+  oracle.rebuild(next);
+  EXPECT_TRUE(oracle.valid_for(next));
+  EXPECT_EQ(oracle.graph_epoch(), next.graph_epoch());
   expect_admissible(g2, oracle, "rebuilt");
 }
 
@@ -336,8 +326,8 @@ TEST(LandmarkOracleSerialize, RoundTripPreservesRowsAndServing) {
 
   // Epoch discipline survives the round trip: a graph swap after saving
   // makes the LOADED rows stale too.
-  SsspEngine swapped = engine;
-  swapped.replace(g, preprocess(g, popts));
+  const SsspEngine swapped =
+      SsspEngine::next_epoch(engine, g, preprocess(g, popts));
   EXPECT_FALSE(loaded.valid_for(swapped));
 }
 

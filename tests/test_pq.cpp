@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <queue>
 #include <vector>
 
@@ -6,7 +5,6 @@
 
 #include "parallel/rng.hpp"
 #include "pq/binary_heap.hpp"
-#include "pq/bucket_queue.hpp"
 #include "pq/pairing_heap.hpp"
 
 namespace rs {
@@ -182,81 +180,6 @@ TEST(PairingHeap, ClearEmptiesEverything) {
   h.clear();
   EXPECT_TRUE(h.empty());
   EXPECT_FALSE(h.contains(1));
-}
-
-// ---------------------------------------------------------------- BucketQueue
-
-TEST(BucketQueue, MonotoneExtraction) {
-  BucketQueue q(10, /*delta=*/5, /*max_edge_weight=*/100);
-  q.insert_or_decrease(0, 12);  // bucket 2
-  q.insert_or_decrease(1, 3);   // bucket 0
-  q.insert_or_decrease(2, 7);   // bucket 1
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.next_bucket(), 0u);
-  EXPECT_EQ(q.take_bucket(0), (std::vector<Vertex>{1}));
-  EXPECT_EQ(q.next_bucket(), 1u);
-  EXPECT_EQ(q.take_bucket(1), (std::vector<Vertex>{2}));
-  EXPECT_EQ(q.next_bucket(), 2u);
-  EXPECT_EQ(q.take_bucket(2), (std::vector<Vertex>{0}));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(BucketQueue, DecreaseMovesToEarlierBucket) {
-  BucketQueue q(4, 10, 100);
-  q.insert_or_decrease(0, 55);
-  q.insert_or_decrease(0, 15);
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.next_bucket(), 1u);
-  EXPECT_EQ(q.take_bucket(1), (std::vector<Vertex>{0}));
-}
-
-TEST(BucketQueue, NeverMovesBackwards) {
-  BucketQueue q(4, 10, 100);
-  q.insert_or_decrease(0, 15);
-  q.insert_or_decrease(0, 55);  // larger: ignored
-  EXPECT_EQ(q.next_bucket(), 1u);
-  EXPECT_EQ(q.take_bucket(1).size(), 1u);
-}
-
-TEST(BucketQueue, KeysBelowCursorClampIntoCurrentBucket) {
-  BucketQueue q(4, 10, 100);
-  q.insert_or_decrease(0, 35);
-  EXPECT_EQ(q.next_bucket(), 3u);
-  // While processing bucket 3, a relaxation yields key 31 for vertex 1:
-  // same bucket. And key 5 would belong to a passed bucket; it clamps.
-  q.insert_or_decrease(1, 5);
-  EXPECT_EQ(q.next_bucket(), 3u);
-  auto got = q.take_bucket(3);
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, (std::vector<Vertex>{0, 1}));
-}
-
-TEST(BucketQueue, RemoveDropsElement) {
-  BucketQueue q(4, 10, 100);
-  q.insert_or_decrease(0, 15);
-  q.insert_or_decrease(1, 15);
-  q.remove(0);
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_FALSE(q.contains(0));
-  EXPECT_EQ(q.take_bucket(q.next_bucket()), (std::vector<Vertex>{1}));
-}
-
-TEST(BucketQueue, CyclicReuseAcrossManyBuckets) {
-  // Cycle through many more buckets than the array holds.
-  BucketQueue q(2, /*delta=*/1, /*max_edge_weight=*/4);
-  Dist key = 0;
-  for (int round = 0; round < 50; ++round) {
-    q.insert_or_decrease(0, key);
-    q.insert_or_decrease(1, key + 3);
-    const std::size_t b0 = q.next_bucket();
-    EXPECT_EQ(b0, static_cast<std::size_t>(key));
-    EXPECT_EQ(q.take_bucket(b0), (std::vector<Vertex>{0}));
-    const std::size_t b1 = q.next_bucket();
-    EXPECT_EQ(b1, static_cast<std::size_t>(key + 3));
-    EXPECT_EQ(q.take_bucket(b1), (std::vector<Vertex>{1}));
-    key += 3;  // strictly increasing: monotone usage
-  }
-  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "core/query_context.hpp"
 #include "core/radii.hpp"
 #include "core/radius_stepping.hpp"
-#include "core/rs_bst.hpp"
 #include "core/rs_unweighted.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
@@ -118,103 +117,6 @@ TEST(QueryBatch, UnweightedEngineBatchMatches) {
       EXPECT_EQ(batch[i].dist, ref[i].dist) << "nw=" << nw;
       EXPECT_EQ(batch[i].stats.steps, ref[i].stats.steps);
     }
-  }
-}
-
-TEST(QueryBatch, BstEnginesBatchMatchesSequentialAcrossWorkers) {
-  // kBst now runs through the same two-level scheduler as the flat engine,
-  // on both ordered-set substrates, with per-worker warm contexts. Batched
-  // results must be bit-identical to fresh per-source queries, and the
-  // schedule-independent stats must survive the sequential twin.
-  WorkerGuard guard;
-  for (const QueryEngine qe : {QueryEngine::kBst, QueryEngine::kBstFlat}) {
-    for (const auto& [name, g] : test::weighted_suite(11)) {
-      PreprocessOptions opts;
-      opts.rho = 10;
-      opts.k = 2;
-      const SsspEngine engine(g, opts);
-      const std::vector<Vertex> sources = spread_sources(g, 6);
-
-      std::vector<QueryResult> ref;
-      for (const Vertex s : sources) ref.push_back(engine.query(s, qe));
-
-      for (const int nw : {1, 3, 8}) {
-        set_num_workers(nw);
-        const auto batch = engine.query_batch(sources, qe);
-        ASSERT_EQ(batch.size(), sources.size());
-        for (std::size_t i = 0; i < sources.size(); ++i) {
-          EXPECT_EQ(batch[i].source, sources[i]);
-          EXPECT_EQ(batch[i].dist, ref[i].dist)
-              << name << " nw=" << nw << " source " << sources[i];
-          EXPECT_EQ(batch[i].stats.steps, ref[i].stats.steps) << name;
-          EXPECT_EQ(batch[i].stats.settled, ref[i].stats.settled) << name;
-        }
-      }
-    }
-  }
-}
-
-TEST(QueryBatch, BstBatchExactOnAdversarialSuite) {
-  WorkerGuard guard;
-  for (const auto& [name, g] : test::adversarial_suite(9)) {
-    const SsspEngine engine = raw_engine(g);
-    const std::vector<Vertex> sources = spread_sources(g, 5);
-    for (const int nw : {1, 4}) {
-      set_num_workers(nw);
-      for (const QueryEngine qe :
-           {QueryEngine::kBst, QueryEngine::kBstFlat}) {
-        const auto batch = engine.query_batch(sources, qe);
-        for (std::size_t i = 0; i < sources.size(); ++i) {
-          EXPECT_EQ(batch[i].dist, dijkstra(g, sources[i]))
-              << name << " nw=" << nw;
-        }
-      }
-    }
-  }
-}
-
-TEST(QueryContext, BstContextReuseAcrossEnginesAndGraphSizes) {
-  // One context serves kBst (treap arena), kBstFlat, and kFlat queries
-  // interleaved, across graphs of different sizes, warm the whole time.
-  QueryContext ctx;
-  for (const auto& [name, g] : test::weighted_suite(29)) {
-    PreprocessOptions opts;
-    opts.rho = 12;
-    opts.k = 2;
-    const SsspEngine engine(g, opts);
-    const auto ref = engine.query(1);
-    EXPECT_EQ(engine.query(1, QueryEngine::kBst, ctx).dist, ref.dist) << name;
-    EXPECT_EQ(engine.query(1, QueryEngine::kBstFlat, ctx).dist, ref.dist)
-        << name;
-    EXPECT_EQ(engine.query(1, QueryEngine::kFlat, ctx).dist, ref.dist)
-        << name;
-    // Re-query through the used context, sequential mode.
-    ctx.set_sequential(true);
-    const auto again = engine.query(1, QueryEngine::kBst, ctx);
-    EXPECT_EQ(again.dist, ref.dist) << name;
-    EXPECT_EQ(again.stats.steps, ref.stats.steps) << name;
-    ctx.set_sequential(false);
-  }
-}
-
-TEST(QueryContext, BstSequentialTwinMatchesParallelEngine) {
-  WorkerGuard guard;
-  set_num_workers(4);
-  for (const auto& [name, g] : test::weighted_suite(37)) {
-    const auto radius = all_radii(g, 8);
-    RunStats par_stats, seq_stats;
-    const auto par = radius_stepping_bst(g, 1, radius, &par_stats);
-
-    QueryContext ctx;
-    ctx.set_sequential(true);
-    std::vector<Dist> seq;
-    radius_stepping_bst(g, 1, radius, ctx, seq, &seq_stats);
-    EXPECT_EQ(seq, par) << name;
-    EXPECT_EQ(seq_stats.steps, par_stats.steps) << name;
-    EXPECT_EQ(seq_stats.settled, par_stats.settled) << name;
-    // The treap arena recycled every node once the query finished.
-    EXPECT_EQ(ctx.tree_arena().free_nodes(), ctx.tree_arena().total_nodes())
-        << name;
   }
 }
 

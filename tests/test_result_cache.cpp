@@ -2,9 +2,9 @@
 //
 //  * hit/miss life cycle — a first cache-eligible serve computes and
 //    publishes one full-distance row, the second is answered from it with
-//    BIT-IDENTICAL targets and stats, and an SsspEngine::replace() bumps
-//    the epoch so every old row silently stops matching (then purge_stale
-//    reclaims it);
+//    BIT-IDENTICAL targets and stats, and an SsspEngine::next_epoch()
+//    successor bumps the epoch so every old row silently stops matching
+//    (then purge_stale reclaims it);
 //  * single-flight — concurrent misses on one key produce exactly ONE
 //    owner computation; waiters share the owner's row (same object), and
 //    an owner failure wakes them with the exception instead of a row;
@@ -81,7 +81,7 @@ TEST(ResultCache, Eligibility) {
 }
 
 TEST(ResultCache, HitIsBitIdenticalAndReplaceInvalidates) {
-  SsspEngine engine = small_engine();
+  const SsspEngine engine = small_engine();
   ResultCache cache;
   QueryContext ctx;
 
@@ -122,24 +122,25 @@ TEST(ResultCache, HitIsBitIdenticalAndReplaceInvalidates) {
   // invalidation call needed for correctness.
   const Graph g2 =
       assign_uniform_weights(gen::road_network(12, 12, 3), 99, 1, 50);
-  engine.replace(g2, preprocess(g2, small_opts()));
-  ASSERT_EQ(engine.graph_epoch(), 2u);
+  const SsspEngine next =
+      SsspEngine::next_epoch(engine, g2, preprocess(g2, small_opts()));
+  ASSERT_EQ(next.graph_epoch(), 2u);
 
   QueryResponse after;
-  cached_serve(engine, cache, req, ctx, after);
+  cached_serve(next, cache, req, ctx, after);
   EXPECT_FALSE(after.served_from_cache);
   EXPECT_EQ(after.graph_epoch, 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
-  const QueryResult fresh = engine.query(req.source);
+  const QueryResult fresh = next.query(req.source);
   for (const TargetResult& tr : after.targets) {
     EXPECT_EQ(tr.dist, fresh.dist[tr.target]);
   }
 
   // The epoch-1 row lingers (harmless) until eagerly reclaimed.
   EXPECT_EQ(cache.size(), 2u);
-  cache.purge_stale(engine.graph_epoch());
+  cache.purge_stale(next.graph_epoch());
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_NE(cache.lookup(key_for(engine, req)), nullptr);
+  EXPECT_NE(cache.lookup(key_for(next, req)), nullptr);
 }
 
 TEST(ResultCache, SingleFlightRawProtocol) {
@@ -175,7 +176,7 @@ TEST(ResultCache, SingleFlightRawProtocol) {
 
 TEST(ResultCache, OwnerFailureWakesWaitersAndRetires) {
   ResultCache cache;
-  const CacheKey key{3, QueryEngine::kBst, 1};
+  const CacheKey key{3, QueryEngine::kUnweighted, 1};
   RowPtr row;
   std::shared_future<RowPtr> pending;
   ASSERT_EQ(cache.acquire(key, row, pending), CacheAcquire::kOwner);

@@ -1,6 +1,6 @@
-// Cross-engine equivalence: the flat engine (practical), the BST engine
-// (Algorithm 2 on the treap substrate) and the unweighted engine (§3.4)
-// must agree on distances AND on the step sequence.
+// Cross-engine equivalence: the flat engine (practical), the Algorithm 2
+// reference on the treap substrate (core/rs_bst.hpp) and the unweighted
+// engine (§3.4) must agree on distances AND on the step sequence.
 #include <gtest/gtest.h>
 
 #include "baseline/bfs.hpp"

@@ -1,9 +1,9 @@
 // The serving API contract (core/request.hpp + SsspEngine::serve*):
 //
 //  * targeted serve returns distances BIT-IDENTICAL to a full query for
-//    every requested target — across all four engines, the weighted AND
-//    adversarial suites, and several worker counts (early termination must
-//    be invisible in the answers);
+//    every requested target — for the flat and unweighted engines, the
+//    weighted AND adversarial suites, and several worker counts (early
+//    termination must be invisible in the answers);
 //  * early exit actually fires: on a path graph with a near target the
 //    round count strictly drops versus the full run (asserted via
 //    RunStats);
@@ -11,8 +11,8 @@
 //  * expanded paths are genuine shortest paths of the ORIGINAL graph;
 //  * every entry point bounds-checks its inputs (the PR 5 bugfix:
 //    query(Vertex) historically validated only in query_batch);
-//  * responses carry provenance — graph_epoch stamping across replace(),
-//    which swaps answers to the new graph in place — and the kTopK /
+//  * responses carry provenance — graph_epoch stamping across next_epoch(),
+//    whose successor answers for the new graph — and the kTopK /
 //    lower-bound request shapes are validated at the edge.
 #include <gtest/gtest.h>
 
@@ -79,9 +79,6 @@ Dist path_weight(const Graph& g, const std::vector<Vertex>& path) {
   return total;
 }
 
-const QueryEngine kWeightedEngines[] = {
-    QueryEngine::kFlat, QueryEngine::kBst, QueryEngine::kBstFlat};
-
 TEST(Serve, TargetedMatchesFullQueryOnWeightedSuite) {
   WorkerGuard guard;
   for (const auto& [name, g] : test::weighted_suite(13)) {
@@ -92,27 +89,23 @@ TEST(Serve, TargetedMatchesFullQueryOnWeightedSuite) {
     const Vertex source = g.num_vertices() / 3;
     const std::vector<Vertex> targets = spread_targets(g, 6);
 
-    for (const QueryEngine qe : kWeightedEngines) {
-      const QueryResult full = engine.query(source, qe);
-      QueryRequest req;
-      req.source = source;
-      req.targets = targets;
-      req.engine = qe;
-      for (const int nw : {1, 3, 8}) {
-        set_num_workers(nw);
-        const QueryResponse resp = engine.serve(req);
-        ASSERT_EQ(resp.targets.size(), targets.size());
-        EXPECT_EQ(resp.source, source);
-        EXPECT_TRUE(resp.dist.empty());  // O(|targets|) response only
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-          EXPECT_EQ(resp.targets[i].target, targets[i]);
-          EXPECT_EQ(resp.targets[i].dist, full.dist[targets[i]])
-              << name << " engine " << static_cast<int>(qe) << " nw=" << nw
-              << " target " << targets[i];
-        }
-        // Early termination never runs MORE rounds than the full query.
-        EXPECT_LE(resp.stats.steps, full.stats.steps) << name;
+    const QueryResult full = engine.query(source);
+    QueryRequest req;
+    req.source = source;
+    req.targets = targets;
+    for (const int nw : {1, 3, 8}) {
+      set_num_workers(nw);
+      const QueryResponse resp = engine.serve(req);
+      ASSERT_EQ(resp.targets.size(), targets.size());
+      EXPECT_EQ(resp.source, source);
+      EXPECT_TRUE(resp.dist.empty());  // O(|targets|) response only
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        EXPECT_EQ(resp.targets[i].target, targets[i]);
+        EXPECT_EQ(resp.targets[i].dist, full.dist[targets[i]])
+            << name << " nw=" << nw << " target " << targets[i];
       }
+      // Early termination never runs MORE rounds than the full query.
+      EXPECT_LE(resp.stats.steps, full.stats.steps) << name;
     }
   }
 }
@@ -123,18 +116,15 @@ TEST(Serve, TargetedMatchesDijkstraOnAdversarialSuite) {
     const SsspEngine engine = raw_engine(g);
     const std::vector<Vertex> targets = spread_targets(g, 5);
     const auto ref = dijkstra(g, 1);
-    for (const QueryEngine qe : kWeightedEngines) {
-      for (const int nw : {1, 4}) {
-        set_num_workers(nw);
-        QueryRequest req;
-        req.source = 1;
-        req.targets = targets;
-        req.engine = qe;
-        const QueryResponse resp = engine.serve(req);
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-          EXPECT_EQ(resp.targets[i].dist, ref[targets[i]])
-              << name << " engine " << static_cast<int>(qe) << " nw=" << nw;
-        }
+    for (const int nw : {1, 4}) {
+      set_num_workers(nw);
+      QueryRequest req;
+      req.source = 1;
+      req.targets = targets;
+      const QueryResponse resp = engine.serve(req);
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        EXPECT_EQ(resp.targets[i].dist, ref[targets[i]])
+            << name << " nw=" << nw;
       }
     }
   }
@@ -172,22 +162,17 @@ TEST(Serve, EarlyExitStrictlyReducesRoundsOnPathGraph) {
   opts.k = 2;
   const SsspEngine engine(g, opts);
 
-  for (const QueryEngine qe : kWeightedEngines) {
-    const QueryResult full = engine.query(0, qe);
-    ASSERT_GT(full.stats.steps, 3u) << "chain too easy to measure early exit";
-    QueryRequest req;
-    req.source = 0;
-    req.targets = {2};  // two hops from the source
-    req.engine = qe;
-    for (const int nw : {1, 4}) {
-      set_num_workers(nw);
-      const QueryResponse resp = engine.serve(req);
-      EXPECT_EQ(resp.targets[0].dist, full.dist[2]);
-      EXPECT_TRUE(resp.stats.early_exit)
-          << "engine " << static_cast<int>(qe) << " nw=" << nw;
-      EXPECT_LT(resp.stats.steps, full.stats.steps)
-          << "engine " << static_cast<int>(qe) << " nw=" << nw;
-    }
+  const QueryResult full = engine.query(0);
+  ASSERT_GT(full.stats.steps, 3u) << "chain too easy to measure early exit";
+  QueryRequest req;
+  req.source = 0;
+  req.targets = {2};  // two hops from the source
+  for (const int nw : {1, 4}) {
+    set_num_workers(nw);
+    const QueryResponse resp = engine.serve(req);
+    EXPECT_EQ(resp.targets[0].dist, full.dist[2]);
+    EXPECT_TRUE(resp.stats.early_exit) << "nw=" << nw;
+    EXPECT_LT(resp.stats.steps, full.stats.steps) << "nw=" << nw;
   }
 
   // Same for the unweighted engine on the unit-weight chain.
@@ -281,21 +266,17 @@ TEST(Serve, EarlyExitPathsAreGenuineShortestPaths) {
   opts.k = 2;
   opts.heuristic = ShortcutHeuristic::kFull1Rho;  // plenty of shortcuts
   const SsspEngine engine(g, opts);
-  for (const QueryEngine qe : kWeightedEngines) {
-    QueryRequest req;
-    req.source = 0;
-    req.targets = {5, 40, 100};
-    req.want_paths = true;
-    req.engine = qe;
-    const QueryResponse resp = engine.serve(req);
-    for (const TargetResult& tr : resp.targets) {
-      ASSERT_NE(tr.dist, kInfDist);
-      ASSERT_GE(tr.path.size(), 2u);
-      EXPECT_EQ(tr.path.front(), 0u);
-      EXPECT_EQ(tr.path.back(), tr.target);
-      EXPECT_EQ(path_weight(g, tr.path), tr.dist)
-          << "engine " << static_cast<int>(qe) << " target " << tr.target;
-    }
+  QueryRequest req;
+  req.source = 0;
+  req.targets = {5, 40, 100};
+  req.want_paths = true;
+  const QueryResponse resp = engine.serve(req);
+  for (const TargetResult& tr : resp.targets) {
+    ASSERT_NE(tr.dist, kInfDist);
+    ASSERT_GE(tr.path.size(), 2u);
+    EXPECT_EQ(tr.path.front(), 0u);
+    EXPECT_EQ(tr.path.back(), tr.target);
+    EXPECT_EQ(path_weight(g, tr.path), tr.dist) << "target " << tr.target;
   }
 }
 
@@ -309,7 +290,7 @@ TEST(Serve, BatchMatchesIndividualServesWithMixedRequests) {
   const Vertex n = g.num_vertices();
 
   // A deliberately heterogeneous batch: different sources, target counts,
-  // engines, and flag combinations in one vector.
+  // and flag combinations in one vector.
   std::vector<QueryRequest> requests;
   for (std::size_t i = 0; i < 10; ++i) {
     QueryRequest req;
@@ -319,9 +300,6 @@ TEST(Serve, BatchMatchesIndividualServesWithMixedRequests) {
     }
     req.want_paths = (i % 2 == 0);
     req.want_full_distances = (i % 3 == 0);
-    req.engine = (i % 4 == 1) ? QueryEngine::kBst
-                 : (i % 4 == 2) ? QueryEngine::kBstFlat
-                                : QueryEngine::kFlat;
     requests.push_back(std::move(req));
   }
 
@@ -424,7 +402,6 @@ TEST(Serve, WarmContextAndResponseReuseStaysExact) {
     req.source = s;
     req.targets = spread_targets(g, 1 + s % 5);
     req.want_paths = (s % 2 == 0);
-    req.engine = kWeightedEngines[s % 3];
     engine.serve(req, ctx, resp);
     const QueryResponse fresh = engine.serve(req);
     ASSERT_EQ(resp.targets.size(), fresh.targets.size());
@@ -464,7 +441,7 @@ TEST(Serve, EveryEntryPointBoundsChecksItsInputs) {
 
   EXPECT_THROW(engine.query(n), std::invalid_argument);
   EXPECT_THROW(engine.query(kNoVertex), std::invalid_argument);
-  EXPECT_THROW(engine.query(n, QueryEngine::kBst, ctx),
+  EXPECT_THROW(engine.query(n, QueryEngine::kFlat, ctx),
                std::invalid_argument);
   EXPECT_THROW(engine.query_batch({0, n}), std::invalid_argument);
 
@@ -495,9 +472,9 @@ TEST(Serve, TouchedStatCountsFirstTouchesExactly) {
   // The O(touched)-reset bookkeeping (PR 6): every engine records each
   // vertex whose distance leaves kInfDist exactly once. On an exhaustive
   // run over a connected graph that is every vertex; on an early-exit run
-  // it is at most that — and the count is identical across engines and
-  // worker counts because the touched set is schedule-independent (the
-  // per-step settled frontiers are deterministic, Theorem 3.1).
+  // it is at most that — and the count is identical across worker counts
+  // because the touched set is schedule-independent (the per-step settled
+  // frontiers are deterministic, Theorem 3.1).
   WorkerGuard guard;
   const Graph g = assign_uniform_weights(gen::road_network(12, 12, 5), 4);
   PreprocessOptions opts;
@@ -514,25 +491,18 @@ TEST(Serve, TouchedStatCountsFirstTouchesExactly) {
   targeted.source = 3;
   targeted.targets = {4};  // a near target: early exit leaves most untouched
 
-  for (const QueryEngine qe :
-       {QueryEngine::kFlat, QueryEngine::kBst, QueryEngine::kBstFlat}) {
-    for (const int nw : {1, 4}) {
-      set_num_workers(nw);
-      full.engine = qe;
-      targeted.engine = qe;
+  for (const int nw : {1, 4}) {
+    set_num_workers(nw);
+    QueryResponse r = engine.serve(full);
+    std::size_t reachable = 0;
+    for (const Dist d : r.dist) reachable += (d != kInfDist) ? 1 : 0;
+    EXPECT_EQ(r.stats.touched, reachable) << "nw=" << nw;
 
-      QueryResponse r = engine.serve(full);
-      std::size_t reachable = 0;
-      for (const Dist d : r.dist) reachable += (d != kInfDist) ? 1 : 0;
-      EXPECT_EQ(r.stats.touched, reachable)
-          << "engine " << static_cast<int>(qe) << " nw=" << nw;
-
-      const QueryResponse t = engine.serve(targeted);
-      EXPECT_GE(t.stats.touched, 2u);  // source + target at minimum
-      EXPECT_LE(t.stats.touched, static_cast<std::size_t>(n));
-      EXPECT_LT(t.stats.touched, reachable)
-          << "early exit should leave most of the graph untouched";
-    }
+    const QueryResponse t = engine.serve(targeted);
+    EXPECT_GE(t.stats.touched, 2u);  // source + target at minimum
+    EXPECT_LE(t.stats.touched, static_cast<std::size_t>(n));
+    EXPECT_LT(t.stats.touched, reachable)
+        << "early exit should leave most of the graph untouched";
   }
 }
 
@@ -540,7 +510,7 @@ TEST(Serve, TouchedResetRestoresContextInvariantAcrossRequests) {
   // After a targeted serve, reset_touched() must restore the all-infinite
   // invariant EXACTLY — any missed entry would leak a stale finite
   // distance into a later request from a different source. Alternate
-  // sources and engines over one warm context and check every answer.
+  // sources over one warm context and check every answer.
   const Graph g = assign_uniform_weights(gen::grid2d(9, 9), 11, 1, 50);
   PreprocessOptions opts;
   opts.rho = 8;
@@ -555,9 +525,6 @@ TEST(Serve, TouchedResetRestoresContextInvariantAcrossRequests) {
     req.source = static_cast<Vertex>((i * 29) % n);
     req.targets = {static_cast<Vertex>((i * 13 + 1) % n),
                    static_cast<Vertex>((i * 41 + 7) % n)};
-    req.engine = (i % 3 == 0)   ? QueryEngine::kFlat
-                 : (i % 3 == 1) ? QueryEngine::kBst
-                                : QueryEngine::kBstFlat;
     engine.serve(req, ctx, resp);
     const QueryResult ref = engine.query(req.source);
     for (const TargetResult& tr : resp.targets) {
@@ -580,7 +547,7 @@ TEST(Serve, ConcurrentServeBatchesStayExact) {
   const SsspEngine engine(g, opts);
   const Vertex n = g.num_vertices();
 
-  // Four distinct batches (mixed sources/targets/engines), reference
+  // Four distinct batches (mixed sources/targets), reference
   // answers computed single-threaded up front.
   constexpr int kThreads = 4;
   constexpr int kRounds = 6;
@@ -592,7 +559,6 @@ TEST(Serve, ConcurrentServeBatchesStayExact) {
       req.source = static_cast<Vertex>((b * 97 + i * 31) % n);
       req.targets = {static_cast<Vertex>((b * 17 + i * 7) % n),
                      static_cast<Vertex>((b + i * 61 + 3) % n)};
-      req.engine = (i % 2 == 0) ? QueryEngine::kFlat : QueryEngine::kBst;
       batches[b].push_back(std::move(req));
     }
     for (const QueryRequest& req : batches[b]) {
@@ -626,7 +592,7 @@ TEST(Serve, ResponsesAreEpochStampedAndReplaceBumps) {
   PreprocessOptions opts;
   opts.rho = 12;
   opts.k = 2;
-  SsspEngine engine(g1, opts);
+  const SsspEngine engine(g1, opts);
   ASSERT_EQ(engine.graph_epoch(), 1u);
 
   QueryRequest req;
@@ -637,14 +603,17 @@ TEST(Serve, ResponsesAreEpochStampedAndReplaceBumps) {
   EXPECT_FALSE(before.served_from_cache);  // the engine never serves rows
   EXPECT_EQ(before.lower_bound_exits, 0u);  // no bounds were attached
 
-  // replace(): same vertex set, different weights — the epoch bumps and
-  // answers flip to the new graph's distances in place.
+  // next_epoch(): same vertex set, different weights — the successor's
+  // epoch bumps and it answers with the new graph's distances, while the
+  // prior snapshot keeps its own epoch.
   const Graph g2 =
       assign_uniform_weights(gen::road_network(10, 10, 4), 9, 1, 100);
-  engine.replace(g2, preprocess(g2, opts));
-  EXPECT_EQ(engine.graph_epoch(), 2u);
+  const SsspEngine next =
+      SsspEngine::next_epoch(engine, g2, preprocess(g2, opts));
+  EXPECT_EQ(next.graph_epoch(), 2u);
+  EXPECT_EQ(engine.graph_epoch(), 1u);
 
-  const QueryResponse after = engine.serve(req);
+  const QueryResponse after = next.serve(req);
   EXPECT_EQ(after.graph_epoch, 2u);
   const std::vector<Dist> truth = dijkstra(g2, req.source);
   for (const TargetResult& tr : after.targets) {
@@ -652,7 +621,7 @@ TEST(Serve, ResponsesAreEpochStampedAndReplaceBumps) {
   }
 
   // Copies serve the same preprocessing, so they keep the epoch.
-  const SsspEngine copy(engine);
+  const SsspEngine copy(next);
   EXPECT_EQ(copy.graph_epoch(), 2u);
 }
 

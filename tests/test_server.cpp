@@ -1,5 +1,5 @@
 // The serving-daemon contract (serve/server.hpp + serve/request_queue.hpp
-// + serve/latency_histogram.hpp):
+// + the obs::Histogram latency record):
 //
 //  * lifecycle — start, drain with requests in flight, shutdown; counters
 //    (accepted vs completed) reach equality and every promise is
@@ -18,8 +18,7 @@
 //  * caching layer — repeats of a cache-eligible request are answered at
 //    submit time from the result cache, a parked burst of identical
 //    misses resolves to ONE owner plus single-flight waiters, and
-//    on_graph_replaced() re-keys cache and oracle after an engine
-//    replace().
+//    swap_engine() re-keys cache and oracle for the successor engine.
 //
 // The pause/resume hook makes the queue-full and coalescing scenarios
 // deterministic: with batchers parked, submissions buffer instead of
@@ -41,7 +40,6 @@
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
-#include "serve/latency_histogram.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
 #include "shortcut/shortcut.hpp"
@@ -50,7 +48,6 @@ namespace rs {
 namespace {
 
 using serve::BoundedQueue;
-using serve::LatencyHistogram;
 using serve::ServerOptions;
 using serve::ServerStats;
 using serve::SsspServer;
@@ -398,7 +395,7 @@ TEST(Server, OnGraphReplacedRefreshesCacheAndOracle) {
   PreprocessOptions popts;
   popts.rho = 12;
   popts.k = 2;
-  SsspEngine engine(g1, popts);
+  const SsspEngine engine(g1, popts);
   ServerOptions opts;
   opts.enable_cache = true;
   opts.enable_landmarks = true;
@@ -410,15 +407,13 @@ TEST(Server, OnGraphReplacedRefreshesCacheAndOracle) {
   (void)server.serve_sync(req);
   EXPECT_TRUE(server.serve_sync(req).served_from_cache);
 
-  // Quiesce, swap the graph, notify the caching layer — the documented
-  // replace choreography (engine replace() is not serve-concurrent).
+  // Publish the successor for the new weights: swap_engine rebuilds the
+  // oracle for it and purges the stale cache rows.
   const Graph g2 =
       assign_uniform_weights(gen::road_network(12, 12, 3), 8, 1, 100);
-  server.pause();
-  server.drain();
-  engine.replace(g2, preprocess(g2, popts));
-  server.on_graph_replaced();
-  server.resume();
+  const auto next = std::make_shared<const SsspEngine>(
+      SsspEngine::next_epoch(engine, g2, preprocess(g2, popts)));
+  server.swap_engine(next);
   EXPECT_EQ(server.oracle()->graph_epoch(), 2u);
 
   // The old row no longer matches: fresh compute, stamped with the new
@@ -426,7 +421,7 @@ TEST(Server, OnGraphReplacedRefreshesCacheAndOracle) {
   const QueryResponse after = server.serve_sync(req);
   EXPECT_FALSE(after.served_from_cache);
   EXPECT_EQ(after.graph_epoch, 2u);
-  EXPECT_EQ(after.targets[0].dist, engine.serve(req).targets[0].dist);
+  EXPECT_EQ(after.targets[0].dist, next->serve(req).targets[0].dist);
   EXPECT_TRUE(server.serve_sync(req).served_from_cache);
 }
 
@@ -516,7 +511,7 @@ TEST(Server, EngineSnapshotKeepsOldEpochAliveAcrossSwap) {
   EXPECT_EQ(server.engine_snapshot()->graph_epoch(), 2u);
 }
 
-TEST(LatencyHistogram, BucketRoundTripBoundsRelativeError) {
+TEST(ObsHistogram, BucketRoundTripBoundsRelativeError) {
   // Every value lands in a bucket whose upper bound is >= the value and
   // within the documented 1/32 relative error of it.
   std::vector<std::uint64_t> values;
@@ -526,9 +521,9 @@ TEST(LatencyHistogram, BucketRoundTripBoundsRelativeError) {
   }
   values.push_back(std::numeric_limits<std::uint64_t>::max());
   for (const std::uint64_t v : values) {
-    const std::size_t idx = LatencyHistogram::bucket_index(v);
-    ASSERT_LT(idx, LatencyHistogram::kBuckets) << v;
-    const std::uint64_t upper = LatencyHistogram::bucket_upper(idx);
+    const std::size_t idx = obs::Histogram::bucket_index(v);
+    ASSERT_LT(idx, obs::Histogram::kBuckets) << v;
+    const std::uint64_t upper = obs::Histogram::bucket_upper(idx);
     EXPECT_GE(upper, v);
     EXPECT_LE(static_cast<double>(upper - v),
               static_cast<double>(v) / 32.0 + 1.0)
@@ -536,10 +531,10 @@ TEST(LatencyHistogram, BucketRoundTripBoundsRelativeError) {
   }
 }
 
-TEST(LatencyHistogram, QuantilesMatchSortedSampleOracle) {
+TEST(ObsHistogram, QuantilesMatchSortedSampleOracle) {
   // Record a deterministic skewed sample, then compare every quantile
   // against the exact order statistic from the sorted samples.
-  LatencyHistogram hist;
+  obs::Histogram hist;
   std::vector<std::uint64_t> samples;
   std::uint64_t x = 88172645463325252ull;
   for (int i = 0; i < 5000; ++i) {
@@ -570,14 +565,13 @@ TEST(LatencyHistogram, QuantilesMatchSortedSampleOracle) {
   }
 }
 
-TEST(LatencyHistogram, EmptyAndResetReportZero) {
-  LatencyHistogram hist;
+TEST(ObsHistogram, EmptyAndResetReportZero) {
+  obs::Histogram hist;
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.value_at_quantile(0.99), 0u);
   hist.record(123);
-  EXPECT_EQ(hist.value_at_quantile(0.5), LatencyHistogram::bucket_upper(
-                                             LatencyHistogram::bucket_index(
-                                                 123)));
+  EXPECT_EQ(hist.value_at_quantile(0.5),
+            obs::Histogram::bucket_upper(obs::Histogram::bucket_index(123)));
   hist.reset();
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.value_at_quantile(0.5), 0u);

@@ -194,130 +194,6 @@ TEST(Treap, MoveSemantics) {
   EXPECT_FALSE(c.contains(99));
 }
 
-TEST(TreapArena, BulkOpsMatchStdSetOracleAndKeepBalance) {
-  // Arena-backed split/union/subtract/from_sorted against a std::set
-  // oracle, across many rounds sharing ONE arena — the exact op mix the
-  // kBst engine drives per substep.
-  TreapArena<std::uint64_t> arena;
-  SplitRng rng(7);
-  std::uint64_t op = 0;
-  for (int round = 0; round < 40; ++round) {
-    std::set<std::uint64_t> ref;
-    IntTreap t(&arena);
-    const std::size_t n = 50 + 40 * static_cast<std::size_t>(round);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t k = rng.bounded(0, op++, 4 * n);
-      t.insert(k);
-      ref.insert(k);
-    }
-    // split_leq at a random pivot.
-    const std::uint64_t pivot = rng.bounded(1, op++, 4 * n);
-    IntTreap lo = t.split_leq(pivot);
-    std::vector<std::uint64_t> lo_ref, hi_ref;
-    for (const auto k : ref) (k <= pivot ? lo_ref : hi_ref).push_back(k);
-    ASSERT_EQ(lo.to_vector(), lo_ref);
-    ASSERT_EQ(t.to_vector(), hi_ref);
-    // union back via from_sorted (arena build), then subtract a slice.
-    lo.union_with(IntTreap::from_sorted(hi_ref, &arena));
-    std::vector<std::uint64_t> all(ref.begin(), ref.end());
-    ASSERT_EQ(lo.to_vector(), all);
-    std::vector<std::uint64_t> cut(all.begin(),
-                                   all.begin() + all.size() / 2);
-    lo.subtract(IntTreap::from_sorted(cut, &arena));
-    ASSERT_EQ(lo.to_vector(), std::vector<std::uint64_t>(
-                                  all.begin() + all.size() / 2, all.end()));
-    // Height stays logarithmic (hash priorities, canonical shape).
-    if (lo.size() >= 16) {
-      EXPECT_LE(lo.height(), static_cast<std::size_t>(
-                                 6 * std::log2(double(lo.size()))));
-    }
-    t = IntTreap(&arena);  // drop remaining nodes back to the pool
-  }
-  // Everything was released: the pool holds every node it ever carved.
-  EXPECT_EQ(arena.free_nodes(), arena.total_nodes());
-}
-
-TEST(TreapArena, RecyclesNodesInsteadOfGrowing) {
-  TreapArena<std::uint64_t> arena;
-  std::vector<std::uint64_t> keys(2000);
-  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 3 * i;
-  {
-    IntTreap warm = IntTreap::from_sorted(keys, &arena);
-  }
-  const std::size_t high_water = arena.total_nodes();
-  EXPECT_GE(high_water, keys.size());
-  // Steady-state churn at the same working-set size must not grow the
-  // pool: every build pops recycled nodes off the freelist.
-  for (int round = 0; round < 10; ++round) {
-    IntTreap t = IntTreap::from_sorted(keys, &arena);
-    IntTreap half = t.split_leq(keys[keys.size() / 2]);
-    t.union_with(std::move(half));
-    EXPECT_EQ(t.size(), keys.size());
-  }
-  EXPECT_EQ(arena.total_nodes(), high_water);
-  EXPECT_EQ(arena.free_nodes(), high_water);
-}
-
-TEST(TreapArena, EraseAndSubtractSpliceSkeletonsBack) {
-  TreapArena<std::uint64_t> arena;
-  IntTreap a(&arena), b(&arena);
-  for (std::uint64_t k = 0; k < 500; ++k) a.insert(k);
-  for (std::uint64_t k = 250; k < 750; ++k) b.insert(k);
-  const std::size_t carved = arena.total_nodes();
-  EXPECT_EQ(carved, 1000u);
-  a.subtract(std::move(b));  // consumes b AND returns its skeleton
-  EXPECT_EQ(a.size(), 250u);
-  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move): defined state
-  EXPECT_EQ(arena.free_nodes(), carved - a.size());
-  for (std::uint64_t k = 0; k < 250; ++k) EXPECT_TRUE(a.erase(k));
-  EXPECT_EQ(arena.free_nodes(), carved);
-  EXPECT_EQ(arena.total_nodes(), carved);
-}
-
-TEST(TreapArenaPool, ParallelBulkOpsRecycleThroughWorkerArenas) {
-  // Pool-backed treaps keep the task-parallel bulk-op recursion (unlike
-  // single-arena treaps, which force it sequential): sets well past
-  // kParallelCutoff exercise the parallel union/subtract/build paths with
-  // every acquire/release going to the executing thread's own freelist.
-  // Results must match the arena-less treap, and every node must come
-  // home after release.
-  TreapArenaPool<std::uint64_t> pool;
-  pool.ensure(static_cast<std::size_t>(omp_get_max_threads()));
-  std::vector<std::uint64_t> evens, odds, all;
-  const std::size_t n = 20'000;  // ~5x the parallel cutoff
-  for (std::uint64_t k = 0; k < n; ++k) {
-    (k % 2 == 0 ? evens : odds).push_back(k);
-    all.push_back(k);
-  }
-  for (int round = 0; round < 4; ++round) {
-    IntTreap a = IntTreap::from_sorted(evens, &pool);
-    IntTreap b = IntTreap::from_sorted(odds, &pool);
-    a.union_with(std::move(b));
-    ASSERT_EQ(a.size(), n);
-    ASSERT_EQ(a.to_vector(), all);
-    a.subtract(IntTreap::from_sorted(odds, &pool));
-    ASSERT_EQ(a.to_vector(), evens);
-    IntTreap lo = a.split_leq(evens[evens.size() / 2]);
-    ASSERT_EQ(lo.size() + a.size(), evens.size());
-  }
-  // Every carved node was released back to some worker's freelist.
-  EXPECT_EQ(pool.free_nodes(), pool.total_nodes());
-  EXPECT_GE(pool.total_nodes(), n);
-}
-
-TEST(TreapArenaPool, SingleArenaViewStaysSequentialAndCompatible) {
-  // The sequential kBst twin uses arena 0 of the same pool: plain
-  // arena-backed treaps over pool.arena(0) interoperate and recycle.
-  TreapArenaPool<std::uint64_t> pool;
-  pool.ensure(1);
-  IntTreap a(&pool.arena(0));
-  for (std::uint64_t k = 0; k < 100; ++k) a.insert(k);
-  a.subtract(IntTreap::from_sorted({10, 11, 12}, &pool.arena(0)));
-  EXPECT_EQ(a.size(), 97u);
-  a = IntTreap(&pool.arena(0));
-  EXPECT_EQ(pool.free_nodes(), pool.total_nodes());
-}
-
 TEST(Treap, StressMixedOperationsAgainstStdSet) {
   SplitRng rng(99);
   std::set<std::uint64_t> ref;
