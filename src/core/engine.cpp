@@ -140,13 +140,11 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
     // the context, so a warm top-k serve allocates nothing.
     auto& buf = ctx.topk_buffer();
     const bool all_final = req.engine == QueryEngine::kUnweighted;
-    for (const auto& bucket : ctx.touched_lists()) {
-      for (const Vertex v : bucket) {
-        if (all_final || ctx.is_settled(v)) {
-          buf.push_back({ctx.read_dist(v), v});
-        }
+    ctx.for_each_touched([&](Vertex v) {
+      if (all_final || ctx.is_settled(v)) {
+        buf.push_back({ctx.read_dist(v), v});
       }
-    }
+    });
     const std::size_t m = std::min<std::size_t>(req.k, buf.size());
     std::partial_sort(buf.begin(),
                       buf.begin() + static_cast<std::ptrdiff_t>(m), buf.end());

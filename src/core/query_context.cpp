@@ -25,7 +25,7 @@ void QueryContext::reserve(Vertex n) {
 void QueryContext::finish_query(Vertex n, std::vector<Dist>& out) {
   // The fused copy below restores the all-infinite invariant for every
   // vertex; any first-touch records are redundant — drop them.
-  for (auto& bucket : touched_) bucket.clear();
+  for (WorkerScratch& w : workers_) w.touched.clear();
   out.resize(n);
   Dist* out_data = out.data();
   std::atomic<Dist>* dist = dist_.data();
@@ -55,29 +55,44 @@ void QueryContext::reset_distances(Vertex n) {
   }
 }
 
-std::vector<std::vector<Vertex>>& QueryContext::touch_buckets(int workers) {
-  const auto w = static_cast<std::size_t>(workers < 1 ? 1 : workers);
-  if (touched_.size() < w) touched_.resize(w);
-  // Records from a run that was abandoned mid-query (an engine threw) are
-  // dropped here; the distance array is equally unrecoverable in that case
-  // and the caller must not reuse the context without a full reset.
-  for (auto& bucket : touched_) bucket.clear();
-  return touched_;
+std::vector<QueryContext::WorkerScratch>& QueryContext::workers(int count) {
+  const auto wanted = static_cast<std::size_t>(count < 1 ? 1 : count);
+  if (workers_.size() < wanted) workers_.resize(wanted);
+  // Every entry is reset, not just the first `wanted`: a context that last
+  // ran on more workers must not count their records. Records from a run
+  // that was abandoned mid-query (an engine threw) are dropped here too;
+  // the distance array is equally unrecoverable in that case and the
+  // caller must not reuse the context without a full reset.
+  for (WorkerScratch& w : workers_) {
+    w.frontier.clear();
+    w.next.clear();
+    w.claimed.clear();
+    w.active.clear();
+    w.newly_frontier.clear();
+    w.touched.clear();
+    w.settled = 0;
+    w.relaxations = 0;
+    w.edges_scanned = 0;
+    w.targets_taken = 0;
+    w.bound_exits = 0;
+    w.pending_di = kInfDist;
+  }
+  return workers_;
 }
 
 std::size_t QueryContext::touched_count() const {
   std::size_t total = 0;
-  for (const auto& bucket : touched_) total += bucket.size();
+  for (const WorkerScratch& w : workers_) total += w.touched.size();
   return total;
 }
 
 void QueryContext::reset_touched() {
   std::atomic<Dist>* dist = dist_.data();
-  for (auto& bucket : touched_) {
-    for (const Vertex v : bucket) {
+  for (WorkerScratch& w : workers_) {
+    for (const Vertex v : w.touched) {
       dist[v].store(kInfDist, std::memory_order_relaxed);
     }
-    bucket.clear();
+    w.touched.clear();
   }
 }
 
@@ -104,13 +119,6 @@ void QueryContext::set_targets(Vertex n, const Vertex* targets,
       target_lb_[v] = lower_bounds[i];
     }
   }
-}
-
-std::vector<std::vector<Vertex>>& QueryContext::buckets(int workers) {
-  const auto w = static_cast<std::size_t>(workers < 1 ? 1 : workers);
-  if (buckets_.size() < w) buckets_.resize(w);
-  for (std::size_t i = 0; i < w; ++i) buckets_[i].clear();
-  return buckets_;
 }
 
 std::vector<std::vector<std::pair<Vertex, Dist>>>& QueryContext::pair_buckets(

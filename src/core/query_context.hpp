@@ -17,7 +17,9 @@
 // A context is single-owner state: one query at a time, but the query
 // running on it may use intra-query parallelism (the default) or run
 // strictly sequentially (set_sequential(true)) — the mode the batch
-// scheduler uses when it runs one query per worker.
+// scheduler uses when it runs one query per worker. A parallel run keeps
+// each worker's lists and counters in its own cache-line-aligned
+// WorkerScratch, so workers growing their lists never share a line.
 #pragma once
 
 #include <atomic>
@@ -32,6 +34,25 @@ namespace rs {
 
 class QueryContext {
  public:
+  /// One worker's share of a parallel engine run (and worker 0's lists in
+  /// a sequential one). Aligned to a cache line so the vector headers and
+  /// counters of different workers never share one.
+  struct alignas(64) WorkerScratch {
+    std::vector<Vertex> frontier;        // this worker's frontier segment
+    std::vector<Vertex> next;            // frontier rebuild target
+    std::vector<Vertex> claimed;         // vertices claimed this substep
+    std::vector<Vertex> active;          // next substep's active vertices
+    std::vector<Vertex> newly_frontier;  // frontier arrivals of this step
+    std::vector<Vertex> touched;         // first-touch records
+    std::vector<std::size_t> offsets;    // prefix offsets of all active lists
+    std::size_t settled = 0;
+    std::size_t relaxations = 0;
+    std::size_t edges_scanned = 0;
+    std::size_t targets_taken = 0;  // pending targets this worker un-stamped
+    std::size_t bound_exits = 0;    // ... of which by lower-bound proof
+    Dist pending_di = kInfDist;     // min delta + r over this segment
+  };
+
   QueryContext() = default;
   explicit QueryContext(Vertex n) { reserve(n); }
 
@@ -87,17 +108,19 @@ class QueryContext {
 
   // --- targeted queries (early termination) --------------------------------
   // serve() stamps the request's target set before running an engine;
-  // every engine twin calls note_target_settled() as it settles vertices
-  // and may stop at the next step boundary once targets_remaining() hits
-  // zero (Theorem 3.1 makes step-boundary distances final, so the exit is
-  // exact). Settle sites are single-writer in every twin — the counter is
-  // plain. clear_targets() is O(1); stamps are epoch-invalidated.
+  // every engine twin un-stamps targets as it settles them and may stop at
+  // the next step boundary once none is pending (Theorem 3.1 makes
+  // step-boundary distances final, so the exit is exact). Each vertex is
+  // settled by exactly one worker, so the per-vertex stamps are plain.
+  // Workers call take_target(), count what they took, and the run folds
+  // the counts in with count_taken_targets(); note_target_settled() does
+  // both at once. clear_targets() is O(1); stamps are epoch-invalidated.
   //
   // Optionally each target carries an admissible LOWER BOUND on its true
   // distance (ALT landmark bounds — serve/landmark_oracle.hpp). Engines
-  // then call note_bound_checks() on updated target vertices in their
-  // sequential sections: a target whose tentative distance has reached its
-  // bound is provably final (tentative >= true >= bound) and counts as
+  // then check updated target vertices against it with
+  // take_target_by_bound(): a target whose tentative distance has reached
+  // its bound is provably final (tentative >= true >= bound) and counts as
   // settled immediately, steps before it would settle by distance order.
   void set_targets(Vertex n, const Vertex* targets, std::size_t count,
                    const Dist* lower_bounds = nullptr);
@@ -109,29 +132,36 @@ class QueryContext {
     lb_exits_ = 0;
   }
   bool has_targets() const { return targeted_; }
+  /// Stamped targets not yet counted settled. Radius-stepping runs count
+  /// their workers' takes when they end; until then this stays put.
   std::size_t targets_remaining() const { return targets_remaining_; }
+  /// Un-stamps `v` if it is a pending target; true exactly once per target
+  /// and query. The caller counts it (see count_taken_targets).
+  bool take_target(Vertex v) {
+    if (target_gen_[v] != target_epoch_) return false;
+    target_gen_[v] = target_epoch_ - 1;
+    return true;
+  }
+  /// Lower-bound proof: un-stamps `v` if it is a pending target whose
+  /// tentative distance `dv` has reached its admissible floor.
+  bool take_target_by_bound(Vertex v, Dist dv) {
+    if (target_gen_[v] != target_epoch_ || dv > target_lb_[v]) return false;
+    target_gen_[v] = target_epoch_ - 1;
+    return true;
+  }
+  /// Counts `taken` targets un-stamped by an engine's workers, `by_bound`
+  /// of them through take_target_by_bound().
+  void count_taken_targets(std::size_t taken, std::size_t by_bound) {
+    targets_remaining_ -= taken;
+    lb_exits_ += by_bound;
+  }
   /// Records that `v` settled; decrements the remaining count the first
   /// time a stamped target settles (idempotent per query).
   void note_target_settled(Vertex v) {
-    if (target_gen_[v] == target_epoch_) {
-      target_gen_[v] = target_epoch_ - 1;  // un-stamp: exactly-once
-      --targets_remaining_;
-    }
+    if (take_target(v)) count_taken_targets(1, 0);
   }
   /// True when the current target set carries lower bounds worth checking.
   bool has_target_bounds() const { return target_bounds_; }
-  /// Lower-bound proof site: if `v` is a still-pending target whose
-  /// tentative distance `dv` has reached its admissible floor, count it
-  /// settled. Sequential sections only (same discipline as
-  /// note_target_settled). Engines call this on every vertex whose
-  /// distance they just lowered.
-  void note_bound_check(Vertex v, Dist dv) {
-    if (target_gen_[v] == target_epoch_ && dv <= target_lb_[v]) {
-      target_gen_[v] = target_epoch_ - 1;
-      --targets_remaining_;
-      ++lb_exits_;
-    }
-  }
   /// Targets settled by lower-bound proof in the current query.
   std::size_t lower_bound_exits() const { return lb_exits_; }
 
@@ -143,12 +173,14 @@ class QueryContext {
   void set_k_goal(std::size_t k) { k_goal_ = k; }
   std::size_t k_goal() const { return k_goal_; }
 
-  /// Read-only view of the per-worker first-touch records of the last run
-  /// (valid until reset_touched()/finish_query()). The serve layer derives
-  /// top-k answers from it: settled touched vertices carry final
-  /// distances.
-  const std::vector<std::vector<Vertex>>& touched_lists() const {
-    return touched_;
+  /// Calls `f(v)` for every first-touch record of the last run (valid
+  /// until reset_touched()/finish_query()). The serve layer derives top-k
+  /// answers from them: settled touched vertices carry final distances.
+  template <typename F>
+  void for_each_touched(F&& f) const {
+    for (const WorkerScratch& w : workers_) {
+      for (const Vertex v : w.touched) f(v);
+    }
   }
 
   /// Reusable (dist, vertex) staging buffer for top-k extraction; keeps
@@ -158,10 +190,10 @@ class QueryContext {
     return topk_buffer_;
   }
 
-  // --- first-touch tracking (O(touched) reset) -----------------------------
+  // --- per-worker scratch and first-touch tracking -------------------------
   // Every radius-stepping engine records each vertex whose tentative
   // distance leaves kInfDist — exactly once per query, at the moment of
-  // the inf -> finite transition — into a per-worker touch bucket.
+  // the inf -> finite transition — into its worker's `touched` list.
   // reset_touched() then restores the all-infinite invariant by writing
   // kInfDist back over just those vertices: the epilogue of a targeted
   // serve costs O(touched), not O(n). (finish_query()'s fused full copy
@@ -173,19 +205,18 @@ class QueryContext {
   // winner. A missed record would leak a stale finite distance into the
   // next query, so the contract is pinned by tests over every engine.
 
-  /// Ensures `workers` touch buckets exist and are empty. Engines call
-  /// this once per run, before any recording.
-  std::vector<std::vector<Vertex>>& touch_buckets(int workers);
-  /// Records the inf -> finite transition of `v` from worker `w` (must
-  /// only be called by worker `w`; bucket 0 in sequential sections).
-  void note_touched(Vertex v, int w = 0) { touched_[std::size_t(w)].push_back(v); }
-  /// Vertices recorded since the buckets were prepared (== finite entries
+  /// Ensures at least `count` WorkerScratch entries exist, with every list
+  /// empty and every counter reset (capacities kept). Engines call this
+  /// once per run, before any recording; worker `w` only ever writes
+  /// entry `w`.
+  std::vector<WorkerScratch>& workers(int count);
+  /// Vertices recorded since the workers were prepared (== finite entries
   /// in the distance array after an engine run).
   std::size_t touched_count() const;
   /// O(touched) epilogue: restores the all-infinite invariant by resetting
   /// exactly the recorded vertices, then clears the records. Only valid
-  /// when every inf -> finite transition since touch_buckets() was
-  /// recorded (all radius-stepping engine partials guarantee this).
+  /// when every inf -> finite transition since workers() was recorded
+  /// (all radius-stepping engine partials guarantee this).
   void reset_touched();
 
   // --- tentative distances -------------------------------------------------
@@ -194,7 +225,7 @@ class QueryContext {
   // the sequential path.
   std::atomic<Dist>* dist() { return dist_.data(); }
 
-  // --- visited flags (single-writer, sequential sections only) -------------
+  // --- visited flags (one writer per vertex and phase) ----------------------
   bool is_settled(Vertex v) const { return settled_gen_[v] == query_gen_; }
   void mark_settled(Vertex v) { settled_gen_[v] = query_gen_; }
 
@@ -219,8 +250,9 @@ class QueryContext {
 
   // --- mark flags (single-writer list dedup) -------------------------------
   // A second, non-atomic epoch-stamp family for deduplicating list
-  // membership in sequential sections (frontier rebuilds), independent of
-  // the claim epochs the relaxation substeps burn through.
+  // membership (frontier arrivals; in a parallel run only the worker that
+  // claimed a vertex marks it), independent of the claim epochs the
+  // relaxation substeps burn through.
   void next_mark_epoch() { ++mark_epoch_; }
   /// True the first time `v` is marked in the current mark epoch.
   bool mark(Vertex v) {
@@ -237,10 +269,6 @@ class QueryContext {
   std::vector<Vertex>& active() { return active_; }
   std::vector<Vertex>& updated() { return updated_; }
   std::vector<Vertex>& scratch() { return scratch_; }
-
-  /// Per-worker collection buckets; returns at least `workers` empty
-  /// buckets (buckets [0, workers) are cleared, capacities kept).
-  std::vector<std::vector<Vertex>>& buckets(int workers);
 
   /// Per-worker (vertex, distance) pair buckets (Delta-stepping phases).
   std::vector<std::vector<std::pair<Vertex, Dist>>>& pair_buckets(int workers);
@@ -281,10 +309,9 @@ class QueryContext {
   std::vector<Vertex> active_;
   std::vector<Vertex> updated_;
   std::vector<Vertex> scratch_;
-  std::vector<std::vector<Vertex>> buckets_;
   std::vector<std::vector<std::pair<Vertex, Dist>>> pair_buckets_;
   std::vector<std::vector<Vertex>> bucket_slots_;
-  std::vector<std::vector<Vertex>> touched_{1};  // per-worker first-touches
+  std::vector<WorkerScratch> workers_{1};
   IndexedHeap<Dist> heap_{0};
   std::vector<std::pair<Dist, Vertex>> topk_buffer_;
 };

@@ -14,253 +14,255 @@ namespace rs {
 
 namespace {
 
-/// Algorithm 1 over a QueryContext. `Par` selects the substrate: parallel
-/// edge-maps with atomic WriteMin, or the strictly sequential twin the
-/// batch scheduler runs one-per-worker (plain loads/stores, no CAS, no
-/// OpenMP regions — it must be nestable inside an outer parallel region).
-/// Both produce identical distances and an identical step sequence: by the
-/// end of a step every vertex settled in it has relaxed its out-arcs with
-/// its final value, so step-boundary distances — and with them the
-/// frontier, d_i, steps, and settled counts — are schedule-independent.
-/// Substep counts are NOT: relaxations read neighbor distances live
-/// (chaotic relaxation), so how fast a step converges internally depends
-/// on processing order. Only Theorem 3.2's k+2 upper bound is invariant.
+using TraceClock = std::chrono::steady_clock;
+using Worker = QueryContext::WorkerScratch;
+
+std::uint64_t phase_ns(TraceClock::time_point a, TraceClock::time_point b) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+}
+
+/// The passes of Algorithm 1 that both bodies run per worker, each over
+/// the worker's own WorkerScratch. Both bodies produce identical distances
+/// and an identical step sequence: by the end of a step every vertex
+/// settled in it has relaxed its out-arcs with its final value, so
+/// step-boundary distances — and with them the frontier, d_i, steps, and
+/// settled counts — are schedule-independent. Substep counts are NOT:
+/// relaxations read neighbor distances live (chaotic relaxation), so how
+/// fast a step converges internally depends on processing order. Only
+/// Theorem 3.2's k+2 upper bound is invariant.
+///
+/// Every vertex is settled, classified and kept in the frontier by exactly
+/// one worker at a time (claims are unique per substep, frontier segments
+/// are disjoint), so the settled, mark and target stamps stay plain; each
+/// worker counts what it settled and which targets it took, and the
+/// bodies combine the counts at step boundaries.
+class Phases {
+ public:
+  Phases(const Graph& g, const std::vector<Dist>& radius, QueryContext& ctx)
+      : g_(g),
+        radius_(radius),
+        ctx_(ctx),
+        dist_(ctx.dist()),
+        targeted_(ctx.has_targets()),
+        bounds_(targeted_ && ctx.has_target_bounds()),
+        k_goal_(ctx.k_goal()) {}
+
+  Dist load(Vertex v) const { return dist_[v].load(std::memory_order_relaxed); }
+
+  /// Line 2, single-threaded: settles the source, relaxes its out-arcs
+  /// into `me`'s frontier segment and takes the segment's Line 4 min of
+  /// delta(v) + r(v) (`pending_di`). Frontier membership is deduplicated
+  /// with mark stamps under one epoch for the whole query: a vertex only
+  /// ever leaves the frontier by settling, which is final (Theorem 3.1),
+  /// so "has ever been a frontier candidate" is exactly "must not
+  /// re-enter". The frontier is a set; no order matters to the step
+  /// sequence, so it is never sorted.
+  void seed(Worker& me, Vertex source) {
+    dist_[source].store(0, std::memory_order_relaxed);
+    me.touched.push_back(source);
+    settle(me, source);
+    ctx_.next_mark_epoch();
+    me.edges_scanned += g_.last_arc(source) - g_.first_arc(source);
+    for (EdgeId e = g_.first_arc(source); e < g_.last_arc(source); ++e) {
+      const Vertex v = g_.arc_target(e);
+      if (v == source) continue;
+      const auto w = static_cast<Dist>(g_.arc_weight(e));
+      const Dist dv = load(v);
+      if (w < dv) {
+        dist_[v].store(w, std::memory_order_relaxed);
+        ++me.relaxations;
+        if (dv == kInfDist) me.touched.push_back(v);
+        check_bound(me, v, w);
+      }
+      if (!ctx_.is_settled(v) && ctx_.mark(v)) me.frontier.push_back(v);
+    }
+    Dist di = kInfDist;
+    for (const Vertex v : me.frontier) di = std::min(di, load(v) + radius_[v]);
+    me.pending_di = di;
+  }
+
+  /// First substep's active set from `me`'s frontier segment: every
+  /// vertex with delta <= d_i. They are settled the moment they appear.
+  void gather(Worker& me, Dist di) {
+    me.active.clear();
+    for (const Vertex v : me.frontier) {
+      if (load(v) <= di) {
+        me.active.push_back(v);
+        settle(me, v);
+      }
+    }
+  }
+
+  /// The A_i/B_i partition of the vertices `me` claimed in the last
+  /// substep: inside d_i -> `me`'s next active list (settled on first
+  /// arrival); beyond d_i -> frontier candidates. Lower-bound proof site:
+  /// a pending target whose tentative distance reached its admissible
+  /// floor is provably final even though it lies beyond d_i.
+  void classify(Worker& me, Dist di) {
+    me.active.clear();
+    for (const Vertex v : me.claimed) {
+      const Dist dv = load(v);
+      check_bound(me, v, dv);
+      if (dv <= di) {
+        me.active.push_back(v);
+        if (!ctx_.is_settled(v)) settle(me, v);
+      } else if (!ctx_.is_settled(v) && ctx_.mark(v)) {
+        me.newly_frontier.push_back(v);
+      }
+    }
+    me.claimed.clear();
+  }
+
+  /// Rebuilds `me`'s frontier segment: drops settled vertices, adds the
+  /// step's arrivals, and folds the next step's d_i contribution into the
+  /// same pass (distances cannot change before the next Line 4). Every
+  /// member was marked on first insertion, so the two lists are disjoint
+  /// and individually duplicate-free.
+  void rebuild(Worker& me) {
+    me.next.clear();
+    Dist di = kInfDist;
+    const auto keep = [&](Vertex v) {
+      if (ctx_.is_settled(v)) return;
+      me.next.push_back(v);
+      di = std::min(di, load(v) + radius_[v]);
+    };
+    for (const Vertex v : me.frontier) keep(v);
+    for (const Vertex v : me.newly_frontier) keep(v);
+    me.newly_frontier.clear();
+    me.frontier.swap(me.next);
+    me.pending_di = di;
+  }
+
+  /// Exactness of both exits holds only at STEP boundaries (Theorem 3.1):
+  /// targets all settled (by distance order or by lower-bound proof), or —
+  /// for kTopK — at least k vertices settled, which makes the k smallest
+  /// settled (dist, vertex) pairs exactly the k nearest. Reads the counts
+  /// of workers [0, nw), which must not change while any worker reads.
+  bool goals_met(const std::vector<Worker>& workers, int nw) const {
+    std::size_t settled = 0;
+    std::size_t taken = 0;
+    for (int t = 0; t < nw; ++t) {
+      settled += workers[static_cast<std::size_t>(t)].settled;
+      taken += workers[static_cast<std::size_t>(t)].targets_taken;
+    }
+    if (targeted_ && taken == ctx_.targets_remaining()) return true;
+    return k_goal_ != 0 && settled >= k_goal_;
+  }
+
+  /// Sums the counts of workers [0, nw) into `local` and the context.
+  void finish(const std::vector<Worker>& workers, int nw,
+              RunStats& local) const {
+    std::size_t taken = 0;
+    std::size_t by_bound = 0;
+    for (int t = 0; t < nw; ++t) {
+      const Worker& w = workers[static_cast<std::size_t>(t)];
+      local.settled += w.settled;
+      local.relaxations += w.relaxations;
+      local.edges_scanned += w.edges_scanned;
+      taken += w.targets_taken;
+      by_bound += w.bound_exits;
+    }
+    ctx_.count_taken_targets(taken, by_bound);
+  }
+
+ private:
+  void settle(Worker& me, Vertex v) {
+    ctx_.mark_settled(v);
+    ++me.settled;
+    if (targeted_ && ctx_.take_target(v)) ++me.targets_taken;
+  }
+
+  void check_bound(Worker& me, Vertex v, Dist dv) {
+    if (bounds_ && ctx_.take_target_by_bound(v, dv)) {
+      ++me.targets_taken;
+      ++me.bound_exits;
+    }
+  }
+
+  const Graph& g_;
+  const std::vector<Dist>& radius_;
+  QueryContext& ctx_;
+  std::atomic<Dist>* dist_;
+  const bool targeted_;
+  const bool bounds_;
+  const std::size_t k_goal_;
+};
+
+/// Algorithm 1 on the calling thread: plain loads/stores, no CAS, no
+/// OpenMP regions — it must be nestable inside an outer parallel region
+/// (the batch scheduler runs one per worker), and it is what a
+/// one-worker context runs.
 ///
 /// Targeted early termination: when ctx.has_targets(), the run stops at
 /// the first STEP boundary with every stamped target settled. Vertices
 /// marked settled mid-step can still improve while the annulus converges,
 /// so the check only ever fires between steps, where Theorem 3.1 makes
 /// every settled distance final — the exit is exact.
-template <bool Par>
-void radius_stepping_run(const Graph& g, Vertex source,
-                         const std::vector<Dist>& radius, QueryContext& ctx,
-                         RunStats& local) {
+void run_sequential(const Graph& g, Vertex source,
+                    const std::vector<Dist>& radius, QueryContext& ctx,
+                    RunStats& local) {
+  Phases phases(g, radius, ctx);
+  std::vector<Worker>& workers = ctx.workers(1);
+  Worker& me = workers[0];
   std::atomic<Dist>* dist = ctx.dist();
-  const auto load = [&](Vertex v) {
-    return dist[v].load(std::memory_order_relaxed);
-  };
-  // Sequential relaxation: same contract as write_min without the RMW.
-  const auto relax_seq = [&](Vertex v, Dist nd) {
-    if (nd >= dist[v].load(std::memory_order_relaxed)) return false;
-    dist[v].store(nd, std::memory_order_relaxed);
-    return true;
-  };
-  const bool targeted = ctx.has_targets();
-  const bool bounds = targeted && ctx.has_target_bounds();
-  const std::size_t k_goal = ctx.k_goal();
-  // All settle sites run in sequential sections (both twins), so the
-  // target bookkeeping needs no atomics.
-  const auto settle = [&](Vertex v) {
-    ctx.mark_settled(v);
-    if (targeted) ctx.note_target_settled(v);
-  };
-  // Exactness of both exits holds only at STEP boundaries (Theorem 3.1):
-  // targets all settled (by distance order or by lower-bound proof), or —
-  // for kTopK — at least k vertices settled, which makes the k smallest
-  // settled (dist, vertex) pairs exactly the k nearest.
-  const auto goals_met = [&](std::size_t settled_count) {
-    if (targeted && ctx.targets_remaining() == 0) return true;
-    return k_goal != 0 && settled_count >= k_goal;
-  };
-
   // Traced requests take two clock readings per substep (relax end is
   // partition start, so the phases tile the substep); untraced runs take
   // none — the disabled path costs one predictable branch per substep.
-  using TraceClock = std::chrono::steady_clock;
   const bool timed = ctx.trace_phases();
-  const auto phase_ns = [](TraceClock::time_point a, TraceClock::time_point b) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-  };
 
-  // First-touch records feeding the O(touched) reset epilogue: sequential
-  // sections push into bucket 0 after observing the old distance was
-  // kInfDist; the parallel substep uses the pre-CAS value write_min
-  // reports, whose kInfDist observation has exactly one winner.
-  const int nw = Par ? num_workers() : 1;
-  std::vector<std::vector<Vertex>>& touch = ctx.touch_buckets(nw);
-
-  dist[source].store(0, std::memory_order_relaxed);
-  touch[0].push_back(source);
-  settle(source);
-  local.settled = 1;
-
-  // Frontier: unsettled vertices with finite tentative distance. Seeded by
-  // relaxing the source (Line 2 of Algorithm 1). Membership is deduplicated
-  // with mark stamps under one epoch for the whole query: a vertex only
-  // ever leaves the frontier by settling, which is final (Theorem 3.1), so
-  // "has ever been a frontier candidate" is exactly "must not re-enter".
-  // The frontier is a set; no order matters to the step sequence, so it is
-  // never sorted.
-  std::vector<Vertex>& frontier = ctx.frontier();
-  frontier.clear();
-  ctx.next_mark_epoch();
-  for (EdgeId e = g.first_arc(source); e < g.last_arc(source); ++e) {
-    const Vertex v = g.arc_target(e);
-    if (v == source) continue;
-    const auto w = static_cast<Dist>(g.arc_weight(e));
-    // The seed loop runs single-threaded in both twins, so the pre-relax
-    // load is an exact first-touch observation.
-    const Dist dv = load(v);
-    const bool lowered = Par ? write_min(dist[v], w) : relax_seq(v, w);
-    if (lowered) {
-      ++local.relaxations;
-      if (dv == kInfDist) touch[0].push_back(v);
-      if (bounds) ctx.note_bound_check(v, w);
-    }
-    if (!ctx.is_settled(v) && ctx.mark(v)) frontier.push_back(v);
-  }
-  // Min over the CURRENT frontier of delta(v) + r(v), maintained across
-  // steps: distances cannot change between a rebuild and the next step's
-  // Line 4, so the sequential path folds the min into the rebuild pass.
-  Dist pending_di = kInfDist;
-  if constexpr (!Par) {
-    for (const Vertex v : frontier) {
-      pending_di = std::min(pending_di, load(v) + radius[v]);
-    }
-  }
-
-  std::vector<std::vector<Vertex>>& buckets = ctx.buckets(nw);
-  std::vector<Vertex>& active = ctx.active();
-  std::vector<Vertex>& updated = ctx.updated();
-  std::vector<Vertex>& newly_frontier = ctx.scratch();
-  std::vector<Vertex>& next = ctx.next();
-
+  phases.seed(me, source);
   // Round distance of the previous step (d_{i-1}). Vertices with
   // delta <= prev_di are exactly S_{i-1} (Theorem 3.1): final, safe to skip
   // as relaxation targets. d_0 = 0 covers the source.
   Dist prev_di = 0;
-
   // The entry check covers requests whose targets are already settled
   // (source-only target sets); the per-step check is at the bottom.
-  while (!frontier.empty()) {
-    if (goals_met(local.settled)) {
+  while (!me.frontier.empty()) {
+    if (phases.goals_met(workers, 1)) {
       local.early_exit = true;
       break;
     }
     ++local.steps;
-
-    // Line 4: d_i = min over the frontier of delta(v) + r(v).
-    Dist di;
-    if constexpr (Par) {
-      di = parallel_min(std::size_t{0}, frontier.size(), kInfDist,
-                        [&](std::size_t i) {
-                          const Vertex v = frontier[i];
-                          return load(v) + radius[v];
-                        });
-    } else {
-      di = pending_di;
-    }
-
-    // First substep's active set: every unsettled vertex with delta <= d_i.
-    // Vertices inside d_i are settled the moment they appear; mark now so
-    // relaxations skip them as targets-for-activation bookkeeping.
-    active.clear();
-    for (const Vertex v : frontier) {
-      if (load(v) <= di) {
-        active.push_back(v);
-        settle(v);
-      }
-    }
-    local.settled += active.size();
-    local.max_active = std::max(local.max_active, active.size());
+    const Dist di = me.pending_di;  // Line 4
+    phases.gather(me, di);
+    local.max_active = std::max(local.max_active, me.active.size());
 
     // Lines 5-9: Bellman-Ford substeps until no delta(v) <= d_i changes.
     std::size_t substeps_this_step = 0;
-    std::size_t relaxed_this_step = 0;
-    newly_frontier.clear();
-    while (!active.empty()) {
+    while (!me.active.empty()) {
       ++substeps_this_step;
       // One claim epoch per substep: each updated vertex is collected once
       // no matter how many relaxations hit it.
       ctx.next_claim_epoch();
       const auto t_relax = timed ? TraceClock::now() : TraceClock::time_point{};
-      if constexpr (Par) {
-        std::atomic<std::size_t> relax_count{0};
-#pragma omp parallel num_threads(nw)
-        {
-          std::size_t my_relax = 0;
-          const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-          auto& mine = buckets[tid];
-          auto& my_touch = touch[tid];
-#pragma omp for schedule(dynamic, 64)
-          for (std::int64_t i = 0;
-               i < static_cast<std::int64_t>(active.size()); ++i) {
-            const Vertex u = active[static_cast<std::size_t>(i)];
-            const Dist du = load(u);
-            for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
-              const Vertex v = g.arc_target(e);
-              // Line 7 relaxes targets outside S_{i-1} only; vertices
-              // settled in *this* step may still improve while the annulus
-              // converges, so they stay relaxable.
-              if (load(v) <= prev_di) continue;
-              Dist before = kInfDist;
-              if (write_min(dist[v], du + g.arc_weight(e), before)) {
-                ++my_relax;
-                if (before == kInfDist) my_touch.push_back(v);
-                if (ctx.claim(v)) mine.push_back(v);
-              }
-            }
-          }
-          relax_count.fetch_add(my_relax, std::memory_order_relaxed);
-        }
-        relaxed_this_step += relax_count.load(std::memory_order_relaxed);
-      } else {
-        auto& mine = buckets[0];
-        for (const Vertex u : active) {
-          const Dist du = load(u);
-          for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
-            const Vertex v = g.arc_target(e);
-            // Single load serves both the S_{i-1} skip and the relax test.
-            const Dist dv = load(v);
-            if (dv <= prev_di) continue;
-            const Dist nd = du + g.arc_weight(e);
-            if (nd < dv) {
-              if (dv == kInfDist) touch[0].push_back(v);
-              dist[v].store(nd, std::memory_order_relaxed);
-              ++relaxed_this_step;
-              if (ctx.claim_sequential(v)) mine.push_back(v);
-            }
+      std::size_t relaxations = 0;
+      std::size_t scanned = 0;
+      for (const Vertex u : me.active) {
+        const Dist du = phases.load(u);
+        scanned += g.last_arc(u) - g.first_arc(u);
+        for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
+          const Vertex v = g.arc_target(e);
+          // Line 7 relaxes targets outside S_{i-1} only; vertices settled
+          // in *this* step may still improve while the annulus converges,
+          // so they stay relaxable. One load serves both tests.
+          const Dist dv = phases.load(v);
+          if (dv <= prev_di) continue;
+          const Dist nd = du + g.arc_weight(e);
+          if (nd < dv) {
+            if (dv == kInfDist) me.touched.push_back(v);
+            dist[v].store(nd, std::memory_order_relaxed);
+            ++relaxations;
+            if (ctx.claim_sequential(v)) me.claimed.push_back(v);
           }
         }
       }
-
+      me.relaxations += relaxations;
+      me.edges_scanned += scanned;
       const auto t_drain = timed ? TraceClock::now() : TraceClock::time_point{};
       if (timed) local.relax_ns += phase_ns(t_relax, t_drain);
-
-      // Drain this substep's updated vertices, then partition: inside d_i
-      // -> active for the next substep (and settled); beyond d_i ->
-      // frontier candidates. Sequential mode partitions straight out of the
-      // single bucket; parallel mode concatenates the worker buckets first.
-      if constexpr (Par) {
-        updated.clear();
-        for (int t = 0; t < nw; ++t) {
-          auto& b = buckets[static_cast<std::size_t>(t)];
-          updated.insert(updated.end(), b.begin(), b.end());
-          b.clear();
-        }
-      } else {
-        updated.swap(buckets[0]);
-        buckets[0].clear();
-      }
-      active.clear();
-      for (const Vertex v : updated) {
-        const Dist dv = load(v);
-        // Lower-bound proof site (sequential partition pass, both twins):
-        // a pending target whose tentative distance reached its admissible
-        // floor is provably final even though it lies beyond d_i.
-        if (bounds) ctx.note_bound_check(v, dv);
-        if (dv <= di) {
-          active.push_back(v);
-          if (!ctx.is_settled(v)) {
-            settle(v);
-            ++local.settled;
-          }
-        } else if (!ctx.is_settled(v) && ctx.mark(v)) {
-          newly_frontier.push_back(v);
-        }
-      }
-      local.max_active = std::max(local.max_active, active.size());
+      phases.classify(me, di);
+      local.max_active = std::max(local.max_active, me.active.size());
       if (timed) local.partition_ns += phase_ns(t_drain, TraceClock::now());
     }
     // Loop iterations equal Algorithm 1's repeat-until iterations: the
@@ -270,46 +272,158 @@ void radius_stepping_run(const Graph& g, Vertex source,
     local.substeps += substeps_this_step;
     local.max_substeps_in_step =
         std::max(local.max_substeps_in_step, substeps_this_step);
-    local.relaxations += relaxed_this_step;
 
     // Step boundary: every settled vertex is now final (Theorem 3.1), so a
     // run that has met its goal — all targets settled, or k vertices for a
     // top-k request — is done; skip the frontier rebuild entirely.
-    if (goals_met(local.settled)) {
+    if (phases.goals_met(workers, 1)) {
       local.early_exit = true;
       break;
     }
-
-    // Rebuild the frontier: drop settled vertices, add the new arrivals.
-    // Every member was marked on first insertion, so the two lists are
-    // disjoint and individually duplicate-free. The sequential path
-    // computes the next step's d_i in the same pass.
-    next.clear();
-    if constexpr (Par) {
-      for (const Vertex v : frontier) {
-        if (!ctx.is_settled(v)) next.push_back(v);
-      }
-      for (const Vertex v : newly_frontier) {
-        if (!ctx.is_settled(v)) next.push_back(v);
-      }
-    } else {
-      pending_di = kInfDist;
-      for (const Vertex v : frontier) {
-        if (!ctx.is_settled(v)) {
-          next.push_back(v);
-          pending_di = std::min(pending_di, load(v) + radius[v]);
-        }
-      }
-      for (const Vertex v : newly_frontier) {
-        if (!ctx.is_settled(v)) {
-          next.push_back(v);
-          pending_di = std::min(pending_di, load(v) + radius[v]);
-        }
-      }
-    }
-    frontier.swap(next);
+    phases.rebuild(me);
     prev_di = di;
   }
+  phases.finish(workers, 1, local);
+}
+
+/// Prefix offsets of the active lists of workers [0, nw) into `offsets`
+/// (nw + 1 entries); returns their total size.
+std::size_t active_offsets(const std::vector<Worker>& workers, int nw,
+                           std::vector<std::size_t>& offsets) {
+  offsets.resize(static_cast<std::size_t>(nw) + 1);
+  std::size_t total = 0;
+  for (int t = 0; t < nw; ++t) {
+    offsets[static_cast<std::size_t>(t)] = total;
+    total += workers[static_cast<std::size_t>(t)].active.size();
+  }
+  offsets[static_cast<std::size_t>(nw)] = total;
+  return total;
+}
+
+/// Algorithm 1 on `nw` workers in one OpenMP region per query. Each worker
+/// owns a frontier segment, a claim bucket, a next-active list and a
+/// newly-frontier list; every pass of a step is split across workers:
+///
+///   Line 4   each worker reads every segment's pending d_i (computed by
+///            the previous rebuild) and gathers A_i from its own segment;
+///            barrier.
+///   substep  relaxation over the prefix-offset concatenation of the
+///            active lists (dynamic chunks; its implicit barrier ends the
+///            relax phase), then each worker classifies the vertices it
+///            claimed into its next-active or newly-frontier list; barrier.
+///   boundary every worker evaluates the goals on the same combined
+///            counts, rebuilds its own segment; barrier.
+///
+/// Every decision (step loop, substep loop, exit) is taken by every worker
+/// on values no worker writes until after the next barrier, so the team
+/// always leaves the loops together. Same step semantics and early exits
+/// as run_sequential.
+void run_parallel(const Graph& g, Vertex source,
+                  const std::vector<Dist>& radius, QueryContext& ctx,
+                  RunStats& local, int nw) {
+  Phases phases(g, radius, ctx);
+  std::vector<Worker>& workers = ctx.workers(nw);
+  std::atomic<Dist>* dist = ctx.dist();
+  const bool timed = ctx.trace_phases();
+
+  phases.seed(workers[0], source);
+  // run_sequential's entry check, taken before the region: inside it the
+  // goals are only read at step boundaries.
+  const bool stepping = !workers[0].frontier.empty();
+  if (!stepping || phases.goals_met(workers, nw)) {
+    local.early_exit = stepping;
+    phases.finish(workers, nw, local);
+    return;
+  }
+  // Claims of the first substep need an epoch no earlier claim used; the
+  // lead worker bumps it after every relax phase from then on.
+  ctx.next_claim_epoch();
+
+#pragma omp parallel num_threads(nw)
+  {
+    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
+    const bool lead = tid == 0;  // keeps `local` and the claim epoch
+    Worker& me = workers[tid];
+    Dist prev_di = 0;  // d_{i-1}: delta <= prev_di is S_{i-1}, final
+    for (;;) {
+      // Line 4: d_i = min over the frontier of delta(v) + r(v).
+      Dist di = kInfDist;
+      std::size_t frontier_size = 0;
+      for (int t = 0; t < nw; ++t) {
+        const Worker& w = workers[static_cast<std::size_t>(t)];
+        di = std::min(di, w.pending_di);
+        frontier_size += w.frontier.size();
+      }
+      if (frontier_size == 0) break;
+      if (lead) ++local.steps;
+      phases.gather(me, di);
+#pragma omp barrier
+      std::size_t active = active_offsets(workers, nw, me.offsets);
+      const std::vector<std::size_t>& offsets = me.offsets;
+      auto t_relax =
+          timed && lead ? TraceClock::now() : TraceClock::time_point{};
+
+      // Lines 5-9: Bellman-Ford substeps until no delta(v) <= d_i changes.
+      std::size_t substeps_this_step = 0;
+      while (active > 0) {
+        ++substeps_this_step;
+        if (lead) local.max_active = std::max(local.max_active, active);
+        std::size_t relaxations = 0;
+        std::size_t scanned = 0;
+        std::size_t owner = 0;  // worker whose active list holds index i
+#pragma omp for schedule(dynamic, 64)
+        for (std::int64_t i = 0; i < static_cast<std::int64_t>(active); ++i) {
+          const auto k = static_cast<std::size_t>(i);
+          while (k >= offsets[owner + 1]) ++owner;
+          while (k < offsets[owner]) --owner;
+          const Vertex u = workers[owner].active[k - offsets[owner]];
+          const Dist du = phases.load(u);
+          scanned += g.last_arc(u) - g.first_arc(u);
+          for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
+            const Vertex v = g.arc_target(e);
+            // Line 7: targets outside S_{i-1} only (see run_sequential).
+            if (phases.load(v) <= prev_di) continue;
+            Dist before = kInfDist;
+            if (write_min(dist[v], du + g.arc_weight(e), before)) {
+              ++relaxations;
+              if (before == kInfDist) me.touched.push_back(v);
+              if (ctx.claim(v)) me.claimed.push_back(v);
+            }
+          }
+        }
+        me.relaxations += relaxations;
+        me.edges_scanned += scanned;
+        const auto t_drain =
+            timed && lead ? TraceClock::now() : TraceClock::time_point{};
+        if (lead) {
+          if (timed) local.relax_ns += phase_ns(t_relax, t_drain);
+          ctx.next_claim_epoch();  // nobody claims until the next relax
+        }
+        phases.classify(me, di);
+#pragma omp barrier
+        active = active_offsets(workers, nw, me.offsets);
+        if (timed && lead) {
+          t_relax = TraceClock::now();
+          local.partition_ns += phase_ns(t_drain, t_relax);
+        }
+      }
+      if (lead) {
+        local.substeps += substeps_this_step;
+        local.max_substeps_in_step =
+            std::max(local.max_substeps_in_step, substeps_this_step);
+      }
+      // Step boundary (see run_sequential). The counts are stable until
+      // the next gather, which follows the rebuild barrier.
+      if (phases.goals_met(workers, nw)) {
+        if (lead) local.early_exit = true;
+        break;
+      }
+      phases.rebuild(me);
+      prev_di = di;
+#pragma omp barrier
+    }
+  }
+  phases.finish(workers, nw, local);
 }
 
 }  // namespace
@@ -327,10 +441,11 @@ void radius_stepping_partial(const Graph& g, Vertex source,
 
   ctx.begin_query(n);
   RunStats local;
-  if (ctx.sequential()) {
-    radius_stepping_run<false>(g, source, radius, ctx, local);
+  const int nw = num_workers();
+  if (ctx.sequential() || nw == 1) {
+    run_sequential(g, source, radius, ctx, local);
   } else {
-    radius_stepping_run<true>(g, source, radius, ctx, local);
+    run_parallel(g, source, radius, ctx, local, nw);
   }
   local.touched = ctx.touched_count();
   if (stats != nullptr) *stats = local;

@@ -1,10 +1,12 @@
 // Radius-Stepping (Algorithm 1) — the paper's primary contribution.
 //
 // The "flat" engine here keeps tentative distances in an atomic array and
-// runs each Bellman-Ford substep as a parallel edge-map with WriteMin; the
-// step boundary d_i is a parallel min-reduce over the frontier. This is the
-// engine a practical implementation uses (Algorithm 2's ordered-set form
-// is the test reference in core/rs_bst.hpp and produces identical results).
+// runs a query in one OpenMP region: each Bellman-Ford substep is a
+// parallel edge-map with WriteMin, and the A_i/B_i partition, the frontier
+// rebuild and the step boundary d_i run on per-worker lists, two barriers
+// per substep. This is the engine a practical implementation uses
+// (Algorithm 2's ordered-set form is the test reference in core/rs_bst.hpp
+// and produces identical results).
 //
 // Given radii from preprocessing (r(v) = r_rho(v) on a (k, rho)-graph) the
 // run obeys the paper's bounds: <= ceil(n/rho) * (1 + ceil(log2(rho * L)))
@@ -30,7 +32,8 @@ std::vector<Dist> radius_stepping(const Graph& g, Vertex source,
 /// `ctx` (zero engine allocations once the context is warm) and distances
 /// are written into `out`. Honors ctx.sequential(): in sequential mode the
 /// whole query runs on the calling thread with no atomics or OpenMP
-/// regions, so it can execute inside an outer source-parallel batch.
+/// regions, so it can execute inside an outer source-parallel batch. A
+/// context at num_workers() == 1 runs the same sequential twin.
 /// Always runs to exhaustion (any stale target stamps are cleared).
 void radius_stepping(const Graph& g, Vertex source,
                      const std::vector<Dist>& radius, QueryContext& ctx,

@@ -14,9 +14,9 @@ namespace {
 
 /// BFS-regime Radius-Stepping over a QueryContext. `Par` selects parallel
 /// level expansion (CAS claims) or the strictly sequential twin used by
-/// the batch scheduler (no atomics, no OpenMP regions). One claim epoch
-/// spans the whole query: a vertex is claimed when first reached, which is
-/// final for unit weights.
+/// the batch scheduler and by one-worker contexts (no atomics, no OpenMP
+/// regions). One claim epoch spans the whole query: a vertex is claimed
+/// when first reached, which is final for unit weights.
 ///
 /// Targeted early termination: with unit weights a claimed vertex's level
 /// is already final, so the run may stop right after the level expansion
@@ -29,10 +29,13 @@ void rs_unweighted_run(const Graph& g, Vertex source,
                        RunStats& local) {
   std::atomic<Dist>* dist = ctx.dist();
   const bool targeted = ctx.has_targets();
+  const int nw = Par ? num_workers() : 1;
+  std::vector<QueryContext::WorkerScratch>& workers = ctx.workers(nw);
   // First-touch records: every distance store happens in the sequential
   // level-stamping pass over freshly-claimed vertices (claims are
-  // exactly-once per query), so bucket 0 suffices even in the Par twin.
-  std::vector<Vertex>& touch = ctx.touch_buckets(1)[0];
+  // exactly-once per query), so worker 0's list suffices even in the Par
+  // twin.
+  std::vector<Vertex>& touch = workers[0].touched;
   ctx.next_claim_epoch();
   if constexpr (Par) {
     ctx.claim(source);
@@ -44,8 +47,6 @@ void rs_unweighted_run(const Graph& g, Vertex source,
   if (targeted) ctx.note_target_settled(source);
   local.settled = 1;
 
-  const int nw = Par ? num_workers() : 1;
-  std::vector<std::vector<Vertex>>& buckets = ctx.buckets(nw);
   std::vector<Vertex>& frontier = ctx.frontier();
   std::vector<Vertex>& next = ctx.next();
   frontier.clear();
@@ -55,32 +56,37 @@ void rs_unweighted_run(const Graph& g, Vertex source,
   const auto expand = [&](const std::vector<Vertex>& from,
                           std::vector<Vertex>& into, Dist level) {
     if constexpr (Par) {
-      for (int t = 0; t < nw; ++t) buckets[static_cast<std::size_t>(t)].clear();
-#pragma omp parallel num_threads(nw)
+      std::size_t scanned = 0;
+#pragma omp parallel num_threads(nw) reduction(+ : scanned)
       {
-        auto& mine = buckets[static_cast<std::size_t>(omp_get_thread_num())];
+        auto& mine =
+            workers[static_cast<std::size_t>(omp_get_thread_num())].claimed;
 #pragma omp for schedule(dynamic, 64)
         for (std::int64_t i = 0; i < static_cast<std::int64_t>(from.size());
              ++i) {
           const Vertex u = from[static_cast<std::size_t>(i)];
+          scanned += g.degree(u);
           for (const Vertex v : g.neighbors(u)) {
             if (ctx.claim(v)) mine.push_back(v);
           }
         }
       }
+      local.edges_scanned += scanned;
       std::size_t total = 0;
       for (int t = 0; t < nw; ++t) {
-        total += buckets[static_cast<std::size_t>(t)].size();
+        total += workers[static_cast<std::size_t>(t)].claimed.size();
       }
       into.clear();
       into.reserve(total);
       for (int t = 0; t < nw; ++t) {
-        auto& b = buckets[static_cast<std::size_t>(t)];
+        auto& b = workers[static_cast<std::size_t>(t)].claimed;
         into.insert(into.end(), b.begin(), b.end());
+        b.clear();
       }
     } else {
       into.clear();
       for (const Vertex u : from) {
+        local.edges_scanned += g.degree(u);
         for (const Vertex v : g.neighbors(u)) {
           if (ctx.claim_sequential(v)) into.push_back(v);
         }
@@ -163,7 +169,7 @@ void radius_stepping_unweighted_partial(const Graph& g, Vertex source,
 
   ctx.begin_query(n);
   RunStats local;
-  if (ctx.sequential()) {
+  if (ctx.sequential() || num_workers() == 1) {
     rs_unweighted_run<false>(g, source, radius, ctx, local);
   } else {
     rs_unweighted_run<true>(g, source, radius, ctx, local);

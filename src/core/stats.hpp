@@ -18,6 +18,10 @@ struct RunStats {
   std::size_t max_substeps_in_step = 0;
   /// Successful relaxations (tentative-distance improvements).
   std::size_t relaxations = 0;
+  /// Arcs examined: the source's out-arcs, plus the out-arcs of every
+  /// active vertex in every substep (every expanded vertex's, in the
+  /// unweighted engine). The work the relaxations were drawn from.
+  std::size_t edges_scanned = 0;
   /// Largest active set |A_i| seen.
   std::size_t max_active = 0;
   /// Vertices settled (== n reachable from the source on termination; a

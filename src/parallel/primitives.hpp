@@ -19,7 +19,9 @@
 
 namespace rs {
 
-/// Returns the number of worker threads the parallel primitives will use.
+/// Returns the number of worker threads the parallel primitives will use
+/// (every region they open is capped at this count, whatever the OpenMP
+/// default).
 int num_workers();
 
 /// Sets the number of worker threads (clamped to >= 1). Affects all
@@ -53,11 +55,12 @@ void parallel_for(std::size_t begin, std::size_t end, F&& f,
                   std::size_t grain = detail::kDefaultGrain) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  if (n <= grain || num_workers() == 1) {
+  const int nw = num_workers();
+  if (n <= grain || nw == 1) {
     for (std::size_t i = begin; i < end; ++i) f(i);
     return;
   }
-#pragma omp parallel for schedule(dynamic, 64)
+#pragma omp parallel for schedule(dynamic, 64) num_threads(nw)
   for (std::int64_t i = static_cast<std::int64_t>(begin);
        i < static_cast<std::int64_t>(end); ++i) {
     f(static_cast<std::size_t>(i));
@@ -129,7 +132,7 @@ T exclusive_scan(const std::vector<T>& in, std::vector<T>& out) {
   const std::size_t nblocks = static_cast<std::size_t>(nw);
   const std::size_t block = (n + nblocks - 1) / nblocks;
   std::vector<T> block_sum(nblocks, T{});
-#pragma omp parallel for schedule(static, 1)
+#pragma omp parallel for schedule(static, 1) num_threads(nw)
   for (std::int64_t b = 0; b < static_cast<std::int64_t>(nblocks); ++b) {
     const std::size_t lo = static_cast<std::size_t>(b) * block;
     const std::size_t hi = std::min(n, lo + block);
@@ -143,7 +146,7 @@ T exclusive_scan(const std::vector<T>& in, std::vector<T>& out) {
     block_off[b] = total;
     total += block_sum[b];
   }
-#pragma omp parallel for schedule(static, 1)
+#pragma omp parallel for schedule(static, 1) num_threads(nw)
   for (std::int64_t b = 0; b < static_cast<std::int64_t>(nblocks); ++b) {
     const std::size_t lo = static_cast<std::size_t>(b) * block;
     const std::size_t hi = std::min(n, lo + block);

@@ -182,6 +182,9 @@ TEST(LandmarkOracle, TightBoundTriggersEarlyExit) {
 }
 
 TEST(LandmarkOracle, TopKMatchesSortedDijkstraPrefix) {
+  // The top-k exit reads the settled count summed over every worker of
+  // the run, and the answer comes from every worker's first-touch list.
+  WorkerGuard guard;
   for (const auto& c : test::weighted_suite()) {
     const SsspEngine engine = raw_engine(c.graph);
     const Vertex n = c.graph.num_vertices();
@@ -194,19 +197,23 @@ TEST(LandmarkOracle, TopKMatchesSortedDijkstraPrefix) {
       }
       std::sort(order.begin(), order.end());
 
-      for (const std::uint32_t k :
-           {std::uint32_t{1}, std::uint32_t{5}, std::uint32_t{32},
-            static_cast<std::uint32_t>(n + 7)}) {
-        QueryRequest req;
-        req.source = s;
-        req.kind = RequestKind::kTopK;
-        req.k = k;
-        const QueryResponse resp = engine.serve(req, ctx);
-        const std::size_t m = std::min<std::size_t>(k, order.size());
-        ASSERT_EQ(resp.targets.size(), m) << c.name << " s=" << s << " k=" << k;
-        for (std::size_t i = 0; i < m; ++i) {
-          ASSERT_EQ(resp.targets[i].target, order[i].second);
-          ASSERT_EQ(resp.targets[i].dist, order[i].first);
+      for (const int workers : {1, 3, 8}) {
+        set_num_workers(workers);
+        for (const std::uint32_t k :
+             {std::uint32_t{1}, std::uint32_t{5}, std::uint32_t{32},
+              static_cast<std::uint32_t>(n + 7)}) {
+          QueryRequest req;
+          req.source = s;
+          req.kind = RequestKind::kTopK;
+          req.k = k;
+          const QueryResponse resp = engine.serve(req, ctx);
+          const std::size_t m = std::min<std::size_t>(k, order.size());
+          ASSERT_EQ(resp.targets.size(), m)
+              << c.name << " s=" << s << " k=" << k << " nw=" << workers;
+          for (std::size_t i = 0; i < m; ++i) {
+            ASSERT_EQ(resp.targets[i].target, order[i].second);
+            ASSERT_EQ(resp.targets[i].dist, order[i].first);
+          }
         }
       }
     }

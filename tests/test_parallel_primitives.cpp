@@ -21,6 +21,21 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
+TEST(ParallelFor, TeamNeverWiderThanNumWorkers) {
+  // The OpenMP default team can be wider than num_workers() (RS_THREADS
+  // sets only the latter; anyone may call omp_set_num_threads later).
+  const int before = num_workers();
+  set_num_workers(2);
+  omp_set_num_threads(4);
+  std::atomic<int> widest{0};
+  parallel_for(0, 100'000, [&](std::size_t) {
+    write_max(widest, omp_get_num_threads());
+  });
+  set_num_workers(before);
+  EXPECT_GE(widest.load(), 1);
+  EXPECT_LE(widest.load(), 2);
+}
+
 TEST(ParallelFor, EmptyAndSingleRanges) {
   int count = 0;
   parallel_for(5, 5, [&](std::size_t) { ++count; });

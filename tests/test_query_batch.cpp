@@ -170,23 +170,95 @@ TEST(QueryContext, ReuseAcrossGraphsOfDifferentSizes) {
 
 TEST(QueryContext, SequentialTwinMatchesParallelEngine) {
   WorkerGuard guard;
-  set_num_workers(4);
+  // One warm parallel context serves every graph at every worker count,
+  // so its per-worker state grows (2 -> 3 -> 8) and shrinks (8 -> 2 at
+  // the next graph) between queries.
+  QueryContext par_ctx;
   for (const auto& [name, g] : test::weighted_suite(17)) {
     const auto radius = all_radii(g, 8);
-    RunStats par_stats, seq_stats;
-    const auto par = radius_stepping(g, 1, radius, &par_stats);
-
     QueryContext ctx;
     ctx.set_sequential(true);
     std::vector<Dist> seq;
+    RunStats seq_stats;
     radius_stepping(g, 1, radius, ctx, seq, &seq_stats);
-    EXPECT_EQ(seq, par) << name;
-    // Steps and settled counts are schedule-independent; substep counts
-    // are not (chaotic relaxation converges at an order-dependent rate),
-    // so only the k+2-style bound relation is comparable across modes.
-    EXPECT_EQ(seq_stats.steps, par_stats.steps) << name;
-    EXPECT_EQ(seq_stats.settled, par_stats.settled) << name;
     EXPECT_GE(seq_stats.substeps, seq_stats.steps) << name;
+    for (const int nw : {2, 3, 8}) {
+      set_num_workers(nw);
+      std::vector<Dist> par;
+      RunStats par_stats;
+      radius_stepping(g, 1, radius, par_ctx, par, &par_stats);
+      EXPECT_EQ(seq, par) << name << " nw=" << nw;
+      // Steps, settled and touched counts are schedule-independent;
+      // substep counts are not (chaotic relaxation converges at an
+      // order-dependent rate), so only the k+2-style bound relation is
+      // comparable across modes.
+      EXPECT_EQ(seq_stats.steps, par_stats.steps) << name << " nw=" << nw;
+      EXPECT_EQ(seq_stats.settled, par_stats.settled) << name << " nw=" << nw;
+      EXPECT_EQ(seq_stats.touched, par_stats.touched) << name << " nw=" << nw;
+      EXPECT_GE(par_stats.substeps, par_stats.steps) << name << " nw=" << nw;
+    }
+  }
+}
+
+/// Sum of the out-degrees of the vertices `dist` reaches.
+EdgeId reachable_arcs(const Graph& g, const std::vector<Dist>& dist) {
+  EdgeId arcs = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (dist[v] != kInfDist) arcs += g.degree(v);
+  }
+  return arcs;
+}
+
+TEST(RunStats, ZeroRadiiScanEachReachableArcOnce) {
+  // r = 0 on positive weights: A_i is the frontier at the minimum
+  // distance, and relaxing it only reaches farther vertices, so every
+  // reached vertex but the source is active in exactly one substep (the
+  // seed loop scans the source's arcs). On a connected graph that is
+  // every arc once: edges_scanned == m.
+  WorkerGuard guard;
+  QueryContext par_ctx;
+  for (const auto& [name, g] : test::weighted_suite(23)) {
+    const std::vector<Dist> radius = dijkstra_radii(g.num_vertices());
+    const std::vector<Dist> ref = dijkstra(g, 0);
+    const EdgeId want = reachable_arcs(g, ref);
+    if (std::count(ref.begin(), ref.end(), kInfDist) == 0) {
+      EXPECT_EQ(want, g.num_edges()) << name;
+    }
+    QueryContext seq_ctx;
+    seq_ctx.set_sequential(true);
+    std::vector<Dist> got;
+    RunStats stats;
+    radius_stepping(g, 0, radius, seq_ctx, got, &stats);
+    EXPECT_EQ(got, ref) << name;
+    EXPECT_EQ(stats.edges_scanned, want) << name << " sequential";
+    for (const int nw : {2, 3, 8}) {
+      set_num_workers(nw);
+      radius_stepping(g, 0, radius, par_ctx, got, &stats);
+      EXPECT_EQ(got, ref) << name << " nw=" << nw;
+      EXPECT_EQ(stats.edges_scanned, want) << name << " nw=" << nw;
+    }
+  }
+}
+
+TEST(RunStats, UnweightedScansEachReachableArcOnce) {
+  // Every reached vertex is expanded in exactly one level, whatever the
+  // radii.
+  WorkerGuard guard;
+  QueryContext par_ctx;
+  for (const auto& [name, g] : test::unweighted_suite(29)) {
+    const auto radius = all_radii(g, 6);
+    const EdgeId want = reachable_arcs(g, bfs(g, 0));
+    QueryContext seq_ctx;
+    seq_ctx.set_sequential(true);
+    std::vector<Dist> got;
+    RunStats stats;
+    radius_stepping_unweighted(g, 0, radius, seq_ctx, got, &stats);
+    EXPECT_EQ(stats.edges_scanned, want) << name << " sequential";
+    for (const int nw : {2, 3, 8}) {
+      set_num_workers(nw);
+      radius_stepping_unweighted(g, 0, radius, par_ctx, got, &stats);
+      EXPECT_EQ(stats.edges_scanned, want) << name << " nw=" << nw;
+    }
   }
 }
 
