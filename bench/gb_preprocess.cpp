@@ -1,14 +1,16 @@
 // Preprocessing-cost benchmark (Lemma 4.2's O(m log n + n rho^2) work
-// term): ball-search throughput, all-radii computation, and full
+// term): ball-search throughput, all-radii computation, full
 // preprocessing — cold (fresh PreprocessPool) vs warm (reused pool, the
-// steady state a long-lived serving process lives in).
+// steady state a long-lived serving process lives in) — and the CSR merge
+// that ends every preprocess and every incremental flush.
 //
 // Self-timed on purpose (no Google Benchmark dependency despite the gb_
 // prefix), like gb_query_throughput: it runs in every environment,
 // including the CI bench-smoke job on runners without libbenchmark, and
 // always writes BENCH_gb_preprocess.json for the perf trajectory. Exits
-// non-zero if the pooled pipeline's output diverges from the plain path,
-// so it doubles as an end-to-end smoke test.
+// non-zero if the pooled pipeline's output diverges from the plain path or
+// the merge does not rebuild the preprocessed graph, so it doubles as an
+// end-to-end smoke test.
 //
 // Knobs: RS_SCALE / RS_THREADS as usual, RS_RHO (ball size, default 32),
 // RS_K (hop bound, default 3), RS_REPS (timing repetitions, default 5),
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "exp_common.hpp"
+#include "graph/builder.hpp"
 #include "parallel/primitives.hpp"
 #include "parallel/timer.hpp"
 #include "shortcut/ball_search.hpp"
@@ -61,8 +64,9 @@ int main() {
   const auto graphs = shortcut_suite(s);
   print_header("Preprocessing throughput (cold vs warm pool)", s, graphs);
   std::printf("rho=%u  k=%u  reps=%d\n\n", rho, k, reps);
-  std::printf("  %-8s  %12s  %12s  %12s  %12s  %8s\n", "graph", "balls/s",
-              "radii_v/s", "cold_v/s", "warm_v/s", "warm/cold");
+  std::printf("  %-8s  %12s  %12s  %12s  %12s  %8s  %12s\n", "graph",
+              "balls/s", "radii_v/s", "cold_v/s", "warm_v/s", "warm/cold",
+              "merge_v/s");
 
   BenchJson json("gb_preprocess", s);
   bool ok = true;
@@ -131,13 +135,25 @@ int main() {
       ok = false;
     }
 
+    // The CSR merge alone: merging the preprocessed graph's arcs into the
+    // original graph rebuilds exactly the preprocessed graph.
+    Graph merged;
+    const double t_merge = best_seconds(reps, [&] {
+      merged = merge_edges(g, reference.graph.to_triples());
+    });
+    if (!(merged == reference.graph)) {
+      std::fprintf(stderr, "MISMATCH on %s: merge_edges\n", name.c_str());
+      ok = false;
+    }
+
     const double balls_rate = static_cast<double>(sources.size()) / t_balls;
     const double radii_vps = n / t_radii;
     const double cold_vps = n / t_cold;
     const double warm_vps = n / t_warm;
-    std::printf("  %-8s  %12.1f  %12.1f  %12.1f  %12.1f  %7.2fx\n",
+    const double merge_vps = n / t_merge;
+    std::printf("  %-8s  %12.1f  %12.1f  %12.1f  %12.1f  %7.2fx  %12.1f\n",
                 name.c_str(), balls_rate, radii_vps, cold_vps, warm_vps,
-                warm_vps / cold_vps);
+                warm_vps / cold_vps, merge_vps);
 
     const BenchJson::Labels labels{{"graph", name},
                                    {"rho", std::to_string(rho)},
@@ -146,12 +162,13 @@ int main() {
     json.add("allradii_vps", radii_vps, "vertices/sec", labels);
     json.add("preprocess_cold_vps", cold_vps, "vertices/sec", labels);
     json.add("preprocess_warm_vps", warm_vps, "vertices/sec", labels);
+    json.add("merge_vps", merge_vps, "vertices/sec", labels);
   }
 
   const std::string path = json.write();
   if (!path.empty()) std::printf("\nwrote %s\n", path.c_str());
   if (!ok) {
-    std::fprintf(stderr, "FAILED: pooled preprocessing diverged\n");
+    std::fprintf(stderr, "FAILED: preprocessing output diverged\n");
     return 1;
   }
   return 0;

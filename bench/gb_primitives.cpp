@@ -1,11 +1,10 @@
 // Parallel-primitive throughput: the building blocks every engine leans on
-// (reduce, scan, pack, sort, WriteMin under contention).
+// (reduce, scan, pack, WriteMin under contention).
 #include <atomic>
 
 #include <benchmark/benchmark.h>
 
 #include "parallel/primitives.hpp"
-#include "parallel/rng.hpp"
 #include "parallel/write_min.hpp"
 
 namespace {
@@ -45,22 +44,6 @@ void BM_Pack(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_Pack)->Arg(1 << 16)->Arg(1 << 22);
-
-void BM_ParallelSort(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const SplitRng rng(5);
-  std::vector<std::uint64_t> base(n);
-  for (std::size_t i = 0; i < n; ++i) base[i] = rng.get(0, i);
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<std::uint64_t> v = base;
-    state.ResumeTiming();
-    parallel_sort(v);
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ParallelSort)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_WriteMinContended(benchmark::State& state) {
   // All relaxations hammer a small window of cells — worst-case contention

@@ -19,7 +19,9 @@ struct BuildOptions {
 };
 
 /// Builds a CSR graph on `n` vertices from arc triples. Adjacency lists come
-/// out sorted by (target, weight). Work is O(m log m) via a parallel sort.
+/// out sorted by (target, weight), whatever the order of `triples`. A
+/// counting sort buckets the arcs by source, then each bucket is sorted on
+/// its own: O(m + sum_v d_v log d_v) work.
 Graph build_graph(Vertex n, std::vector<EdgeTriple> triples,
                   const BuildOptions& opts = {});
 

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -61,6 +60,26 @@ void parallel_for(std::size_t begin, std::size_t end, F&& f,
     return;
   }
 #pragma omp parallel for schedule(dynamic, 64) num_threads(nw)
+  for (std::int64_t i = static_cast<std::int64_t>(begin);
+       i < static_cast<std::int64_t>(end); ++i) {
+    f(static_cast<std::size_t>(i));
+  }
+}
+
+/// parallel_for over one contiguous block of [begin, end) per worker. Use it
+/// when neighbouring indices update the same cells (arcs grouped by source
+/// bumping a per-source counter): dynamic chunks would hand neighbours to
+/// different workers and bounce those cells between cores.
+template <typename F>
+void parallel_for_blocked(std::size_t begin, std::size_t end, F&& f) {
+  if (begin >= end) return;
+  const std::size_t n = end - begin;
+  const int nw = num_workers();
+  if (n <= detail::kDefaultGrain || nw == 1) {
+    for (std::size_t i = begin; i < end; ++i) f(i);
+    return;
+  }
+#pragma omp parallel for schedule(static) num_threads(nw)
   for (std::int64_t i = static_cast<std::int64_t>(begin);
        i < static_cast<std::int64_t>(end); ++i) {
     f(static_cast<std::size_t>(i));
@@ -187,39 +206,6 @@ std::vector<std::uint32_t> pack_index(std::size_t n, Pred&& pred) {
     if (flags[i]) out[offs[i]] = static_cast<std::uint32_t>(i);
   });
   return out;
-}
-
-namespace detail {
-template <typename It, typename Cmp>
-void merge_sort_tasks(It lo, It hi, Cmp& cmp, int depth) {
-  const auto n = static_cast<std::size_t>(hi - lo);
-  if (depth <= 0 || n < 8192) {
-    std::sort(lo, hi, cmp);
-    return;
-  }
-  It mid = lo + static_cast<std::ptrdiff_t>(n / 2);
-#pragma omp task shared(cmp)
-  merge_sort_tasks(lo, mid, cmp, depth - 1);
-  merge_sort_tasks(mid, hi, cmp, depth - 1);
-#pragma omp taskwait
-  std::inplace_merge(lo, mid, hi, cmp);
-}
-}  // namespace detail
-
-/// Parallel comparison sort (task-based merge sort; stable enough for our
-/// deterministic pipelines because comparators are total orders here).
-template <typename T, typename Cmp = std::less<T>>
-void parallel_sort(std::vector<T>& v, Cmp cmp = Cmp{}) {
-  if (v.size() < 16384 || num_workers() == 1) {
-    std::sort(v.begin(), v.end(), cmp);
-    return;
-  }
-  int depth = 0;
-  for (int w = num_workers(); (1 << depth) < 4 * w; ++depth) {
-  }
-#pragma omp parallel num_threads(num_workers())
-#pragma omp single
-  detail::merge_sort_tasks(v.begin(), v.end(), cmp, depth);
 }
 
 }  // namespace rs

@@ -13,8 +13,6 @@ namespace rs {
 
 void BallSearchWorkspace::reserve(Vertex n) {
   if (n <= capacity()) return;
-  dist_.resize(n, 0);
-  hops_.resize(n, 0);
   parent_.resize(n, kNoVertex);
   stamp_.resize(n, 0);  // 0 != epoch_ once any search ran: entries are fresh
   heap_.reserve(n);
@@ -32,6 +30,7 @@ void BallSearchWorkspace::run(const Graph& g, Vertex source,
     epoch_ = 1;
   }
   heap_.clear();
+  bound_.clear();
 
   Ball& ball = out;
   ball.source = source;
@@ -40,17 +39,29 @@ void BallSearchWorkspace::run(const Graph& g, Vertex source,
   ball.arcs_scanned = 0;
   ball.vertices.reserve(rho + 4);
 
-  auto touch = [&](Vertex v, Dist d, Vertex h, Vertex p) {
-    dist_[v] = d;
-    hops_[v] = h;
-    parent_[v] = p;
-    stamp_[v] = epoch_;
-  };
-  touch(source, 0, 0, kNoVertex);
-  heap_.insert_or_decrease(source, Key{0, 0});
-
+  // B (see the header): unbounded until rho vertices have been touched.
+  Dist bound = std::numeric_limits<Dist>::max();
   Dist r_rho = 0;
   bool radius_fixed = false;
+  // First touch of a vertex at distance d: records it and reports d to the
+  // bound heap while r_rho is still open.
+  auto touch = [&](Vertex v, const Key& key, Vertex p) {
+    parent_[v] = p;
+    stamp_[v] = epoch_;
+    heap_.insert_or_decrease(v, key);
+    if (radius_fixed) return;
+    if (bound_.size() < rho) {
+      bound_.push_back(key.d);
+      std::push_heap(bound_.begin(), bound_.end());
+    } else if (key.d < bound_.front()) {
+      std::pop_heap(bound_.begin(), bound_.end());
+      bound_.back() = key.d;
+      std::push_heap(bound_.begin(), bound_.end());
+    }
+    if (bound_.size() == rho) bound = bound_.front();
+  };
+  touch(source, Key{0, 0, source}, kNoVertex);
+
   while (!heap_.empty()) {
     const auto [key, u] = heap_.min();
     if (radius_fixed && key.d > r_rho) break;
@@ -59,6 +70,7 @@ void BallSearchWorkspace::run(const Graph& g, Vertex source,
     if (!radius_fixed && ball.vertices.size() >= rho) {
       r_rho = key.d;
       radius_fixed = true;
+      bound = r_rho;
       if (!opts.settle_ties) break;  // exactly-rho variant: stop here
     }
     const EdgeId lo = g.first_arc(u);
@@ -66,17 +78,15 @@ void BallSearchWorkspace::run(const Graph& g, Vertex source,
         std::min(g.last_arc(u), lo + static_cast<EdgeId>(edge_limit));
     for (EdgeId e = lo; e < hi; ++e) {
       ++ball.arcs_scanned;
+      const Dist d = key.d + g.arc_weight(e);
+      if (d > bound) break;  // so is every later (heavier) arc of u
       const Vertex v = g.arc_target(e);
-      const Key cand{key.d + g.arc_weight(e), static_cast<Vertex>(key.h + 1)};
+      const Key cand{d, static_cast<Vertex>(key.h + 1), v};
       if (fresh(v)) {
-        touch(v, cand.d, cand.h, u);
+        touch(v, cand, u);
+      } else if (heap_.contains(v) && cand < heap_.key_of(v)) {
+        parent_[v] = u;
         heap_.insert_or_decrease(v, cand);
-      } else if (heap_.contains(v)) {
-        const Key cur{dist_[v], hops_[v]};
-        if (cand < cur) {
-          touch(v, cand.d, cand.h, u);
-          heap_.insert_or_decrease(v, cand);
-        }
       }
       // Settled vertices (stamped, not in heap) are final: skip.
     }

@@ -3,11 +3,27 @@
 //
 // Two details follow the paper exactly:
 //  * only the lightest `edge_limit` (default rho) arcs of each visited
-//    vertex are considered — graphs must have weight-sorted adjacency
-//    (Graph::with_weight_sorted_adjacency);
+//    vertex are considered;
 //  * the search continues through ties: it settles *every* vertex at
 //    distance r_rho, not exactly rho of them (Section 5.1), which makes the
 //    result deterministic and slightly pessimistic.
+//
+// Precondition: `g` has weight-sorted adjacency
+// (Graph::with_weight_sorted_adjacency), whatever the edge limit — the
+// bounded scan below relies on it.
+//
+// Bounded scan. The search keeps B, an upper bound on r_rho: the largest
+// of the rho smallest first-touch distances (the source's 0 included).
+// Those rho distinct vertices each lie within their first-touch distance,
+// so at least rho vertices lie within B; once r_rho is fixed, B = r_rho.
+// A relaxation with d(u) + w > B cannot give any ball member its key
+// (members have dist <= r_rho <= B), so it is skipped, and so is the rest
+// of u's scan: later arcs are at least as heavy.
+//
+// Tiebreak. The heap orders by (dist, hops, vertex id), so pop order,
+// parents and ball order depend only on the graph, not on which
+// relaxations were skipped: the bounded search returns exactly the ball
+// an unbounded one would.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +43,8 @@ struct BallVertex {
 
 struct Ball {
   Vertex source = kNoVertex;
-  /// Settled vertices in nondecreasing (dist, hops) order; entry 0 is the
-  /// source itself.
+  /// Settled vertices in increasing (dist, hops, vertex) order; entry 0 is
+  /// the source itself.
   std::vector<BallVertex> vertices;
   /// r_rho(source): distance of the rho-th closest vertex (counting the
   /// source as the first). 0 when rho <= 1.
@@ -68,8 +84,7 @@ class BallSearchWorkspace {
 
   /// Computes the rho-ball of `source` into `out`, reusing its capacity —
   /// a warm workspace + ball pair performs zero heap allocations. `g` must
-  /// have weight-sorted adjacency (any adjacency order is fine when
-  /// opts.edge_limit covers every arc).
+  /// have weight-sorted adjacency.
   void run(const Graph& g, Vertex source, const BallOptions& opts, Ball& out);
 
   /// Value-returning form (allocates the ball's vertex list).
@@ -88,19 +103,24 @@ class BallSearchWorkspace {
   struct Key {
     Dist d;
     Vertex h;
-    bool operator<(const Key& o) const { return d != o.d ? d < o.d : h < o.h; }
+    Vertex v;  // tiebreak: makes the order total
+    bool operator<(const Key& o) const {
+      if (d != o.d) return d < o.d;
+      return h != o.h ? h < o.h : v < o.v;
+    }
     bool operator<=(const Key& o) const { return !(o < *this); }
     bool operator>=(const Key& o) const { return !(*this < o); }
   };
 
   bool fresh(Vertex v) const { return stamp_[v] != epoch_; }
 
-  std::vector<Dist> dist_;
-  std::vector<Vertex> hops_;
   std::vector<Vertex> parent_;
   std::vector<std::uint32_t> stamp_;
   std::uint32_t epoch_ = 0;
   IndexedHeap<Key> heap_{0};
+  /// Max-heap of the rho smallest first-touch distances; its top is B
+  /// once it holds rho entries. Keeps its capacity across runs.
+  std::vector<Dist> bound_;
 };
 
 /// One-shot convenience wrapper (allocates a workspace internally).

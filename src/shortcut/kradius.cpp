@@ -15,9 +15,9 @@ Dist k_radius_exact(const Graph& g, Vertex source, Vertex k,
   // An unrestricted, whole-graph ball search settles every reachable
   // vertex in (dist, hops) order — exactly the min-hop shortest-path tree
   // dijkstra_min_hop_tree builds, but on the context's reusable scratch.
-  // The edge limit must cover every arc of every vertex (so adjacency
-  // order doesn't matter): use the max Vertex, not n — a multigraph vertex
-  // can carry more than n parallel arcs.
+  // The edge limit must cover every arc of every vertex: use the max
+  // Vertex, not n — a multigraph vertex can carry more than n parallel
+  // arcs.
   const BallOptions opts{n, std::numeric_limits<Vertex>::max(), true};
   const Ball& ball = ctx.ball(g, source, opts);
   Dist best = kInfDist;
@@ -29,11 +29,12 @@ Dist k_radius_exact(const Graph& g, Vertex source, Vertex k,
 
 Dist k_radius_exact(const Graph& g, Vertex source, Vertex k) {
   PreprocessContext ctx(g.num_vertices());
-  return k_radius_exact(g, source, k, ctx);
+  return k_radius_exact(g.with_weight_sorted_adjacency(), source, k, ctx);
 }
 
 std::vector<Dist> all_k_radii_exact(const Graph& g, Vertex k,
                                     PreprocessPool& pool) {
+  const Graph gw = g.with_weight_sorted_adjacency();
   const Vertex n = g.num_vertices();
   std::vector<Dist> out(n, kInfDist);
   const int nw = num_workers();
@@ -46,7 +47,7 @@ std::vector<Dist> all_k_radii_exact(const Graph& g, Vertex k,
 #pragma omp for schedule(dynamic, 4)
     for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
       out[static_cast<std::size_t>(v)] =
-          k_radius_exact(g, static_cast<Vertex>(v), k, ctx);
+          k_radius_exact(gw, static_cast<Vertex>(v), k, ctx);
     }
   }
   return out;

@@ -17,7 +17,9 @@ Dist k_radius_exact(const Graph& g, Vertex source, Vertex k);
 
 /// Context-reusing form: the full min-hop search runs on `ctx`'s ball
 /// scratch (an unrestricted ball search IS the min-hop Dijkstra tree), so
-/// n-source sweeps perform no per-source allocations once warm.
+/// n-source sweeps perform no per-source allocations once warm. `g` must
+/// have weight-sorted adjacency, like every ball search; the other forms
+/// sort their input themselves.
 Dist k_radius_exact(const Graph& g, Vertex source, Vertex k,
                     PreprocessContext& ctx);
 

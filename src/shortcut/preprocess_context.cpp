@@ -1,5 +1,6 @@
 #include "shortcut/preprocess_context.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <stdexcept>
@@ -59,15 +60,22 @@ PreprocessResult preprocess(const Graph& g, const PreprocessOptions& options,
     throw std::overflow_error("preprocess: shortcut weight overflow");
   }
 
-  std::vector<EdgeTriple> all;
-  std::size_t total = 0;
-  for (std::size_t w = 0; w < pool.size(); ++w) {
-    total += pool.at(w).staging().size();
+  // Drain: each worker copies its own staging buffer to its prefix offset.
+  // The reserve leaves room for merge_edges to append the base graph's
+  // arcs without reallocating.
+  const std::size_t slots = pool.size();
+  std::vector<std::size_t> offset(slots + 1, 0);
+  for (std::size_t w = 0; w < slots; ++w) {
+    offset[w + 1] = offset[w] + pool.at(w).staging().size();
   }
-  all.reserve(total);
-  for (std::size_t w = 0; w < pool.size(); ++w) {
-    auto& mine = pool.at(w).staging();
-    all.insert(all.end(), mine.begin(), mine.end());
+  std::vector<EdgeTriple> all;
+  all.reserve(offset[slots] + g.num_edges());
+  all.resize(offset[slots]);
+#pragma omp parallel for schedule(static, 1) num_threads(nw)
+  for (std::int64_t w = 0; w < static_cast<std::int64_t>(slots); ++w) {
+    auto& mine = pool.at(static_cast<std::size_t>(w)).staging();
+    std::copy(mine.begin(), mine.end(),
+              all.begin() + static_cast<std::ptrdiff_t>(offset[w]));
     mine.clear();  // keeps capacity: the pool stays warm for the next run
   }
 

@@ -58,8 +58,7 @@ class PreprocessContext {
 
   /// Runs the truncated-Dijkstra ball search for `source` into the
   /// context's reusable ball. The reference stays valid until the next
-  /// ball() call on this context. `g` must have weight-sorted adjacency
-  /// unless opts.edge_limit covers every arc.
+  /// ball() call on this context. `g` must have weight-sorted adjacency.
   const Ball& ball(const Graph& g, Vertex source, const BallOptions& opts) {
     workspace_.run(g, source, opts, ball_);
     return ball_;

@@ -230,8 +230,9 @@ TEST(AllocFree, WarmPreprocessContextBallLoopAllocatesNothing) {
 
 TEST(AllocFree, WarmKRadiusContextSweepAllocatesNothing) {
   // The k-radius oracle runs full min-hop searches on the same context
-  // scratch: a warm context sweeps sources allocation-free.
-  const Graph g = test_graph();
+  // scratch: a warm context sweeps sources allocation-free. The context
+  // form takes a weight-sorted graph, like every ball search.
+  const Graph g = test_graph().with_weight_sorted_adjacency();
   PreprocessContext ctx(g.num_vertices());
   Dist warm = 0;
   for (Vertex s = 0; s < 8; ++s) warm ^= k_radius_exact(g, s, 2, ctx);

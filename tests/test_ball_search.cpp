@@ -1,11 +1,15 @@
 #include "shortcut/ball_search.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "baseline/dijkstra.hpp"
 #include "graph/generators.hpp"
+#include "pq/binary_heap.hpp"
+#include "shortcut/kradius.hpp"
 #include "test_util.hpp"
 
 namespace rs {
@@ -164,6 +168,138 @@ TEST(BallSearch, Figure2WorstCaseScansQuadraticEdges) {
   EXPECT_GE(ball.vertices.size(), rho);
   // Members of three groups each scan ~d arcs -> at least d^2 scans.
   EXPECT_GE(ball.arcs_scanned, static_cast<EdgeId>(d) * d);
+}
+
+/// The unbounded ball search, kept as the reference for the bounded one:
+/// the same (dist, hops, vertex) key and loop, but every arc within the
+/// edge limit is relaxed.
+Ball reference_ball(const Graph& g, Vertex source, const BallOptions& opts) {
+  struct Key {
+    Dist d;
+    Vertex h;
+    Vertex v;
+    bool operator<(const Key& o) const {
+      if (d != o.d) return d < o.d;
+      return h != o.h ? h < o.h : v < o.v;
+    }
+    bool operator<=(const Key& o) const { return !(o < *this); }
+    bool operator>=(const Key& o) const { return !(*this < o); }
+  };
+  const Vertex rho = opts.rho;
+  const Vertex edge_limit = opts.edge_limit == 0 ? rho : opts.edge_limit;
+  const Vertex n = g.num_vertices();
+  std::vector<Dist> dist(n, 0);
+  std::vector<Vertex> hops(n, 0);
+  std::vector<Vertex> parent(n, kNoVertex);
+  std::vector<bool> seen(n, false);
+  IndexedHeap<Key> heap(n);
+
+  Ball ball;
+  ball.source = source;
+  auto touch = [&](Vertex v, Dist d, Vertex h, Vertex p) {
+    dist[v] = d;
+    hops[v] = h;
+    parent[v] = p;
+    seen[v] = true;
+  };
+  touch(source, 0, 0, kNoVertex);
+  heap.insert_or_decrease(source, Key{0, 0, source});
+
+  Dist r_rho = 0;
+  bool radius_fixed = false;
+  while (!heap.empty()) {
+    const auto [key, u] = heap.min();
+    if (radius_fixed && key.d > r_rho) break;
+    heap.extract_min();
+    ball.vertices.push_back(BallVertex{u, key.d, key.h, parent[u]});
+    if (!radius_fixed && ball.vertices.size() >= rho) {
+      r_rho = key.d;
+      radius_fixed = true;
+      if (!opts.settle_ties) break;
+    }
+    const EdgeId lo = g.first_arc(u);
+    const EdgeId hi =
+        std::min(g.last_arc(u), lo + static_cast<EdgeId>(edge_limit));
+    for (EdgeId e = lo; e < hi; ++e) {
+      ++ball.arcs_scanned;
+      const Vertex v = g.arc_target(e);
+      const Key cand{key.d + g.arc_weight(e), static_cast<Vertex>(key.h + 1),
+                     v};
+      if (!seen[v]) {
+        touch(v, cand.d, cand.h, u);
+        heap.insert_or_decrease(v, cand);
+      } else if (heap.contains(v)) {
+        const Key cur{dist[v], hops[v], v};
+        if (cand < cur) {
+          touch(v, cand.d, cand.h, u);
+          heap.insert_or_decrease(v, cand);
+        }
+      }
+    }
+  }
+  ball.radius = radius_fixed ? r_rho
+                             : (ball.vertices.empty()
+                                    ? 0
+                                    : ball.vertices.back().dist);
+  return ball;
+}
+
+TEST(BallSearch, BoundedSearchMatchesUnboundedReference) {
+  // Tie-heavy graphs: unit and near-unit weights make many (dist, hops)
+  // ties, so any dependence of the ball on skipped relaxations would show.
+  const Graph web = gen::web_graph(400, 4, 7);
+  const std::vector<test::GraphCase> graphs = {
+      {"grid-unit", gen::grid2d(20, 20)},
+      {"road-1..2", assign_uniform_weights(gen::road_network(20, 20, 3), 5,
+                                           1, 2)},
+      {"web-unit", web},
+      {"web-1..3", assign_uniform_weights(web, 9, 1, 3)},
+      {"star", gen::star(200)},
+  };
+  const Vertex unrestricted = std::numeric_limits<Vertex>::max();
+  BallSearchWorkspace ws;
+  Ball got;
+  for (const auto& [name, g0] : graphs) {
+    const Graph g = g0.with_weight_sorted_adjacency();
+    for (const Vertex rho : {1u, 2u, 5u, 16u, 64u}) {
+      for (const bool ties : {true, false}) {
+        for (const Vertex limit : {Vertex{0}, unrestricted}) {
+          const BallOptions opts{rho, limit, ties};
+          for (Vertex s = 0; s < g.num_vertices(); ++s) {
+            ws.run(g, s, opts, got);
+            const Ball want = reference_ball(g, s, opts);
+            const std::string where = name + " rho=" + std::to_string(rho) +
+                                      " ties=" + std::to_string(ties) +
+                                      " limit=" + std::to_string(limit) +
+                                      " s=" + std::to_string(s);
+            ASSERT_EQ(got.source, want.source) << where;
+            ASSERT_EQ(got.radius, want.radius) << where;
+            ASSERT_EQ(got.vertices.size(), want.vertices.size()) << where;
+            for (std::size_t i = 0; i < want.vertices.size(); ++i) {
+              const BallVertex& a = got.vertices[i];
+              const BallVertex& b = want.vertices[i];
+              ASSERT_EQ(a.v, b.v) << where << " i=" << i;
+              ASSERT_EQ(a.dist, b.dist) << where << " i=" << i;
+              ASSERT_EQ(a.hops, b.hops) << where << " i=" << i;
+              ASSERT_EQ(a.parent, b.parent) << where << " i=" << i;
+            }
+            ASSERT_LE(got.arcs_scanned, want.arcs_scanned) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KRadius, SortsItsInput) {
+  // The unrestricted search behind all_k_radii_exact stops scanning at the
+  // first arc past its bound, so it sorts adjacency itself: target-sorted
+  // and weight-sorted inputs give the same radii.
+  for (const auto& [name, g] : test::weighted_suite(10)) {
+    EXPECT_EQ(all_k_radii_exact(g, 3),
+              all_k_radii_exact(g.with_weight_sorted_adjacency(), 3))
+        << name;
+  }
 }
 
 TEST(AllRadii, MatchesPerSourceBalls) {

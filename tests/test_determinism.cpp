@@ -72,8 +72,10 @@ TEST(Determinism, FullPipelineMatchesAcrossWorkerCounts) {
       flatN = radius_stepping(preN.graph, 0, preN.radius);
       bstN = radius_stepping_bst(preN.graph, 0, preN.radius);
     }
-    // The preprocessing output itself is deterministic (parallel sort with
-    // a total order + pure-hash weights), not just the distances.
+    // The preprocessing output itself is deterministic (ball order fixed by
+    // a total (dist, hops, vertex) order, each source's arcs sorted by
+    // (target, weight) whatever order the workers scattered them in, and
+    // pure-hash weights), not just the distances.
     EXPECT_EQ(pre1.graph, preN.graph) << c.name;
     EXPECT_EQ(pre1.radius, preN.radius) << c.name;
     EXPECT_EQ(flat1, flatN) << c.name;

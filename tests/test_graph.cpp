@@ -9,6 +9,8 @@
 #include "graph/builder.hpp"
 #include "graph/stats.hpp"
 #include "graph/types.hpp"
+#include "parallel/primitives.hpp"
+#include "parallel/rng.hpp"
 
 namespace rs {
 namespace {
@@ -100,6 +102,128 @@ TEST(Builder, AdjacencySortedByTarget) {
   const auto nbrs = g.neighbors(0);
   ASSERT_EQ(nbrs.size(), 3u);
   EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
+}
+
+/// The comparison-sort builder as a reference: drop self loops, add
+/// reverse arcs, sort every triple by (u, v, w), keep the first of each
+/// (u, v) group, then lay the sorted triples out as CSR.
+Graph reference_build(Vertex n, std::vector<EdgeTriple> t,
+                      const BuildOptions& opts) {
+  if (opts.remove_self_loops) {
+    t.erase(std::remove_if(t.begin(), t.end(),
+                           [](const EdgeTriple& a) { return a.u == a.v; }),
+            t.end());
+  }
+  if (opts.symmetrize) {
+    const std::size_t m = t.size();
+    t.reserve(2 * m);
+    for (std::size_t i = 0; i < m; ++i) t.push_back({t[i].v, t[i].u, t[i].w});
+  }
+  std::sort(t.begin(), t.end(), [](const EdgeTriple& a, const EdgeTriple& b) {
+    return std::tie(a.u, a.v, a.w) < std::tie(b.u, b.v, b.w);
+  });
+  if (opts.dedup) {
+    t.erase(std::unique(t.begin(), t.end(),
+                        [](const EdgeTriple& a, const EdgeTriple& b) {
+                          return a.u == b.u && a.v == b.v;
+                        }),
+            t.end());
+  }
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (const EdgeTriple& a : t) ++offsets[a.u + 1];
+  for (Vertex v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  std::vector<Vertex> targets;
+  std::vector<Weight> weights;
+  for (const EdgeTriple& a : t) {
+    targets.push_back(a.v);
+    weights.push_back(a.w);
+  }
+  return Graph(std::move(offsets), std::move(targets), std::move(weights));
+}
+
+/// n = 50k, ~400k triples: random arcs among the first 45k vertices (the
+/// rest stay isolated), repeated (u, v) pairs with other weights, self
+/// loops, and a hub with 20k arcs.
+std::vector<EdgeTriple> random_triples(Vertex n) {
+  const SplitRng rng(2024);
+  const Vertex live = n - 5000;
+  const auto weight = [&](std::uint64_t i) {
+    return static_cast<Weight>(1 + rng.bounded(9, i, 1000));
+  };
+  std::vector<EdgeTriple> t;
+  for (std::uint64_t i = 0; i < 300'000; ++i) {
+    t.push_back({static_cast<Vertex>(rng.bounded(1, i, live)),
+                 static_cast<Vertex>(rng.bounded(2, i, live)), weight(i)});
+  }
+  for (std::uint64_t i = 0; i < 60'000; ++i) {
+    const EdgeTriple& a = t[rng.bounded(3, i, 300'000)];
+    t.push_back({a.u, a.v, weight(400'000 + i)});
+  }
+  for (std::uint64_t i = 0; i < 20'000; ++i) {
+    const auto v = static_cast<Vertex>(rng.bounded(4, i, live));
+    t.push_back({v, v, weight(500'000 + i)});
+  }
+  for (std::uint64_t i = 0; i < 20'000; ++i) {
+    t.push_back({7, static_cast<Vertex>(rng.bounded(5, i, live)),
+                 weight(600'000 + i)});
+  }
+  return t;
+}
+
+class WorkerCount {
+ public:
+  explicit WorkerCount(int n) : before_(num_workers()) { set_num_workers(n); }
+  ~WorkerCount() { set_num_workers(before_); }
+
+ private:
+  int before_;
+};
+
+TEST(Builder, RandomTriplesMatchSortReference) {
+  const Vertex n = 50'000;
+  const std::vector<EdgeTriple> triples = random_triples(n);
+  for (int mask = 0; mask < 8; ++mask) {
+    BuildOptions opts;
+    opts.symmetrize = (mask & 1) != 0;
+    opts.dedup = (mask & 2) != 0;
+    opts.remove_self_loops = (mask & 4) != 0;
+    const Graph want = reference_build(n, triples, opts);
+    for (const int workers : {1, 3, 8}) {
+      const WorkerCount guard(workers);
+      EXPECT_EQ(build_graph(n, triples, opts), want)
+          << "symmetrize=" << opts.symmetrize << " dedup=" << opts.dedup
+          << " remove_self_loops=" << opts.remove_self_loops
+          << " workers=" << workers;
+    }
+  }
+}
+
+TEST(MergeEdges, OverlappingBaseMatchesSortReference) {
+  // Extra arcs repeat some base arcs with lighter, equal and heavier
+  // weights, in either direction, and add new ones.
+  const Vertex n = 50'000;
+  const std::vector<EdgeTriple> triples = random_triples(n);
+  const Graph base = build_graph(n, triples);
+  const SplitRng rng(77);
+  std::vector<EdgeTriple> extra;
+  for (std::uint64_t i = 0; i < 100'000; ++i) {
+    const EdgeTriple& a = triples[rng.bounded(0, i, triples.size())];
+    const auto w = static_cast<Weight>(1 + rng.bounded(1, i, 1000));
+    extra.push_back(i % 2 == 0 ? EdgeTriple{a.u, a.v, w}
+                               : EdgeTriple{a.v, a.u, w});
+  }
+  for (std::uint64_t i = 0; i < 50'000; ++i) {
+    extra.push_back({static_cast<Vertex>(rng.bounded(2, i, n)),
+                     static_cast<Vertex>(rng.bounded(3, i, n)),
+                     static_cast<Weight>(1 + rng.bounded(4, i, 1000))});
+  }
+  std::vector<EdgeTriple> all = base.to_triples();
+  all.insert(all.end(), extra.begin(), extra.end());
+  const Graph want = reference_build(n, std::move(all), BuildOptions{});
+  for (const int workers : {1, 3, 8}) {
+    const WorkerCount guard(workers);
+    EXPECT_EQ(merge_edges(base, extra), want) << "workers=" << workers;
+  }
 }
 
 TEST(Graph, WeightSortedAdjacency) {

@@ -128,28 +128,6 @@ TEST(PackIndex, MatchesManualFilter) {
   EXPECT_EQ(out, expect);
 }
 
-class SortTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(SortTest, MatchesStdSort) {
-  const std::size_t n = GetParam();
-  SplitRng rng(n + 17);
-  std::vector<std::uint64_t> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = rng.get(0, i);
-  std::vector<std::uint64_t> expect = v;
-  std::sort(expect.begin(), expect.end());
-  parallel_sort(v);
-  EXPECT_EQ(v, expect);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, SortTest,
-                         ::testing::Values(0, 1, 2, 1000, 16'384, 300'000));
-
-TEST(Sort, CustomComparator) {
-  std::vector<int> v{5, 3, 9, 1};
-  parallel_sort(v, std::greater<int>{});
-  EXPECT_EQ(v, (std::vector<int>{9, 5, 3, 1}));
-}
-
 TEST(WriteMin, LowersAndRejects) {
   std::atomic<std::uint64_t> cell{100};
   EXPECT_TRUE(write_min(cell, std::uint64_t{50}));
