@@ -82,6 +82,52 @@ class Phases {
     me.pending_di = di;
   }
 
+  /// Lines 6-8 for one active vertex u: relaxes every original arc, then
+  /// walks u's weight-sorted shortcut segment and stops at the first arc
+  /// that lands beyond d_i. A skipped shortcut can only reach a vertex
+  /// whose final distance an original-arc path supplies (merge_edges'
+  /// precondition), and Theorem 3.2's <= k-hop paths never land beyond
+  /// d_i, so neither distances nor steps change (docs/ARCHITECTURE.md).
+  /// kShared selects the sharing mode: WriteMin and an atomic claim for
+  /// the parallel body, plain stores and claim_sequential for the
+  /// sequential one. Counts successful lowerings into `relaxations`;
+  /// returns the arcs examined, including the one that ends the scan.
+  template <bool kShared>
+  std::size_t relax(Worker& me, Vertex u, Dist di, Dist prev_di,
+                    std::size_t& relaxations) {
+    const Dist du = load(u);
+    const auto relax_arc = [&](Vertex v, Dist nd) {
+      // Line 7 relaxes targets outside S_{i-1} only; vertices settled in
+      // *this* step may still improve while the annulus converges, so
+      // they stay relaxable. One load serves both tests.
+      const Dist dv = load(v);
+      if (dv <= prev_di || nd >= dv) return;
+      Dist before = dv;
+      if constexpr (kShared) {
+        if (!write_min(dist_[v], nd, before)) return;
+      } else {
+        dist_[v].store(nd, std::memory_order_relaxed);
+      }
+      ++relaxations;
+      if (before == kInfDist) me.touched.push_back(v);
+      if (kShared ? ctx_.claim(v) : ctx_.claim_sequential(v)) {
+        me.claimed.push_back(v);
+      }
+    };
+    const EdgeId first = g_.first_arc(u);
+    const EdgeId cut = g_.first_shortcut_arc(u);
+    const EdgeId last = g_.last_arc(u);
+    for (EdgeId e = first; e < cut; ++e) {
+      relax_arc(g_.arc_target(e), du + g_.arc_weight(e));
+    }
+    for (EdgeId e = cut; e < last; ++e) {
+      const Dist nd = du + g_.arc_weight(e);
+      if (nd > di) return e + 1 - first;
+      relax_arc(g_.arc_target(e), nd);
+    }
+    return last - first;
+  }
+
   /// First substep's active set from `me`'s frontier segment: every
   /// vertex with delta <= d_i. They are settled the moment they appear.
   void gather(Worker& me, Dist di) {
@@ -205,7 +251,6 @@ void run_sequential(const Graph& g, Vertex source,
   Phases phases(g, radius, ctx);
   std::vector<Worker>& workers = ctx.workers(1);
   Worker& me = workers[0];
-  std::atomic<Dist>* dist = ctx.dist();
   // Traced requests take two clock readings per substep (relax end is
   // partition start, so the phases tile the substep); untraced runs take
   // none — the disabled path costs one predictable branch per substep.
@@ -239,23 +284,7 @@ void run_sequential(const Graph& g, Vertex source,
       std::size_t relaxations = 0;
       std::size_t scanned = 0;
       for (const Vertex u : me.active) {
-        const Dist du = phases.load(u);
-        scanned += g.last_arc(u) - g.first_arc(u);
-        for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
-          const Vertex v = g.arc_target(e);
-          // Line 7 relaxes targets outside S_{i-1} only; vertices settled
-          // in *this* step may still improve while the annulus converges,
-          // so they stay relaxable. One load serves both tests.
-          const Dist dv = phases.load(v);
-          if (dv <= prev_di) continue;
-          const Dist nd = du + g.arc_weight(e);
-          if (nd < dv) {
-            if (dv == kInfDist) me.touched.push_back(v);
-            dist[v].store(nd, std::memory_order_relaxed);
-            ++relaxations;
-            if (ctx.claim_sequential(v)) me.claimed.push_back(v);
-          }
-        }
+        scanned += phases.relax<false>(me, u, di, prev_di, relaxations);
       }
       me.relaxations += relaxations;
       me.edges_scanned += scanned;
@@ -323,7 +352,6 @@ void run_parallel(const Graph& g, Vertex source,
                   RunStats& local, int nw) {
   Phases phases(g, radius, ctx);
   std::vector<Worker>& workers = ctx.workers(nw);
-  std::atomic<Dist>* dist = ctx.dist();
   const bool timed = ctx.trace_phases();
 
   phases.seed(workers[0], source);
@@ -377,19 +405,7 @@ void run_parallel(const Graph& g, Vertex source,
           while (k >= offsets[owner + 1]) ++owner;
           while (k < offsets[owner]) --owner;
           const Vertex u = workers[owner].active[k - offsets[owner]];
-          const Dist du = phases.load(u);
-          scanned += g.last_arc(u) - g.first_arc(u);
-          for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
-            const Vertex v = g.arc_target(e);
-            // Line 7: targets outside S_{i-1} only (see run_sequential).
-            if (phases.load(v) <= prev_di) continue;
-            Dist before = kInfDist;
-            if (write_min(dist[v], du + g.arc_weight(e), before)) {
-              ++relaxations;
-              if (before == kInfDist) me.touched.push_back(v);
-              if (ctx.claim(v)) me.claimed.push_back(v);
-            }
-          }
+          scanned += phases.relax<true>(me, u, di, prev_di, relaxations);
         }
         me.relaxations += relaxations;
         me.edges_scanned += scanned;

@@ -11,6 +11,12 @@
 // Given radii from preprocessing (r(v) = r_rho(v) on a (k, rho)-graph) the
 // run obeys the paper's bounds: <= ceil(n/rho) * (1 + ceil(log2(rho * L)))
 // steps (Theorem 3.3) and <= k + 2 substeps per step (Theorem 3.2).
+//
+// On a split graph (merge_edges' layout, see graph/graph.hpp) a vertex
+// relaxes all of its original arcs but stops its weight-sorted shortcut
+// scan at the first arc that lands beyond the step's d_i. Distances,
+// steps and both bounds are unchanged (docs/ARCHITECTURE.md, "Why the
+// answers are exact"); on an unsplit graph every arc is relaxed.
 #pragma once
 
 #include <vector>

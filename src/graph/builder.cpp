@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -10,108 +11,223 @@
 
 namespace rs {
 
-Graph build_graph(Vertex n, std::vector<EdgeTriple> triples,
-                  const BuildOptions& opts) {
-  const std::size_t nt = triples.size();
-  const auto dropped = [&](const EdgeTriple& t) {
-    return opts.remove_self_loops && t.u == t.v;
+namespace {
+
+/// An arc in a bucket, packed as key << 32 | value so an integer sort
+/// orders a bucket by (key, value).
+using Packed = std::uint64_t;
+
+Packed pack_arc(std::uint32_t key, std::uint32_t value) {
+  return static_cast<Packed>(key) << 32 | value;
+}
+std::uint32_t arc_key(Packed a) { return static_cast<std::uint32_t>(a >> 32); }
+std::uint32_t arc_value(Packed a) { return static_cast<std::uint32_t>(a); }
+
+/// Arcs after the counting sort: vertex u's bucket is [start[u],
+/// start[u + 1]) of `arcs`, each arc packed as (target, weight). `split`
+/// is filled only for a two-part sort (see bucket_arcs).
+struct Buckets {
+  std::vector<EdgeId> start;
+  std::vector<EdgeId> split;
+  std::unique_ptr<Packed[]> arcs;
+};
+
+/// Counting sort of `triples` into one bucket per source vertex, with
+/// opts.symmetrize adding each reverse arc to its target's bucket. Given
+/// `first`, triples [first, size) are scattered before triples [0, first),
+/// so u's bucket holds the former's arcs in [start[u], split[u]) and the
+/// latter's in [split[u], start[u + 1]). Frees `triples` once the arcs are
+/// bucketed, which lowers the peak footprint.
+Buckets bucket_arcs(Vertex n, std::vector<EdgeTriple>& triples,
+                    const BuildOptions& opts,
+                    std::optional<std::size_t> first = std::nullopt) {
+  std::atomic<bool> out_of_range{false};
+  // Static blocks: triples usually arrive grouped by source, so each
+  // counter stays on one worker.
+  const auto for_each_arc = [&](std::size_t lo, std::size_t hi,
+                                auto&& emit) {
+    parallel_for_blocked(lo, hi, [&](std::size_t i) {
+      const EdgeTriple& t = triples[i];
+      if (t.u >= n || t.v >= n) {
+        out_of_range.store(true, std::memory_order_relaxed);
+        return;
+      }
+      if (opts.remove_self_loops && t.u == t.v) return;
+      emit(t.u, pack_arc(t.v, t.w));
+      if (opts.symmetrize) emit(t.v, pack_arc(t.u, t.w));
+    });
   };
 
-  // 1. Check endpoints and count out-degrees. Static blocks: triples
-  // usually arrive grouped by source, so each counter stays on one worker.
+  // 1. Count every bucket's arcs. One worker runs the loops serially, so
+  // it skips the locked read-modify-write.
   std::vector<std::atomic<EdgeId>> cursor(n);
-  std::atomic<bool> out_of_range{false};
-  parallel_for_blocked(0, nt, [&](std::size_t i) {
-    const EdgeTriple& t = triples[i];
-    if (t.u >= n || t.v >= n) {
-      out_of_range.store(true, std::memory_order_relaxed);
-      return;
-    }
-    if (dropped(t)) return;
-    cursor[t.u].fetch_add(1, std::memory_order_relaxed);
-    if (opts.symmetrize) cursor[t.v].fetch_add(1, std::memory_order_relaxed);
-  });
+  const bool shared = num_workers() > 1;
+  const auto bump = [&](Vertex u) {
+    if (shared) return cursor[u].fetch_add(1, std::memory_order_relaxed);
+    const EdgeId c = cursor[u].load(std::memory_order_relaxed);
+    cursor[u].store(c + 1, std::memory_order_relaxed);
+    return c;
+  };
+  const std::size_t nt = triples.size();
+  for_each_arc(0, nt, [&](Vertex u, Packed) { bump(u); });
   if (out_of_range.load()) {
     throw std::invalid_argument("build_graph: endpoint out of range");
   }
 
   // 2. Bucket offsets.
-  std::vector<EdgeId> start(static_cast<std::size_t>(n) + 1, 0);
-  parallel_for(0, n, [&](std::size_t v) {
-    start[v] = cursor[v].load(std::memory_order_relaxed);
+  Buckets out;
+  out.start.assign(static_cast<std::size_t>(n) + 1, 0);
+  parallel_for(0, n, [&](std::size_t u) {
+    out.start[u] = cursor[u].load(std::memory_order_relaxed);
   });
-  const EdgeId total = exclusive_scan(start, start);
-  parallel_for(0, n, [&](std::size_t v) {
-    cursor[v].store(start[v], std::memory_order_relaxed);
+  const EdgeId total = exclusive_scan(out.start, out.start);
+  parallel_for(0, n, [&](std::size_t u) {
+    cursor[u].store(out.start[u], std::memory_order_relaxed);
   });
 
-  // 3. Scatter every arc into its source's bucket, packed as
-  // target << 32 | weight so an integer sort orders a bucket by (target,
-  // weight). Every slot is written, so the array is left uninitialised.
-  std::unique_ptr<std::uint64_t[]> bucket(new std::uint64_t[total]);
-  const auto pack = [](Vertex v, Weight w) {
-    return static_cast<std::uint64_t>(v) << 32 | w;
+  // 3. Scatter. Every slot is written, so the array is left uninitialised.
+  out.arcs.reset(new Packed[total]);
+  const auto scatter = [&](std::size_t lo, std::size_t hi) {
+    for_each_arc(lo, hi, [&](Vertex u, Packed a) { out.arcs[bump(u)] = a; });
   };
-  parallel_for_blocked(0, nt, [&](std::size_t i) {
-    const EdgeTriple& t = triples[i];
-    if (dropped(t)) return;
-    bucket[cursor[t.u].fetch_add(1, std::memory_order_relaxed)] =
-        pack(t.v, t.w);
-    if (opts.symmetrize) {
-      bucket[cursor[t.v].fetch_add(1, std::memory_order_relaxed)] =
-          pack(t.u, t.w);
-    }
-  });
-  std::vector<EdgeTriple>().swap(triples);  // lowers the peak footprint
+  if (first) {
+    scatter(*first, nt);
+    out.split.resize(n);
+    parallel_for(0, n, [&](std::size_t u) {
+      out.split[u] = cursor[u].load(std::memory_order_relaxed);
+    });
+    scatter(0, *first);
+  } else {
+    scatter(0, nt);
+  }
+  std::vector<EdgeTriple>().swap(triples);
+  return out;
+}
 
-  // 4. Sort each bucket; after the sort the first arc to each target is the
+/// Sorts [lo, hi) by (target, weight) and keeps the lightest arc per
+/// target; returns the new end.
+Packed* sort_unique_by_target(Packed* lo, Packed* hi) {
+  std::sort(lo, hi);
+  return std::unique(lo, hi, [](Packed a, Packed b) {
+    return arc_key(a) == arc_key(b);
+  });
+}
+
+}  // namespace
+
+Graph build_graph(Vertex n, std::vector<EdgeTriple> triples,
+                  const BuildOptions& opts) {
+  const Buckets b = bucket_arcs(n, triples, opts);
+
+  // Sort each bucket; after the sort the first arc to each target is the
   // lightest, which is the one dedup keeps. A global (u, v, w) sort plus
   // unique-by-(u, v) gives the same arrays, so the output does not depend
   // on the order of `triples`.
   std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
   parallel_for(0, n, [&](std::size_t u) {
-    std::uint64_t* lo = bucket.get() + start[u];
-    std::uint64_t* hi = bucket.get() + start[u + 1];
-    std::sort(lo, hi);
+    Packed* lo = b.arcs.get() + b.start[u];
+    Packed* hi = b.arcs.get() + b.start[u + 1];
     if (opts.dedup) {
-      hi = std::unique(lo, hi, [](std::uint64_t a, std::uint64_t b) {
-        return a >> 32 == b >> 32;
-      });
+      hi = sort_unique_by_target(lo, hi);
+    } else {
+      std::sort(lo, hi);
     }
     offsets[u] = static_cast<EdgeId>(hi - lo);
   }, /*grain=*/256);
 
-  // 5. Compact the buckets into the CSR arrays.
+  // Compact the buckets into the CSR arrays.
   const EdgeId m = exclusive_scan(offsets, offsets);
   std::vector<Vertex> targets(m);
   std::vector<Weight> weights(m);
   parallel_for(0, n, [&](std::size_t u) {
-    const std::uint64_t* arcs = bucket.get() + start[u];
+    const Packed* arcs = b.arcs.get() + b.start[u];
     for (EdgeId e = offsets[u]; e < offsets[u + 1]; ++e, ++arcs) {
-      targets[e] = static_cast<Vertex>(*arcs >> 32);
-      weights[e] = static_cast<Weight>(*arcs);
+      targets[e] = arc_key(*arcs);
+      weights[e] = arc_value(*arcs);
     }
   }, /*grain=*/256);
   return Graph(std::move(offsets), std::move(targets), std::move(weights));
 }
 
-Graph merge_edges(const Graph& g, std::vector<EdgeTriple> extra,
-                  const BuildOptions& opts) {
-  // build_graph's output does not depend on arc order, so the base graph's
-  // arcs are appended to `extra` in place. The base graph already stores
-  // both arc directions; symmetrizing again only duplicates them, and
-  // dedup removes the copies. Extra arcs do need symmetrizing, which this
-  // achieves in one pass.
-  const std::size_t base = extra.size();
-  extra.resize(base + g.num_edges());
-  parallel_for(0, g.num_vertices(), [&](std::size_t v) {
+Graph merge_edges(const Graph& g, std::vector<EdgeTriple> extra) {
+  // The base graph's arcs are appended to `extra`, and one counting sort
+  // buckets both, base arcs first in each bucket. Both are symmetrized,
+  // so a directed base graph gains its reverse arcs, as build_graph would
+  // give it.
+  const Vertex n = g.num_vertices();
+  const std::size_t num_extra = extra.size();
+  extra.resize(num_extra + g.num_edges());
+  parallel_for(0, n, [&](std::size_t v) {
     for (EdgeId e = g.first_arc(static_cast<Vertex>(v));
          e < g.last_arc(static_cast<Vertex>(v)); ++e) {
-      extra[base + e] =
+      extra[num_extra + e] =
           EdgeTriple{static_cast<Vertex>(v), g.arc_target(e), g.arc_weight(e)};
     }
   }, /*grain=*/256);
-  return build_graph(g.num_vertices(), std::move(extra), opts);
+  const Buckets b = bucket_arcs(n, extra, BuildOptions{}, num_extra);
+
+  // Per vertex: dedup each part by target, then walk both in target order.
+  // A pair in both keeps the extra arc only when it is strictly lighter,
+  // so the arc set is the per-pair minimum, as a single dedup would give.
+  // The kept extra arcs are then re-sorted by (weight, target).
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<EdgeId> shortcut_start(n);
+  parallel_for(0, n, [&](std::size_t u) {
+    Packed* base = b.arcs.get() + b.start[u];
+    Packed* shortcut = b.arcs.get() + b.split[u];
+    const Packed* base_end = sort_unique_by_target(base, shortcut);
+    const Packed* shortcut_end =
+        sort_unique_by_target(shortcut, b.arcs.get() + b.start[u + 1]);
+    Packed* base_out = base;
+    Packed* shortcut_out = shortcut;
+    const Packed* i = base;
+    const Packed* j = shortcut;
+    while (i != base_end && j != shortcut_end) {
+      if (arc_key(*i) < arc_key(*j)) {
+        *base_out++ = *i++;
+      } else if (arc_key(*j) < arc_key(*i)) {
+        *shortcut_out++ = *j++;
+      } else {
+        if (arc_value(*j) < arc_value(*i)) {
+          *shortcut_out++ = *j;
+        } else {
+          *base_out++ = *i;
+        }
+        ++i;
+        ++j;
+      }
+    }
+    while (i != base_end) *base_out++ = *i++;
+    while (j != shortcut_end) *shortcut_out++ = *j++;
+    for (Packed* a = shortcut; a != shortcut_out; ++a) {
+      *a = pack_arc(arc_value(*a), arc_key(*a));
+    }
+    std::sort(shortcut, shortcut_out);
+    shortcut_start[u] = static_cast<EdgeId>(base_out - base);
+    offsets[u] =
+        shortcut_start[u] + static_cast<EdgeId>(shortcut_out - shortcut);
+  }, /*grain=*/256);
+
+  // Compact: original segment packed as (target, weight), shortcut
+  // segment as (weight, target).
+  const EdgeId m = exclusive_scan(offsets, offsets);
+  std::vector<Vertex> targets(m);
+  std::vector<Weight> weights(m);
+  parallel_for(0, n, [&](std::size_t u) {
+    shortcut_start[u] += offsets[u];
+    const Packed* arcs = b.arcs.get() + b.start[u];
+    for (EdgeId e = offsets[u]; e < shortcut_start[u]; ++e, ++arcs) {
+      targets[e] = arc_key(*arcs);
+      weights[e] = arc_value(*arcs);
+    }
+    arcs = b.arcs.get() + b.split[u];
+    for (EdgeId e = shortcut_start[u]; e < offsets[u + 1]; ++e, ++arcs) {
+      targets[e] = arc_value(*arcs);
+      weights[e] = arc_key(*arcs);
+    }
+  }, /*grain=*/256);
+  return Graph(std::move(offsets), std::move(targets), std::move(weights),
+               std::move(shortcut_start));
 }
 
 }  // namespace rs

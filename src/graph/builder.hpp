@@ -25,9 +25,24 @@ struct BuildOptions {
 Graph build_graph(Vertex n, std::vector<EdgeTriple> triples,
                   const BuildOptions& opts = {});
 
-/// Merges extra arcs (e.g. shortcut edges from preprocessing) into an
-/// existing graph, symmetrizing and deduplicating by minimum weight.
-Graph merge_edges(const Graph& g, std::vector<EdgeTriple> extra,
-                  const BuildOptions& opts = {});
+/// Merges extra arcs (shortcut edges from preprocessing) into `g` and
+/// returns a split graph (see Graph). Both arc sets are symmetrized and
+/// cleaned as build_graph does by default, and the arc set is the
+/// per-pair minimum over both. Each adjacency list holds:
+///  * the original segment: g's arcs, sorted by target;
+///  * the shortcut segment: the extra arcs, sorted by (weight, target).
+/// No target appears in both. A pair present in both keeps the extra arc,
+/// in the shortcut segment, only when it is strictly lighter; otherwise
+/// the base arc stays and the extra arc is dropped.
+///
+/// Precondition: no extra arc is lighter than the distance between its
+/// endpoints in (symmetrized) `g` — a shortcut weighs a path of `g`. Every
+/// shortest path then runs over original arcs alone, which is what lets
+/// radius stepping skip shortcut arcs beyond d_i and stay exact. All
+/// producers meet it: they add ball or hop-limited distances.
+///
+/// One counting sort buckets both arc sets at once, base arcs first in
+/// each vertex's bucket; O(m + sum_v d_v log d_v) work, like build_graph.
+Graph merge_edges(const Graph& g, std::vector<EdgeTriple> extra);
 
 }  // namespace rs

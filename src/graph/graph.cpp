@@ -10,11 +10,12 @@
 namespace rs {
 
 Graph::Graph(std::vector<EdgeId> offsets, std::vector<Vertex> targets,
-             std::vector<Weight> weights)
+             std::vector<Weight> weights, std::vector<EdgeId> shortcut_start)
     : n_(offsets.empty() ? 0 : static_cast<Vertex>(offsets.size() - 1)),
       offsets_(std::move(offsets)),
       targets_(std::move(targets)),
-      weights_(std::move(weights)) {
+      weights_(std::move(weights)),
+      shortcut_start_(std::move(shortcut_start)) {
   if (offsets_.empty()) {
     offsets_.push_back(0);
   }
@@ -27,6 +28,16 @@ Graph::Graph(std::vector<EdgeId> offsets, std::vector<Vertex> targets,
   }
   for (const Vertex t : targets_) {
     if (t >= n_) throw std::invalid_argument("Graph: target out of range");
+  }
+  if (shortcut_start_.empty()) return;
+  if (shortcut_start_.size() != n_) {
+    throw std::invalid_argument("Graph: shortcut starts not one per vertex");
+  }
+  for (Vertex v = 0; v < n_; ++v) {
+    if (shortcut_start_[v] < offsets_[v] ||
+        shortcut_start_[v] > offsets_[v + 1]) {
+      throw std::invalid_argument("Graph: shortcut start outside its list");
+    }
   }
 }
 

@@ -11,11 +11,23 @@ namespace rs {
 
 /// Immutable CSR graph. For undirected graphs both arc directions are
 /// stored, so `num_edges()` counts directed arcs (2x the undirected count).
+///
+/// A graph may be SPLIT: each adjacency list is then two segments,
+/// [first_arc(v), first_shortcut_arc(v)) holding original arcs and
+/// [first_shortcut_arc(v), last_arc(v)) holding shortcut arcs sorted by
+/// (weight, target). merge_edges (graph/builder.hpp) produces this
+/// layout, and radius stepping stops a vertex's shortcut scan at the first
+/// arc that lands beyond the step's d_i. An unsplit graph — every input
+/// graph, and every graph from build_graph, transposed() or the
+/// with_*_sorted_adjacency() copies — has an empty shortcut segment.
 class Graph {
  public:
   Graph() = default;
+  /// `shortcut_start` is empty (unsplit) or holds n entries with
+  /// offsets[v] <= shortcut_start[v] <= offsets[v + 1]; throws
+  /// std::invalid_argument otherwise.
   Graph(std::vector<EdgeId> offsets, std::vector<Vertex> targets,
-        std::vector<Weight> weights);
+        std::vector<Weight> weights, std::vector<EdgeId> shortcut_start = {});
 
   Vertex num_vertices() const { return n_; }
   EdgeId num_edges() const { return static_cast<EdgeId>(targets_.size()); }
@@ -29,6 +41,10 @@ class Graph {
 
   EdgeId first_arc(Vertex v) const { return offsets_[v]; }
   EdgeId last_arc(Vertex v) const { return offsets_[v + 1]; }
+  /// Start of v's shortcut segment; last_arc(v) on an unsplit graph.
+  EdgeId first_shortcut_arc(Vertex v) const {
+    return shortcut_start_.empty() ? offsets_[v + 1] : shortcut_start_[v];
+  }
 
   Vertex arc_target(EdgeId e) const { return targets_[e]; }
   Weight arc_weight(EdgeId e) const { return weights_[e]; }
@@ -45,6 +61,10 @@ class Graph {
   const std::vector<EdgeId>& offsets() const { return offsets_; }
   const std::vector<Vertex>& targets() const { return targets_; }
   const std::vector<Weight>& weights() const { return weights_; }
+  /// Shortcut-segment starts: n entries, or empty for an unsplit graph.
+  const std::vector<EdgeId>& shortcut_starts() const {
+    return shortcut_start_;
+  }
 
   /// Largest edge weight (the paper's L); 1 for an edgeless graph.
   Weight max_weight() const;
@@ -58,7 +78,8 @@ class Graph {
   Graph with_weight_sorted_adjacency() const;
 
   /// Copy with each adjacency list sorted by target id (canonical form,
-  /// handy for equality checks in tests).
+  /// handy for equality checks in tests). Both copies are unsplit: the
+  /// same arcs, with no shortcut segment.
   Graph with_target_sorted_adjacency() const;
 
   /// All arcs as triples (u, v, w); order follows the CSR layout.
@@ -71,7 +92,8 @@ class Graph {
 
   friend bool operator==(const Graph& a, const Graph& b) {
     return a.n_ == b.n_ && a.offsets_ == b.offsets_ &&
-           a.targets_ == b.targets_ && a.weights_ == b.weights_;
+           a.targets_ == b.targets_ && a.weights_ == b.weights_ &&
+           a.shortcut_start_ == b.shortcut_start_;
   }
   friend bool operator!=(const Graph& a, const Graph& b) { return !(a == b); }
 
@@ -83,6 +105,7 @@ class Graph {
   std::vector<EdgeId> offsets_;   // size n_ + 1
   std::vector<Vertex> targets_;   // size m
   std::vector<Weight> weights_;   // size m
+  std::vector<EdgeId> shortcut_start_;  // size n_, or empty (unsplit)
 };
 
 }  // namespace rs

@@ -24,6 +24,18 @@ std::shared_ptr<const LandmarkOracle> pin(
   return std::atomic_load_explicit(&slot, std::memory_order_acquire);
 }
 
+/// Theorem 3.2's substep bound for a request that `eng` runs on `engine`:
+/// k + 2 on the (k, rho)-graph (k = 1 under kFull1Rho), or 0 when it does
+/// not apply — no shortcuts, or the BFS-style engine.
+std::size_t substep_bound(const SsspEngine& eng, QueryEngine engine) {
+  const PreprocessOptions& o = eng.preprocessing().options;
+  if (o.heuristic == ShortcutHeuristic::kNone ||
+      engine != QueryEngine::kFlat) {
+    return 0;
+  }
+  return (o.heuristic == ShortcutHeuristic::kFull1Rho ? 1 : o.k) + 2;
+}
+
 }  // namespace
 
 const char* to_string(SubmitStatus status) {
@@ -85,6 +97,9 @@ SsspServer::SsspServer(std::shared_ptr<const SsspEngine> engine,
       slow_queries_(metrics_.counter(
           "rs_slow_queries_total", {},
           "Requests at or over the slow-query threshold")),
+      substep_bound_exceeded_(metrics_.counter(
+          "rs_substep_bound_exceeded_total", {},
+          "Engine runs with a step over Theorem 3.2's k + 2 substeps")),
       epoch_gauge_(metrics_.gauge("rs_graph_epoch", {},
                                   "Published engine snapshot epoch")),
       in_flight_gauge_(metrics_.gauge(
@@ -527,10 +542,18 @@ void SsspServer::execute(std::vector<Pending>& batch) {
     for (Pending& p : batch) p.t_engine_done = t_done;
   }
 
+  // Live Theorem 3.2 check on every engine run (cache hits ran none).
+  const auto check_substeps = [&](QueryEngine engine, const RunStats& stats) {
+    const std::size_t bound = substep_bound(*eng, engine);
+    if (bound != 0 && stats.max_substeps_in_step > bound) {
+      substep_bound_exceeded_.add();
+    }
+  };
   if (!failed) {
     for (std::size_t j = 0; j < exec_idx.size(); ++j) {
       Pending& p = batch[exec_idx[j]];
       QueryResponse& r = responses[j];
+      check_substeps(requests[j].engine, r.stats);
       if (p.role == CacheRole::kOwner) {
         // Publish the row FIRST (waiters in this very batch read it just
         // below), then answer the owner's original targeted request from
@@ -573,6 +596,7 @@ void SsspServer::execute(std::vector<Pending>& batch) {
       } else {
         if (marks_enabled_) p.t_exec = std::chrono::steady_clock::now();
         QueryResponse resp = eng->serve(p.request);
+        check_substeps(p.request.engine, resp.stats);
         if (marks_enabled_) {
           p.t_engine_done = std::chrono::steady_clock::now();
         }

@@ -355,6 +355,8 @@ class SsspServer {
   obs::Counter& swaps_;
   obs::Counter& traced_;
   obs::Counter& slow_queries_;
+  // Engine runs whose max_substeps_in_step broke Theorem 3.2's k + 2.
+  obs::Counter& substep_bound_exceeded_;
   obs::Gauge& epoch_gauge_;      // refreshed on swap + export
   obs::Gauge& in_flight_gauge_;  // refreshed on export
   obs::Histogram& latency_;

@@ -170,9 +170,9 @@ PreprocessResult IncrementalPreprocessor::result() const {
     for (const auto& sc : shortcuts_) {
       all.insert(all.end(), sc.begin(), sc.end());
     }
-    // build_graph sorts each source's arcs by (v, w) and keeps the
-    // per-(u, v) minimum, so concatenation order is irrelevant: this is
-    // bit-identical to the cold path's per-worker staging drain.
+    // merge_edges' output depends on the arc multiset alone, so
+    // concatenation order is irrelevant: this is bit-identical to the
+    // cold path's per-worker staging drain.
     out.graph = merge_edges(graph_, std::move(all));
   }
   out.added_edges = out.graph.num_undirected_edges() - before;

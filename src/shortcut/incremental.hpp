@@ -12,13 +12,16 @@
 /// context pool — and splices the reused balls' shortcuts with the fresh
 /// ones into a new PreprocessResult.
 ///
-/// The splice is BIT-IDENTICAL to a cold rebuild on the updated graph:
-/// build_graph() sorts all edge triples by (u, v, w) and dedups keeping
-/// the minimum per (u, v), so its output is insensitive to the order the
-/// triples are concatenated in, and the per-ball triples themselves are
-/// recomputed with the same BallOptions/heuristic as the cold path. The
-/// churn suite (tests/test_incremental.cpp) pins result() == cold
-/// preprocess() with Graph::operator== after randomized batches.
+/// The splice is BIT-IDENTICAL to a cold rebuild on the updated graph,
+/// shortcut segments included: merge_edges() buckets the triples by
+/// source and part (base or shortcut) with a counting sort, then sorts,
+/// dedups and reconciles each vertex's buckets — a function of the arc
+/// multiset alone, insensitive to the order the triples are concatenated
+/// in — and the per-ball triples themselves are recomputed with the same
+/// BallOptions/heuristic as the cold path. The churn suite
+/// (tests/test_incremental.cpp) pins result() == cold preprocess() with
+/// Graph::operator==, which compares the shortcut-segment starts too,
+/// after randomized batches.
 #pragma once
 
 #include <cstddef>

@@ -12,7 +12,7 @@ namespace rs {
 namespace {
 
 constexpr char kMagic[4] = {'R', 'S', 'P', 'P'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 template <typename T>
 void put(std::ostream& out, const T& value) {
@@ -75,6 +75,8 @@ void save_preprocessing(const PreprocessResult& pre, std::ostream& out) {
   put_vec(out, g.targets());
   put_vec(out, g.weights());
   put_vec(out, pre.radius);
+  put(out, static_cast<std::uint64_t>(g.shortcut_starts().size()));
+  put_vec(out, g.shortcut_starts());
   if (!out) throw std::runtime_error("save_preprocessing: write failed");
 }
 
@@ -118,28 +120,51 @@ PreprocessResult load_preprocessing(std::istream& in) {
   if (m > std::numeric_limits<std::uint64_t>::max() / kArcBytes) {
     throw std::runtime_error("load_preprocessing: corrupt edge count");
   }
-  if (const auto remaining = remaining_bytes(in)) {
-    // Every count must fit in the bytes the stream actually has left;
-    // checked term by term so the running sum cannot overflow.
-    std::uint64_t budget = *remaining;
-    const auto take = [&budget](std::uint64_t bytes) {
-      if (bytes > budget) {
-        throw std::runtime_error(
-            "load_preprocessing: header counts exceed input size");
-      }
-      budget -= bytes;
-    };
-    take((static_cast<std::uint64_t>(n) + 1) * sizeof(EdgeId));
-    take(m * sizeof(Vertex));
-    take(m * sizeof(Weight));
-    take(static_cast<std::uint64_t>(n) * sizeof(Dist));
-  }
+  // Every count must fit in the bytes the stream actually has left;
+  // checked term by term so the running sum cannot overflow.
+  std::optional<std::uint64_t> budget = remaining_bytes(in);
+  const auto take = [&budget](std::uint64_t bytes) {
+    if (!budget) return;
+    if (bytes > *budget) {
+      throw std::runtime_error(
+          "load_preprocessing: header counts exceed input size");
+    }
+    *budget -= bytes;
+  };
+  take((static_cast<std::uint64_t>(n) + 1) * sizeof(EdgeId));
+  take(m * sizeof(Vertex));
+  take(m * sizeof(Weight));
+  take(static_cast<std::uint64_t>(n) * sizeof(Dist));
+  take(sizeof(std::uint64_t));  // the shortcut-start count
   auto offsets = get_vec<EdgeId>(in, static_cast<std::size_t>(n) + 1);
   auto targets = get_vec<Vertex>(in, m);
   auto weights = get_vec<Weight>(in, m);
   pre.radius = get_vec<Dist>(in, n);
-  // Graph's constructor re-validates the CSR invariants.
-  pre.graph = Graph(std::move(offsets), std::move(targets), std::move(weights));
+  const auto num_starts = get<std::uint64_t>(in);
+  if (num_starts != 0 && num_starts != n) {
+    throw std::runtime_error("load_preprocessing: corrupt shortcut starts");
+  }
+  take(num_starts * sizeof(EdgeId));
+  auto starts = get_vec<EdgeId>(in, num_starts);
+  // Graph's constructor re-validates the CSR invariants and that every
+  // shortcut start lies inside its vertex's adjacency list.
+  try {
+    pre.graph = Graph(std::move(offsets), std::move(targets),
+                      std::move(weights), std::move(starts));
+  } catch (const std::invalid_argument& err) {
+    throw std::runtime_error(std::string("load_preprocessing: ") + err.what());
+  }
+  // The engine's cut-off stops at the first shortcut arc beyond d_i, which
+  // is only exact on a weight-sorted segment.
+  const Graph& g = pre.graph;
+  for (Vertex v = 0; v < n; ++v) {
+    for (EdgeId e = g.first_shortcut_arc(v); e + 1 < g.last_arc(v); ++e) {
+      if (g.arc_weight(e + 1) < g.arc_weight(e)) {
+        throw std::runtime_error(
+            "load_preprocessing: shortcut segment not sorted by weight");
+      }
+    }
+  }
   return pre;
 }
 

@@ -38,7 +38,9 @@ struct PreprocessOptions {
 };
 
 struct PreprocessResult {
-  /// Original graph plus shortcut edges (merged, deduplicated).
+  /// Original graph plus shortcut edges (merged, deduplicated), split
+  /// into original and weight-sorted shortcut segments by merge_edges;
+  /// under kNone, the original graph itself (unsplit).
   Graph graph;
   /// r(v) = r_rho(v), valid radii for Radius-Stepping on `graph`.
   std::vector<Dist> radius;

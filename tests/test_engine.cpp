@@ -153,6 +153,8 @@ TEST(Serialize, RoundTripPreservesEverything) {
   save_preprocessing(pre, buf);
   const PreprocessResult loaded = load_preprocessing(buf);
 
+  // Graph::operator== compares the shortcut-segment starts too.
+  ASSERT_EQ(pre.graph.shortcut_starts().size(), g.num_vertices());
   EXPECT_EQ(loaded.graph, pre.graph);
   EXPECT_EQ(loaded.radius, pre.radius);
   EXPECT_EQ(loaded.added_edges, pre.added_edges);
@@ -246,6 +248,93 @@ TEST(Serialize, RejectsTruncationAtEveryBoundary) {
   for (const std::size_t cut :
        {std::size_t{3}, std::size_t{20}, kVertexCountOffset + 2,
         kEdgeCountOffset + 8, full.size() / 2, full.size() - 1}) {
+    std::stringstream in(full.substr(0, cut));
+    EXPECT_THROW(load_preprocessing(in), std::runtime_error) << "cut=" << cut;
+  }
+}
+
+// Byte layout after the header: offsets[n+1] (u64), targets[m] (u32),
+// weights[m] (u32), radius[n] (u64), then the shortcut-start count (u64)
+// and the starts (u64 each).
+constexpr std::size_t kHeaderBytes = kEdgeCountOffset + 8;
+
+struct Layout {
+  std::uint32_t n = 0;
+  std::uint64_t m = 0;
+  std::size_t weights = 0;  // byte offset of weights[0]
+  std::size_t count = 0;    // byte offset of the shortcut-start count
+  std::size_t starts = 0;   // byte offset of shortcut_start[0]
+};
+
+Layout layout_of(const std::string& bytes) {
+  Layout l;
+  std::memcpy(&l.n, &bytes[kVertexCountOffset], sizeof(l.n));
+  std::memcpy(&l.m, &bytes[kEdgeCountOffset], sizeof(l.m));
+  l.weights = kHeaderBytes + (l.n + 1) * 8 + l.m * 4;
+  l.count = l.weights + l.m * 4 + l.n * 8;
+  l.starts = l.count + 8;
+  return l;
+}
+
+TEST(Serialize, WritesShortcutStartsAfterTheRadii) {
+  const std::string bytes = valid_preprocessing_bytes();
+  const Layout l = layout_of(bytes);
+  ASSERT_EQ(bytes.size(), l.starts + l.n * 8);
+  std::uint64_t count = 0;
+  std::memcpy(&count, &bytes[l.count], sizeof(count));
+  EXPECT_EQ(count, l.n);
+}
+
+TEST(Serialize, RejectsVersionOne) {
+  std::string bytes = valid_preprocessing_bytes();
+  const std::uint32_t v1 = 1;
+  std::memcpy(&bytes[4], &v1, sizeof(v1));
+  std::stringstream in(bytes);
+  EXPECT_THROW(load_preprocessing(in), std::runtime_error);
+}
+
+TEST(Serialize, RejectsCorruptShortcutStart) {
+  const std::string good = valid_preprocessing_bytes();
+  const Layout l = layout_of(good);
+  // Past the arc count, before vertex 1's list, and a count that is
+  // neither 0 nor n.
+  for (const auto& [where, value] :
+       {std::pair{l.starts, l.m + 1}, std::pair{l.starts + 8, std::uint64_t{0}},
+        std::pair{l.count, std::uint64_t{l.n - 1}}}) {
+    std::string bytes = good;
+    std::memcpy(&bytes[where], &value, sizeof(value));
+    std::stringstream in(bytes);
+    EXPECT_THROW(load_preprocessing(in), std::runtime_error)
+        << "offset " << where << " value " << value;
+  }
+}
+
+TEST(Serialize, RejectsUnsortedShortcutSegment) {
+  std::string bytes = valid_preprocessing_bytes();
+  std::stringstream clean(bytes);
+  const Graph g = load_preprocessing(clean).graph;
+  const Layout l = layout_of(bytes);
+  // Swap the first two distinct weights of some shortcut segment.
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    for (EdgeId e = g.first_shortcut_arc(v); e + 1 < g.last_arc(v); ++e) {
+      if (g.arc_weight(e) == g.arc_weight(e + 1)) continue;
+      const Weight lo = g.arc_weight(e);
+      const Weight hi = g.arc_weight(e + 1);
+      std::memcpy(&bytes[l.weights + e * 4], &hi, sizeof(hi));
+      std::memcpy(&bytes[l.weights + (e + 1) * 4], &lo, sizeof(lo));
+      std::stringstream in(bytes);
+      EXPECT_THROW(load_preprocessing(in), std::runtime_error);
+      return;
+    }
+  }
+  FAIL() << "no shortcut segment with two distinct weights";
+}
+
+TEST(Serialize, RejectsTruncationInsideShortcutStarts) {
+  const std::string full = valid_preprocessing_bytes();
+  const Layout l = layout_of(full);
+  for (const std::size_t cut :
+       {l.count, l.count + 4, l.starts, l.starts + 8 * (l.n / 2) + 3}) {
     std::stringstream in(full.substr(0, cut));
     EXPECT_THROW(load_preprocessing(in), std::runtime_error) << "cut=" << cut;
   }

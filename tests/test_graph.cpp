@@ -198,6 +198,49 @@ TEST(Builder, RandomTriplesMatchSortReference) {
   }
 }
 
+/// Checks merge_edges' split layout of `merged` against the base graph
+/// it was built from: the original segment is `base`'s lightest arc per
+/// target, sorted by target; the shortcut segment is sorted by (weight,
+/// target), shares no target with the original segment, and undercuts
+/// any base arc to the same target.
+void expect_merge_layout(const Graph& base, const Graph& merged) {
+  const Vertex n = merged.num_vertices();
+  ASSERT_EQ(merged.shortcut_starts().size(), n);
+  const Graph sym = build_graph(n, base.to_triples());  // symmetrized, dedup
+  const auto base_weight = [&](Vertex u, Vertex t) -> std::int64_t {
+    const auto nb = sym.neighbors(u);
+    const auto it = std::lower_bound(nb.begin(), nb.end(), t);
+    if (it == nb.end() || *it != t) return -1;
+    return sym.arc_weight(sym.first_arc(u) +
+                          static_cast<EdgeId>(it - nb.begin()));
+  };
+  for (Vertex u = 0; u < n; ++u) {
+    const EdgeId cut = merged.first_shortcut_arc(u);
+    std::vector<Vertex> original;
+    for (EdgeId e = merged.first_arc(u); e < cut; ++e) {
+      const Vertex t = merged.arc_target(e);
+      ASSERT_TRUE(original.empty() || original.back() < t) << "u=" << u;
+      ASSERT_EQ(base_weight(u, t), merged.arc_weight(e)) << "u=" << u;
+      original.push_back(t);
+    }
+    for (EdgeId e = cut; e < merged.last_arc(u); ++e) {
+      const Vertex t = merged.arc_target(e);
+      const Weight w = merged.arc_weight(e);
+      if (e > cut) {
+        ASSERT_LT(std::pair(merged.arc_weight(e - 1), merged.arc_target(e - 1)),
+                  std::pair(w, t))
+            << "u=" << u;
+      }
+      ASSERT_FALSE(std::binary_search(original.begin(), original.end(), t))
+          << "u=" << u;
+      const std::int64_t bw = base_weight(u, t);
+      ASSERT_TRUE(bw < 0 || w < bw) << "u=" << u;
+    }
+    // Every base target survives in one of the two segments.
+    ASSERT_GE(merged.degree(u), sym.degree(u)) << "u=" << u;
+  }
+}
+
 TEST(MergeEdges, OverlappingBaseMatchesSortReference) {
   // Extra arcs repeat some base arcs with lighter, equal and heavier
   // weights, in either direction, and add new ones.
@@ -222,8 +265,61 @@ TEST(MergeEdges, OverlappingBaseMatchesSortReference) {
   const Graph want = reference_build(n, std::move(all), BuildOptions{});
   for (const int workers : {1, 3, 8}) {
     const WorkerCount guard(workers);
-    EXPECT_EQ(merge_edges(base, extra), want) << "workers=" << workers;
+    const Graph merged = merge_edges(base, extra);
+    // The arc set is the reference's; only the order within a list moved.
+    EXPECT_EQ(merged.with_target_sorted_adjacency(), want)
+        << "workers=" << workers;
+    expect_merge_layout(base, merged);
   }
+}
+
+TEST(MergeEdges, OverlapsResolveByWeight) {
+  // Base: 0-1 (5), 0-2 (10), 0-3 (4). Extra: a lighter 0-1, an equal 0-3,
+  // a heavier 0-2, and new pairs 0-4 and 0-5.
+  const Graph base = build_graph(6, {{0, 1, 5}, {0, 2, 10}, {0, 3, 4}});
+  const Graph merged = merge_edges(
+      base, {{1, 0, 2}, {0, 3, 4}, {0, 2, 12}, {0, 5, 7}, {4, 0, 7}});
+  expect_merge_layout(base, merged);
+  using Arcs = std::vector<std::pair<Vertex, Weight>>;
+  // The (target, weight) arcs of u's original or shortcut segment.
+  const auto segment = [&](Vertex u, bool shortcut) {
+    Arcs out;
+    const EdgeId cut = merged.first_shortcut_arc(u);
+    for (EdgeId e = shortcut ? cut : merged.first_arc(u);
+         e < (shortcut ? merged.last_arc(u) : cut); ++e) {
+      out.emplace_back(merged.arc_target(e), merged.arc_weight(e));
+    }
+    return out;
+  };
+  // Lighter: the extra arc replaces 0-1 and sits in the shortcut segment.
+  // Equal and heavier: the base arc stays, the extra one is dropped.
+  EXPECT_EQ(segment(0, false), (Arcs{{2, 10}, {3, 4}}));
+  // Shortcut segment by (weight, target): 0-1 (2), then 0-4 and 0-5 (7).
+  EXPECT_EQ(segment(0, true), (Arcs{{1, 2}, {4, 7}, {5, 7}}));
+  // The reverse arcs follow the same rule.
+  EXPECT_EQ(segment(1, false), Arcs{});
+  EXPECT_EQ(segment(1, true), (Arcs{{0, 2}}));
+  EXPECT_EQ(segment(3, false), (Arcs{{0, 4}}));
+  EXPECT_EQ(segment(3, true), Arcs{});
+  // Graphs that are not merge_edges output are unsplit.
+  EXPECT_TRUE(base.shortcut_starts().empty());
+  EXPECT_TRUE(merged.with_target_sorted_adjacency().shortcut_starts().empty());
+  EXPECT_TRUE(merged.with_weight_sorted_adjacency().shortcut_starts().empty());
+  EXPECT_TRUE(merged.transposed().shortcut_starts().empty());
+  EXPECT_NE(merged, merged.with_target_sorted_adjacency());
+}
+
+TEST(Graph, RejectsShortcutStartOutsideItsList) {
+  // Vertex 0 owns arcs [0, 2), vertex 1 owns [2, 3).
+  const std::vector<EdgeId> offsets{0, 2, 3};
+  const std::vector<Vertex> targets{1, 1, 0};
+  const std::vector<Weight> weights{1, 2, 1};
+  EXPECT_NO_THROW(Graph(offsets, targets, weights, {1, 3}));
+  EXPECT_THROW(Graph(offsets, targets, weights, {3, 3}),
+               std::invalid_argument);
+  EXPECT_THROW(Graph(offsets, targets, weights, {0, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(Graph(offsets, targets, weights, {0}), std::invalid_argument);
 }
 
 TEST(Graph, WeightSortedAdjacency) {
@@ -255,7 +351,12 @@ TEST(MergeEdges, AddsNewEdgesAndDedups) {
   const Graph merged = merge_edges(g, {{0, 1, 2}, {1, 2, 99}});
   // (0,1) improved to weight 2; (1,2) keeps 3; no new pairs.
   EXPECT_EQ(merged.num_undirected_edges(), 3u);
-  EXPECT_EQ(merged.arc_weight(merged.first_arc(0)), 2u);
+  const auto nb = merged.neighbors(0);
+  const auto it = std::find(nb.begin(), nb.end(), Vertex{1});
+  ASSERT_NE(it, nb.end());
+  EXPECT_EQ(merged.arc_weight(merged.first_arc(0) +
+                              static_cast<EdgeId>(it - nb.begin())),
+            2u);
 }
 
 TEST(MergeEdges, CountsNewPairs) {

@@ -46,6 +46,16 @@ void expect_identical(const PreprocessResult& got, const PreprocessResult& want,
   EXPECT_DOUBLE_EQ(got.added_factor, want.added_factor) << label;
 }
 
+/// True when `g` is split and some vertex has a non-empty shortcut
+/// segment.
+bool has_shortcut_segment(const Graph& g) {
+  if (g.shortcut_starts().size() != g.num_vertices()) return false;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (g.first_shortcut_arc(v) != g.last_arc(v)) return true;
+  }
+  return false;
+}
+
 TEST(IncrementalPreprocessor, InitMatchesColdBuild) {
   PreprocessOptions opts;
   opts.rho = 8;
@@ -74,6 +84,7 @@ void churn(const std::vector<test::GraphCase>& suite,
   opts.rho = 8;
   opts.k = 2;
   opts.heuristic = heuristic;
+  std::size_t split = 0;  // results with a non-empty shortcut segment
   for (const auto& c : suite) {
     std::mt19937 rng(seed);
     IncrementalPreprocessor inc(c.graph, opts);
@@ -82,9 +93,21 @@ void churn(const std::vector<test::GraphCase>& suite,
       const auto updates = random_updates(inc.graph(), count, rng);
       const IncrementalUpdateStats stats = inc.apply(updates);
       EXPECT_LE(stats.dirty_balls, stats.total_balls);
-      expect_identical(inc.result(), preprocess(inc.graph(), opts),
-                       c.name + " batch " + std::to_string(batch));
+      const PreprocessResult got = inc.result();
+      const std::string label = c.name + " batch " + std::to_string(batch);
+      expect_identical(got, preprocess(inc.graph(), opts), label);
+      if (heuristic != ShortcutHeuristic::kNone) {
+        EXPECT_EQ(got.graph.shortcut_starts().size(), c.graph.num_vertices())
+            << label;
+        split += has_shortcut_segment(got.graph) ? 1 : 0;
+      }
     }
+  }
+  // The split is part of the compared graph: make sure the churn compared
+  // some non-empty shortcut segments, so the equality above cannot pass
+  // on two graphs without any.
+  if (heuristic != ShortcutHeuristic::kNone) {
+    EXPECT_GT(split, 0u);
   }
 }
 

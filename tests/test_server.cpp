@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/radii.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
 #include "serve/request_queue.hpp"
@@ -694,6 +695,62 @@ TEST(Observability, CacheHitTraceIsOneSynchronousSpan) {
   ASSERT_EQ(hit.trace.size, 1u);
   EXPECT_EQ(hit.trace.spans[0].id, obs::SpanId::kCacheHit);
   EXPECT_EQ(hit.trace.spans[0].depth, 0u);
+}
+
+std::uint64_t substep_bound_exceeded(SsspServer& server) {
+  return server.metrics().counter("rs_substep_bound_exceeded_total").value();
+}
+
+TEST(Observability, SubstepBoundCounterStaysZeroOnARoadGraph) {
+  const SsspEngine engine = small_engine();
+  SsspServer server(engine, {});
+  const Vertex n = engine.original_graph().num_vertices();
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    QueryRequest req = p2p(engine, i);
+    if (i % 10 == 0) {
+      req.targets.clear();
+      req.want_full_distances = true;
+    }
+    const QueryResponse resp = server.serve_sync(std::move(req));
+    ASSERT_LT(resp.source, n);
+  }
+  server.drain();
+  EXPECT_EQ(substep_bound_exceeded(server), 0u);
+  EXPECT_NE(server.export_metrics().find("rs_substep_bound_exceeded_total 0"),
+            std::string::npos);
+}
+
+TEST(Observability, SubstepBoundCounterCountsBrokenRadii) {
+  // A chain tagged as a (3, rho)-graph under kDP, but with infinite radii:
+  // every query is one step of Bellman-Ford over the whole chain, far
+  // beyond k + 2 = 5 substeps.
+  const Graph g = gen::chain(40);
+  PreprocessResult pre;
+  pre.graph = g;
+  pre.radius = bellman_ford_radii(g.num_vertices());
+  pre.options.k = 3;
+  pre.options.heuristic = ShortcutHeuristic::kDP;
+  const SsspEngine engine(g, pre);
+  SsspServer server(engine, {});
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    QueryRequest req;
+    req.source = 0;
+    req.targets = {39};
+    EXPECT_EQ(server.serve_sync(std::move(req)).targets[0].dist, 39u);
+  }
+  server.drain();
+  EXPECT_EQ(substep_bound_exceeded(server), 4u);
+
+  // The same radii without shortcuts claim no bound, so nothing counts.
+  pre.options.heuristic = ShortcutHeuristic::kNone;
+  const SsspEngine plain(g, pre);
+  SsspServer quiet(plain, {});
+  QueryRequest req;
+  req.source = 0;
+  req.targets = {39};
+  (void)quiet.serve_sync(std::move(req));
+  quiet.drain();
+  EXPECT_EQ(substep_bound_exceeded(quiet), 0u);
 }
 
 TEST(Observability, SlowQueryThresholdCountsSlowRequests) {
