@@ -18,9 +18,12 @@ struct RunStats {
   std::size_t max_substeps_in_step = 0;
   /// Successful relaxations (tentative-distance improvements).
   std::size_t relaxations = 0;
-  /// Arcs examined: the source's out-arcs, plus the out-arcs of every
-  /// active vertex in every substep (every expanded vertex's, in the
-  /// unweighted engine). The work the relaxations were drawn from.
+  /// Arcs examined: the source's out-arcs, plus, for every active vertex
+  /// in every substep, all of its original arcs and then its shortcut
+  /// arcs up to and including the first one that lands beyond d_i (see
+  /// Graph::first_shortcut_arc). On an unsplit graph that is every
+  /// out-arc; the unweighted engine counts every expanded vertex's
+  /// out-arcs. The work the relaxations were drawn from.
   std::size_t edges_scanned = 0;
   /// Largest active set |A_i| seen.
   std::size_t max_active = 0;

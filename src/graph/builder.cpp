@@ -58,15 +58,10 @@ Buckets bucket_arcs(Vertex n, std::vector<EdgeTriple>& triples,
     });
   };
 
-  // 1. Count every bucket's arcs. One worker runs the loops serially, so
-  // it skips the locked read-modify-write.
+  // 1. Count every bucket's arcs.
   std::vector<std::atomic<EdgeId>> cursor(n);
-  const bool shared = num_workers() > 1;
   const auto bump = [&](Vertex u) {
-    if (shared) return cursor[u].fetch_add(1, std::memory_order_relaxed);
-    const EdgeId c = cursor[u].load(std::memory_order_relaxed);
-    cursor[u].store(c + 1, std::memory_order_relaxed);
-    return c;
+    return cursor[u].fetch_add(1, std::memory_order_relaxed);
   };
   const std::size_t nt = triples.size();
   for_each_arc(0, nt, [&](Vertex u, Packed) { bump(u); });
@@ -166,47 +161,61 @@ Graph merge_edges(const Graph& g, std::vector<EdgeTriple> extra) {
   }, /*grain=*/256);
   const Buckets b = bucket_arcs(n, extra, BuildOptions{}, num_extra);
 
-  // Per vertex: dedup each part by target, then walk both in target order.
-  // A pair in both keeps the extra arc only when it is strictly lighter,
-  // so the arc set is the per-pair minimum, as a single dedup would give.
-  // The kept extra arcs are then re-sorted by (weight, target).
+  // Per vertex: dedup the base arcs by target, then walk the extra arcs
+  // in (weight, target) order. The first extra arc to a target is its
+  // lightest: it is kept unless the base arc to that target is at most as
+  // heavy, and replaces that base arc when strictly lighter, so the arc
+  // set is the per-pair minimum, as a single dedup would give. Each worker
+  // marks the targets met at the vertex it is merging: owner u + 1, and
+  // the slot of the base arc to that target while an extra arc can still
+  // replace it (kNoVertex once an extra arc holds the target).
+  struct Mark {
+    Vertex owner = 0;
+    Vertex slot = kNoVertex;
+  };
+  constexpr Packed kDropped = ~Packed{0};  // target kNoVertex: never an arc
   std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<EdgeId> shortcut_start(n);
-  parallel_for(0, n, [&](std::size_t u) {
-    Packed* base = b.arcs.get() + b.start[u];
-    Packed* shortcut = b.arcs.get() + b.split[u];
-    const Packed* base_end = sort_unique_by_target(base, shortcut);
-    const Packed* shortcut_end =
-        sort_unique_by_target(shortcut, b.arcs.get() + b.start[u + 1]);
-    Packed* base_out = base;
-    Packed* shortcut_out = shortcut;
-    const Packed* i = base;
-    const Packed* j = shortcut;
-    while (i != base_end && j != shortcut_end) {
-      if (arc_key(*i) < arc_key(*j)) {
-        *base_out++ = *i++;
-      } else if (arc_key(*j) < arc_key(*i)) {
-        *shortcut_out++ = *j++;
-      } else {
-        if (arc_value(*j) < arc_value(*i)) {
-          *shortcut_out++ = *j;
-        } else {
-          *base_out++ = *i;
-        }
-        ++i;
-        ++j;
+  const int nw = num_workers();
+#pragma omp parallel num_threads(nw)
+  {
+    std::vector<Mark> mark(n);
+#pragma omp for schedule(dynamic, 64)
+    for (std::int64_t su = 0; su < static_cast<std::int64_t>(n); ++su) {
+      const auto u = static_cast<std::size_t>(su);
+      const Vertex owner = static_cast<Vertex>(u) + 1;
+      Packed* base = b.arcs.get() + b.start[u];
+      Packed* shortcut = b.arcs.get() + b.split[u];
+      Packed* const end = b.arcs.get() + b.start[u + 1];
+      Packed* base_end = sort_unique_by_target(base, shortcut);
+      for (Packed* a = base; a != base_end; ++a) {
+        mark[arc_key(*a)] = Mark{owner, static_cast<Vertex>(a - base)};
       }
+      for (Packed* a = shortcut; a != end; ++a) {
+        *a = pack_arc(arc_value(*a), arc_key(*a));
+      }
+      std::sort(shortcut, end);
+      Packed* shortcut_out = shortcut;
+      bool replaced = false;
+      for (const Packed* a = shortcut; a != end; ++a) {
+        Mark& seen = mark[arc_value(*a)];
+        if (seen.owner == owner) {
+          if (seen.slot == kNoVertex ||
+              arc_value(base[seen.slot]) <= arc_key(*a)) {
+            continue;
+          }
+          base[seen.slot] = kDropped;
+          replaced = true;
+        }
+        seen = Mark{owner, kNoVertex};
+        *shortcut_out++ = *a;
+      }
+      if (replaced) base_end = std::remove(base, base_end, kDropped);
+      shortcut_start[u] = static_cast<EdgeId>(base_end - base);
+      offsets[u] =
+          shortcut_start[u] + static_cast<EdgeId>(shortcut_out - shortcut);
     }
-    while (i != base_end) *base_out++ = *i++;
-    while (j != shortcut_end) *shortcut_out++ = *j++;
-    for (Packed* a = shortcut; a != shortcut_out; ++a) {
-      *a = pack_arc(arc_value(*a), arc_key(*a));
-    }
-    std::sort(shortcut, shortcut_out);
-    shortcut_start[u] = static_cast<EdgeId>(base_out - base);
-    offsets[u] =
-        shortcut_start[u] + static_cast<EdgeId>(shortcut_out - shortcut);
-  }, /*grain=*/256);
+  }
 
   // Compact: original segment packed as (target, weight), shortcut
   // segment as (weight, target).

@@ -42,7 +42,8 @@ Graph build_graph(Vertex n, std::vector<EdgeTriple> triples,
 /// producers meet it: they add ball or hop-limited distances.
 ///
 /// One counting sort buckets both arc sets at once, base arcs first in
-/// each vertex's bucket; O(m + sum_v d_v log d_v) work, like build_graph.
+/// each vertex's bucket; O(m + sum_v d_v log d_v) work, like build_graph,
+/// plus an n-entry mark array per worker.
 Graph merge_edges(const Graph& g, std::vector<EdgeTriple> extra);
 
 }  // namespace rs

@@ -38,6 +38,11 @@ Graph::Graph(std::vector<EdgeId> offsets, std::vector<Vertex> targets,
         shortcut_start_[v] > offsets_[v + 1]) {
       throw std::invalid_argument("Graph: shortcut start outside its list");
     }
+    if (!std::is_sorted(weights_.begin() + shortcut_start_[v],
+                        weights_.begin() + offsets_[v + 1])) {
+      throw std::invalid_argument(
+          "Graph: shortcut segment not sorted by weight");
+    }
   }
 }
 

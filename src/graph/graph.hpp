@@ -24,8 +24,8 @@ class Graph {
  public:
   Graph() = default;
   /// `shortcut_start` is empty (unsplit) or holds n entries with
-  /// offsets[v] <= shortcut_start[v] <= offsets[v + 1]; throws
-  /// std::invalid_argument otherwise.
+  /// offsets[v] <= shortcut_start[v] <= offsets[v + 1], each shortcut
+  /// segment sorted by weight; throws std::invalid_argument otherwise.
   Graph(std::vector<EdgeId> offsets, std::vector<Vertex> targets,
         std::vector<Weight> weights, std::vector<EdgeId> shortcut_start = {});
 

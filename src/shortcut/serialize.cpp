@@ -146,24 +146,17 @@ PreprocessResult load_preprocessing(std::istream& in) {
   }
   take(num_starts * sizeof(EdgeId));
   auto starts = get_vec<EdgeId>(in, num_starts);
-  // Graph's constructor re-validates the CSR invariants and that every
-  // shortcut start lies inside its vertex's adjacency list.
+  // Graph's constructor re-validates the CSR invariants, that every
+  // shortcut start lies inside its vertex's adjacency list, and that every
+  // shortcut segment is sorted by weight. An unsorted segment would keep
+  // distances exact (original arcs are always relaxed) but void the k + 2
+  // substep bound, which relies on the cut-off skipping only arcs that
+  // land beyond d_i.
   try {
     pre.graph = Graph(std::move(offsets), std::move(targets),
                       std::move(weights), std::move(starts));
   } catch (const std::invalid_argument& err) {
     throw std::runtime_error(std::string("load_preprocessing: ") + err.what());
-  }
-  // The engine's cut-off stops at the first shortcut arc beyond d_i, which
-  // is only exact on a weight-sorted segment.
-  const Graph& g = pre.graph;
-  for (Vertex v = 0; v < n; ++v) {
-    for (EdgeId e = g.first_shortcut_arc(v); e + 1 < g.last_arc(v); ++e) {
-      if (g.arc_weight(e + 1) < g.arc_weight(e)) {
-        throw std::runtime_error(
-            "load_preprocessing: shortcut segment not sorted by weight");
-      }
-    }
   }
   return pre;
 }

@@ -322,6 +322,17 @@ TEST(Graph, RejectsShortcutStartOutsideItsList) {
   EXPECT_THROW(Graph(offsets, targets, weights, {0}), std::invalid_argument);
 }
 
+TEST(Graph, RejectsShortcutSegmentNotSortedByWeight) {
+  const std::vector<EdgeId> offsets{0, 2, 3};
+  const std::vector<Vertex> targets{1, 1, 0};
+  const std::vector<Weight> weights{2, 1, 1};
+  // Vertex 0's arcs weigh 2 then 1: fine as original arcs, not as a
+  // shortcut segment.
+  EXPECT_NO_THROW(Graph(offsets, targets, weights, {1, 2}));
+  EXPECT_THROW(Graph(offsets, targets, weights, {0, 2}),
+               std::invalid_argument);
+}
+
 TEST(Graph, WeightSortedAdjacency) {
   const Graph g = build_graph(4, {{0, 1, 9}, {0, 2, 1}, {0, 3, 5}});
   const Graph gw = g.with_weight_sorted_adjacency();

@@ -100,27 +100,75 @@ TEST(RadiusStepping, InfiniteRadiiIsOneStepOfBellmanFord) {
 }
 
 // Theorem 3.2: on a (k, rho)-graph with r = r_rho, every step runs at most
-// k + 2 substeps.
+// k + 2 substeps. The preprocessed graph is split (merge_edges), so a
+// vertex stops its weight-sorted shortcut scan at the first arc beyond d_i.
+// Against the unsplit copy of the same arcs, which relaxes every arc,
+// distances and steps must not change and fewer arcs are scanned, at one
+// worker and at the default, through radius_stepping and SsspEngine::serve.
 class SubstepBoundTest
     : public ::testing::TestWithParam<std::tuple<Vertex, ShortcutHeuristic>> {};
 
 TEST_P(SubstepBoundTest, MaxSubstepsWithinKPlusTwo) {
   const auto [k, heuristic] = GetParam();
-  for (const auto& [name, g] : test::weighted_suite(11)) {
-    PreprocessOptions opts;
-    opts.rho = 12;
-    opts.k = k;
-    opts.heuristic = heuristic;
-    const PreprocessResult pre = preprocess(g, opts);
-    const Vertex effective_k =
-        heuristic == ShortcutHeuristic::kFull1Rho ? 1 : k;
-    for (const Vertex src : {Vertex{0}, g.num_vertices() - 1}) {
-      RunStats stats;
-      const auto d = radius_stepping(pre.graph, src, pre.radius, &stats);
-      EXPECT_LE(stats.max_substeps_in_step, effective_k + 2u)
-          << name << " k=" << k << " " << to_string(heuristic);
-      EXPECT_EQ(d, dijkstra(g, src)) << name;
+  const Vertex effective_k =
+      heuristic == ShortcutHeuristic::kFull1Rho ? 1 : k;
+  const int default_workers = num_workers();
+  struct RestoreWorkers {
+    int n;
+    ~RestoreWorkers() { set_num_workers(n); }
+  } restore{default_workers};
+  for (const Vertex rho : {12u, 64u}) {
+    std::uint64_t scanned_pruned = 0;
+    std::uint64_t scanned_unsplit = 0;
+    for (const auto& [name, g] : test::weighted_suite(11)) {
+      PreprocessOptions opts;
+      opts.rho = rho;
+      opts.k = k;
+      opts.heuristic = heuristic;
+      const PreprocessResult pre = preprocess(g, opts);
+      ASSERT_EQ(pre.graph.shortcut_starts().size(), g.num_vertices());
+      const Graph unsplit = pre.graph.with_target_sorted_adjacency();
+      const SsspEngine engine(g, pre);
+      const Vertex n = g.num_vertices();
+      for (const int workers : {1, default_workers}) {
+        set_num_workers(workers);
+        for (const Vertex src : {Vertex{0}, n / 2, n - 1}) {
+          const std::string where =
+              name + " rho=" + std::to_string(rho) + " k=" +
+              std::to_string(k) + " " + to_string(heuristic) +
+              " workers=" + std::to_string(workers) +
+              " src=" + std::to_string(src);
+          const auto ref = dijkstra(g, src);
+          RunStats pruned;
+          RunStats control;
+          EXPECT_EQ(radius_stepping(pre.graph, src, pre.radius, &pruned), ref)
+              << where;
+          EXPECT_EQ(radius_stepping(unsplit, src, pre.radius, &control), ref)
+              << where;
+          EXPECT_EQ(pruned.steps, control.steps) << where;
+          EXPECT_LE(pruned.max_substeps_in_step, effective_k + 2u) << where;
+          scanned_pruned += pruned.edges_scanned;
+          scanned_unsplit += control.edges_scanned;
+
+          QueryRequest req;
+          req.source = src;
+          req.want_full_distances = true;
+          const QueryResponse all = engine.serve(req);
+          EXPECT_EQ(all.dist, ref) << where;
+          EXPECT_EQ(all.stats.steps, control.steps) << where;
+          req.want_full_distances = false;
+          req.targets = {n - 1, n / 2};
+          const QueryResponse some = engine.serve(req);
+          ASSERT_EQ(some.targets.size(), 2u) << where;
+          EXPECT_EQ(some.targets[0].dist, ref[n - 1]) << where;
+          EXPECT_EQ(some.targets[1].dist, ref[n / 2]) << where;
+          EXPECT_LE(some.stats.max_substeps_in_step, effective_k + 2u)
+              << where;
+        }
+      }
     }
+    EXPECT_LT(scanned_pruned, scanned_unsplit)
+        << to_string(heuristic) << " rho=" << rho << " k=" << k;
   }
 }
 
@@ -130,85 +178,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(ShortcutHeuristic::kFull1Rho,
                                          ShortcutHeuristic::kGreedy,
                                          ShortcutHeuristic::kDP)));
-
-// The shortcut cut-off (merge_edges' split layout): a vertex stops its
-// weight-sorted shortcut scan at the first arc beyond d_i. Against the
-// unsplit copy of the same arcs, which relaxes every arc, distances and
-// steps must not change, Theorem 3.2 must still hold, and fewer arcs are
-// scanned.
-class ShortcutCutOffTest
-    : public ::testing::TestWithParam<ShortcutHeuristic> {};
-
-TEST_P(ShortcutCutOffTest, SameDistancesAndStepsWithFewerArcs) {
-  const ShortcutHeuristic heuristic = GetParam();
-  const bool full = heuristic == ShortcutHeuristic::kFull1Rho;
-  const int default_workers = num_workers();
-  struct RestoreWorkers {
-    int n;
-    ~RestoreWorkers() { set_num_workers(n); }
-  } restore{default_workers};
-  for (const Vertex rho : {12u, 64u}) {
-    for (const Vertex k : full ? std::vector<Vertex>{1}
-                               : std::vector<Vertex>{1, 2, 3}) {
-      std::uint64_t scanned_pruned = 0;
-      std::uint64_t scanned_unsplit = 0;
-      for (const auto& [name, g] : test::weighted_suite(19)) {
-        PreprocessOptions opts;
-        opts.rho = rho;
-        opts.k = k;
-        opts.heuristic = heuristic;
-        const PreprocessResult pre = preprocess(g, opts);
-        ASSERT_EQ(pre.graph.shortcut_starts().size(), g.num_vertices());
-        const Graph unsplit = pre.graph.with_target_sorted_adjacency();
-        const SsspEngine engine(g, pre);
-        const Vertex n = g.num_vertices();
-        for (const int workers : {1, default_workers}) {
-          set_num_workers(workers);
-          for (const Vertex src : {Vertex{0}, n / 2, n - 1}) {
-            const std::string where = name + " rho=" + std::to_string(rho) +
-                                      " k=" + std::to_string(k) +
-                                      " workers=" + std::to_string(workers) +
-                                      " src=" + std::to_string(src);
-            const auto ref = dijkstra(g, src);
-            RunStats pruned;
-            RunStats control;
-            EXPECT_EQ(radius_stepping(pre.graph, src, pre.radius, &pruned),
-                      ref)
-                << where;
-            EXPECT_EQ(radius_stepping(unsplit, src, pre.radius, &control),
-                      ref)
-                << where;
-            EXPECT_EQ(pruned.steps, control.steps) << where;
-            EXPECT_LE(pruned.max_substeps_in_step, k + 2) << where;
-            scanned_pruned += pruned.edges_scanned;
-            scanned_unsplit += control.edges_scanned;
-
-            QueryRequest req;
-            req.source = src;
-            req.want_full_distances = true;
-            const QueryResponse all = engine.serve(req);
-            EXPECT_EQ(all.dist, ref) << where;
-            EXPECT_EQ(all.stats.steps, control.steps) << where;
-            req.want_full_distances = false;
-            req.targets = {n - 1, n / 2};
-            const QueryResponse some = engine.serve(req);
-            ASSERT_EQ(some.targets.size(), 2u) << where;
-            EXPECT_EQ(some.targets[0].dist, ref[n - 1]) << where;
-            EXPECT_EQ(some.targets[1].dist, ref[n / 2]) << where;
-            EXPECT_LE(some.stats.max_substeps_in_step, k + 2) << where;
-          }
-        }
-      }
-      EXPECT_LT(scanned_pruned, scanned_unsplit)
-          << to_string(heuristic) << " rho=" << rho << " k=" << k;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Heuristics, ShortcutCutOffTest,
-                         ::testing::Values(ShortcutHeuristic::kFull1Rho,
-                                           ShortcutHeuristic::kGreedy,
-                                           ShortcutHeuristic::kDP));
 
 // Theorem 3.3: with |B(v, r(v))| >= rho, at most
 // ceil(n/rho) * (1 + ceil(log2(rho * L))) steps.
