@@ -1,16 +1,17 @@
 // High-throughput query serving: queries/sec over a fixed source batch,
-// comparing three serving strategies on the same preprocessed engine:
+// comparing three serving strategies on the same preprocessed engine, all
+// over full-distance requests (want_full_distances, one per source):
 //
-//   seq    — per-source engine.query() loop with fresh per-query state:
-//            exactly the pre-batching query_batch() behaviour (baseline);
+//   seq    — per-request engine.serve() loop with fresh per-query state
+//            (baseline);
 //   ctx    — the same sequential loop over one warm QueryContext
 //            (zero-allocation hot path, intra-query parallelism);
-//   batch  — engine.query_batch(): the two-level scheduler (source-parallel
+//   batch  — engine.serve_batch(): the two-level scheduler (source-parallel
 //            across the per-worker context pool when the batch is at least
 //            as wide as the worker count).
 //
 // Metric names seq_qps / ctx_qps / batch_qps. Every strategy's distances
-// are checked against fresh per-source queries.
+// are checked against fresh per-source serves.
 //
 // Targeted point-to-point serving (PR 5) is tracked alongside: p2p1_qps /
 // p2p8_qps / p2p64_qps time a warm-context serve() loop over the same
@@ -107,33 +108,41 @@ int main() {
     const std::vector<Vertex> sources =
         sample_sources(g, batch, /*seed=*/777);
 
-    // Reference distances: fresh queries, computed once per graph.
-    std::vector<QueryResult> ref;
-    ref.reserve(sources.size());
-    for (const Vertex src : sources) ref.push_back(engine.query(src));
+    std::vector<QueryRequest> full(sources.size());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      full[i].source = sources[i];
+      full[i].want_full_distances = true;
+    }
 
-    // Baseline: the pre-batching query_batch — one fresh query/source.
-    std::vector<QueryResult> seq_results;
+    // Reference distances: fresh serves, computed once per graph.
+    std::vector<QueryResponse> ref;
+    ref.reserve(full.size());
+    for (const QueryRequest& req : full) ref.push_back(engine.serve(req));
+
+    // Baseline: one fresh-state serve per source.
+    std::vector<QueryResponse> seq_results;
     const auto run_seq = [&] {
       seq_results.clear();
-      seq_results.reserve(sources.size());
-      for (const Vertex src : sources) seq_results.push_back(engine.query(src));
+      seq_results.reserve(full.size());
+      for (const QueryRequest& req : full) {
+        seq_results.push_back(engine.serve(req));
+      }
     };
 
     // One warm reused context, sequential batch loop.
     QueryContext ctx(g.num_vertices());
-    std::vector<QueryResult> ctx_results;
+    std::vector<QueryResponse> ctx_results;
     const auto run_ctx = [&] {
       ctx_results.clear();
-      ctx_results.reserve(sources.size());
-      for (const Vertex src : sources) {
-        ctx_results.push_back(engine.query(src, QueryEngine::kFlat, ctx));
+      ctx_results.reserve(full.size());
+      for (const QueryRequest& req : full) {
+        ctx_results.push_back(engine.serve(req, ctx));
       }
     };
 
     // The two-level batch scheduler.
-    std::vector<QueryResult> batch_results;
-    const auto run_batch = [&] { batch_results = engine.query_batch(sources); };
+    std::vector<QueryResponse> batch_results;
+    const auto run_batch = [&] { batch_results = engine.serve_batch(full); };
 
     // Warm-up (also materializes every result for the equality check).
     run_seq();

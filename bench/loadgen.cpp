@@ -82,7 +82,7 @@ std::vector<QueryRequest> make_requests(const Graph& g,
   return requests;
 }
 
-bool verify(const QueryResponse& resp, const QueryResult& ref) {
+bool verify(const QueryResponse& resp, const QueryResponse& ref) {
   for (const TargetResult& tr : resp.targets) {
     if (tr.dist != ref.dist[tr.target]) {
       std::fprintf(stderr, "MISMATCH source %u target %u: %llu != %llu\n",
@@ -192,7 +192,7 @@ struct OpenResult {
 /// queue-full rejections are counted as shed load, not failures.
 OpenResult run_open(const SsspEngine& engine, ServerOptions opts,
                     const std::vector<QueryRequest>& requests,
-                    const std::vector<QueryResult>& ref, std::uint64_t total,
+                    const std::vector<QueryResponse>& ref, std::uint64_t total,
                     double rate, obs::Histogram::Snapshot* latency) {
   SsspServer server(engine, opts);
   OpenResult out;
@@ -285,9 +285,14 @@ int main() {
   const std::vector<Vertex> sources = sample_sources(g, pool, /*seed=*/777);
   const std::vector<QueryRequest> requests =
       make_requests(g, sources, targets_per);
-  std::vector<QueryResult> ref;
+  std::vector<QueryResponse> ref;
   ref.reserve(sources.size());
-  for (const Vertex src : sources) ref.push_back(engine.query(src));
+  for (const Vertex src : sources) {
+    QueryRequest full;
+    full.source = src;
+    full.want_full_distances = true;
+    ref.push_back(engine.serve(full));
+  }
 
   // Warm the engine's leased batch pools (and code paths) outside any
   // measured window, so the server latencies reflect steady state.

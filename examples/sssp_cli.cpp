@@ -12,11 +12,15 @@
 // it sends one QueryRequest and prints per-target distance + path without
 // ever materializing the O(n) distance vector — and the engine terminates
 // early once every target is settled.
+//
+// Every subcommand rejects a flag it does not read with
+// "error: unknown flag <flag>" and exit status 1.
 #include <cstdio>
 #include <cctype>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -39,7 +43,9 @@ namespace {
 
 using namespace rs;
 
-/// Minimal --flag value parser: flags() ["--rho"] etc.
+/// Minimal --flag value parser. It records every key get/get_int reads,
+/// so reject_unread() can refuse a flag the command never looks at (a
+/// typo or a removed option) instead of silently ignoring it.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -56,18 +62,32 @@ class Args {
     }
   }
   std::string get(const std::string& key, const std::string& dflt) const {
+    read_.insert(key);
     const auto it = kv_.find(key);
     return it == kv_.end() ? dflt : it->second;
   }
   long get_int(const std::string& key, long dflt) const {
+    read_.insert(key);
     const auto it = kv_.find(key);
     return it == kv_.end() ? dflt : std::stol(it->second);
   }
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Throws std::invalid_argument("unknown flag <key>") for the first
+  /// given flag that no get/get_int call has read. Call it once the
+  /// command has read all of its options.
+  void reject_unread() const {
+    for (const auto& [key, value] : kv_) {
+      if (read_.count(key) == 0) {
+        throw std::invalid_argument("unknown flag " + key);
+      }
+    }
+  }
+
  private:
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 Graph load_graph(const std::string& path) {
@@ -111,6 +131,7 @@ int cmd_gen(const Args& args) {
     std::fprintf(stderr, "unknown --type %s\n", type.c_str());
     return 1;
   }
+  args.reject_unread();
   if (wmax > 0) g = assign_uniform_weights(g, seed + 7, 1, wmax);
   io::write_dimacs_file(g, out);
   std::printf("wrote %s: %u vertices, %llu edges\n", out.c_str(),
@@ -124,6 +145,7 @@ int cmd_stats(const Args& args) {
     std::fprintf(stderr, "usage: sssp_cli stats <graph>\n");
     return 1;
   }
+  args.reject_unread();
   const Graph g = load_graph(args.positional()[0]);
   const DegreeStats d = degree_stats(g);
   std::printf("vertices    %u\n", g.num_vertices());
@@ -145,12 +167,12 @@ int cmd_preprocess(const Args& args) {
                          "[--heuristic dp|greedy|full|none] [-o out.pre]\n");
     return 1;
   }
-  const Graph g = load_graph(args.positional()[0]);
   PreprocessOptions opts;
   opts.rho = static_cast<Vertex>(args.get_int("--rho", 64));
   opts.k = static_cast<Vertex>(args.get_int("--k", 3));
   opts.settle_ties = args.get_int("--settle-ties", 1) != 0;
   const std::string h = args.get("--heuristic", "dp");
+  const std::string out = args.get("-o", args.get("--out", "graph.pre"));
   if (h == "dp") {
     opts.heuristic = ShortcutHeuristic::kDP;
   } else if (h == "greedy") {
@@ -163,9 +185,10 @@ int cmd_preprocess(const Args& args) {
     std::fprintf(stderr, "unknown --heuristic %s\n", h.c_str());
     return 1;
   }
+  args.reject_unread();
+  const Graph g = load_graph(args.positional()[0]);
   Timer t;
   const PreprocessResult pre = preprocess(g, opts);
-  const std::string out = args.get("-o", args.get("--out", "graph.pre"));
   save_preprocessing_file(pre, out);
   std::printf("preprocessed in %.2fs: +%llu edges (%.3fx), wrote %s\n",
               t.seconds(), static_cast<unsigned long long>(pre.added_edges),
@@ -233,9 +256,6 @@ int cmd_query(const Args& args) {
                  "[--targets A,B,C | --target T] [--paths 0|1]\n");
     return 1;
   }
-  const Graph g = load_graph(args.positional()[0]);
-  const SsspEngine engine(g, load_preprocessing_file(args.positional()[1]));
-
   constexpr long kMaxVertex =
       static_cast<long>(std::numeric_limits<Vertex>::max());
   QueryRequest req;
@@ -244,11 +264,15 @@ int cmd_query(const Args& args) {
   req.targets = parse_vertex_list(args.get("--targets", ""));
   const long single = get_checked(args, "--target", -1, 0, kMaxVertex);
   if (single >= 0) req.targets.push_back(static_cast<Vertex>(single));
-  req.want_paths =
-      !req.targets.empty() && get_checked(args, "--paths", 1, 0, 1) != 0;
+  const bool paths = get_checked(args, "--paths", 1, 0, 1) != 0;
+  req.want_paths = !req.targets.empty() && paths;
   // No targets: a classic full-SSSP probe (stats + full vector held only
   // long enough to report). With targets the response is O(|targets|).
   req.want_full_distances = req.targets.empty();
+  args.reject_unread();
+
+  const Graph g = load_graph(args.positional()[0]);
+  const SsspEngine engine(g, load_preprocessing_file(args.positional()[1]));
 
   Timer t;
   const QueryResponse resp = engine.serve(req);
@@ -283,12 +307,13 @@ int cmd_run(const Args& args) {
                          "delta|bf|bfs|rs] [--source S] [--rho R]\n");
     return 1;
   }
-  const Graph g = load_graph(args.positional()[0]);
   const Vertex src = static_cast<Vertex>(get_checked(
       args, "--source", 0, 0,
       static_cast<long>(std::numeric_limits<Vertex>::max())));
   const std::string algo = args.get("--algo", "all");
   const Vertex rho = static_cast<Vertex>(args.get_int("--rho", 64));
+  args.reject_unread();
+  const Graph g = load_graph(args.positional()[0]);
 
   std::vector<Dist> ref;
   auto report = [&](const char* name, const std::vector<Dist>& d, double ms) {

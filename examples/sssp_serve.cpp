@@ -12,14 +12,14 @@
 // (admission queue depth, default 1024), --max-batch N (micro-batch cap,
 // default 64), --budget-us N (coalescing window, default 200),
 // --batchers N (batcher threads, default 1), --cache 0|1 (hot-source
-// result cache, default 0), --landmarks N (ALT oracle with N landmarks,
-// default 0 = off), --dynamic 0|1 (live weight updates; requires
+// result cache, default 0), --dynamic 0|1 (live weight updates; requires
 // in-process preprocessing, default 0),
 // --trace-sample N (trace every Nth request, 0 = off; default from the
 // RS_TRACE env var), --slow-query-us N (log traced spans of requests
 // slower than N us to stderr, 0 = off), --flush-ms N / --flush-dirty F
 // (with --dynamic 1: background flush every N ms / once staged updates
-// would dirty fraction F of all balls).
+// would dirty fraction F of all balls). Any other flag is rejected with
+// "error: unknown flag <flag>" before the graph is loaded.
 //
 // Line protocol v2 (one request per line, stdin and TCP alike) —
 // verb-prefixed commands:
@@ -74,6 +74,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -112,18 +113,32 @@ class Args {
     }
   }
   std::string get(const std::string& key, const std::string& dflt) const {
+    read_.insert(key);
     const auto it = kv_.find(key);
     return it == kv_.end() ? dflt : it->second;
   }
   long get_int(const std::string& key, long dflt) const {
+    read_.insert(key);
     const auto it = kv_.find(key);
     return it == kv_.end() ? dflt : std::stol(it->second);
   }
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Throws std::invalid_argument("unknown flag <key>") for the first
+  /// given flag that no get/get_int call has read. Call it once the
+  /// command has read all of its options.
+  void reject_unread() const {
+    for (const auto& [key, value] : kv_) {
+      if (read_.count(key) == 0) {
+        throw std::invalid_argument("unknown flag " + key);
+      }
+    }
+  }
+
  private:
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 /// Strict vertex-id parse: digits only, fits a Vertex. Negative numbers,
@@ -554,12 +569,6 @@ int main(int argc, char** argv) {
   if (args.positional().empty()) return demo();
 
   try {
-    const std::string graph_path = args.positional()[0];
-    Graph g = graph_path.size() > 3 &&
-                      graph_path.substr(graph_path.size() - 3) == ".gr"
-                  ? io::read_dimacs_file(graph_path)
-                  : io::read_edge_list_file(graph_path);
-
     ServerOptions opts;
     opts.queue_capacity =
         static_cast<std::size_t>(args.get_int("--queue", 1024));
@@ -574,33 +583,38 @@ int main(int argc, char** argv) {
         static_cast<long>(rs::obs::trace_sample_from_env())));
     opts.slow_query_us =
         static_cast<std::uint64_t>(args.get_int("--slow-query-us", 0));
-    const long landmarks = args.get_int("--landmarks", 0);
-    if (landmarks > 0) {
-      opts.enable_landmarks = true;
-      opts.landmarks.count = static_cast<std::size_t>(landmarks);
-    }
 
     PreprocessOptions popts;
     popts.rho = static_cast<Vertex>(args.get_int("--rho", 64));
     popts.k = static_cast<Vertex>(args.get_int("--k", 3));
+
+    rs::serve::DynamicSsspService::Options dopts;
+    dopts.preprocess = popts;
+    dopts.server = opts;
+    dopts.flush_interval_ms =
+        static_cast<std::uint32_t>(args.get_int("--flush-ms", 0));
+    dopts.flush_dirty_fraction = std::stod(args.get("--flush-dirty", "0"));
+    const bool dynamic = args.get_int("--dynamic", 0) != 0;
+    const int port = static_cast<int>(args.get_int("--port", 0));
+    args.reject_unread();
+
+    const std::string graph_path = args.positional()[0];
+    Graph g = graph_path.size() > 3 &&
+                      graph_path.substr(graph_path.size() - 3) == ".gr"
+                  ? io::read_dimacs_file(graph_path)
+                  : io::read_edge_list_file(graph_path);
 
     // --dynamic needs the preprocessor's warm state, so it is only
     // available on the in-process preprocessing path; a loaded .pre file
     // serves the static flow unchanged.
     std::unique_ptr<rs::serve::DynamicSsspService> dyn;
     std::unique_ptr<SsspServer> static_server;
-    if (args.get_int("--dynamic", 0) != 0) {
+    if (dynamic) {
       if (args.positional().size() >= 2) {
         throw std::invalid_argument(
             "--dynamic 1 requires in-process preprocessing (omit the "
             ".pre file)");
       }
-      rs::serve::DynamicSsspService::Options dopts;
-      dopts.preprocess = popts;
-      dopts.server = opts;
-      dopts.flush_interval_ms =
-          static_cast<std::uint32_t>(args.get_int("--flush-ms", 0));
-      dopts.flush_dirty_fraction = std::stod(args.get("--flush-dirty", "0"));
       dyn = std::make_unique<rs::serve::DynamicSsspService>(std::move(g),
                                                             dopts);
     } else {
@@ -615,7 +629,6 @@ int main(int argc, char** argv) {
     }
     SsspServer& server = dyn != nullptr ? dyn->server() : *static_server;
 
-    const int port = static_cast<int>(args.get_int("--port", 0));
     const int rc = port > 0 ? tcp_serve(server, dyn.get(), port)
                             : stdio_serve(server, dyn.get());
     server.drain();

@@ -68,19 +68,10 @@ void SsspEngine::validate(const QueryRequest& req) const {
     if (!req.targets.empty()) {
       throw std::invalid_argument("SsspEngine: kTopK takes no targets");
     }
-    if (!req.target_lower_bounds.empty()) {
-      throw std::invalid_argument("SsspEngine: kTopK takes no lower bounds");
-    }
     return;
   }
   for (const Vertex t : req.targets) {
     if (t >= n) throw std::invalid_argument("SsspEngine: bad target");
-  }
-  if (!req.target_lower_bounds.empty() &&
-      req.target_lower_bounds.size() != req.targets.size()) {
-    throw std::invalid_argument(
-        "SsspEngine: target_lower_bounds must be empty or parallel to "
-        "targets");
   }
 }
 
@@ -113,10 +104,7 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
   const bool topk = req.kind == RequestKind::kTopK;
   const bool early = !topk && !req.targets.empty() && !req.want_full_distances;
   if (early) {
-    const Dist* lb = req.target_lower_bounds.empty()
-                         ? nullptr
-                         : req.target_lower_bounds.data();
-    ctx.set_targets(n, req.targets.data(), req.targets.size(), lb);
+    ctx.set_targets(n, req.targets.data(), req.targets.size());
   } else {
     ctx.clear_targets();
     if (topk && !req.want_full_distances) ctx.set_k_goal(req.k);
@@ -159,8 +147,7 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
     // Per-target answers, read straight out of the context's working array
     // (zero-copy: the O(n) vector is never materialized for targeted
     // requests). Every target is exact here: either the run was
-    // exhaustive, or it stopped only once all of them settled — by
-    // distance order or by lower-bound proof.
+    // exhaustive, or it stopped only once all of them settled.
     resp.targets.resize(req.targets.size());
     for (std::size_t i = 0; i < req.targets.size(); ++i) {
       TargetResult& tr = resp.targets[i];
@@ -190,11 +177,9 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
   } else {
     ctx.reset_touched();
   }
-  // Provenance: which preprocessing generation answered, and how. The
-  // lower-bound exit count must be read before the stamps are cleared.
+  // Provenance: which preprocessing generation answered, and how.
   resp.graph_epoch = graph_epoch_;
   resp.served_from_cache = false;
-  resp.lower_bound_exits = ctx.lower_bound_exits();
   ctx.clear_targets();
 }
 
@@ -297,63 +282,6 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
   for (std::size_t i = 0; i < batch; ++i) {
     run_serve(requests[i], ctx, tp, out[i]);
   }
-  return out;
-}
-
-QueryResult SsspEngine::query(Vertex source, QueryEngine engine) const {
-  QueryContext ctx(pre_.graph.num_vertices());
-  return query(source, engine, ctx);
-}
-
-QueryResult SsspEngine::query(Vertex source, QueryEngine engine,
-                              QueryContext& ctx) const {
-  QueryRequest req;
-  req.source = source;
-  req.want_full_distances = true;
-  req.engine = engine;
-  QueryResponse resp = serve(req, ctx);
-  QueryResult out;
-  out.source = resp.source;
-  out.dist = std::move(resp.dist);
-  out.stats = resp.stats;
-  return out;
-}
-
-std::vector<QueryResult> SsspEngine::query_batch(
-    const std::vector<Vertex>& sources, QueryEngine engine) const {
-  std::vector<QueryRequest> requests(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    requests[i].source = sources[i];
-    requests[i].want_full_distances = true;
-    requests[i].engine = engine;
-  }
-  std::vector<QueryResponse> responses = serve_batch(requests);
-  std::vector<QueryResult> out(responses.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    out[i].source = responses[i].source;
-    out[i].dist = std::move(responses[i].dist);
-    out[i].stats = responses[i].stats;
-  }
-  return out;
-}
-
-std::vector<Vertex> SsspEngine::path(const QueryResult& q,
-                                     Vertex target) const {
-  if (q.dist.size() != original_.num_vertices()) {
-    // A default-constructed or foreign-engine QueryResult would index
-    // q.dist out of bounds below; reject it up front.
-    throw std::invalid_argument(
-        "SsspEngine::path: QueryResult does not belong to this engine");
-  }
-  if (target >= original_.num_vertices()) {
-    throw std::invalid_argument("SsspEngine::path: bad target");
-  }
-  if (q.dist[target] == kInfDist) return {};
-  Graph local;
-  const Graph& tg = transpose(local);
-  std::vector<Vertex> out;
-  extract_path_by_closure(tg, target, [&q](Vertex v) { return q.dist[v]; },
-                          out);
   return out;
 }
 

@@ -20,14 +20,11 @@
 /// request-parallel across a per-worker context pool when the batch is at
 /// least as wide as the worker count, intra-query parallelism otherwise.
 ///
-/// The pre-PR5 API (query / query_batch / path) remains as thin wrappers
-/// over serve*: a query() is exactly a serve() with want_full_distances.
-///
 /// Dynamic graphs: engines are immutable-after-publish snapshots. A live
 /// deployment wraps each engine in a shared_ptr, serves through
 /// SnapshotSwap pins (graph/graph_swap.hpp), and produces successors with
-/// next_epoch() — the epoch stamp keeps cache/oracle invalidation exact
-/// across swaps.
+/// next_epoch() — the epoch stamp keeps cache invalidation exact across
+/// swaps.
 #pragma once
 
 #include <deque>
@@ -44,16 +41,6 @@
 #include "shortcut/shortcut.hpp"
 
 namespace rs {
-
-/// Legacy full-distance query result (the pre-PR5 API shape).
-struct QueryResult {
-  /// The query's source vertex.
-  Vertex source = kNoVertex;
-  /// dist[v] = shortest distance source -> v (kInfDist if unreachable).
-  std::vector<Dist> dist;
-  /// Execution counters of the run (steps, relaxations, ...).
-  RunStats stats;
-};
 
 /// Radius-Stepping SSSP engine over one preprocessed (k, rho)-graph
 /// snapshot (see file comment for the serving model).
@@ -134,29 +121,6 @@ class SsspEngine {
   /// failing the micro-batch it would have been coalesced into.
   void validate(const QueryRequest& req) const;
 
-  /// Legacy wrapper: full distances from `source` == serve() with
-  /// want_full_distances. Allocates fresh per-query state.
-  QueryResult query(Vertex source,
-                    QueryEngine engine = QueryEngine::kFlat) const;
-
-  /// Legacy wrapper over a caller-owned reusable context: after the first
-  /// query the engine hot path performs no heap allocations (the returned
-  /// QueryResult::dist is the one unavoidable output allocation).
-  QueryResult query(Vertex source, QueryEngine engine,
-                    QueryContext& ctx) const;
-
-  /// Legacy wrapper: one full-distance query per source (== serve_batch
-  /// over want_full_distances requests), same two-level scheduling.
-  std::vector<QueryResult> query_batch(
-      const std::vector<Vertex>& sources,
-      QueryEngine engine = QueryEngine::kFlat) const;
-
-  /// Shortest path from a query's source to `target`, as vertices of the
-  /// ORIGINAL graph (shortcut edges expanded away). Empty if unreachable.
-  /// Throws std::invalid_argument if `q` does not belong to this engine
-  /// (wrong-sized or default-constructed distance vector).
-  std::vector<Vertex> path(const QueryResult& q, Vertex target) const;
-
   /// The input graph (no shortcuts) — the one paths are expressed in.
   const Graph& original_graph() const { return original_; }
   /// The (k, rho)-graph queries actually run on (original + shortcuts).
@@ -166,11 +130,11 @@ class SsspEngine {
 
   /// Preprocessing generation this engine is serving. Starts at 1 and is
   /// bumped by every next_epoch(); responses are stamped with it
-  /// (QueryResponse::graph_epoch), and the caching layer
-  /// (serve/result_cache.hpp, serve/landmark_oracle.hpp) keys on it so a
-  /// graph swap implicitly invalidates every cached row. Copies keep the
-  /// epoch: they serve the same preprocessing, so their answers are
-  /// interchangeable with the original's.
+  /// (QueryResponse::graph_epoch), and the result cache
+  /// (serve/result_cache.hpp) keys on it so a graph swap implicitly
+  /// invalidates every cached row. Copies keep the epoch: they serve the
+  /// same preprocessing, so their answers are interchangeable with the
+  /// original's.
   std::uint64_t graph_epoch() const { return graph_epoch_; }
 
  private:
@@ -215,8 +179,8 @@ class SsspEngine {
   std::unique_ptr<BatchPools> batch_pools_ = std::make_unique<BatchPools>();
 
   // Lazily-built transpose of the original graph: path reconstruction walks
-  // INCOMING arcs (directed-correct parents), and repeated path() calls
-  // share one transpose. Boxed for movability; built at most once.
+  // INCOMING arcs (directed-correct parents), and every want_paths serve
+  // shares one transpose. Boxed for movability; built at most once.
   struct TransposeCache {
     std::once_flag once;
     Graph graph;

@@ -74,7 +74,6 @@ std::vector<QueryContext::WorkerScratch>& QueryContext::workers(int count) {
     w.relaxations = 0;
     w.edges_scanned = 0;
     w.targets_taken = 0;
-    w.bound_exits = 0;
     w.pending_di = kInfDist;
   }
   return workers_;
@@ -97,26 +96,17 @@ void QueryContext::reset_touched() {
 }
 
 void QueryContext::set_targets(Vertex n, const Vertex* targets,
-                               std::size_t count, const Dist* lower_bounds) {
+                               std::size_t count) {
   if (target_gen_.size() < n) target_gen_.resize(n, 0);
-  if (lower_bounds != nullptr && target_lb_.size() < n) {
-    target_lb_.resize(n, 0);
-  }
   ++target_epoch_;  // starts at 1 on first use, so zero-init never matches
   targeted_ = true;
-  target_bounds_ = lower_bounds != nullptr;
   targets_remaining_ = 0;
-  lb_exits_ = 0;
   k_goal_ = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const Vertex v = targets[i];
     if (target_gen_[v] != target_epoch_) {  // duplicates stamp once
       target_gen_[v] = target_epoch_;
-      if (lower_bounds != nullptr) target_lb_[v] = lower_bounds[i];
       ++targets_remaining_;
-    } else if (lower_bounds != nullptr && lower_bounds[i] > target_lb_[v]) {
-      // Duplicate target with a tighter bound: keep the larger floor.
-      target_lb_[v] = lower_bounds[i];
     }
   }
 }

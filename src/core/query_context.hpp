@@ -49,7 +49,6 @@ class QueryContext {
     std::size_t relaxations = 0;
     std::size_t edges_scanned = 0;
     std::size_t targets_taken = 0;  // pending targets this worker un-stamped
-    std::size_t bound_exits = 0;    // ... of which by lower-bound proof
     Dist pending_di = kInfDist;     // min delta + r over this segment
   };
 
@@ -115,21 +114,11 @@ class QueryContext {
   // Workers call take_target(), count what they took, and the run folds
   // the counts in with count_taken_targets(); note_target_settled() does
   // both at once. clear_targets() is O(1); stamps are epoch-invalidated.
-  //
-  // Optionally each target carries an admissible LOWER BOUND on its true
-  // distance (ALT landmark bounds — serve/landmark_oracle.hpp). Engines
-  // then check updated target vertices against it with
-  // take_target_by_bound(): a target whose tentative distance has reached
-  // its bound is provably final (tentative >= true >= bound) and counts as
-  // settled immediately, steps before it would settle by distance order.
-  void set_targets(Vertex n, const Vertex* targets, std::size_t count,
-                   const Dist* lower_bounds = nullptr);
+  void set_targets(Vertex n, const Vertex* targets, std::size_t count);
   void clear_targets() {
     targeted_ = false;
-    target_bounds_ = false;
     targets_remaining_ = 0;
     k_goal_ = 0;
-    lb_exits_ = 0;
   }
   bool has_targets() const { return targeted_; }
   /// Stamped targets not yet counted settled. Radius-stepping runs count
@@ -142,28 +131,13 @@ class QueryContext {
     target_gen_[v] = target_epoch_ - 1;
     return true;
   }
-  /// Lower-bound proof: un-stamps `v` if it is a pending target whose
-  /// tentative distance `dv` has reached its admissible floor.
-  bool take_target_by_bound(Vertex v, Dist dv) {
-    if (target_gen_[v] != target_epoch_ || dv > target_lb_[v]) return false;
-    target_gen_[v] = target_epoch_ - 1;
-    return true;
-  }
-  /// Counts `taken` targets un-stamped by an engine's workers, `by_bound`
-  /// of them through take_target_by_bound().
-  void count_taken_targets(std::size_t taken, std::size_t by_bound) {
-    targets_remaining_ -= taken;
-    lb_exits_ += by_bound;
-  }
+  /// Counts `taken` targets un-stamped by an engine's workers.
+  void count_taken_targets(std::size_t taken) { targets_remaining_ -= taken; }
   /// Records that `v` settled; decrements the remaining count the first
   /// time a stamped target settles (idempotent per query).
   void note_target_settled(Vertex v) {
-    if (take_target(v)) count_taken_targets(1, 0);
+    if (take_target(v)) count_taken_targets(1);
   }
-  /// True when the current target set carries lower bounds worth checking.
-  bool has_target_bounds() const { return target_bounds_; }
-  /// Targets settled by lower-bound proof in the current query.
-  std::size_t lower_bound_exits() const { return lb_exits_; }
 
   // --- k-nearest queries (top-k early termination) -------------------------
   // The kTopK request kind: engines stop at the first step boundary with
@@ -285,10 +259,8 @@ class QueryContext {
   bool sequential_ = false;
   bool trace_phases_ = false;
   bool targeted_ = false;
-  bool target_bounds_ = false;
   std::size_t targets_remaining_ = 0;
   std::size_t k_goal_ = 0;
-  std::size_t lb_exits_ = 0;
 
   std::uint64_t query_gen_ = 0;
   std::uint64_t claim_epoch_ = 0;
@@ -300,8 +272,6 @@ class QueryContext {
   std::vector<std::uint64_t> mark_gen_;       // == mark_epoch_ => marked
   std::vector<std::uint64_t> target_gen_;     // == target_epoch_ => wanted,
                                               // unsettled (lazily sized)
-  std::vector<Dist> target_lb_;               // admissible floor per stamped
-                                              // target (lazily sized)
   std::vector<std::atomic<std::uint64_t>> claim_;  // == claim_epoch_ => claimed
 
   std::vector<Vertex> frontier_;

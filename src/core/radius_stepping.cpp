@@ -45,7 +45,6 @@ class Phases {
         ctx_(ctx),
         dist_(ctx.dist()),
         targeted_(ctx.has_targets()),
-        bounds_(targeted_ && ctx.has_target_bounds()),
         k_goal_(ctx.k_goal()) {}
 
   Dist load(Vertex v) const { return dist_[v].load(std::memory_order_relaxed); }
@@ -73,7 +72,6 @@ class Phases {
         dist_[v].store(w, std::memory_order_relaxed);
         ++me.relaxations;
         if (dv == kInfDist) me.touched.push_back(v);
-        check_bound(me, v, w);
       }
       if (!ctx_.is_settled(v) && ctx_.mark(v)) me.frontier.push_back(v);
     }
@@ -142,15 +140,11 @@ class Phases {
 
   /// The A_i/B_i partition of the vertices `me` claimed in the last
   /// substep: inside d_i -> `me`'s next active list (settled on first
-  /// arrival); beyond d_i -> frontier candidates. Lower-bound proof site:
-  /// a pending target whose tentative distance reached its admissible
-  /// floor is provably final even though it lies beyond d_i.
+  /// arrival); beyond d_i -> frontier candidates.
   void classify(Worker& me, Dist di) {
     me.active.clear();
     for (const Vertex v : me.claimed) {
-      const Dist dv = load(v);
-      check_bound(me, v, dv);
-      if (dv <= di) {
+      if (load(v) <= di) {
         me.active.push_back(v);
         if (!ctx_.is_settled(v)) settle(me, v);
       } else if (!ctx_.is_settled(v) && ctx_.mark(v)) {
@@ -181,10 +175,10 @@ class Phases {
   }
 
   /// Exactness of both exits holds only at STEP boundaries (Theorem 3.1):
-  /// targets all settled (by distance order or by lower-bound proof), or —
-  /// for kTopK — at least k vertices settled, which makes the k smallest
-  /// settled (dist, vertex) pairs exactly the k nearest. Reads the counts
-  /// of workers [0, nw), which must not change while any worker reads.
+  /// targets all settled, or — for kTopK — at least k vertices settled,
+  /// which makes the k smallest settled (dist, vertex) pairs exactly the k
+  /// nearest. Reads the counts of workers [0, nw), which must not change
+  /// while any worker reads.
   bool goals_met(const std::vector<Worker>& workers, int nw) const {
     std::size_t settled = 0;
     std::size_t taken = 0;
@@ -200,16 +194,14 @@ class Phases {
   void finish(const std::vector<Worker>& workers, int nw,
               RunStats& local) const {
     std::size_t taken = 0;
-    std::size_t by_bound = 0;
     for (int t = 0; t < nw; ++t) {
       const Worker& w = workers[static_cast<std::size_t>(t)];
       local.settled += w.settled;
       local.relaxations += w.relaxations;
       local.edges_scanned += w.edges_scanned;
       taken += w.targets_taken;
-      by_bound += w.bound_exits;
     }
-    ctx_.count_taken_targets(taken, by_bound);
+    ctx_.count_taken_targets(taken);
   }
 
  private:
@@ -219,19 +211,11 @@ class Phases {
     if (targeted_ && ctx_.take_target(v)) ++me.targets_taken;
   }
 
-  void check_bound(Worker& me, Vertex v, Dist dv) {
-    if (bounds_ && ctx_.take_target_by_bound(v, dv)) {
-      ++me.targets_taken;
-      ++me.bound_exits;
-    }
-  }
-
   const Graph& g_;
   const std::vector<Dist>& radius_;
   QueryContext& ctx_;
   std::atomic<Dist>* dist_;
   const bool targeted_;
-  const bool bounds_;
   const std::size_t k_goal_;
 };
 

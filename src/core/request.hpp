@@ -27,8 +27,7 @@
 ///    explored.
 ///  * `want_full_distances` requests the classic O(n) dist vector; it
 ///    disables early termination (a partial vector would not be the full
-///    answer) and makes the response equivalent to the legacy query()
-///    API.
+///    answer).
 #pragma once
 
 #include <cstdint>
@@ -87,18 +86,6 @@ struct QueryRequest {
   /// kTargets.
   std::uint32_t k = 0;
 
-  /// Optional admissible per-target lower bounds on d(source, target),
-  /// parallel to `targets` (empty = none; otherwise exactly one entry per
-  /// target). A landmark oracle (serve/landmark_oracle.hpp) fills these
-  /// with ALT bounds max_L(d(L,t) - d(L,s)); the engines then declare a
-  /// target settled the moment its tentative distance reaches its bound
-  /// (tentative >= true >= bound forces equality), which can prove distant
-  /// targets done steps before the plain step-boundary exit would.
-  /// Bounds must be true lower bounds — an inadmissible bound silently
-  /// yields wrong distances. Only consulted for early-terminating
-  /// targeted requests; ignored by kUnweighted (claimed == final already).
-  std::vector<Dist> target_lower_bounds;
-
   /// Expand the shortest path for every reachable target (vertices of the
   /// ORIGINAL graph; shortcut edges never appear).
   bool want_paths = false;
@@ -149,10 +136,6 @@ struct QueryResponse {
   /// True when the answer was read from a cached full-distance row
   /// (serve/result_cache.hpp) instead of running an engine.
   bool served_from_cache = false;
-  /// How many targets were declared settled by a lower-bound proof
-  /// (target_lower_bounds) rather than by actually settling — the ALT
-  /// assist's contribution to this request's early exit.
-  std::size_t lower_bound_exits = 0;
 
   /// Span breakdown of where this request's latency went; populated only
   /// when the request was traced (QueryRequest::trace — enabled==true

@@ -104,8 +104,7 @@ void rs_unweighted_run(const Graph& g, Vertex source,
   // claimed vertex is final AND every unclaimed vertex is strictly farther
   // than every claimed one; the exits (including the mid-step one) stay
   // exact. Claimed count = settled-so-far + the current uncounted
-  // frontier. Lower bounds are ignored here: claimed == final already, so
-  // a bound can never prove a target earlier than its claim does.
+  // frontier.
   const std::size_t k_goal = ctx.k_goal();
   const auto targets_done = [&] {
     if (targeted && ctx.targets_remaining() == 0) return true;

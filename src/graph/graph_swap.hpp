@@ -19,14 +19,12 @@
 /// Implemented with the C++17 std::atomic_load/atomic_store overloads for
 /// shared_ptr, so the swap is lock-free on mainstream implementations and
 /// correct everywhere. The serving daemon instantiates this over
-/// SsspEngine (serve/server.hpp); GraphSwap is the graph-level alias.
+/// SsspEngine (serve/server.hpp).
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <utility>
-
-#include "graph/graph.hpp"
 
 namespace rs {
 
@@ -64,9 +62,5 @@ class SnapshotSwap {
  private:
   std::shared_ptr<const T> current_;
 };
-
-/// Graph-level snapshot swap: the substrate for serving layers that hold
-/// a raw Graph rather than a full engine.
-using GraphSwap = SnapshotSwap<Graph>;
 
 }  // namespace rs

@@ -76,7 +76,7 @@ class DynamicSsspService {
   struct Options {
     /// Ball/shortcut parameters for the (incremental) preprocessing.
     PreprocessOptions preprocess;
-    /// Daemon configuration (queue, batching, cache, landmarks).
+    /// Daemon configuration (queue, batching, cache).
     ServerOptions server;
     /// Background flush timer: when nonzero, a flusher thread wakes every
     /// this many milliseconds and flushes whatever is staged. 0 disables

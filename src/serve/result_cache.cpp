@@ -141,7 +141,6 @@ void answer_from_row(const QueryRequest& req, const CachedRow& row,
   resp.stats = row.stats;
   resp.graph_epoch = row.graph_epoch;
   resp.served_from_cache = true;
-  resp.lower_bound_exits = 0;
   resp.dist.clear();
   if (req.want_full_distances) {
     resp.dist = row.dist;

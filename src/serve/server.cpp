@@ -12,16 +12,13 @@ namespace rs::serve {
 
 namespace {
 
-/// Pin-once helpers: all engine/oracle access funnels through these so
-/// every code path uses the same acquire loads.
-std::shared_ptr<const SsspEngine> pin(
-    const std::shared_ptr<const SsspEngine>& slot) {
-  return std::atomic_load_explicit(&slot, std::memory_order_acquire);
-}
-
-std::shared_ptr<const LandmarkOracle> pin(
-    const std::shared_ptr<const LandmarkOracle>& slot) {
-  return std::atomic_load_explicit(&slot, std::memory_order_acquire);
+/// The constructor's engine argument, rejected before it is published.
+std::shared_ptr<const SsspEngine> non_null(
+    std::shared_ptr<const SsspEngine> engine) {
+  if (engine == nullptr) {
+    throw std::invalid_argument("SsspServer: null engine");
+  }
+  return engine;
 }
 
 /// Theorem 3.2's substep bound for a request that `eng` runs on `engine`:
@@ -62,7 +59,7 @@ SsspServer::SsspServer(const SsspEngine& engine, ServerOptions opts)
 
 SsspServer::SsspServer(std::shared_ptr<const SsspEngine> engine,
                        ServerOptions opts)
-    : engine_(std::move(engine)),
+    : engine_(non_null(std::move(engine))),
       opts_(opts),
       accepted_(metrics_.counter("rs_requests_accepted_total", {},
                                  "Requests admitted into the queue")),
@@ -87,9 +84,6 @@ SsspServer::SsspServer(std::shared_ptr<const SsspEngine> engine,
           "rs_cache_misses_total", {},
           "Cache-eligible requests that had to compute (owners + "
           "single-flight waiters)")),
-      lb_exits_(metrics_.counter(
-          "rs_lower_bound_exits_total", {},
-          "Targets proven settled by an ALT lower bound")),
       swaps_(metrics_.counter("rs_engine_swaps_total", {},
                               "swap_engine() publications")),
       traced_(metrics_.counter("rs_traced_requests_total", {},
@@ -109,17 +103,9 @@ SsspServer::SsspServer(std::shared_ptr<const SsspEngine> engine,
                                   "(microseconds, submit to completion)")),
       marks_enabled_(opts.trace_sample != 0 || opts.slow_query_us != 0),
       queue_(opts.queue_capacity) {
-  if (engine_ == nullptr) {
-    throw std::invalid_argument("SsspServer: null engine");
-  }
-  epoch_gauge_.set(static_cast<double>(engine_->graph_epoch()));
+  epoch_gauge_.set(static_cast<double>(engine_.pin()->graph_epoch()));
   if (opts_.enable_cache) {
     cache_ = std::make_unique<ResultCache>(opts_.cache);
-  }
-  if (opts_.enable_landmarks) {
-    // Built before the batchers start, so the rows never race a serve.
-    oracle_ = std::make_shared<const LandmarkOracle>(*engine_,
-                                                     opts_.landmarks);
   }
   paused_ = opts_.start_paused;
   const int n = opts_.batchers < 1 ? 1 : opts_.batchers;
@@ -139,7 +125,7 @@ SubmitStatus SsspServer::submit(QueryRequest req,
   }
   // One pin for the whole admission path: validation and the cache key
   // come from the same snapshot even if a swap lands mid-submit.
-  const std::shared_ptr<const SsspEngine> eng = pin(engine_);
+  const std::shared_ptr<const SsspEngine> eng = engine_.pin();
   // Validate at the edge: a bad request is rejected on its own, before it
   // can be coalesced into (and poison) a micro-batch.
   try {
@@ -277,8 +263,7 @@ ServerStats SsspServer::stats() const {
   s.max_batch = static_cast<std::uint64_t>(max_batch_.value());
   s.cache_hits = cache_hits_.value();
   s.cache_misses = cache_misses_.value();
-  s.lower_bound_exits = lb_exits_.value();
-  s.epoch = pin(engine_)->graph_epoch();
+  s.epoch = engine_.pin()->graph_epoch();
   s.swaps = swaps_.value();
   s.traced = traced_.value();
   s.slow_queries = slow_queries_.value();
@@ -290,7 +275,7 @@ std::string SsspServer::export_metrics(MetricsFormat format) const {
   // currently-published snapshot and the admitted-minus-completed gap.
   // (Reference members make this legal from a const method; the gauges
   // are registry cells, not server state.)
-  epoch_gauge_.set(static_cast<double>(pin(engine_)->graph_epoch()));
+  epoch_gauge_.set(static_cast<double>(engine_.pin()->graph_epoch()));
   in_flight_gauge_.set(
       static_cast<double>(accepted_.value(std::memory_order_acquire) -
                           completed_.value(std::memory_order_acquire)));
@@ -302,12 +287,8 @@ ResultCacheStats SsspServer::cache_stats() const {
   return cache_ != nullptr ? cache_->stats() : ResultCacheStats{};
 }
 
-std::shared_ptr<const LandmarkOracle> SsspServer::oracle() const {
-  return pin(oracle_);
-}
-
 std::shared_ptr<const SsspEngine> SsspServer::engine_snapshot() const {
-  return pin(engine_);
+  return engine_.pin();
 }
 
 void SsspServer::swap_engine(std::shared_ptr<const SsspEngine> next) {
@@ -315,17 +296,7 @@ void SsspServer::swap_engine(std::shared_ptr<const SsspEngine> next) {
     throw std::invalid_argument("SsspServer::swap_engine: null engine");
   }
   const std::uint64_t epoch = next->graph_epoch();
-  // Rebuild the oracle BEFORE publishing the engine: once batchers can
-  // pin the new engine, the matching oracle is already there (the brief
-  // window where the old oracle fails valid_for() just skips annotation).
-  if (opts_.enable_landmarks) {
-    auto fresh = std::make_shared<const LandmarkOracle>(*next,
-                                                        opts_.landmarks);
-    std::atomic_store_explicit(&oracle_, std::move(fresh),
-                               std::memory_order_release);
-  }
-  std::atomic_store_explicit(&engine_, std::move(next),
-                             std::memory_order_release);
+  engine_.publish(std::move(next));
   // Rows keyed to older epochs can never match again (epochs only grow);
   // reclaim their memory eagerly.
   if (cache_ != nullptr) cache_->purge_stale(epoch);
@@ -450,9 +421,6 @@ void SsspServer::complete(Pending& p, QueryResponse&& resp) {
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
       now - p.accepted_at);
   latency_.record(static_cast<std::uint64_t>(us.count()));
-  if (resp.lower_bound_exits != 0) {
-    lb_exits_.add(resp.lower_bound_exits);
-  }
   if (p.traced || opts_.slow_query_us != 0) {
     assemble_trace(p, resp, now, static_cast<std::uint64_t>(us.count()));
   }
@@ -469,15 +437,11 @@ void SsspServer::complete(Pending& p, QueryResponse&& resp) {
 void SsspServer::execute(std::vector<Pending>& batch) {
   // One pin per micro-batch: every request in the batch is served from
   // the same engine snapshot (a swap mid-batch affects only later
-  // batches), and the oracle is only consulted when it matches THAT
-  // snapshot's epoch — never a cross-epoch bound.
-  const std::shared_ptr<const SsspEngine> eng = pin(engine_);
-  const std::shared_ptr<const LandmarkOracle> orc = pin(oracle_);
-  // Assemble the engine batch: direct requests as-is (ALT-annotated when
-  // the oracle matches the current epoch), cache OWNERS upgraded to
-  // full-distance runs so their row can be published for every waiter.
-  // Waiters run nothing — their row is coming from an owner.
-  const bool use_oracle = orc != nullptr && orc->valid_for(*eng);
+  // batches).
+  const std::shared_ptr<const SsspEngine> eng = engine_.pin();
+  // Assemble the engine batch: direct requests as-is, cache OWNERS
+  // upgraded to full-distance runs so their row can be published for
+  // every waiter. Waiters run nothing — their row is coming from an owner.
   std::vector<QueryRequest> requests;
   std::vector<std::size_t> exec_idx;  // batch index per engine request
   requests.reserve(batch.size());
@@ -498,7 +462,6 @@ void SsspServer::execute(std::vector<Pending>& batch) {
         break;
       }
       case CacheRole::kDirect: {
-        if (use_oracle) orc->annotate(p.request);
         exec_idx.push_back(i);
         requests.push_back(std::move(p.request));
         break;
@@ -616,9 +579,8 @@ std::string format_stats_line(const SsspServer& server) {
       buf, sizeof(buf),
       "accepted=%llu completed=%llu shed=%llu invalid=%llu shutdown=%llu "
       "batches=%llu mean_batch=%.2f max_batch=%llu cache_hits=%llu "
-      "cache_misses=%llu lower_bound_exits=%llu epoch=%llu swaps=%llu "
-      "in_flight=%llu p50_us=%llu p99_us=%llu p999_us=%llu traced=%llu "
-      "slow=%llu",
+      "cache_misses=%llu epoch=%llu swaps=%llu in_flight=%llu p50_us=%llu "
+      "p99_us=%llu p999_us=%llu traced=%llu slow=%llu",
       static_cast<unsigned long long>(s.accepted),
       static_cast<unsigned long long>(s.completed),
       static_cast<unsigned long long>(s.rejected_full),
@@ -628,7 +590,6 @@ std::string format_stats_line(const SsspServer& server) {
       static_cast<unsigned long long>(s.max_batch),
       static_cast<unsigned long long>(s.cache_hits),
       static_cast<unsigned long long>(s.cache_misses),
-      static_cast<unsigned long long>(s.lower_bound_exits),
       static_cast<unsigned long long>(s.epoch),
       static_cast<unsigned long long>(s.swaps),
       static_cast<unsigned long long>(s.in_flight()),

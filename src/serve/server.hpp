@@ -37,14 +37,13 @@
 /// and the bounded queue sheds load (kQueueFull) instead of queueing
 /// without limit. Both rejections are cheap constant-time paths.
 ///
-/// Live graph swaps: the server holds its engine through an atomic
-/// shared_ptr (the RCU pattern of graph/graph_swap.hpp). Every submit and
-/// every micro-batch pins the pointer ONCE and serves entirely from that
-/// snapshot, so swap_engine() can publish a successor (built with
-/// SsspEngine::next_epoch) mid-traffic: in-flight work finishes on the
-/// old epoch, new work starts on the new one, and no request ever
-/// observes a torn state. The old engine is destroyed when its last pin
-/// drops.
+/// Live graph swaps: the server holds its engine in a SnapshotSwap
+/// (graph/graph_swap.hpp). Every submit and every micro-batch pins the
+/// snapshot ONCE and serves entirely from it, so swap_engine() can
+/// publish a successor (built with SsspEngine::next_epoch) mid-traffic:
+/// in-flight work finishes on the old epoch, new work starts on the new
+/// one, and no request ever observes a torn state. The old engine is
+/// destroyed when its last pin drops.
 ///
 /// Lifecycle: counter-based in-flight tracking (accepted vs completed)
 /// drives drain() — block until everything admitted so far has completed
@@ -71,9 +70,9 @@
 
 #include "core/engine.hpp"
 #include "core/request.hpp"
+#include "graph/graph_swap.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/landmark_oracle.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/result_cache.hpp"
 
@@ -126,15 +125,6 @@ struct ServerOptions {
   /// Sharding/capacity knobs for the cache (used iff enable_cache).
   ResultCacheOptions cache;
 
-  /// Landmark (ALT) oracle: built at server construction (count full SSSP
-  /// runs) and used to annotate targeted requests with admissible
-  /// per-target lower bounds, letting the engines prove far targets
-  /// settled early. Only annotates while the oracle matches the engine's
-  /// graph_epoch; swap_engine() rebuilds it for the successor.
-  bool enable_landmarks = false;
-  /// Selection knobs for the oracle (used iff enable_landmarks).
-  LandmarkOptions landmarks;
-
   /// Trace every Nth admitted request (0 = off): sampled requests get a
   /// per-request span breakdown in QueryResponse::trace (obs/trace.hpp)
   /// and the engines time their phases for them. The daemon wires
@@ -163,9 +153,6 @@ struct ServerStats {
   std::uint64_t cache_hits = 0;         ///< Answered from a cached row.
   std::uint64_t cache_misses = 0;       ///< Owner + single-flight-waiter
                                         ///< acquisitions (0, cache off).
-  /// Targets proven settled by an ALT lower bound across all completed
-  /// requests (sum of QueryResponse::lower_bound_exits).
-  std::uint64_t lower_bound_exits = 0;
   /// graph_epoch() of the currently-published engine snapshot.
   std::uint64_t epoch = 0;
   /// swap_engine() calls that have published a successor engine.
@@ -267,11 +254,6 @@ class SsspServer {
   /// Cache counters (all-zero when the cache is disabled).
   ResultCacheStats cache_stats() const;
 
-  /// Pins the landmark oracle snapshot, or null when disabled. Like the
-  /// engine, the oracle is epoch-swapped: the returned pointer stays
-  /// valid across concurrent swap_engine() calls.
-  std::shared_ptr<const LandmarkOracle> oracle() const;
-
   /// Pins the currently-published engine snapshot (never null). The
   /// engine stays alive for as long as the caller holds the pointer, no
   /// matter how many swaps race past — the way to stamp answers or read
@@ -282,9 +264,8 @@ class SsspServer {
   /// without a quiescent point: in-flight submits and micro-batches
   /// finish on the snapshot they pinned; the old engine is destroyed when
   /// its last pin drops. Purges cache rows of epochs older than `next`'s
-  /// (a stale key can never match again — free its memory eagerly) and
-  /// rebuilds the landmark oracle against `next`. Build `next` with
-  /// SsspEngine::next_epoch so the epoch strictly increases.
+  /// (a stale key can never match again — free its memory eagerly). Build
+  /// `next` with SsspEngine::next_epoch so the epoch strictly increases.
   void swap_engine(std::shared_ptr<const SsspEngine> next);
 
  private:
@@ -329,11 +310,10 @@ class SsspServer {
                       std::chrono::steady_clock::time_point now,
                       std::uint64_t e2e_us);
 
-  // The published engine snapshot, accessed only through the C++17
-  // atomic shared_ptr free functions (the SnapshotSwap pattern): submit
-  // pins once per request, execute pins once per micro-batch, and
-  // swap_engine publishes a successor. Never null after construction.
-  std::shared_ptr<const SsspEngine> engine_;
+  // The published engine snapshot: submit pins once per request, execute
+  // pins once per micro-batch, and swap_engine publishes a successor.
+  // Never null after construction.
+  SnapshotSwap<SsspEngine> engine_;
   const ServerOptions opts_;
 
   // THE counter source of truth: every ServerStats field is a registry
@@ -351,7 +331,6 @@ class SsspServer {
   obs::Gauge& max_batch_;  // high-watermark (record_max)
   obs::Counter& cache_hits_;
   obs::Counter& cache_misses_;
-  obs::Counter& lb_exits_;
   obs::Counter& swaps_;
   obs::Counter& traced_;
   obs::Counter& slow_queries_;
@@ -366,12 +345,8 @@ class SsspServer {
   std::atomic<std::uint64_t> trace_seq_{0};
   const bool marks_enabled_;
 
-  // Caching/oracle layer (null when disabled). The oracle is swapped
-  // with the engine: batchers pin it alongside the engine snapshot and
-  // check valid_for() against that same snapshot, so an oracle mid-
-  // rebuild never annotates a request with cross-epoch bounds.
+  // Result cache (null when disabled).
   std::unique_ptr<ResultCache> cache_;
-  std::shared_ptr<const LandmarkOracle> oracle_;
 
   BoundedQueue<Pending> queue_;
   std::vector<std::thread> batchers_;
@@ -402,9 +377,8 @@ class SsspServer {
 /// fixture tests, and the README metric table in lockstep:
 ///
 ///   accepted=5 completed=5 shed=0 invalid=0 shutdown=0 batches=2
-///   mean_batch=2.50 max_batch=4 cache_hits=1 cache_misses=4
-///   lower_bound_exits=0 epoch=1 swaps=0 in_flight=0 p50_us=42 p99_us=91
-///   p999_us=91 traced=0 slow=0
+///   mean_batch=2.50 max_batch=4 cache_hits=1 cache_misses=4 epoch=1
+///   swaps=0 in_flight=0 p50_us=42 p99_us=91 p999_us=91 traced=0 slow=0
 ///
 /// Every value is read from the server's MetricsRegistry — the same cells
 /// the `metrics` exposition renders — so the two can never disagree.

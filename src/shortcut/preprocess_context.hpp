@@ -3,9 +3,9 @@
 // path's QueryContext.
 //
 // Every preprocessing pass (k-radius computation, limited ball search,
-// shortcut construction, parameter tuning) runs the same per-ball inner
-// loop: a truncated Dijkstra into a ball, a selection pass over the ball's
-// shortest-path tree, and a staging append of the chosen shortcut edges.
+// shortcut construction) runs the same per-ball inner loop: a truncated
+// Dijkstra into a ball, a selection pass over the ball's shortest-path
+// tree, and a staging append of the chosen shortcut edges.
 // Allocating that scratch per ball is what used to dominate the OpenMP
 // loops (one vertex-list + one hash map + DP tables per ball). A
 // PreprocessContext owns all of it once:

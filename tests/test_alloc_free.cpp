@@ -27,6 +27,7 @@
 #include "shortcut/ball_search.hpp"
 #include "shortcut/kradius.hpp"
 #include "shortcut/preprocess_context.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -133,7 +134,7 @@ TEST(AllocFree, WarmTargetedServeAllocatesNothing) {
   ctx.set_sequential(true);
   QueryResponse resp;
   engine.serve(req, ctx, resp);  // warm-up (also builds the transpose)
-  const QueryResult full = engine.query(3);
+  const QueryResponse full = engine.serve(test::full_request(3));
   for (const TargetResult& tr : resp.targets) {
     ASSERT_EQ(tr.dist, full.dist[tr.target]);
   }
@@ -184,7 +185,7 @@ TEST(AllocFree, WarmCachedTargetedServeAllocatesNothing) {
   }
   EXPECT_EQ(measured, 0u);
 
-  const QueryResult full = engine.query(3);
+  const QueryResponse full = engine.serve(test::full_request(3));
   ASSERT_EQ(resp.targets.size(), req.targets.size());
   for (const TargetResult& tr : resp.targets) {
     ASSERT_EQ(tr.dist, full.dist[tr.target]);  // still exact when warm

@@ -24,7 +24,7 @@ TEST(SsspEngine, QueryMatchesDijkstraOnAllEngines) {
     opts.k = 2;
     const SsspEngine engine(g, opts);
     const auto ref = dijkstra(g, 0);
-    EXPECT_EQ(engine.query(0, QueryEngine::kFlat).dist, ref) << name;
+    EXPECT_EQ(engine.serve(test::full_request(0)).dist, ref) << name;
   }
 }
 
@@ -35,9 +35,12 @@ TEST(SsspEngine, PathAvoidsShortcutEdgesAndClosesDistance) {
   opts.k = 1;
   opts.heuristic = ShortcutHeuristic::kFull1Rho;  // plenty of shortcuts
   const SsspEngine engine(g, opts);
-  const QueryResult q = engine.query(0);
   const Vertex target = g.num_vertices() - 1;
-  const auto path = engine.path(q, target);
+  QueryRequest req = test::full_request(0);
+  req.targets = {target};
+  req.want_paths = true;
+  const QueryResponse q = engine.serve(req);
+  const auto& path = q.targets[0].path;
   ASSERT_GE(path.size(), 2u);
   EXPECT_EQ(path.front(), 0u);
   EXPECT_EQ(path.back(), target);
@@ -64,11 +67,11 @@ TEST(SsspEngine, QueryBatchMatchesIndividualQueries) {
   opts.rho = 8;
   const SsspEngine engine(g, opts);
   const std::vector<Vertex> sources{0, 17, 42, 99};
-  const auto batch = engine.query_batch(sources);
+  const auto batch = engine.serve_batch(test::full_requests(sources));
   ASSERT_EQ(batch.size(), sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
     EXPECT_EQ(batch[i].source, sources[i]);
-    EXPECT_EQ(batch[i].dist, engine.query(sources[i]).dist);
+    EXPECT_EQ(batch[i].dist, engine.serve(test::full_request(sources[i])).dist);
   }
 }
 
@@ -91,27 +94,14 @@ TEST(SsspEngine, PathOnDirectedGraphFollowsArcDirections) {
   pre.options.heuristic = ShortcutHeuristic::kNone;
   const SsspEngine engine(pre.graph, pre);
 
-  const QueryResult q = engine.query(0);
+  QueryRequest req = test::full_request(0);
+  req.targets = {9};
+  req.want_paths = true;
+  const QueryResponse q = engine.serve(req);
   ASSERT_EQ(q.dist[9], 9u);
-  const auto path = engine.path(q, 9);
+  const auto& path = q.targets[0].path;
   ASSERT_EQ(path.size(), 10u);
   for (Vertex v = 0; v < n; ++v) EXPECT_EQ(path[v], v);
-}
-
-TEST(SsspEngine, PathRejectsForeignQueryResult) {
-  const Graph g = assign_uniform_weights(gen::grid2d(6, 6), 1, 1, 9);
-  PreprocessOptions opts;
-  opts.rho = 6;
-  const SsspEngine engine(g, opts);
-  // Default-constructed result: empty dist vector, must throw rather than
-  // index out of bounds.
-  EXPECT_THROW(engine.path(QueryResult{}, 0), std::invalid_argument);
-  // Result from an engine over a different-sized graph: same guard.
-  const Graph small = assign_uniform_weights(gen::grid2d(3, 3), 2, 1, 9);
-  PreprocessOptions small_opts;
-  small_opts.rho = 4;
-  const SsspEngine small_engine(small, small_opts);
-  EXPECT_THROW(engine.path(small_engine.query(0), 0), std::invalid_argument);
 }
 
 TEST(SsspEngine, PathToUnreachableIsEmpty) {
@@ -120,9 +110,12 @@ TEST(SsspEngine, PathToUnreachableIsEmpty) {
   opts.rho = 2;
   opts.heuristic = ShortcutHeuristic::kNone;
   const SsspEngine engine(g, opts);
-  const QueryResult q = engine.query(0);
-  EXPECT_TRUE(engine.path(q, 2).empty());
-  EXPECT_THROW(engine.path(q, 9), std::invalid_argument);
+  QueryRequest req = test::full_request(0);
+  req.targets = {2};
+  req.want_paths = true;
+  EXPECT_TRUE(engine.serve(req).targets[0].path.empty());
+  req.targets = {9};
+  EXPECT_THROW(engine.serve(req), std::invalid_argument);
 }
 
 TEST(SsspEngine, UnweightedEngineGuardRails) {
@@ -131,14 +124,16 @@ TEST(SsspEngine, UnweightedEngineGuardRails) {
   none.rho = 8;
   none.heuristic = ShortcutHeuristic::kNone;
   const SsspEngine ok(unit, none);
-  EXPECT_EQ(ok.query(0, QueryEngine::kUnweighted).dist, dijkstra(unit, 0));
+  EXPECT_EQ(ok.serve(test::full_request(0, QueryEngine::kUnweighted)).dist,
+            dijkstra(unit, 0));
 
   PreprocessOptions dp;
   dp.rho = 8;
   dp.k = 2;
   const SsspEngine with_shortcuts(unit, dp);
-  EXPECT_THROW(with_shortcuts.query(0, QueryEngine::kUnweighted),
-               std::invalid_argument);
+  EXPECT_THROW(
+      with_shortcuts.serve(test::full_request(0, QueryEngine::kUnweighted)),
+      std::invalid_argument);
 }
 
 TEST(Serialize, RoundTripPreservesEverything) {
@@ -173,7 +168,7 @@ TEST(Serialize, LoadedPreprocessingAnswersQueries) {
   save_preprocessing(pre, buf);
 
   const SsspEngine engine(g, load_preprocessing(buf));
-  EXPECT_EQ(engine.query(7).dist, dijkstra(g, 7));
+  EXPECT_EQ(engine.serve(test::full_request(7)).dist, dijkstra(g, 7));
 }
 
 TEST(Serialize, RejectsGarbage) {

@@ -14,7 +14,6 @@
 #include "graph/weights.hpp"
 #include "parallel/primitives.hpp"
 #include "shortcut/kradius.hpp"
-#include "shortcut/tuning.hpp"
 #include "test_util.hpp"
 
 namespace rs {
@@ -170,18 +169,6 @@ TEST(PreprocessPool, PooledRadiiAndKRadiiMatchPlain) {
   }
 }
 
-TEST(PreprocessPool, PooledTuningEstimateMatchesPlain) {
-  PreprocessPool pool;
-  const Graph g = test::weighted_suite(25)[2].graph;
-  for (const Vertex rho : {Vertex{8}, Vertex{16}}) {
-    const double plain =
-        estimate_added_factor(g, rho, 2, ShortcutHeuristic::kDP, 32, 7);
-    const double pooled =
-        estimate_added_factor(g, rho, 2, ShortcutHeuristic::kDP, 32, 7, pool);
-    EXPECT_EQ(plain, pooled) << "rho=" << rho;
-  }
-}
-
 TEST(SsspEngine, PooledConstructorMatchesPlain) {
   const Graph g = test::weighted_suite(27)[0].graph;
   PreprocessOptions opts;
@@ -193,7 +180,8 @@ TEST(SsspEngine, PooledConstructorMatchesPlain) {
   const SsspEngine warm(g, opts, pool);
   expect_identical(plain.preprocessing(), pooled.preprocessing(), "pooled");
   expect_identical(plain.preprocessing(), warm.preprocessing(), "warm");
-  EXPECT_EQ(plain.query(3).dist, warm.query(3).dist);
+  EXPECT_EQ(plain.serve(test::full_request(3)).dist,
+            warm.serve(test::full_request(3)).dist);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Batch-serving equivalence suite: query_batch's two-level scheduler and
+// Batch-serving equivalence suite: serve_batch's two-level scheduler and
 // the reusable QueryContext must be invisible to callers — batched results
 // bit-identical to sequential per-source queries, warm contexts identical
 // to fresh ones, sequential engine twins identical to the parallel ones —
@@ -58,14 +58,16 @@ TEST(QueryBatch, MatchesSequentialQueriesOnWeightedSuite) {
     const SsspEngine engine(g, opts);
     const std::vector<Vertex> sources = spread_sources(g, 8);
 
-    std::vector<QueryResult> ref;
-    for (const Vertex s : sources) ref.push_back(engine.query(s));
+    std::vector<QueryResponse> ref;
+    for (const Vertex s : sources) {
+      ref.push_back(engine.serve(test::full_request(s)));
+    }
 
     // 1 worker: sequential-twin batch loop; 3 workers: batch narrower than
     // 8 sources -> source-parallel; 8+: dynamic schedule with idle workers.
     for (const int nw : {1, 3, 8}) {
       set_num_workers(nw);
-      const auto batch = engine.query_batch(sources);
+      const auto batch = engine.serve_batch(test::full_requests(sources));
       ASSERT_EQ(batch.size(), sources.size());
       for (std::size_t i = 0; i < sources.size(); ++i) {
         EXPECT_EQ(batch[i].source, sources[i]);
@@ -85,11 +87,13 @@ TEST(QueryBatch, MatchesSequentialQueriesOnAdversarialSuite) {
   for (const auto& [name, g] : test::adversarial_suite(5)) {
     const SsspEngine engine = raw_engine(g);
     const std::vector<Vertex> sources = spread_sources(g, 6);
-    std::vector<QueryResult> ref;
-    for (const Vertex s : sources) ref.push_back(engine.query(s));
+    std::vector<QueryResponse> ref;
+    for (const Vertex s : sources) {
+      ref.push_back(engine.serve(test::full_request(s)));
+    }
     for (const int nw : {1, 4}) {
       set_num_workers(nw);
-      const auto batch = engine.query_batch(sources);
+      const auto batch = engine.serve_batch(test::full_requests(sources));
       for (std::size_t i = 0; i < sources.size(); ++i) {
         EXPECT_EQ(batch[i].dist, ref[i].dist) << name << " nw=" << nw;
         EXPECT_EQ(batch[i].dist, dijkstra(g, sources[i])) << name;
@@ -106,13 +110,15 @@ TEST(QueryBatch, UnweightedEngineBatchMatches) {
   opts.heuristic = ShortcutHeuristic::kNone;
   const SsspEngine engine(g, opts);
   const std::vector<Vertex> sources = spread_sources(g, 6);
-  std::vector<QueryResult> ref;
+  std::vector<QueryResponse> ref;
   for (const Vertex s : sources) {
-    ref.push_back(engine.query(s, QueryEngine::kUnweighted));
+    ref.push_back(
+        engine.serve(test::full_request(s, QueryEngine::kUnweighted)));
   }
   for (const int nw : {1, 4}) {
     set_num_workers(nw);
-    const auto batch = engine.query_batch(sources, QueryEngine::kUnweighted);
+    const auto batch = engine.serve_batch(
+        test::full_requests(sources, QueryEngine::kUnweighted));
     for (std::size_t i = 0; i < sources.size(); ++i) {
       EXPECT_EQ(batch[i].dist, ref[i].dist) << "nw=" << nw;
       EXPECT_EQ(batch[i].stats.steps, ref[i].stats.steps);
@@ -125,13 +131,14 @@ TEST(QueryBatch, EmptyBatchAndValidation) {
   PreprocessOptions opts;
   opts.rho = 6;
   const SsspEngine engine(g, opts);
-  EXPECT_TRUE(engine.query_batch({}).empty());
+  EXPECT_TRUE(engine.serve_batch(test::full_requests({})).empty());
   // Bad sources throw up front, before any parallel work starts.
-  EXPECT_THROW(engine.query_batch({0, g.num_vertices()}),
+  EXPECT_THROW(engine.serve_batch(test::full_requests({0, g.num_vertices()})),
                std::invalid_argument);
   // The unweighted guard also fires for batches (weighted graph here).
-  EXPECT_THROW(engine.query_batch({0}, QueryEngine::kUnweighted),
-               std::invalid_argument);
+  EXPECT_THROW(
+      engine.serve_batch(test::full_requests({0}, QueryEngine::kUnweighted)),
+      std::invalid_argument);
 }
 
 TEST(QueryContext, ReuseMatchesFreshContexts) {
@@ -143,14 +150,15 @@ TEST(QueryContext, ReuseMatchesFreshContexts) {
   const SsspEngine engine(g, opts);
 
   // Two queries through ONE warm context == two fresh-context queries.
+  const QueryRequest a = test::full_request(0);
+  const QueryRequest b = test::full_request(g.num_vertices() / 2);
   QueryContext ctx;
-  const auto warm_a = engine.query(0, QueryEngine::kFlat, ctx);
-  const auto warm_b =
-      engine.query(g.num_vertices() / 2, QueryEngine::kFlat, ctx);
-  EXPECT_EQ(warm_a.dist, engine.query(0).dist);
-  EXPECT_EQ(warm_b.dist, engine.query(g.num_vertices() / 2).dist);
+  const auto warm_a = engine.serve(a, ctx);
+  const auto warm_b = engine.serve(b, ctx);
+  EXPECT_EQ(warm_a.dist, engine.serve(a).dist);
+  EXPECT_EQ(warm_b.dist, engine.serve(b).dist);
   // Re-querying the first source through the used context still matches.
-  EXPECT_EQ(engine.query(0, QueryEngine::kFlat, ctx).dist, warm_a.dist);
+  EXPECT_EQ(engine.serve(a, ctx).dist, warm_a.dist);
 }
 
 TEST(QueryContext, ReuseAcrossGraphsOfDifferentSizes) {

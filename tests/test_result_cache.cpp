@@ -27,6 +27,7 @@
 #include "graph/weights.hpp"
 #include "serve/result_cache.hpp"
 #include "shortcut/shortcut.hpp"
+#include "test_util.hpp"
 
 namespace rs {
 namespace {
@@ -112,7 +113,7 @@ TEST(ResultCache, HitIsBitIdenticalAndReplaceInvalidates) {
   EXPECT_EQ(second.graph_epoch, first.graph_epoch);
 
   // And exact: the row really is the engine's answer.
-  const QueryResult full = engine.query(req.source);
+  const QueryResponse full = engine.serve(test::full_request(req.source));
   for (const TargetResult& tr : second.targets) {
     EXPECT_EQ(tr.dist, full.dist[tr.target]);
   }
@@ -131,7 +132,7 @@ TEST(ResultCache, HitIsBitIdenticalAndReplaceInvalidates) {
   EXPECT_FALSE(after.served_from_cache);
   EXPECT_EQ(after.graph_epoch, 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
-  const QueryResult fresh = next.query(req.source);
+  const QueryResponse fresh = next.serve(test::full_request(req.source));
   for (const TargetResult& tr : after.targets) {
     EXPECT_EQ(tr.dist, fresh.dist[tr.target]);
   }
@@ -220,7 +221,7 @@ TEST(ResultCache, ConcurrentMissesComputeOnce) {
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits + cache.stats().single_flight_waits,
             static_cast<std::uint64_t>(kThreads - 1));
-  const QueryResult full = engine.query(req.source);
+  const QueryResponse full = engine.serve(test::full_request(req.source));
   for (const QueryResponse& resp : responses) {
     ASSERT_EQ(resp.targets.size(), req.targets.size());
     for (const TargetResult& tr : resp.targets) {

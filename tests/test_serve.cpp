@@ -9,15 +9,20 @@
 //    RunStats);
 //  * serve_batch == per-request serve, in input order, for mixed requests;
 //  * expanded paths are genuine shortest paths of the ORIGINAL graph;
-//  * every entry point bounds-checks its inputs (the PR 5 bugfix:
-//    query(Vertex) historically validated only in query_batch);
+//  * every entry point bounds-checks its inputs;
 //  * responses carry provenance — graph_epoch stamping across next_epoch(),
-//    whose successor answers for the new graph — and the kTopK /
-//    lower-bound request shapes are validated at the edge.
+//    whose successor answers for the new graph — and the kTopK request
+//    shape is validated at the edge;
+//  * top-k — kTopK responses equal the sorted (dist, vertex) prefix of a
+//    full Dijkstra run, across both engines, worker counts, and k up to
+//    beyond the reachable count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <thread>
+#include <utility>
 
 #include "baseline/dijkstra.hpp"
 #include "core/engine.hpp"
@@ -48,6 +53,15 @@ SsspEngine raw_engine(const Graph& g, Dist r = 25) {
   pre.radius = constant_radii(g.num_vertices(), r);
   pre.options.heuristic = ShortcutHeuristic::kNone;
   return SsspEngine(g, std::move(pre));
+}
+
+std::vector<Vertex> spread_sources(const Graph& g, std::size_t count) {
+  const Vertex n = g.num_vertices();
+  std::vector<Vertex> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(static_cast<Vertex>((i * n) / count));
+  }
+  return out;
 }
 
 std::vector<Vertex> spread_targets(const Graph& g, std::size_t count) {
@@ -89,7 +103,7 @@ TEST(Serve, TargetedMatchesFullQueryOnWeightedSuite) {
     const Vertex source = g.num_vertices() / 3;
     const std::vector<Vertex> targets = spread_targets(g, 6);
 
-    const QueryResult full = engine.query(source);
+    const QueryResponse full = engine.serve(test::full_request(source));
     QueryRequest req;
     req.source = source;
     req.targets = targets;
@@ -135,7 +149,8 @@ TEST(Serve, TargetedUnweightedEngineMatches) {
   for (const auto& [name, g] : test::unweighted_suite(17)) {
     const SsspEngine engine = raw_engine(g, 6);
     const std::vector<Vertex> targets = spread_targets(g, 6);
-    const QueryResult full = engine.query(0, QueryEngine::kUnweighted);
+    const QueryResponse full =
+        engine.serve(test::full_request(0, QueryEngine::kUnweighted));
     for (const int nw : {1, 3, 8}) {
       set_num_workers(nw);
       QueryRequest req;
@@ -162,7 +177,7 @@ TEST(Serve, EarlyExitStrictlyReducesRoundsOnPathGraph) {
   opts.k = 2;
   const SsspEngine engine(g, opts);
 
-  const QueryResult full = engine.query(0);
+  const QueryResponse full = engine.serve(test::full_request(0));
   ASSERT_GT(full.stats.steps, 3u) << "chain too easy to measure early exit";
   QueryRequest req;
   req.source = 0;
@@ -178,7 +193,8 @@ TEST(Serve, EarlyExitStrictlyReducesRoundsOnPathGraph) {
   // Same for the unweighted engine on the unit-weight chain.
   const Graph unit = gen::chain(400);
   const SsspEngine ue = raw_engine(unit, 4);
-  const QueryResult ufull = ue.query(0, QueryEngine::kUnweighted);
+  const QueryResponse ufull =
+      ue.serve(test::full_request(0, QueryEngine::kUnweighted));
   ASSERT_GT(ufull.stats.steps, 3u);
   QueryRequest ureq;
   ureq.source = 0;
@@ -195,7 +211,7 @@ TEST(Serve, WantFullDistancesDisablesEarlyExitAndFillsBoth) {
   PreprocessOptions opts;
   opts.rho = 8;
   const SsspEngine engine(g, opts);
-  const QueryResult full = engine.query(0);
+  const QueryResponse full = engine.serve(test::full_request(0));
 
   QueryRequest req;
   req.source = 0;
@@ -209,13 +225,22 @@ TEST(Serve, WantFullDistancesDisablesEarlyExitAndFillsBoth) {
   EXPECT_EQ(resp.targets[1].dist, full.dist[2]);
 }
 
-TEST(Serve, PathsMatchLegacyPathOnFullRuns) {
+/// The path a full run from `source` gives `target` alone: a one-target
+/// request with want_paths and want_full_distances.
+std::vector<Vertex> full_run_path(const SsspEngine& engine, Vertex source,
+                                  Vertex target) {
+  QueryRequest req = test::full_request(source);
+  req.targets = {target};
+  req.want_paths = true;
+  return engine.serve(req).targets[0].path;
+}
+
+TEST(Serve, PathsMatchSingleTargetServesOnFullRuns) {
   for (const auto& [name, g] : test::weighted_suite(7)) {
     PreprocessOptions opts;
     opts.rho = 12;
     opts.k = 2;
     const SsspEngine engine(g, opts);
-    const QueryResult full = engine.query(0);
     QueryRequest req;
     req.source = 0;
     req.targets = spread_targets(g, 4);
@@ -223,20 +248,20 @@ TEST(Serve, PathsMatchLegacyPathOnFullRuns) {
     req.want_full_distances = true;  // exhaustive: closure sets identical
     const QueryResponse resp = engine.serve(req);
     for (const TargetResult& tr : resp.targets) {
-      EXPECT_EQ(tr.path, engine.path(full, tr.target)) << name;
+      EXPECT_EQ(tr.path, full_run_path(engine, 0, tr.target)) << name;
     }
   }
 }
 
 TEST(Serve, ClosureWalkMatchesParentsFromDistancesOracle) {
-  // path() and serve(want_paths) now share extract_path_by_closure; pin
-  // both against the INDEPENDENT pre-PR5 reconstruction (full
+  // serve(want_paths) walks extract_path_by_closure; pin multi- and
+  // one-target serves against the INDEPENDENT reconstruction (full
   // parents_from_distances pass + extract_path) so a tie-break divergence
   // in the closure walk cannot slip by with both sides changing together.
   // Directed graph: the transpose actually differs from the graph.
   for (const auto& [name, g] : test::adversarial_suite(21)) {
     const SsspEngine engine = raw_engine(g);
-    const QueryResult full = engine.query(1);
+    const QueryResponse full = engine.serve(test::full_request(1));
     const std::vector<Vertex> parent =
         parents_from_distances(g, g.transposed(), full.dist);
     QueryRequest req;
@@ -250,7 +275,7 @@ TEST(Serve, ClosureWalkMatchesParentsFromDistancesOracle) {
                                              ? std::vector<Vertex>{}
                                              : extract_path(parent, tr.target);
       EXPECT_EQ(tr.path, oracle) << name << " target " << tr.target;
-      EXPECT_EQ(engine.path(full, tr.target), oracle) << name;
+      EXPECT_EQ(full_run_path(engine, 1, tr.target), oracle) << name;
     }
   }
 }
@@ -357,7 +382,8 @@ TEST(Serve, SourceTargetAndDuplicateEdgeCases) {
   EXPECT_TRUE(resp.targets.empty());
   EXPECT_TRUE(resp.dist.empty());
   EXPECT_FALSE(resp.stats.early_exit);
-  EXPECT_EQ(resp.stats.settled, engine.query(5).stats.settled);
+  EXPECT_EQ(resp.stats.settled,
+            engine.serve(test::full_request(5)).stats.settled);
 }
 
 TEST(Serve, UnreachableTargetIsInfiniteWithEmptyPath) {
@@ -412,26 +438,9 @@ TEST(Serve, WarmContextAndResponseReuseStaysExact) {
   }
 }
 
-TEST(Serve, LegacyWrappersAgreeWithServe) {
-  const Graph g = assign_uniform_weights(gen::grid2d(10, 11), 8);
-  PreprocessOptions opts;
-  opts.rho = 10;
-  const SsspEngine engine(g, opts);
-  QueryRequest req;
-  req.source = 3;
-  req.want_full_distances = true;
-  const QueryResponse resp = engine.serve(req);
-  const QueryResult q = engine.query(3);
-  EXPECT_EQ(q.dist, resp.dist);
-  EXPECT_EQ(q.stats.steps, resp.stats.steps);
-  const auto batch = engine.query_batch({3, 7});
-  EXPECT_EQ(batch[0].dist, resp.dist);
-}
-
 TEST(Serve, EveryEntryPointBoundsChecksItsInputs) {
-  // Regression for the PR 5 bugfix: query(Vertex) and the QueryContext
-  // overload historically did not validate `source` (only query_batch
-  // did); all entry points must reject out-of-range vertices up front.
+  // Every entry point — fresh, warm-context and batch; full and targeted
+  // — must reject out-of-range vertices up front.
   const Graph g = assign_uniform_weights(gen::grid2d(6, 6), 1, 1, 9);
   PreprocessOptions opts;
   opts.rho = 6;
@@ -439,11 +448,13 @@ TEST(Serve, EveryEntryPointBoundsChecksItsInputs) {
   const Vertex n = g.num_vertices();
   QueryContext ctx;
 
-  EXPECT_THROW(engine.query(n), std::invalid_argument);
-  EXPECT_THROW(engine.query(kNoVertex), std::invalid_argument);
-  EXPECT_THROW(engine.query(n, QueryEngine::kFlat, ctx),
+  EXPECT_THROW(engine.serve(test::full_request(n)), std::invalid_argument);
+  EXPECT_THROW(engine.serve(test::full_request(kNoVertex)),
                std::invalid_argument);
-  EXPECT_THROW(engine.query_batch({0, n}), std::invalid_argument);
+  EXPECT_THROW(engine.serve(test::full_request(n), ctx),
+               std::invalid_argument);
+  EXPECT_THROW(engine.serve_batch(test::full_requests({0, n})),
+               std::invalid_argument);
 
   QueryRequest bad_source;
   bad_source.source = n;
@@ -526,7 +537,7 @@ TEST(Serve, TouchedResetRestoresContextInvariantAcrossRequests) {
     req.targets = {static_cast<Vertex>((i * 13 + 1) % n),
                    static_cast<Vertex>((i * 41 + 7) % n)};
     engine.serve(req, ctx, resp);
-    const QueryResult ref = engine.query(req.source);
+    const QueryResponse ref = engine.serve(test::full_request(req.source));
     for (const TargetResult& tr : resp.targets) {
       ASSERT_EQ(tr.dist, ref.dist[tr.target]) << "request " << i;
     }
@@ -601,7 +612,6 @@ TEST(Serve, ResponsesAreEpochStampedAndReplaceBumps) {
   const QueryResponse before = engine.serve(req);
   EXPECT_EQ(before.graph_epoch, 1u);
   EXPECT_FALSE(before.served_from_cache);  // the engine never serves rows
-  EXPECT_EQ(before.lower_bound_exits, 0u);  // no bounds were attached
 
   // next_epoch(): same vertex set, different weights — the successor's
   // epoch bumps and it answers with the new graph's distances, while the
@@ -640,27 +650,73 @@ TEST(Serve, TopKRequestsAreValidated) {
   EXPECT_THROW(engine.serve(req), std::invalid_argument);
 
   req.targets.clear();
-  req.target_lower_bounds = {1};  // ...and no lower bounds
-  EXPECT_THROW(engine.serve(req), std::invalid_argument);
-
-  req.target_lower_bounds.clear();
   const QueryResponse resp = engine.serve(req);
   EXPECT_EQ(resp.targets.size(), 3u);
   EXPECT_EQ(resp.targets[0].target, 0u);  // the source is its own nearest
   EXPECT_EQ(resp.targets[0].dist, 0u);
 }
 
-TEST(Serve, MismatchedLowerBoundsAreRejected) {
-  const SsspEngine engine =
-      raw_engine(assign_uniform_weights(gen::chain(30), 3, 1, 10));
+TEST(TopK, MatchesSortedDijkstraPrefix) {
+  // The top-k exit reads the settled count summed over every worker of
+  // the run, and the answer comes from every worker's first-touch list.
+  WorkerGuard guard;
+  for (const auto& c : test::weighted_suite()) {
+    const SsspEngine engine = raw_engine(c.graph);
+    const Vertex n = c.graph.num_vertices();
+    QueryContext ctx;
+    for (const Vertex s : spread_sources(c.graph, 3)) {
+      const std::vector<Dist> truth = dijkstra(c.graph, s);
+      std::vector<std::pair<Dist, Vertex>> order;
+      for (Vertex v = 0; v < n; ++v) {
+        if (truth[v] < kInfDist) order.push_back({truth[v], v});
+      }
+      std::sort(order.begin(), order.end());
+
+      for (const int workers : {1, 3, 8}) {
+        set_num_workers(workers);
+        for (const std::uint32_t k :
+             {std::uint32_t{1}, std::uint32_t{5}, std::uint32_t{32},
+              static_cast<std::uint32_t>(n + 7)}) {
+          QueryRequest req;
+          req.source = s;
+          req.kind = RequestKind::kTopK;
+          req.k = k;
+          const QueryResponse resp = engine.serve(req, ctx);
+          const std::size_t m = std::min<std::size_t>(k, order.size());
+          ASSERT_EQ(resp.targets.size(), m)
+              << c.name << " s=" << s << " k=" << k << " nw=" << workers;
+          for (std::size_t i = 0; i < m; ++i) {
+            ASSERT_EQ(resp.targets[i].target, order[i].second);
+            ASSERT_EQ(resp.targets[i].dist, order[i].first);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TopK, UnweightedEngine) {
+  const Graph g = assign_unit_weights(gen::grid2d(14, 13));
+  const SsspEngine engine = raw_engine(g, /*r=*/4);
+  const std::vector<Dist> truth = dijkstra(g, 7);
+  std::vector<std::pair<Dist, Vertex>> order;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    order.push_back({truth[v], v});
+  }
+  std::sort(order.begin(), order.end());
+
   QueryRequest req;
-  req.source = 0;
-  req.targets = {5, 9};
-  req.target_lower_bounds = {1};  // must be empty or parallel to targets
-  EXPECT_THROW(engine.serve(req), std::invalid_argument);
-  req.target_lower_bounds = {1, 2};
-  const QueryResponse resp = engine.serve(req);
-  EXPECT_EQ(resp.targets.size(), 2u);
+  req.source = 7;
+  req.kind = RequestKind::kTopK;
+  req.k = 40;
+  req.engine = QueryEngine::kUnweighted;
+  QueryContext ctx;
+  const QueryResponse resp = engine.serve(req, ctx);
+  ASSERT_EQ(resp.targets.size(), 40u);
+  for (std::size_t i = 0; i < 40; ++i) {
+    ASSERT_EQ(resp.targets[i].target, order[i].second);
+    ASSERT_EQ(resp.targets[i].dist, order[i].first);
+  }
 }
 
 }  // namespace

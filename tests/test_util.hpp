@@ -1,10 +1,12 @@
 // Shared helpers for the test suite: a palette of small-but-interesting
-// graphs that the SSSP batteries sweep over.
+// graphs that the SSSP batteries sweep over, and the full-distance request
+// their answers are checked against.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "core/request.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -13,6 +15,27 @@
 #include "parallel/rng.hpp"
 
 namespace rs::test {
+
+/// A full-distance request from `source`: the exhaustive run that
+/// targeted, batched and cached answers are checked against.
+inline QueryRequest full_request(Vertex source,
+                                 QueryEngine engine = QueryEngine::kFlat) {
+  QueryRequest req;
+  req.source = source;
+  req.want_full_distances = true;
+  req.engine = engine;
+  return req;
+}
+
+/// One full_request() per source, in order.
+inline std::vector<QueryRequest> full_requests(
+    const std::vector<Vertex>& sources,
+    QueryEngine engine = QueryEngine::kFlat) {
+  std::vector<QueryRequest> out;
+  out.reserve(sources.size());
+  for (const Vertex s : sources) out.push_back(full_request(s, engine));
+  return out;
+}
 
 struct GraphCase {
   std::string name;
