@@ -1,13 +1,11 @@
 // Flat engine vs the Algorithm 2 reference: the practical atomic-array
-// engine against the faithful treap formulation (core/rs_bst.hpp), plus the
-// unweighted specialist. Quantifies the O(log n)-factor bookkeeping the
-// paper's analysis charges.
+// engine against the faithful treap formulation (core/rs_bst.hpp).
+// Quantifies the O(log n)-factor bookkeeping the paper's analysis charges.
 #include <benchmark/benchmark.h>
 
 #include "core/radii.hpp"
 #include "core/radius_stepping.hpp"
 #include "core/rs_bst.hpp"
-#include "core/rs_unweighted.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
 #include "shortcut/ball_search.hpp"
@@ -18,18 +16,14 @@ using namespace rs;
 
 struct Setup {
   Graph weighted;
-  Graph unit;
   std::vector<Dist> radius_w;
-  std::vector<Dist> radius_u;
 };
 
 const Setup& setup() {
   static const Setup s = [] {
     Setup out;
-    out.unit = gen::grid2d(96, 96);
-    out.weighted = assign_uniform_weights(out.unit, 3);
+    out.weighted = assign_uniform_weights(gen::grid2d(96, 96), 3);
     out.radius_w = all_radii(out.weighted, 32);
-    out.radius_u = all_radii(out.unit, 32);
     return out;
   }();
   return s;
@@ -61,14 +55,6 @@ void BM_FlatSetEngine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlatSetEngine)->Unit(benchmark::kMillisecond);
-
-void BM_UnweightedEngine(benchmark::State& state) {
-  const Setup& s = setup();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(radius_stepping_unweighted(s.unit, 0, s.radius_u));
-  }
-}
-BENCHMARK(BM_UnweightedEngine)->Unit(benchmark::kMillisecond);
 
 void BM_FlatEngineRhoSweep(benchmark::State& state) {
   // Step-count vs work trade-off: same graph, radii from different rho.

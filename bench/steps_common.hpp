@@ -15,7 +15,6 @@
 
 #include "core/radii.hpp"
 #include "core/radius_stepping.hpp"
-#include "core/rs_unweighted.hpp"
 #include "exp_common.hpp"
 #include "shortcut/ball_search.hpp"
 
@@ -27,19 +26,16 @@ inline std::vector<Vertex> step_rhos(const Scale& s, bool weighted) {
   return {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000};
 }
 
-/// Mean steps over `sources` for one (graph, rho).
+/// Mean steps over `sources` for one (graph, rho). Unit-weight graphs run
+/// the same engine: on them its steps equal the §3.4 BFS-style variant's.
 inline double mean_steps(const Graph& g, const std::vector<Vertex>& sources,
-                         Vertex rho, bool weighted) {
+                         Vertex rho) {
   const std::vector<Dist> radius =
       rho == 1 ? dijkstra_radii(g.num_vertices()) : all_radii(g, rho);
   double total = 0;
   for (const Vertex src : sources) {
     RunStats stats;
-    if (weighted) {
-      radius_stepping(g, src, radius, &stats);
-    } else {
-      radius_stepping_unweighted(g, src, radius, &stats);
-    }
+    radius_stepping(g, src, radius, &stats);
     total += static_cast<double>(stats.steps);
   }
   return total / static_cast<double>(sources.size());
@@ -61,7 +57,7 @@ inline StepsTable compute_steps_table(const std::vector<NamedGraph>& graphs,
     const auto sources = sample_sources(g, s.sources);
     std::vector<double> row;
     for (const Vertex rho : t.rhos) {
-      row.push_back(mean_steps(g, sources, rho, weighted));
+      row.push_back(mean_steps(g, sources, rho));
     }
     t.steps.push_back(std::move(row));
   }

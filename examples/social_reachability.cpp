@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(g.num_undirected_edges()),
               static_cast<unsigned long long>(deg.max), deg.mean);
 
-  // Engine over the raw unit-weight graph (no shortcuts), so the BFS-
-  // regime kUnweighted engine applies: hop distances, radius-guided steps.
+  // Engine over the raw unit-weight graph (no shortcuts): hop distances,
+  // with steps guided by the r_rho radii (the §3.4 regime).
   PreprocessResult pre;
   pre.graph = g;
   pre.radius = all_radii(g, /*rho=*/16);
@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
   QueryRequest profile;
   profile.source = 0;
   profile.want_full_distances = true;
-  profile.engine = QueryEngine::kUnweighted;
   const QueryResponse full = engine.serve(profile);
   std::size_t reached3 = 0;
   for (Vertex v = 0; v < n; ++v) {
@@ -58,7 +57,6 @@ int main(int argc, char** argv) {
   reach.source = 0;
   reach.targets = {n / 2, n - 1, 1};
   reach.want_paths = true;
-  reach.engine = QueryEngine::kUnweighted;
   const QueryResponse resp = engine.serve(reach);
   std::printf("  targeted serve: %zu steps%s (vs %zu full)\n",
               resp.stats.steps, resp.stats.early_exit ? ", early exit" : "",

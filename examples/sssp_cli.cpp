@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "baseline/bellman_ford.hpp"
-#include "baseline/bfs.hpp"
 #include "baseline/delta_stepping.hpp"
 #include "baseline/dijkstra.hpp"
 #include "core/engine.hpp"
@@ -304,13 +303,17 @@ int cmd_query(const Args& args) {
 int cmd_run(const Args& args) {
   if (args.positional().empty()) {
     std::fprintf(stderr, "usage: sssp_cli run <graph> [--algo all|dijkstra|"
-                         "delta|bf|bfs|rs] [--source S] [--rho R]\n");
+                         "delta|bf|rs] [--source S] [--rho R]\n");
     return 1;
   }
   const Vertex src = static_cast<Vertex>(get_checked(
       args, "--source", 0, 0,
       static_cast<long>(std::numeric_limits<Vertex>::max())));
   const std::string algo = args.get("--algo", "all");
+  if (algo != "all" && algo != "dijkstra" && algo != "delta" && algo != "bf" &&
+      algo != "rs") {
+    throw std::invalid_argument("unknown --algo " + algo);
+  }
   const Vertex rho = static_cast<Vertex>(args.get_int("--rho", 64));
   args.reject_unread();
   const Graph g = load_graph(args.positional()[0]);

@@ -6,7 +6,6 @@
 #include <omp.h>
 
 #include "core/radius_stepping.hpp"
-#include "core/rs_unweighted.hpp"
 #include "core/sp_tree.hpp"
 #include "parallel/primitives.hpp"
 
@@ -51,12 +50,6 @@ SsspEngine SsspEngine::next_epoch(const SsspEngine& prior, Graph original,
 }
 
 void SsspEngine::validate(const QueryRequest& req) const {
-  if (req.engine == QueryEngine::kUnweighted &&
-      (pre_.added_edges != 0 || pre_.graph.max_weight() != 1)) {
-    throw std::invalid_argument(
-        "SsspEngine: unweighted engine needs a unit-weight graph with no "
-        "shortcut edges (use ShortcutHeuristic::kNone)");
-  }
   const Vertex n = pre_.graph.num_vertices();
   if (req.source >= n) {
     throw std::invalid_argument("SsspEngine: bad source");
@@ -110,28 +103,18 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
     if (topk && !req.want_full_distances) ctx.set_k_goal(req.k);
   }
 
-  if (req.engine == QueryEngine::kUnweighted) {
-    radius_stepping_unweighted_partial(pre_.graph, req.source, pre_.radius,
-                                       ctx, &resp.stats);
-  } else {
-    radius_stepping_partial(pre_.graph, req.source, pre_.radius, ctx,
-                            &resp.stats);
-  }
+  radius_stepping_partial(pre_.graph, req.source, pre_.radius, ctx,
+                          &resp.stats);
 
   if (topk) {
     // k-nearest extraction from the first-touch records: at the exit
     // boundary every SETTLED touched vertex carries its final distance and
     // every unsettled vertex is strictly farther (Theorem 3.1), so the k
-    // smallest settled (dist, vertex) pairs are exactly the k nearest. The
-    // unweighted engine claims whole levels and never marks settled
-    // stamps; all its touched vertices are final. All buffers come from
-    // the context, so a warm top-k serve allocates nothing.
+    // smallest settled (dist, vertex) pairs are exactly the k nearest. All
+    // buffers come from the context: a warm top-k serve allocates nothing.
     auto& buf = ctx.topk_buffer();
-    const bool all_final = req.engine == QueryEngine::kUnweighted;
     ctx.for_each_touched([&](Vertex v) {
-      if (all_final || ctx.is_settled(v)) {
-        buf.push_back({ctx.read_dist(v), v});
-      }
+      if (ctx.is_settled(v)) buf.push_back({ctx.read_dist(v), v});
     });
     const std::size_t m = std::min<std::size_t>(req.k, buf.size());
     std::partial_sort(buf.begin(),
@@ -169,7 +152,7 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
   }
 
   // End the query: the full copy only when asked, otherwise restore the
-  // context's all-infinite invariant in O(touched) — every engine records
+  // context's all-infinite invariant in O(touched) — the engine records
   // first-touches, so a targeted serve that early-terminated after a
   // handful of vertices no longer pays an O(n) sweep per request.
   if (req.want_full_distances) {

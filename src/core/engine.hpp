@@ -1,8 +1,7 @@
 /// \file
 /// SsspEngine: the batteries-included entry point a downstream application
 /// uses. Owns the preprocessed (k, rho)-graph and radii and serves typed
-/// QueryRequests (core/request.hpp) with the flat radius-stepping engine,
-/// or the BFS-style one on unit-weight graphs without shortcuts.
+/// QueryRequests (core/request.hpp) with the flat radius-stepping engine.
 ///
 /// \code
 ///   SsspEngine engine(graph, {.rho = 64, .k = 3});
@@ -82,8 +81,8 @@ class SsspEngine {
   /// Serves one request (semantics in core/request.hpp): per-target
   /// distances — and optional expanded paths — in O(|targets|) space,
   /// with early termination once every target is settled; or the full
-  /// distance vector when asked. Validates source, targets, and engine
-  /// choice (std::invalid_argument). This overload allocates fresh
+  /// distance vector when asked. Validates source, targets and top-k
+  /// fields (std::invalid_argument). This overload allocates fresh
   /// per-request state; use the QueryContext form on the serving path.
   QueryResponse serve(const QueryRequest& req) const;
 
@@ -99,8 +98,8 @@ class SsspEngine {
              QueryResponse& resp) const;
 
   /// One response per request, in input order, bit-identical to per-
-  /// request serve() calls. Requests may mix sources, target sets, flags,
-  /// and engines.
+  /// request serve() calls. Requests may mix sources, target sets, kinds
+  /// and flags.
   ///
   /// Scheduling: with W workers and B requests, B >= W runs
   /// request-parallel (one strictly sequential query per worker, contexts
@@ -114,8 +113,8 @@ class SsspEngine {
   std::vector<QueryResponse> serve_batch(
       const std::vector<QueryRequest>& requests) const;
 
-  /// Throws std::invalid_argument unless source, every target, and the
-  /// engine choice are valid for this preprocessing. serve/serve_batch
+  /// Throws std::invalid_argument unless the source, every target and
+  /// the top-k fields are valid for this preprocessing. serve/serve_batch
   /// call it implicitly; admission layers (serve/server.hpp) call it at
   /// accept time so one bad request is rejected on its own instead of
   /// failing the micro-batch it would have been coalesced into.

@@ -112,8 +112,8 @@ class QueryContext {
   // step-boundary distances final, so the exit is exact). Each vertex is
   // settled by exactly one worker, so the per-vertex stamps are plain.
   // Workers call take_target(), count what they took, and the run folds
-  // the counts in with count_taken_targets(); note_target_settled() does
-  // both at once. clear_targets() is O(1); stamps are epoch-invalidated.
+  // the counts in with count_taken_targets(). clear_targets() is O(1);
+  // stamps are epoch-invalidated.
   void set_targets(Vertex n, const Vertex* targets, std::size_t count);
   void clear_targets() {
     targeted_ = false;
@@ -133,11 +133,6 @@ class QueryContext {
   }
   /// Counts `taken` targets un-stamped by an engine's workers.
   void count_taken_targets(std::size_t taken) { targets_remaining_ -= taken; }
-  /// Records that `v` settled; decrements the remaining count the first
-  /// time a stamped target settles (idempotent per query).
-  void note_target_settled(Vertex v) {
-    if (take_target(v)) count_taken_targets(1);
-  }
 
   // --- k-nearest queries (top-k early termination) -------------------------
   // The kTopK request kind: engines stop at the first step boundary with
@@ -165,7 +160,7 @@ class QueryContext {
   }
 
   // --- per-worker scratch and first-touch tracking -------------------------
-  // Every radius-stepping engine records each vertex whose tentative
+  // The radius-stepping engine records each vertex whose tentative
   // distance leaves kInfDist — exactly once per query, at the moment of
   // the inf -> finite transition — into its worker's `touched` list.
   // reset_touched() then restores the all-infinite invariant by writing
@@ -177,7 +172,7 @@ class QueryContext {
   // old value == kInfDist; parallel twins use the write_min overload that
   // reports the pre-CAS value, whose kInfDist observation has a unique
   // winner. A missed record would leak a stale finite distance into the
-  // next query, so the contract is pinned by tests over every engine.
+  // next query, so the contract is pinned by tests over both twins.
 
   /// Ensures at least `count` WorkerScratch entries exist, with every list
   /// empty and every counter reset (capacities kept). Engines call this
@@ -190,7 +185,7 @@ class QueryContext {
   /// O(touched) epilogue: restores the all-infinite invariant by resetting
   /// exactly the recorded vertices, then clears the records. Only valid
   /// when every inf -> finite transition since workers() was recorded
-  /// (all radius-stepping engine partials guarantee this).
+  /// (radius_stepping_partial guarantees this).
   void reset_touched();
 
   // --- tentative distances -------------------------------------------------

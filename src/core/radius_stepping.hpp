@@ -48,7 +48,7 @@ void radius_stepping(const Graph& g, Vertex source,
 /// Serving primitive: runs the engine leaving tentative distances IN the
 /// context — read the ones you need with ctx.read_dist(), then restore the
 /// invariant with ctx.finish_query() or the O(touched) ctx.reset_touched()
-/// (every engine records first-touches). Honors
+/// (the engine records first-touches). Honors
 /// ctx.has_targets(): a targeted run may stop at the first step boundary
 /// where every stamped target is settled (targets are then exact; other
 /// vertices hold upper bounds). SsspEngine::serve builds on this.

@@ -20,7 +20,7 @@
 ///    straight out of the engine's working distance array (zero-copy —
 ///    the O(n) dist vector is neither copied nor allocated) and optional
 ///    paths are expanded by a targeted backward walk over the cached
-///    transpose. The request epilogue is O(touched), not O(n): every
+///    transpose. The request epilogue is O(touched), not O(n): the
 ///    engine records first-touches in its relax loop and the context
 ///    resets exactly those entries (QueryContext::reset_touched), so an
 ///    early-terminated request does work proportional to what it actually
@@ -28,6 +28,9 @@
 ///  * `want_full_distances` requests the classic O(n) dist vector; it
 ///    disables early termination (a partial vector would not be the full
 ///    answer).
+///
+/// Every request runs Algorithm 1 (core/radius_stepping.hpp); Algorithm 2
+/// survives only as the test reference in core/rs_bst.hpp.
 #pragma once
 
 #include <cstdint>
@@ -38,15 +41,6 @@
 #include "obs/trace.hpp"
 
 namespace rs {
-
-/// Which Radius-Stepping implementation answers a request. Algorithm 2
-/// (the paper's ordered-set formulation) is not served: it survives as the
-/// full-output reference in core/rs_bst.hpp that tests check kFlat against.
-enum class QueryEngine : std::uint8_t {
-  kFlat,        ///< Atomic-array engine (default).
-  kUnweighted,  ///< BFS-style engine; only valid when the graph is
-                ///< unit-weight and preprocessing added no shortcuts.
-};
 
 /// What a request asks for.
 enum class RequestKind : std::uint8_t {
@@ -94,10 +88,7 @@ struct QueryRequest {
   /// Forces a full run: early termination is disabled.
   bool want_full_distances = false;
 
-  /// Which Radius-Stepping implementation answers this request.
-  QueryEngine engine = QueryEngine::kFlat;
-
-  /// Trace this request: the engines take per-phase clock readings into
+  /// Trace this request: the engine takes per-phase clock readings into
   /// RunStats (relax/partition ns) and the server assembles a
   /// span breakdown into QueryResponse::trace. Normally set by the
   /// server's sampling knob (ServerOptions::trace_sample), not by hand.

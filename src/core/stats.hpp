@@ -22,8 +22,7 @@ struct RunStats {
   /// in every substep, all of its original arcs and then its shortcut
   /// arcs up to and including the first one that lands beyond d_i (see
   /// Graph::first_shortcut_arc). On an unsplit graph that is every
-  /// out-arc; the unweighted engine counts every expanded vertex's
-  /// out-arcs. The work the relaxations were drawn from.
+  /// out-arc. The work the relaxations were drawn from.
   std::size_t edges_scanned = 0;
   /// Largest active set |A_i| seen.
   std::size_t max_active = 0;
@@ -41,7 +40,7 @@ struct RunStats {
   // Per-phase wall time, filled ONLY when the request is traced
   // (QueryContext::trace_phases; see obs/trace.hpp) — the RunStats hooks
   // the observability subsystem turns into engine-detail trace spans.
-  // Zero on untraced runs: the engines take no clock readings then.
+  // Zero on untraced runs: the engine takes no clock readings then.
   /// Relaxation substeps (Algorithm 1's inner loop).
   std::uint64_t relax_ns = 0;
   /// Frontier drain + A_i/B_i partitioning after each substep.

@@ -146,9 +146,8 @@ Graph build_graph(Vertex n, std::vector<EdgeTriple> triples,
 
 Graph merge_edges(const Graph& g, std::vector<EdgeTriple> extra) {
   // The base graph's arcs are appended to `extra`, and one counting sort
-  // buckets both, base arcs first in each bucket. Both are symmetrized,
-  // so a directed base graph gains its reverse arcs, as build_graph would
-  // give it.
+  // buckets both, base arcs first in each bucket. Both are symmetrized;
+  // `g` is symmetric, so no reverse arc beats the base arc dedup keeps.
   const Vertex n = g.num_vertices();
   const std::size_t num_extra = extra.size();
   extra.resize(num_extra + g.num_edges());

@@ -35,11 +35,15 @@ Graph build_graph(Vertex n, std::vector<EdgeTriple> triples,
 /// in the shortcut segment, only when it is strictly lighter; otherwise
 /// the base arc stays and the extra arc is dropped.
 ///
-/// Precondition: no extra arc is lighter than the distance between its
-/// endpoints in (symmetrized) `g` — a shortcut weighs a path of `g`. Every
-/// shortest path then runs over original arcs alone, which is what lets
-/// radius stepping skip shortcut arcs beyond d_i and stay exact. All
-/// producers meet it: they add ball or hop-limited distances.
+/// Preconditions:
+///  * `g` is symmetric (is_symmetric, graph/stats.hpp): its arcs are
+///    symmetrized too, so a directed `g` would gain reverse arcs.
+///    preprocess() and IncrementalPreprocessor check it once per build.
+///  * No extra arc is lighter than the distance between its endpoints in
+///    `g` — a shortcut weighs a path of `g`. Every shortest path then runs
+///    over original arcs alone, which is what lets radius stepping skip
+///    shortcut arcs beyond d_i and stay exact. All producers meet it: they
+///    add ball or hop-limited distances.
 ///
 /// One counting sort buckets both arc sets at once, base arcs first in
 /// each vertex's bucket; O(m + sum_v d_v log d_v) work, like build_graph,

@@ -92,6 +92,34 @@ bool is_connected(const Graph& g) {
                      [](Vertex c) { return c == 0; });
 }
 
+bool is_symmetric(const Graph& g) {
+  // In build_graph's (target, weight) order a pair's first arc is its
+  // lightest, and the reverse pair's first arc is one binary search away.
+  // A graph in any other order is checked on a sorted copy.
+  std::atomic<bool> asymmetric{false}, unsorted{false};
+  parallel_for(0, g.num_vertices(), [&](std::size_t su) {
+    const auto u = static_cast<Vertex>(su);
+    for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
+      const Vertex v = g.arc_target(e);
+      if (e > g.first_arc(u) && g.arc_target(e - 1) >= v) {
+        if (g.arc_target(e - 1) > v || g.arc_weight(e - 1) > g.arc_weight(e)) {
+          unsorted.store(true, std::memory_order_relaxed);
+        }
+        continue;
+      }
+      if (v == u) continue;
+      const Span<Vertex> back = g.neighbors(v);
+      const Vertex* it = std::lower_bound(back.begin(), back.end(), u);
+      const EdgeId r = g.first_arc(v) + static_cast<EdgeId>(it - back.begin());
+      if (it == back.end() || *it != u || g.arc_weight(r) != g.arc_weight(e)) {
+        asymmetric.store(true, std::memory_order_relaxed);
+      }
+    }
+  }, /*grain=*/256);
+  if (unsorted.load()) return is_symmetric(g.with_target_sorted_adjacency());
+  return !asymmetric.load();
+}
+
 Graph largest_component(const Graph& g, std::vector<Vertex>* old_to_new) {
   const Vertex n = g.num_vertices();
   const std::vector<Vertex> comp = connected_components(g);

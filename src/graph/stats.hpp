@@ -22,6 +22,12 @@ std::vector<Vertex> connected_components_parallel(const Graph& g);
 
 bool is_connected(const Graph& g);
 
+/// True when, for every pair u != v, the lightest u->v arc weighs the same
+/// as the lightest v->u arc (a missing arc counts as infinitely heavy):
+/// the graph is undirected as far as shortest paths can tell. Self-loops
+/// are ignored. O(m log d) for maximum degree d.
+bool is_symmetric(const Graph& g);
+
 /// Induced subgraph of the largest connected component. `old_to_new` (if
 /// non-null) receives the vertex mapping (kNoVertex for dropped vertices).
 Graph largest_component(const Graph& g,

@@ -163,7 +163,6 @@ QueryResponse DynamicSsspService::serve_corrected(const QueryRequest& req) {
   // Exact old row on the published epoch, repaired to the staged weights.
   QueryRequest full;
   full.source = req.source;
-  full.engine = req.engine;
   full.want_full_distances = true;
   QueryResponse resp = eng->serve(full);
   repair_distance_row(staged_graph_, staged_transpose_, req.source,

@@ -178,7 +178,6 @@ void cached_serve(const SsspEngine& engine, ResultCache& cache,
   try {
     QueryRequest full;
     full.source = req.source;
-    full.engine = req.engine;
     full.want_full_distances = true;
     QueryResponse computed = engine.serve(full, ctx);
     auto owned = std::make_shared<CachedRow>();

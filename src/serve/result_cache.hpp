@@ -5,17 +5,13 @@
 /// Millions of clients concentrate their queries on few sources (hub
 /// airports, trending accounts). Radius-Stepping makes ONE query fast;
 /// the cache makes the Nth query from the same source O(|targets|): a
-/// completed full-distance row is kept keyed by (source, engine,
-/// graph_epoch), and any later targeted request for that key is answered
-/// by projecting the requested entries straight out of the row — no
-/// engine run, no O(n) work, and (with a warm response) no heap
-/// allocation.
+/// completed full-distance row is kept keyed by (source, graph_epoch),
+/// and any later targeted request for that key is answered by projecting
+/// the requested entries straight out of the row — no engine run, no O(n)
+/// work, and (with a warm response) no heap allocation.
 ///
 /// Keying rules:
 ///  * `source` — rows are per-source by construction.
-///  * `engine` — all engines produce bit-identical distances, but
-///    RunStats differ per engine and callers compare them; keying on the
-///    engine keeps a cached response bit-identical to the computed one.
 ///  * `graph_epoch` — SsspEngine::graph_epoch() at compute time. A graph
 ///    swap bumps the epoch, so every old row silently stops matching; the
 ///    stale entries are reclaimed by LRU pressure or purge_stale().
@@ -68,27 +64,25 @@ struct CachedRow {
   Vertex source = kNoVertex;      ///< The row's SSSP source.
   std::uint64_t graph_epoch = 0;  ///< Epoch the row was computed against.
   std::vector<Dist> dist;  ///< Full distance vector of the computing run.
-  RunStats stats;          ///< The computing run's stats (engine-specific).
+  RunStats stats;          ///< The computing run's stats.
 };
 /// Shared handle to an immutable cached row.
 using RowPtr = std::shared_ptr<const CachedRow>;
 
 /// What a cached row is keyed by; see the file comment for the rules.
 struct CacheKey {
-  Vertex source = kNoVertex;                ///< Row source.
-  QueryEngine engine = QueryEngine::kFlat;  ///< Engine that computed it.
-  std::uint64_t graph_epoch = 0;            ///< Preprocessing generation.
+  Vertex source = kNoVertex;      ///< Row source.
+  std::uint64_t graph_epoch = 0;  ///< Preprocessing generation.
 
   /// Field-wise equality.
   bool operator==(const CacheKey& o) const {
-    return source == o.source && engine == o.engine &&
-           graph_epoch == o.graph_epoch;
+    return source == o.source && graph_epoch == o.graph_epoch;
   }
 };
 
 /// Builds the cache key a request resolves to against `engine` right now.
 inline CacheKey key_for(const SsspEngine& engine, const QueryRequest& req) {
-  return CacheKey{req.source, req.engine, engine.graph_epoch()};
+  return CacheKey{req.source, engine.graph_epoch()};
 }
 
 /// True when a request can be answered from / admitted into the cache:
@@ -174,10 +168,9 @@ class ResultCache {
 
   struct KeyHash {
     std::size_t operator()(const CacheKey& k) const {
-      // splitmix64-style mixing over the three fields.
+      // splitmix64-style mixing over the two fields.
       std::uint64_t h =
           static_cast<std::uint64_t>(k.source) * 0x9e3779b97f4a7c15ull;
-      h ^= (static_cast<std::uint64_t>(k.engine) + 1) * 0xbf58476d1ce4e5b9ull;
       h ^= k.graph_epoch * 0x94d049bb133111ebull;
       h ^= h >> 31;
       return static_cast<std::size_t>(h);

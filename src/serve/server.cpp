@@ -21,15 +21,11 @@ std::shared_ptr<const SsspEngine> non_null(
   return engine;
 }
 
-/// Theorem 3.2's substep bound for a request that `eng` runs on `engine`:
-/// k + 2 on the (k, rho)-graph (k = 1 under kFull1Rho), or 0 when it does
-/// not apply — no shortcuts, or the BFS-style engine.
-std::size_t substep_bound(const SsspEngine& eng, QueryEngine engine) {
+/// Theorem 3.2's substep bound for a run on `eng`: k + 2 on the
+/// (k, rho)-graph (k = 1 under kFull1Rho), or 0 without shortcuts.
+std::size_t substep_bound(const SsspEngine& eng) {
   const PreprocessOptions& o = eng.preprocessing().options;
-  if (o.heuristic == ShortcutHeuristic::kNone ||
-      engine != QueryEngine::kFlat) {
-    return 0;
-  }
+  if (o.heuristic == ShortcutHeuristic::kNone) return 0;
   return (o.heuristic == ShortcutHeuristic::kFull1Rho ? 1 : o.k) + 2;
 }
 
@@ -384,7 +380,7 @@ void SsspServer::assemble_trace(Pending& p, QueryResponse& resp,
     tb.add(obs::SpanId::kRespond, 0, rel(p.t_engine_done),
            ns_between(p.t_engine_done, now));
     // Engine-phase detail (duration-only; anchored at the engine span's
-    // start) from the RunStats hooks the engines filled for this traced
+    // start) from the RunStats hooks the engine filled for this traced
     // run.
     if (resp.stats.relax_ns != 0) {
       tb.add(obs::SpanId::kRelax, 1, rel(p.t_exec), resp.stats.relax_ns);
@@ -454,7 +450,6 @@ void SsspServer::execute(std::vector<Pending>& batch) {
       case CacheRole::kOwner: {
         QueryRequest full;
         full.source = p.request.source;
-        full.engine = p.request.engine;
         full.want_full_distances = true;
         full.trace = p.request.trace;
         exec_idx.push_back(i);
@@ -506,8 +501,8 @@ void SsspServer::execute(std::vector<Pending>& batch) {
   }
 
   // Live Theorem 3.2 check on every engine run (cache hits ran none).
-  const auto check_substeps = [&](QueryEngine engine, const RunStats& stats) {
-    const std::size_t bound = substep_bound(*eng, engine);
+  const std::size_t bound = substep_bound(*eng);
+  const auto check_substeps = [&](const RunStats& stats) {
     if (bound != 0 && stats.max_substeps_in_step > bound) {
       substep_bound_exceeded_.add();
     }
@@ -516,7 +511,7 @@ void SsspServer::execute(std::vector<Pending>& batch) {
     for (std::size_t j = 0; j < exec_idx.size(); ++j) {
       Pending& p = batch[exec_idx[j]];
       QueryResponse& r = responses[j];
-      check_substeps(requests[j].engine, r.stats);
+      check_substeps(r.stats);
       if (p.role == CacheRole::kOwner) {
         // Publish the row FIRST (waiters in this very batch read it just
         // below), then answer the owner's original targeted request from
@@ -559,7 +554,7 @@ void SsspServer::execute(std::vector<Pending>& batch) {
       } else {
         if (marks_enabled_) p.t_exec = std::chrono::steady_clock::now();
         QueryResponse resp = eng->serve(p.request);
-        check_substeps(p.request.engine, resp.stats);
+        check_substeps(resp.stats);
         if (marks_enabled_) {
           p.t_engine_done = std::chrono::steady_clock::now();
         }

@@ -84,7 +84,7 @@ enum class SubmitStatus : std::uint8_t {
   kQueueFull,     ///< Backpressure: queue at capacity, try again later.
   kShuttingDown,  ///< Server no longer admits requests.
   kInvalid,       ///< Request failed SsspEngine::validate (bad source,
-                  ///< target, or engine choice).
+                  ///< target, or top-k fields).
 };
 
 /// Stable lowercase token for a SubmitStatus ("accepted", "queue_full",
@@ -118,7 +118,7 @@ struct ServerOptions {
   /// requests (kTargets, no paths) that hit a cached full-distance row
   /// are answered synchronously AT SUBMIT TIME — no queue, no batching,
   /// no engine run: O(|targets|) per hit. Misses are computed once per
-  /// (source, engine, graph_epoch) and shared single-flight: the first
+  /// (source, graph_epoch) and shared single-flight: the first
   /// miss is upgraded to a full-distance run whose row every concurrent
   /// duplicate reuses.
   bool enable_cache = false;
@@ -127,7 +127,7 @@ struct ServerOptions {
 
   /// Trace every Nth admitted request (0 = off): sampled requests get a
   /// per-request span breakdown in QueryResponse::trace (obs/trace.hpp)
-  /// and the engines time their phases for them. The daemon wires
+  /// and the engine times its phases for them. The daemon wires
   /// `--trace-sample` / the RS_TRACE env into this.
   std::uint32_t trace_sample = 0;
 

@@ -16,8 +16,9 @@ namespace rs {
 IncrementalPreprocessor::IncrementalPreprocessor(
     const Graph& g, const PreprocessOptions& options)
     : graph_(g), options_(options) {
-  if (options.rho == 0) throw std::invalid_argument("preprocess: rho >= 1");
-  if (options.k == 0) throw std::invalid_argument("preprocess: k >= 1");
+  // Once per build: weight updates re-weight both directions of an edge,
+  // so they keep a symmetric graph symmetric.
+  check_preprocess_input(graph_, options);
   const Vertex n = graph_.num_vertices();
 
   std::vector<Vertex> all(n);

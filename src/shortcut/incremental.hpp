@@ -58,9 +58,10 @@ struct IncrementalUpdateStats {
 class IncrementalPreprocessor {
  public:
   /// Cold-builds all balls for `g` under `options`. Throws
-  /// std::invalid_argument for rho or k < 1 and std::overflow_error when
-  /// a shortcut weight exceeds the Weight range (same contract as
-  /// preprocess()).
+  /// std::invalid_argument for rho or k < 1 or for an asymmetric `g`
+  /// under a shortcut-adding heuristic (check_preprocess_input), and
+  /// std::overflow_error when a shortcut weight exceeds the Weight range
+  /// (same contract as preprocess()).
   IncrementalPreprocessor(const Graph& g, const PreprocessOptions& options);
 
   IncrementalPreprocessor(const IncrementalPreprocessor&) = delete;

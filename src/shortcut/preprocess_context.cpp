@@ -14,8 +14,7 @@ namespace rs {
 
 PreprocessResult preprocess(const Graph& g, const PreprocessOptions& options,
                             PreprocessPool& pool) {
-  if (options.rho == 0) throw std::invalid_argument("preprocess: rho >= 1");
-  if (options.k == 0) throw std::invalid_argument("preprocess: k >= 1");
+  check_preprocess_input(g, options);
   const Vertex n = g.num_vertices();
   const Graph gw = g.with_weight_sorted_adjacency();
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "graph/builder.hpp"
+#include "graph/stats.hpp"
 #include "shortcut/preprocess_context.hpp"
 
 namespace rs {
@@ -204,6 +205,16 @@ std::size_t min_shortcuts_bruteforce(const Ball& ball, Vertex k) {
 PreprocessResult preprocess(const Graph& g, const PreprocessOptions& options) {
   PreprocessPool pool;
   return preprocess(g, options, pool);
+}
+
+void check_preprocess_input(const Graph& g, const PreprocessOptions& options) {
+  if (options.rho == 0) throw std::invalid_argument("preprocess: rho >= 1");
+  if (options.k == 0) throw std::invalid_argument("preprocess: k >= 1");
+  if (options.heuristic != ShortcutHeuristic::kNone && !is_symmetric(g)) {
+    throw std::invalid_argument(
+        "preprocess: shortcuts need a symmetric graph (use kNone for a "
+        "directed one)");
+  }
 }
 
 }  // namespace rs

@@ -54,8 +54,14 @@ struct PreprocessResult {
 /// Runs ball searches from every vertex in parallel and applies the chosen
 /// shortcut heuristic. The result satisfies r(v) <= r̄_k(v) and
 /// |B(v, r(v))| >= rho on the returned graph (Lemma 4.1), with k = 1 for
-/// kFull1Rho and k = options.k for kGreedy / kDP.
+/// kFull1Rho and k = options.k for kGreedy / kDP. Throws as
+/// check_preprocess_input does.
 PreprocessResult preprocess(const Graph& g, const PreprocessOptions& options);
+
+/// Throws std::invalid_argument for rho or k < 1, or for a `g` that is not
+/// symmetric (is_symmetric) under a heuristic that adds shortcuts, since
+/// merge_edges would symmetrize its arcs. kNone accepts any graph.
+void check_preprocess_input(const Graph& g, const PreprocessOptions& options);
 
 /// Reusable scratch for shortcut selection: the ball's shortest-path-tree
 /// CSR, the DP tables, the traceback stack, a global->local index map,

@@ -1,8 +1,8 @@
 // Pins the zero-allocation contract of the warm serving hot path by
 // REPLACING the global allocator with a counting one: after a warm-up
 // query, a sequential-mode query through a reused QueryContext must
-// perform ZERO heap allocations in the engine — for the flat engine, the
-// unweighted engine, a targeted serve with paths, and a cached serve.
+// perform ZERO heap allocations in the engine — for a full query, a
+// targeted serve with paths, and a cached serve.
 //
 // The counter only ticks between arm()/disarm(), so gtest's own setup
 // allocations don't pollute the measurement. Measured queries reuse the
@@ -20,7 +20,6 @@
 #include "core/query_context.hpp"
 #include "core/radii.hpp"
 #include "core/radius_stepping.hpp"
-#include "core/rs_unweighted.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
 #include "serve/result_cache.hpp"
@@ -90,23 +89,6 @@ TEST(AllocFree, WarmSequentialFlatQueryAllocatesNothing) {
   {
     AllocationWindow window;
     radius_stepping(g, 3, radius, ctx, out);
-    measured = window.count();
-  }
-  EXPECT_EQ(measured, 0u);
-}
-
-TEST(AllocFree, WarmSequentialUnweightedQueryAllocatesNothing) {
-  const Graph g = gen::grid2d(20, 18);
-  const auto radius = all_radii(g, 6);
-  QueryContext ctx;
-  ctx.set_sequential(true);
-  std::vector<Dist> out;
-  radius_stepping_unweighted(g, 3, radius, ctx, out);  // warm-up
-
-  std::uint64_t measured;
-  {
-    AllocationWindow window;
-    radius_stepping_unweighted(g, 3, radius, ctx, out);
     measured = window.count();
   }
   EXPECT_EQ(measured, 0u);

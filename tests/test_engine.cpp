@@ -11,6 +11,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
+#include "shortcut/incremental.hpp"
 #include "shortcut/serialize.hpp"
 #include "test_util.hpp"
 
@@ -118,22 +119,35 @@ TEST(SsspEngine, PathToUnreachableIsEmpty) {
   EXPECT_THROW(engine.serve(req), std::invalid_argument);
 }
 
-TEST(SsspEngine, UnweightedEngineGuardRails) {
-  const Graph unit = gen::grid2d(8, 8);
-  PreprocessOptions none;
-  none.rho = 8;
-  none.heuristic = ShortcutHeuristic::kNone;
-  const SsspEngine ok(unit, none);
-  EXPECT_EQ(ok.serve(test::full_request(0, QueryEngine::kUnweighted)).dist,
-            dijkstra(unit, 0));
-
-  PreprocessOptions dp;
-  dp.rho = 8;
-  dp.k = 2;
-  const SsspEngine with_shortcuts(unit, dp);
-  EXPECT_THROW(
-      with_shortcuts.serve(test::full_request(0, QueryEngine::kUnweighted)),
-      std::invalid_argument);
+TEST(SsspEngine, ShortcutsRejectDirectedRing) {
+  // merge_edges symmetrizes every arc, so shortcuts over the one-way ring
+  // 0 -> 1 -> ... -> 9 -> 0 would add the reverse arc 0 -> 9 and answer
+  // d(0, 9) = 1 where Dijkstra gives 9. A shortcut-adding heuristic
+  // rejects the ring instead; kNone keeps its arcs and serves it exactly.
+  BuildOptions directed;
+  directed.symmetrize = false;
+  const Vertex n = 10;
+  std::vector<EdgeTriple> edges;
+  for (Vertex v = 0; v < n; ++v) {
+    edges.push_back({v, static_cast<Vertex>((v + 1) % n), 1});
+  }
+  const Graph ring = build_graph(n, std::move(edges), directed);
+  ASSERT_EQ(dijkstra(ring, 0)[9], 9u);
+  PreprocessOptions opts;
+  opts.rho = 4;
+  opts.k = 2;
+  for (const ShortcutHeuristic h :
+       {ShortcutHeuristic::kDP, ShortcutHeuristic::kFull1Rho,
+        ShortcutHeuristic::kGreedy}) {
+    opts.heuristic = h;
+    EXPECT_THROW(SsspEngine(ring, opts), std::invalid_argument) << to_string(h);
+    EXPECT_THROW(IncrementalPreprocessor(ring, opts), std::invalid_argument)
+        << to_string(h);
+  }
+  opts.heuristic = ShortcutHeuristic::kNone;
+  EXPECT_EQ(SsspEngine(ring, opts).serve(test::full_request(0)).dist,
+            dijkstra(ring, 0));
+  EXPECT_EQ(IncrementalPreprocessor(ring, opts).result().graph, ring);
 }
 
 TEST(Serialize, RoundTripPreservesEverything) {

@@ -406,6 +406,29 @@ TEST(Stats, DegreeStats) {
   EXPECT_DOUBLE_EQ(s.mean, 6.0 / 4.0);
 }
 
+TEST(Stats, IsSymmetricComparesLightestArcPerDirection) {
+  BuildOptions keep;
+  keep.symmetrize = false;
+  keep.remove_self_loops = false;
+  keep.dedup = false;
+  EXPECT_TRUE(is_symmetric(triangle()));
+  EXPECT_TRUE(is_symmetric(build_graph(3, {})));
+  // A one-way arc, and a pair whose directions weigh differently.
+  EXPECT_FALSE(is_symmetric(build_graph(2, {{0, 1, 4}}, keep)));
+  EXPECT_FALSE(is_symmetric(build_graph(2, {{0, 1, 4}, {1, 0, 5}}, keep)));
+  // Only the lightest arc per direction counts, and self-loops not at all.
+  EXPECT_TRUE(is_symmetric(build_graph(
+      2, {{0, 1, 9}, {0, 1, 4}, {1, 0, 4}, {1, 1, 2}}, keep)));
+  EXPECT_FALSE(is_symmetric(build_graph(
+      2, {{0, 1, 4}, {1, 0, 9}, {1, 0, 5}, {0, 0, 1}}, keep)));
+  // Lists out of (target, weight) order are checked on a sorted copy.
+  EXPECT_TRUE(is_symmetric(Graph({0, 2, 3}, {1, 1, 0}, {9, 4, 4})));
+  EXPECT_TRUE(is_symmetric(triangle().with_weight_sorted_adjacency()));
+  EXPECT_FALSE(is_symmetric(
+      build_graph(3, {{0, 2, 1}, {2, 0, 1}, {0, 1, 4}, {1, 0, 5}}, keep)
+          .with_weight_sorted_adjacency()));
+}
+
 TEST(Span, AdjacencyViewMatchesCsrArrays) {
   // rs::Span is the C++17 replacement for the std::span the accessors used
   // to return; pin its whole surface against the raw CSR arrays.

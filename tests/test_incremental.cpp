@@ -131,11 +131,27 @@ TEST(IncrementalPreprocessor, ChurnBitIdenticalKNone) {
 }
 
 TEST(IncrementalPreprocessor, ChurnBitIdenticalAdversarial) {
-  // Directed/multigraph/self-loop inputs: merge_edges symmetrizes the
-  // shortcut overlay identically on both paths, so bit-identity is the
-  // meaningful contract here (serving equivalence is covered by the
-  // raw-engine dynamic tests).
-  churn(test::adversarial_suite(44), ShortcutHeuristic::kDP, 703);
+  // Directed/multigraph/self-loop inputs. Shortcuts need a symmetric graph
+  // (merge_edges symmetrizes every arc), so the symmetric multigraph
+  // churns under kDP and the directed members under kNone, radii only;
+  // kDP rejects those on both paths. (Serving equivalence is covered by
+  // the raw-engine dynamic tests.)
+  std::vector<test::GraphCase> symmetric, directed;
+  for (auto& c : test::adversarial_suite(44)) {
+    (is_symmetric(c.graph) ? symmetric : directed).push_back(std::move(c));
+  }
+  ASSERT_FALSE(symmetric.empty());
+  ASSERT_FALSE(directed.empty());
+  churn(symmetric, ShortcutHeuristic::kDP, 703);
+  churn(directed, ShortcutHeuristic::kNone, 703);
+  PreprocessOptions dp;
+  dp.rho = 8;
+  dp.k = 2;
+  for (const auto& c : directed) {
+    EXPECT_THROW(IncrementalPreprocessor(c.graph, dp), std::invalid_argument)
+        << c.name;
+    EXPECT_THROW(preprocess(c.graph, dp), std::invalid_argument) << c.name;
+  }
 }
 
 TEST(IncrementalPreprocessor, ChurnBitIdenticalAcrossWorkerCounts) {

@@ -9,7 +9,6 @@
 #include "core/radii.hpp"
 #include "core/radius_stepping.hpp"
 #include "core/rs_bst.hpp"
-#include "core/rs_unweighted.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
@@ -74,7 +73,7 @@ TEST(Integration, UnweightedPipelineMatchesBfsEverywhere) {
     const Vertex src = static_cast<Vertex>(
         rng.bounded(0, static_cast<std::uint64_t>(qi), g.num_vertices()));
     RunStats stats;
-    const auto d = radius_stepping_unweighted(g, src, radius, &stats);
+    const auto d = radius_stepping(g, src, radius, &stats);
     EXPECT_EQ(d, bfs(g, src));
     std::size_t bfs_rounds = 0;
     bfs(g, src, &bfs_rounds);
@@ -99,11 +98,7 @@ TEST(Integration, MeanStepsShrinkWithRhoPaperTrend) {
           rng.bounded(weighted ? 10 : 20, static_cast<std::uint64_t>(i),
                       g.num_vertices()));
       RunStats stats;
-      if (weighted) {
-        radius_stepping(g, src, radius, &stats);
-      } else {
-        radius_stepping_unweighted(g, src, radius, &stats);
-      }
+      radius_stepping(g, src, radius, &stats);
       total += static_cast<double>(stats.steps);
     }
     return total / samples;

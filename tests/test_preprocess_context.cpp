@@ -1,8 +1,8 @@
 // PreprocessContext and the pooled preprocessing pipeline: pooled output
 // must be bit-identical to the plain path, invariant across worker counts
-// (including the adversarial directed multigraphs), and a pool must be
-// safely reusable across graphs of different sizes — growing and shrinking
-// — without stale-stamp bugs leaking state between runs.
+// (including the adversarial directed multigraphs, radii only), and a pool
+// must be safely reusable across graphs of different sizes — growing and
+// shrinking — without stale-stamp bugs leaking state between runs.
 #include "shortcut/preprocess_context.hpp"
 
 #include <gtest/gtest.h>
@@ -54,10 +54,23 @@ std::vector<test::GraphCase> both_suites(std::uint64_t seed) {
   return cases;
 }
 
+/// small_opts(), or its radii-only kNone form for a directed graph, which
+/// shortcut-adding heuristics reject.
+PreprocessOptions opts_for(const Graph& g) {
+  PreprocessOptions opts = small_opts();
+  if (!is_symmetric(g)) opts.heuristic = ShortcutHeuristic::kNone;
+  return opts;
+}
+
 TEST(PreprocessPool, PooledMatchesPlainAndWarmRerun) {
-  const PreprocessOptions opts = small_opts();
   PreprocessPool pool;  // shared across ALL cases: cross-graph reuse too
   for (const auto& [name, g] : both_suites(13)) {
+    const PreprocessOptions opts = opts_for(g);
+    if (opts.heuristic == ShortcutHeuristic::kNone) {
+      // Rejected before the pool is touched: later cases reuse it.
+      EXPECT_THROW(preprocess(g, small_opts(), pool), std::invalid_argument)
+          << name;
+    }
     const PreprocessResult plain = preprocess(g, opts);
     const PreprocessResult pooled = preprocess(g, opts, pool);
     const PreprocessResult warm = preprocess(g, opts, pool);
@@ -69,8 +82,8 @@ TEST(PreprocessPool, PooledMatchesPlainAndWarmRerun) {
 TEST(PreprocessPool, WorkerCountInvariantOverBothSuites) {
   // 1-vs-N-worker bit-identical PreprocessResult — including the directed /
   // self-loop / parallel-arc adversarial multigraphs.
-  const PreprocessOptions opts = small_opts();
   for (const auto& [name, g] : both_suites(17)) {
+    const PreprocessOptions opts = opts_for(g);
     PreprocessResult pre1, preN;
     {
       WorkerGuard guard(1);

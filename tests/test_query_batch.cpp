@@ -14,7 +14,6 @@
 #include "core/query_context.hpp"
 #include "core/radii.hpp"
 #include "core/radius_stepping.hpp"
-#include "core/rs_unweighted.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
 #include "parallel/context_pool.hpp"
@@ -102,7 +101,7 @@ TEST(QueryBatch, MatchesSequentialQueriesOnAdversarialSuite) {
   }
 }
 
-TEST(QueryBatch, UnweightedEngineBatchMatches) {
+TEST(QueryBatch, MatchesSequentialQueriesOnUnitGrid) {
   WorkerGuard guard;
   const Graph g = gen::grid2d(18, 15);
   PreprocessOptions opts;
@@ -112,13 +111,11 @@ TEST(QueryBatch, UnweightedEngineBatchMatches) {
   const std::vector<Vertex> sources = spread_sources(g, 6);
   std::vector<QueryResponse> ref;
   for (const Vertex s : sources) {
-    ref.push_back(
-        engine.serve(test::full_request(s, QueryEngine::kUnweighted)));
+    ref.push_back(engine.serve(test::full_request(s)));
   }
   for (const int nw : {1, 4}) {
     set_num_workers(nw);
-    const auto batch = engine.serve_batch(
-        test::full_requests(sources, QueryEngine::kUnweighted));
+    const auto batch = engine.serve_batch(test::full_requests(sources));
     for (std::size_t i = 0; i < sources.size(); ++i) {
       EXPECT_EQ(batch[i].dist, ref[i].dist) << "nw=" << nw;
       EXPECT_EQ(batch[i].stats.steps, ref[i].stats.steps);
@@ -135,10 +132,6 @@ TEST(QueryBatch, EmptyBatchAndValidation) {
   // Bad sources throw up front, before any parallel work starts.
   EXPECT_THROW(engine.serve_batch(test::full_requests({0, g.num_vertices()})),
                std::invalid_argument);
-  // The unweighted guard also fires for batches (weighted graph here).
-  EXPECT_THROW(
-      engine.serve_batch(test::full_requests({0}, QueryEngine::kUnweighted)),
-      std::invalid_argument);
 }
 
 TEST(QueryContext, ReuseMatchesFreshContexts) {
@@ -180,9 +173,14 @@ TEST(QueryContext, SequentialTwinMatchesParallelEngine) {
   WorkerGuard guard;
   // One warm parallel context serves every graph at every worker count,
   // so its per-worker state grows (2 -> 3 -> 8) and shrinks (8 -> 2 at
-  // the next graph) between queries.
+  // the next graph) between queries. The unit-weight graphs add wide
+  // distance-tie classes.
   QueryContext par_ctx;
-  for (const auto& [name, g] : test::weighted_suite(17)) {
+  std::vector<test::GraphCase> cases = test::weighted_suite(17);
+  for (auto& c : test::unweighted_suite(19)) {
+    cases.push_back({"unit " + c.name, std::move(c.graph)});
+  }
+  for (const auto& [name, g] : cases) {
     const auto radius = all_radii(g, 8);
     QueryContext ctx;
     ctx.set_sequential(true);
@@ -245,45 +243,6 @@ TEST(RunStats, ZeroRadiiScanEachReachableArcOnce) {
       EXPECT_EQ(got, ref) << name << " nw=" << nw;
       EXPECT_EQ(stats.edges_scanned, want) << name << " nw=" << nw;
     }
-  }
-}
-
-TEST(RunStats, UnweightedScansEachReachableArcOnce) {
-  // Every reached vertex is expanded in exactly one level, whatever the
-  // radii.
-  WorkerGuard guard;
-  QueryContext par_ctx;
-  for (const auto& [name, g] : test::unweighted_suite(29)) {
-    const auto radius = all_radii(g, 6);
-    const EdgeId want = reachable_arcs(g, bfs(g, 0));
-    QueryContext seq_ctx;
-    seq_ctx.set_sequential(true);
-    std::vector<Dist> got;
-    RunStats stats;
-    radius_stepping_unweighted(g, 0, radius, seq_ctx, got, &stats);
-    EXPECT_EQ(stats.edges_scanned, want) << name << " sequential";
-    for (const int nw : {2, 3, 8}) {
-      set_num_workers(nw);
-      radius_stepping_unweighted(g, 0, radius, par_ctx, got, &stats);
-      EXPECT_EQ(stats.edges_scanned, want) << name << " nw=" << nw;
-    }
-  }
-}
-
-TEST(QueryContext, SequentialUnweightedTwinMatches) {
-  WorkerGuard guard;
-  set_num_workers(4);
-  for (const auto& [name, g] : test::unweighted_suite(19)) {
-    const auto radius = all_radii(g, 6);
-    RunStats par_stats, seq_stats;
-    const auto par = radius_stepping_unweighted(g, 0, radius, &par_stats);
-    QueryContext ctx;
-    ctx.set_sequential(true);
-    std::vector<Dist> seq;
-    radius_stepping_unweighted(g, 0, radius, ctx, seq, &seq_stats);
-    EXPECT_EQ(seq, par) << name;
-    EXPECT_EQ(seq_stats.steps, par_stats.steps) << name;
-    EXPECT_EQ(seq_stats.settled, par_stats.settled) << name;
   }
 }
 

@@ -146,7 +146,7 @@ TEST(ResultCache, HitIsBitIdenticalAndReplaceInvalidates) {
 
 TEST(ResultCache, SingleFlightRawProtocol) {
   ResultCache cache;
-  const CacheKey key{7, QueryEngine::kFlat, 1};
+  const CacheKey key{7, 1};
 
   RowPtr row;
   std::shared_future<RowPtr> pending;
@@ -177,7 +177,7 @@ TEST(ResultCache, SingleFlightRawProtocol) {
 
 TEST(ResultCache, OwnerFailureWakesWaitersAndRetires) {
   ResultCache cache;
-  const CacheKey key{3, QueryEngine::kUnweighted, 1};
+  const CacheKey key{3, 1};
   RowPtr row;
   std::shared_future<RowPtr> pending;
   ASSERT_EQ(cache.acquire(key, row, pending), CacheAcquire::kOwner);
@@ -237,7 +237,7 @@ TEST(ResultCache, LruEvictionIsExact) {
   ResultCache cache(opts);
 
   const auto key = [](Vertex s) {
-    return CacheKey{s, QueryEngine::kFlat, 1};
+    return CacheKey{s, 1};
   };
   const auto put = [&](Vertex s) {
     RowPtr row;
@@ -264,8 +264,8 @@ TEST(ResultCache, LruEvictionIsExact) {
 
 TEST(ResultCache, ClearSparesInFlightEntries) {
   ResultCache cache;
-  const CacheKey flying{1, QueryEngine::kFlat, 1};
-  const CacheKey resident{2, QueryEngine::kFlat, 1};
+  const CacheKey flying{1, 1};
+  const CacheKey resident{2, 1};
 
   RowPtr row;
   std::shared_future<RowPtr> pending;

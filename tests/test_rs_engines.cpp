@@ -1,6 +1,7 @@
-// Cross-engine equivalence: the flat engine (practical), the Algorithm 2
-// reference on the treap substrate (core/rs_bst.hpp) and the unweighted
-// engine (§3.4) must agree on distances AND on the step sequence.
+// Cross-engine equivalence: the flat engine (practical) and the Algorithm
+// 2 reference on the treap substrate (core/rs_bst.hpp) must agree on
+// distances AND on the step sequence; on unit-weight graphs (§3.4) both
+// must also equal BFS.
 #include <gtest/gtest.h>
 
 #include "baseline/bfs.hpp"
@@ -8,7 +9,6 @@
 #include "core/radii.hpp"
 #include "core/radius_stepping.hpp"
 #include "core/rs_bst.hpp"
-#include "core/rs_unweighted.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "shortcut/ball_search.hpp"
@@ -67,69 +67,50 @@ TEST(EngineEquivalence, BstRespectsSubstepBoundAfterPreprocessing) {
   }
 }
 
-class UnweightedEngineTest
+class UnitWeightTest
     : public ::testing::TestWithParam<std::tuple<int, Vertex>> {};
 
-TEST_P(UnweightedEngineTest, MatchesWeightedEngineOnUnitGraphs) {
+TEST_P(UnitWeightTest, FlatMatchesBstAndBfs) {
+  // The §3.4 regime: hop distances, with the step sequence still driven
+  // by the r_rho radii.
   const auto [seed, rho] = GetParam();
   for (const auto& [name, g] : test::unweighted_suite(seed)) {
     const auto radius = all_radii(g, rho);
-    RunStats uw_stats, w_stats;
-    const auto uw = radius_stepping_unweighted(g, 0, radius, &uw_stats);
-    const auto w = radius_stepping(g, 0, radius, &w_stats);
-    EXPECT_EQ(uw, w) << name << " rho=" << rho;
-    EXPECT_EQ(uw_stats.steps, w_stats.steps) << name << " rho=" << rho;
-    EXPECT_EQ(uw, bfs(g, 0)) << name;
+    RunStats flat_stats, bst_stats;
+    const auto flat = radius_stepping(g, 0, radius, &flat_stats);
+    const auto bst = radius_stepping_bst(g, 0, radius, &bst_stats);
+    EXPECT_EQ(flat, bst) << name << " rho=" << rho;
+    EXPECT_EQ(flat_stats.steps, bst_stats.steps) << name << " rho=" << rho;
+    EXPECT_EQ(flat, bfs(g, 0)) << name;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(SeedsAndRhos, UnweightedEngineTest,
+INSTANTIATE_TEST_SUITE_P(SeedsAndRhos, UnitWeightTest,
                          ::testing::Combine(::testing::Values(1, 2),
                                             ::testing::Values(1, 4, 16)));
 
-TEST(UnweightedEngine, RhoOneStepCountEqualsBfsRounds) {
+TEST(UnitWeight, RhoOneStepCountEqualsBfsRounds) {
   // rho = 1 -> r = 0 -> one step per BFS level: the Table 4/5 baseline row.
   for (const auto& [name, g] : test::unweighted_suite(3)) {
     RunStats stats;
-    radius_stepping_unweighted(g, 0, dijkstra_radii(g.num_vertices()), &stats);
+    radius_stepping(g, 0, dijkstra_radii(g.num_vertices()), &stats);
     std::size_t bfs_rounds = 0;
     bfs(g, 0, &bfs_rounds);
     EXPECT_EQ(stats.steps, bfs_rounds) << name;
   }
 }
 
-TEST(UnweightedEngine, SubstepsEqualLevelsSettled) {
-  const Graph g = assign_unit_weights(gen::chain(20));
-  RunStats stats;
-  radius_stepping_unweighted(g, 0, constant_radii(20, 4), &stats);
-  // 19 levels total; each step covers min-radius 4 extra levels.
-  EXPECT_EQ(stats.substeps, 19u);
-  EXPECT_LE(stats.steps, 5u);
-  EXPECT_GE(stats.steps, 4u);
-}
-
-TEST(UnweightedEngine, RejectsBadArguments) {
-  const Graph g = gen::chain(4);
-  EXPECT_THROW(radius_stepping_unweighted(g, 0, constant_radii(3, 0)),
-               std::invalid_argument);
-  EXPECT_THROW(radius_stepping_unweighted(g, 4, constant_radii(4, 0)),
-               std::invalid_argument);
-}
-
 TEST(EngineEquivalence, AllThreeOnUnitGridWithBallRadii) {
-  // NOTE: the unweighted engine requires unit weights, so it runs on the
-  // original graph with r_rho radii (shortcut edges would carry multi-hop
-  // weights). The weighted engines agree with it there.
+  // Flat engine, Algorithm 2 and BFS on the original unit-weight graph
+  // with r_rho radii (shortcut edges would carry multi-hop weights).
   const Graph g = assign_unit_weights(gen::grid2d(15, 15));
   const auto radius = all_radii(g, 12);
-  RunStats s_flat, s_bst, s_uw;
+  RunStats s_flat, s_bst;
   const auto d_flat = radius_stepping(g, 0, radius, &s_flat);
   const auto d_bst = radius_stepping_bst(g, 0, radius, &s_bst);
-  const auto d_uw = radius_stepping_unweighted(g, 0, radius, &s_uw);
   EXPECT_EQ(d_flat, d_bst);
-  EXPECT_EQ(d_flat, d_uw);
+  EXPECT_EQ(d_flat, bfs(g, 0));
   EXPECT_EQ(s_flat.steps, s_bst.steps);
-  EXPECT_EQ(s_flat.steps, s_uw.steps);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // The serving API contract (core/request.hpp + SsspEngine::serve*):
 //
 //  * targeted serve returns distances BIT-IDENTICAL to a full query for
-//    every requested target — for the flat and unweighted engines, the
-//    weighted AND adversarial suites, and several worker counts (early
-//    termination must be invisible in the answers);
+//    every requested target — over the weighted, unit-weight AND
+//    adversarial suites, and several worker counts (early termination
+//    must be invisible in the answers);
 //  * early exit actually fires: on a path graph with a near target the
 //    round count strictly drops versus the full run (asserted via
 //    RunStats);
@@ -14,8 +14,8 @@
 //    whose successor answers for the new graph — and the kTopK request
 //    shape is validated at the edge;
 //  * top-k — kTopK responses equal the sorted (dist, vertex) prefix of a
-//    full Dijkstra run, across both engines, worker counts, and k up to
-//    beyond the reachable count.
+//    full Dijkstra run, across weighted and unit-weight graphs, worker
+//    counts, and k up to beyond the reachable count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -144,19 +144,18 @@ TEST(Serve, TargetedMatchesDijkstraOnAdversarialSuite) {
   }
 }
 
-TEST(Serve, TargetedUnweightedEngineMatches) {
+TEST(Serve, TargetedMatchesFullQueryOnUnitWeightSuite) {
   WorkerGuard guard;
   for (const auto& [name, g] : test::unweighted_suite(17)) {
     const SsspEngine engine = raw_engine(g, 6);
     const std::vector<Vertex> targets = spread_targets(g, 6);
-    const QueryResponse full =
-        engine.serve(test::full_request(0, QueryEngine::kUnweighted));
+    const QueryResponse full = engine.serve(test::full_request(0));
+    ASSERT_EQ(full.dist, dijkstra(g, 0)) << name;
     for (const int nw : {1, 3, 8}) {
       set_num_workers(nw);
       QueryRequest req;
       req.source = 0;
       req.targets = targets;
-      req.engine = QueryEngine::kUnweighted;
       const QueryResponse resp = engine.serve(req);
       for (std::size_t i = 0; i < targets.size(); ++i) {
         EXPECT_EQ(resp.targets[i].dist, full.dist[targets[i]])
@@ -190,16 +189,14 @@ TEST(Serve, EarlyExitStrictlyReducesRoundsOnPathGraph) {
     EXPECT_LT(resp.stats.steps, full.stats.steps) << "nw=" << nw;
   }
 
-  // Same for the unweighted engine on the unit-weight chain.
+  // Same on the unit-weight chain without shortcuts.
   const Graph unit = gen::chain(400);
   const SsspEngine ue = raw_engine(unit, 4);
-  const QueryResponse ufull =
-      ue.serve(test::full_request(0, QueryEngine::kUnweighted));
+  const QueryResponse ufull = ue.serve(test::full_request(0));
   ASSERT_GT(ufull.stats.steps, 3u);
   QueryRequest ureq;
   ureq.source = 0;
   ureq.targets = {2};
-  ureq.engine = QueryEngine::kUnweighted;
   const QueryResponse uresp = ue.serve(ureq);
   EXPECT_EQ(uresp.targets[0].dist, ufull.dist[2]);
   EXPECT_TRUE(uresp.stats.early_exit);
@@ -470,12 +467,6 @@ TEST(Serve, EveryEntryPointBoundsChecksItsInputs) {
   // A default-constructed request carries source == kNoVertex.
   EXPECT_THROW(engine.serve(QueryRequest{}), std::invalid_argument);
 
-  // Engine guard still fires through serve (weighted graph here).
-  QueryRequest bad_engine;
-  bad_engine.source = 0;
-  bad_engine.engine = QueryEngine::kUnweighted;
-  EXPECT_THROW(engine.serve(bad_engine), std::invalid_argument);
-
   EXPECT_TRUE(engine.serve_batch({}).empty());
 }
 
@@ -695,7 +686,7 @@ TEST(TopK, MatchesSortedDijkstraPrefix) {
   }
 }
 
-TEST(TopK, UnweightedEngine) {
+TEST(TopK, UnitWeightGridWithTies) {
   const Graph g = assign_unit_weights(gen::grid2d(14, 13));
   const SsspEngine engine = raw_engine(g, /*r=*/4);
   const std::vector<Dist> truth = dijkstra(g, 7);
@@ -709,7 +700,6 @@ TEST(TopK, UnweightedEngine) {
   req.source = 7;
   req.kind = RequestKind::kTopK;
   req.k = 40;
-  req.engine = QueryEngine::kUnweighted;
   QueryContext ctx;
   const QueryResponse resp = engine.serve(req, ctx);
   ASSERT_EQ(resp.targets.size(), 40u);

@@ -18,22 +18,19 @@ namespace rs::test {
 
 /// A full-distance request from `source`: the exhaustive run that
 /// targeted, batched and cached answers are checked against.
-inline QueryRequest full_request(Vertex source,
-                                 QueryEngine engine = QueryEngine::kFlat) {
+inline QueryRequest full_request(Vertex source) {
   QueryRequest req;
   req.source = source;
   req.want_full_distances = true;
-  req.engine = engine;
   return req;
 }
 
 /// One full_request() per source, in order.
 inline std::vector<QueryRequest> full_requests(
-    const std::vector<Vertex>& sources,
-    QueryEngine engine = QueryEngine::kFlat) {
+    const std::vector<Vertex>& sources) {
   std::vector<QueryRequest> out;
   out.reserve(sources.size());
-  for (const Vertex s : sources) out.push_back(full_request(s, engine));
+  for (const Vertex s : sources) out.push_back(full_request(s));
   return out;
 }
 
