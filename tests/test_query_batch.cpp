@@ -173,14 +173,9 @@ TEST(QueryContext, SequentialTwinMatchesParallelEngine) {
   WorkerGuard guard;
   // One warm parallel context serves every graph at every worker count,
   // so its per-worker state grows (2 -> 3 -> 8) and shrinks (8 -> 2 at
-  // the next graph) between queries. The unit-weight graphs add wide
-  // distance-tie classes.
+  // the next graph) between queries.
   QueryContext par_ctx;
-  std::vector<test::GraphCase> cases = test::weighted_suite(17);
-  for (auto& c : test::unweighted_suite(19)) {
-    cases.push_back({"unit " + c.name, std::move(c.graph)});
-  }
-  for (const auto& [name, g] : cases) {
+  for (const auto& [name, g] : test::weighted_suite(17)) {
     const auto radius = all_radii(g, 8);
     QueryContext ctx;
     ctx.set_sequential(true);
@@ -203,6 +198,27 @@ TEST(QueryContext, SequentialTwinMatchesParallelEngine) {
       EXPECT_EQ(seq_stats.touched, par_stats.touched) << name << " nw=" << nw;
       EXPECT_GE(par_stats.substeps, par_stats.steps) << name << " nw=" << nw;
     }
+  }
+}
+
+TEST(QueryContext, SequentialUnweightedTwinMatches) {
+  // Unit weights give wide distance-tie classes: the sequential twin and
+  // the parallel body must agree on them, and both must equal BFS.
+  WorkerGuard guard;
+  set_num_workers(4);
+  for (const auto& [name, g] : test::unweighted_suite(19)) {
+    const auto radius = all_radii(g, 6);
+    RunStats par_stats, seq_stats;
+    const auto par = radius_stepping(g, 0, radius, &par_stats);
+    QueryContext ctx;
+    ctx.set_sequential(true);
+    std::vector<Dist> seq;
+    radius_stepping(g, 0, radius, ctx, seq, &seq_stats);
+    EXPECT_EQ(seq, par) << name;
+    EXPECT_EQ(seq, bfs(g, 0)) << name;
+    EXPECT_EQ(seq_stats.steps, par_stats.steps) << name;
+    EXPECT_EQ(seq_stats.settled, par_stats.settled) << name;
+    EXPECT_EQ(seq_stats.touched, par_stats.touched) << name;
   }
 }
 
