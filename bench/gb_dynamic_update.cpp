@@ -18,9 +18,9 @@
 // the same graph and the post-churn engine is checked against Dijkstra;
 // exits non-zero on any divergence.
 //
-// Knobs: RS_SCALE / RS_THREADS as usual, RS_RHO (default 32), RS_K
-// (default 3), RS_REPS (timing repetitions, default 5), RS_CHURN_Q
-// (queries per churn round, default 64).
+// Knobs: RS_SCALE / RS_THREADS as usual, RS_RHO and RS_K (default
+// PreprocessOptions{}'s), RS_REPS (timing repetitions, default 5),
+// RS_CHURN_Q (queries per churn round, default 64).
 #include <cstdio>
 #include <functional>
 #include <random>
@@ -76,8 +76,9 @@ bool same_result(const PreprocessResult& a, const PreprocessResult& b) {
 int main() {
   using namespace rs::exp;
   const Scale s = scale_from_env();
-  const auto rho = static_cast<Vertex>(env_int64("RS_RHO", 32));
-  const auto k = static_cast<Vertex>(env_int64("RS_K", 3));
+  const PreprocessOptions defaults;
+  const auto rho = static_cast<Vertex>(env_int64("RS_RHO", defaults.rho));
+  const auto k = static_cast<Vertex>(env_int64("RS_K", defaults.k));
   const int reps = static_cast<int>(env_int64("RS_REPS", 5));
   const int churn_q = static_cast<int>(env_int64("RS_CHURN_Q", 64));
 

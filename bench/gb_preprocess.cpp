@@ -12,9 +12,10 @@
 // the merge does not rebuild the preprocessed graph, so it doubles as an
 // end-to-end smoke test.
 //
-// Knobs: RS_SCALE / RS_THREADS as usual, RS_RHO (ball size, default 32),
-// RS_K (hop bound, default 3), RS_REPS (timing repetitions, default 5),
-// RS_BALLS (sources for the single-context ball-rate loop, default 256).
+// Knobs: RS_SCALE / RS_THREADS as usual, RS_RHO (ball size) and RS_K (hop
+// bound), both defaulting to PreprocessOptions{}'s, RS_REPS (timing
+// repetitions, default 5), RS_BALLS (sources for the single-context
+// ball-rate loop, default 256).
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -56,8 +57,9 @@ bool same_result(const PreprocessResult& a, const PreprocessResult& b) {
 int main() {
   using namespace rs::exp;
   const Scale s = scale_from_env();
-  const auto rho = static_cast<Vertex>(env_int64("RS_RHO", 32));
-  const auto k = static_cast<Vertex>(env_int64("RS_K", 3));
+  const PreprocessOptions defaults;
+  const auto rho = static_cast<Vertex>(env_int64("RS_RHO", defaults.rho));
+  const auto k = static_cast<Vertex>(env_int64("RS_K", defaults.k));
   const int reps = static_cast<int>(env_int64("RS_REPS", 5));
   const int ball_sources = static_cast<int>(env_int64("RS_BALLS", 256));
 

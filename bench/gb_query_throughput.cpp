@@ -28,7 +28,7 @@
 //
 // Knobs: RS_SCALE / RS_THREADS as usual, RS_BATCH (sources per batch,
 // default 64), RS_REPS (timing repetitions, default 5), RS_RHO
-// (preprocessing rho, default 32).
+// (preprocessing rho, default PreprocessOptions{}'s).
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -86,7 +86,8 @@ int main() {
   const Scale s = scale_from_env();
   const int batch = static_cast<int>(env_int64("RS_BATCH", 64));
   const int reps = static_cast<int>(env_int64("RS_REPS", 5));
-  const auto rho = static_cast<Vertex>(env_int64("RS_RHO", 32));
+  const auto rho =
+      static_cast<Vertex>(env_int64("RS_RHO", PreprocessOptions{}.rho));
 
   const auto graphs = shortcut_suite(s);
   print_header("Query throughput — serving strategies (queries/sec)", s,

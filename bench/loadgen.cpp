@@ -30,9 +30,9 @@
 // Knobs: RS_SCALE / RS_THREADS as usual; RS_REQUESTS (total requests per
 // mode; default 256 at ci scale, 4096 otherwise), RS_CLIENTS (closed-loop
 // client threads, default 8), RS_TARGETS (targets per request, default 1),
-// RS_RHO (preprocess rho, default 32), RS_QUEUE (queue capacity, 1024),
-// RS_MAX_BATCH (64), RS_BUDGET_US (micro-batch budget, 200),
-// RS_BATCHERS (2), RS_RATE (open-loop offered qps, 0 = auto),
+// RS_RHO (preprocess rho, default PreprocessOptions{}'s), RS_QUEUE (queue
+// capacity, 1024), RS_MAX_BATCH (64), RS_BUDGET_US (micro-batch budget,
+// 200), RS_BATCHERS (2), RS_RATE (open-loop offered qps, 0 = auto),
 // RS_TOPK (k for the top-k loop, default 8), RS_TRACE (trace every Nth
 // request through the server's span pipeline, 0 = off — for measuring
 // tracing overhead under load).
@@ -243,7 +243,8 @@ int main() {
       env_int64("RS_REQUESTS", ci ? 256 : 4096));
   const int clients = static_cast<int>(env_int64("RS_CLIENTS", 8));
   const int targets_per = static_cast<int>(env_int64("RS_TARGETS", 1));
-  const auto rho = static_cast<Vertex>(env_int64("RS_RHO", 32));
+  const auto rho =
+      static_cast<Vertex>(env_int64("RS_RHO", PreprocessOptions{}.rho));
   const std::string mode = env_string("RS_MODE", "closed");
 
   ServerOptions opts;

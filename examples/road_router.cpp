@@ -34,12 +34,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(g.num_undirected_edges()),
               deg.mean, approx_diameter(g));
 
-  // One-time preprocessing (k = 3, rho = 64: the paper's sweet spot).
+  // One-time preprocessing with the library defaults.
   Timer prep_timer;
-  PreprocessOptions opts;
-  opts.rho = 64;
-  opts.k = 3;
-  opts.heuristic = ShortcutHeuristic::kDP;
+  const PreprocessOptions opts;
   const SsspEngine engine(g, opts);
   std::printf("preprocess (rho=%u, k=%u, dp): %.2fs, +%.2fx edges\n",
               opts.rho, opts.k, prep_timer.seconds(),

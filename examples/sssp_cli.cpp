@@ -4,7 +4,7 @@
 //
 //   sssp_cli gen --type grid2d --side 200 --weights 10000 -o g.gr
 //   sssp_cli stats g.gr
-//   sssp_cli preprocess g.gr --rho 64 --k 3 --heuristic dp -o g.pre
+//   sssp_cli preprocess g.gr --rho 32 --k 3 --heuristic dp -o g.pre
 //   sssp_cli query g.gr g.pre --source 0 --targets 39999,1250
 //   sssp_cli run g.gr --algo all --source 0
 //
@@ -16,11 +16,8 @@
 // Every subcommand rejects a flag it does not read with
 // "error: unknown flag <flag>" and exit status 1.
 #include <cstdio>
-#include <cctype>
 #include <cstring>
 #include <limits>
-#include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -28,6 +25,7 @@
 #include "baseline/bellman_ford.hpp"
 #include "baseline/delta_stepping.hpp"
 #include "baseline/dijkstra.hpp"
+#include "cli_args.hpp"
 #include "core/engine.hpp"
 #include "core/radii.hpp"
 #include "core/radius_stepping.hpp"
@@ -41,53 +39,7 @@
 namespace {
 
 using namespace rs;
-
-/// Minimal --flag value parser. It records every key get/get_int reads,
-/// so reject_unread() can refuse a flag the command never looks at (a
-/// typo or a removed option) instead of silently ignoring it.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string a = argv[i];
-      const bool is_flag =
-          a.size() >= 2 && a[0] == '-' &&
-          !std::isdigit(static_cast<unsigned char>(a[1]));
-      if (is_flag && i + 1 < argc) {
-        kv_[a] = argv[++i];
-      } else {
-        positional_.push_back(a);
-      }
-    }
-  }
-  std::string get(const std::string& key, const std::string& dflt) const {
-    read_.insert(key);
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : it->second;
-  }
-  long get_int(const std::string& key, long dflt) const {
-    read_.insert(key);
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::stol(it->second);
-  }
-  const std::vector<std::string>& positional() const { return positional_; }
-
-  /// Throws std::invalid_argument("unknown flag <key>") for the first
-  /// given flag that no get/get_int call has read. Call it once the
-  /// command has read all of its options.
-  void reject_unread() const {
-    for (const auto& [key, value] : kv_) {
-      if (read_.count(key) == 0) {
-        throw std::invalid_argument("unknown flag " + key);
-      }
-    }
-  }
-
- private:
-  std::map<std::string, std::string> kv_;
-  std::vector<std::string> positional_;
-  mutable std::set<std::string> read_;
-};
+using namespace rs::examples;
 
 Graph load_graph(const std::string& path) {
   if (path.size() > 3 && path.substr(path.size() - 3) == ".gr") {
@@ -167,8 +119,9 @@ int cmd_preprocess(const Args& args) {
     return 1;
   }
   PreprocessOptions opts;
-  opts.rho = static_cast<Vertex>(args.get_int("--rho", 64));
-  opts.k = static_cast<Vertex>(args.get_int("--k", 3));
+  opts.rho =
+      static_cast<Vertex>(get_checked(args, "--rho", opts.rho, 1, kMaxVertex));
+  opts.k = static_cast<Vertex>(get_checked(args, "--k", opts.k, 1, kMaxVertex));
   opts.settle_ties = args.get_int("--settle-ties", 1) != 0;
   const std::string h = args.get("--heuristic", "dp");
   const std::string out = args.get("-o", args.get("--out", "graph.pre"));
@@ -193,35 +146,6 @@ int cmd_preprocess(const Args& args) {
               t.seconds(), static_cast<unsigned long long>(pre.added_edges),
               pre.added_factor, out.c_str());
   return 0;
-}
-
-/// Strict integer flag: absent -> `dflt`; present -> must parse fully as
-/// an integer in [lo, hi]. Rejects what std::stol would let slide —
-/// trailing junk ("5x") — and, crucially, negatives where a vertex id is
-/// expected: `--source -5` historically cast straight to an unsigned
-/// Vertex and queried from vertex 4294967291 without a word.
-long get_checked(const Args& args, const std::string& key, long dflt,
-                 long lo, long hi) {
-  const std::string raw = args.get(key, "");
-  if (raw.empty()) return dflt;
-  std::size_t used = 0;
-  long v = 0;
-  try {
-    v = std::stol(raw, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(key + " expects an integer, got '" + raw +
-                                "'");
-  }
-  if (used != raw.size()) {
-    throw std::invalid_argument(key + " expects an integer, got '" + raw +
-                                "'");
-  }
-  if (v < lo || v > hi) {
-    throw std::invalid_argument(key + " out of range [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "]: " + raw);
-  }
-  return v;
 }
 
 /// Parses "a,b,c" into vertex ids (throws std::invalid_argument /
@@ -255,8 +179,6 @@ int cmd_query(const Args& args) {
                  "[--targets A,B,C | --target T] [--paths 0|1]\n");
     return 1;
   }
-  constexpr long kMaxVertex =
-      static_cast<long>(std::numeric_limits<Vertex>::max());
   QueryRequest req;
   req.source = static_cast<Vertex>(
       get_checked(args, "--source", 0, 0, kMaxVertex));
@@ -306,15 +228,16 @@ int cmd_run(const Args& args) {
                          "delta|bf|rs] [--source S] [--rho R]\n");
     return 1;
   }
-  const Vertex src = static_cast<Vertex>(get_checked(
-      args, "--source", 0, 0,
-      static_cast<long>(std::numeric_limits<Vertex>::max())));
+  const Vertex src =
+      static_cast<Vertex>(get_checked(args, "--source", 0, 0, kMaxVertex));
   const std::string algo = args.get("--algo", "all");
   if (algo != "all" && algo != "dijkstra" && algo != "delta" && algo != "bf" &&
       algo != "rs") {
     throw std::invalid_argument("unknown --algo " + algo);
   }
-  const Vertex rho = static_cast<Vertex>(args.get_int("--rho", 64));
+  PreprocessOptions opts;
+  opts.rho =
+      static_cast<Vertex>(get_checked(args, "--rho", opts.rho, 1, kMaxVertex));
   args.reject_unread();
   const Graph g = load_graph(args.positional()[0]);
 
@@ -350,8 +273,6 @@ int cmd_run(const Args& args) {
     mismatches += report("bellman-ford", d, t.millis());
   }
   if (algo == "all" || algo == "rs") {
-    PreprocessOptions opts;
-    opts.rho = rho;
     Timer tp;
     const PreprocessResult pre = preprocess(g, opts);
     const double prep_ms = tp.millis();

@@ -5,8 +5,8 @@
 //   sssp_serve                                   # built-in demo (smoke)
 //   sssp_serve g.gr g.pre                        # stdin line protocol
 //   sssp_serve g.gr g.pre --port 7447            # TCP line protocol
-//   sssp_serve g.gr --rho 64 --k 3               # preprocess in-process
-//   sssp_serve g.gr --rho 64 --k 3 --dynamic 1   # + live weight updates
+//   sssp_serve g.gr --rho 32 --k 3               # preprocess in-process
+//   sssp_serve g.gr --rho 32 --k 3 --dynamic 1   # + live weight updates
 //
 // Daemon flags: --port P (TCP listener; default stdin), --queue N
 // (admission queue depth, default 1024), --max-batch N (micro-batch cap,
@@ -18,8 +18,10 @@
 // RS_TRACE env var), --slow-query-us N (log traced spans of requests
 // slower than N us to stderr, 0 = off), --flush-ms N / --flush-dirty F
 // (with --dynamic 1: background flush every N ms / once staged updates
-// would dirty fraction F of all balls). Any other flag is rejected with
-// "error: unknown flag <flag>" before the graph is loaded.
+// would dirty fraction F of all balls), --rho R / --k K (in-process
+// preprocessing, each in [1, 4294967295]; default PreprocessOptions{}).
+// Any other flag is rejected with "error: unknown flag <flag>" before the
+// graph is loaded.
 //
 // Line protocol v2 (one request per line, stdin and TCP alike) —
 // verb-prefixed commands:
@@ -68,19 +70,17 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <limits>
-#include <map>
 #include <memory>
 #include <random>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "baseline/dijkstra.hpp"
+#include "cli_args.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -95,51 +95,7 @@ namespace {
 
 using namespace rs;
 using namespace rs::serve;
-
-/// Minimal --flag value parser (same contract as sssp_cli's).
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string a = argv[i];
-      const bool is_flag =
-          a.size() >= 2 && a[0] == '-' &&
-          !std::isdigit(static_cast<unsigned char>(a[1]));
-      if (is_flag && i + 1 < argc) {
-        kv_[a] = argv[++i];
-      } else {
-        positional_.push_back(a);
-      }
-    }
-  }
-  std::string get(const std::string& key, const std::string& dflt) const {
-    read_.insert(key);
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : it->second;
-  }
-  long get_int(const std::string& key, long dflt) const {
-    read_.insert(key);
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::stol(it->second);
-  }
-  const std::vector<std::string>& positional() const { return positional_; }
-
-  /// Throws std::invalid_argument("unknown flag <key>") for the first
-  /// given flag that no get/get_int call has read. Call it once the
-  /// command has read all of its options.
-  void reject_unread() const {
-    for (const auto& [key, value] : kv_) {
-      if (read_.count(key) == 0) {
-        throw std::invalid_argument("unknown flag " + key);
-      }
-    }
-  }
-
- private:
-  std::map<std::string, std::string> kv_;
-  std::vector<std::string> positional_;
-  mutable std::set<std::string> read_;
-};
+using namespace rs::examples;
 
 /// Strict vertex-id parse: digits only, fits a Vertex. Negative numbers,
 /// garbage, and overflow all throw — admission must never mangle an id.
@@ -585,8 +541,10 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(args.get_int("--slow-query-us", 0));
 
     PreprocessOptions popts;
-    popts.rho = static_cast<Vertex>(args.get_int("--rho", 64));
-    popts.k = static_cast<Vertex>(args.get_int("--k", 3));
+    popts.rho = static_cast<Vertex>(
+        get_checked(args, "--rho", popts.rho, 1, kMaxVertex));
+    popts.k =
+        static_cast<Vertex>(get_checked(args, "--k", popts.k, 1, kMaxVertex));
 
     rs::serve::DynamicSsspService::Options dopts;
     dopts.preprocess = popts;

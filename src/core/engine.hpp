@@ -4,7 +4,7 @@
 /// QueryRequests (core/request.hpp) with the flat radius-stepping engine.
 ///
 /// \code
-///   SsspEngine engine(graph, {.rho = 64, .k = 3});
+///   SsspEngine engine(graph, PreprocessOptions{});  // rho 32, k 3, kDP
 ///   QueryRequest req;
 ///   req.source = s;
 ///   req.targets = {a, b, c};   // early termination: exits once a, b, c

@@ -26,7 +26,10 @@ std::shared_ptr<const SsspEngine> non_null(
 std::size_t substep_bound(const SsspEngine& eng) {
   const PreprocessOptions& o = eng.preprocessing().options;
   if (o.heuristic == ShortcutHeuristic::kNone) return 0;
-  return (o.heuristic == ShortcutHeuristic::kFull1Rho ? 1 : o.k) + 2;
+  // Widened before the + 2 so a k near the Vertex max cannot wrap.
+  const std::size_t k =
+      o.heuristic == ShortcutHeuristic::kFull1Rho ? 1 : std::size_t{o.k};
+  return k + 2;
 }
 
 }  // namespace

@@ -37,7 +37,8 @@ void BallSearchWorkspace::run(const Graph& g, Vertex source,
   ball.vertices.clear();  // keeps capacity: warm reruns don't reallocate
   ball.radius = 0;
   ball.arcs_scanned = 0;
-  ball.vertices.reserve(rho + 4);
+  // Capped at n: a ball never holds more vertices, and rho may be near 2^32.
+  ball.vertices.reserve(std::min<std::size_t>(rho, g.num_vertices()) + 4);
 
   // B (see the header): unbounded until rho vertices have been touched.
   Dist bound = std::numeric_limits<Dist>::max();

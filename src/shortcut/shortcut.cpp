@@ -65,7 +65,7 @@ void select_greedy(const Ball& ball, Vertex k,
   }
 }
 
-void select_dp(const Ball& ball, Vertex k, ShortcutSelectScratch& s) {
+void select_dp(const Ball& ball, Vertex k_in, ShortcutSelectScratch& s) {
   const std::size_t b = ball.vertices.size();
   if (b <= 1) return;
   build_tree(ball, s);
@@ -73,8 +73,12 @@ void select_dp(const Ball& ball, Vertex k, ShortcutSelectScratch& s) {
   // F[i * (k+1) + t] = min edges into the subtree of local node i so that
   // every node there sits within k hops of the root, given parent(i) is t
   // hops from the root (paper §4.2.2). S[i] = cost when i is shortcut:
-  // 1 + sum_child F(child, 1).
-  const std::size_t kk = static_cast<std::size_t>(k) + 1;
+  // 1 + sum_child F(child, 1). The tree is at most b - 1 hops deep, so
+  // every (i, t) the traceback reads has t < b - 1: a depth of
+  // min(k, b - 1) selects the same set and keeps the table at b^2 entries
+  // for a huge k.
+  const std::size_t k = std::min<std::size_t>(k_in, b - 1);
+  const std::size_t kk = k + 1;
   s.dp_f.assign(b * kk, 0);
   s.dp_s.assign(b, 0);
 

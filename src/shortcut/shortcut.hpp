@@ -28,7 +28,12 @@ enum class ShortcutHeuristic : std::uint8_t { kNone, kFull1Rho, kGreedy, kDP };
 const char* to_string(ShortcutHeuristic h);
 
 struct PreprocessOptions {
-  Vertex rho = 64;
+  /// Chosen by wall-clock time with bench/sweep_rho_k.cpp, not by §5.4's
+  /// step count. Preprocessing time roughly doubles with each doubling of
+  /// rho; with the d_i shortcut cut-off, full queries at rho = 32 are as
+  /// fast as at 64 on road n=1M and web n=300k, and rho = 16 made web
+  /// queries about 12% slower at 4 workers.
+  Vertex rho = 32;
   Vertex k = 3;  // ignored by kFull1Rho (k = 1) and kNone
   ShortcutHeuristic heuristic = ShortcutHeuristic::kDP;
   /// Paper §5.1 tie protocol (settle the whole distance class of the

@@ -117,7 +117,8 @@ TEST_P(SubstepBoundTest, MaxSubstepsWithinKPlusTwo) {
     int n;
     ~RestoreWorkers() { set_num_workers(n); }
   } restore{default_workers};
-  for (const Vertex rho : {12u, 64u}) {
+  // The shipped default rho runs under every check below too.
+  for (const Vertex rho : {12u, 64u, PreprocessOptions{}.rho}) {
     std::uint64_t scanned_pruned = 0;
     std::uint64_t scanned_unsplit = 0;
     for (const auto& [name, g] : test::weighted_suite(11)) {

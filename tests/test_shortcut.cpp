@@ -1,6 +1,7 @@
 #include "shortcut/shortcut.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -260,6 +261,29 @@ TEST(Preprocess, RejectsBadParameters) {
   opts.rho = 2;
   opts.k = 0;
   EXPECT_THROW(preprocess(g, opts), std::invalid_argument);
+}
+
+TEST(Preprocess, HugeRhoAndKMatchWholeGraphBalls) {
+  // Past n, rho and k cannot change a ball or its shortcut set. They used
+  // to size allocations all the same: the ball reserve of rho + 4 entries
+  // (wrapping near 2^32) and the b x (k + 1) DP table, whose bad_alloc
+  // escaped preprocess()'s parallel region and aborted the process.
+  const Graph g = test::weighted_suite(3)[2].graph;  // road 15 x 15
+  const Vertex n = g.num_vertices();
+  PreprocessOptions whole;
+  whole.rho = n;
+  whole.k = n;
+  const PreprocessResult want = preprocess(g, whole);
+  for (const Vertex rho :
+       {Vertex{1} << 30, std::numeric_limits<Vertex>::max()}) {
+    PreprocessOptions huge;
+    huge.rho = rho;
+    huge.k = std::numeric_limits<Vertex>::max();
+    const PreprocessResult got = preprocess(g, huge);
+    EXPECT_EQ(got.graph, want.graph) << "rho=" << rho;
+    EXPECT_EQ(got.radius, want.radius) << "rho=" << rho;
+    EXPECT_EQ(got.added_edges, want.added_edges) << "rho=" << rho;
+  }
 }
 
 TEST(KRadiusExact, HandComputedChain) {
