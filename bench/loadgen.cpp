@@ -31,11 +31,10 @@
 // mode; default 256 at ci scale, 4096 otherwise), RS_CLIENTS (closed-loop
 // client threads, default 8), RS_TARGETS (targets per request, default 1),
 // RS_RHO (preprocess rho, default PreprocessOptions{}'s), RS_QUEUE (queue
-// capacity, 1024), RS_MAX_BATCH (64), RS_BUDGET_US (micro-batch budget,
-// 200), RS_BATCHERS (2), RS_RATE (open-loop offered qps, 0 = auto),
-// RS_TOPK (k for the top-k loop, default 8), RS_TRACE (trace every Nth
-// request through the server's span pipeline, 0 = off — for measuring
-// tracing overhead under load).
+// capacity, 1024), RS_MAX_BATCH (64), RS_BATCHERS (2), RS_RATE
+// (open-loop offered qps, 0 = auto), RS_TOPK (k for the top-k loop,
+// default 8), RS_TRACE (trace every Nth request through the server's span
+// pipeline, 0 = off — for measuring tracing overhead under load).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -252,8 +251,6 @@ int main() {
       static_cast<std::size_t>(env_int64("RS_QUEUE", 1024));
   opts.max_batch =
       static_cast<std::size_t>(env_int64("RS_MAX_BATCH", 64));
-  opts.batch_budget =
-      std::chrono::microseconds(env_int64("RS_BUDGET_US", 200));
   opts.batchers = static_cast<int>(env_int64("RS_BATCHERS", 2));
   opts.trace_sample = rs::obs::trace_sample_from_env();
   if (opts.trace_sample != 0) {
@@ -271,11 +268,9 @@ int main() {
               static_cast<std::size_t>(g.num_edges()));
   std::printf(
       "requests=%llu clients=%d targets=%d queue=%zu max_batch=%zu "
-      "budget=%lldus batchers=%d mode=%s\n\n",
+      "batchers=%d mode=%s\n\n",
       static_cast<unsigned long long>(total), clients, targets_per,
-      opts.queue_capacity, opts.max_batch,
-      static_cast<long long>(opts.batch_budget.count()), opts.batchers,
-      mode.c_str());
+      opts.queue_capacity, opts.max_batch, opts.batchers, mode.c_str());
 
   PreprocessOptions popts;
   popts.rho = rho;

@@ -8,19 +8,21 @@
 //   sssp_serve g.gr --rho 32 --k 3               # preprocess in-process
 //   sssp_serve g.gr --rho 32 --k 3 --dynamic 1   # + live weight updates
 //
-// Daemon flags: --port P (TCP listener; default stdin), --queue N
-// (admission queue depth, default 1024), --max-batch N (micro-batch cap,
-// default 64), --budget-us N (coalescing window, default 200),
-// --batchers N (batcher threads, default 1), --cache 0|1 (hot-source
-// result cache, default 0), --dynamic 0|1 (live weight updates; requires
-// in-process preprocessing, default 0),
-// --trace-sample N (trace every Nth request, 0 = off; default from the
-// RS_TRACE env var), --slow-query-us N (log traced spans of requests
-// slower than N us to stderr, 0 = off), --flush-ms N / --flush-dirty F
-// (with --dynamic 1: background flush every N ms / once staged updates
-// would dirty fraction F of all balls), --rho R / --k K (in-process
-// preprocessing, each in [1, 4294967295]; default PreprocessOptions{}).
-// Any other flag is rejected with "error: unknown flag <flag>" before the
+// Daemon flags (integer ranges in brackets): --port P (TCP listener,
+// [0, 65535]; 0, the default, serves stdin), --queue N (admission queue
+// depth, [1, 2^20], default 1024), --max-batch N (micro-batch cap,
+// [1, 2^20], default 64), --batchers N (batcher threads, [1, 64],
+// default 1), --cache 0|1 (hot-source result cache, default 0),
+// --dynamic 0|1 (live weight updates; requires in-process preprocessing,
+// default 0), --trace-sample N (trace every Nth request, [0, 2^32 - 1],
+// 0 = off; default from the RS_TRACE env var), --slow-query-us N (log
+// traced spans of requests slower than N us to stderr, >= 0, 0 = off),
+// --flush-ms N / --flush-dirty F (with --dynamic 1: background flush
+// every N ms, [0, 2^32 - 1] / once staged updates would dirty fraction F
+// of all balls), --rho R / --k K (in-process preprocessing, each in
+// [1, 4294967295]; default PreprocessOptions{}). An integer flag outside
+// its range fails with "error: --<flag> out of range [lo, hi]: <value>",
+// and any other flag with "error: unknown flag <flag>", both before the
 // graph is loaded.
 //
 // Line protocol v2 (one request per line, stdin and TCP alike) —
@@ -70,7 +72,7 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <random>
@@ -350,15 +352,12 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
   return 0;
 }
 
-/// Stdin front-end: one request line in, one response line out.
+/// Stdin front-end: one request line in, one response line out, however
+/// long the line.
 int stdio_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn) {
   std::string line;
-  char chunk[4096];
-  while (std::fgets(chunk, sizeof(chunk), stdin) != nullptr) {
-    line = chunk;
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
-    }
+  while (std::getline(std::cin, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     std::printf("%s\n", answer_line(server, dyn, line).c_str());
     std::fflush(stdout);
@@ -378,7 +377,6 @@ int demo() {
   ServerOptions opts;
   opts.queue_capacity = 256;
   opts.max_batch = 16;
-  opts.batch_budget = std::chrono::microseconds(500);
   opts.batchers = 2;
   opts.enable_cache = true;  // demo doubles as a cache-coherence smoke
   SsspServer server(engine, opts);
@@ -525,20 +523,23 @@ int main(int argc, char** argv) {
   if (args.positional().empty()) return demo();
 
   try {
+    // Every integer flag is range-checked before it is narrowed: a
+    // negative or oversized value is refused, never wrapped.
+    constexpr long kMaxDepth = 1L << 20;
+    constexpr long kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+    constexpr long kMaxLong = std::numeric_limits<long>::max();
     ServerOptions opts;
-    opts.queue_capacity =
-        static_cast<std::size_t>(args.get_int("--queue", 1024));
-    opts.max_batch =
-        static_cast<std::size_t>(args.get_int("--max-batch", 64));
-    opts.batch_budget =
-        std::chrono::microseconds(args.get_int("--budget-us", 200));
-    opts.batchers = static_cast<int>(args.get_int("--batchers", 1));
-    opts.enable_cache = args.get_int("--cache", 0) != 0;
-    opts.trace_sample = static_cast<std::uint32_t>(args.get_int(
-        "--trace-sample",
-        static_cast<long>(rs::obs::trace_sample_from_env())));
-    opts.slow_query_us =
-        static_cast<std::uint64_t>(args.get_int("--slow-query-us", 0));
+    opts.queue_capacity = static_cast<std::size_t>(
+        get_checked(args, "--queue", 1024, 1, kMaxDepth));
+    opts.max_batch = static_cast<std::size_t>(
+        get_checked(args, "--max-batch", 64, 1, kMaxDepth));
+    opts.batchers = static_cast<int>(get_checked(args, "--batchers", 1, 1, 64));
+    opts.enable_cache = get_checked(args, "--cache", 0, 0, 1) != 0;
+    const long trace_env = rs::obs::trace_sample_from_env();
+    opts.trace_sample = static_cast<std::uint32_t>(
+        get_checked(args, "--trace-sample", trace_env, 0, kMaxU32));
+    opts.slow_query_us = static_cast<std::uint64_t>(
+        get_checked(args, "--slow-query-us", 0, 0, kMaxLong));
 
     PreprocessOptions popts;
     popts.rho = static_cast<Vertex>(
@@ -549,11 +550,11 @@ int main(int argc, char** argv) {
     rs::serve::DynamicSsspService::Options dopts;
     dopts.preprocess = popts;
     dopts.server = opts;
-    dopts.flush_interval_ms =
-        static_cast<std::uint32_t>(args.get_int("--flush-ms", 0));
+    dopts.flush_interval_ms = static_cast<std::uint32_t>(
+        get_checked(args, "--flush-ms", 0, 0, kMaxU32));
     dopts.flush_dirty_fraction = std::stod(args.get("--flush-dirty", "0"));
-    const bool dynamic = args.get_int("--dynamic", 0) != 0;
-    const int port = static_cast<int>(args.get_int("--port", 0));
+    const bool dynamic = get_checked(args, "--dynamic", 0, 0, 1) != 0;
+    const int port = static_cast<int>(get_checked(args, "--port", 0, 0, 65535));
     args.reject_unread();
 
     const std::string graph_path = args.positional()[0];

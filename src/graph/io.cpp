@@ -1,6 +1,8 @@
 #include "graph/io.hpp"
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,6 +16,11 @@ namespace {
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("graph io: " + what);
 }
+
+// Ids and weights are read as 64-bit values and narrowed to 32 bits; one
+// past these bounds would wrap into a different, valid-looking edge.
+constexpr std::uint64_t kMaxId = kNoVertex - 1;
+constexpr std::int64_t kMaxWeight = std::numeric_limits<Weight>::max();
 
 std::ifstream open_in(const std::string& path) {
   std::ifstream in(path);
@@ -49,7 +56,8 @@ Graph read_dimacs(std::istream& in) {
       std::uint64_t v = 0;
       std::int64_t w = 0;
       ls >> u >> v >> w;
-      if (!ls || u == 0 || v == 0 || u > n || v > n || w < 0) {
+      if (!ls || u == 0 || v == 0 || u > n || v > n || w < 0 ||
+          w > kMaxWeight) {
         fail("bad arc at line " + std::to_string(lineno));
       }
       edges.push_back({static_cast<Vertex>(u - 1), static_cast<Vertex>(v - 1),
@@ -100,6 +108,8 @@ Graph read_edge_list(std::istream& in, Vertex n_hint) {
     if (!(ls >> u >> v)) fail("bad edge-list line: " + line);
     ls >> w;  // optional
     if (w < 0) fail("negative weight: " + line);
+    if (u > kMaxId || v > kMaxId) fail("vertex id out of range: " + line);
+    if (w > kMaxWeight) fail("weight out of range: " + line);
     edges.push_back({static_cast<Vertex>(u), static_cast<Vertex>(v),
                      static_cast<Weight>(w)});
     max_id = std::max<Vertex>(max_id, static_cast<Vertex>(std::max(u, v)));

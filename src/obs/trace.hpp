@@ -10,7 +10,8 @@
 ///                  thread
 ///     queue_wait   enqueued -> popped by a batcher
 ///     batch_form   popped -> micro-batch handed to the engine (the
-///                  coalescing window this request waited through)
+///                  drained batch's bookkeeping and the engine request
+///                  list; the batcher never waits for more work here)
 ///     engine       SsspEngine::serve_batch for the request's batch
 ///     respond      engine done -> promise fulfilled (cache publication,
 ///                  row reads, completion bookkeeping)
@@ -44,7 +45,7 @@ namespace rs::obs {
 enum class SpanId : std::uint8_t {
   kAdmission,  ///< submit(): validate + cache consult + enqueue.
   kQueueWait,  ///< BoundedQueue residence time.
-  kBatchForm,  ///< Micro-batch coalescing window.
+  kBatchForm,  ///< Popped -> engine call: micro-batch assembly.
   kEngine,     ///< serve_batch for the request's micro-batch.
   kRespond,    ///< Engine done -> promise fulfilled.
   kCacheHit,   ///< Synchronous cached answer at submit time.

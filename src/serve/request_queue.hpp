@@ -8,22 +8,24 @@
 // status instead of queueing unboundedly and blowing the tail latency of
 // everything behind it).
 //
-// Consumers get two pops: a blocking pop() for the first request of a
-// micro-batch (nothing to do until work arrives) and a deadline-bounded
-// try_pop_until() for the coalescing window (wait at most until the batch
-// budget expires). close() wakes everyone; pops drain whatever is still
-// buffered before reporting closed, so shutdown never drops an accepted
-// request.
+// Consumers get one call, pop_batch(): block until anything is buffered,
+// then take everything buffered (up to a cap) under that one lock. That
+// is the whole micro-batching rule — a batcher never waits for more work
+// than is already there, and whatever arrives while its batch runs forms
+// the next batch. close() wakes everyone; pop_batch drains whatever is
+// still buffered before reporting closed, so shutdown never drops an
+// accepted request.
 //
 // A mutex + condvar ring, not a lock-free queue, on purpose: the critical
 // section is a handful of instructions, contention is bounded by the
 // request rate (thousands/s, not millions/s — each item is a full SSSP
-// query), and the batchers need the timed wait that a condvar gives for
-// free. The ring storage is allocated once at construction; push/pop move
-// items in and out without allocating.
+// query), and an idle batcher needs a blocking wait that a condvar gives
+// for free. The ring storage is allocated once at construction; push and
+// pop_batch move items in and out without allocating (given an `out`
+// vector with room for the batch).
 #pragma once
 
-#include <chrono>
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
@@ -54,24 +56,21 @@ class BoundedQueue {
     return true;
   }
 
-  /// Blocks until an item is available (true) or the queue is closed and
-  /// empty (false). Buffered items are always drained before reporting
-  /// closure.
-  bool pop(T& out) {
+  /// Blocks until an item is buffered, then appends every buffered item
+  /// to `out` in FIFO order — at most `max` (0 counts as 1), at least
+  /// one. Returns false, appending nothing, only when the queue is closed
+  /// and empty: buffered items always drain before closure is reported.
+  /// One call hands over at most capacity() items.
+  bool pop_batch(std::vector<T>& out, std::size_t max) {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [&] { return count_ > 0 || closed_; });
-    return pop_locked(out);
-  }
-
-  /// Like pop() but gives up at `deadline` (false, with `out` untouched).
-  /// A deadline already in the past degrades to a non-blocking try-pop.
-  template <typename Clock, typename Duration>
-  bool try_pop_until(T& out,
-                     const std::chrono::time_point<Clock, Duration>& deadline) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait_until(lock, deadline,
-                          [&] { return count_ > 0 || closed_; });
-    return pop_locked(out);
+    const std::size_t take = std::min(count_, std::max<std::size_t>(max, 1));
+    for (std::size_t i = 0; i < take; ++i) {
+      out.push_back(std::move(ring_[head_]));
+      head_ = (head_ + 1) % ring_.size();
+    }
+    count_ -= take;
+    return take > 0;
   }
 
   /// Rejects all future pushes and wakes every blocked pop. Idempotent.
@@ -83,11 +82,6 @@ class BoundedQueue {
     not_empty_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return count_;
@@ -96,14 +90,6 @@ class BoundedQueue {
   std::size_t capacity() const { return ring_.size(); }
 
  private:
-  bool pop_locked(T& out) {
-    if (count_ == 0) return false;
-    out = std::move(ring_[head_]);
-    head_ = (head_ + 1) % ring_.size();
-    --count_;
-    return true;
-  }
-
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::vector<T> ring_;

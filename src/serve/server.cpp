@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
@@ -153,7 +154,7 @@ SubmitStatus SsspServer::submit(QueryRequest req,
 
   // Cache fast path: a hit is answered HERE, on the client thread —
   // O(|targets|) straight off the cached row, skipping the queue, the
-  // batching budget, and the engine entirely. Misses enter the queue
+  // batcher, and the engine entirely. Misses enter the queue
   // carrying their single-flight role.
   if (cache_ != nullptr && cache_eligible(pending.request)) {
     const CacheKey key = key_for(*eng, pending.request);
@@ -312,35 +313,24 @@ bool SsspServer::wait_not_paused() {
 }
 
 void SsspServer::batcher_loop() {
+  // One pop_batch hands over at most the queue's capacity, so that bounds
+  // the reservation however large max_batch is.
   std::vector<Pending> batch;
-  batch.reserve(opts_.max_batch);
+  batch.reserve(std::min(opts_.max_batch, queue_.capacity()));
   for (;;) {
     // Parked while paused — but once stopping, fall through and keep
-    // draining: pop() below returns false only when closed AND empty.
+    // draining: pop_batch returns false only when closed AND empty.
     wait_not_paused();
 
-    Pending first;
-    if (!queue_.pop(first)) break;  // closed and fully drained
-    if (marks_enabled_) first.t_popped = std::chrono::steady_clock::now();
+    // Work-conserving: take whatever is queued the moment anything is,
+    // never wait for more. Requests that arrive while this batch runs
+    // form the next one.
     batch.clear();
-    batch.push_back(std::move(first));
-
-    // Coalesce: keep collecting until the budget expires or the batch is
-    // full. A zero budget turns the timed pop into a non-blocking drain
-    // of whatever is already buffered.
-    if (opts_.max_batch > 1) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + opts_.batch_budget;
-      Pending more;
-      while (batch.size() < opts_.max_batch &&
-             queue_.try_pop_until(more, deadline)) {
-        if (marks_enabled_) {
-          more.t_popped = std::chrono::steady_clock::now();
-        }
-        batch.push_back(std::move(more));
-      }
+    if (!queue_.pop_batch(batch, opts_.max_batch)) break;
+    if (marks_enabled_) {
+      const auto t_popped = std::chrono::steady_clock::now();
+      for (Pending& p : batch) p.t_popped = t_popped;
     }
-
     execute(batch);
   }
 }

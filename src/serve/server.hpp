@@ -3,9 +3,7 @@
 ///
 /// \code
 ///   auto engine = std::make_shared<SsspEngine>(graph, opts);
-///   SsspServer server(engine, {.queue_capacity = 1024,
-///                              .max_batch = 64,
-///                              .batch_budget = microseconds(200)});
+///   SsspServer server(engine, {.queue_capacity = 1024, .max_batch = 64});
 ///   std::future<QueryResponse> fut;
 ///   if (server.submit(std::move(req), fut) == SubmitStatus::kAccepted) {
 ///     QueryResponse resp = fut.get();
@@ -16,21 +14,21 @@
 /// Architecture (one request's life):
 ///
 /// \verbatim
-///   client threads ──submit()──► BoundedQueue ──pop──► batcher thread(s)
-///        │ validate + admission      (backpressure)      │ coalesce up to
-///        │ control at the edge                           │ max_batch within
-///        ▼                                               ▼ batch_budget
+///   client threads ──submit()──► BoundedQueue ──pop_batch──► batcher(s)
+///        │ validate + admission      (backpressure)        │ everything
+///        │ control at the edge                             │ queued, up
+///        ▼                                                 ▼ to max_batch
 ///   SubmitStatus / future ◄──promise◄── engine.serve_batch(micro-batch)
 /// \endverbatim
 ///
-/// Micro-batching: a batcher blocks for the first request, then keeps
-/// collecting until the batch budget expires or max_batch is reached, and
-/// hands the whole batch to SsspEngine::serve_batch — which runs it
-/// request-parallel over a leased warm context pool. The budget trades a
-/// bounded latency add-on (at most batch_budget of waiting) for the batch
-/// throughput regime the paper's preprocessing is amortized over (§5.4):
-/// under load the window fills instantly and the budget costs nothing;
-/// when idle a lone request waits out at most one budget.
+/// Micro-batching is work-conserving: a batcher blocks until a request is
+/// queued, takes everything queued at that instant (up to max_batch) in
+/// one pop, and hands the whole batch to SsspEngine::serve_batch — which
+/// runs it request-parallel over a leased warm context pool. It never
+/// waits for more: requests that arrive while a batch runs form the next
+/// batch. Under load the queue refills while the engine works, so batches
+/// widen by themselves; when idle a lone request goes straight to the
+/// engine.
 ///
 /// Admission control: requests are validated at submit time (kInvalid) so
 /// a bad request is rejected alone instead of poisoning its micro-batch,
@@ -96,13 +94,10 @@ struct ServerOptions {
   /// Admission buffer depth; pushes beyond it are rejected kQueueFull.
   std::size_t queue_capacity = 1024;
 
-  /// Micro-batch size cap. 1 disables coalescing entirely.
+  /// Micro-batch size cap. 0 and 1 disable coalescing entirely. One
+  /// batch never exceeds queue_capacity either (it is taken from the
+  /// queue in one pop).
   std::size_t max_batch = 64;
-
-  /// How long a batcher keeps collecting after the first request of a
-  /// micro-batch. Zero means "grab whatever is already queued, never
-  /// wait" — coalescing without any latency add-on.
-  std::chrono::microseconds batch_budget{200};
 
   /// Number of batcher threads pulling micro-batches concurrently. Each
   /// concurrent batch leases its own warm context pool inside the engine,

@@ -1,6 +1,8 @@
 #include "graph/io.hpp"
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -53,6 +55,28 @@ TEST(Dimacs, RejectsUnknownTag) {
   EXPECT_THROW(io::read_dimacs(in), std::runtime_error);
 }
 
+// The message a reader throws for `text`, or "" if it loads.
+template <typename Reader>
+std::string read_error(Reader read, const std::string& text) {
+  std::istringstream in(text);
+  try {
+    read(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Dimacs, RejectsWeightBeyond32Bits) {
+  // 4294967301 = 2^32 + 5 used to load as weight 5.
+  const auto read = [](std::istream& in) { return io::read_dimacs(in); };
+  EXPECT_EQ(read_error(read, "p sp 2 1\na 1 2 4294967301\n"),
+            "graph io: bad arc at line 2");
+  std::istringstream in("p sp 2 1\na 1 2 4294967295\n");  // the max loads
+  const Graph g = io::read_dimacs(in);
+  EXPECT_EQ(g.arc_weight(g.first_arc(0)), 4294967295u);
+}
+
 TEST(Dimacs, EmptyBodyIsValid) {
   std::istringstream in("p sp 4 0\n");
   const Graph g = io::read_dimacs(in);
@@ -99,6 +123,21 @@ TEST(EdgeList, RoundTrip) {
 TEST(EdgeList, RejectsGarbageLine) {
   std::istringstream in("zero one\n");
   EXPECT_THROW(io::read_edge_list(in), std::runtime_error);
+}
+
+TEST(EdgeList, RejectsIdOrWeightBeyond32Bits) {
+  // Each used to wrap: 4294967296 = 2^32 loaded as vertex 0 (so the
+  // second edge became (1, 0, 3)), and 4294967295 is kNoVertex.
+  const auto read = [](std::istream& in) { return io::read_edge_list(in); };
+  EXPECT_EQ(read_error(read, "0 1 5\n1 4294967296 3\n"),
+            "graph io: vertex id out of range: 1 4294967296 3");
+  EXPECT_EQ(read_error(read, "4294967295 0\n"),
+            "graph io: vertex id out of range: 4294967295 0");
+  EXPECT_EQ(read_error(read, "0 1 4294967296\n"),
+            "graph io: weight out of range: 0 1 4294967296");
+  std::istringstream in("0 1 4294967295\n");  // the max weight loads
+  const Graph g = io::read_edge_list(in);
+  EXPECT_EQ(g.arc_weight(g.first_arc(0)), 4294967295u);
 }
 
 TEST(File, MissingFileThrows) {

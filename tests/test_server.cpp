@@ -8,9 +8,10 @@
 //    the overflowing request), an out-of-range request with kInvalid
 //    (validated at the edge, never coalesced into a batch), a stopped
 //    server with kShuttingDown;
-//  * micro-batching — N requests queued within one budget coalesce into
-//    ONE serve_batch call (asserted via ServerStats.batches), and
-//    coalescing is invisible in the answers;
+//  * micro-batching — N requests buffered when a batcher wakes coalesce
+//    into ONE serve_batch call (asserted via ServerStats.batches), a
+//    max_batch beyond the queue capacity still serves, and coalescing is
+//    invisible in the answers;
 //  * histogram — quantiles match a sorted-sample oracle within the
 //    documented 1/32 relative error, across magnitudes;
 //  * concurrency — many closed-loop clients against multiple batchers
@@ -27,7 +28,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <future>
@@ -80,33 +80,63 @@ TEST(BoundedQueue, PushPopOrderCapacityAndClose) {
   EXPECT_FALSE(q.try_push(4));  // full: backpressure, not blocking
   EXPECT_EQ(q.size(), 3u);
 
-  int out = 0;
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 1);  // FIFO
+  std::vector<int> out;
+  EXPECT_TRUE(q.pop_batch(out, 1));
+  EXPECT_EQ(out, std::vector<int>({1}));  // FIFO
   EXPECT_TRUE(q.try_push(4));  // slot freed
 
   q.close();
   EXPECT_FALSE(q.try_push(5));  // closed rejects pushes...
-  EXPECT_TRUE(q.pop(out));      // ...but buffered items still drain
-  EXPECT_EQ(out, 2);
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 4);
-  EXPECT_FALSE(q.pop(out));  // closed AND empty
+  out.clear();
+  EXPECT_TRUE(q.pop_batch(out, 1));  // ...but buffered items still drain
+  EXPECT_EQ(out, std::vector<int>({2}));
+  EXPECT_TRUE(q.pop_batch(out, 1));
+  EXPECT_TRUE(q.pop_batch(out, 1));
+  EXPECT_EQ(out, std::vector<int>({2, 3, 4}));
+  EXPECT_FALSE(q.pop_batch(out, 1));  // closed AND empty
+  EXPECT_EQ(out.size(), 3u);
 }
 
-TEST(BoundedQueue, TimedPopHonorsDeadline) {
-  BoundedQueue<int> q(2);
-  int out = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(q.try_pop_until(
-      out, t0 + std::chrono::milliseconds(20)));  // times out empty
-  EXPECT_GE(std::chrono::steady_clock::now() - t0,
-            std::chrono::milliseconds(15));
-  ASSERT_TRUE(q.try_push(9));
-  EXPECT_TRUE(q.try_pop_until(
-      out, std::chrono::steady_clock::now()));  // past deadline, non-blocking
-  EXPECT_EQ(out, 9);
+TEST(BoundedQueue, PopBatchTakesBufferedItemsUpToMax) {
+  BoundedQueue<int> q(6);
+  for (int i = 1; i <= 6; ++i) ASSERT_TRUE(q.try_push(int{i}));
+
+  std::vector<int> out;
+  EXPECT_TRUE(q.pop_batch(out, 4));  // the max cut, in FIFO order
+  EXPECT_EQ(out, std::vector<int>({1, 2, 3, 4}));
+  EXPECT_EQ(q.size(), 2u);
+
+  out.clear();
+  EXPECT_TRUE(q.pop_batch(out, 0));  // max 0 still takes one item
+  EXPECT_EQ(out, std::vector<int>({5}));
+
+  ASSERT_TRUE(q.try_push(7));
+  ASSERT_TRUE(q.try_push(8));
+  q.close();
+  out.clear();
+  // Everything buffered, after close, across the ring's wrap point.
+  EXPECT_TRUE(q.pop_batch(out, 64));
+  EXPECT_EQ(out, std::vector<int>({6, 7, 8}));
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_FALSE(q.pop_batch(out, 64));  // false only once closed AND empty
+  EXPECT_EQ(out.size(), 3u);
+
+  // A consumer parked in pop_batch on an empty queue receives the next
+  // push, then false once the queue is closed and drained.
+  BoundedQueue<int> live(4);
+  std::vector<int> got;
+  bool first = false;
+  bool second = true;
+  std::thread consumer([&] {
+    first = live.pop_batch(got, 4);
+    second = live.pop_batch(got, 4);
+  });
+  EXPECT_TRUE(live.try_push(11));
+  live.close();
+  consumer.join();
+  EXPECT_TRUE(first);
+  EXPECT_FALSE(second);
+  EXPECT_EQ(got, std::vector<int>({11}));
 }
 
 TEST(Server, DrainWithRequestsInFlightThenShutdown) {
@@ -221,15 +251,14 @@ TEST(Server, InvalidRequestRejectedAtAdmission) {
             engine.serve(p2p(engine, 2)).targets[0].dist);
 }
 
-TEST(Server, TinyRequestsWithinBudgetCoalesceIntoOneBatch) {
+TEST(Server, BufferedRequestsCoalesceIntoOneBatch) {
   const SsspEngine engine = small_engine();
   ServerOptions opts;
   opts.start_paused = true;
   opts.max_batch = 32;
-  // Zero budget: the batcher grabs exactly what is already buffered and
-  // never waits — with everything queued before resume, that is one
-  // deterministic micro-batch.
-  opts.batch_budget = std::chrono::microseconds(0);
+  // The batcher takes exactly what is already buffered and never waits —
+  // with everything queued before resume, that is one deterministic
+  // micro-batch.
   opts.batchers = 1;
   SsspServer server(engine, opts);
 
@@ -259,7 +288,6 @@ TEST(Server, MaxBatchBoundsCoalescing) {
   ServerOptions opts;
   opts.start_paused = true;
   opts.max_batch = 4;
-  opts.batch_budget = std::chrono::microseconds(0);
   opts.batchers = 1;
   SsspServer server(engine, opts);
 
@@ -275,6 +303,23 @@ TEST(Server, MaxBatchBoundsCoalescing) {
   EXPECT_EQ(stats.batches, 3u);  // 4 + 4 + 2
 }
 
+TEST(Server, MaxBatchAboveQueueCapacityServes) {
+  // One pop hands over at most the queue's capacity, so a max_batch far
+  // beyond it (here too large to ever reserve) must serve like any other.
+  const SsspEngine engine = small_engine();
+  ServerOptions opts;
+  opts.queue_capacity = 8;
+  opts.max_batch = std::numeric_limits<std::size_t>::max();
+  SsspServer server(engine, opts);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const QueryResponse got = server.serve_sync(p2p(engine, i));
+    const QueryResponse want = engine.serve(p2p(engine, i));
+    ASSERT_EQ(got.targets.size(), 1u);
+    EXPECT_EQ(got.targets[0].dist, want.targets[0].dist) << "request " << i;
+  }
+  EXPECT_EQ(server.stats().completed, 3u);
+}
+
 TEST(Server, ServeSyncThrowsOnRejection) {
   const SsspEngine engine = small_engine();
   SsspServer server(engine, {});
@@ -286,7 +331,6 @@ TEST(Server, ConcurrentClientsAgainstMultipleBatchersStayExact) {
   const SsspEngine engine = small_engine();
   ServerOptions opts;
   opts.max_batch = 8;
-  opts.batch_budget = std::chrono::microseconds(100);
   opts.batchers = 3;
   SsspServer server(engine, opts);
 
