@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cctype>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <set>
@@ -13,9 +14,10 @@
 
 namespace rs::examples {
 
-/// Minimal --flag value parser. It records every key get/get_int reads,
-/// so reject_unread() can refuse a flag the command never looks at (a
-/// typo or a removed option) instead of silently ignoring it.
+/// Minimal --flag value parser. It records every key get reads, so
+/// reject_unread() can refuse a flag the command never looks at (a typo
+/// or a removed option) instead of silently ignoring it. Numbers go
+/// through get_checked / get_checked_real below.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -36,16 +38,11 @@ class Args {
     const auto it = kv_.find(key);
     return it == kv_.end() ? dflt : it->second;
   }
-  long get_int(const std::string& key, long dflt) const {
-    read_.insert(key);
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::stol(it->second);
-  }
   const std::vector<std::string>& positional() const { return positional_; }
 
   /// Throws std::invalid_argument("unknown flag <key>") for the first
-  /// given flag that no get/get_int call has read. Call it once the
-  /// command has read all of its options.
+  /// given flag that no get call has read. Call it once the command has
+  /// read all of its options.
   void reject_unread() const {
     for (const auto& [key, value] : kv_) {
       if (read_.count(key) == 0) {
@@ -85,6 +82,31 @@ inline long get_checked(const Args& args, const std::string& key, long dflt,
     throw std::invalid_argument(key + " out of range [" +
                                 std::to_string(lo) + ", " +
                                 std::to_string(hi) + "]: " + raw);
+  }
+  return v;
+}
+
+/// Strict real flag, get_checked's twin: absent -> `dflt`; present ->
+/// must parse fully as a number in [lo, hi]. NaN and infinities fail the
+/// range test.
+inline double get_checked_real(const Args& args, const std::string& key,
+                               double dflt, double lo, double hi) {
+  const std::string raw = args.get(key, "");
+  if (raw.empty()) return dflt;
+  std::size_t used = 0;
+  double v = 0;
+  try {
+    v = std::stod(raw, &used);
+  } catch (const std::exception&) {
+    used = 0;  // not a number, or beyond a double's range
+  }
+  if (used == 0 || used != raw.size()) {
+    throw std::invalid_argument(key + " expects a number, got '" + raw + "'");
+  }
+  if (!(v >= lo && v <= hi)) {
+    char range[64];
+    std::snprintf(range, sizeof range, "[%g, %g]", lo, hi);
+    throw std::invalid_argument(key + " out of range " + range + ": " + raw);
   }
   return v;
 }

@@ -49,12 +49,20 @@ Graph load_graph(const std::string& path) {
 }
 
 int cmd_gen(const Args& args) {
+  constexpr long kMaxWeight = std::numeric_limits<Weight>::max();
+  constexpr long kMaxLong = std::numeric_limits<long>::max();
   const std::string type = args.get("--type", "grid2d");
-  const Vertex side = static_cast<Vertex>(args.get_int("--side", 100));
-  const Vertex n = static_cast<Vertex>(args.get_int("--n", 10000));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("--seed", 1));
-  const Weight wmax = static_cast<Weight>(args.get_int("--weights", 0));
+  // The vertex count side^2 (side^3 for grid3d) must fit a Vertex.
+  const long max_side = type == "grid3d" ? 1625 : 65535;
+  const auto side =
+      static_cast<Vertex>(get_checked(args, "--side", 100, 1, max_side));
+  const auto n =
+      static_cast<Vertex>(get_checked(args, "--n", 10000, 1, kMaxVertex));
+  const auto seed =
+      static_cast<std::uint64_t>(get_checked(args, "--seed", 1, 0, kMaxLong));
+  // 0 keeps unit weights; otherwise weights are uniform in [1, wmax].
+  const auto wmax =
+      static_cast<Weight>(get_checked(args, "--weights", 0, 0, kMaxWeight));
   const std::string out = args.get("-o", args.get("--out", "graph.gr"));
 
   Graph g;
@@ -65,18 +73,26 @@ int cmd_gen(const Args& args) {
   } else if (type == "road") {
     g = gen::road_network(side, side, seed);
   } else if (type == "ba" || type == "web") {
-    g = gen::barabasi_albert(n, static_cast<Vertex>(args.get_int("--deg", 5)),
-                             seed);
+    g = gen::barabasi_albert(
+        n, static_cast<Vertex>(get_checked(args, "--deg", 5, 1, kMaxVertex)),
+        seed);
   } else if (type == "rmat") {
-    g = largest_component(
-        gen::rmat(static_cast<std::uint32_t>(args.get_int("--scale", 14)),
-                  static_cast<EdgeId>(args.get_int("--factor", 8)), seed));
+    // rmat takes 2^scale vertices, scale <= 30; the factor's bound keeps
+    // factor << scale inside an EdgeId.
+    g = largest_component(gen::rmat(
+        static_cast<std::uint32_t>(get_checked(args, "--scale", 14, 1, 30)),
+        static_cast<EdgeId>(get_checked(args, "--factor", 8, 1, kMaxVertex)),
+        seed));
   } else if (type == "er") {
-    g = largest_component(
-        gen::erdos_renyi(n, static_cast<EdgeId>(args.get_int("--m", 4 * n)),
-                         seed));
+    g = largest_component(gen::erdos_renyi(
+        n,
+        static_cast<EdgeId>(
+            get_checked(args, "--m", 4 * static_cast<long>(n), 0, kMaxLong)),
+        seed));
   } else if (type == "rgg") {
-    const double radius = args.get_int("--rgg-radius-milli", 50) / 1000.0;
+    // random_geometric takes a radius in (0, 1].
+    const double radius =
+        get_checked(args, "--rgg-radius-milli", 50, 1, 1000) / 1000.0;
     g = largest_component(gen::random_geometric(n, radius, seed));
   } else {
     std::fprintf(stderr, "unknown --type %s\n", type.c_str());
@@ -122,7 +138,7 @@ int cmd_preprocess(const Args& args) {
   opts.rho =
       static_cast<Vertex>(get_checked(args, "--rho", opts.rho, 1, kMaxVertex));
   opts.k = static_cast<Vertex>(get_checked(args, "--k", opts.k, 1, kMaxVertex));
-  opts.settle_ties = args.get_int("--settle-ties", 1) != 0;
+  opts.settle_ties = get_checked(args, "--settle-ties", 1, 0, 1) != 0;
   const std::string h = args.get("--heuristic", "dp");
   const std::string out = args.get("-o", args.get("--out", "graph.pre"));
   if (h == "dp") {

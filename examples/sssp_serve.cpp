@@ -552,7 +552,8 @@ int main(int argc, char** argv) {
     dopts.server = opts;
     dopts.flush_interval_ms = static_cast<std::uint32_t>(
         get_checked(args, "--flush-ms", 0, 0, kMaxU32));
-    dopts.flush_dirty_fraction = std::stod(args.get("--flush-dirty", "0"));
+    dopts.flush_dirty_fraction =
+        get_checked_real(args, "--flush-dirty", 0, 0, 1);
     const bool dynamic = get_checked(args, "--dynamic", 0, 0, 1) != 0;
     const int port = static_cast<int>(get_checked(args, "--port", 0, 0, 65535));
     args.reject_unread();

@@ -79,6 +79,13 @@ std::vector<QueryContext::WorkerScratch>& QueryContext::workers(int count) {
   return workers_;
 }
 
+std::vector<QueryContext::ChunkCursor>& QueryContext::cursors(int count) {
+  const auto wanted = static_cast<std::size_t>(count < 1 ? 1 : count);
+  // Atomics cannot move, so growth rebuilds the array, like dist_.
+  if (cursors_.size() < wanted) cursors_ = std::vector<ChunkCursor>(wanted);
+  return cursors_;
+}
+
 std::size_t QueryContext::touched_count() const {
   std::size_t total = 0;
   for (const WorkerScratch& w : workers_) total += w.touched.size();

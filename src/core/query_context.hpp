@@ -44,12 +44,19 @@ class QueryContext {
     std::vector<Vertex> active;          // next substep's active vertices
     std::vector<Vertex> newly_frontier;  // frontier arrivals of this step
     std::vector<Vertex> touched;         // first-touch records
-    std::vector<std::size_t> offsets;    // prefix offsets of all active lists
     std::size_t settled = 0;
     std::size_t relaxations = 0;
     std::size_t edges_scanned = 0;
     std::size_t targets_taken = 0;  // pending targets this worker un-stamped
     Dist pending_di = kInfDist;     // min delta + r over this segment
+  };
+
+  /// A worker's chunk cursor into its own active list during a parallel
+  /// relax phase: the owner takes chunks through it first, then workers
+  /// whose own lists are drained steal through it. Each cursor has a cache
+  /// line of its own, away from the lists and counters its owner writes.
+  struct alignas(64) ChunkCursor {
+    std::atomic<std::size_t> next{0};
   };
 
   QueryContext() = default;
@@ -179,6 +186,10 @@ class QueryContext {
   /// once per run, before any recording; worker `w` only ever writes
   /// entry `w`.
   std::vector<WorkerScratch>& workers(int count);
+  /// At least `count` chunk cursors (grown on warm-up only). Cursor `w`
+  /// belongs to worker `w`'s active list; the worker resets it whenever
+  /// it refills that list.
+  std::vector<ChunkCursor>& cursors(int count);
   /// Vertices recorded since the workers were prepared (== finite entries
   /// in the distance array after an engine run).
   std::size_t touched_count() const;
@@ -277,6 +288,7 @@ class QueryContext {
   std::vector<std::vector<std::pair<Vertex, Dist>>> pair_buckets_;
   std::vector<std::vector<Vertex>> bucket_slots_;
   std::vector<WorkerScratch> workers_{1};
+  std::vector<ChunkCursor> cursors_;
   IndexedHeap<Dist> heap_{0};
   std::vector<std::pair<Dist, Vertex>> topk_buffer_;
 };

@@ -299,33 +299,59 @@ void run_sequential(const Graph& g, Vertex source,
   phases.finish(workers, 1, local);
 }
 
-/// Prefix offsets of the active lists of workers [0, nw) into `offsets`
-/// (nw + 1 entries); returns their total size.
-std::size_t active_offsets(const std::vector<Worker>& workers, int nw,
-                           std::vector<std::size_t>& offsets) {
-  offsets.resize(static_cast<std::size_t>(nw) + 1);
+/// Vertices per chunk of a parallel relax phase: large enough to amortize
+/// the cursor's atomic add, small enough to balance a hub-heavy list.
+constexpr std::size_t kRelaxChunk = 64;
+
+/// Total size of the active lists of workers [0, nw).
+std::size_t active_total(const std::vector<Worker>& workers, int nw) {
   std::size_t total = 0;
   for (int t = 0; t < nw; ++t) {
-    offsets[static_cast<std::size_t>(t)] = total;
     total += workers[static_cast<std::size_t>(t)].active.size();
   }
-  offsets[static_cast<std::size_t>(nw)] = total;
   return total;
 }
 
+/// Calls `f` on every vertex of the chunks of `list` this worker takes
+/// through `cursor`, until the list is drained. Each kRelaxChunk-vertex
+/// chunk goes to exactly one of the workers sharing the cursor.
+template <typename F>
+void take_chunks(const std::vector<Vertex>& list,
+                 std::atomic<std::size_t>& cursor, F&& f) {
+  const std::size_t size = list.size();
+  // The plain load keeps a drained list's cursor line shared instead of
+  // bouncing it between thieves.
+  while (cursor.load(std::memory_order_relaxed) < size) {
+    const std::size_t begin =
+        cursor.fetch_add(kRelaxChunk, std::memory_order_relaxed);
+    const std::size_t end = std::min(begin + kRelaxChunk, size);
+    for (std::size_t i = begin; i < end; ++i) f(list[i]);
+  }
+}
+
 /// Algorithm 1 on `nw` workers in one OpenMP region per query. Each worker
-/// owns a frontier segment, a claim bucket, a next-active list and a
-/// newly-frontier list; every pass of a step is split across workers:
+/// owns a frontier segment, a claim bucket, an active list with its chunk
+/// cursor, and a newly-frontier list; every pass of a step is split
+/// across workers:
 ///
 ///   Line 4   each worker reads every segment's pending d_i (computed by
 ///            the previous rebuild) and gathers A_i from its own segment;
 ///            barrier.
-///   substep  relaxation over the prefix-offset concatenation of the
-///            active lists (dynamic chunks; its implicit barrier ends the
-///            relax phase), then each worker classifies the vertices it
-///            claimed into its next-active or newly-frontier list; barrier.
+///   substep  owner-first relaxation: each worker takes kRelaxChunk-vertex
+///            chunks of its own active list through that list's cursor,
+///            then steals chunks from the other workers' cursors until
+///            every list is drained; barrier. Then each worker classifies
+///            the vertices it claimed into its next active or
+///            newly-frontier list; barrier.
 ///   boundary every worker evaluates the goals on the same combined
 ///            counts, rebuilds its own segment; barrier.
+///
+/// A worker's active list holds the vertices it claimed, so their
+/// distance and claim words are mostly still in its cache; stealing only
+/// moves the tail of a long list, which is what balances hub vertices.
+/// Every chunk is taken exactly once, whoever takes it, so each active
+/// vertex is relaxed once per substep, as under any other split: claims
+/// stay unique and every first touch is recorded once.
 ///
 /// Every decision (step loop, substep loop, exit) is taken by every worker
 /// on values no worker writes until after the next barrier, so the team
@@ -336,6 +362,7 @@ void run_parallel(const Graph& g, Vertex source,
                   RunStats& local, int nw) {
   Phases phases(g, radius, ctx);
   std::vector<Worker>& workers = ctx.workers(nw);
+  std::vector<QueryContext::ChunkCursor>& cursors = ctx.cursors(nw);
   const bool timed = ctx.trace_phases();
 
   phases.seed(workers[0], source);
@@ -356,6 +383,9 @@ void run_parallel(const Graph& g, Vertex source,
     const auto tid = static_cast<std::size_t>(omp_get_thread_num());
     const bool lead = tid == 0;  // keeps `local` and the claim epoch
     Worker& me = workers[tid];
+    // Reset whenever `me.active` is refilled; no worker takes a chunk
+    // until the barrier that follows.
+    std::atomic<std::size_t>& my_cursor = cursors[tid].next;
     Dist prev_di = 0;  // d_{i-1}: delta <= prev_di is S_{i-1}, final
     for (;;) {
       // Line 4: d_i = min over the frontier of delta(v) + r(v).
@@ -369,9 +399,9 @@ void run_parallel(const Graph& g, Vertex source,
       if (frontier_size == 0) break;
       if (lead) ++local.steps;
       phases.gather(me, di);
+      my_cursor.store(0, std::memory_order_relaxed);
 #pragma omp barrier
-      std::size_t active = active_offsets(workers, nw, me.offsets);
-      const std::vector<std::size_t>& offsets = me.offsets;
+      std::size_t active = active_total(workers, nw);
       auto t_relax =
           timed && lead ? TraceClock::now() : TraceClock::time_point{};
 
@@ -382,17 +412,17 @@ void run_parallel(const Graph& g, Vertex source,
         if (lead) local.max_active = std::max(local.max_active, active);
         std::size_t relaxations = 0;
         std::size_t scanned = 0;
-        std::size_t owner = 0;  // worker whose active list holds index i
-#pragma omp for schedule(dynamic, 64)
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(active); ++i) {
-          const auto k = static_cast<std::size_t>(i);
-          while (k >= offsets[owner + 1]) ++owner;
-          while (k < offsets[owner]) --owner;
-          const Vertex u = workers[owner].active[k - offsets[owner]];
+        const auto relax = [&](Vertex u) {
           scanned += phases.relax<true>(me, u, di, prev_di, relaxations);
+        };
+        // Own list first, then the others' in ring order.
+        for (std::size_t s = 0; s < static_cast<std::size_t>(nw); ++s) {
+          const std::size_t owner = (tid + s) % static_cast<std::size_t>(nw);
+          take_chunks(workers[owner].active, cursors[owner].next, relax);
         }
         me.relaxations += relaxations;
         me.edges_scanned += scanned;
+#pragma omp barrier
         const auto t_drain =
             timed && lead ? TraceClock::now() : TraceClock::time_point{};
         if (lead) {
@@ -400,8 +430,9 @@ void run_parallel(const Graph& g, Vertex source,
           ctx.next_claim_epoch();  // nobody claims until the next relax
         }
         phases.classify(me, di);
+        my_cursor.store(0, std::memory_order_relaxed);
 #pragma omp barrier
-        active = active_offsets(workers, nw, me.offsets);
+        active = active_total(workers, nw);
         if (timed && lead) {
           t_relax = TraceClock::now();
           local.partition_ns += phase_ns(t_drain, t_relax);

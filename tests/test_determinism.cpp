@@ -4,9 +4,11 @@
 // workers run — the property that makes parallel SSSP testable at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "baseline/dijkstra.hpp"
+#include "core/query_context.hpp"
 #include "core/radii.hpp"
 #include "core/radius_stepping.hpp"
 #include "core/rs_bst.hpp"
@@ -102,6 +104,64 @@ TEST(Determinism, StatsSettledCountIsWorkerInvariant) {
     }
     EXPECT_EQ(s1.settled, sN.settled) << c.name;
     EXPECT_EQ(s1.steps, sN.steps) << c.name;
+  }
+}
+
+/// A star whose `legs` spokes have two arcs each: centre 0, inner vertex
+/// i and outer vertex legs + i, weights 1..100. From the centre,
+/// Phases::seed puts every inner vertex into worker 0's frontier, so with
+/// radius >= 100 step 1's active list is worker 0's alone and every other
+/// worker can only steal from it. A bare star would hide a chunk nobody
+/// relaxed (its leaves get their distances from the seed); here that
+/// chunk's outer vertices would stay unreached.
+Graph two_arc_star(Vertex legs, std::uint64_t seed) {
+  std::vector<EdgeTriple> edges;
+  for (Vertex i = 1; i <= legs; ++i) {
+    edges.push_back({0, i, 1});
+    edges.push_back({i, legs + i, 1});
+  }
+  return assign_uniform_weights(build_graph(2 * legs + 1, std::move(edges)),
+                                seed, 1, 100);
+}
+
+TEST(Determinism, StealingRelaxesEveryActiveVertexOnce) {
+  // Odd and even team sizes, oversubscribed or not. Whoever takes a chunk
+  // (its owner or a thief), the answer, the step sequence and the
+  // first-touch records must be those of the one-worker run.
+  std::vector<test::GraphCase> cases = test::weighted_suite(/*seed=*/41);
+  cases.push_back({"two_arc_star", two_arc_star(2000, 43)});
+  for (const auto& c : cases) {
+    const Vertex n = c.graph.num_vertices();
+    const auto radii = constant_radii(n, 100);
+    const std::vector<Dist> ref = dijkstra(c.graph, 0);
+    const auto reachable = static_cast<std::size_t>(std::count_if(
+        ref.begin(), ref.end(), [](Dist d) { return d != kInfDist; }));
+    RunStats s1;
+    {
+      WorkerGuard guard(1);
+      radius_stepping(c.graph, 0, radii, &s1);
+    }
+    for (const int nw : {2, 3, 8}) {
+      WorkerGuard guard(nw);
+      RunStats sN;
+      EXPECT_EQ(radius_stepping(c.graph, 0, radii, &sN), ref)
+          << c.name << " at " << nw;
+      EXPECT_EQ(sN.steps, s1.steps) << c.name << " at " << nw;
+      EXPECT_EQ(sN.settled, s1.settled) << c.name << " at " << nw;
+      EXPECT_EQ(sN.touched, reachable) << c.name << " at " << nw;
+
+      // The O(touched) reset leaves no finite distance behind only if
+      // every first touch was recorded; with touched == reachable above,
+      // each was recorded exactly once.
+      QueryContext ctx(n);
+      radius_stepping_partial(c.graph, 0, radii, ctx);
+      ctx.reset_touched();
+      Vertex stale = 0;
+      for (Vertex v = 0; v < n; ++v) {
+        if (ctx.read_dist(v) != kInfDist) ++stale;
+      }
+      EXPECT_EQ(stale, 0u) << c.name << " at " << nw;
+    }
   }
 }
 
