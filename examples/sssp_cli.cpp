@@ -52,12 +52,15 @@ int cmd_gen(const Args& args) {
   constexpr long kMaxWeight = std::numeric_limits<Weight>::max();
   constexpr long kMaxLong = std::numeric_limits<long>::max();
   const std::string type = args.get("--type", "grid2d");
-  // The vertex count side^2 (side^3 for grid3d) must fit a Vertex.
-  const long max_side = type == "grid3d" ? 1625 : 65535;
-  const auto side =
-      static_cast<Vertex>(get_checked(args, "--side", 100, 1, max_side));
-  const auto n =
-      static_cast<Vertex>(get_checked(args, "--n", 10000, 1, kMaxVertex));
+  // --side and --n are read only by the types that use them, so
+  // reject_unread() refuses them for the others. The vertex count side^2
+  // (side^3 for grid3d) must fit a Vertex.
+  const auto side = [&](long max_side) {
+    return static_cast<Vertex>(get_checked(args, "--side", 100, 1, max_side));
+  };
+  const auto count = [&] {
+    return static_cast<Vertex>(get_checked(args, "--n", 10000, 1, kMaxVertex));
+  };
   const auto seed =
       static_cast<std::uint64_t>(get_checked(args, "--seed", 1, 0, kMaxLong));
   // 0 keeps unit weights; otherwise weights are uniform in [1, wmax].
@@ -67,12 +70,16 @@ int cmd_gen(const Args& args) {
 
   Graph g;
   if (type == "grid2d") {
-    g = gen::grid2d(side, side);
+    const Vertex s = side(65535);
+    g = gen::grid2d(s, s);
   } else if (type == "grid3d") {
-    g = gen::grid3d(side, side, side);
+    const Vertex s = side(1625);
+    g = gen::grid3d(s, s, s);
   } else if (type == "road") {
-    g = gen::road_network(side, side, seed);
+    const Vertex s = side(65535);
+    g = gen::road_network(s, s, seed);
   } else if (type == "ba" || type == "web") {
+    const Vertex n = count();
     g = gen::barabasi_albert(
         n, static_cast<Vertex>(get_checked(args, "--deg", 5, 1, kMaxVertex)),
         seed);
@@ -84,12 +91,14 @@ int cmd_gen(const Args& args) {
         static_cast<EdgeId>(get_checked(args, "--factor", 8, 1, kMaxVertex)),
         seed));
   } else if (type == "er") {
+    const Vertex n = count();
     g = largest_component(gen::erdos_renyi(
         n,
         static_cast<EdgeId>(
             get_checked(args, "--m", 4 * static_cast<long>(n), 0, kMaxLong)),
         seed));
   } else if (type == "rgg") {
+    const Vertex n = count();
     // random_geometric takes a radius in (0, 1].
     const double radius =
         get_checked(args, "--rgg-radius-milli", 50, 1, 1000) / 1000.0;

@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -86,6 +87,9 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
   resp.stats = RunStats{};
   resp.dist.clear();
   resp.trace = obs::TraceBuffer{};
+  // Provenance: which preprocessing generation answered, and how.
+  resp.graph_epoch = graph_epoch_;
+  resp.served_from_cache = false;
   // Per-phase clock readings only for traced requests; the flag is
   // per-run (set fresh here every time), so context reuse cannot leak it.
   ctx.set_trace_phases(req.trace);
@@ -96,6 +100,14 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
   // the first step boundary with k vertices settled.
   const bool topk = req.kind == RequestKind::kTopK;
   const bool early = !topk && !req.targets.empty() && !req.want_full_distances;
+  // One target on a sequential run of a shortcut engine (whose graph is
+  // symmetric): a second search from the target meets the first.
+  if (early && req.targets.size() == 1 &&
+      pre_.options.heuristic != ShortcutHeuristic::kNone &&
+      (ctx.sequential() || num_workers() == 1)) {
+    serve_meet(req, ctx, transpose, resp);
+    return;
+  }
   if (early) {
     ctx.set_targets(n, req.targets.data(), req.targets.size());
   } else {
@@ -106,6 +118,7 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
   radius_stepping_partial(pre_.graph, req.source, pre_.radius, ctx,
                           &resp.stats);
 
+  const QueryContext::Search& search = ctx.search();
   if (topk) {
     // k-nearest extraction from the first-touch records: at the exit
     // boundary every SETTLED touched vertex carries its final distance and
@@ -113,8 +126,8 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
     // smallest settled (dist, vertex) pairs are exactly the k nearest. All
     // buffers come from the context: a warm top-k serve allocates nothing.
     auto& buf = ctx.topk_buffer();
-    ctx.for_each_touched([&](Vertex v) {
-      if (ctx.is_settled(v)) buf.push_back({ctx.read_dist(v), v});
+    search.for_each_touched([&](Vertex v) {
+      if (search.is_settled(v)) buf.push_back({search.read_dist(v), v});
     });
     const std::size_t m = std::min<std::size_t>(req.k, buf.size());
     std::partial_sort(buf.begin(),
@@ -135,12 +148,12 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
     for (std::size_t i = 0; i < req.targets.size(); ++i) {
       TargetResult& tr = resp.targets[i];
       tr.target = req.targets[i];
-      tr.dist = ctx.read_dist(tr.target);
+      tr.dist = search.read_dist(tr.target);
       tr.path.clear();
     }
   }
   if (req.want_paths && transpose != nullptr) {
-    const auto dist_of = [&ctx](Vertex v) { return ctx.read_dist(v); };
+    const auto dist_of = [&search](Vertex v) { return search.read_dist(v); };
     for (TargetResult& tr : resp.targets) {
       if (tr.dist != kInfDist) {
         // Distances are identical on the original graph (shortcuts
@@ -160,10 +173,35 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
   } else {
     ctx.reset_touched();
   }
-  // Provenance: which preprocessing generation answered, and how.
-  resp.graph_epoch = graph_epoch_;
-  resp.served_from_cache = false;
   ctx.clear_targets();
+}
+
+void SsspEngine::serve_meet(const QueryRequest& req, QueryContext& ctx,
+                            const Graph* transpose, QueryResponse& resp) const {
+  const Meeting meeting =
+      radius_stepping_meet(pre_.graph, req.source, req.targets[0],
+                           pre_.radius, ctx, &resp.stats);
+  resp.targets.resize(1);
+  TargetResult& tr = resp.targets[0];
+  tr.target = req.targets[0];
+  tr.dist = meeting.dist;
+  tr.path.clear();
+  if (req.want_paths && transpose != nullptr && meeting.dist != kInfDist) {
+    // source .. forward, then backward .. target. Both ends of the
+    // meeting arc are settled with exact distances in their own search,
+    // and on a symmetric graph the backward search's closure walk from
+    // `backward` runs along a shortest path to the target.
+    const QueryContext::Search& fs = ctx.search();
+    const QueryContext::Search& bs = ctx.backward();
+    append_closure_walk(*transpose, meeting.forward,
+                        [&fs](Vertex v) { return fs.read_dist(v); }, tr.path);
+    std::reverse(tr.path.begin(), tr.path.end());
+    // A meeting at one vertex (source == target) starts both walks there.
+    if (meeting.forward == meeting.backward) tr.path.pop_back();
+    append_closure_walk(*transpose, meeting.backward,
+                        [&bs](Vertex v) { return bs.read_dist(v); }, tr.path);
+  }
+  ctx.reset_touched();
 }
 
 QueryResponse SsspEngine::serve(const QueryRequest& req) const {

@@ -97,14 +97,23 @@ class SsspEngine {
   void serve(const QueryRequest& req, QueryContext& ctx,
              QueryResponse& resp) const;
 
-  /// One response per request, in input order, bit-identical to per-
-  /// request serve() calls. Requests may mix sources, target sets, kinds
-  /// and flags.
+  /// One response per request, in input order. Requests may mix sources,
+  /// target sets, kinds and flags.
   ///
   /// Scheduling: with W workers and B requests, B >= W runs
   /// request-parallel (one strictly sequential query per worker, contexts
   /// from an internal per-worker pool); B < W keeps the batch loop
   /// sequential and lets each query use intra-query parallelism.
+  ///
+  /// Contract: bit-identical (distances, paths, RunStats) to per-request
+  /// serve() on a SEQUENTIAL context (set_sequential(true)) whenever the
+  /// batch runs its queries sequentially: W == 1 or B >= W. On an
+  /// intra-query parallel context (serve() on a default context at
+  /// W > 1, or a batch with B < W) a one-target request searches from
+  /// the source alone instead of meeting a second search from the target
+  /// (core/request.hpp): the same distance, different work counts, and
+  /// possibly a different shortest path where paths tie.
+  ///
   /// Thread-safe: each concurrent batch leases its own warm context-pool
   /// slot (the slot set grows to the peak concurrency and stays warm), so
   /// a serving daemon running parallel micro-batches never re-pays
@@ -142,6 +151,14 @@ class SsspEngine {
   /// `transpose` must be non-null when req.want_paths.
   void run_serve(const QueryRequest& req, QueryContext& ctx,
                  const Graph* transpose, QueryResponse& resp) const;
+
+  /// run_serve's one-target form on a sequential run: a forward and a
+  /// backward search that meet (radius_stepping_meet). The answer is the
+  /// meeting's distance; a path is the forward closure to the meeting
+  /// arc, then the backward closure from it, written into the response's
+  /// own path buffer.
+  void serve_meet(const QueryRequest& req, QueryContext& ctx,
+                  const Graph* transpose, QueryResponse& resp) const;
 
   /// The cached transpose of the original graph (built at most once,
   /// shared by all path reconstructions). On a moved-from engine the

@@ -4,7 +4,7 @@
 
 namespace rs {
 
-void QueryContext::reserve(Vertex n) {
+void QueryContext::Search::reserve(Vertex n) {
   if (n <= n_) return;
   // Atomics are neither copyable nor movable, so growth reconstructs the
   // atomic arrays; this is the warm-up path, never the per-query path.
@@ -18,44 +18,11 @@ void QueryContext::reserve(Vertex n) {
   }
   settled_gen_.resize(n, 0);
   mark_gen_.resize(n, 0);
-  heap_.reserve(n);
   n_ = n;
 }
 
-void QueryContext::finish_query(Vertex n, std::vector<Dist>& out) {
-  // The fused copy below restores the all-infinite invariant for every
-  // vertex; any first-touch records are redundant — drop them.
-  for (WorkerScratch& w : workers_) w.touched.clear();
-  out.resize(n);
-  Dist* out_data = out.data();
-  std::atomic<Dist>* dist = dist_.data();
-  if (sequential_) {
-    for (Vertex v = 0; v < n; ++v) {
-      out_data[v] = dist[v].load(std::memory_order_relaxed);
-      dist[v].store(kInfDist, std::memory_order_relaxed);
-    }
-  } else {
-    parallel_for(0, n, [&](std::size_t v) {
-      out_data[v] = dist[v].load(std::memory_order_relaxed);
-      dist[v].store(kInfDist, std::memory_order_relaxed);
-    });
-  }
-}
-
-void QueryContext::reset_distances(Vertex n) {
-  std::atomic<Dist>* dist = dist_.data();
-  if (sequential_) {
-    for (Vertex v = 0; v < n; ++v) {
-      dist[v].store(kInfDist, std::memory_order_relaxed);
-    }
-  } else {
-    parallel_for(0, n, [&](std::size_t v) {
-      dist[v].store(kInfDist, std::memory_order_relaxed);
-    });
-  }
-}
-
-std::vector<QueryContext::WorkerScratch>& QueryContext::workers(int count) {
+std::vector<QueryContext::WorkerScratch>& QueryContext::Search::workers(
+    int count) {
   const auto wanted = static_cast<std::size_t>(count < 1 ? 1 : count);
   if (workers_.size() < wanted) workers_.resize(wanted);
   // Every entry is reset, not just the first `wanted`: a context that last
@@ -79,20 +46,13 @@ std::vector<QueryContext::WorkerScratch>& QueryContext::workers(int count) {
   return workers_;
 }
 
-std::vector<QueryContext::ChunkCursor>& QueryContext::cursors(int count) {
-  const auto wanted = static_cast<std::size_t>(count < 1 ? 1 : count);
-  // Atomics cannot move, so growth rebuilds the array, like dist_.
-  if (cursors_.size() < wanted) cursors_ = std::vector<ChunkCursor>(wanted);
-  return cursors_;
-}
-
-std::size_t QueryContext::touched_count() const {
+std::size_t QueryContext::Search::touched_count() const {
   std::size_t total = 0;
   for (const WorkerScratch& w : workers_) total += w.touched.size();
   return total;
 }
 
-void QueryContext::reset_touched() {
+void QueryContext::Search::reset_touched() {
   std::atomic<Dist>* dist = dist_.data();
   for (WorkerScratch& w : workers_) {
     for (const Vertex v : w.touched) {
@@ -100,6 +60,57 @@ void QueryContext::reset_touched() {
     }
     w.touched.clear();
   }
+}
+
+void QueryContext::Search::drop_touched() {
+  for (WorkerScratch& w : workers_) w.touched.clear();
+}
+
+void QueryContext::reserve(Vertex n) {
+  if (n <= n_) return;
+  search_.reserve(n);
+  heap_.reserve(n);
+  n_ = n;
+}
+
+void QueryContext::finish_query(Vertex n, std::vector<Dist>& out) {
+  // The fused copy below restores the all-infinite invariant for every
+  // vertex; any first-touch records are redundant — drop them.
+  search_.drop_touched();
+  out.resize(n);
+  Dist* out_data = out.data();
+  std::atomic<Dist>* dist = search_.dist();
+  if (sequential_) {
+    for (Vertex v = 0; v < n; ++v) {
+      out_data[v] = dist[v].load(std::memory_order_relaxed);
+      dist[v].store(kInfDist, std::memory_order_relaxed);
+    }
+  } else {
+    parallel_for(0, n, [&](std::size_t v) {
+      out_data[v] = dist[v].load(std::memory_order_relaxed);
+      dist[v].store(kInfDist, std::memory_order_relaxed);
+    });
+  }
+}
+
+void QueryContext::reset_distances(Vertex n) {
+  std::atomic<Dist>* dist = search_.dist();
+  if (sequential_) {
+    for (Vertex v = 0; v < n; ++v) {
+      dist[v].store(kInfDist, std::memory_order_relaxed);
+    }
+  } else {
+    parallel_for(0, n, [&](std::size_t v) {
+      dist[v].store(kInfDist, std::memory_order_relaxed);
+    });
+  }
+}
+
+std::vector<QueryContext::ChunkCursor>& QueryContext::cursors(int count) {
+  const auto wanted = static_cast<std::size_t>(count < 1 ? 1 : count);
+  // Atomics cannot move, so growth rebuilds the array, like the distances.
+  if (cursors_.size() < wanted) cursors_ = std::vector<ChunkCursor>(wanted);
+  return cursors_;
 }
 
 void QueryContext::set_targets(Vertex n, const Vertex* targets,

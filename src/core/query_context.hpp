@@ -20,6 +20,11 @@
 // scheduler uses when it runs one query per worker. A parallel run keeps
 // each worker's lists and counters in its own cache-line-aligned
 // WorkerScratch, so workers growing their lists never share a line.
+//
+// The radius-stepping working set of one search (distances, stamps,
+// worker lists) is a Search. Every query runs search(); a bidirectional
+// one-target run (radius_stepping_meet) adds backward(), which is built
+// the first time such a run needs it.
 #pragma once
 
 #include <atomic>
@@ -59,6 +64,124 @@ class QueryContext {
     std::atomic<std::size_t> next{0};
   };
 
+  /// The working set of one radius-stepping search: tentative distances,
+  /// the settled, mark and claim stamps, and the per-worker lists with
+  /// their first-touch records.
+  class Search {
+   public:
+    /// Grows every per-vertex buffer to cover `n` vertices. All
+    /// allocation happens here (and in workers()); searches only ever
+    /// read/write in [0, n).
+    void reserve(Vertex n);
+
+    /// Starts a search over `n` vertices: grows buffers if needed and
+    /// bumps the settled generation (O(1)). The distance array is already
+    /// all kInfDist — the last search's epilogue restored the invariant.
+    void begin(Vertex n) {
+      reserve(n);
+      ++query_gen_;
+    }
+
+    // --- tentative distances -----------------------------------------------
+    // Shared by parallel engines (CAS WriteMin) and sequential ones
+    // (relaxed load/store, no CAS); a relaxed atomic costs the same as a
+    // plain word on the sequential path.
+    std::atomic<Dist>* dist() { return dist_.data(); }
+    /// Current tentative distance of `v`: exact for every vertex settled
+    /// by the end of a step, an upper bound elsewhere.
+    Dist read_dist(Vertex v) const {
+      return dist_[v].load(std::memory_order_relaxed);
+    }
+
+    // --- visited flags (one writer per vertex and phase) ------------------
+    bool is_settled(Vertex v) const { return settled_gen_[v] == query_gen_; }
+    void mark_settled(Vertex v) { settled_gen_[v] = query_gen_; }
+
+    // --- claim flags (first claimer per epoch wins) -----------------------
+    // An epoch is one dedup scope: a Bellman-Ford substep, a BFS level, a
+    // Delta-stepping bucket. Bumping the epoch invalidates every claim in
+    // O(1); the counter is monotone across queries so stale stamps can
+    // never collide.
+    void next_claim_epoch() { ++claim_epoch_; }
+    /// Atomic claim for parallel relaxations: exactly one caller per
+    /// epoch gets `true` for a given vertex.
+    bool claim(Vertex v) {
+      return claim_[v].exchange(claim_epoch_, std::memory_order_relaxed) !=
+             claim_epoch_;
+    }
+    /// Same contract without the atomic RMW; only valid in sequential
+    /// mode.
+    bool claim_sequential(Vertex v) {
+      if (claim_[v].load(std::memory_order_relaxed) == claim_epoch_) {
+        return false;
+      }
+      claim_[v].store(claim_epoch_, std::memory_order_relaxed);
+      return true;
+    }
+
+    // --- mark flags (single-writer list dedup) ----------------------------
+    // A second, non-atomic epoch-stamp family for deduplicating list
+    // membership (frontier arrivals; in a parallel run only the worker
+    // that claimed a vertex marks it), independent of the claim epochs
+    // the relaxation substeps burn through.
+    void next_mark_epoch() { ++mark_epoch_; }
+    /// True the first time `v` is marked in the current mark epoch.
+    bool mark(Vertex v) {
+      if (mark_gen_[v] == mark_epoch_) return false;
+      mark_gen_[v] = mark_epoch_;
+      return true;
+    }
+
+    // --- per-worker scratch and first-touch tracking ----------------------
+    // The radius-stepping engine records each vertex whose tentative
+    // distance leaves kInfDist — exactly once per search, at the moment of
+    // the inf -> finite transition — into its worker's `touched` list.
+    // reset_touched() then restores the all-infinite invariant by writing
+    // kInfDist back over just those vertices: the epilogue of a targeted
+    // serve costs O(touched), not O(n).
+    //
+    // Exactly-once discipline: sequential twins record after observing the
+    // old value == kInfDist; parallel twins use the write_min overload
+    // that reports the pre-CAS value, whose kInfDist observation has a
+    // unique winner. A missed record would leak a stale finite distance
+    // into the next query, so the contract is pinned by tests over both
+    // twins.
+
+    /// Ensures at least `count` WorkerScratch entries exist, with every
+    /// list empty and every counter reset (capacities kept). Engines call
+    /// this once per run, before any recording; worker `w` only ever
+    /// writes entry `w`.
+    std::vector<WorkerScratch>& workers(int count);
+    /// Calls `f(v)` for every first-touch record of the last run (valid
+    /// until reset_touched()/drop_touched()).
+    template <typename F>
+    void for_each_touched(F&& f) const {
+      for (const WorkerScratch& w : workers_) {
+        for (const Vertex v : w.touched) f(v);
+      }
+    }
+    /// Vertices recorded since the workers were prepared (== finite
+    /// entries in the distance array after an engine run).
+    std::size_t touched_count() const;
+    /// O(touched) epilogue: restores the all-infinite invariant by
+    /// resetting exactly the recorded vertices, then clears the records.
+    void reset_touched();
+    /// Clears the records without touching the distances (for an epilogue
+    /// that restored the invariant some other way).
+    void drop_touched();
+
+   private:
+    Vertex n_ = 0;
+    std::uint64_t query_gen_ = 0;
+    std::uint64_t claim_epoch_ = 0;
+    std::uint64_t mark_epoch_ = 0;
+    std::vector<std::atomic<Dist>> dist_;       // invariant: all kInfDist
+    std::vector<std::uint64_t> settled_gen_;    // == query_gen_ => settled
+    std::vector<std::uint64_t> mark_gen_;       // == mark_epoch_ => marked
+    std::vector<std::atomic<std::uint64_t>> claim_;  // == claim_epoch_
+    std::vector<WorkerScratch> workers_;
+  };
+
   QueryContext() = default;
   explicit QueryContext(Vertex n) { reserve(n); }
 
@@ -67,8 +190,9 @@ class QueryContext {
   QueryContext(QueryContext&&) = default;
   QueryContext& operator=(QueryContext&&) = default;
 
-  /// Grows every per-vertex buffer to cover `n` vertices. All allocation
-  /// happens here; engines only ever read/write in [0, n).
+  /// Grows every per-vertex buffer of search() and the heap to cover `n`
+  /// vertices. All allocation happens here; engines only ever read/write
+  /// in [0, n). backward() grows only when a bidirectional run uses it.
   void reserve(Vertex n);
 
   /// Largest vertex count this context is warmed up for.
@@ -86,17 +210,23 @@ class QueryContext {
   bool trace_phases() const { return trace_phases_; }
   void set_trace_phases(bool trace) { trace_phases_ = trace; }
 
-  /// Starts a query over `n` vertices: grows buffers if needed and bumps
-  /// the visited generation (O(1)). The distance array is already all
-  /// kInfDist — finish_query() restored the invariant.
+  /// The search every query runs (the forward one of a bidirectional run).
+  Search& search() { return search_; }
+  /// The backward search of a bidirectional one-target run. Empty until
+  /// radius_stepping_meet first begins it, so other queries pay nothing.
+  Search& backward() { return backward_; }
+
+  /// Starts a query over `n` vertices on search(): grows buffers if needed
+  /// and bumps the visited generation (O(1)). The distance array is
+  /// already all kInfDist — finish_query() restored the invariant.
   void begin_query(Vertex n) {
     reserve(n);
-    ++query_gen_;
+    search_.begin(n);
   }
 
   /// Copies distances of [0, n) into `out` and restores the all-infinite
   /// invariant in the same pass. Every begin_query() must be paired with
-  /// exactly one finish_query() OR reset_distances().
+  /// exactly one finish_query() OR reset_distances() OR reset_touched().
   void finish_query(Vertex n, std::vector<Dist>& out);
 
   /// Restores the all-infinite invariant WITHOUT producing the O(n)
@@ -105,12 +235,24 @@ class QueryContext {
   /// fallback for distance arrays of unknown provenance.
   void reset_distances(Vertex n);
 
-  /// Current tentative distance of `v` (valid between an engine run and
-  /// the finish_query()/reset_distances() that ends it). Exact for every
-  /// settled vertex; an upper bound elsewhere.
-  Dist read_dist(Vertex v) const {
-    return dist_[v].load(std::memory_order_relaxed);
+  /// O(touched) epilogue of both searches (see Search::reset_touched).
+  /// Only valid when every inf -> finite transition since the run began
+  /// was recorded (radius_stepping_partial and radius_stepping_meet
+  /// guarantee this).
+  void reset_touched() {
+    search_.reset_touched();
+    backward_.reset_touched();
   }
+
+  /// search()'s tentative distance of `v` (valid between an engine run and
+  /// the epilogue that ends it). Exact for every settled vertex; an upper
+  /// bound elsewhere.
+  Dist read_dist(Vertex v) const { return search_.read_dist(v); }
+
+  // search()'s distances and claims, for the single-search baselines.
+  std::atomic<Dist>* dist() { return search_.dist(); }
+  void next_claim_epoch() { search_.next_claim_epoch(); }
+  bool claim_sequential(Vertex v) { return search_.claim_sequential(v); }
 
   // --- targeted queries (early termination) --------------------------------
   // serve() stamps the request's target set before running an engine;
@@ -149,16 +291,6 @@ class QueryContext {
   void set_k_goal(std::size_t k) { k_goal_ = k; }
   std::size_t k_goal() const { return k_goal_; }
 
-  /// Calls `f(v)` for every first-touch record of the last run (valid
-  /// until reset_touched()/finish_query()). The serve layer derives top-k
-  /// answers from them: settled touched vertices carry final distances.
-  template <typename F>
-  void for_each_touched(F&& f) const {
-    for (const WorkerScratch& w : workers_) {
-      for (const Vertex v : w.touched) f(v);
-    }
-  }
-
   /// Reusable (dist, vertex) staging buffer for top-k extraction; keeps
   /// its capacity across queries like every other context buffer.
   std::vector<std::pair<Dist, Vertex>>& topk_buffer() {
@@ -166,80 +298,10 @@ class QueryContext {
     return topk_buffer_;
   }
 
-  // --- per-worker scratch and first-touch tracking -------------------------
-  // The radius-stepping engine records each vertex whose tentative
-  // distance leaves kInfDist — exactly once per query, at the moment of
-  // the inf -> finite transition — into its worker's `touched` list.
-  // reset_touched() then restores the all-infinite invariant by writing
-  // kInfDist back over just those vertices: the epilogue of a targeted
-  // serve costs O(touched), not O(n). (finish_query()'s fused full copy
-  // already restores the invariant; it discards the records.)
-  //
-  // Exactly-once discipline: sequential twins record after observing the
-  // old value == kInfDist; parallel twins use the write_min overload that
-  // reports the pre-CAS value, whose kInfDist observation has a unique
-  // winner. A missed record would leak a stale finite distance into the
-  // next query, so the contract is pinned by tests over both twins.
-
-  /// Ensures at least `count` WorkerScratch entries exist, with every list
-  /// empty and every counter reset (capacities kept). Engines call this
-  /// once per run, before any recording; worker `w` only ever writes
-  /// entry `w`.
-  std::vector<WorkerScratch>& workers(int count);
   /// At least `count` chunk cursors (grown on warm-up only). Cursor `w`
   /// belongs to worker `w`'s active list; the worker resets it whenever
   /// it refills that list.
   std::vector<ChunkCursor>& cursors(int count);
-  /// Vertices recorded since the workers were prepared (== finite entries
-  /// in the distance array after an engine run).
-  std::size_t touched_count() const;
-  /// O(touched) epilogue: restores the all-infinite invariant by resetting
-  /// exactly the recorded vertices, then clears the records. Only valid
-  /// when every inf -> finite transition since workers() was recorded
-  /// (radius_stepping_partial guarantees this).
-  void reset_touched();
-
-  // --- tentative distances -------------------------------------------------
-  // Shared by parallel engines (CAS WriteMin) and sequential ones (relaxed
-  // load/store, no CAS); a relaxed atomic costs the same as a plain word on
-  // the sequential path.
-  std::atomic<Dist>* dist() { return dist_.data(); }
-
-  // --- visited flags (one writer per vertex and phase) ----------------------
-  bool is_settled(Vertex v) const { return settled_gen_[v] == query_gen_; }
-  void mark_settled(Vertex v) { settled_gen_[v] = query_gen_; }
-
-  // --- claim flags (first claimer per epoch wins) --------------------------
-  // An epoch is one dedup scope: a Bellman-Ford substep, a BFS level, a
-  // Delta-stepping bucket. Bumping the epoch invalidates every claim in
-  // O(1); the counter is monotone across queries so stale stamps can never
-  // collide.
-  void next_claim_epoch() { ++claim_epoch_; }
-  /// Atomic claim for parallel relaxations: exactly one caller per epoch
-  /// gets `true` for a given vertex.
-  bool claim(Vertex v) {
-    return claim_[v].exchange(claim_epoch_, std::memory_order_relaxed) !=
-           claim_epoch_;
-  }
-  /// Same contract without the atomic RMW; only valid in sequential mode.
-  bool claim_sequential(Vertex v) {
-    if (claim_[v].load(std::memory_order_relaxed) == claim_epoch_) return false;
-    claim_[v].store(claim_epoch_, std::memory_order_relaxed);
-    return true;
-  }
-
-  // --- mark flags (single-writer list dedup) -------------------------------
-  // A second, non-atomic epoch-stamp family for deduplicating list
-  // membership (frontier arrivals; in a parallel run only the worker that
-  // claimed a vertex marks it), independent of the claim epochs the
-  // relaxation substeps burn through.
-  void next_mark_epoch() { ++mark_epoch_; }
-  /// True the first time `v` is marked in the current mark epoch.
-  bool mark(Vertex v) {
-    if (mark_gen_[v] == mark_epoch_) return false;
-    mark_gen_[v] = mark_epoch_;
-    return true;
-  }
 
   // --- reusable vertex lists ----------------------------------------------
   // Distinct roles so engines can hold several live lists at once; all keep
@@ -267,18 +329,12 @@ class QueryContext {
   bool targeted_ = false;
   std::size_t targets_remaining_ = 0;
   std::size_t k_goal_ = 0;
-
-  std::uint64_t query_gen_ = 0;
-  std::uint64_t claim_epoch_ = 0;
-  std::uint64_t mark_epoch_ = 0;
   std::uint64_t target_epoch_ = 0;
 
-  std::vector<std::atomic<Dist>> dist_;       // invariant: all kInfDist
-  std::vector<std::uint64_t> settled_gen_;    // == query_gen_ => settled
-  std::vector<std::uint64_t> mark_gen_;       // == mark_epoch_ => marked
-  std::vector<std::uint64_t> target_gen_;     // == target_epoch_ => wanted,
-                                              // unsettled (lazily sized)
-  std::vector<std::atomic<std::uint64_t>> claim_;  // == claim_epoch_ => claimed
+  Search search_;
+  Search backward_;
+  std::vector<std::uint64_t> target_gen_;  // == target_epoch_ => wanted,
+                                           // unsettled (lazily sized)
 
   std::vector<Vertex> frontier_;
   std::vector<Vertex> next_;
@@ -287,7 +343,6 @@ class QueryContext {
   std::vector<Vertex> scratch_;
   std::vector<std::vector<std::pair<Vertex, Dist>>> pair_buckets_;
   std::vector<std::vector<Vertex>> bucket_slots_;
-  std::vector<WorkerScratch> workers_{1};
   std::vector<ChunkCursor> cursors_;
   IndexedHeap<Dist> heap_{0};
   std::vector<std::pair<Dist, Vertex>> topk_buffer_;

@@ -16,6 +16,7 @@ namespace {
 
 using TraceClock = std::chrono::steady_clock;
 using Worker = QueryContext::WorkerScratch;
+using Search = QueryContext::Search;
 
 std::uint64_t phase_ns(TraceClock::time_point a, TraceClock::time_point b) {
   return static_cast<std::uint64_t>(
@@ -23,14 +24,14 @@ std::uint64_t phase_ns(TraceClock::time_point a, TraceClock::time_point b) {
 }
 
 /// The passes of Algorithm 1 that both bodies run per worker, each over
-/// the worker's own WorkerScratch. Both bodies produce identical distances
-/// and an identical step sequence: by the end of a step every vertex
-/// settled in it has relaxed its out-arcs with its final value, so
-/// step-boundary distances — and with them the frontier, d_i, steps, and
-/// settled counts — are schedule-independent. Substep counts are NOT:
-/// relaxations read neighbor distances live (chaotic relaxation), so how
-/// fast a step converges internally depends on processing order. Only
-/// Theorem 3.2's k+2 upper bound is invariant.
+/// the worker's own WorkerScratch in one Search. Both bodies produce
+/// identical distances and an identical step sequence: by the end of a
+/// step every vertex settled in it has relaxed its out-arcs with its final
+/// value, so step-boundary distances — and with them the frontier, d_i,
+/// steps, and settled counts — are schedule-independent. Substep counts
+/// are NOT: relaxations read neighbor distances live (chaotic relaxation),
+/// so how fast a step converges internally depends on processing order.
+/// Only Theorem 3.2's k+2 upper bound is invariant.
 ///
 /// Every vertex is settled, classified and kept in the frontier by exactly
 /// one worker at a time (claims are unique per substep, frontier segments
@@ -39,15 +40,27 @@ std::uint64_t phase_ns(TraceClock::time_point a, TraceClock::time_point b) {
 /// bodies combine the counts at step boundaries.
 class Phases {
  public:
-  Phases(const Graph& g, const std::vector<Dist>& radius, QueryContext& ctx)
+  Phases(const Graph& g, const std::vector<Dist>& radius, QueryContext& ctx,
+         Search& search)
       : g_(g),
         radius_(radius),
         ctx_(ctx),
-        dist_(ctx.dist()),
+        search_(search),
+        dist_(search.dist()),
         targeted_(ctx.has_targets()),
         k_goal_(ctx.k_goal()) {}
 
   Dist load(Vertex v) const { return dist_[v].load(std::memory_order_relaxed); }
+
+  /// Joins this search to a bidirectional run: the kMeet forms of seed()
+  /// and relax() lower `meeting` on every original arc whose far end
+  /// `other` has settled. `backward` says which end of such an arc is
+  /// this search's (Meeting keeps the forward end first).
+  void meet(const Search& other, Meeting& meeting, bool backward) {
+    other_ = &other;
+    meeting_ = &meeting;
+    backward_ = backward;
+  }
 
   /// Line 2, single-threaded: settles the source, relaxes its out-arcs
   /// into `me`'s frontier segment and takes the segment's Line 4 min of
@@ -57,23 +70,28 @@ class Phases {
   /// so "has ever been a frontier candidate" is exactly "must not
   /// re-enter". The frontier is a set; no order matters to the step
   /// sequence, so it is never sorted.
+  template <bool kMeet = false>
   void seed(Worker& me, Vertex source) {
     dist_[source].store(0, std::memory_order_relaxed);
     me.touched.push_back(source);
     settle(me, source);
-    ctx_.next_mark_epoch();
+    search_.next_mark_epoch();
     me.edges_scanned += g_.last_arc(source) - g_.first_arc(source);
+    const EdgeId cut = g_.first_shortcut_arc(source);
     for (EdgeId e = g_.first_arc(source); e < g_.last_arc(source); ++e) {
       const Vertex v = g_.arc_target(e);
       if (v == source) continue;
       const auto w = static_cast<Dist>(g_.arc_weight(e));
+      if constexpr (kMeet) {
+        if (e < cut) lower_mu(source, v, w);
+      }
       const Dist dv = load(v);
       if (w < dv) {
         dist_[v].store(w, std::memory_order_relaxed);
         ++me.relaxations;
         if (dv == kInfDist) me.touched.push_back(v);
       }
-      if (!ctx_.is_settled(v) && ctx_.mark(v)) me.frontier.push_back(v);
+      if (!search_.is_settled(v) && search_.mark(v)) me.frontier.push_back(v);
     }
     Dist di = kInfDist;
     for (const Vertex v : me.frontier) di = std::min(di, load(v) + radius_[v]);
@@ -88,11 +106,14 @@ class Phases {
   /// d_i, so neither distances nor steps change (docs/ARCHITECTURE.md).
   /// kShared selects the sharing mode: WriteMin and an atomic claim for
   /// the parallel body, plain stores and claim_sequential for the
-  /// sequential one. Counts successful lowerings into `relaxations`;
-  /// returns the arcs examined, including the one that ends the scan.
-  template <bool kShared>
+  /// sequential one. kMeet (sequential only) lowers mu on each original
+  /// arc before Line 7's filter. Counts successful lowerings into
+  /// `relaxations`; returns the arcs examined, including the one that
+  /// ends the scan.
+  template <bool kShared, bool kMeet = false>
   std::size_t relax(Worker& me, Vertex u, Dist di, Dist prev_di,
                     std::size_t& relaxations) {
+    static_assert(!(kShared && kMeet), "bidirectional runs are sequential");
     const Dist du = load(u);
     const auto relax_arc = [&](Vertex v, Dist nd) {
       // Line 7 relaxes targets outside S_{i-1} only; vertices settled in
@@ -108,7 +129,7 @@ class Phases {
       }
       ++relaxations;
       if (before == kInfDist) me.touched.push_back(v);
-      if (kShared ? ctx_.claim(v) : ctx_.claim_sequential(v)) {
+      if (kShared ? search_.claim(v) : search_.claim_sequential(v)) {
         me.claimed.push_back(v);
       }
     };
@@ -116,7 +137,10 @@ class Phases {
     const EdgeId cut = g_.first_shortcut_arc(u);
     const EdgeId last = g_.last_arc(u);
     for (EdgeId e = first; e < cut; ++e) {
-      relax_arc(g_.arc_target(e), du + g_.arc_weight(e));
+      const Vertex v = g_.arc_target(e);
+      const Dist nd = du + g_.arc_weight(e);
+      if constexpr (kMeet) lower_mu(u, v, nd);
+      relax_arc(v, nd);
     }
     for (EdgeId e = cut; e < last; ++e) {
       const Dist nd = du + g_.arc_weight(e);
@@ -146,8 +170,8 @@ class Phases {
     for (const Vertex v : me.claimed) {
       if (load(v) <= di) {
         me.active.push_back(v);
-        if (!ctx_.is_settled(v)) settle(me, v);
-      } else if (!ctx_.is_settled(v) && ctx_.mark(v)) {
+        if (!search_.is_settled(v)) settle(me, v);
+      } else if (!search_.is_settled(v) && search_.mark(v)) {
         me.newly_frontier.push_back(v);
       }
     }
@@ -163,7 +187,7 @@ class Phases {
     me.next.clear();
     Dist di = kInfDist;
     const auto keep = [&](Vertex v) {
-      if (ctx_.is_settled(v)) return;
+      if (search_.is_settled(v)) return;
       me.next.push_back(v);
       di = std::min(di, load(v) + radius_[v]);
     };
@@ -204,20 +228,86 @@ class Phases {
     ctx_.count_taken_targets(taken);
   }
 
+  bool timed() const { return ctx_.trace_phases(); }
+  Search& search() const { return search_; }
+
  private:
   void settle(Worker& me, Vertex v) {
-    ctx_.mark_settled(v);
+    search_.mark_settled(v);
     ++me.settled;
     if (targeted_ && ctx_.take_target(v)) ++me.targets_taken;
+  }
+
+  /// The meeting hook: this search reached `v` over an original arc at
+  /// `nd`, and the other search has settled `v` (final: it stands at a
+  /// step boundary), so a path of length nd + its distance exists.
+  void lower_mu(Vertex u, Vertex v, Dist nd) {
+    if (!other_->is_settled(v)) return;
+    const Dist total = nd + other_->read_dist(v);
+    if (total >= meeting_->dist) return;
+    *meeting_ = backward_ ? Meeting{total, v, u} : Meeting{total, u, v};
   }
 
   const Graph& g_;
   const std::vector<Dist>& radius_;
   QueryContext& ctx_;
+  Search& search_;
   std::atomic<Dist>* dist_;
   const bool targeted_;
   const std::size_t k_goal_;
+  const Search* other_ = nullptr;
+  Meeting* meeting_ = nullptr;
+  bool backward_ = false;
 };
+
+/// Lines 4-9 of one step on the calling thread: takes d_i from `me`'s
+/// frontier (computed by the last seed or rebuild), gathers A_i and runs
+/// Bellman-Ford substeps until no delta(v) <= d_i changes. Returns d_i;
+/// the caller rebuilds the frontier. Both sequential drivers step through
+/// it; kMeet makes the substeps of a bidirectional run lower mu.
+///
+/// Traced requests take two clock readings per substep (relax end is
+/// partition start, so the phases tile the substep); untraced runs take
+/// none — the disabled path costs one predictable branch per substep.
+template <bool kMeet>
+Dist step_sequential(Phases& phases, Worker& me, Dist prev_di,
+                     RunStats& local) {
+  const bool timed = phases.timed();
+  ++local.steps;
+  const Dist di = me.pending_di;  // Line 4
+  phases.gather(me, di);
+  local.max_active = std::max(local.max_active, me.active.size());
+
+  // Lines 5-9: Bellman-Ford substeps until no delta(v) <= d_i changes.
+  std::size_t substeps_this_step = 0;
+  while (!me.active.empty()) {
+    ++substeps_this_step;
+    // One claim epoch per substep: each updated vertex is collected once
+    // no matter how many relaxations hit it.
+    phases.search().next_claim_epoch();
+    const auto t_relax = timed ? TraceClock::now() : TraceClock::time_point{};
+    std::size_t relaxations = 0;
+    std::size_t scanned = 0;
+    for (const Vertex u : me.active) {
+      scanned += phases.relax<false, kMeet>(me, u, di, prev_di, relaxations);
+    }
+    me.relaxations += relaxations;
+    me.edges_scanned += scanned;
+    const auto t_drain = timed ? TraceClock::now() : TraceClock::time_point{};
+    if (timed) local.relax_ns += phase_ns(t_relax, t_drain);
+    phases.classify(me, di);
+    local.max_active = std::max(local.max_active, me.active.size());
+    if (timed) local.partition_ns += phase_ns(t_drain, TraceClock::now());
+  }
+  // Loop iterations equal Algorithm 1's repeat-until iterations: the
+  // final iteration relaxes the last-updated vertices and observes no
+  // further update with delta <= d_i (the Line 9 exit), so no extra
+  // "observation" substep is added.
+  local.substeps += substeps_this_step;
+  local.max_substeps_in_step =
+      std::max(local.max_substeps_in_step, substeps_this_step);
+  return di;
+}
 
 /// Algorithm 1 on the calling thread: plain loads/stores, no CAS, no
 /// OpenMP regions — it must be nestable inside an outer parallel region
@@ -232,13 +322,9 @@ class Phases {
 void run_sequential(const Graph& g, Vertex source,
                     const std::vector<Dist>& radius, QueryContext& ctx,
                     RunStats& local) {
-  Phases phases(g, radius, ctx);
-  std::vector<Worker>& workers = ctx.workers(1);
+  Phases phases(g, radius, ctx, ctx.search());
+  std::vector<Worker>& workers = ctx.search().workers(1);
   Worker& me = workers[0];
-  // Traced requests take two clock readings per substep (relax end is
-  // partition start, so the phases tile the substep); untraced runs take
-  // none — the disabled path costs one predictable branch per substep.
-  const bool timed = ctx.trace_phases();
 
   phases.seed(me, source);
   // Round distance of the previous step (d_{i-1}). Vertices with
@@ -252,40 +338,7 @@ void run_sequential(const Graph& g, Vertex source,
       local.early_exit = true;
       break;
     }
-    ++local.steps;
-    const Dist di = me.pending_di;  // Line 4
-    phases.gather(me, di);
-    local.max_active = std::max(local.max_active, me.active.size());
-
-    // Lines 5-9: Bellman-Ford substeps until no delta(v) <= d_i changes.
-    std::size_t substeps_this_step = 0;
-    while (!me.active.empty()) {
-      ++substeps_this_step;
-      // One claim epoch per substep: each updated vertex is collected once
-      // no matter how many relaxations hit it.
-      ctx.next_claim_epoch();
-      const auto t_relax = timed ? TraceClock::now() : TraceClock::time_point{};
-      std::size_t relaxations = 0;
-      std::size_t scanned = 0;
-      for (const Vertex u : me.active) {
-        scanned += phases.relax<false>(me, u, di, prev_di, relaxations);
-      }
-      me.relaxations += relaxations;
-      me.edges_scanned += scanned;
-      const auto t_drain = timed ? TraceClock::now() : TraceClock::time_point{};
-      if (timed) local.relax_ns += phase_ns(t_relax, t_drain);
-      phases.classify(me, di);
-      local.max_active = std::max(local.max_active, me.active.size());
-      if (timed) local.partition_ns += phase_ns(t_drain, TraceClock::now());
-    }
-    // Loop iterations equal Algorithm 1's repeat-until iterations: the
-    // final iteration relaxes the last-updated vertices and observes no
-    // further update with delta <= d_i (the Line 9 exit), so no extra
-    // "observation" substep is added.
-    local.substeps += substeps_this_step;
-    local.max_substeps_in_step =
-        std::max(local.max_substeps_in_step, substeps_this_step);
-
+    const Dist di = step_sequential<false>(phases, me, prev_di, local);
     // Step boundary: every settled vertex is now final (Theorem 3.1), so a
     // run that has met its goal — all targets settled, or k vertices for a
     // top-k request — is done; skip the frontier rebuild entirely.
@@ -297,6 +350,57 @@ void run_sequential(const Graph& g, Vertex source,
     prev_di = di;
   }
   phases.finish(workers, 1, local);
+}
+
+/// Two sequential searches that meet (see radius_stepping_meet). Each side
+/// is an ordinary run of Algorithm 1 advanced one whole step at a time, so
+/// at every step boundary the vertices a side has settled are exactly
+/// those within its last step radius, with final distances (Theorem 3.1).
+/// mu starts infinite and is lowered on the original arcs the seeds and
+/// the substeps scan; the run stops at the first boundary where the two
+/// radii reach it, which makes mu = d(source, target)
+/// (docs/ARCHITECTURE.md). Stepping the side with the smaller frontier
+/// keeps the two balls growing at the same cost rather than the same
+/// radius.
+Meeting run_meet(const Graph& g, Vertex source, Vertex target,
+                 const std::vector<Dist>& radius, QueryContext& ctx,
+                 RunStats& local) {
+  Search& fs = ctx.search();
+  Search& bs = ctx.backward();
+  Meeting meeting;
+  Phases fwd(g, radius, ctx, fs);
+  Phases bwd(g, radius, ctx, bs);
+  fwd.meet(bs, meeting, /*backward=*/false);
+  bwd.meet(fs, meeting, /*backward=*/true);
+  std::vector<Worker>& fw = fs.workers(1);
+  std::vector<Worker>& bw = bs.workers(1);
+  Worker& f = fw[0];
+  Worker& b = bw[0];
+
+  // The backward seed scans the target's arcs with the source already
+  // settled, so an arc between them lowers mu.
+  fwd.seed<true>(f, source);
+  bwd.seed<true>(b, target);
+  if (source == target) meeting = Meeting{0, source, target};
+  // Radius of each side's last step (0 after the seed).
+  Dist df = 0;
+  Dist db = 0;
+  while (!f.frontier.empty() && !b.frontier.empty()) {
+    if (df + db >= meeting.dist) {
+      local.early_exit = true;
+      break;
+    }
+    if (f.frontier.size() <= b.frontier.size()) {
+      df = step_sequential<true>(fwd, f, df, local);
+      fwd.rebuild(f);
+    } else {
+      db = step_sequential<true>(bwd, b, db, local);
+      bwd.rebuild(b);
+    }
+  }
+  fwd.finish(fw, 1, local);
+  bwd.finish(bw, 1, local);
+  return meeting;
 }
 
 /// Vertices per chunk of a parallel relax phase: large enough to amortize
@@ -360,8 +464,9 @@ void take_chunks(const std::vector<Vertex>& list,
 void run_parallel(const Graph& g, Vertex source,
                   const std::vector<Dist>& radius, QueryContext& ctx,
                   RunStats& local, int nw) {
-  Phases phases(g, radius, ctx);
-  std::vector<Worker>& workers = ctx.workers(nw);
+  Search& search = ctx.search();
+  Phases phases(g, radius, ctx, search);
+  std::vector<Worker>& workers = search.workers(nw);
   std::vector<QueryContext::ChunkCursor>& cursors = ctx.cursors(nw);
   const bool timed = ctx.trace_phases();
 
@@ -376,7 +481,7 @@ void run_parallel(const Graph& g, Vertex source,
   }
   // Claims of the first substep need an epoch no earlier claim used; the
   // lead worker bumps it after every relax phase from then on.
-  ctx.next_claim_epoch();
+  search.next_claim_epoch();
 
 #pragma omp parallel num_threads(nw)
   {
@@ -427,7 +532,7 @@ void run_parallel(const Graph& g, Vertex source,
             timed && lead ? TraceClock::now() : TraceClock::time_point{};
         if (lead) {
           if (timed) local.relax_ns += phase_ns(t_relax, t_drain);
-          ctx.next_claim_epoch();  // nobody claims until the next relax
+          search.next_claim_epoch();  // nobody claims until the next relax
         }
         phases.classify(me, di);
         my_cursor.store(0, std::memory_order_relaxed);
@@ -478,8 +583,31 @@ void radius_stepping_partial(const Graph& g, Vertex source,
   } else {
     run_parallel(g, source, radius, ctx, local, nw);
   }
-  local.touched = ctx.touched_count();
+  local.touched = ctx.search().touched_count();
   if (stats != nullptr) *stats = local;
+}
+
+Meeting radius_stepping_meet(const Graph& g, Vertex source, Vertex target,
+                             const std::vector<Dist>& radius,
+                             QueryContext& ctx, RunStats* stats) {
+  const Vertex n = g.num_vertices();
+  if (radius.size() != n) {
+    throw std::invalid_argument("radius_stepping_meet: radius size mismatch");
+  }
+  if (source >= n || target >= n) {
+    throw std::invalid_argument("radius_stepping_meet: bad endpoint");
+  }
+
+  // mu replaces target stamps and top-k goals: none may stop either side.
+  ctx.clear_targets();
+  ctx.begin_query(n);
+  ctx.backward().begin(n);
+  RunStats local;
+  const Meeting meeting = run_meet(g, source, target, radius, ctx, local);
+  local.touched =
+      ctx.search().touched_count() + ctx.backward().touched_count();
+  if (stats != nullptr) *stats = local;
+  return meeting;
 }
 
 void radius_stepping(const Graph& g, Vertex source,

@@ -56,4 +56,33 @@ void radius_stepping_partial(const Graph& g, Vertex source,
                              const std::vector<Dist>& radius,
                              QueryContext& ctx, RunStats* stats = nullptr);
 
+/// What a bidirectional run found: `dist` = d(source, target) (kInfDist
+/// when unreachable) and the original arc (forward, backward) it was
+/// found over. forward is settled in ctx.search() and backward in
+/// ctx.backward(), both with exact distances, so a shortest path is the
+/// forward search's closure to `forward`, then the backward search's
+/// closure from `backward` reversed. Both are `target` when source ==
+/// target, and kNoVertex when unreachable.
+struct Meeting {
+  Dist dist = kInfDist;
+  Vertex forward = kNoVertex;
+  Vertex backward = kNoVertex;
+};
+
+/// One-target serving primitive on a SYMMETRIC (k, rho)-graph whose
+/// original arcs precede the shortcut segment (merge_edges' layout): two
+/// sequential radius-stepping searches on the same graph and radii,
+/// forward from `source` in ctx.search() and backward from `target` in
+/// ctx.backward(). Whole steps alternate, the side with the smaller
+/// frontier stepping next, until a frontier drains or the last step
+/// radii d_f + d_b reach the best connection mu, lowered on original arcs
+/// whose far end the other side has settled (docs/ARCHITECTURE.md,
+/// "Bidirectional one-target exactness"). Always sequential, whatever
+/// ctx.sequential() says. RunStats sum both searches; early_exit is set
+/// only when the meeting rule stopped the run before either frontier
+/// drained. Restore the context with ctx.reset_touched().
+Meeting radius_stepping_meet(const Graph& g, Vertex source, Vertex target,
+                             const std::vector<Dist>& radius,
+                             QueryContext& ctx, RunStats* stats = nullptr);
+
 }  // namespace rs

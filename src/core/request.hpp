@@ -16,6 +16,15 @@
 ///    is EXACT — the per-target distances equal a full run's — while
 ///    executing a fraction of the rounds when the targets are near the
 ///    source.
+///  * exactly ONE target, on a sequential run (ctx.sequential() or one
+///    worker: a one-worker engine, or a context of a request-parallel
+///    batch) of a shortcut engine (heuristic != kNone, so the graph is
+///    symmetric): a second search runs backward from the target, and
+///    the run stops at the first step boundary where the two step radii
+///    reach the best connection found (radius_stepping_meet). The
+///    distance is the same; the searches touch less than one search
+///    from the source, RunStats sum both, and a path may differ where
+///    shortest paths tie.
 ///  * the response is O(|targets|) space: per-target distances are read
 ///    straight out of the engine's working distance array (zero-copy —
 ///    the O(n) dist vector is neither copied nor allocated) and optional

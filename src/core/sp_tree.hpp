@@ -35,27 +35,17 @@ std::vector<Vertex> parents_from_distances(const Graph& g, const Graph& tg,
 std::vector<Vertex> extract_path(const std::vector<Vertex>& parent,
                                  Vertex target);
 
-/// Targeted backward walk: writes the shortest source->target path into
-/// `out` (source first, target last; cleared to empty when unreachable)
-/// reading distances through `dist_of(v)` — a plain vector, the engine's
-/// atomic working array, anything callable. O(path length * in-degree)
-/// instead of the O(m + n) full parents pass: the serving-path form.
-///
-/// `tg` is the TRANSPOSE of the graph the path lives in. `dist_of(target)`
-/// must be exact; predecessors are found by exact closure (dist_of(u) +
-/// w(u, v) == dist_of(v)), which self-selects exact vertices even when
-/// other entries are tentative upper bounds from an early-terminated run:
-/// an overestimate can never close an exact distance (closure would imply
-/// a shorter-than-shortest path), so every hop walked is a true shortest-
-/// path edge. Ties pick the smallest vertex id (deterministic; matches
-/// parents_from_distances on fully-exact distance arrays).
+/// The closure walk under extract_path_by_closure: APPENDS `from`, its
+/// exact predecessor, and so on down to the first vertex at distance 0,
+/// in that order (from first, source last). `dist_of(from)` must be exact
+/// and finite. The serving path's one-target answer appends two of these
+/// walks into the response's path buffer.
 template <typename DistFn>
-void extract_path_by_closure(const Graph& tg, Vertex target, DistFn&& dist_of,
-                             std::vector<Vertex>& out) {
-  out.clear();
-  Dist d = dist_of(target);
-  if (d == kInfDist) return;
-  Vertex cur = target;
+void append_closure_walk(const Graph& tg, Vertex from, DistFn&& dist_of,
+                         std::vector<Vertex>& out) {
+  const std::size_t start = out.size();
+  Dist d = dist_of(from);
+  Vertex cur = from;
   out.push_back(cur);
   while (d > 0) {
     Vertex best = kNoVertex;
@@ -75,10 +65,32 @@ void extract_path_by_closure(const Graph& tg, Vertex target, DistFn&& dist_of,
     cur = best;
     d = best_d;
     out.push_back(cur);
-    if (out.size() > tg.num_vertices()) {
+    if (out.size() - start > tg.num_vertices()) {
       throw std::logic_error("extract_path_by_closure: predecessor cycle");
     }
   }
+}
+
+/// Targeted backward walk: writes the shortest source->target path into
+/// `out` (source first, target last; cleared to empty when unreachable)
+/// reading distances through `dist_of(v)` — a plain vector, the engine's
+/// atomic working array, anything callable. O(path length * in-degree)
+/// instead of the O(m + n) full parents pass: the serving-path form.
+///
+/// `tg` is the TRANSPOSE of the graph the path lives in. `dist_of(target)`
+/// must be exact; predecessors are found by exact closure (dist_of(u) +
+/// w(u, v) == dist_of(v)), which self-selects exact vertices even when
+/// other entries are tentative upper bounds from an early-terminated run:
+/// an overestimate can never close an exact distance (closure would imply
+/// a shorter-than-shortest path), so every hop walked is a true shortest-
+/// path edge. Ties pick the smallest vertex id (deterministic; matches
+/// parents_from_distances on fully-exact distance arrays).
+template <typename DistFn>
+void extract_path_by_closure(const Graph& tg, Vertex target, DistFn&& dist_of,
+                             std::vector<Vertex>& out) {
+  out.clear();
+  if (dist_of(target) == kInfDist) return;
+  append_closure_walk(tg, target, dist_of, out);
   std::reverse(out.begin(), out.end());
 }
 

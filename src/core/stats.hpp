@@ -1,6 +1,10 @@
 // Per-run instrumentation. Steps and substeps are the quantities the
 // paper's evaluation reports (Tables 4-7 and Figures 4-5 are step counts;
 // Theorem 3.2's k+2 bound is a substep count), so every engine records them.
+//
+// A bidirectional one-target run (radius_stepping_meet) is two searches:
+// its counts are the sums over both, and its maxima the larger of the
+// two sides' (each side's steps obey Theorem 3.2 on their own).
 #pragma once
 
 #include <cstddef>
@@ -28,13 +32,17 @@ struct RunStats {
   std::size_t max_active = 0;
   /// Vertices settled (== n reachable from the source on termination; a
   /// targeted early exit stops once every requested target is in here).
+  /// Two searches that meet may both settle a vertex; it counts twice.
   std::size_t settled = 0;
   /// Vertices whose tentative distance left kInfDist during the run (the
   /// first-touch records; a targeted early exit's epilogue resets exactly
   /// these instead of sweeping all n — see QueryContext::reset_touched).
+  /// Summed over both searches of a bidirectional run.
   std::size_t touched = 0;
   /// True when a targeted run stopped before exhausting the frontier —
-  /// every requested target settled early (core/request.hpp semantics).
+  /// every requested target settled early (core/request.hpp semantics) —
+  /// or, for two searches that meet, when the meeting rule stopped them
+  /// before either frontier drained.
   bool early_exit = false;
 
   // Per-phase wall time, filled ONLY when the request is traced

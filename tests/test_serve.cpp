@@ -7,7 +7,8 @@
 //  * early exit actually fires: on a path graph with a near target the
 //    round count strictly drops versus the full run (asserted via
 //    RunStats);
-//  * serve_batch == per-request serve, in input order, for mixed requests;
+//  * serve_batch == per-request serve on a sequential context, in input
+//    order, for mixed requests;
 //  * expanded paths are genuine shortest paths of the ORIGINAL graph;
 //  * every entry point bounds-checks its inputs;
 //  * responses carry provenance — graph_epoch stamping across next_epoch(),
@@ -15,12 +16,18 @@
 //    shape is validated at the edge;
 //  * top-k — kTopK responses equal the sorted (dist, vertex) prefix of a
 //    full Dijkstra run, across weighted and unit-weight graphs, worker
-//    counts, and k up to beyond the reachable count.
+//    counts, and k up to beyond the reachable count;
+//  * one target on a sequential run — two searches that meet — equals
+//    Dijkstra with genuine shortest paths on every sequential route
+//    (one worker, a sequential context, request-parallel batches),
+//    including s == t, an adjacent target, an unreachable target and a
+//    warm context reused across sources.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -28,6 +35,7 @@
 #include "core/engine.hpp"
 #include "core/query_context.hpp"
 #include "core/radii.hpp"
+#include "core/radius_stepping.hpp"
 #include "core/sp_tree.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -303,6 +311,12 @@ TEST(Serve, EarlyExitPathsAreGenuineShortestPaths) {
 }
 
 TEST(Serve, BatchMatchesIndividualServesWithMixedRequests) {
+  // The batch contract (SsspEngine::serve_batch): bit-identical to
+  // serve() on a SEQUENTIAL context, which is how the batch runs at one
+  // worker and on the request-parallel path (10 requests >= 3 or 8
+  // workers). A one-target request there runs two searches that meet,
+  // while serve() on an intra-query parallel context runs one, so at
+  // nw > 1 a fresh serve() must match the batch's distances only.
   WorkerGuard guard;
   const Graph g = assign_uniform_weights(gen::road_network(14, 14, 3), 9);
   PreprocessOptions opts;
@@ -325,8 +339,12 @@ TEST(Serve, BatchMatchesIndividualServesWithMixedRequests) {
     requests.push_back(std::move(req));
   }
 
+  QueryContext sequential;
+  sequential.set_sequential(true);
   std::vector<QueryResponse> ref;
-  for (const QueryRequest& req : requests) ref.push_back(engine.serve(req));
+  for (const QueryRequest& req : requests) {
+    ref.push_back(engine.serve(req, sequential));
+  }
 
   for (const int nw : {1, 3, 8}) {
     set_num_workers(nw);
@@ -344,6 +362,14 @@ TEST(Serve, BatchMatchesIndividualServesWithMixedRequests) {
       }
       EXPECT_EQ(batch[i].stats.steps, ref[i].stats.steps) << "req " << i;
       EXPECT_EQ(batch[i].stats.settled, ref[i].stats.settled) << "req " << i;
+      if (nw > 1) {
+        const QueryResponse single = engine.serve(requests[i]);
+        ASSERT_EQ(single.targets.size(), batch[i].targets.size());
+        for (std::size_t t = 0; t < single.targets.size(); ++t) {
+          EXPECT_EQ(single.targets[t].dist, batch[i].targets[t].dist)
+              << "nw=" << nw << " req " << i;
+        }
+      }
     }
   }
 }
@@ -706,6 +732,292 @@ TEST(TopK, UnitWeightGridWithTies) {
   for (std::size_t i = 0; i < 40; ++i) {
     ASSERT_EQ(resp.targets[i].target, order[i].second);
     ASSERT_EQ(resp.targets[i].dist, order[i].first);
+  }
+}
+
+// --- One target on a sequential run: two searches that meet ---------------
+
+/// The three sequential routes on which a one-target request runs two
+/// searches: a one-worker engine, a set_sequential(true) context at the
+/// default worker count, and serve_batch at three workers
+/// (request-parallel, one sequential context per worker: needs at least
+/// three requests). One response list per route, in request order.
+std::vector<std::vector<QueryResponse>> serve_sequential_routes(
+    const SsspEngine& engine, const std::vector<QueryRequest>& requests) {
+  WorkerGuard guard;
+  std::vector<std::vector<QueryResponse>> out(3);
+  set_num_workers(1);
+  for (const QueryRequest& req : requests) out[0].push_back(engine.serve(req));
+  set_num_workers(guard.before);
+  QueryContext ctx;
+  ctx.set_sequential(true);
+  for (const QueryRequest& req : requests) {
+    out[1].push_back(engine.serve(req, ctx));
+  }
+  set_num_workers(3);
+  out[2] = engine.serve_batch(requests);
+  return out;
+}
+
+/// Checks a one-target answer against Dijkstra's row `truth` from the
+/// request's source: the distance, a genuine shortest path of the original
+/// graph `g` when paths were asked for, and Theorem 3.2's k + 2 bound.
+void expect_exact_one_target(const Graph& g, const QueryRequest& req,
+                             const QueryResponse& resp,
+                             const std::vector<Dist>& truth, Vertex k,
+                             const std::string& what) {
+  ASSERT_EQ(resp.targets.size(), 1u) << what;
+  const TargetResult& tr = resp.targets[0];
+  const Vertex t = req.targets[0];
+  EXPECT_EQ(tr.target, t) << what;
+  EXPECT_EQ(tr.dist, truth[t]) << what;
+  EXPECT_LE(resp.stats.max_substeps_in_step, k + 2u) << what;
+  if (!req.want_paths || tr.dist == kInfDist) {
+    EXPECT_TRUE(tr.path.empty()) << what;
+    return;
+  }
+  ASSERT_FALSE(tr.path.empty()) << what;
+  EXPECT_EQ(tr.path.front(), req.source) << what;
+  EXPECT_EQ(tr.path.back(), t) << what;
+  EXPECT_EQ(path_weight(g, tr.path), tr.dist) << what;
+}
+
+QueryRequest one_target(Vertex s, Vertex t, bool want_paths) {
+  QueryRequest req;
+  req.source = s;
+  req.targets = {t};
+  req.want_paths = want_paths;
+  return req;
+}
+
+/// Spread (s, t) pairs, the two ends of the id range, s == t, and a target
+/// adjacent to s; each with and without paths.
+std::vector<QueryRequest> one_target_requests(const Graph& g) {
+  const Vertex n = g.num_vertices();
+  std::vector<std::pair<Vertex, Vertex>> pairs;
+  for (Vertex i = 0; i < 5; ++i) {
+    pairs.push_back({(i * 37 + 1) % n, (i * 53 + n / 2) % n});
+  }
+  pairs.push_back({0, n - 1});
+  pairs.push_back({n / 3, n / 3});
+  const Vertex s = n / 5;
+  pairs.push_back({s, g.arc_target(g.first_arc(s))});
+  std::vector<QueryRequest> out;
+  for (const auto& [from, to] : pairs) {
+    out.push_back(one_target(from, to, true));
+    out.push_back(one_target(from, to, false));
+  }
+  return out;
+}
+
+/// Serves one_target_requests(g) on every sequential route and checks
+/// each answer against Dijkstra.
+void expect_sequential_routes_exact(const std::string& name, const Graph& g,
+                                    const PreprocessOptions& opts) {
+  const SsspEngine engine(g, opts);
+  const std::vector<QueryRequest> requests = one_target_requests(g);
+  const auto routes = serve_sequential_routes(engine, requests);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const std::vector<Dist> truth = dijkstra(g, requests[i].source);
+    for (std::size_t r = 0; r < routes.size(); ++r) {
+      expect_exact_one_target(g, requests[i], routes[r][i], truth, opts.k,
+                              name + " route " + std::to_string(r) +
+                                  " request " + std::to_string(i));
+    }
+    // Every route runs the same sequential code.
+    EXPECT_EQ(routes[1][i].stats.settled, routes[0][i].stats.settled) << name;
+    EXPECT_EQ(routes[2][i].stats.settled, routes[0][i].stats.settled) << name;
+    EXPECT_EQ(routes[2][i].targets[0].path, routes[0][i].targets[0].path)
+        << name;
+  }
+}
+
+TEST(Bidirectional, MatchesDijkstraOnWeightedSuite) {
+  for (const auto& [name, g] : test::weighted_suite(29)) {
+    PreprocessOptions opts;
+    opts.rho = 10;
+    opts.k = 2;
+    expect_sequential_routes_exact(name, g, opts);
+  }
+}
+
+TEST(Bidirectional, MatchesDijkstraOnUnitWeightSuite) {
+  // Unit weights tie everywhere; the default heuristic (kDP, k = 3).
+  for (const auto& [name, g] : test::unweighted_suite(31)) {
+    PreprocessOptions opts;
+    opts.rho = 8;
+    expect_sequential_routes_exact(name, g, opts);
+  }
+}
+
+TEST(Bidirectional, UnreachableTargetOnTwoComponents) {
+  // A weighted grid and a weighted chain side by side, no arc between
+  // them: a target in the other component is unreachable, and the run
+  // ends when the smaller side's frontier drains, not by meeting.
+  const Graph grid = assign_uniform_weights(gen::grid2d(10, 9), 3, 1, 40);
+  const Graph chain = assign_uniform_weights(gen::chain(30), 4, 1, 40);
+  const Vertex split = grid.num_vertices();
+  std::vector<EdgeTriple> edges = grid.to_triples();
+  for (const EdgeTriple& e : chain.to_triples()) {
+    edges.push_back({e.u + split, e.v + split, e.w});
+  }
+  const Graph g = build_graph(split + chain.num_vertices(), std::move(edges));
+  PreprocessOptions opts;
+  opts.rho = 8;
+  opts.k = 2;
+  const SsspEngine engine(g, opts);
+
+  const Vertex last = g.num_vertices() - 1;
+  std::vector<QueryRequest> requests;
+  for (const bool paths : {true, false}) {
+    requests.push_back(one_target(3, split + 7, paths));  // grid -> chain
+    requests.push_back(one_target(last, 40, paths));      // chain -> grid
+    requests.push_back(one_target(5, split - 2, paths));  // within the grid
+    requests.push_back(one_target(split, last, paths));   // within the chain
+    requests.push_back(one_target(last, last, paths));    // s == t
+  }
+  const auto routes = serve_sequential_routes(engine, requests);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const std::vector<Dist> truth = dijkstra(g, requests[i].source);
+    const bool unreachable = truth[requests[i].targets[0]] == kInfDist;
+    EXPECT_EQ(unreachable, i % 5 < 2) << "request " << i;
+    for (std::size_t r = 0; r < routes.size(); ++r) {
+      const QueryResponse& resp = routes[r][i];
+      const std::string what =
+          "route " + std::to_string(r) + " request " + std::to_string(i);
+      expect_exact_one_target(g, requests[i], resp, truth, opts.k, what);
+      if (unreachable) {
+        EXPECT_EQ(resp.targets[0].dist, kInfDist) << what;
+        EXPECT_TRUE(resp.targets[0].path.empty()) << what;
+        EXPECT_FALSE(resp.stats.early_exit) << what;
+      }
+    }
+  }
+}
+
+TEST(Bidirectional, SourceEqualsTargetAndAdjacentTarget) {
+  WorkerGuard guard;
+  set_num_workers(1);
+  const Graph g = assign_uniform_weights(gen::grid2d(8, 8), 2, 1, 20);
+  PreprocessOptions opts;
+  opts.rho = 8;
+  const SsspEngine engine(g, opts);
+
+  QueryResponse resp = engine.serve(one_target(5, 5, true));
+  EXPECT_EQ(resp.targets[0].dist, 0u);
+  EXPECT_EQ(resp.targets[0].path, std::vector<Vertex>{5});
+  EXPECT_TRUE(resp.stats.early_exit);  // nothing beyond the seeds needed
+  EXPECT_EQ(resp.stats.steps, 0u);
+
+  // Vertex 6 is 5's grid neighbour: the backward seed scans the arc
+  // between them with 5 already settled forward.
+  const std::vector<Dist> truth = dijkstra(g, 5);
+  resp = engine.serve(one_target(5, 6, true));
+  expect_exact_one_target(g, one_target(5, 6, true), resp, truth, opts.k,
+                          "adjacent");
+  EXPECT_TRUE(resp.stats.early_exit);
+}
+
+TEST(Bidirectional, EarlyExitWhenTheSearchesMeet) {
+  // Two ends of a grid's middle row: both frontiers grow with their radii,
+  // so the searches meet between the ends long before either drains.
+  WorkerGuard guard;
+  set_num_workers(1);
+  const Graph g = assign_uniform_weights(gen::grid2d(20, 20), 3, 1, 100);
+  PreprocessOptions opts;
+  opts.rho = 8;
+  opts.k = 2;
+  const SsspEngine engine(g, opts);
+  const QueryRequest req = one_target(10 * 20 + 2, 10 * 20 + 17, true);
+  const QueryResponse full = engine.serve(test::full_request(req.source));
+  const QueryResponse resp = engine.serve(req);
+  expect_exact_one_target(g, req, resp, full.dist, opts.k, "grid");
+  EXPECT_TRUE(resp.stats.early_exit);
+}
+
+TEST(Bidirectional, WarmContextAlternatingSourcesStaysExact) {
+  // One warm sequential context across one-target, two-target and full
+  // requests from alternating sources: after every request reset_touched()
+  // (or the full copy) must have restored BOTH searches to all-infinite,
+  // or a stale label would leak into the next request.
+  const Graph g = assign_uniform_weights(gen::road_network(12, 12, 7), 8);
+  PreprocessOptions opts;
+  opts.rho = 10;
+  opts.k = 2;
+  const SsspEngine engine(g, opts);
+  const Vertex n = g.num_vertices();
+  QueryContext ctx;
+  ctx.set_sequential(true);
+  QueryResponse resp;
+  for (std::uint64_t i = 0; i < 36; ++i) {
+    const auto s = static_cast<Vertex>((i * 29) % n);
+    QueryRequest req = one_target(s, static_cast<Vertex>((i * 41 + 7) % n),
+                                  i % 2 == 0);
+    if (i % 6 == 5) req.targets.push_back(static_cast<Vertex>((i * 13) % n));
+    if (i % 9 == 8) req.want_full_distances = true;
+    engine.serve(req, ctx, resp);
+    const std::vector<Dist> truth = dijkstra(g, s);
+    for (const TargetResult& tr : resp.targets) {
+      ASSERT_EQ(tr.dist, truth[tr.target]) << "request " << i;
+      if (req.want_paths && !tr.path.empty()) {
+        EXPECT_EQ(path_weight(g, tr.path), tr.dist) << "request " << i;
+      }
+    }
+    std::size_t stale = 0;
+    for (Vertex v = 0; v < n; ++v) {
+      stale += ctx.search().read_dist(v) != kInfDist ? 1 : 0;
+      stale += ctx.backward().read_dist(v) != kInfDist ? 1 : 0;
+    }
+    ASSERT_EQ(stale, 0u) << "request " << i;
+  }
+}
+
+TEST(Bidirectional, MeetingArcIsAnOriginalArcSettledOnBothSides) {
+  // The contract the path assembly relies on: radius_stepping_meet
+  // records an ORIGINAL arc (x, y) with x settled forward and y settled
+  // backward, both at their exact distances, and d(s, x) + w + d(y, t)
+  // equal to the answer.
+  for (const auto& [name, g] : test::weighted_suite(37)) {
+    PreprocessOptions opts;
+    opts.rho = 10;
+    opts.k = 2;
+    const PreprocessResult pre = preprocess(g, opts);
+    const Vertex n = g.num_vertices();
+    QueryContext ctx;
+    for (Vertex i = 0; i < 12; ++i) {
+      const Vertex s = (i * 31 + 2) % n;
+      const Vertex t = (i * 71 + n / 3) % n;
+      const std::vector<Dist> from_s = dijkstra(g, s);
+      const std::vector<Dist> to_t = dijkstra(g, t);  // symmetric graph
+      RunStats stats;
+      const Meeting m =
+          radius_stepping_meet(pre.graph, s, t, pre.radius, ctx, &stats);
+      const std::string what = name + " s=" + std::to_string(s) +
+                               " t=" + std::to_string(t);
+      EXPECT_EQ(m.dist, from_s[t]) << what;
+      EXPECT_LE(stats.max_substeps_in_step, opts.k + 2u) << what;
+      if (s == t) {
+        EXPECT_EQ(m.forward, s) << what;
+        EXPECT_EQ(m.backward, t) << what;
+      } else {
+        Dist w = kInfDist;
+        for (EdgeId e = g.first_arc(m.forward); e < g.last_arc(m.forward);
+             ++e) {
+          if (g.arc_target(e) == m.backward) {
+            w = std::min(w, static_cast<Dist>(g.arc_weight(e)));
+          }
+        }
+        ASSERT_NE(w, kInfDist) << what << ": not an original arc";
+        EXPECT_TRUE(ctx.search().is_settled(m.forward)) << what;
+        EXPECT_TRUE(ctx.backward().is_settled(m.backward)) << what;
+        EXPECT_EQ(ctx.search().read_dist(m.forward), from_s[m.forward])
+            << what;
+        EXPECT_EQ(ctx.backward().read_dist(m.backward), to_t[m.backward])
+            << what;
+        EXPECT_EQ(from_s[m.forward] + w + to_t[m.backward], m.dist) << what;
+      }
+      ctx.reset_touched();
+    }
   }
 }
 
