@@ -4,7 +4,7 @@
 //
 //   sssp_cli gen --type grid2d --side 200 --weights 10000 -o g.gr
 //   sssp_cli stats g.gr
-//   sssp_cli preprocess g.gr --rho 32 --k 3 --heuristic dp -o g.pre
+//   sssp_cli preprocess g.gr --rho 32 --k 9 --heuristic dp -o g.pre
 //   sssp_cli query g.gr g.pre --source 0 --targets 39999,1250
 //   sssp_cli run g.gr --algo all --source 0
 //

@@ -5,8 +5,8 @@
 //   sssp_serve                                   # built-in demo (smoke)
 //   sssp_serve g.gr g.pre                        # stdin line protocol
 //   sssp_serve g.gr g.pre --port 7447            # TCP line protocol
-//   sssp_serve g.gr --rho 32 --k 3               # preprocess in-process
-//   sssp_serve g.gr --rho 32 --k 3 --dynamic 1   # + live weight updates
+//   sssp_serve g.gr --rho 32 --k 9               # preprocess in-process
+//   sssp_serve g.gr --rho 32 --k 9 --dynamic 1   # + live weight updates
 //
 // Daemon flags (integer ranges in brackets): --port P (TCP listener,
 // [0, 65535]; 0, the default, serves stdin), --queue N (admission queue

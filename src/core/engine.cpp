@@ -69,7 +69,11 @@ void SsspEngine::validate(const QueryRequest& req) const {
   }
 }
 
-const Graph& SsspEngine::transpose(Graph& local) const {
+const Graph& SsspEngine::path_graph(Graph& local) const {
+  // A shortcut engine's input passed is_symmetric: the lightest arc of
+  // each pair weighs the same both ways, and only a lightest arc can
+  // close d(u) + w = d(v), so the graph's own arcs are its in-arcs.
+  if (pre_.options.heuristic != ShortcutHeuristic::kNone) return original_;
   if (transpose_ != nullptr) {
     std::call_once(transpose_->once,
                    [&] { transpose_->graph = original_.transposed(); });
@@ -81,7 +85,7 @@ const Graph& SsspEngine::transpose(Graph& local) const {
 }
 
 void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
-                           const Graph* transpose, QueryResponse& resp) const {
+                           const Graph* in_arcs, QueryResponse& resp) const {
   const Vertex n = pre_.graph.num_vertices();
   resp.source = req.source;
   resp.stats = RunStats{};
@@ -105,7 +109,7 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
   if (early && req.targets.size() == 1 &&
       pre_.options.heuristic != ShortcutHeuristic::kNone &&
       (ctx.sequential() || num_workers() == 1)) {
-    serve_meet(req, ctx, transpose, resp);
+    serve_meet(req, ctx, in_arcs, resp);
     return;
   }
   if (early) {
@@ -152,14 +156,15 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
       tr.path.clear();
     }
   }
-  if (req.want_paths && transpose != nullptr) {
+  if (req.want_paths && in_arcs != nullptr) {
     const auto dist_of = [&search](Vertex v) { return search.read_dist(v); };
     for (TargetResult& tr : resp.targets) {
       if (tr.dist != kInfDist) {
         // Distances are identical on the original graph (shortcuts
-        // preserve them), so the walk over the original's transpose never
+        // preserve them), so the walk over the original's in-arcs never
         // uses a shortcut edge.
-        extract_path_by_closure(*transpose, tr.target, dist_of, tr.path);
+        extract_path_by_closure(*in_arcs, req.source, tr.target, dist_of,
+                                tr.path);
       }
     }
   }
@@ -177,7 +182,7 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
 }
 
 void SsspEngine::serve_meet(const QueryRequest& req, QueryContext& ctx,
-                            const Graph* transpose, QueryResponse& resp) const {
+                            const Graph* in_arcs, QueryResponse& resp) const {
   const Meeting meeting =
       radius_stepping_meet(pre_.graph, req.source, req.targets[0],
                            pre_.radius, ctx, &resp.stats);
@@ -186,19 +191,19 @@ void SsspEngine::serve_meet(const QueryRequest& req, QueryContext& ctx,
   tr.target = req.targets[0];
   tr.dist = meeting.dist;
   tr.path.clear();
-  if (req.want_paths && transpose != nullptr && meeting.dist != kInfDist) {
+  if (req.want_paths && in_arcs != nullptr && meeting.dist != kInfDist) {
     // source .. forward, then backward .. target. Both ends of the
     // meeting arc are settled with exact distances in their own search,
     // and on a symmetric graph the backward search's closure walk from
     // `backward` runs along a shortest path to the target.
     const QueryContext::Search& fs = ctx.search();
     const QueryContext::Search& bs = ctx.backward();
-    append_closure_walk(*transpose, meeting.forward,
+    append_closure_walk(*in_arcs, meeting.forward, req.source,
                         [&fs](Vertex v) { return fs.read_dist(v); }, tr.path);
     std::reverse(tr.path.begin(), tr.path.end());
     // A meeting at one vertex (source == target) starts both walks there.
     if (meeting.forward == meeting.backward) tr.path.pop_back();
-    append_closure_walk(*transpose, meeting.backward,
+    append_closure_walk(*in_arcs, meeting.backward, tr.target,
                         [&bs](Vertex v) { return bs.read_dist(v); }, tr.path);
   }
   ctx.reset_touched();
@@ -220,11 +225,10 @@ void SsspEngine::serve(const QueryRequest& req, QueryContext& ctx,
                        QueryResponse& resp) const {
   validate(req);
   Graph local;
-  // The transpose is only ever dereferenced for an actual result's path.
+  // The in-arcs are only ever read for an actual result's path.
   const bool paths = req.want_paths && (req.kind == RequestKind::kTopK ||
                                         !req.targets.empty());
-  const Graph* tp = paths ? &transpose(local) : nullptr;
-  run_serve(req, ctx, tp, resp);
+  run_serve(req, ctx, paths ? &path_graph(local) : nullptr, resp);
 }
 
 std::vector<QueryResponse> SsspEngine::serve_batch(
@@ -242,9 +246,9 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
                 (req.want_paths && (req.kind == RequestKind::kTopK ||
                                     !req.targets.empty()));
   }
-  // All workers share the one cached transpose; build it before they run.
+  // All workers share the one path graph; build it before they run.
   Graph local;
-  const Graph* tp = any_paths ? &transpose(local) : nullptr;
+  const Graph* in_arcs = any_paths ? &path_graph(local) : nullptr;
 
   // Lease a warm context pool slot for this batch: try-lock an existing
   // slot, or grow the slot set by one so every concurrent batch gets a
@@ -287,7 +291,7 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
     for (std::int64_t i = 0; i < static_cast<std::int64_t>(batch); ++i) {
       QueryContext& ctx =
           pool.at(static_cast<std::size_t>(omp_get_thread_num()));
-      run_serve(requests[static_cast<std::size_t>(i)], ctx, tp,
+      run_serve(requests[static_cast<std::size_t>(i)], ctx, in_arcs,
                 out[static_cast<std::size_t>(i)]);
     }
     return out;
@@ -301,7 +305,7 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
   QueryContext& ctx = pool.at(0);
   ctx.set_sequential(nw <= 1);
   for (std::size_t i = 0; i < batch; ++i) {
-    run_serve(requests[i], ctx, tp, out[i]);
+    run_serve(requests[i], ctx, in_arcs, out[i]);
   }
   return out;
 }

@@ -4,7 +4,7 @@
 /// QueryRequests (core/request.hpp) with the flat radius-stepping engine.
 ///
 /// \code
-///   SsspEngine engine(graph, PreprocessOptions{});  // rho 32, k 3, kDP
+///   SsspEngine engine(graph, PreprocessOptions{});  // rho 32, k 9, kDP
 ///   QueryRequest req;
 ///   req.source = s;
 ///   req.targets = {a, b, c};   // early termination: exits once a, b, c
@@ -60,7 +60,7 @@ class SsspEngine {
   SsspEngine(Graph original, PreprocessResult pre);
 
   /// Copies keep the epoch but get their own (cold) context pool and
-  /// transpose cache.
+  /// (kNone) transpose cache.
   SsspEngine(const SsspEngine& other);
   /// Copy assignment: same rules as the copy constructor.
   SsspEngine& operator=(const SsspEngine& other);
@@ -117,8 +117,9 @@ class SsspEngine {
   /// Thread-safe: each concurrent batch leases its own warm context-pool
   /// slot (the slot set grows to the peak concurrency and stays warm), so
   /// a serving daemon running parallel micro-batches never re-pays
-  /// context construction. Path reconstruction shares the cached
-  /// transpose (built once, before the parallel region).
+  /// context construction. Path reconstruction shares one path graph
+  /// (path_graph(); a kNone engine's cached transpose is built once,
+  /// before the parallel region).
   std::vector<QueryResponse> serve_batch(
       const std::vector<QueryRequest>& requests) const;
 
@@ -148,9 +149,9 @@ class SsspEngine {
  private:
   /// Request execution into `resp`. Validation must have happened already
   /// — this is the noexcept-in-practice body run inside parallel regions.
-  /// `transpose` must be non-null when req.want_paths.
+  /// `in_arcs` (path_graph()) must be non-null when req.want_paths.
   void run_serve(const QueryRequest& req, QueryContext& ctx,
-                 const Graph* transpose, QueryResponse& resp) const;
+                 const Graph* in_arcs, QueryResponse& resp) const;
 
   /// run_serve's one-target form on a sequential run: a forward and a
   /// backward search that meet (radius_stepping_meet). The answer is the
@@ -158,12 +159,15 @@ class SsspEngine {
   /// arc, then the backward closure from it, written into the response's
   /// own path buffer.
   void serve_meet(const QueryRequest& req, QueryContext& ctx,
-                  const Graph* transpose, QueryResponse& resp) const;
+                  const Graph* in_arcs, QueryResponse& resp) const;
 
-  /// The cached transpose of the original graph (built at most once,
-  /// shared by all path reconstructions). On a moved-from engine the
-  /// cache is gone: the transpose is built into `local` instead.
-  const Graph& transpose(Graph& local) const;
+  /// The graph whose out-arcs are the original graph's in-arcs, which
+  /// path walks read (extract_path_by_closure). A shortcut engine's
+  /// original graph is symmetric and serves itself. A kNone engine's may
+  /// be directed: it gets the cached transpose (built at most once,
+  /// shared by all path reconstructions), or on a moved-from engine, whose
+  /// cache is gone, a transpose built into `local`.
+  const Graph& path_graph(Graph& local) const;
 
   Graph original_;
   PreprocessResult pre_;
@@ -194,9 +198,10 @@ class SsspEngine {
   };
   std::unique_ptr<BatchPools> batch_pools_ = std::make_unique<BatchPools>();
 
-  // Lazily-built transpose of the original graph: path reconstruction walks
-  // INCOMING arcs (directed-correct parents), and every want_paths serve
-  // shares one transpose. Boxed for movability; built at most once.
+  // Lazily-built transpose of a kNone engine's original graph: path
+  // reconstruction walks INCOMING arcs (directed-correct parents), and
+  // every want_paths serve shares one transpose. Boxed for movability;
+  // built at most once.
   struct TransposeCache {
     std::once_flag once;
     Graph graph;

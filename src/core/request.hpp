@@ -28,12 +28,13 @@
 ///  * the response is O(|targets|) space: per-target distances are read
 ///    straight out of the engine's working distance array (zero-copy —
 ///    the O(n) dist vector is neither copied nor allocated) and optional
-///    paths are expanded by a targeted backward walk over the cached
-///    transpose. The request epilogue is O(touched), not O(n): the
-///    engine records first-touches in its relax loop and the context
-///    resets exactly those entries (QueryContext::reset_touched), so an
-///    early-terminated request does work proportional to what it actually
-///    explored.
+///    paths are expanded by a targeted backward walk over the original
+///    graph's in-arcs (the graph itself on a shortcut engine, whose graph
+///    is symmetric; a cached transpose on a kNone engine). The request
+///    epilogue is O(touched), not O(n): the engine records first-touches
+///    in its relax loop and the context resets exactly those entries
+///    (QueryContext::reset_touched), so an early-terminated request does
+///    work proportional to what it actually explored.
 ///  * `want_full_distances` requests the classic O(n) dist vector; it
 ///    disables early termination (a partial vector would not be the full
 ///    answer).

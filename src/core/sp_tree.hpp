@@ -9,7 +9,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -35,62 +38,116 @@ std::vector<Vertex> parents_from_distances(const Graph& g, const Graph& tg,
 std::vector<Vertex> extract_path(const std::vector<Vertex>& parent,
                                  Vertex target);
 
-/// The closure walk under extract_path_by_closure: APPENDS `from`, its
-/// exact predecessor, and so on down to the first vertex at distance 0,
-/// in that order (from first, source last). `dist_of(from)` must be exact
-/// and finite. The serving path's one-target answer appends two of these
-/// walks into the response's path buffer.
+namespace detail {
+
+/// The smallest-id exact predecessor of `v` (at distance d) strictly
+/// closer to the root: an out-arc (v, u) of `tg` with a positive weight w
+/// and dist_of(u) + w == d. kNoVertex when there is none.
 template <typename DistFn>
-void append_closure_walk(const Graph& tg, Vertex from, DistFn&& dist_of,
-                         std::vector<Vertex>& out) {
-  const std::size_t start = out.size();
-  Dist d = dist_of(from);
-  Vertex cur = from;
-  out.push_back(cur);
-  while (d > 0) {
-    Vertex best = kNoVertex;
-    Dist best_d = 0;
-    for (EdgeId e = tg.first_arc(cur); e < tg.last_arc(cur); ++e) {
+Vertex closer_predecessor(const Graph& tg, Vertex v, Dist d,
+                          DistFn& dist_of) {
+  Vertex best = kNoVertex;
+  for (EdgeId e = tg.first_arc(v); e < tg.last_arc(v); ++e) {
+    const Vertex u = tg.arc_target(e);
+    // Only a smaller id can improve the tie.
+    if (u >= best || tg.arc_weight(e) == 0) continue;
+    const Dist du = dist_of(u);
+    if (du != kInfDist && du + tg.arc_weight(e) == d) best = u;
+  }
+  return best;
+}
+
+/// `from` is not `root` and has no exact predecessor strictly closer to
+/// it, so it lies in a pocket of vertices at its distance joined by
+/// zero-weight arcs. Searches that pocket breadth-first, each vertex once,
+/// for the nearest vertex that is `root` or has a closer exact
+/// predecessor; APPENDS the pocket path after `from` up to and including
+/// that vertex and returns it. A greedy step could pick a pocket vertex
+/// whose only exact predecessors are behind it, and cycle.
+template <typename DistFn>
+Vertex append_zero_weight_exit(const Graph& tg, Vertex from, Vertex root,
+                               DistFn& dist_of, std::vector<Vertex>& out) {
+  const Dist d = dist_of(from);
+  // Pocket vertices in visit order, each with the index it was reached
+  // from.
+  std::vector<std::pair<Vertex, std::size_t>> order = {{from, 0}};
+  std::unordered_set<Vertex> seen = {from};
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Vertex x = order[i].first;
+    if (i > 0 &&
+        (x == root || closer_predecessor(tg, x, d, dist_of) != kNoVertex)) {
+      const std::size_t mark = out.size();
+      for (std::size_t j = i; j != 0; j = order[j].second) {
+        out.push_back(order[j].first);
+      }
+      std::reverse(out.begin() + static_cast<std::ptrdiff_t>(mark), out.end());
+      return x;
+    }
+    for (EdgeId e = tg.first_arc(x); e < tg.last_arc(x); ++e) {
       const Vertex u = tg.arc_target(e);
-      if (u >= best) continue;  // only a smaller id can improve the tie
-      const Dist du = dist_of(u);
-      if (du != kInfDist && du + tg.arc_weight(e) == d) {
-        best = u;
-        best_d = du;
+      if (tg.arc_weight(e) == 0 && dist_of(u) == d && seen.insert(u).second) {
+        order.push_back({u, i});
       }
     }
-    if (best == kNoVertex) {
-      throw std::logic_error("extract_path_by_closure: no exact predecessor");
-    }
-    cur = best;
-    d = best_d;
-    out.push_back(cur);
-    if (out.size() - start > tg.num_vertices()) {
-      throw std::logic_error("extract_path_by_closure: predecessor cycle");
+  }
+  throw std::logic_error("extract_path_by_closure: no exact predecessor");
+}
+
+}  // namespace detail
+
+/// The closure walk under extract_path_by_closure: APPENDS `from`, its
+/// exact predecessor, and so on until `root`, the vertex the distances
+/// were searched from (from first, root last). `dist_of(from)` must be
+/// exact and finite. Each hop goes to the smallest-id exact predecessor
+/// strictly closer to `root`; only where there is none (a zero-weight
+/// arc ends the shortest path) does the walk cross a pocket of equal
+/// distances, visiting no vertex twice. On positive weights every exact
+/// predecessor is strictly closer, so the pocket search never runs and
+/// the walk allocates nothing beyond `out`. The serving path's one-target
+/// answer appends two of these walks into the response's path buffer.
+template <typename DistFn>
+void append_closure_walk(const Graph& tg, Vertex from, Vertex root,
+                         DistFn&& dist_of, std::vector<Vertex>& out) {
+  Vertex cur = from;
+  out.push_back(cur);
+  while (cur != root) {
+    const Vertex next =
+        detail::closer_predecessor(tg, cur, dist_of(cur), dist_of);
+    if (next == kNoVertex) {
+      cur = detail::append_zero_weight_exit(tg, cur, root, dist_of, out);
+    } else {
+      cur = next;
+      out.push_back(cur);
     }
   }
 }
 
 /// Targeted backward walk: writes the shortest source->target path into
 /// `out` (source first, target last; cleared to empty when unreachable)
-/// reading distances through `dist_of(v)` — a plain vector, the engine's
-/// atomic working array, anything callable. O(path length * in-degree)
-/// instead of the O(m + n) full parents pass: the serving-path form.
+/// reading distances through `dist_of(v)` — a lambda over a plain vector
+/// or the engine's working array, anything callable — of a search from
+/// `source`.
+/// O(path length * in-degree) instead of the O(m + n) full parents pass:
+/// the serving-path form.
 ///
-/// `tg` is the TRANSPOSE of the graph the path lives in. `dist_of(target)`
+/// `tg` must list each vertex's INCOMING arcs of the graph the path lives
+/// in as its out-arcs: that graph's transpose, or the graph itself when
+/// it is symmetric (is_symmetric: only the lightest arc of a pair can
+/// close a distance, and it weighs the same both ways). `dist_of(target)`
 /// must be exact; predecessors are found by exact closure (dist_of(u) +
 /// w(u, v) == dist_of(v)), which self-selects exact vertices even when
 /// other entries are tentative upper bounds from an early-terminated run:
 /// an overestimate can never close an exact distance (closure would imply
 /// a shorter-than-shortest path), so every hop walked is a true shortest-
 /// path edge. Ties pick the smallest vertex id (deterministic; matches
-/// parents_from_distances on fully-exact distance arrays).
+/// parents_from_distances on fully-exact distance arrays with positive
+/// weights).
 template <typename DistFn>
-void extract_path_by_closure(const Graph& tg, Vertex target, DistFn&& dist_of,
-                             std::vector<Vertex>& out) {
+void extract_path_by_closure(const Graph& tg, Vertex source, Vertex target,
+                             DistFn&& dist_of, std::vector<Vertex>& out) {
   out.clear();
   if (dist_of(target) == kInfDist) return;
-  append_closure_walk(tg, target, dist_of, out);
+  append_closure_walk(tg, target, source, dist_of, out);
   std::reverse(out.begin(), out.end());
 }
 

@@ -28,13 +28,22 @@ enum class ShortcutHeuristic : std::uint8_t { kNone, kFull1Rho, kGreedy, kDP };
 const char* to_string(ShortcutHeuristic h);
 
 struct PreprocessOptions {
-  /// Chosen by wall-clock time with bench/sweep_rho_k.cpp, not by §5.4's
-  /// step count. Preprocessing time roughly doubles with each doubling of
-  /// rho; with the d_i shortcut cut-off, full queries at rho = 32 are as
-  /// fast as at 64 on road n=1M and web n=300k, and rho = 16 made web
-  /// queries about 12% slower at 4 workers.
+  /// rho and k are chosen by wall-clock time with bench/sweep_rho_k.cpp,
+  /// not by §5.4's step count. Preprocessing time roughly doubles with
+  /// each doubling of rho; with the d_i shortcut cut-off, full queries at
+  /// rho = 32 are as fast as at 64 on road n=1M and web n=300k, and
+  /// rho = 16 made web queries 5-8% slower at 4 workers at every k.
   Vertex rho = 32;
-  Vertex k = 3;  // ignored by kFull1Rho (k = 1) and kNone
+  /// Theorem 3.2 bounds a step at k + 2 substeps, bought with shortcut
+  /// arcs: at rho = 32, k = 3 gave road 4.17x and web 1.52x the original
+  /// arcs, and every serve scans those within d_i. k = 9 leaves 1.02x and
+  /// 1.00x: a one-target serve at one worker scans 37% fewer arcs on
+  /// road n=1M and runs about 20% faster, full queries at 4 workers are
+  /// level or faster on both graphs, and road setup falls by a quarter. At
+  /// 4 workers the work term, not the depth term, sets the time; on a
+  /// much wider machine a smaller k may win again. Ignored by kFull1Rho
+  /// (k = 1) and kNone.
+  Vertex k = 9;
   ShortcutHeuristic heuristic = ShortcutHeuristic::kDP;
   /// Paper §5.1 tie protocol (settle the whole distance class of the
   /// rho-th vertex). Set false for the exactly-rho footnote variant —

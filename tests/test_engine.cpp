@@ -66,6 +66,7 @@ TEST(SsspEngine, QueryBatchMatchesIndividualQueries) {
   const Graph g = assign_uniform_weights(gen::grid2d(10, 10), 2);
   PreprocessOptions opts;
   opts.rho = 8;
+  opts.k = 3;  // keeps shortcut arcs on a graph this small
   const SsspEngine engine(g, opts);
   const std::vector<Vertex> sources{0, 17, 42, 99};
   const auto batch = engine.serve_batch(test::full_requests(sources));
@@ -177,6 +178,7 @@ TEST(Serialize, LoadedPreprocessingAnswersQueries) {
   const Graph g = assign_uniform_weights(gen::grid2d(15, 15), 9);
   PreprocessOptions opts;
   opts.rho = 16;
+  opts.k = 3;  // keeps shortcut arcs on a graph this small
   const PreprocessResult pre = preprocess(g, opts);
   std::stringstream buf;
   save_preprocessing(pre, buf);
@@ -195,6 +197,7 @@ TEST(Serialize, RejectsTruncation) {
   const Graph g = gen::chain(6);
   PreprocessOptions opts;
   opts.rho = 3;
+  opts.k = 3;  // keeps shortcut arcs on a graph this small
   const PreprocessResult pre = preprocess(g, opts);
   std::stringstream buf;
   save_preprocessing(pre, buf);
@@ -213,6 +216,7 @@ std::string valid_preprocessing_bytes() {
   const Graph g = assign_uniform_weights(gen::grid2d(5, 5), 7);
   PreprocessOptions opts;
   opts.rho = 6;
+  opts.k = 3;  // keeps shortcut arcs on a graph this small
   std::stringstream buf;
   save_preprocessing(preprocess(g, opts), buf);
   return buf.str();
@@ -353,6 +357,7 @@ TEST(Serialize, FileRoundTrip) {
   const Graph g = gen::chain(10);
   PreprocessOptions opts;
   opts.rho = 4;
+  opts.k = 3;  // keeps shortcut arcs on a graph this small
   const PreprocessResult pre = preprocess(g, opts);
   const std::string path = ::testing::TempDir() + "/rs_pre_test.bin";
   save_preprocessing_file(pre, path);

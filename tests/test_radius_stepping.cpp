@@ -103,8 +103,10 @@ TEST(RadiusStepping, InfiniteRadiiIsOneStepOfBellmanFord) {
 // k + 2 substeps. The preprocessed graph is split (merge_edges), so a
 // vertex stops its weight-sorted shortcut scan at the first arc beyond d_i.
 // Against the unsplit copy of the same arcs, which relaxes every arc,
-// distances and steps must not change and fewer arcs are scanned, at one
-// worker and at the default, through radius_stepping and SsspEngine::serve.
+// distances and steps must not change, at one worker and at the default,
+// through radius_stepping and SsspEngine::serve, and one worker scans
+// fewer arcs. k runs over 1, 2, 3 and the shipped default
+// PreprocessOptions{}.k.
 class SubstepBoundTest
     : public ::testing::TestWithParam<std::tuple<Vertex, ShortcutHeuristic>> {};
 
@@ -148,8 +150,13 @@ TEST_P(SubstepBoundTest, MaxSubstepsWithinKPlusTwo) {
               << where;
           EXPECT_EQ(pruned.steps, control.steps) << where;
           EXPECT_LE(pruned.max_substeps_in_step, effective_k + 2u) << where;
-          scanned_pruned += pruned.edges_scanned;
-          scanned_unsplit += control.edges_scanned;
+          // Only one worker scans deterministically: a parallel run's
+          // count varies with the schedule by more than the cut-off saves
+          // at large k, where few shortcut arcs are left.
+          if (workers == 1) {
+            scanned_pruned += pruned.edges_scanned;
+            scanned_unsplit += control.edges_scanned;
+          }
 
           QueryRequest req;
           req.source = src;
@@ -175,7 +182,7 @@ TEST_P(SubstepBoundTest, MaxSubstepsWithinKPlusTwo) {
 
 INSTANTIATE_TEST_SUITE_P(
     KsAndHeuristics, SubstepBoundTest,
-    ::testing::Combine(::testing::Values(1, 2, 3),
+    ::testing::Combine(::testing::Values(1, 2, 3, PreprocessOptions{}.k),
                        ::testing::Values(ShortcutHeuristic::kFull1Rho,
                                          ShortcutHeuristic::kGreedy,
                                          ShortcutHeuristic::kDP)));

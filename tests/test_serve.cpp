@@ -21,7 +21,10 @@
 //    Dijkstra with genuine shortest paths on every sequential route
 //    (one worker, a sequential context, request-parallel batches),
 //    including s == t, an adjacent target, an unreachable target and a
-//    warm context reused across sources.
+//    warm context reused across sources;
+//  * paths over zero-weight arcs run from the source to the target on
+//    every route, and a shortcut engine's paths, which walk its
+//    symmetric graph's own arcs, equal the walk over its transpose.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -215,6 +218,7 @@ TEST(Serve, WantFullDistancesDisablesEarlyExitAndFillsBoth) {
   const Graph g = assign_uniform_weights(gen::chain(300), 5, 1, 50);
   PreprocessOptions opts;
   opts.rho = 8;
+  opts.k = 3;  // keeps shortcut arcs on a graph this small
   const SsspEngine engine(g, opts);
   const QueryResponse full = engine.serve(test::full_request(0));
 
@@ -378,6 +382,7 @@ TEST(Serve, SourceTargetAndDuplicateEdgeCases) {
   const Graph g = assign_uniform_weights(gen::grid2d(8, 8), 2, 1, 20);
   PreprocessOptions opts;
   opts.rho = 8;
+  opts.k = 3;  // keeps shortcut arcs on a graph this small
   const SsspEngine engine(g, opts);
 
   // Target == source: distance 0, path is the single vertex.
@@ -443,6 +448,7 @@ TEST(Serve, WarmContextAndResponseReuseStaysExact) {
   const Graph g = assign_uniform_weights(gen::road_network(12, 12, 5), 4);
   PreprocessOptions opts;
   opts.rho = 10;
+  opts.k = 3;  // keeps shortcut arcs on a graph this small
   const SsspEngine engine(g, opts);
   QueryContext ctx;
   QueryResponse resp;
@@ -842,10 +848,11 @@ TEST(Bidirectional, MatchesDijkstraOnWeightedSuite) {
 }
 
 TEST(Bidirectional, MatchesDijkstraOnUnitWeightSuite) {
-  // Unit weights tie everywhere; the default heuristic (kDP, k = 3).
+  // Unit weights tie everywhere; the default heuristic (kDP).
   for (const auto& [name, g] : test::unweighted_suite(31)) {
     PreprocessOptions opts;
     opts.rho = 8;
+    opts.k = 3;  // keeps shortcut arcs on a graph this small
     expect_sequential_routes_exact(name, g, opts);
   }
 }
@@ -901,6 +908,7 @@ TEST(Bidirectional, SourceEqualsTargetAndAdjacentTarget) {
   const Graph g = assign_uniform_weights(gen::grid2d(8, 8), 2, 1, 20);
   PreprocessOptions opts;
   opts.rho = 8;
+  opts.k = 3;  // keeps shortcut arcs on a graph this small
   const SsspEngine engine(g, opts);
 
   QueryResponse resp = engine.serve(one_target(5, 5, true));
@@ -1017,6 +1025,125 @@ TEST(Bidirectional, MeetingArcIsAnOriginalArcSettledOnBothSides) {
         EXPECT_EQ(from_s[m.forward] + w + to_t[m.backward], m.dist) << what;
       }
       ctx.reset_touched();
+    }
+  }
+}
+
+/// Symmetric graphs whose shortest paths cross zero-weight arcs: one at
+/// the source, a pocket that a smallest-id predecessor walks round in a
+/// cycle (0 -> 4 enters it at 2, whose smaller neighbour 1 leads back to
+/// 2 or 3), and the same pocket without the arc 1-3, where a walk that
+/// only avoids revisiting dead-ends at 1.
+std::vector<test::GraphCase> zero_weight_graphs() {
+  std::vector<test::GraphCase> out(3);
+  out[0].name = "zero arc at the source";
+  out[0].graph = build_graph(3, {{0, 1, 0}, {1, 2, 5}});
+  out[1].name = "zero-weight pocket";
+  out[1].graph =
+      build_graph(5, {{0, 3, 1}, {3, 2, 0}, {2, 1, 0}, {1, 3, 0}, {2, 4, 5}});
+  out[2].name = "zero-weight dead end";
+  out[2].graph = build_graph(5, {{0, 3, 1}, {3, 2, 0}, {2, 1, 0}, {2, 4, 5}});
+  return out;
+}
+
+TEST(Serve, PathsCrossZeroWeightArcsOnEveryRoute) {
+  // Every (s, t) pair with a path, on a shortcut and a kNone engine: the
+  // single search at four workers, then the sequential routes (one
+  // worker, a sequential context, serve_batch at three workers), where a
+  // shortcut engine meets a second search from the target. Each path
+  // runs from s to t over original arcs and sums to Dijkstra's distance.
+  WorkerGuard guard;
+  for (const auto& [name, g] : zero_weight_graphs()) {
+    std::vector<QueryRequest> requests;
+    for (Vertex s = 0; s < g.num_vertices(); ++s) {
+      for (Vertex t = 0; t < g.num_vertices(); ++t) {
+        requests.push_back(one_target(s, t, true));
+      }
+    }
+    for (const ShortcutHeuristic h :
+         {ShortcutHeuristic::kDP, ShortcutHeuristic::kNone}) {
+      PreprocessOptions opts;
+      opts.rho = 2;
+      opts.k = 2;
+      opts.heuristic = h;
+      const SsspEngine engine(g, opts);
+      set_num_workers(4);
+      std::vector<std::vector<QueryResponse>> routes(1);
+      for (const QueryRequest& req : requests) {
+        routes[0].push_back(engine.serve(req));
+      }
+      for (auto& route : serve_sequential_routes(engine, requests)) {
+        routes.push_back(std::move(route));
+      }
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        const Vertex s = requests[i].source;
+        const Vertex t = requests[i].targets[0];
+        const Dist truth = dijkstra(g, s)[t];
+        for (std::size_t r = 0; r < routes.size(); ++r) {
+          const std::string what = name + " " + to_string(h) + " route " +
+                                   std::to_string(r) + " request " +
+                                   std::to_string(i);
+          const TargetResult& tr = routes[r][i].targets.at(0);
+          EXPECT_EQ(tr.dist, truth) << what;
+          ASSERT_FALSE(tr.path.empty()) << what;
+          EXPECT_EQ(tr.path.front(), s) << what;
+          EXPECT_EQ(tr.path.back(), t) << what;
+          EXPECT_EQ(path_weight(g, tr.path), truth) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(Serve, ShortcutEnginePathsEqualTheTransposedWalk) {
+  // A shortcut engine walks its symmetric original graph's own arcs for
+  // paths; the walk over the transpose must give the same vertices. The
+  // single search (four workers, exhaustive, so the response carries the
+  // distances walked) and the meet (one worker, replayed on a context of
+  // its own).
+  WorkerGuard guard;
+  for (const auto& [name, g] : test::weighted_suite(43)) {
+    PreprocessOptions opts;
+    opts.rho = 10;
+    opts.k = 2;
+    const SsspEngine engine(g, opts);
+    const PreprocessResult& pre = engine.preprocessing();
+    const Graph tg = g.transposed();
+    const Vertex n = g.num_vertices();
+    std::vector<Vertex> expected;
+    for (Vertex i = 0; i < 6; ++i) {
+      const Vertex s = (i * 31 + 3) % n;
+      const Vertex t = (i * 59 + n / 2) % n;
+      const std::string what =
+          name + " s=" + std::to_string(s) + " t=" + std::to_string(t);
+
+      set_num_workers(4);
+      QueryRequest req = test::full_request(s);
+      req.targets = {t, (t + n / 3) % n};
+      req.want_paths = true;
+      const QueryResponse all = engine.serve(req);
+      const auto all_dist = [&all](Vertex v) { return all.dist[v]; };
+      for (const TargetResult& tr : all.targets) {
+        extract_path_by_closure(tg, s, tr.target, all_dist, expected);
+        EXPECT_EQ(tr.path, expected) << what << " single search";
+      }
+
+      set_num_workers(1);
+      const QueryResponse met = engine.serve(one_target(s, t, true));
+      QueryContext ctx;
+      const Meeting m = radius_stepping_meet(pre.graph, s, t, pre.radius, ctx);
+      expected.clear();
+      if (m.dist != kInfDist) {
+        const auto fwd = [&ctx](Vertex v) { return ctx.search().read_dist(v); };
+        const auto bwd = [&ctx](Vertex v) {
+          return ctx.backward().read_dist(v);
+        };
+        append_closure_walk(tg, m.forward, s, fwd, expected);
+        std::reverse(expected.begin(), expected.end());
+        if (m.forward == m.backward) expected.pop_back();
+        append_closure_walk(tg, m.backward, t, bwd, expected);
+      }
+      EXPECT_EQ(met.targets[0].path, expected) << what << " meet";
     }
   }
 }

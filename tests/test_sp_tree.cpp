@@ -128,6 +128,55 @@ TEST(ExtractPath, DetectsCycles) {
   EXPECT_THROW(extract_path(parent, 0), std::logic_error);
 }
 
+/// extract_path_by_closure from `source` to `target` over `g`'s
+/// transpose, reading Dijkstra's distances from `source`.
+std::vector<Vertex> closure_path(const Graph& g, Vertex source,
+                                 Vertex target) {
+  const std::vector<Dist> dist = dijkstra(g, source);
+  const auto dist_of = [&dist](Vertex v) { return dist[v]; };
+  std::vector<Vertex> path;
+  extract_path_by_closure(g.transposed(), source, target, dist_of, path);
+  return path;
+}
+
+TEST(ClosureWalk, WalksToTheSourceAcrossAZeroWeightArc) {
+  // Vertex 1 sits at distance 0 beside the source: a walk that stopped at
+  // the first vertex of distance 0 lost the source.
+  const Graph g = build_graph(3, {{0, 1, 0}, {1, 2, 5}});
+  EXPECT_EQ(closure_path(g, 0, 2), (std::vector<Vertex>{0, 1, 2}));
+  EXPECT_EQ(closure_path(g, 0, 1), (std::vector<Vertex>{0, 1}));
+  EXPECT_EQ(closure_path(g, 1, 0), (std::vector<Vertex>{1, 0}));
+  EXPECT_EQ(closure_path(g, 2, 0), (std::vector<Vertex>{2, 1, 0}));
+  EXPECT_EQ(closure_path(g, 0, 0), (std::vector<Vertex>{0}));
+}
+
+TEST(ClosureWalk, CrossesZeroWeightPocketsWithoutCycling) {
+  // 2, 1 and 3 share distance 1 from 0 over zero-weight arcs, and only 3
+  // has a closer predecessor. The smallest-id choice at 2 is 1, which
+  // used to lead back to 2 ("predecessor cycle"); without the arc 1-3, 1
+  // is a dead end that only a search of the pocket gets round.
+  const Graph pocket =
+      build_graph(5, {{0, 3, 1}, {3, 2, 0}, {2, 1, 0}, {1, 3, 0}, {2, 4, 5}});
+  EXPECT_EQ(closure_path(pocket, 0, 4), (std::vector<Vertex>{0, 3, 2, 4}));
+  EXPECT_EQ(closure_path(pocket, 0, 1), (std::vector<Vertex>{0, 3, 1}));
+  const Graph dead_end =
+      build_graph(5, {{0, 3, 1}, {3, 2, 0}, {2, 1, 0}, {2, 4, 5}});
+  EXPECT_EQ(closure_path(dead_end, 0, 4), (std::vector<Vertex>{0, 3, 2, 4}));
+  EXPECT_EQ(closure_path(dead_end, 0, 1), (std::vector<Vertex>{0, 3, 2, 1}));
+  EXPECT_EQ(closure_path(dead_end, 4, 0), (std::vector<Vertex>{4, 2, 3, 0}));
+}
+
+TEST(ClosureWalk, ThrowsWhenNoExactPredecessorLeadsToTheRoot) {
+  // Distances that no arc closes: the walk refuses instead of stopping
+  // short or looping.
+  const Graph tg = build_graph(3, {{0, 1, 0}, {1, 2, 5}}).transposed();
+  const std::vector<Dist> wrong = {0, 1, 6};
+  const auto dist_of = [&wrong](Vertex v) { return wrong[v]; };
+  std::vector<Vertex> path;
+  EXPECT_THROW(extract_path_by_closure(tg, 0, 2, dist_of, path),
+               std::logic_error);
+}
+
 TEST(ValidateTree, RejectsWrongParent) {
   const Graph g = build_graph(3, {{0, 1, 1}, {1, 2, 1}});
   const auto dist = dijkstra(g, 0);
