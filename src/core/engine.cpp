@@ -104,11 +104,11 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
   // the first step boundary with k vertices settled.
   const bool topk = req.kind == RequestKind::kTopK;
   const bool early = !topk && !req.targets.empty() && !req.want_full_distances;
-  // One target on a sequential run of a shortcut engine (whose graph is
-  // symmetric): a second search from the target meets the first.
+  // One target on a shortcut engine (whose graph is symmetric): a second
+  // search from the target meets the first, on the calling thread at any
+  // worker count (core/request.hpp says why).
   if (early && req.targets.size() == 1 &&
-      pre_.options.heuristic != ShortcutHeuristic::kNone &&
-      (ctx.sequential() || num_workers() == 1)) {
+      pre_.options.heuristic != ShortcutHeuristic::kNone) {
     serve_meet(req, ctx, in_arcs, resp);
     return;
   }

@@ -57,6 +57,12 @@ class SsspEngine {
   SsspEngine(Graph g, const PreprocessOptions& opts, PreprocessPool& pool);
 
   /// Wraps an existing preprocessing result (e.g. loaded from disk).
+  /// Unless pre.options.heuristic is kNone, `original` must pass
+  /// is_symmetric (graph/stats.hpp), as preprocess() and
+  /// IncrementalPreprocessor check: path walks read its arcs as its
+  /// in-arcs, and one-target requests search backward from the target
+  /// over it. Only vertex counts are checked here. A hand-built result
+  /// over a directed graph must set kNone (PreprocessResult{} says kDP).
   SsspEngine(Graph original, PreprocessResult pre);
 
   /// Copies keep the epoch but get their own (cold) context pool and
@@ -75,6 +81,8 @@ class SsspEngine {
   /// until the caller publishes the successor (e.g. via
   /// SsspServer::swap_engine) and the last reader unpins it. This is the
   /// one graph-swap path: an engine never changes its graph in place.
+  /// (original, pre) must meet the (Graph, PreprocessResult)
+  /// constructor's symmetry requirement.
   static SsspEngine next_epoch(const SsspEngine& prior, Graph original,
                                PreprocessResult pre);
 
@@ -107,12 +115,10 @@ class SsspEngine {
   ///
   /// Contract: bit-identical (distances, paths, RunStats) to per-request
   /// serve() on a SEQUENTIAL context (set_sequential(true)) whenever the
-  /// batch runs its queries sequentially: W == 1 or B >= W. On an
-  /// intra-query parallel context (serve() on a default context at
-  /// W > 1, or a batch with B < W) a one-target request searches from
-  /// the source alone instead of meeting a second search from the target
-  /// (core/request.hpp): the same distance, different work counts, and
-  /// possibly a different shortest path where paths tie.
+  /// batch runs its queries sequentially: W == 1 or B >= W. A one-target
+  /// request on a shortcut engine runs sequentially on every context
+  /// (core/request.hpp), so it is bit-identical to serve() whatever W
+  /// and B are.
   ///
   /// Thread-safe: each concurrent batch leases its own warm context-pool
   /// slot (the slot set grows to the peak concurrency and stays warm), so
@@ -153,11 +159,11 @@ class SsspEngine {
   void run_serve(const QueryRequest& req, QueryContext& ctx,
                  const Graph* in_arcs, QueryResponse& resp) const;
 
-  /// run_serve's one-target form on a sequential run: a forward and a
-  /// backward search that meet (radius_stepping_meet). The answer is the
-  /// meeting's distance; a path is the forward closure to the meeting
-  /// arc, then the backward closure from it, written into the response's
-  /// own path buffer.
+  /// run_serve's one-target form on a shortcut engine, on the calling
+  /// thread: a forward and a backward search that meet
+  /// (radius_stepping_meet). The answer is the meeting's distance; a path
+  /// is the forward closure to the meeting arc, then the backward closure
+  /// from it, written into the response's own path buffer.
   void serve_meet(const QueryRequest& req, QueryContext& ctx,
                   const Graph* in_arcs, QueryResponse& resp) const;
 

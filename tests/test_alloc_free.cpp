@@ -136,10 +136,11 @@ TEST(AllocFree, WarmTargetedServeAllocatesNothing) {
 }
 
 TEST(AllocFree, WarmOneTargetServeAllocatesNothing) {
-  // A one-target serve on a sequential context runs two searches that
-  // meet. The backward search is built by the first such request; after
-  // that a warm serve allocates nothing, with or without a path (both
-  // closure walks write into the response's own path buffer).
+  // A one-target serve runs two searches that meet, on a sequential
+  // context and on a default one alike. The backward search is built by
+  // the first such request; after that a warm serve allocates nothing,
+  // with or without a path (both closure walks write into the response's
+  // own path buffer).
   const Graph g = test_graph();
   PreprocessOptions opts;
   opts.rho = 10;
@@ -147,32 +148,35 @@ TEST(AllocFree, WarmOneTargetServeAllocatesNothing) {
   const SsspEngine engine(g, opts);
   const QueryResponse full = engine.serve(test::full_request(3));
 
-  for (const bool paths : {false, true}) {
-    QueryRequest req;
-    req.source = 3;
-    req.targets = {338};
-    req.want_paths = paths;
+  for (const bool sequential : {true, false}) {
+    for (const bool paths : {false, true}) {
+      QueryRequest req;
+      req.source = 3;
+      req.targets = {338};
+      req.want_paths = paths;
 
-    QueryContext ctx;
-    ctx.set_sequential(true);
-    QueryResponse resp;
-    engine.serve(req, ctx, resp);  // warm-up (builds the backward search)
-    ASSERT_EQ(resp.targets[0].dist, full.dist[338]);
+      QueryContext ctx;
+      ctx.set_sequential(sequential);
+      QueryResponse resp;
+      engine.serve(req, ctx, resp);  // warm-up (builds the backward search)
+      ASSERT_EQ(resp.targets[0].dist, full.dist[338]);
 
-    std::uint64_t measured;
-    {
-      AllocationWindow window;
-      engine.serve(req, ctx, resp);
-      measured = window.count();
-    }
-    EXPECT_EQ(measured, 0u) << "want_paths=" << paths;
-    ASSERT_EQ(resp.targets.size(), 1u);
-    EXPECT_EQ(resp.targets[0].dist, full.dist[338]);  // still exact
-    EXPECT_TRUE(resp.stats.early_exit);  // the searches met
-    if (paths) {
-      ASSERT_GE(resp.targets[0].path.size(), 2u);
-      EXPECT_EQ(resp.targets[0].path.front(), 3u);
-      EXPECT_EQ(resp.targets[0].path.back(), 338u);
+      std::uint64_t measured;
+      {
+        AllocationWindow window;
+        engine.serve(req, ctx, resp);
+        measured = window.count();
+      }
+      EXPECT_EQ(measured, 0u)
+          << "sequential=" << sequential << " want_paths=" << paths;
+      ASSERT_EQ(resp.targets.size(), 1u);
+      EXPECT_EQ(resp.targets[0].dist, full.dist[338]);  // still exact
+      EXPECT_TRUE(resp.stats.early_exit);  // the searches met
+      if (paths) {
+        ASSERT_GE(resp.targets[0].path.size(), 2u);
+        EXPECT_EQ(resp.targets[0].path.front(), 3u);
+        EXPECT_EQ(resp.targets[0].path.back(), 338u);
+      }
     }
   }
 }

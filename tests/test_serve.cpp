@@ -17,11 +17,13 @@
 //  * top-k — kTopK responses equal the sorted (dist, vertex) prefix of a
 //    full Dijkstra run, across weighted and unit-weight graphs, worker
 //    counts, and k up to beyond the reachable count;
-//  * one target on a sequential run — two searches that meet — equals
-//    Dijkstra with genuine shortest paths on every sequential route
-//    (one worker, a sequential context, request-parallel batches),
-//    including s == t, an adjacent target, an unreachable target and a
-//    warm context reused across sources;
+//  * one target on a shortcut engine — two searches that meet — equals
+//    Dijkstra with genuine shortest paths, and the same answer and work
+//    counts, on every route (one worker, a sequential context, a
+//    request-parallel batch, a default context at four workers and a
+//    batch narrower than the team), including s == t, an adjacent
+//    target, an unreachable target and a warm context reused across
+//    sources;
 //  * paths over zero-weight arcs run from the source to the target on
 //    every route, and a shortcut engine's paths, which walk its
 //    symmetric graph's own arcs, equal the walk over its transpose.
@@ -318,9 +320,9 @@ TEST(Serve, BatchMatchesIndividualServesWithMixedRequests) {
   // The batch contract (SsspEngine::serve_batch): bit-identical to
   // serve() on a SEQUENTIAL context, which is how the batch runs at one
   // worker and on the request-parallel path (10 requests >= 3 or 8
-  // workers). A one-target request there runs two searches that meet,
-  // while serve() on an intra-query parallel context runs one, so at
-  // nw > 1 a fresh serve() must match the batch's distances only.
+  // workers). serve() on an intra-query parallel context runs the
+  // multi-target and full requests in parallel, so at nw > 1 a fresh
+  // serve() must match the batch's distances only.
   WorkerGuard guard;
   const Graph g = assign_uniform_weights(gen::road_network(14, 14, 3), 9);
   PreprocessOptions opts;
@@ -741,17 +743,20 @@ TEST(TopK, UnitWeightGridWithTies) {
   }
 }
 
-// --- One target on a sequential run: two searches that meet ---------------
+// --- One target on a shortcut engine: two searches that meet --------------
 
-/// The three sequential routes on which a one-target request runs two
-/// searches: a one-worker engine, a set_sequential(true) context at the
-/// default worker count, and serve_batch at three workers
+/// Every route a one-target request can take, each of which runs the two
+/// searches on one thread: a one-worker engine, a set_sequential(true)
+/// context at the default worker count, serve_batch at three workers
 /// (request-parallel, one sequential context per worker: needs at least
-/// three requests). One response list per route, in request order.
-std::vector<std::vector<QueryResponse>> serve_sequential_routes(
+/// three requests), serve() on a default context at four workers, and
+/// serve_batch at four workers one request at a time (a batch narrower
+/// than the team, as a server's). One response list per route, in request
+/// order.
+std::vector<std::vector<QueryResponse>> serve_every_route(
     const SsspEngine& engine, const std::vector<QueryRequest>& requests) {
   WorkerGuard guard;
-  std::vector<std::vector<QueryResponse>> out(3);
+  std::vector<std::vector<QueryResponse>> out(5);
   set_num_workers(1);
   for (const QueryRequest& req : requests) out[0].push_back(engine.serve(req));
   set_num_workers(guard.before);
@@ -762,6 +767,12 @@ std::vector<std::vector<QueryResponse>> serve_sequential_routes(
   }
   set_num_workers(3);
   out[2] = engine.serve_batch(requests);
+  set_num_workers(4);
+  QueryContext parallel;
+  for (const QueryRequest& req : requests) {
+    out[3].push_back(engine.serve(req, parallel));
+    out[4].push_back(std::move(engine.serve_batch({req}).at(0)));
+  }
   return out;
 }
 
@@ -816,25 +827,28 @@ std::vector<QueryRequest> one_target_requests(const Graph& g) {
   return out;
 }
 
-/// Serves one_target_requests(g) on every sequential route and checks
-/// each answer against Dijkstra.
-void expect_sequential_routes_exact(const std::string& name, const Graph& g,
-                                    const PreprocessOptions& opts) {
+/// Serves one_target_requests(g) on every route and checks each answer
+/// against Dijkstra.
+void expect_every_route_exact(const std::string& name, const Graph& g,
+                              const PreprocessOptions& opts) {
   const SsspEngine engine(g, opts);
   const std::vector<QueryRequest> requests = one_target_requests(g);
-  const auto routes = serve_sequential_routes(engine, requests);
+  const auto routes = serve_every_route(engine, requests);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const std::vector<Dist> truth = dijkstra(g, requests[i].source);
     for (std::size_t r = 0; r < routes.size(); ++r) {
+      const std::string what = name + " route " + std::to_string(r) +
+                               " request " + std::to_string(i);
       expect_exact_one_target(g, requests[i], routes[r][i], truth, opts.k,
-                              name + " route " + std::to_string(r) +
-                                  " request " + std::to_string(i));
+                              what);
+      // Every route runs the same sequential code.
+      EXPECT_EQ(routes[r][i].stats.settled, routes[0][i].stats.settled)
+          << what;
+      EXPECT_EQ(routes[r][i].stats.substeps, routes[0][i].stats.substeps)
+          << what;
+      EXPECT_EQ(routes[r][i].targets[0].path, routes[0][i].targets[0].path)
+          << what;
     }
-    // Every route runs the same sequential code.
-    EXPECT_EQ(routes[1][i].stats.settled, routes[0][i].stats.settled) << name;
-    EXPECT_EQ(routes[2][i].stats.settled, routes[0][i].stats.settled) << name;
-    EXPECT_EQ(routes[2][i].targets[0].path, routes[0][i].targets[0].path)
-        << name;
   }
 }
 
@@ -843,7 +857,7 @@ TEST(Bidirectional, MatchesDijkstraOnWeightedSuite) {
     PreprocessOptions opts;
     opts.rho = 10;
     opts.k = 2;
-    expect_sequential_routes_exact(name, g, opts);
+    expect_every_route_exact(name, g, opts);
   }
 }
 
@@ -853,7 +867,7 @@ TEST(Bidirectional, MatchesDijkstraOnUnitWeightSuite) {
     PreprocessOptions opts;
     opts.rho = 8;
     opts.k = 3;  // keeps shortcut arcs on a graph this small
-    expect_sequential_routes_exact(name, g, opts);
+    expect_every_route_exact(name, g, opts);
   }
 }
 
@@ -883,7 +897,7 @@ TEST(Bidirectional, UnreachableTargetOnTwoComponents) {
     requests.push_back(one_target(split, last, paths));   // within the chain
     requests.push_back(one_target(last, last, paths));    // s == t
   }
-  const auto routes = serve_sequential_routes(engine, requests);
+  const auto routes = serve_every_route(engine, requests);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const std::vector<Dist> truth = dijkstra(g, requests[i].source);
     const bool unreachable = truth[requests[i].targets[0]] == kInfDist;
@@ -1048,10 +1062,11 @@ std::vector<test::GraphCase> zero_weight_graphs() {
 
 TEST(Serve, PathsCrossZeroWeightArcsOnEveryRoute) {
   // Every (s, t) pair with a path, on a shortcut and a kNone engine: the
-  // single search at four workers, then the sequential routes (one
-  // worker, a sequential context, serve_batch at three workers), where a
-  // shortcut engine meets a second search from the target. Each path
-  // runs from s to t over original arcs and sums to Dijkstra's distance.
+  // single search at four workers (asked for t twice, so a shortcut
+  // engine runs it too), then every route of the one-target request,
+  // where a shortcut engine meets a second search from the target. Each
+  // path runs from s to t over original arcs and sums to Dijkstra's
+  // distance.
   WorkerGuard guard;
   for (const auto& [name, g] : zero_weight_graphs()) {
     std::vector<QueryRequest> requests;
@@ -1069,10 +1084,11 @@ TEST(Serve, PathsCrossZeroWeightArcsOnEveryRoute) {
       const SsspEngine engine(g, opts);
       set_num_workers(4);
       std::vector<std::vector<QueryResponse>> routes(1);
-      for (const QueryRequest& req : requests) {
+      for (QueryRequest req : requests) {
+        req.targets.push_back(req.targets[0]);
         routes[0].push_back(engine.serve(req));
       }
-      for (auto& route : serve_sequential_routes(engine, requests)) {
+      for (auto& route : serve_every_route(engine, requests)) {
         routes.push_back(std::move(route));
       }
       for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -1083,12 +1099,13 @@ TEST(Serve, PathsCrossZeroWeightArcsOnEveryRoute) {
           const std::string what = name + " " + to_string(h) + " route " +
                                    std::to_string(r) + " request " +
                                    std::to_string(i);
-          const TargetResult& tr = routes[r][i].targets.at(0);
-          EXPECT_EQ(tr.dist, truth) << what;
-          ASSERT_FALSE(tr.path.empty()) << what;
-          EXPECT_EQ(tr.path.front(), s) << what;
-          EXPECT_EQ(tr.path.back(), t) << what;
-          EXPECT_EQ(path_weight(g, tr.path), truth) << what;
+          for (const TargetResult& tr : routes[r][i].targets) {
+            EXPECT_EQ(tr.dist, truth) << what;
+            ASSERT_FALSE(tr.path.empty()) << what;
+            EXPECT_EQ(tr.path.front(), s) << what;
+            EXPECT_EQ(tr.path.back(), t) << what;
+            EXPECT_EQ(path_weight(g, tr.path), truth) << what;
+          }
         }
       }
     }
