@@ -41,29 +41,31 @@
 //   update <u> <v> <w>[;<u> <v> <w>...]   apply + re-preprocess + swap
 //   stage <u> <v> <w>[;<u> <v> <w>...]    buffer updates, no swap yet
 //   flush                                 re-preprocess staged, swap epoch
-//   qc <source> <t1>[,<t2>,...]           query corrected for staged edits
 //
 // plus the bare legacy form, still accepted verbatim:
 //
 //   <source> <t1>[,<t2>,...]       == "q <source> <t1>[,...]"
 //
-// `q`/`qc` lines are answered with the per-target distances in input
-// order, space-separated, `inf` for unreachable. `topk` lines are
-// answered with k space-separated `vertex:dist` pairs, nearest first.
+// `q` lines are answered with the per-target distances in input order,
+// space-separated, `inf` for unreachable; staged updates stay invisible
+// to them until a `flush`. `topk` lines are answered with k
+// space-separated `vertex:dist` pairs, nearest first.
 // `update`/`flush` answer "ok epoch=E updated=A dirty=D/T ms=X"; `stage`
 // answers "staged epoch=E updated=A pending=N". Any malformed or
 // rejected line gets `error: <reason>` (bad ids and out-of-range vertices
 // are rejected by admission control without touching the engine). EOF (or
 // SIGINT/SIGTERM for TCP) drains in-flight requests and prints the
-// serving stats before exiting.
+// serving stats before exiting. A TCP client that hangs up closes only
+// its own connection.
 //
 // With no arguments, runs a self-contained demo: preprocesses a small
 // road network, fires concurrent clients through the daemon, verifies
 // every answer against direct engine.serve() calls, then churns weights
-// through the dynamic service verifying against Dijkstra, and exits
-// non-zero on any mismatch — which is exactly what the CTest smoke run
-// executes.
+// through the dynamic service verifying against Dijkstra (staged weights
+// unseen until a flush, flushed weights served), and exits non-zero on
+// any mismatch — which is exactly what the CTest smoke run executes.
 #include <arpa/inet.h>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -211,8 +213,8 @@ std::string format_targets(const QueryResponse& resp, bool topk) {
 
 /// Serves one protocol line; always returns exactly one response line.
 /// Recognizes the v2 verbs (q / topk / stats / epoch, plus the dynamic
-/// update / stage / flush / qc when `dyn` is non-null) and falls back to
-/// the bare legacy "<source> <targets>" form for anything else.
+/// update / stage / flush when `dyn` is non-null) and falls back to the
+/// bare legacy "<source> <targets>" form for anything else.
 std::string answer_line(SsspServer& server, rs::serve::DynamicSsspService* dyn,
                         const std::string& line) {
   const std::size_t sp = line.find(' ');
@@ -231,8 +233,7 @@ std::string answer_line(SsspServer& server, rs::serve::DynamicSsspService* dyn,
   if (verb == "epoch") {
     return std::to_string(server.engine_snapshot()->graph_epoch());
   }
-  if (verb == "update" || verb == "stage" || verb == "flush" ||
-      verb == "qc") {
+  if (verb == "update" || verb == "stage" || verb == "flush") {
     if (dyn == nullptr) {
       return "error: dynamic verbs need --dynamic 1 (in-process "
              "preprocessing)";
@@ -251,9 +252,7 @@ std::string answer_line(SsspServer& server, rs::serve::DynamicSsspService* dyn,
                       static_cast<unsigned long long>(r.staged));
         return buf;
       }
-      if (verb == "flush") return format_update_report(dyn->flush());
-      return format_targets(dyn->serve_corrected(parse_line(rest)),
-                            /*topk=*/false);
+      return format_update_report(dyn->flush());
     } catch (const std::exception& e) {
       return std::string("error: ") + e.what();
     }
@@ -296,6 +295,46 @@ void on_signal(int) {
   if (g_listen_fd >= 0) ::close(g_listen_fd);
 }
 
+/// Writes all of `reply` to a socket, looping on short writes and retrying
+/// on EINTR. MSG_NOSIGNAL turns a write to a peer that hung up into an
+/// EPIPE error instead of a SIGPIPE that would kill the whole daemon.
+/// False on a write error.
+bool send_all(int fd, const std::string& reply) {
+  std::size_t sent = 0;
+  while (sent < reply.size()) {
+    const ssize_t n = ::send(fd, reply.data() + sent, reply.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// One connection's line loop: answers each complete line, however long,
+/// and returns on EOF, a read error or a failed write.
+void serve_connection(int client, SsspServer& server,
+                      rs::serve::DynamicSsspService* dyn) {
+  std::string buf;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t got = ::read(client, chunk, sizeof(chunk));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return;
+    buf.append(chunk, static_cast<std::size_t>(got));
+    std::size_t nl;
+    while ((nl = buf.find('\n')) != std::string::npos) {
+      std::string line = buf.substr(0, nl);
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      buf.erase(0, nl + 1);
+      if (line.empty()) continue;
+      if (!send_all(client, answer_line(server, dyn, line) + "\n")) return;
+    }
+  }
+}
+
 /// Blocking TCP front-end: line protocol, one thread per connection. All
 /// connections feed the same server, so requests from different clients
 /// coalesce into shared micro-batches.
@@ -328,22 +367,7 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
     const int client = ::accept(fd, nullptr, nullptr);
     if (client < 0) break;  // listener closed by the signal handler
     conns.emplace_back([client, &server, dyn] {
-      std::string buf;
-      char chunk[4096];
-      ssize_t got;
-      while ((got = ::read(client, chunk, sizeof(chunk))) > 0) {
-        buf.append(chunk, static_cast<std::size_t>(got));
-        std::size_t nl;
-        while ((nl = buf.find('\n')) != std::string::npos) {
-          std::string line = buf.substr(0, nl);
-          if (!line.empty() && line.back() == '\r') line.pop_back();
-          buf.erase(0, nl + 1);
-          if (line.empty()) continue;
-          const std::string reply =
-              answer_line(server, dyn, line) + "\n";
-          if (::write(client, reply.data(), reply.size()) < 0) break;
-        }
-      }
+      serve_connection(client, server, dyn);
       ::close(client);
     });
   }
@@ -448,9 +472,9 @@ int demo() {
               static_cast<unsigned long long>(s.cache_hits));
 
   // Dynamic segment: churn weights through the live-update service. Each
-  // round stages a batch (answers corrected against the published epoch
-  // must match Dijkstra on the mutated graph), then flushes (the swapped
-  // epoch must serve the same row natively).
+  // round stages a batch (the daemon must keep answering from the
+  // published weights), then flushes (the swapped epoch must answer from
+  // the mutated ones).
   rs::serve::DynamicSsspService::Options dopts;
   dopts.preprocess = popts;
   dopts.server = opts;
@@ -459,6 +483,19 @@ int demo() {
   std::mt19937 rng(77);
   std::uniform_int_distribution<Weight> wdist(1, 1000);
   int dyn_mismatches = 0;
+  // Counts the answers to `reqs` that differ from Dijkstra on `truth`.
+  const auto count_mismatches = [&dyn](const std::vector<QueryRequest>& reqs,
+                                       const Graph& truth) {
+    int wrong = 0;
+    for (const QueryRequest& req : reqs) {
+      const std::vector<Dist> want = dijkstra(truth, req.source);
+      const QueryResponse got = dyn.server().serve_sync(req);
+      for (std::size_t j = 0; j < req.targets.size(); ++j) {
+        if (got.targets[j].dist != want[req.targets[j]]) ++wrong;
+      }
+    }
+    return wrong;
+  };
   for (int round = 0; round < 3; ++round) {
     std::uniform_int_distribution<EdgeId> adist(0, shadow.num_edges() - 1);
     std::vector<WeightUpdate> batch;
@@ -468,7 +505,8 @@ int demo() {
       while (shadow.last_arc(u) <= e) ++u;
       batch.push_back(WeightUpdate{u, shadow.arc_target(e), wdist(rng)});
     }
-    shadow = apply_weight_updates(shadow, batch).graph;
+    const Graph published = std::move(shadow);
+    shadow = apply_weight_updates(published, batch).graph;
     dyn.stage(batch);
     const std::vector<Vertex> sources = {0, 99};
     std::vector<QueryRequest> reqs;
@@ -479,27 +517,11 @@ int demo() {
       req.targets.push_back(static_cast<Vertex>(shadow.num_vertices() - 1));
       reqs.push_back(std::move(req));
     }
-    // Staged but not flushed: the corrected path must already be exact.
-    for (const QueryRequest& req : reqs) {
-      const std::vector<Dist> want = dijkstra(shadow, req.source);
-      const QueryResponse corrected = dyn.serve_corrected(req);
-      for (std::size_t j = 0; j < req.targets.size(); ++j) {
-        if (corrected.targets[j].dist != want[req.targets[j]]) {
-          ++dyn_mismatches;
-        }
-      }
-    }
+    // Staged but not flushed: the published epoch still answers.
+    dyn_mismatches += count_mismatches(reqs, published);
     dyn.flush();
     // Swapped epoch: the daemon serves the new weights natively.
-    for (const QueryRequest& req : reqs) {
-      const std::vector<Dist> want = dijkstra(shadow, req.source);
-      const QueryResponse swapped = dyn.server().serve_sync(req);
-      for (std::size_t j = 0; j < req.targets.size(); ++j) {
-        if (swapped.targets[j].dist != want[req.targets[j]]) {
-          ++dyn_mismatches;
-        }
-      }
-    }
+    dyn_mismatches += count_mismatches(reqs, shadow);
   }
   const std::uint64_t final_epoch = dyn.server().stats().epoch;
   if (dyn_mismatches != 0 || final_epoch < 2) {

@@ -3,7 +3,7 @@
 //
 // The parallel engines compute distances only (an atomic parent array would
 // double the relaxation traffic); a downstream user who wants actual paths
-// derives parents afterwards with one deterministic O(m) pass — for each v,
+// derives parents afterwards in deterministic O(m) passes — for each v,
 // the predecessor minimizing (delta(u) + w(u, v), u). This matches how
 // production SSSP systems (and the paper's work accounting) treat paths.
 #pragma once
@@ -19,18 +19,21 @@
 
 namespace rs {
 
-/// Parents realizing `dist` (which must be a valid SSSP distance vector for
-/// `g`, e.g. from radius_stepping). parent[source] = kNoVertex; unreachable
-/// vertices get kNoVertex. Deterministic: ties pick the smallest vertex id.
-/// v's predecessor u must have an arc u->v, so the scan walks v's INCOMING
-/// arcs; this overload builds the transpose internally (O(m)).
-std::vector<Vertex> parents_from_distances(const Graph& g,
+/// Parents realizing `dist`, the exact SSSP distances from `source` in
+/// `g` (throws std::invalid_argument unless dist[source] == 0): a tree
+/// rooted at `source` in which every other reachable vertex, one at
+/// distance 0 included, has a parent. v's predecessor u must have an arc
+/// u->v, so the scan walks v's INCOMING arcs; this overload builds the
+/// transpose internally (O(m)). Deterministic: the smallest-id exact
+/// predecessor strictly closer to the source, as extract_path_by_closure
+/// picks; a vertex with none, reached over zero-weight arcs at its own
+/// distance, is adopted breadth-first over those arcs from the tree.
+std::vector<Vertex> parents_from_distances(const Graph& g, Vertex source,
                                            const std::vector<Dist>& dist);
 
-/// Same, over a caller-provided transpose (`tg` must be `g.transposed()`) —
-/// the form SsspEngine::path uses so repeated path queries share one
-/// transpose instead of rebuilding it per call.
+/// Same, over a caller-provided transpose (`tg` must be `g.transposed()`).
 std::vector<Vertex> parents_from_distances(const Graph& g, const Graph& tg,
+                                           Vertex source,
                                            const std::vector<Dist>& dist);
 
 /// Vertices of the shortest s->t path implied by `parent` (s first, t
@@ -151,10 +154,12 @@ void extract_path_by_closure(const Graph& tg, Vertex source, Vertex target,
   std::reverse(out.begin(), out.end());
 }
 
-/// Validates that (dist, parent) form a consistent shortest-path tree:
-/// every parent edge exists and closes the distance exactly. Test oracle
-/// and debugging aid.
-bool validate_shortest_path_tree(const Graph& g, const std::vector<Dist>& dist,
+/// Validates that (dist, parent) form a shortest-path tree rooted at
+/// `source`: every reachable vertex but the source (distance 0 included)
+/// has a parent edge that exists and closes its distance exactly, and
+/// every parent chain ends at the source. Test oracle and debugging aid.
+bool validate_shortest_path_tree(const Graph& g, Vertex source,
+                                 const std::vector<Dist>& dist,
                                  const std::vector<Vertex>& parent);
 
 }  // namespace rs

@@ -9,8 +9,7 @@
 /// returns a NEW graph with identical topology (same offsets/targets
 /// arrays, so every EdgeId keeps its meaning) and the requested weights,
 /// together with the exact per-arc delta list (ArcChange) that the
-/// incremental re-preprocessing (shortcut/incremental.hpp) and the online
-/// correction kernel (core/dyn_sssp.hpp) consume.
+/// incremental re-preprocessing (shortcut/incremental.hpp) consumes.
 ///
 /// Semantics follow the paper's undirected setting: an update (u, v, w)
 /// re-weights EVERY arc u->v and every arc v->u (parallel arcs collapse
@@ -41,8 +40,7 @@ struct WeightUpdate {
 /// One DIRECTED arc whose weight actually changed, with both the pre- and
 /// post-batch weight. apply_weight_updates() emits one record per touched
 /// arc (so an undirected update normally yields two, one per direction)
-/// and drops no-ops — consumers can classify increase vs decrease by
-/// comparing the two weights.
+/// and drops no-ops.
 struct ArcChange {
   /// Arc tail in the CSR (the vertex whose adjacency list holds `arc`).
   Vertex u = kNoVertex;

@@ -1,18 +1,12 @@
 #include "serve/dynamic.hpp"
 
 #include <chrono>
-#include <stdexcept>
 #include <utility>
-
-#include "core/dyn_sssp.hpp"
 
 namespace rs::serve {
 
 DynamicSsspService::DynamicSsspService(Graph g, const Options& options)
-    : options_(options),
-      incr_(g, options.preprocess),
-      staged_graph_(incr_.graph()),
-      staged_transpose_(staged_graph_.transposed()) {
+    : options_(options), incr_(g, options.preprocess) {
   server_ = std::make_unique<SsspServer>(
       std::make_shared<const SsspEngine>(incr_.graph(), incr_.result()),
       options_.server);
@@ -55,31 +49,14 @@ void DynamicSsspService::flusher_loop() {
   }
 }
 
-void DynamicSsspService::merge_staged(
-    const std::vector<ArcChange>& changes) {
-  for (const ArcChange& c : changes) {
-    const auto it = staged_index_.find(c.arc);
-    if (it == staged_index_.end()) {
-      staged_index_.emplace(c.arc, staged_changes_.size());
-      staged_changes_.push_back(c);
-    } else {
-      // Keep the FLUSHED weight as w_old; only the endpoint moves. A
-      // net-zero entry (back to the flushed weight) is a no-op the repair
-      // kernel classifies as neither increase nor decrease.
-      staged_changes_[it->second].w_new = c.w_new;
-    }
-  }
-}
-
 UpdateReport DynamicSsspService::stage(
     const std::vector<WeightUpdate>& updates) {
   std::lock_guard<std::mutex> lock(mu_);
-  UpdateApplication app = apply_weight_updates(staged_graph_, updates);
+  // Weight updates never change topology, so the published graph refuses
+  // exactly the batches the staged one would: a bad batch throws here.
   UpdateReport report;
-  report.updated_arcs = app.changes.size();
-  merge_staged(app.changes);
-  staged_graph_ = std::move(app.graph);
-  staged_transpose_ = staged_graph_.transposed();
+  report.updated_arcs =
+      apply_weight_updates(incr_.graph(), updates).changes.size();
   pending_updates_.insert(pending_updates_.end(), updates.begin(),
                           updates.end());
   report.staged = pending_updates_.size();
@@ -113,8 +90,8 @@ UpdateReport DynamicSsspService::flush() {
   }
   const auto t0 = std::chrono::steady_clock::now();
   // Replay the raw staged updates into the incremental preprocessor
-  // (last-wins composition matches the staged graph's weights exactly),
-  // splice the new PreprocessResult, and publish the successor epoch.
+  // (later updates to an edge win, across batches as within one), splice
+  // the new PreprocessResult, and publish the successor epoch.
   const IncrementalUpdateStats stats = incr_.apply(pending_updates_);
   PreprocessResult pre = incr_.result();
   const std::shared_ptr<const SsspEngine> prior = server_->engine_snapshot();
@@ -124,8 +101,6 @@ UpdateReport DynamicSsspService::flush() {
   const auto t1 = std::chrono::steady_clock::now();
 
   pending_updates_.clear();
-  staged_changes_.clear();
-  staged_index_.clear();
   dirty_fraction_->set(0.0);
 
   report.updated_arcs = stats.updated_arcs;
@@ -148,38 +123,6 @@ UpdateReport DynamicSsspService::apply_updates(
 bool DynamicSsspService::has_staged() const {
   std::lock_guard<std::mutex> lock(mu_);
   return !pending_updates_.empty();
-}
-
-QueryResponse DynamicSsspService::serve_corrected(const QueryRequest& req) {
-  if (req.kind != RequestKind::kTargets || req.want_paths) {
-    throw std::invalid_argument(
-        "serve_corrected: only kTargets requests without paths");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::shared_ptr<const SsspEngine> eng = server_->engine_snapshot();
-  eng->validate(req);
-  if (staged_changes_.empty()) return eng->serve(req);
-
-  // Exact old row on the published epoch, repaired to the staged weights.
-  QueryRequest full;
-  full.source = req.source;
-  full.want_full_distances = true;
-  QueryResponse resp = eng->serve(full);
-  repair_distance_row(staged_graph_, staged_transpose_, req.source,
-                      staged_changes_, resp.dist);
-
-  resp.targets.reserve(req.targets.size());
-  for (const Vertex t : req.targets) {
-    TargetResult tr;
-    tr.target = t;
-    tr.dist = resp.dist[t];
-    resp.targets.push_back(std::move(tr));
-  }
-  if (!req.want_full_distances) {
-    resp.dist.clear();
-    resp.dist.shrink_to_fit();
-  }
-  return resp;
 }
 
 }  // namespace rs::serve

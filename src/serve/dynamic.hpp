@@ -1,24 +1,18 @@
 /// \file
 /// DynamicSsspService: live weight updates over a serving daemon.
 ///
-/// The dynamic-graph story has three gears, and this class drives all of
+/// The dynamic-graph story has two gears, and this class drives both of
 /// them from one place:
 ///
-///  1. STAGE — apply_weight_updates() on a staged copy of the graph. The
-///     daemon keeps serving the published (flushed) epoch untouched;
-///     staged batches merge into one cumulative arc-delta.
-///  2. CORRECT — serve_corrected() answers a targeted request EXACTLY
-///     against the staged weights without any re-preprocessing: it runs a
-///     full-distance serve on the published engine (old weights) and
-///     repairs the row with the online kernel (core/dyn_sssp.hpp) over
-///     the cumulative delta — decreases re-relax, increases invalidate
-///     their dirty subtree through the cached transpose.
-///  3. FLUSH — IncrementalPreprocessor recomputes exactly the balls the
-///     batch dirtied, splices a fresh PreprocessResult (bit-identical to
-///     a cold rebuild), wraps it in SsspEngine::next_epoch, and publishes
-///     it through SsspServer::swap_engine — mid-traffic, no quiescent
-///     point: in-flight queries finish on the old epoch, new ones start
-///     on the new epoch.
+///  1. STAGE — validate a weight-update batch and buffer it. The daemon
+///     keeps serving the published (flushed) epoch untouched: staged
+///     weights are invisible to every read until a flush.
+///  2. FLUSH — IncrementalPreprocessor recomputes exactly the balls the
+///     staged updates dirtied, splices a fresh PreprocessResult (bit-
+///     identical to a cold rebuild), wraps it in SsspEngine::next_epoch,
+///     and publishes it through SsspServer::swap_engine — mid-traffic, no
+///     quiescent point: in-flight queries finish on the old epoch, new
+///     ones start on the new epoch.
 ///
 /// apply_updates() = stage + flush, the one-call form the daemon's
 /// `update` verb uses. Everything is serialized by one internal mutex;
@@ -38,11 +32,9 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/request.hpp"
 #include "graph/graph.hpp"
 #include "graph/update.hpp"
 #include "obs/metrics.hpp"
@@ -54,13 +46,14 @@ namespace rs::serve {
 
 /// What one stage()/flush()/apply_updates() call did.
 struct UpdateReport {
-  /// Directed arcs whose weight changed in this call's batch.
+  /// Directed arcs whose new weight differs from the PUBLISHED epoch's, in
+  /// this call's batch (stage, apply_updates) or in all staged (flush).
   std::size_t updated_arcs = 0;
   /// Balls the flush recomputed (0 for a pure stage()).
   std::size_t dirty_balls = 0;
   /// Total balls (= vertices) at flush time (0 for a pure stage()).
   std::size_t total_balls = 0;
-  /// Engine epoch after the call (bumped by a flush that had changes).
+  /// Engine epoch after the call (bumped by a flush with anything staged).
   std::uint64_t epoch = 0;
   /// Raw updates still staged (0 right after a flush).
   std::size_t staged = 0;
@@ -68,8 +61,8 @@ struct UpdateReport {
   double incremental_ms = 0.0;
 };
 
-/// Serving daemon + incremental preprocessor + online correction, wired
-/// together (see file comment).
+/// Serving daemon + incremental preprocessor, wired together (see file
+/// comment).
 class DynamicSsspService {
  public:
   /// Construction-time configuration.
@@ -103,15 +96,15 @@ class DynamicSsspService {
   DynamicSsspService& operator=(const DynamicSsspService&) = delete;
 
   /// The daemon. Queries submitted here are answered from the PUBLISHED
-  /// epoch — staged-but-unflushed updates are invisible to it (use
-  /// serve_corrected() for staged-exact answers).
+  /// epoch — staged-but-unflushed updates are invisible to it until a
+  /// flush() publishes them.
   SsspServer& server() { return *server_; }
   /// Const view of the daemon (stats, snapshots).
   const SsspServer& server() const { return *server_; }
 
-  /// Stages a weight-update batch without republishing: the staged graph
-  /// and cumulative delta advance, serving continues on the old epoch.
-  /// Throws std::invalid_argument on a bad update (nothing staged).
+  /// Stages a weight-update batch without republishing: the next flush()
+  /// replays it, and serving continues on the old epoch. Throws
+  /// std::invalid_argument on a bad update (nothing staged).
   UpdateReport stage(const std::vector<WeightUpdate>& updates);
 
   /// Incrementally re-preprocesses everything staged and publishes the
@@ -119,25 +112,13 @@ class DynamicSsspService {
   /// nothing is staged.
   UpdateReport flush();
 
-  /// stage() + flush() in one critical section — the `update` verb.
+  /// stage() then flush() — the `update` verb (updated_arcs is stage()'s).
   UpdateReport apply_updates(const std::vector<WeightUpdate>& updates);
 
   /// True when updates are staged but not yet flushed.
   bool has_staged() const;
 
-  /// Answers a kTargets request EXACTLY against the staged weights (equal
-  /// to Dijkstra on the staged graph): full serve on the published epoch,
-  /// then the online repair kernel over the cumulative delta. With
-  /// nothing staged this is a plain engine serve. Throws
-  /// std::invalid_argument for kTopK or want_paths requests — the
-  /// correction path repairs distance rows, not paths or rankings.
-  QueryResponse serve_corrected(const QueryRequest& req);
-
  private:
-  /// Merges `changes` (relative to the current staged graph) into the
-  /// cumulative flushed->staged delta. Caller holds mu_.
-  void merge_staged(const std::vector<ArcChange>& changes);
-
   /// Background flusher body: waits on the timer / threshold trigger and
   /// calls flush(). Runs only when one of the flush knobs is nonzero.
   void flusher_loop();
@@ -146,14 +127,6 @@ class DynamicSsspService {
   mutable std::mutex mu_;
   /// Balls + shortcuts for the FLUSHED graph (the published epoch's base).
   IncrementalPreprocessor incr_;
-  /// Current true weights: flushed graph + every staged batch.
-  Graph staged_graph_;
-  /// staged_graph_.transposed(), kept in step for the repair kernel.
-  Graph staged_transpose_;
-  /// Cumulative per-arc delta flushed -> staged (w_old = flushed weight).
-  std::vector<ArcChange> staged_changes_;
-  /// arc -> index into staged_changes_, so re-updates merge in place.
-  std::unordered_map<EdgeId, std::size_t> staged_index_;
   /// Raw staged updates, replayed into incr_ at flush time.
   std::vector<WeightUpdate> pending_updates_;
   std::unique_ptr<SsspServer> server_;

@@ -4,9 +4,10 @@
 //  * apply_updates republishes: the very next serve matches Dijkstra on
 //    the mutated graph and carries the bumped epoch;
 //  * staged updates are invisible to the daemon (old epoch keeps serving
-//    exactly) while serve_corrected answers from the STAGED weights —
-//    equal to Dijkstra on the staged graph, including re-updates of the
-//    same edge across stage calls;
+//    exactly) until a flush publishes them, re-updates of the same edge
+//    across stage calls included (the last one wins);
+//  * stage() refuses a bad batch whole, with nothing staged, and counts
+//    the arcs that differ from the PUBLISHED weights;
 //  * epoch-swapped serving under load: client threads race update/flush
 //    cycles and every response is consistent with the single epoch it is
 //    stamped with — no torn reads;
@@ -66,6 +67,14 @@ void expect_matches_dijkstra(const QueryResponse& resp, const Graph& g,
   }
 }
 
+/// The daemon's full row from `source` equals Dijkstra on `g`.
+void expect_row_matches_dijkstra(DynamicSsspService& svc, const Graph& g,
+                                 Vertex source, const char* label) {
+  EXPECT_EQ(svc.server().serve_sync(test::full_request(source)).dist,
+            dijkstra(g, source))
+      << label << " source=" << source;
+}
+
 TEST(DynamicService, ApplyUpdatesRepublishesAndBumpsEpoch) {
   const Graph g = test::weighted_suite(61)[0].graph;
   DynamicSsspService svc(g, small_options());
@@ -104,40 +113,90 @@ TEST(DynamicService, StagedUpdatesServeOldEpochUntilFlush) {
   std::vector<WeightUpdate> batch = {
       {0, g.arc_target(g.first_arc(0)), 120},
       {targets[1], g.arc_target(g.first_arc(targets[1])), 1}};
-  Graph staged = apply_weight_updates(g, batch).graph;
+  const Graph staged1 = apply_weight_updates(g, batch).graph;
+  ASSERT_NE(dijkstra(staged1, source), dijkstra(g, source));
   const UpdateReport r1 = svc.stage(batch);
   EXPECT_EQ(r1.epoch, 1u);
   EXPECT_EQ(r1.staged, batch.size());
   EXPECT_TRUE(svc.has_staged());
 
-  // The daemon still serves the published epoch (old weights)...
+  // The daemon still serves the published epoch (old weights).
   const QueryResponse old_epoch =
       svc.server().serve_sync(targeted(source, targets));
   EXPECT_EQ(old_epoch.graph_epoch, 1u);
   expect_matches_dijkstra(old_epoch, g, source, "published");
+  expect_row_matches_dijkstra(svc, g, source, "published row");
 
-  // ...while serve_corrected is exact against the staged weights.
-  expect_matches_dijkstra(svc.serve_corrected(targeted(source, targets)),
-                          staged, source, "corrected");
-
-  // A second stage re-updating the same edge composes (last wins).
+  // A second stage re-updating the same edge is just as invisible...
   const std::vector<WeightUpdate> batch2 = {
       {0, g.arc_target(g.first_arc(0)), 2}};
-  staged = apply_weight_updates(staged, batch2).graph;
-  svc.stage(batch2);
-  expect_matches_dijkstra(svc.serve_corrected(targeted(source, targets)),
-                          staged, source, "corrected2");
+  const Graph staged2 = apply_weight_updates(staged1, batch2).graph;
+  ASSERT_NE(dijkstra(staged2, source), dijkstra(staged1, source));
+  EXPECT_EQ(svc.stage(batch2).staged, batch.size() + batch2.size());
+  expect_row_matches_dijkstra(svc, g, source, "published row 2");
 
+  // ...and the flush publishes both batches with the later one winning.
   const UpdateReport r2 = svc.flush();
   EXPECT_EQ(r2.epoch, 2u);
+  EXPECT_EQ(r2.staged, 0u);
   EXPECT_FALSE(svc.has_staged());
   const QueryResponse flushed =
       svc.server().serve_sync(targeted(source, targets));
   EXPECT_EQ(flushed.graph_epoch, 2u);
-  expect_matches_dijkstra(flushed, staged, source, "flushed");
-  // With nothing staged, serve_corrected falls through to a plain serve.
-  expect_matches_dijkstra(svc.serve_corrected(targeted(source, targets)),
-                          staged, source, "corrected-after-flush");
+  expect_matches_dijkstra(flushed, staged2, source, "flushed");
+  expect_row_matches_dijkstra(svc, staged2, source, "flushed row");
+}
+
+TEST(DynamicService, StageRefusesABadBatchAndStagesNothing) {
+  const Graph g = test::weighted_suite(69)[0].graph;  // grid2d
+  DynamicSsspService svc(g, small_options());
+  const Vertex n = g.num_vertices();
+  const WeightUpdate good = {0, g.arc_target(g.first_arc(0)), 50};
+  // Opposite corners of the grid: no arc between them either way.
+  for (EdgeId e = g.first_arc(0); e < g.last_arc(0); ++e) {
+    ASSERT_NE(g.arc_target(e), n - 1);
+  }
+  // Each bad batch opens with a good update: a refused batch stages none
+  // of its updates.
+  const std::vector<std::vector<WeightUpdate>> bad = {
+      {good, {0, n, 5}},            // vertex out of range
+      {good, {good.u, good.v, 0}},  // weight below 1
+      {good, {0, n - 1, 5}}};       // no arc between the endpoints
+  for (const std::vector<WeightUpdate>& batch : bad) {
+    EXPECT_THROW(svc.stage(batch), std::invalid_argument);
+    EXPECT_FALSE(svc.has_staged());
+  }
+  EXPECT_DOUBLE_EQ(
+      svc.server().metrics().gauge("rs_dyn_dirty_fraction").value(), 0.0);
+  EXPECT_EQ(svc.flush().epoch, 1u);  // nothing to publish
+
+  // A refused batch also leaves what was staged before it as it was.
+  svc.stage({good});
+  EXPECT_THROW(svc.stage(bad[0]), std::invalid_argument);
+  const UpdateReport r = svc.flush();
+  EXPECT_EQ(r.epoch, 2u);
+  EXPECT_EQ(r.updated_arcs, 2u);  // both directions of the good edge
+  expect_row_matches_dijkstra(svc, apply_weight_updates(g, {good}).graph, 0,
+                              "after refused batch");
+}
+
+TEST(DynamicService, StageCountsArcsThatDifferFromThePublishedWeights) {
+  const Graph g = test::weighted_suite(70)[5].graph;  // chain
+  DynamicSsspService svc(g, small_options());
+  const EdgeId e = g.first_arc(0);
+  const Vertex v = g.arc_target(e);
+  const Weight w = g.arc_weight(e);
+  const Weight other = w + 1;
+  EXPECT_EQ(svc.stage({{0, v, other}}).updated_arcs, 2u);  // both ways
+  // Counted against the published weights, not the staged ones: the
+  // same update again still differs from them, and restoring the
+  // published weight differs from nothing.
+  EXPECT_EQ(svc.stage({{0, v, other}}).updated_arcs, 2u);
+  EXPECT_EQ(svc.stage({{0, v, w}}).updated_arcs, 0u);
+  // The last stage wins: the flush changes no arc.
+  EXPECT_EQ(svc.flush().updated_arcs, 0u);
+  EXPECT_EQ(svc.server().engine_snapshot()->original_graph().weights(),
+            g.weights());
 }
 
 TEST(DynamicService, FlushWithNothingStagedIsANoOp) {
@@ -147,21 +206,6 @@ TEST(DynamicService, FlushWithNothingStagedIsANoOp) {
   EXPECT_EQ(r.epoch, 1u);
   EXPECT_EQ(r.updated_arcs, 0u);
   EXPECT_EQ(svc.server().engine_snapshot()->graph_epoch(), 1u);
-}
-
-TEST(DynamicService, ServeCorrectedValidates) {
-  const Graph g = test::weighted_suite(64)[6].graph;  // star
-  DynamicSsspService svc(g, small_options());
-  QueryRequest topk;
-  topk.source = 0;
-  topk.kind = RequestKind::kTopK;
-  topk.k = 3;
-  EXPECT_THROW(svc.serve_corrected(topk), std::invalid_argument);
-  QueryRequest paths = targeted(0, {1});
-  paths.want_paths = true;
-  EXPECT_THROW(svc.serve_corrected(paths), std::invalid_argument);
-  EXPECT_THROW(svc.serve_corrected(targeted(0, {g.num_vertices()})),
-               std::invalid_argument);
 }
 
 TEST(DynamicService, CachePurgedAcrossSwap) {
@@ -210,12 +254,13 @@ TEST(DynamicService, AdversarialGraphsStayExactUnderChurn) {
             u, shadow.arc_target(e),
             static_cast<Weight>(7 + 13 * (round + 1) + u % 5)});
       }
-      shadow = apply_weight_updates(shadow, batch).graph;
+      const Graph published = std::move(shadow);
+      shadow = apply_weight_updates(published, batch).graph;
 
-      // Staged-exact first, then flushed-exact.
+      // Staged weights stay unseen until the flush publishes them.
       svc.stage(batch);
-      expect_matches_dijkstra(svc.serve_corrected(targeted(0, targets)),
-                              shadow, 0, c.name.c_str());
+      expect_matches_dijkstra(svc.server().serve_sync(targeted(0, targets)),
+                              published, 0, c.name.c_str());
       svc.flush();
       expect_matches_dijkstra(svc.server().serve_sync(targeted(0, targets)),
                               shadow, 0, c.name.c_str());

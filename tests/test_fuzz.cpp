@@ -111,8 +111,9 @@ TEST_P(FuzzTest, EveryAlgorithmAgreesOnRandomPipelines) {
   }
 
   // Shortest-path tree reconstruction is always consistent.
-  const auto parent = parents_from_distances(g, flat);
-  ASSERT_TRUE(validate_shortest_path_tree(g, flat, parent)) << "seed " << seed;
+  const auto parent = parents_from_distances(g, src, flat);
+  ASSERT_TRUE(validate_shortest_path_tree(g, src, flat, parent))
+      << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range(0, 32));

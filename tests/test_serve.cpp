@@ -86,26 +86,6 @@ std::vector<Vertex> spread_targets(const Graph& g, std::size_t count) {
   return out;
 }
 
-/// The sum of original-graph edge weights along `path`, failing the test
-/// if any hop is not an original arc. Parallel arcs: cheapest one counts,
-/// which is what a shortest path must use anyway.
-Dist path_weight(const Graph& g, const std::vector<Vertex>& path) {
-  Dist total = 0;
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    Dist best = kInfDist;
-    for (EdgeId e = g.first_arc(path[i - 1]); e < g.last_arc(path[i - 1]);
-         ++e) {
-      if (g.arc_target(e) == path[i]) {
-        best = std::min(best, static_cast<Dist>(g.arc_weight(e)));
-      }
-    }
-    EXPECT_NE(best, kInfDist) << "hop " << i << " is not an original edge";
-    if (best == kInfDist) return kInfDist;
-    total += best;
-  }
-  return total;
-}
-
 TEST(Serve, TargetedMatchesFullQueryOnWeightedSuite) {
   WorkerGuard guard;
   for (const auto& [name, g] : test::weighted_suite(13)) {
@@ -274,7 +254,7 @@ TEST(Serve, ClosureWalkMatchesParentsFromDistancesOracle) {
     const SsspEngine engine = raw_engine(g);
     const QueryResponse full = engine.serve(test::full_request(1));
     const std::vector<Vertex> parent =
-        parents_from_distances(g, g.transposed(), full.dist);
+        parents_from_distances(g, g.transposed(), 1, full.dist);
     QueryRequest req;
     req.source = 1;
     req.targets = spread_targets(g, 4);
@@ -312,7 +292,7 @@ TEST(Serve, EarlyExitPathsAreGenuineShortestPaths) {
     ASSERT_GE(tr.path.size(), 2u);
     EXPECT_EQ(tr.path.front(), 0u);
     EXPECT_EQ(tr.path.back(), tr.target);
-    EXPECT_EQ(path_weight(g, tr.path), tr.dist) << "target " << tr.target;
+    EXPECT_EQ(test::path_weight(g, tr.path), tr.dist) << "target " << tr.target;
   }
 }
 
@@ -796,7 +776,7 @@ void expect_exact_one_target(const Graph& g, const QueryRequest& req,
   ASSERT_FALSE(tr.path.empty()) << what;
   EXPECT_EQ(tr.path.front(), req.source) << what;
   EXPECT_EQ(tr.path.back(), t) << what;
-  EXPECT_EQ(path_weight(g, tr.path), tr.dist) << what;
+  EXPECT_EQ(test::path_weight(g, tr.path), tr.dist) << what;
 }
 
 QueryRequest one_target(Vertex s, Vertex t, bool want_paths) {
@@ -982,7 +962,7 @@ TEST(Bidirectional, WarmContextAlternatingSourcesStaysExact) {
     for (const TargetResult& tr : resp.targets) {
       ASSERT_EQ(tr.dist, truth[tr.target]) << "request " << i;
       if (req.want_paths && !tr.path.empty()) {
-        EXPECT_EQ(path_weight(g, tr.path), tr.dist) << "request " << i;
+        EXPECT_EQ(test::path_weight(g, tr.path), tr.dist) << "request " << i;
       }
     }
     std::size_t stale = 0;
@@ -1104,7 +1084,7 @@ TEST(Serve, PathsCrossZeroWeightArcsOnEveryRoute) {
             ASSERT_FALSE(tr.path.empty()) << what;
             EXPECT_EQ(tr.path.front(), s) << what;
             EXPECT_EQ(tr.path.back(), t) << what;
-            EXPECT_EQ(path_weight(g, tr.path), truth) << what;
+            EXPECT_EQ(test::path_weight(g, tr.path), truth) << what;
           }
         }
       }

@@ -14,12 +14,12 @@ namespace {
 TEST(ParentsFromDistances, HandComputed) {
   const Graph g = build_graph(4, {{0, 1, 5}, {0, 2, 9}, {1, 3, 1}, {2, 3, 2}});
   const auto dist = dijkstra(g, 0);
-  const auto parent = parents_from_distances(g, dist);
+  const auto parent = parents_from_distances(g, 0, dist);
   EXPECT_EQ(parent[0], kNoVertex);
   EXPECT_EQ(parent[1], 0u);
   EXPECT_EQ(parent[3], 1u);
   EXPECT_EQ(parent[2], 3u);  // 0-1-3-2 is shorter than 0-2
-  EXPECT_TRUE(validate_shortest_path_tree(g, dist, parent));
+  EXPECT_TRUE(validate_shortest_path_tree(g, 0, dist, parent));
 }
 
 class SpTreeTest : public ::testing::TestWithParam<int> {};
@@ -27,8 +27,8 @@ class SpTreeTest : public ::testing::TestWithParam<int> {};
 TEST_P(SpTreeTest, ParentsValidForEverySuiteGraph) {
   for (const auto& [name, g] : test::weighted_suite(GetParam())) {
     const auto dist = radius_stepping(g, 0, all_radii(g, 8));
-    const auto parent = parents_from_distances(g, dist);
-    EXPECT_TRUE(validate_shortest_path_tree(g, dist, parent)) << name;
+    const auto parent = parents_from_distances(g, 0, dist);
+    EXPECT_TRUE(validate_shortest_path_tree(g, 0, dist, parent)) << name;
   }
 }
 
@@ -44,12 +44,12 @@ TEST(ParentsFromDistances, DirectedChainUsesIncomingArcs) {
   const Graph g =
       build_graph(4, {{0, 1, 2}, {1, 2, 3}, {2, 3, 4}}, directed);
   const auto dist = dijkstra(g, 0);
-  const auto parent = parents_from_distances(g, dist);
+  const auto parent = parents_from_distances(g, 0, dist);
   EXPECT_EQ(parent[0], kNoVertex);
   EXPECT_EQ(parent[1], 0u);
   EXPECT_EQ(parent[2], 1u);
   EXPECT_EQ(parent[3], 2u);
-  EXPECT_TRUE(validate_shortest_path_tree(g, dist, parent));
+  EXPECT_TRUE(validate_shortest_path_tree(g, 0, dist, parent));
   EXPECT_EQ(extract_path(parent, 3), (std::vector<Vertex>{0, 1, 2, 3}));
 }
 
@@ -66,16 +66,16 @@ TEST(ParentsFromDistances, DirectedCycleAndAdversarialSuite) {
   }
   const Graph cycle = build_graph(n, std::move(edges), directed);
   const auto dist = dijkstra(cycle, 0);
-  const auto parent = parents_from_distances(cycle, dist);
-  EXPECT_TRUE(validate_shortest_path_tree(cycle, dist, parent));
+  const auto parent = parents_from_distances(cycle, 0, dist);
+  EXPECT_TRUE(validate_shortest_path_tree(cycle, 0, dist, parent));
   for (Vertex v = 1; v < n; ++v) EXPECT_EQ(parent[v], v - 1) << v;
 
   // And every graph in the adversarial palette (directed arcs, self-loops,
   // parallel arcs) must yield a validating tree.
   for (const auto& [name, g] : test::adversarial_suite(3)) {
     const auto d = dijkstra(g, 0);
-    const auto p = parents_from_distances(g, d);
-    EXPECT_TRUE(validate_shortest_path_tree(g, d, p)) << name;
+    const auto p = parents_from_distances(g, 0, d);
+    EXPECT_TRUE(validate_shortest_path_tree(g, 0, d, p)) << name;
   }
 }
 
@@ -83,42 +83,51 @@ TEST(ParentsFromDistances, PrebuiltTransposeMatchesAndValidates) {
   for (const auto& [name, g] : test::weighted_suite(9)) {
     const auto dist = dijkstra(g, 0);
     const Graph tg = g.transposed();
-    EXPECT_EQ(parents_from_distances(g, tg, dist),
-              parents_from_distances(g, dist))
+    EXPECT_EQ(parents_from_distances(g, tg, 0, dist),
+              parents_from_distances(g, 0, dist))
         << name;
   }
   const Graph g = build_graph(3, {{0, 1, 1}, {1, 2, 1}});
   EXPECT_THROW(
-      parents_from_distances(g, build_graph(2, {{0, 1, 1}}), dijkstra(g, 0)),
+      parents_from_distances(g, build_graph(2, {{0, 1, 1}}), 0,
+                             dijkstra(g, 0)),
       std::invalid_argument);
 }
 
 TEST(ParentsFromDistances, UnreachableGetNoParent) {
   const Graph g = build_graph(4, {{0, 1, 3}});
   const auto dist = dijkstra(g, 0);
-  const auto parent = parents_from_distances(g, dist);
+  const auto parent = parents_from_distances(g, 0, dist);
   EXPECT_EQ(parent[2], kNoVertex);
   EXPECT_EQ(parent[3], kNoVertex);
-  EXPECT_TRUE(validate_shortest_path_tree(g, dist, parent));
+  EXPECT_TRUE(validate_shortest_path_tree(g, 0, dist, parent));
 }
 
 TEST(ParentsFromDistances, DeterministicTieBreak) {
   // Two equal-length routes to vertex 3 via 1 and 2: parent must be the
   // smaller id (1).
   const Graph g = build_graph(4, {{0, 1, 5}, {0, 2, 5}, {1, 3, 5}, {2, 3, 5}});
-  const auto parent = parents_from_distances(g, dijkstra(g, 0));
+  const auto parent = parents_from_distances(g, 0, dijkstra(g, 0));
   EXPECT_EQ(parent[3], 1u);
 }
 
 TEST(ParentsFromDistances, RejectsSizeMismatch) {
   const Graph g = build_graph(3, {{0, 1, 1}});
-  EXPECT_THROW(parents_from_distances(g, std::vector<Dist>(2, 0)),
+  EXPECT_THROW(parents_from_distances(g, 0, std::vector<Dist>(2, 0)),
+               std::invalid_argument);
+}
+
+TEST(ParentsFromDistances, RejectsASourceNotAtDistanceZero) {
+  const Graph g = build_graph(3, {{0, 1, 1}, {1, 2, 1}});
+  EXPECT_THROW(parents_from_distances(g, 1, dijkstra(g, 0)),
+               std::invalid_argument);
+  EXPECT_THROW(parents_from_distances(g, 3, dijkstra(g, 0)),
                std::invalid_argument);
 }
 
 TEST(ExtractPath, WalksToSource) {
   const Graph g = build_graph(4, {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}});
-  const auto parent = parents_from_distances(g, dijkstra(g, 0));
+  const auto parent = parents_from_distances(g, 0, dijkstra(g, 0));
   EXPECT_EQ(extract_path(parent, 3), (std::vector<Vertex>{0, 1, 2, 3}));
   EXPECT_EQ(extract_path(parent, 0), (std::vector<Vertex>{0}));
 }
@@ -177,17 +186,73 @@ TEST(ClosureWalk, ThrowsWhenNoExactPredecessorLeadsToTheRoot) {
                std::logic_error);
 }
 
+TEST(ParentsFromDistances, ZeroWeightArcAtTheSource) {
+  // Vertex 1 sits at distance 0 beside the source: it needs a parent too,
+  // or the path to 2 loses the source.
+  const Graph g = build_graph(3, {{0, 1, 0}, {1, 2, 5}});
+  const std::vector<Dist> dist = dijkstra(g, 0);
+  const auto parent = parents_from_distances(g, 0, dist);
+  EXPECT_EQ(parent, (std::vector<Vertex>{kNoVertex, 0, 1}));
+  EXPECT_TRUE(validate_shortest_path_tree(g, 0, dist, parent));
+  EXPECT_EQ(extract_path(parent, 2), (std::vector<Vertex>{0, 1, 2}));
+  EXPECT_EQ(extract_path(parent, 1), (std::vector<Vertex>{0, 1}));
+
+  const std::vector<Dist> from2 = dijkstra(g, 2);
+  const auto parent2 = parents_from_distances(g, 2, from2);
+  EXPECT_TRUE(validate_shortest_path_tree(g, 2, from2, parent2));
+  EXPECT_EQ(extract_path(parent2, 0), (std::vector<Vertex>{2, 1, 0}));
+}
+
+TEST(ParentsFromDistances, ZeroWeightPocketFormsATree) {
+  // 2, 1 and 3 share distance 1 from 0 over zero-weight arcs, and only 3
+  // has a closer predecessor; smallest-id parents would make 1 and 2
+  // each other's. From every source: a valid tree whose paths run from
+  // the source and weigh the distance, and from 0 the closure walk's.
+  const Graph pocket =
+      build_graph(5, {{0, 3, 1}, {3, 2, 0}, {2, 1, 0}, {1, 3, 0}, {2, 4, 5}});
+  for (Vertex s = 0; s < pocket.num_vertices(); ++s) {
+    const std::vector<Dist> dist = dijkstra(pocket, s);
+    const auto parent = parents_from_distances(pocket, s, dist);
+    ASSERT_TRUE(validate_shortest_path_tree(pocket, s, dist, parent)) << s;
+    for (Vertex t = 0; t < pocket.num_vertices(); ++t) {
+      const std::vector<Vertex> path = extract_path(parent, t);
+      ASSERT_FALSE(path.empty());
+      EXPECT_EQ(path.front(), s) << s << " -> " << t;
+      EXPECT_EQ(test::path_weight(pocket, path), dist[t]) << s << " -> " << t;
+      if (s == 0) {
+        EXPECT_EQ(path, closure_path(pocket, 0, t)) << t;
+      }
+    }
+  }
+}
+
+TEST(ValidateTree, RefusesAZeroDistanceVertexWithoutAParent) {
+  const Graph g = build_graph(3, {{0, 1, 0}, {1, 2, 5}});
+  const std::vector<Vertex> parent{kNoVertex, kNoVertex, 1};
+  EXPECT_FALSE(validate_shortest_path_tree(g, 0, dijkstra(g, 0), parent));
+}
+
+TEST(ValidateTree, RefusesAParentCycle) {
+  // Every parent arc closes its distance exactly, but 1 and 2 name each
+  // other over zero-weight arcs and never reach the source.
+  const Graph pocket =
+      build_graph(5, {{0, 3, 1}, {3, 2, 0}, {2, 1, 0}, {1, 3, 0}, {2, 4, 5}});
+  const std::vector<Vertex> parent{kNoVertex, 2, 1, 0, 2};
+  EXPECT_FALSE(
+      validate_shortest_path_tree(pocket, 0, dijkstra(pocket, 0), parent));
+}
+
 TEST(ValidateTree, RejectsWrongParent) {
   const Graph g = build_graph(3, {{0, 1, 1}, {1, 2, 1}});
   const auto dist = dijkstra(g, 0);
   std::vector<Vertex> parent{kNoVertex, 0, 0};  // 2's parent should be 1
-  EXPECT_FALSE(validate_shortest_path_tree(g, dist, parent));
+  EXPECT_FALSE(validate_shortest_path_tree(g, 0, dist, parent));
 }
 
 TEST(PathCost, MatchesReportedDistance) {
   for (const auto& [name, g] : test::weighted_suite(5)) {
     const auto dist = dijkstra(g, 0);
-    const auto parent = parents_from_distances(g, dist);
+    const auto parent = parents_from_distances(g, 0, dist);
     const Vertex target = g.num_vertices() - 1;
     if (dist[target] == kInfDist) continue;
     const auto path = extract_path(parent, target);

@@ -5,11 +5,7 @@
 //    composition, no-op suppression, validation at the edge, EdgeId
 //    stability across the rebuild;
 //  * SnapshotSwap — concurrent pin/publish never yields a torn or null
-//    snapshot and old pins stay valid across swaps;
-//  * repair_distance_row — the online correction kernel equals a
-//    from-scratch Dijkstra on the mutated graph, over the weighted AND
-//    adversarial suites, for mixed increase/decrease batches applied both
-//    singly and as an evolving sequence.
+//    snapshot and old pins stay valid across swaps.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,8 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/dijkstra.hpp"
-#include "core/dyn_sssp.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph_swap.hpp"
 #include "graph/update.hpp"
@@ -153,68 +147,6 @@ TEST(SnapshotSwap, ConcurrentPinAndPublish) {
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
   EXPECT_GT(pins.load(), 0u);
-}
-
-/// repair == from-scratch Dijkstra after every batch of an evolving
-/// sequence, for each graph of the given suite.
-void check_repair(const std::vector<test::GraphCase>& suite,
-                  std::uint64_t seed) {
-  for (const auto& c : suite) {
-    std::mt19937 rng(seed);
-    Graph g = c.graph;
-    const Vertex n = g.num_vertices();
-    const std::vector<Vertex> sources = {0, static_cast<Vertex>(n / 2),
-                                         static_cast<Vertex>(n - 1)};
-    std::vector<std::vector<Dist>> rows;
-    for (const Vertex s : sources) rows.push_back(dijkstra(g, s));
-
-    for (int batch = 0; batch < 4; ++batch) {
-      const std::size_t count = 1 + static_cast<std::size_t>(batch) * 4;
-      UpdateApplication app =
-          apply_weight_updates(g, random_updates(g, count, rng));
-      const Graph transpose = app.graph.transposed();
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        RepairStats stats;
-        repair_distance_row(app.graph, transpose, sources[i], app.changes,
-                            rows[i], &stats);
-        const std::vector<Dist> want = dijkstra(app.graph, sources[i]);
-        ASSERT_EQ(rows[i], want)
-            << c.name << " source=" << sources[i] << " batch=" << batch
-            << " dirty=" << stats.dirty;
-      }
-      g = std::move(app.graph);
-    }
-  }
-}
-
-TEST(RepairDistanceRow, MatchesDijkstraOnWeightedSuite) {
-  check_repair(test::weighted_suite(21), 500);
-}
-
-TEST(RepairDistanceRow, MatchesDijkstraOnAdversarialSuite) {
-  check_repair(test::adversarial_suite(22), 600);
-}
-
-TEST(RepairDistanceRow, EmptyChangeListIsANoOp) {
-  const Graph g = test::weighted_suite(3)[1].graph;
-  std::vector<Dist> row = dijkstra(g, 0);
-  const std::vector<Dist> want = row;
-  repair_distance_row(g, g.transposed(), 0, {}, row);
-  EXPECT_EQ(row, want);
-}
-
-TEST(RepairDistanceRow, ValidatesTheRow) {
-  const Graph g = directed_multigraph();
-  const UpdateApplication app = apply_weight_updates(g, {{0, 1, 2}});
-  const Graph transpose = app.graph.transposed();
-  std::vector<Dist> short_row(2, 0);
-  EXPECT_THROW(repair_distance_row(app.graph, transpose, 0, app.changes,
-                                   short_row),
-               std::invalid_argument);
-  std::vector<Dist> bad_source(3, 1);  // dist[source] != 0
-  EXPECT_THROW(repair_distance_row(app.graph, transpose, 0, app.changes,
-                                   bad_source),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Shared helpers for the test suite: a palette of small-but-interesting
-// graphs that the SSSP batteries sweep over, and the full-distance request
-// their answers are checked against.
+// graphs that the SSSP batteries sweep over, the full-distance request
+// their answers are checked against, and the weight of a returned path.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,26 @@ inline QueryRequest full_request(Vertex source) {
   req.source = source;
   req.want_full_distances = true;
   return req;
+}
+
+/// The sum of original-graph edge weights along `path`, failing the test
+/// if any hop is not an original arc. Parallel arcs: cheapest one counts,
+/// which is what a shortest path must use anyway.
+inline Dist path_weight(const Graph& g, const std::vector<Vertex>& path) {
+  Dist total = 0;
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    Dist best = kInfDist;
+    for (EdgeId e = g.first_arc(path[i - 1]); e < g.last_arc(path[i - 1]);
+         ++e) {
+      if (g.arc_target(e) == path[i]) {
+        best = std::min(best, static_cast<Dist>(g.arc_weight(e)));
+      }
+    }
+    EXPECT_NE(best, kInfDist) << "hop " << i << " is not an original edge";
+    if (best == kInfDist) return kInfDist;
+    total += best;
+  }
+  return total;
 }
 
 /// One full_request() per source, in order.
