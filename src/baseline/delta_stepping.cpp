@@ -5,75 +5,17 @@
 
 #include "parallel/primitives.hpp"
 #include "parallel/write_min.hpp"
+#include "pq/lazy_buckets.hpp"
 
 namespace rs {
-
-namespace {
-
-/// Lazy cyclic bucket array: duplicates allowed, staleness checked on pop
-/// against the authoritative distance array. Live keys stay within L of the
-/// cursor, so ceil(L/delta)+3 cyclic slots suffice. Slot storage is
-/// borrowed from the QueryContext so a warm context re-serves queries
-/// without reallocating it.
-class LazyBuckets {
- public:
-  /// Cyclic slots needed for edge weights up to `max_edge_weight`: live
-  /// keys stay within L of the cursor. Single source of truth for both
-  /// the constructor and the caller sizing the borrowed storage.
-  static std::size_t slot_count(Dist delta, Dist max_edge_weight) {
-    return static_cast<std::size_t>(max_edge_weight / delta) + 3;
-  }
-
-  LazyBuckets(Dist delta, Dist max_edge_weight,
-              std::vector<std::vector<Vertex>>& slots)
-      : delta_(delta),
-        num_slots_(slot_count(delta, max_edge_weight)),
-        slots_(slots) {}
-
-  void push(Vertex v, Dist key) {
-    const std::size_t b = std::max<std::size_t>(
-        static_cast<std::size_t>(key / delta_), cursor_);
-    slots_[b % num_slots_].push_back(v);
-    ++count_;
-  }
-
-  bool empty() const { return count_ == 0; }
-
-  std::size_t cursor() const { return cursor_; }
-
-  /// Advances to the next non-empty slot and returns its bucket index.
-  std::size_t next_bucket() {
-    while (slots_[cursor_ % num_slots_].empty()) ++cursor_;
-    return cursor_;
-  }
-
-  /// Drains slot `b` into `out` in O(1): the buffers swap roles, so both
-  /// capacities keep circulating between the slot and the caller's list.
-  void take(std::size_t b, std::vector<Vertex>& out) {
-    std::vector<Vertex>& src = slots_[b % num_slots_];
-    out.swap(src);
-    src.clear();
-    count_ -= out.size();
-  }
-
- private:
-  Dist delta_;
-  std::size_t num_slots_;
-  std::vector<std::vector<Vertex>>& slots_;
-  std::size_t cursor_ = 0;
-  std::size_t count_ = 0;
-};
-
-}  // namespace
 
 void delta_stepping(const Graph& g, Vertex source, QueryContext& ctx,
                     std::vector<Dist>& out, Dist delta,
                     DeltaSteppingStats* stats) {
   const Vertex n = g.num_vertices();
-  const Dist max_w = g.max_weight();
   if (delta == 0) {
     const EdgeId dmax = std::max<EdgeId>(g.max_degree(), 1);
-    delta = std::max<Dist>(1, max_w / dmax);
+    delta = std::max<Dist>(1, g.max_weight() / dmax);
   }
 
   ctx.begin_query(n);
@@ -81,16 +23,16 @@ void delta_stepping(const Graph& g, Vertex source, QueryContext& ctx,
   dist[source].store(0, std::memory_order_relaxed);
 
   // Arc partition: light (w <= delta) relaxed iteratively inside a bucket,
-  // heavy (w > delta) relaxed once when the bucket settles.
-  LazyBuckets buckets(
-      delta, max_w,
-      ctx.bucket_slots(LazyBuckets::slot_count(delta, max_w)));
+  // heavy (w > delta) relaxed once when the bucket settles. Bucket i holds
+  // distances in [i * delta, (i + 1) * delta); entries are lazy: a vertex
+  // is filed again on every improvement and checked against its distance
+  // when its bucket is read.
+  LazyBuckets& buckets = ctx.buckets();
   buckets.push(source, 0);
 
   DeltaSteppingStats local_stats;
   std::vector<Vertex>& settled_list = ctx.active();
   std::vector<Vertex>& frontier = ctx.frontier();
-  std::vector<Vertex>& taken = ctx.updated();
   std::vector<Vertex>& reenter = ctx.scratch();
 
   // Collected improvements of one phase: (vertex, new distance) pairs
@@ -139,7 +81,7 @@ void delta_stepping(const Graph& g, Vertex source, QueryContext& ctx,
     local_stats.relaxations += relaxed;
   };
 
-  auto flush_found = [&](std::size_t current_bucket,
+  auto flush_found = [&](std::uint64_t current_bucket,
                          std::vector<Vertex>* reenter_out) {
     for (const auto& f : found) {
       for (const auto& [v, nd] : f) {
@@ -148,36 +90,41 @@ void delta_stepping(const Graph& g, Vertex source, QueryContext& ctx,
         // next light phase directly.
         const Dist dv = dist[v].load(std::memory_order_relaxed);
         if (dv != nd) continue;  // superseded within the phase
-        const std::size_t b = static_cast<std::size_t>(dv / delta);
+        const std::uint64_t b = dv / delta;
         if (reenter_out != nullptr && b <= current_bucket) {
           // Fresh vertices get settled by the caller; already-settled ones
           // whose distance improved re-run their light edges (Meyer-Sanders
           // re-inserts them into the current bucket).
           reenter_out->push_back(v);
         } else {
-          buckets.push(v, dv);
+          buckets.push(v, b);
         }
       }
     }
   };
 
   while (!buckets.empty()) {
-    const std::size_t b = buckets.next_bucket();
+    // Every bucket below the lowest filled one is empty, so the ring moves
+    // up to it (out to the overflow's lowest bucket when the ring is bare).
+    buckets.advance(buckets.next(buckets.base()));
+    const std::uint64_t b = buckets.next(buckets.base());
     ++local_stats.buckets_processed;
     settled_list.clear();
     // One claim epoch per bucket: "settled in this bucket" dedup flags,
     // reset in O(1) instead of unmarking the settled list.
     ctx.next_claim_epoch();
 
-    buckets.take(b, taken);
     frontier.clear();
-    for (const Vertex v : taken) {
+    buckets.filter(b, [&](Vertex v) {
       const Dist dv = dist[v].load(std::memory_order_relaxed);
-      if (static_cast<std::size_t>(dv / delta) != b) continue;  // stale
-      if (!ctx.claim_sequential(v)) continue;                   // duplicate
-      settled_list.push_back(v);
-      frontier.push_back(v);
-    }
+      // Stale entries (the vertex moved to a lower bucket) and duplicates
+      // are dropped; the rest are settled here.
+      if (dv / delta == b && ctx.claim_sequential(v)) {
+        settled_list.push_back(v);
+        frontier.push_back(v);
+      }
+      return false;
+    });
 
     // Light-edge phases: iterate until no new vertex re-enters this bucket.
     while (!frontier.empty()) {

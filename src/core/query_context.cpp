@@ -17,7 +17,6 @@ void QueryContext::Search::reserve(Vertex n) {
     claim_[v].store(0, std::memory_order_relaxed);
   }
   settled_gen_.resize(n, 0);
-  mark_gen_.resize(n, 0);
   n_ = n;
 }
 
@@ -31,11 +30,9 @@ std::vector<QueryContext::WorkerScratch>& QueryContext::Search::workers(
   // the distance array is equally unrecoverable in that case and the
   // caller must not reuse the context without a full reset.
   for (WorkerScratch& w : workers_) {
-    w.frontier.clear();
-    w.next.clear();
+    w.frontier.reset();
     w.claimed.clear();
     w.active.clear();
-    w.newly_frontier.clear();
     w.touched.clear();
     w.settled = 0;
     w.relaxations = 0;
@@ -86,7 +83,9 @@ void QueryContext::finish_query(Vertex n, std::vector<Dist>& out) {
       dist[v].store(kInfDist, std::memory_order_relaxed);
     }
   } else {
-    parallel_for(0, n, [&](std::size_t v) {
+    // One block per worker: a streaming copy gains nothing from dynamic
+    // chunks, and 64-word ones cost a scheduler round trip each.
+    parallel_for_blocked(0, n, [&](std::size_t v) {
       out_data[v] = dist[v].load(std::memory_order_relaxed);
       dist[v].store(kInfDist, std::memory_order_relaxed);
     });
@@ -100,7 +99,7 @@ void QueryContext::reset_distances(Vertex n) {
       dist[v].store(kInfDist, std::memory_order_relaxed);
     }
   } else {
-    parallel_for(0, n, [&](std::size_t v) {
+    parallel_for_blocked(0, n, [&](std::size_t v) {
       dist[v].store(kInfDist, std::memory_order_relaxed);
     });
   }
@@ -135,13 +134,6 @@ std::vector<std::vector<std::pair<Vertex, Dist>>>& QueryContext::pair_buckets(
   if (pair_buckets_.size() < w) pair_buckets_.resize(w);
   for (std::size_t i = 0; i < w; ++i) pair_buckets_[i].clear();
   return pair_buckets_;
-}
-
-std::vector<std::vector<Vertex>>& QueryContext::bucket_slots(
-    std::size_t count) {
-  if (bucket_slots_.size() < count) bucket_slots_.resize(count);
-  for (auto& slot : bucket_slots_) slot.clear();
-  return bucket_slots_;
 }
 
 IndexedHeap<Dist>& QueryContext::heap() {

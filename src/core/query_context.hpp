@@ -18,8 +18,9 @@
 // running on it may use intra-query parallelism (the default) or run
 // strictly sequentially (set_sequential(true)) — the mode the batch
 // scheduler uses when it runs one query per worker. A parallel run keeps
-// each worker's lists and counters in its own cache-line-aligned
-// WorkerScratch, so workers growing their lists never share a line.
+// each worker's lists, frontier buckets and counters in its own
+// cache-line-aligned WorkerScratch, so workers growing their lists never
+// share a line.
 //
 // The radius-stepping working set of one search (distances, stamps,
 // worker lists) is a Search. Every query runs search(); a bidirectional
@@ -34,6 +35,7 @@
 
 #include "graph/types.hpp"
 #include "pq/binary_heap.hpp"
+#include "pq/lazy_buckets.hpp"
 
 namespace rs {
 
@@ -43,17 +45,15 @@ class QueryContext {
   /// a sequential one). Aligned to a cache line so the vector headers and
   /// counters of different workers never share one.
   struct alignas(64) WorkerScratch {
-    std::vector<Vertex> frontier;        // this worker's frontier segment
-    std::vector<Vertex> next;            // frontier rebuild target
-    std::vector<Vertex> claimed;         // vertices claimed this substep
-    std::vector<Vertex> active;          // next substep's active vertices
-    std::vector<Vertex> newly_frontier;  // frontier arrivals of this step
-    std::vector<Vertex> touched;         // first-touch records
+    LazyBuckets frontier;         // frontier vertices this worker filed
+    std::vector<Vertex> claimed;  // vertices claimed this substep
+    std::vector<Vertex> active;   // next substep's active vertices
+    std::vector<Vertex> touched;  // first-touch records
     std::size_t settled = 0;
     std::size_t relaxations = 0;
     std::size_t edges_scanned = 0;
     std::size_t targets_taken = 0;  // pending targets this worker un-stamped
-    Dist pending_di = kInfDist;     // min delta + r over this segment
+    Dist pending_di = kInfDist;     // min delta + r over `frontier`
   };
 
   /// A worker's chunk cursor into its own active list during a parallel
@@ -65,8 +65,8 @@ class QueryContext {
   };
 
   /// The working set of one radius-stepping search: tentative distances,
-  /// the settled, mark and claim stamps, and the per-worker lists with
-  /// their first-touch records.
+  /// the settled and claim stamps, and the per-worker lists and frontier
+  /// buckets with their first-touch records.
   class Search {
    public:
     /// Grows every per-vertex buffer to cover `n` vertices. All
@@ -119,19 +119,6 @@ class QueryContext {
       return true;
     }
 
-    // --- mark flags (single-writer list dedup) ----------------------------
-    // A second, non-atomic epoch-stamp family for deduplicating list
-    // membership (frontier arrivals; in a parallel run only the worker
-    // that claimed a vertex marks it), independent of the claim epochs
-    // the relaxation substeps burn through.
-    void next_mark_epoch() { ++mark_epoch_; }
-    /// True the first time `v` is marked in the current mark epoch.
-    bool mark(Vertex v) {
-      if (mark_gen_[v] == mark_epoch_) return false;
-      mark_gen_[v] = mark_epoch_;
-      return true;
-    }
-
     // --- per-worker scratch and first-touch tracking ----------------------
     // The radius-stepping engine records each vertex whose tentative
     // distance leaves kInfDist — exactly once per search, at the moment of
@@ -148,7 +135,8 @@ class QueryContext {
     // twins.
 
     /// Ensures at least `count` WorkerScratch entries exist, with every
-    /// list empty and every counter reset (capacities kept). Engines call
+    /// list and bucket empty and every counter reset (capacities kept; the
+    /// reset is O(LazyBuckets::kOpen) per entry, whatever n). Engines call
     /// this once per run, before any recording; worker `w` only ever
     /// writes entry `w`.
     std::vector<WorkerScratch>& workers(int count);
@@ -174,10 +162,8 @@ class QueryContext {
     Vertex n_ = 0;
     std::uint64_t query_gen_ = 0;
     std::uint64_t claim_epoch_ = 0;
-    std::uint64_t mark_epoch_ = 0;
     std::vector<std::atomic<Dist>> dist_;       // invariant: all kInfDist
     std::vector<std::uint64_t> settled_gen_;    // == query_gen_ => settled
-    std::vector<std::uint64_t> mark_gen_;       // == mark_epoch_ => marked
     std::vector<std::atomic<std::uint64_t>> claim_;  // == claim_epoch_
     std::vector<WorkerScratch> workers_;
   };
@@ -309,15 +295,16 @@ class QueryContext {
   std::vector<Vertex>& frontier() { return frontier_; }
   std::vector<Vertex>& next() { return next_; }
   std::vector<Vertex>& active() { return active_; }
-  std::vector<Vertex>& updated() { return updated_; }
   std::vector<Vertex>& scratch() { return scratch_; }
 
   /// Per-worker (vertex, distance) pair buckets (Delta-stepping phases).
   std::vector<std::vector<std::pair<Vertex, Dist>>>& pair_buckets(int workers);
 
-  /// Cyclic bucket slot storage (Delta-stepping); at least `count` slots,
-  /// all empty, capacities kept.
-  std::vector<std::vector<Vertex>>& bucket_slots(std::size_t count);
+  /// The Delta-stepping bucket queue, emptied (capacities kept).
+  LazyBuckets& buckets() {
+    buckets_.reset();
+    return buckets_;
+  }
 
   /// Indexed heap sized to capacity() (Dijkstra). Cleared on hand-out.
   IndexedHeap<Dist>& heap();
@@ -339,10 +326,9 @@ class QueryContext {
   std::vector<Vertex> frontier_;
   std::vector<Vertex> next_;
   std::vector<Vertex> active_;
-  std::vector<Vertex> updated_;
   std::vector<Vertex> scratch_;
   std::vector<std::vector<std::pair<Vertex, Dist>>> pair_buckets_;
-  std::vector<std::vector<Vertex>> bucket_slots_;
+  LazyBuckets buckets_;
   std::vector<ChunkCursor> cursors_;
   IndexedHeap<Dist> heap_{0};
   std::vector<std::pair<Dist, Vertex>> topk_buffer_;

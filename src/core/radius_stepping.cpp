@@ -1,6 +1,7 @@
 #include "core/radius_stepping.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -23,6 +24,25 @@ std::uint64_t phase_ns(TraceClock::time_point a, TraceClock::time_point b) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
+/// log2 of the frontier's bucket width Delta: half the median of a fixed
+/// sample of radii, rounded down to a power of two (Delta >= 1), so a
+/// bucket index is one shift. O(1) per query, and it depends on the radii
+/// alone, so every worker count files the same vertex in the same bucket.
+unsigned bucket_shift(const std::vector<Dist>& radius) {
+  constexpr std::size_t kSample = 63;
+  std::array<Dist, kSample> sample{};
+  const std::size_t n = radius.size();
+  const std::size_t count = std::min(n, kSample);
+  for (std::size_t i = 0; i < count; ++i) sample[i] = radius[i * n / count];
+  const auto mid = sample.begin() + static_cast<std::ptrdiff_t>(count / 2);
+  std::nth_element(sample.begin(), mid,
+                   sample.begin() + static_cast<std::ptrdiff_t>(count));
+  const Dist half = *mid / 2;
+  unsigned shift = 0;
+  while (shift < 62 && (Dist{2} << shift) <= half) ++shift;
+  return shift;
+}
+
 /// The passes of Algorithm 1 that both bodies run per worker, each over
 /// the worker's own WorkerScratch in one Search. Both bodies produce
 /// identical distances and an identical step sequence: by the end of a
@@ -33,11 +53,19 @@ std::uint64_t phase_ns(TraceClock::time_point a, TraceClock::time_point b) {
 /// so how fast a step converges internally depends on processing order.
 /// Only Theorem 3.2's k+2 upper bound is invariant.
 ///
-/// Every vertex is settled, classified and kept in the frontier by exactly
-/// one worker at a time (claims are unique per substep, frontier segments
-/// are disjoint), so the settled, mark and target stamps stay plain; each
-/// worker counts what it settled and which targets it took, and the
-/// bodies combine the counts at step boundaries.
+/// The frontier is bucketed by distance: bucket b of a worker's
+/// LazyBuckets holds vertices with delta in [b * Delta, (b + 1) * Delta).
+/// A vertex is filed when it is first reached and again whenever a
+/// relaxation moves it to a lower bucket, so its entries sit in strictly
+/// decreasing buckets and exactly one, the one in bucket delta(v) / Delta,
+/// is live while it is unsettled. Line 4 and the gather read buckets
+/// upward from d_{i-1}'s, and only while a bucket's lower edge is within
+/// the running min of delta + r: the rest of the frontier is not read.
+///
+/// Every vertex is settled by exactly one worker (claims are unique per
+/// substep, live frontier entries are unique), so the settled and target
+/// stamps stay plain; each worker counts what it settled and which
+/// targets it took, and the bodies combine the counts at step boundaries.
 class Phases {
  public:
   Phases(const Graph& g, const std::vector<Dist>& radius, QueryContext& ctx,
@@ -48,7 +76,8 @@ class Phases {
         search_(search),
         dist_(search.dist()),
         targeted_(ctx.has_targets()),
-        k_goal_(ctx.k_goal()) {}
+        k_goal_(ctx.k_goal()),
+        shift_(bucket_shift(radius)) {}
 
   Dist load(Vertex v) const { return dist_[v].load(std::memory_order_relaxed); }
 
@@ -63,19 +92,12 @@ class Phases {
   }
 
   /// Line 2, single-threaded: settles the source, relaxes its out-arcs
-  /// into `me`'s frontier segment and takes the segment's Line 4 min of
-  /// delta(v) + r(v) (`pending_di`). Frontier membership is deduplicated
-  /// with mark stamps under one epoch for the whole query: a vertex only
-  /// ever leaves the frontier by settling, which is final (Theorem 3.1),
-  /// so "has ever been a frontier candidate" is exactly "must not
-  /// re-enter". The frontier is a set; no order matters to the step
-  /// sequence, so it is never sorted.
+  /// into `me`'s frontier buckets and scans them for the first d_i.
   template <bool kMeet = false>
   void seed(Worker& me, Vertex source) {
     dist_[source].store(0, std::memory_order_relaxed);
     me.touched.push_back(source);
     settle(me, source);
-    search_.next_mark_epoch();
     me.edges_scanned += g_.last_arc(source) - g_.first_arc(source);
     const EdgeId cut = g_.first_shortcut_arc(source);
     for (EdgeId e = g_.first_arc(source); e < g_.last_arc(source); ++e) {
@@ -90,12 +112,10 @@ class Phases {
         dist_[v].store(w, std::memory_order_relaxed);
         ++me.relaxations;
         if (dv == kInfDist) me.touched.push_back(v);
+        file(me, v, w, dv);
       }
-      if (!search_.is_settled(v) && search_.mark(v)) me.frontier.push_back(v);
     }
-    Dist di = kInfDist;
-    for (const Vertex v : me.frontier) di = std::min(di, load(v) + radius_[v]);
-    me.pending_di = di;
+    scan(me);
   }
 
   /// Lines 6-8 for one active vertex u: relaxes every original arc, then
@@ -104,6 +124,8 @@ class Phases {
   /// whose final distance an original-arc path supplies (merge_edges'
   /// precondition), and Theorem 3.2's <= k-hop paths never land beyond
   /// d_i, so neither distances nor steps change (docs/ARCHITECTURE.md).
+  /// A lowering within d_i claims the vertex for the next substep; one
+  /// beyond d_i files it in `me`'s frontier buckets if its bucket fell.
   /// kShared selects the sharing mode: WriteMin and an atomic claim for
   /// the parallel body, plain stores and claim_sequential for the
   /// sequential one. kMeet (sequential only) lowers mu on each original
@@ -129,7 +151,9 @@ class Phases {
       }
       ++relaxations;
       if (before == kInfDist) me.touched.push_back(v);
-      if (kShared ? search_.claim(v) : search_.claim_sequential(v)) {
+      if (nd > di) {
+        file(me, v, nd, before);
+      } else if (kShared ? search_.claim(v) : search_.claim_sequential(v)) {
         me.claimed.push_back(v);
       }
     };
@@ -150,51 +174,69 @@ class Phases {
     return last - first;
   }
 
-  /// First substep's active set from `me`'s frontier segment: every
-  /// vertex with delta <= d_i. They are settled the moment they appear.
+  /// First substep's active set from `me`'s buckets: every frontier vertex
+  /// with delta <= d_i, all of it in the buckets the last scan read, which
+  /// left only live entries there. They are settled the moment they
+  /// appear. The buckets below d_i's are empty afterwards, so the ring
+  /// moves up to it; every later filing of this step lands beyond d_i.
   void gather(Worker& me, Dist di) {
     me.active.clear();
-    for (const Vertex v : me.frontier) {
-      if (load(v) <= di) {
-        me.active.push_back(v);
-        settle(me, v);
+    LazyBuckets& q = me.frontier;
+    const std::uint64_t top = di >> shift_;
+    for (std::uint64_t b = q.next(q.base()); b <= top; b = q.next(b + 1)) {
+      const auto take = [&](Vertex v, std::uint64_t vb) {
+        if (vb < top || load(v) <= di) {
+          me.active.push_back(v);
+          settle(me, v);
+          return false;
+        }
+        return true;
+      };
+      if (b - q.base() >= LazyBuckets::kOpen) {
+        q.filter_overflow(take);
+        break;
       }
+      q.filter(b, [&](Vertex v) { return take(v, b); });
     }
+    q.advance(top);
   }
 
-  /// The A_i/B_i partition of the vertices `me` claimed in the last
-  /// substep: inside d_i -> `me`'s next active list (settled on first
-  /// arrival); beyond d_i -> frontier candidates.
-  void classify(Worker& me, Dist di) {
+  /// The vertices `me` claimed in the last substep all lie within d_i:
+  /// they become its next active list, settled on first arrival.
+  void classify(Worker& me) {
     me.active.clear();
     for (const Vertex v : me.claimed) {
-      if (load(v) <= di) {
-        me.active.push_back(v);
-        if (!search_.is_settled(v)) settle(me, v);
-      } else if (!search_.is_settled(v) && search_.mark(v)) {
-        me.newly_frontier.push_back(v);
-      }
+      me.active.push_back(v);
+      if (!search_.is_settled(v)) settle(me, v);
     }
     me.claimed.clear();
   }
 
-  /// Rebuilds `me`'s frontier segment: drops settled vertices, adds the
-  /// step's arrivals, and folds the next step's d_i contribution into the
-  /// same pass (distances cannot change before the next Line 4). Every
-  /// member was marked on first insertion, so the two lists are disjoint
-  /// and individually duplicate-free.
-  void rebuild(Worker& me) {
-    me.next.clear();
+  /// Line 4 for the next step over `me`'s buckets (distances cannot change
+  /// before it): reads buckets upward from d_i's while a bucket's lower
+  /// edge is within the running min of delta + r, which no entry further
+  /// up can lower, dropping settled and stale entries on the way. The
+  /// result is `me`'s share of the next d_i: kInfDist exactly when `me`
+  /// holds no live frontier vertex, since a live one counts at most
+  /// kInfDist - 1 (which still settles every reachable vertex).
+  void scan(Worker& me) {
+    LazyBuckets& q = me.frontier;
     Dist di = kInfDist;
-    const auto keep = [&](Vertex v) {
-      if (search_.is_settled(v)) return;
-      me.next.push_back(v);
-      di = std::min(di, load(v) + radius_[v]);
+    const auto keep = [&](Vertex v, std::uint64_t b) {
+      if (search_.is_settled(v)) return false;
+      const Dist dv = load(v);
+      if (dv >> shift_ != b) return false;
+      di = std::min({di, dv + radius_[v], kInfDist - 1});
+      return true;
     };
-    for (const Vertex v : me.frontier) keep(v);
-    for (const Vertex v : me.newly_frontier) keep(v);
-    me.newly_frontier.clear();
-    me.frontier.swap(me.next);
+    for (std::uint64_t b = q.next(q.base());
+         b != LazyBuckets::kNone && (b << shift_) <= di; b = q.next(b + 1)) {
+      if (b - q.base() >= LazyBuckets::kOpen) {
+        q.filter_overflow(keep);
+        break;
+      }
+      q.filter(b, [&](Vertex v) { return keep(v, b); });
+    }
     me.pending_di = di;
   }
 
@@ -223,6 +265,7 @@ class Phases {
       local.settled += w.settled;
       local.relaxations += w.relaxations;
       local.edges_scanned += w.edges_scanned;
+      local.frontier_scanned += w.frontier.entries_read();
       taken += w.targets_taken;
     }
     ctx_.count_taken_targets(taken);
@@ -232,6 +275,13 @@ class Phases {
   Search& search() const { return search_; }
 
  private:
+  /// Files `v`, just lowered from `before` to `nd`, when its bucket fell
+  /// (from none, on first touch).
+  void file(Worker& me, Vertex v, Dist nd, Dist before) const {
+    const std::uint64_t b = nd >> shift_;
+    if (before == kInfDist || b < before >> shift_) me.frontier.push(v, b);
+  }
+
   void settle(Worker& me, Vertex v) {
     search_.mark_settled(v);
     ++me.settled;
@@ -255,15 +305,16 @@ class Phases {
   std::atomic<Dist>* dist_;
   const bool targeted_;
   const std::size_t k_goal_;
+  const unsigned shift_;  // log2 Delta
   const Search* other_ = nullptr;
   Meeting* meeting_ = nullptr;
   bool backward_ = false;
 };
 
 /// Lines 4-9 of one step on the calling thread: takes d_i from `me`'s
-/// frontier (computed by the last seed or rebuild), gathers A_i and runs
+/// frontier (computed by the last seed or scan), gathers A_i and runs
 /// Bellman-Ford substeps until no delta(v) <= d_i changes. Returns d_i;
-/// the caller rebuilds the frontier. Both sequential drivers step through
+/// the caller scans for the next one. Both sequential drivers step through
 /// it; kMeet makes the substeps of a bidirectional run lower mu.
 ///
 /// Traced requests take two clock readings per substep (relax end is
@@ -295,7 +346,7 @@ Dist step_sequential(Phases& phases, Worker& me, Dist prev_di,
     me.edges_scanned += scanned;
     const auto t_drain = timed ? TraceClock::now() : TraceClock::time_point{};
     if (timed) local.relax_ns += phase_ns(t_relax, t_drain);
-    phases.classify(me, di);
+    phases.classify(me);
     local.max_active = std::max(local.max_active, me.active.size());
     if (timed) local.partition_ns += phase_ns(t_drain, TraceClock::now());
   }
@@ -333,7 +384,7 @@ void run_sequential(const Graph& g, Vertex source,
   Dist prev_di = 0;
   // The entry check covers requests whose targets are already settled
   // (source-only target sets); the per-step check is at the bottom.
-  while (!me.frontier.empty()) {
+  while (me.pending_di != kInfDist) {
     if (phases.goals_met(workers, 1)) {
       local.early_exit = true;
       break;
@@ -341,12 +392,12 @@ void run_sequential(const Graph& g, Vertex source,
     const Dist di = step_sequential<false>(phases, me, prev_di, local);
     // Step boundary: every settled vertex is now final (Theorem 3.1), so a
     // run that has met its goal — all targets settled, or k vertices for a
-    // top-k request — is done; skip the frontier rebuild entirely.
+    // top-k request — is done; skip the frontier scan entirely.
     if (phases.goals_met(workers, 1)) {
       local.early_exit = true;
       break;
     }
-    phases.rebuild(me);
+    phases.scan(me);
     prev_di = di;
   }
   phases.finish(workers, 1, local);
@@ -359,9 +410,9 @@ void run_sequential(const Graph& g, Vertex source,
 /// mu starts infinite and is lowered on the original arcs the seeds and
 /// the substeps scan; the run stops at the first boundary where the two
 /// radii reach it, which makes mu = d(source, target)
-/// (docs/ARCHITECTURE.md). Stepping the side with the smaller frontier
-/// keeps the two balls growing at the same cost rather than the same
-/// radius.
+/// (docs/ARCHITECTURE.md). Stepping the side with fewer live frontier
+/// vertices keeps the two balls growing at the same cost rather than the
+/// same radius.
 Meeting run_meet(const Graph& g, Vertex source, Vertex target,
                  const std::vector<Dist>& radius, QueryContext& ctx,
                  RunStats& local) {
@@ -385,17 +436,22 @@ Meeting run_meet(const Graph& g, Vertex source, Vertex target,
   // Radius of each side's last step (0 after the seed).
   Dist df = 0;
   Dist db = 0;
-  while (!f.frontier.empty() && !b.frontier.empty()) {
+  // A side's live frontier vertices: the ones it touched and has not
+  // settled.
+  const auto live = [](const Worker& w) {
+    return w.touched.size() - w.settled;
+  };
+  while (f.pending_di != kInfDist && b.pending_di != kInfDist) {
     if (df + db >= meeting.dist) {
       local.early_exit = true;
       break;
     }
-    if (f.frontier.size() <= b.frontier.size()) {
+    if (live(f) <= live(b)) {
       df = step_sequential<true>(fwd, f, df, local);
-      fwd.rebuild(f);
+      fwd.scan(f);
     } else {
       db = step_sequential<true>(bwd, b, db, local);
-      bwd.rebuild(b);
+      bwd.scan(b);
     }
   }
   fwd.finish(fw, 1, local);
@@ -434,21 +490,22 @@ void take_chunks(const std::vector<Vertex>& list,
 }
 
 /// Algorithm 1 on `nw` workers in one OpenMP region per query. Each worker
-/// owns a frontier segment, a claim bucket, an active list with its chunk
-/// cursor, and a newly-frontier list; every pass of a step is split
-/// across workers:
+/// owns frontier buckets, a claim list, and an active list with its chunk
+/// cursor; every pass of a step is split across workers:
 ///
-///   Line 4   each worker reads every segment's pending d_i (computed by
-///            the previous rebuild) and gathers A_i from its own segment;
+///   Line 4   each worker reads every worker's pending d_i (computed by
+///            the previous scan) and gathers A_i from its own buckets;
 ///            barrier.
 ///   substep  owner-first relaxation: each worker takes kRelaxChunk-vertex
 ///            chunks of its own active list through that list's cursor,
 ///            then steals chunks from the other workers' cursors until
-///            every list is drained; barrier. Then each worker classifies
-///            the vertices it claimed into its next active or
-///            newly-frontier list; barrier.
+///            every list is drained, claiming lowerings within d_i and
+///            filing those beyond it in its own buckets; barrier. Then
+///            each worker turns its claims into its next active list;
+///            barrier.
 ///   boundary every worker evaluates the goals on the same combined
-///            counts, rebuilds its own segment; barrier.
+///            counts, then scans its own buckets for its share of the next
+///            d_i; barrier.
 ///
 /// A worker's active list holds the vertices it claimed, so their
 /// distance and claim words are mostly still in its cache; stealing only
@@ -473,7 +530,7 @@ void run_parallel(const Graph& g, Vertex source,
   phases.seed(workers[0], source);
   // run_sequential's entry check, taken before the region: inside it the
   // goals are only read at step boundaries.
-  const bool stepping = !workers[0].frontier.empty();
+  const bool stepping = workers[0].pending_di != kInfDist;
   if (!stepping || phases.goals_met(workers, nw)) {
     local.early_exit = stepping;
     phases.finish(workers, nw, local);
@@ -495,13 +552,10 @@ void run_parallel(const Graph& g, Vertex source,
     for (;;) {
       // Line 4: d_i = min over the frontier of delta(v) + r(v).
       Dist di = kInfDist;
-      std::size_t frontier_size = 0;
       for (int t = 0; t < nw; ++t) {
-        const Worker& w = workers[static_cast<std::size_t>(t)];
-        di = std::min(di, w.pending_di);
-        frontier_size += w.frontier.size();
+        di = std::min(di, workers[static_cast<std::size_t>(t)].pending_di);
       }
-      if (frontier_size == 0) break;
+      if (di == kInfDist) break;  // the frontier is empty
       if (lead) ++local.steps;
       phases.gather(me, di);
       my_cursor.store(0, std::memory_order_relaxed);
@@ -534,7 +588,7 @@ void run_parallel(const Graph& g, Vertex source,
           if (timed) local.relax_ns += phase_ns(t_relax, t_drain);
           search.next_claim_epoch();  // nobody claims until the next relax
         }
-        phases.classify(me, di);
+        phases.classify(me);
         my_cursor.store(0, std::memory_order_relaxed);
 #pragma omp barrier
         active = active_total(workers, nw);
@@ -549,12 +603,12 @@ void run_parallel(const Graph& g, Vertex source,
             std::max(local.max_substeps_in_step, substeps_this_step);
       }
       // Step boundary (see run_sequential). The counts are stable until
-      // the next gather, which follows the rebuild barrier.
+      // the next gather, which follows the scan barrier.
       if (phases.goals_met(workers, nw)) {
         if (lead) local.early_exit = true;
         break;
       }
-      phases.rebuild(me);
+      phases.scan(me);
       prev_di = di;
 #pragma omp barrier
     }

@@ -2,11 +2,12 @@
 //
 // The "flat" engine here keeps tentative distances in an atomic array and
 // runs a query in one OpenMP region: each Bellman-Ford substep is a
-// parallel edge-map with WriteMin, and the A_i/B_i partition, the frontier
-// rebuild and the step boundary d_i run on per-worker lists, two barriers
-// per substep. This is the engine a practical implementation uses
-// (Algorithm 2's ordered-set form is the test reference in core/rs_bst.hpp
-// and produces identical results).
+// parallel edge-map with WriteMin, and the A_i/B_i partition, the step
+// boundary d_i and the gather run on per-worker lists and distance
+// buckets (the frontier; docs/ARCHITECTURE.md, "The bucketed frontier"),
+// two barriers per substep. This is the engine a practical implementation
+// uses (Algorithm 2's ordered-set form is the test reference in
+// core/rs_bst.hpp and produces identical results).
 //
 // Given radii from preprocessing (r(v) = r_rho(v) on a (k, rho)-graph) the
 // run obeys the paper's bounds: <= ceil(n/rho) * (1 + ceil(log2(rho * L)))
@@ -73,10 +74,10 @@ struct Meeting {
 /// original arcs precede the shortcut segment (merge_edges' layout): two
 /// sequential radius-stepping searches on the same graph and radii,
 /// forward from `source` in ctx.search() and backward from `target` in
-/// ctx.backward(). Whole steps alternate, the side with the smaller
-/// frontier stepping next, until a frontier drains or the last step
-/// radii d_f + d_b reach the best connection mu, lowered on original arcs
-/// whose far end the other side has settled (docs/ARCHITECTURE.md,
+/// ctx.backward(). Whole steps alternate, the side with fewer live
+/// frontier vertices stepping next, until a frontier drains or the last
+/// step radii d_f + d_b reach the best connection mu, lowered on original
+/// arcs whose far end the other side has settled (docs/ARCHITECTURE.md,
 /// "Bidirectional one-target exactness"). Always sequential, whatever
 /// ctx.sequential() says. RunStats sum both searches; early_exit is set
 /// only when the meeting rule stopped the run before either frontier

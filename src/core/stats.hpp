@@ -28,6 +28,10 @@ struct RunStats {
   /// Graph::first_shortcut_arc). On an unsplit graph that is every
   /// out-arc. The work the relaxations were drawn from.
   std::size_t edges_scanned = 0;
+  /// Frontier entries read: every entry each Line 4 scan and each gather
+  /// reads from the workers' frontier buckets (core/radius_stepping.cpp),
+  /// stale ones included. Summed over both searches of a bidirectional run.
+  std::size_t frontier_scanned = 0;
   /// Largest active set |A_i| seen.
   std::size_t max_active = 0;
   /// Vertices settled (== n reachable from the source on termination; a

@@ -1,39 +1,26 @@
 #include "graph/update.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 namespace rs {
 
-namespace {
-
-/// Sets every arc u->v in `weights` to `w`; records each touched arc's
-/// pre-BATCH weight into `first_old` (insert-if-absent, so repeated
-/// updates to one edge keep the original). Returns the number of arcs hit.
-std::size_t rewrite_arcs(const Graph& g, std::vector<Weight>& weights,
-                         Vertex u, Vertex v, Weight w,
-                         std::map<EdgeId, Weight>& first_old) {
-  std::size_t hit = 0;
-  for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
-    if (g.arc_target(e) != v) continue;
-    first_old.emplace(e, weights[e]);
-    weights[e] = w;
-    ++hit;
-  }
-  return hit;
-}
-
-}  // namespace
-
-UpdateApplication apply_weight_updates(
+std::vector<ArcChange> weight_changes(
     const Graph& g, const std::vector<WeightUpdate>& updates) {
   const Vertex n = g.num_vertices();
-  std::vector<Weight> weights = g.weights();
-  std::map<EdgeId, Weight> first_old;  // ordered: changes come out sorted
-
+  // Every arc an update rewrites, in batch order.
+  std::vector<ArcChange> hits;
+  const auto rewrite = [&](Vertex u, Vertex v, Weight w) {
+    std::size_t hit = 0;
+    for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
+      if (g.arc_target(e) != v) continue;
+      hits.push_back(ArcChange{u, v, g.arc_weight(e), w, e});
+      ++hit;
+    }
+    return hit;
+  };
   for (const WeightUpdate& up : updates) {
     if (up.u >= n || up.v >= n) {
       throw std::invalid_argument("apply_weight_updates: vertex out of range");
@@ -41,38 +28,35 @@ UpdateApplication apply_weight_updates(
     if (up.w < 1) {
       throw std::invalid_argument("apply_weight_updates: weight must be >= 1");
     }
-    std::size_t hit = rewrite_arcs(g, weights, up.u, up.v, up.w, first_old);
-    if (up.u != up.v) {
-      hit += rewrite_arcs(g, weights, up.v, up.u, up.w, first_old);
-    }
+    std::size_t hit = rewrite(up.u, up.v, up.w);
+    if (up.u != up.v) hit += rewrite(up.v, up.u, up.w);
     if (hit == 0) {
       throw std::invalid_argument(
           "apply_weight_updates: no arc between " + std::to_string(up.u) +
           " and " + std::to_string(up.v));
     }
   }
+  // A stable sort keeps each arc's rewrites in batch order, so the last of
+  // each run holds the weight that wins.
+  std::stable_sort(hits.begin(), hits.end(),
+                   [](const ArcChange& a, const ArcChange& b) {
+                     return a.arc < b.arc;
+                   });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    if (i + 1 < hits.size() && hits[i + 1].arc == hits[i].arc) continue;
+    if (hits[i].w_new != hits[i].w_old) hits[kept++] = hits[i];
+  }
+  hits.resize(kept);
+  return hits;
+}
 
+UpdateApplication apply_weight_updates(
+    const Graph& g, const std::vector<WeightUpdate>& updates) {
   UpdateApplication out;
-  out.changes.reserve(first_old.size());
-  for (const auto& [arc, w_old] : first_old) {
-    if (weights[arc] == w_old) continue;  // batch-level no-op
-    ArcChange c;
-    c.arc = arc;
-    c.v = g.arc_target(arc);
-    c.w_old = w_old;
-    c.w_new = weights[arc];
-    out.changes.push_back(c);
-  }
-  // Fill tails with one offsets sweep instead of a per-arc binary search.
-  if (!out.changes.empty()) {
-    std::size_t i = 0;
-    for (Vertex u = 0; u < n && i < out.changes.size(); ++u) {
-      while (i < out.changes.size() && out.changes[i].arc < g.last_arc(u)) {
-        out.changes[i].u = u;
-        ++i;
-      }
-    }
-  }
+  out.changes = weight_changes(g, updates);
+  std::vector<Weight> weights = g.weights();
+  for (const ArcChange& c : out.changes) weights[c.arc] = c.w_new;
   out.graph = Graph(g.offsets(), g.targets(), std::move(weights));
   return out;
 }

@@ -55,6 +55,16 @@ struct ArcChange {
   EdgeId arc = 0;
 };
 
+/// The exact arc-level delta of a batch against `g`, without building a
+/// graph: every arc whose weight the batch changes, in ascending EdgeId
+/// order, with its pre-batch weight as w_old and its final weight as w_new
+/// (later updates to an edge win; unchanged arcs omitted). Throws
+/// std::invalid_argument for the batches apply_weight_updates() refuses,
+/// which validates through it. Reads only the updated vertices' arcs:
+/// O(sum of their degrees + b log b) for b updated arcs.
+std::vector<ArcChange> weight_changes(const Graph& g,
+                                      const std::vector<WeightUpdate>& updates);
+
 /// Result of apply_weight_updates(): the re-weighted graph plus the exact
 /// arc-level delta.
 struct UpdateApplication {

@@ -55,8 +55,7 @@ UpdateReport DynamicSsspService::stage(
   // Weight updates never change topology, so the published graph refuses
   // exactly the batches the staged one would: a bad batch throws here.
   UpdateReport report;
-  report.updated_arcs =
-      apply_weight_updates(incr_.graph(), updates).changes.size();
+  report.updated_arcs = weight_changes(incr_.graph(), updates).size();
   pending_updates_.insert(pending_updates_.end(), updates.begin(),
                           updates.end());
   report.staged = pending_updates_.size();
@@ -93,11 +92,22 @@ UpdateReport DynamicSsspService::flush() {
   // (later updates to an edge win, across batches as within one), splice
   // the new PreprocessResult, and publish the successor epoch.
   const IncrementalUpdateStats stats = incr_.apply(pending_updates_);
+  report.total_balls = stats.total_balls;
+  if (stats.updated_arcs == 0 && !unpublished_) {
+    // The staged updates cancel out: the published epoch, and every row
+    // cached for it, still describe the graph.
+    pending_updates_.clear();
+    dirty_fraction_->set(0.0);
+    report.epoch = server_->engine_snapshot()->graph_epoch();
+    return report;
+  }
+  unpublished_ = true;
   PreprocessResult pre = incr_.result();
   const std::shared_ptr<const SsspEngine> prior = server_->engine_snapshot();
   auto next = std::make_shared<const SsspEngine>(
       SsspEngine::next_epoch(*prior, incr_.graph(), std::move(pre)));
   server_->swap_engine(next);
+  unpublished_ = false;
   const auto t1 = std::chrono::steady_clock::now();
 
   pending_updates_.clear();
@@ -105,7 +115,6 @@ UpdateReport DynamicSsspService::flush() {
 
   report.updated_arcs = stats.updated_arcs;
   report.dirty_balls = stats.dirty_balls;
-  report.total_balls = stats.total_balls;
   report.epoch = next->graph_epoch();
   report.incremental_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();

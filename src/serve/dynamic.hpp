@@ -53,7 +53,8 @@ struct UpdateReport {
   std::size_t dirty_balls = 0;
   /// Total balls (= vertices) at flush time (0 for a pure stage()).
   std::size_t total_balls = 0;
-  /// Engine epoch after the call (bumped by a flush with anything staged).
+  /// Engine epoch after the call (bumped by a flush whose staged updates
+  /// change some arc's weight).
   std::uint64_t epoch = 0;
   /// Raw updates still staged (0 right after a flush).
   std::size_t staged = 0;
@@ -109,7 +110,9 @@ class DynamicSsspService {
 
   /// Incrementally re-preprocesses everything staged and publishes the
   /// successor engine via swap_engine(). No-op (no epoch bump) when
-  /// nothing is staged.
+  /// nothing is staged. When the staged updates cancel out (no arc ends
+  /// at a new weight) it drops them and publishes nothing: the epoch and
+  /// the cached rows stay.
   UpdateReport flush();
 
   /// stage() then flush() — the `update` verb (updated_arcs is stage()'s).
@@ -129,6 +132,10 @@ class DynamicSsspService {
   IncrementalPreprocessor incr_;
   /// Raw staged updates, replayed into incr_ at flush time.
   std::vector<WeightUpdate> pending_updates_;
+  /// True while incr_ holds weights the published epoch lacks (a flush
+  /// threw after applying them): the next flush publishes even when its
+  /// replay changes no further arc.
+  bool unpublished_ = false;
   std::unique_ptr<SsspServer> server_;
   /// rs_dyn_dirty_fraction in the daemon's registry: fraction of all balls
   /// the currently staged updates would dirty (count_dirty / total). Set

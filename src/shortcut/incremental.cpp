@@ -89,12 +89,11 @@ IncrementalUpdateStats IncrementalPreprocessor::apply(
   IncrementalUpdateStats stats;
   stats.total_balls = graph_.num_vertices();
 
+  // A batch that changes no arc (updates that cancel out or restate
+  // weights) is found from its own arcs, before the O(m) copy below.
+  if (weight_changes(graph_, updates).empty()) return stats;
   UpdateApplication app = apply_weight_updates(graph_, updates);
   stats.updated_arcs = app.changes.size();
-  if (app.changes.empty()) {
-    graph_ = std::move(app.graph);  // weights identical; keep arrays shared
-    return stats;
-  }
 
   // A ball search scans out-arcs of settled vertices only, so ball(s) can
   // change only when a changed arc's TAIL is settled in ball(s). Each
@@ -137,14 +136,13 @@ IncrementalUpdateStats IncrementalPreprocessor::apply(
 
 std::size_t IncrementalPreprocessor::count_dirty(
     const std::vector<WeightUpdate>& updates) const {
-  std::vector<std::uint8_t> seen(graph_.num_vertices(), 0);
-  std::size_t dirty = 0;
+  dirty_seen_.resize(graph_.num_vertices(), 0);
   const auto mark = [&](const Vertex t) {
     if (static_cast<std::size_t>(t) >= member_of_.size()) return;
     for (const Vertex s : member_of_[t]) {
-      if (!seen[s]) {
-        seen[s] = 1;
-        ++dirty;
+      if (!dirty_seen_[s]) {
+        dirty_seen_[s] = 1;
+        dirty_list_.push_back(s);
       }
     }
   };
@@ -152,6 +150,9 @@ std::size_t IncrementalPreprocessor::count_dirty(
     mark(up.u);
     if (up.v != up.u) mark(up.v);
   }
+  const std::size_t dirty = dirty_list_.size();
+  for (const Vertex s : dirty_list_) dirty_seen_[s] = 0;
+  dirty_list_.clear();
   return dirty;
 }
 

@@ -72,8 +72,8 @@ class IncrementalPreprocessor {
   /// and commits. Strongly exception-safe: on throw
   /// (std::invalid_argument from a bad update, std::overflow_error from
   /// shortcut overflow) the preprocessor still describes the PRE-batch
-  /// graph. A no-op batch (all updates re-state current weights) dirties
-  /// nothing.
+  /// graph. A batch that changes no arc (its updates re-state current
+  /// weights or cancel out) dirties nothing and costs O(batch).
   IncrementalUpdateStats apply(const std::vector<WeightUpdate>& updates);
 
   /// Counts the balls a batch WOULD dirty, without applying it: every ball
@@ -82,7 +82,9 @@ class IncrementalPreprocessor {
   /// Upper bound on apply()'s dirty_balls — no-op updates are not filtered
   /// out here because that would need the arc lookup apply() does. O(sum
   /// of member_of_ lists touched); never throws for in-range vertices.
-  /// Drives the dirty-fraction flush trigger in serve::DynamicSsspService.
+  /// Reuses one scratch flag per ball, so concurrent calls must not share
+  /// a preprocessor. Drives the dirty-fraction flush trigger in
+  /// serve::DynamicSsspService.
   std::size_t count_dirty(const std::vector<WeightUpdate>& updates) const;
 
   /// Splices the current balls into a full PreprocessResult for the
@@ -121,6 +123,10 @@ class IncrementalPreprocessor {
   /// Inverted index: member_of_[v] = ball sources whose settled set
   /// contains v. Drives dirty detection from changed-arc tails.
   std::vector<std::vector<Vertex>> member_of_;
+  /// count_dirty's scratch: a flag per ball (all clear between calls) and
+  /// the balls it flagged.
+  mutable std::vector<std::uint8_t> dirty_seen_;
+  mutable std::vector<Vertex> dirty_list_;
 };
 
 }  // namespace rs

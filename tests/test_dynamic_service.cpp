@@ -208,6 +208,37 @@ TEST(DynamicService, FlushWithNothingStagedIsANoOp) {
   EXPECT_EQ(svc.server().engine_snapshot()->graph_epoch(), 1u);
 }
 
+TEST(DynamicService, FlushOfCancellingUpdatesPublishesNothing) {
+  // Staging an edge to a new weight and then back nets out to no change:
+  // the flush drops both, keeps the epoch, and leaves the cache warm.
+  const Graph g = test::weighted_suite(66)[0].graph;
+  auto options = small_options();
+  options.server.enable_cache = true;
+  DynamicSsspService svc(g, options);
+  const auto targets = spread_targets(g, 3);
+  (void)svc.server().serve_sync(targeted(5, targets));  // caches the row
+
+  const Vertex v = g.arc_target(g.first_arc(5));
+  const Weight w = g.arc_weight(g.first_arc(5));
+  EXPECT_EQ(svc.stage({{5, v, w + 1}}).updated_arcs, 2u);
+  svc.stage({{5, v, w}});
+  obs::Gauge& frac = svc.server().metrics().gauge("rs_dyn_dirty_fraction");
+  EXPECT_GT(frac.value(), 0.0);
+
+  const UpdateReport r = svc.flush();
+  EXPECT_EQ(r.updated_arcs, 0u);
+  EXPECT_EQ(r.epoch, 1u);
+  EXPECT_EQ(r.staged, 0u);
+  EXPECT_FALSE(svc.has_staged());
+  EXPECT_DOUBLE_EQ(frac.value(), 0.0);
+  EXPECT_EQ(svc.server().engine_snapshot()->graph_epoch(), 1u);
+
+  const QueryResponse hit = svc.server().serve_sync(targeted(5, targets));
+  EXPECT_TRUE(hit.served_from_cache);
+  EXPECT_EQ(hit.graph_epoch, 1u);
+  expect_matches_dijkstra(hit, g, 5, "after a cancelling flush");
+}
+
 TEST(DynamicService, CachePurgedAcrossSwap) {
   const Graph g = test::weighted_suite(65)[0].graph;
   auto options = small_options();

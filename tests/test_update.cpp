@@ -4,6 +4,8 @@
 //    every parallel arc move together), self-loops, last-update-wins
 //    composition, no-op suppression, validation at the edge, EdgeId
 //    stability across the rebuild;
+//  * weight_changes — the sparse delta agrees with a replay of the batch
+//    on a full copy of the weights;
 //  * SnapshotSwap — concurrent pin/publish never yields a torn or null
 //    snapshot and old pins stay valid across swaps.
 #include <gtest/gtest.h>
@@ -108,6 +110,56 @@ TEST(WeightUpdate, RestatingCurrentWeightIsANoOp) {
   const UpdateApplication app = apply_weight_updates(g, {{2, 2, 3}});
   EXPECT_TRUE(app.changes.empty());
   EXPECT_EQ(app.graph.weights(), g.weights());
+}
+
+TEST(WeightUpdate, SparseChangesMatchAFullReplay) {
+  // Random batches over a directed multigraph with self-loops and over a
+  // symmetric one, with repeated edges and restated weights: weight_changes
+  // must list exactly the arcs whose weight a plain replay of the batch
+  // (every arc u->v and v->u set in batch order) ends up changing, and
+  // apply_weight_updates must report the same count.
+  std::mt19937 rng(20240);
+  for (const Graph& g :
+       {directed_multigraph(), test::weighted_suite(7)[3].graph}) {
+    for (int round = 0; round < 40; ++round) {
+      std::vector<WeightUpdate> batch =
+          random_updates(g, 1 + static_cast<std::size_t>(round % 9), rng);
+      // Restate a current weight, then repeat an edge of the batch.
+      const EdgeId e = g.first_arc(batch[0].u);
+      batch.push_back({batch[0].u, g.arc_target(e), g.arc_weight(e)});
+      batch.push_back(batch[static_cast<std::size_t>(round) % batch.size()]);
+
+      std::vector<Weight> replay = g.weights();
+      for (const WeightUpdate& up : batch) {
+        for (const auto& [a, b] : {std::pair{up.u, up.v}, {up.v, up.u}}) {
+          for (EdgeId arc = g.first_arc(a); arc < g.last_arc(a); ++arc) {
+            if (g.arc_target(arc) == b) replay[arc] = up.w;
+          }
+        }
+      }
+      std::vector<ArcChange> want;
+      for (Vertex u = 0; u < g.num_vertices(); ++u) {
+        for (EdgeId arc = g.first_arc(u); arc < g.last_arc(u); ++arc) {
+          if (replay[arc] != g.arc_weight(arc)) {
+            want.push_back({u, g.arc_target(arc), g.arc_weight(arc),
+                            replay[arc], arc});
+          }
+        }
+      }
+      const std::vector<ArcChange> got = weight_changes(g, batch);
+      ASSERT_EQ(got.size(), want.size()) << "round " << round;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].arc, want[i].arc) << "round " << round;
+        EXPECT_EQ(got[i].u, want[i].u) << "round " << round;
+        EXPECT_EQ(got[i].v, want[i].v) << "round " << round;
+        EXPECT_EQ(got[i].w_old, want[i].w_old) << "round " << round;
+        EXPECT_EQ(got[i].w_new, want[i].w_new) << "round " << round;
+      }
+      const UpdateApplication app = apply_weight_updates(g, batch);
+      EXPECT_EQ(app.changes.size(), want.size()) << "round " << round;
+      EXPECT_EQ(app.graph.weights(), replay) << "round " << round;
+    }
+  }
 }
 
 TEST(SnapshotSwap, ConcurrentPinAndPublish) {
