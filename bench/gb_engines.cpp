@@ -45,17 +45,6 @@ void BM_BstEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_BstEngine)->Unit(benchmark::kMillisecond);
 
-void BM_FlatSetEngine(benchmark::State& state) {
-  // Algorithm 2 on the sorted-array substrate: O(n)-copy bulk ops vs the
-  // treap's O(p log q) — measures the substrate crossover.
-  const Setup& s = setup();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        radius_stepping_flatset(s.weighted, 0, s.radius_w));
-  }
-}
-BENCHMARK(BM_FlatSetEngine)->Unit(benchmark::kMillisecond);
-
 void BM_FlatEngineRhoSweep(benchmark::State& state) {
   // Step-count vs work trade-off: same graph, radii from different rho.
   const Setup& s = setup();

@@ -1,11 +1,10 @@
-// Priority-queue microbenchmarks: the indexed d-ary heap, the pairing heap
-// and the treap under Dijkstra-like workloads (insert / decrease-key /
-// extract-min mixes).
+// Priority-queue microbenchmarks: the indexed d-ary heap and the treap
+// under Dijkstra-like workloads (insert / decrease-key / extract-min
+// mixes).
 #include <benchmark/benchmark.h>
 
 #include "parallel/rng.hpp"
 #include "pq/binary_heap.hpp"
-#include "pq/pairing_heap.hpp"
 #include "pset/treap.hpp"
 
 namespace {
@@ -43,16 +42,6 @@ void BM_IndexedHeapDijkstraMix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IndexedHeapDijkstraMix)->Unit(benchmark::kMillisecond);
-
-void BM_PairingHeapDijkstraMix(benchmark::State& state) {
-  const SplitRng rng(1);
-  for (auto _ : state) {
-    PairingHeap<std::uint64_t> h(kN);
-    dijkstra_like_workload(h, rng);
-    benchmark::DoNotOptimize(h.size());
-  }
-}
-BENCHMARK(BM_PairingHeapDijkstraMix)->Unit(benchmark::kMillisecond);
 
 void BM_TreapInsertExtract(benchmark::State& state) {
   const SplitRng rng(2);

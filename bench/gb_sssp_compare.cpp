@@ -1,7 +1,7 @@
 // Wall-clock comparison of all SSSP implementations (engineering evidence,
-// not a paper table): Radius-Stepping vs Dijkstra (binary + pairing heap),
-// Bellman-Ford (seq + parallel) and Delta-stepping, on a weighted road
-// network and a scale-free graph.
+// not a paper table): Radius-Stepping vs Dijkstra, Bellman-Ford (seq +
+// parallel) and Delta-stepping, on a weighted road network and a
+// scale-free graph.
 #include <benchmark/benchmark.h>
 
 #include "baseline/bellman_ford.hpp"
@@ -63,14 +63,6 @@ void BM_Dijkstra(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Dijkstra)->Apply(args);
-
-void BM_DijkstraPairing(benchmark::State& state) {
-  const Fixture& f = fixture(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dijkstra_pairing(f.graph, 0));
-  }
-}
-BENCHMARK(BM_DijkstraPairing)->Apply(args);
 
 void BM_BellmanFordSeq(benchmark::State& state) {
   const Fixture& f = fixture(static_cast<int>(state.range(0)));

@@ -53,7 +53,9 @@
 // `update`/`flush` answer "ok epoch=E updated=A dirty=D/T ms=X"; `stage`
 // answers "staged epoch=E updated=A pending=N". Any malformed or
 // rejected line gets `error: <reason>` (bad ids and out-of-range vertices
-// are rejected by admission control without touching the engine). EOF (or
+// are rejected by admission control without touching the engine). A line
+// longer than 1 MiB (kMaxLineBytes) gets `error: line too long`; a TCP
+// connection then closes, and stdin skips to the next newline. EOF (or
 // SIGINT/SIGTERM for TCP) drains in-flight requests and prints the
 // serving stats before exiting. A TCP client that hangs up closes only
 // its own connection.
@@ -313,24 +315,40 @@ bool send_all(int fd, const std::string& reply) {
   return true;
 }
 
-/// One connection's line loop: answers each complete line, however long,
-/// and returns on EOF, a read error or a failed write.
+/// Longest request line either front end accepts, newline excluded: a
+/// client that never sends a newline cannot grow a buffer past it.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+constexpr const char* kLineTooLong = "error: line too long";
+
+/// One connection's line loop: answers each complete line of at most
+/// kMaxLineBytes, and returns on EOF, a read error, a failed write or a
+/// longer line (answered with kLineTooLong first).
 void serve_connection(int client, SsspServer& server,
                       rs::serve::DynamicSsspService* dyn) {
-  std::string buf;
+  std::string buf;  // the unanswered line so far, then newly read bytes
   char chunk[4096];
   for (;;) {
     const ssize_t got = ::read(client, chunk, sizeof(chunk));
     if (got < 0 && errno == EINTR) continue;
     if (got <= 0) return;
+    // The bytes already buffered hold no newline: search only the new ones.
+    std::size_t from = buf.size();
     buf.append(chunk, static_cast<std::size_t>(got));
-    std::size_t nl;
-    while ((nl = buf.find('\n')) != std::string::npos) {
-      std::string line = buf.substr(0, nl);
+    std::size_t start = 0;
+    bool too_long = false;
+    for (std::size_t nl; (nl = buf.find('\n', from)) != std::string::npos;
+         start = from = nl + 1) {
+      too_long = nl - start > kMaxLineBytes;
+      if (too_long) break;
+      std::string line = buf.substr(start, nl - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      buf.erase(0, nl + 1);
       if (line.empty()) continue;
       if (!send_all(client, answer_line(server, dyn, line) + "\n")) return;
+    }
+    buf.erase(0, start);
+    if (too_long || buf.size() > kMaxLineBytes) {
+      send_all(client, std::string(kLineTooLong) + "\n");
+      return;
     }
   }
 }
@@ -376,11 +394,38 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
   return 0;
 }
 
-/// Stdin front-end: one request line in, one response line out, however
-/// long the line.
+/// Reads the next line of `in` into `line`, without its newline. Returns
+/// false at the end of input with nothing read. A line longer than
+/// kMaxLineBytes is consumed through its newline and comes back empty
+/// with `too_long` set.
+bool read_line(std::istream& in, std::string& line, bool& too_long) {
+  line.clear();
+  too_long = false;
+  std::streambuf& sb = *in.rdbuf();
+  for (int c = sb.sbumpc(); c != std::char_traits<char>::eof();
+       c = sb.sbumpc()) {
+    if (c == '\n') return true;
+    if (too_long) continue;
+    if (line.size() == kMaxLineBytes) {
+      too_long = true;
+      line.clear();
+      continue;
+    }
+    line.push_back(static_cast<char>(c));
+  }
+  return too_long || !line.empty();
+}
+
+/// Stdin front-end: one request line in, one response line out.
 int stdio_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn) {
   std::string line;
-  while (std::getline(std::cin, line)) {
+  bool too_long = false;
+  while (read_line(std::cin, line, too_long)) {
+    if (too_long) {
+      std::printf("%s\n", kLineTooLong);
+      std::fflush(stdout);
+      continue;
+    }
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     std::printf("%s\n", answer_line(server, dyn, line).c_str());

@@ -1,9 +1,6 @@
 #include "baseline/bfs.hpp"
 
 #include <atomic>
-#include <queue>
-
-#include "parallel/primitives.hpp"
 
 namespace rs {
 
@@ -42,136 +39,6 @@ void bfs(const Graph& g, Vertex source, QueryContext& ctx,
   // The last round is the empty expansion.
   if (rounds_out != nullptr) *rounds_out = rounds - 1;
   ctx.finish_query(n, out);
-}
-
-std::vector<Dist> bfs_direction_optimizing(const Graph& g, Vertex source,
-                                           std::size_t* rounds_out,
-                                           double alpha) {
-  const Vertex n = g.num_vertices();
-  std::vector<Dist> dist(n, kInfDist);
-  std::vector<std::uint8_t> in_frontier(n, 0);
-  dist[source] = 0;
-  in_frontier[source] = 1;
-  std::vector<Vertex> frontier{source};
-  std::size_t rounds = 0;
-  Dist level = 0;
-
-  // Arcs hanging off the current frontier vs arcs of still-unvisited
-  // vertices: the Beamer switch heuristic.
-  auto frontier_arcs = [&](const std::vector<Vertex>& f) {
-    EdgeId total = 0;
-    for (const Vertex v : f) total += g.degree(v);
-    return total;
-  };
-
-  const int nw = num_workers();
-  std::vector<std::vector<Vertex>> local(static_cast<std::size_t>(nw));
-  while (!frontier.empty()) {
-    ++rounds;
-    ++level;
-    const bool bottom_up =
-        frontier_arcs(frontier) >
-        static_cast<EdgeId>(alpha * static_cast<double>(g.num_edges()));
-    for (auto& l : local) l.clear();
-    if (bottom_up) {
-      // Every unvisited vertex scans its own neighbours for a frontier
-      // member; no CAS needed (each vertex writes only itself).
-#pragma omp parallel num_threads(nw)
-      {
-        auto& mine = local[static_cast<std::size_t>(omp_get_thread_num())];
-#pragma omp for schedule(dynamic, 256)
-        for (std::int64_t vi = 0; vi < static_cast<std::int64_t>(n); ++vi) {
-          const Vertex v = static_cast<Vertex>(vi);
-          if (dist[v] != kInfDist) continue;
-          for (const Vertex u : g.neighbors(v)) {
-            if (in_frontier[u]) {
-              mine.push_back(v);
-              break;
-            }
-          }
-        }
-      }
-    } else {
-      // Top-down with a claim byte (single writer per vertex wins).
-      std::vector<std::atomic<std::uint8_t>> claimed(n);
-      parallel_for(0, n, [&](std::size_t i) {
-        claimed[i].store(dist[i] != kInfDist ? 1 : 0,
-                         std::memory_order_relaxed);
-      });
-#pragma omp parallel num_threads(nw)
-      {
-        auto& mine = local[static_cast<std::size_t>(omp_get_thread_num())];
-#pragma omp for schedule(dynamic, 64)
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(frontier.size());
-             ++i) {
-          const Vertex u = frontier[static_cast<std::size_t>(i)];
-          for (const Vertex v : g.neighbors(u)) {
-            if (claimed[v].exchange(1, std::memory_order_relaxed) == 0) {
-              mine.push_back(v);
-            }
-          }
-        }
-      }
-    }
-    for (const Vertex v : frontier) in_frontier[v] = 0;
-    std::vector<Vertex> next;
-    for (const auto& l : local) next.insert(next.end(), l.begin(), l.end());
-    for (const Vertex v : next) {
-      dist[v] = level;
-      in_frontier[v] = 1;
-    }
-    frontier.swap(next);
-  }
-  if (rounds_out != nullptr) *rounds_out = rounds - 1;
-  return dist;
-}
-
-std::vector<Dist> bfs_parallel(const Graph& g, Vertex source,
-                               std::size_t* rounds_out) {
-  const Vertex n = g.num_vertices();
-  std::vector<std::atomic<Vertex>> owner(n);
-  parallel_for(0, n, [&](std::size_t i) {
-    owner[i].store(kNoVertex, std::memory_order_relaxed);
-  });
-  std::vector<Dist> dist(n, kInfDist);
-  owner[source].store(source, std::memory_order_relaxed);
-  dist[source] = 0;
-
-  const int nw = num_workers();
-  std::vector<std::vector<Vertex>> local(static_cast<std::size_t>(nw));
-  std::vector<Vertex> frontier{source};
-  std::size_t rounds = 0;
-  Dist level = 0;
-  while (!frontier.empty()) {
-    ++rounds;
-    ++level;
-    for (auto& l : local) l.clear();
-#pragma omp parallel num_threads(nw)
-    {
-      auto& mine = local[static_cast<std::size_t>(omp_get_thread_num())];
-#pragma omp for schedule(dynamic, 64)
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(frontier.size());
-           ++i) {
-        const Vertex u = frontier[static_cast<std::size_t>(i)];
-        for (const Vertex v : g.neighbors(u)) {
-          Vertex expect = kNoVertex;
-          if (owner[v].compare_exchange_strong(expect, u,
-                                               std::memory_order_relaxed)) {
-            mine.push_back(v);
-          }
-        }
-      }
-    }
-    std::vector<Vertex> next;
-    std::size_t total = 0;
-    for (const auto& l : local) total += l.size();
-    next.reserve(total);
-    for (const auto& l : local) next.insert(next.end(), l.begin(), l.end());
-    for (const Vertex v : next) dist[v] = level;
-    frontier.swap(next);
-  }
-  if (rounds_out != nullptr) *rounds_out = rounds - 1;
-  return dist;
 }
 
 }  // namespace rs

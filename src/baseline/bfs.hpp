@@ -20,18 +20,4 @@ std::vector<Dist> bfs(const Graph& g, Vertex source,
 void bfs(const Graph& g, Vertex source, QueryContext& ctx,
          std::vector<Dist>& out, std::size_t* rounds_out = nullptr);
 
-/// Level-synchronous parallel BFS: each level expands the frontier in
-/// parallel, claiming vertices with a CAS.
-std::vector<Dist> bfs_parallel(const Graph& g, Vertex source,
-                               std::size_t* rounds_out = nullptr);
-
-/// Direction-optimizing BFS (Beamer et al.): switches from top-down
-/// frontier expansion to bottom-up "every unvisited vertex probes its
-/// neighbours" when the frontier grows past `alpha` of the remaining
-/// graph's arcs — the standard optimization for low-diameter graphs where
-/// one level spans most of the graph. Identical output to bfs().
-std::vector<Dist> bfs_direction_optimizing(const Graph& g, Vertex source,
-                                           std::size_t* rounds_out = nullptr,
-                                           double alpha = 0.05);
-
 }  // namespace rs

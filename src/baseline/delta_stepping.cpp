@@ -37,7 +37,7 @@ void delta_stepping(const Graph& g, Vertex source, QueryContext& ctx,
 
   // Collected improvements of one phase: (vertex, new distance) pairs
   // gathered per thread, applied to the bucket structure sequentially.
-  const int nw = ctx.sequential() ? 1 : num_workers();
+  const int nw = num_workers();
   auto& found = ctx.pair_buckets(nw);
 
   auto relax_frontier = [&](const std::vector<Vertex>& front, bool light) {

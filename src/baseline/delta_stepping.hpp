@@ -27,7 +27,8 @@ std::vector<Dist> delta_stepping(const Graph& g, Vertex source,
 
 /// Context-reusing form: identical results; distances, bucket slots,
 /// frontier lists, and per-phase collection buffers all live in `ctx`.
-/// Honors ctx.sequential() (single-threaded phases, no OpenMP regions).
+/// At num_workers() == 1 (one worker, or a call from inside an active
+/// OpenMP region) the phases run on the calling thread with no region.
 void delta_stepping(const Graph& g, Vertex source, QueryContext& ctx,
                     std::vector<Dist>& out, Dist delta = 0,
                     DeltaSteppingStats* stats = nullptr);

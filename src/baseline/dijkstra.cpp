@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "pq/binary_heap.hpp"
-#include "pq/pairing_heap.hpp"
 
 namespace rs {
 
@@ -35,26 +34,6 @@ void dijkstra(const Graph& g, Vertex source, QueryContext& ctx,
     }
   }
   ctx.finish_query(n, out);
-}
-
-std::vector<Dist> dijkstra_pairing(const Graph& g, Vertex source) {
-  const Vertex n = g.num_vertices();
-  std::vector<Dist> dist(n, kInfDist);
-  PairingHeap<Dist> heap(n);
-  dist[source] = 0;
-  heap.insert_or_decrease(source, 0);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.extract_min();
-    for (EdgeId e = g.first_arc(u); e < g.last_arc(u); ++e) {
-      const Vertex v = g.arc_target(e);
-      const Dist nd = d + g.arc_weight(e);
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        heap.insert_or_decrease(v, nd);
-      }
-    }
-  }
-  return dist;
 }
 
 ShortestPathTreeResult dijkstra_min_hop_tree(const Graph& g, Vertex source) {

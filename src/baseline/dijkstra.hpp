@@ -20,10 +20,6 @@ std::vector<Dist> dijkstra(const Graph& g, Vertex source);
 void dijkstra(const Graph& g, Vertex source, QueryContext& ctx,
               std::vector<Dist>& out);
 
-/// Same, with a pairing heap (O(1) amortized decrease-key — the
-/// Fibonacci-heap cost profile the paper's analysis assumes).
-std::vector<Dist> dijkstra_pairing(const Graph& g, Vertex source);
-
 struct ShortestPathTreeResult {
   std::vector<Dist> dist;
   std::vector<Vertex> parent;  // kNoVertex for source / unreachable

@@ -281,12 +281,10 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
 
   const int nw = num_workers();
   if (nw > 1 && batch >= static_cast<std::size_t>(nw)) {
-    // Request-parallel: one strictly sequential query per worker. Dynamic
-    // schedule — per-request cost varies with eccentricity and targets.
+    // Request-parallel: one query per worker, each on that worker alone
+    // (num_workers() is 1 inside the region). Dynamic schedule —
+    // per-request cost varies with eccentricity and targets.
     pool.ensure(static_cast<std::size_t>(nw));
-    for (int w = 0; w < nw; ++w) {
-      pool.at(static_cast<std::size_t>(w)).set_sequential(true);
-    }
 #pragma omp parallel for schedule(dynamic, 1) num_threads(nw)
     for (std::int64_t i = 0; i < static_cast<std::int64_t>(batch); ++i) {
       QueryContext& ctx =
@@ -298,12 +296,9 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
   }
 
   // Batch narrower than the worker count (or one worker): sequential batch
-  // loop over one reused context. With several workers each query keeps
-  // intra-query parallelism; with one worker the sequential engine twin
-  // skips atomics and OpenMP entirely.
+  // loop over one reused context, each query on all num_workers().
   pool.ensure(1);
   QueryContext& ctx = pool.at(0);
-  ctx.set_sequential(nw <= 1);
   for (std::size_t i = 0; i < batch; ++i) {
     run_serve(requests[i], ctx, in_arcs, out[i]);
   }

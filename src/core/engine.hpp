@@ -109,16 +109,15 @@ class SsspEngine {
   /// target sets, kinds and flags.
   ///
   /// Scheduling: with W workers and B requests, B >= W runs
-  /// request-parallel (one strictly sequential query per worker, contexts
-  /// from an internal per-worker pool); B < W keeps the batch loop
-  /// sequential and lets each query use intra-query parallelism.
+  /// request-parallel (one query per worker, on that worker alone, with
+  /// contexts from an internal per-worker pool); B < W keeps the batch
+  /// loop sequential and lets each query use intra-query parallelism.
   ///
   /// Contract: bit-identical (distances, paths, RunStats) to per-request
-  /// serve() on a SEQUENTIAL context (set_sequential(true)) whenever the
-  /// batch runs its queries sequentially: W == 1 or B >= W. A one-target
-  /// request on a shortcut engine runs sequentially on every context
-  /// (core/request.hpp), so it is bit-identical to serve() whatever W
-  /// and B are.
+  /// serve() at one worker whenever the batch runs each query on one
+  /// worker: W == 1 or B >= W. A one-target request on a shortcut engine
+  /// runs on the calling thread at any worker count (core/request.hpp),
+  /// so it is bit-identical to serve() whatever W and B are.
   ///
   /// Thread-safe: each concurrent batch leases its own warm context-pool
   /// slot (the slot set grows to the peak concurrency and stays warm), so

@@ -77,32 +77,19 @@ void QueryContext::finish_query(Vertex n, std::vector<Dist>& out) {
   out.resize(n);
   Dist* out_data = out.data();
   std::atomic<Dist>* dist = search_.dist();
-  if (sequential_) {
-    for (Vertex v = 0; v < n; ++v) {
-      out_data[v] = dist[v].load(std::memory_order_relaxed);
-      dist[v].store(kInfDist, std::memory_order_relaxed);
-    }
-  } else {
-    // One block per worker: a streaming copy gains nothing from dynamic
-    // chunks, and 64-word ones cost a scheduler round trip each.
-    parallel_for_blocked(0, n, [&](std::size_t v) {
-      out_data[v] = dist[v].load(std::memory_order_relaxed);
-      dist[v].store(kInfDist, std::memory_order_relaxed);
-    });
-  }
+  // One block per worker: a streaming copy gains nothing from dynamic
+  // chunks, and 64-word ones cost a scheduler round trip each.
+  parallel_for_blocked(0, n, [&](std::size_t v) {
+    out_data[v] = dist[v].load(std::memory_order_relaxed);
+    dist[v].store(kInfDist, std::memory_order_relaxed);
+  });
 }
 
 void QueryContext::reset_distances(Vertex n) {
   std::atomic<Dist>* dist = search_.dist();
-  if (sequential_) {
-    for (Vertex v = 0; v < n; ++v) {
-      dist[v].store(kInfDist, std::memory_order_relaxed);
-    }
-  } else {
-    parallel_for_blocked(0, n, [&](std::size_t v) {
-      dist[v].store(kInfDist, std::memory_order_relaxed);
-    });
-  }
+  parallel_for_blocked(0, n, [&](std::size_t v) {
+    dist[v].store(kInfDist, std::memory_order_relaxed);
+  });
 }
 
 std::vector<QueryContext::ChunkCursor>& QueryContext::cursors(int count) {

@@ -14,13 +14,12 @@
 //    queries"; its reset is fused into the mandatory output copy, so no
 //    separate O(n) initialization pass runs per query.
 //
-// A context is single-owner state: one query at a time, but the query
-// running on it may use intra-query parallelism (the default) or run
-// strictly sequentially (set_sequential(true)) — the mode the batch
-// scheduler uses when it runs one query per worker. A parallel run keeps
-// each worker's lists, frontier buckets and counters in its own
-// cache-line-aligned WorkerScratch, so workers growing their lists never
-// share a line.
+// A context is single-owner state: one query at a time, run by as many
+// workers as num_workers() answers where the query starts. That is 1 on
+// a one-worker setting and inside an active OpenMP region, such as the
+// batch scheduler's one query per worker. A team keeps each worker's
+// lists, frontier buckets and counters in its own cache-line-aligned
+// WorkerScratch, so workers growing their lists never share a line.
 //
 // The radius-stepping working set of one search (distances, stamps,
 // worker lists) is a Search. Every query runs search(); a bidirectional
@@ -41,9 +40,9 @@ namespace rs {
 
 class QueryContext {
  public:
-  /// One worker's share of a parallel engine run (and worker 0's lists in
-  /// a sequential one). Aligned to a cache line so the vector headers and
-  /// counters of different workers never share one.
+  /// One worker's share of an engine run (the whole run's lists when it
+  /// runs on the calling thread). Aligned to a cache line so the vector
+  /// headers and counters of different workers never share one.
   struct alignas(64) WorkerScratch {
     LazyBuckets frontier;         // frontier vertices this worker filed
     std::vector<Vertex> claimed;  // vertices claimed this substep
@@ -109,8 +108,8 @@ class QueryContext {
       return claim_[v].exchange(claim_epoch_, std::memory_order_relaxed) !=
              claim_epoch_;
     }
-    /// Same contract without the atomic RMW; only valid in sequential
-    /// mode.
+    /// Same contract without the atomic RMW; only valid when one thread
+    /// runs the search.
     bool claim_sequential(Vertex v) {
       if (claim_[v].load(std::memory_order_relaxed) == claim_epoch_) {
         return false;
@@ -127,12 +126,12 @@ class QueryContext {
     // kInfDist back over just those vertices: the epilogue of a targeted
     // serve costs O(touched), not O(n).
     //
-    // Exactly-once discipline: sequential twins record after observing the
-    // old value == kInfDist; parallel twins use the write_min overload
-    // that reports the pre-CAS value, whose kInfDist observation has a
-    // unique winner. A missed record would leak a stale finite distance
-    // into the next query, so the contract is pinned by tests over both
-    // twins.
+    // Exactly-once discipline: a run on the calling thread records after
+    // observing the old value == kInfDist; a team uses the write_min
+    // overload that reports the pre-CAS value, whose kInfDist observation
+    // has a unique winner. A missed record would leak a stale finite
+    // distance into the next query, so the contract is pinned by tests at
+    // one worker and at several.
 
     /// Ensures at least `count` WorkerScratch entries exist, with every
     /// list and bucket empty and every counter reset (capacities kept; the
@@ -183,11 +182,6 @@ class QueryContext {
 
   /// Largest vertex count this context is warmed up for.
   Vertex capacity() const { return n_; }
-
-  /// True when the engines must not open parallel regions on this context
-  /// (it is owned by one worker of an outer source-parallel batch).
-  bool sequential() const { return sequential_; }
-  void set_sequential(bool sequential) { sequential_ = sequential; }
 
   /// True when the engines should take per-phase clock readings into
   /// RunStats (relax/partition ns) for this run — set per
@@ -242,7 +236,7 @@ class QueryContext {
 
   // --- targeted queries (early termination) --------------------------------
   // serve() stamps the request's target set before running an engine;
-  // every engine twin un-stamps targets as it settles them and may stop at
+  // every engine run un-stamps targets as it settles them and may stop at
   // the next step boundary once none is pending (Theorem 3.1 makes
   // step-boundary distances final, so the exit is exact). Each vertex is
   // settled by exactly one worker, so the per-vertex stamps are plain.
@@ -311,7 +305,6 @@ class QueryContext {
 
  private:
   Vertex n_ = 0;
-  bool sequential_ = false;
   bool trace_phases_ = false;
   bool targeted_ = false;
   std::size_t targets_remaining_ = 0;

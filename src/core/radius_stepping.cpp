@@ -43,8 +43,8 @@ unsigned bucket_shift(const std::vector<Dist>& radius) {
   return shift;
 }
 
-/// The passes of Algorithm 1 that both bodies run per worker, each over
-/// the worker's own WorkerScratch in one Search. Both bodies produce
+/// The passes of Algorithm 1 that step() runs per worker, each over the
+/// worker's own WorkerScratch in one Search. Every team size produces
 /// identical distances and an identical step sequence: by the end of a
 /// step every vertex settled in it has relaxed its out-arcs with its final
 /// value, so step-boundary distances — and with them the frontier, d_i,
@@ -65,7 +65,7 @@ unsigned bucket_shift(const std::vector<Dist>& radius) {
 /// Every vertex is settled by exactly one worker (claims are unique per
 /// substep, live frontier entries are unique), so the settled and target
 /// stamps stay plain; each worker counts what it settled and which
-/// targets it took, and the bodies combine the counts at step boundaries.
+/// targets it took, and the counts are combined at step boundaries.
 class Phases {
  public:
   Phases(const Graph& g, const std::vector<Dist>& radius, QueryContext& ctx,
@@ -91,10 +91,12 @@ class Phases {
     backward_ = backward;
   }
 
-  /// Line 2, single-threaded: settles the source, relaxes its out-arcs
-  /// into `me`'s frontier buckets and scans them for the first d_i.
+  /// Line 2, on the calling thread: settles the source, relaxes its
+  /// out-arcs into `me`'s frontier buckets, scans them for the first d_i
+  /// and opens the search's first claim epoch.
   template <bool kMeet = false>
   void seed(Worker& me, Vertex source) {
+    search_.next_claim_epoch();
     dist_[source].store(0, std::memory_order_relaxed);
     me.touched.push_back(source);
     settle(me, source);
@@ -126,16 +128,15 @@ class Phases {
   /// d_i, so neither distances nor steps change (docs/ARCHITECTURE.md).
   /// A lowering within d_i claims the vertex for the next substep; one
   /// beyond d_i files it in `me`'s frontier buckets if its bucket fell.
-  /// kShared selects the sharing mode: WriteMin and an atomic claim for
-  /// the parallel body, plain stores and claim_sequential for the
-  /// sequential one. kMeet (sequential only) lowers mu on each original
-  /// arc before Line 7's filter. Counts successful lowerings into
-  /// `relaxations`; returns the arcs examined, including the one that
-  /// ends the scan.
+  /// kShared selects the sharing mode: WriteMin and an atomic claim for a
+  /// team, plain stores and claim_sequential on the calling thread. kMeet
+  /// (calling thread only) lowers mu on each original arc before Line 7's
+  /// filter. Counts successful lowerings into `relaxations`; returns the
+  /// arcs examined, including the one that ends the scan.
   template <bool kShared, bool kMeet = false>
   std::size_t relax(Worker& me, Vertex u, Dist di, Dist prev_di,
                     std::size_t& relaxations) {
-    static_assert(!(kShared && kMeet), "bidirectional runs are sequential");
+    static_assert(!(kShared && kMeet), "a meet runs on the calling thread");
     const Dist du = load(u);
     const auto relax_arc = [&](Vertex v, Dist nd) {
       // Line 7 relaxes targets outside S_{i-1} only; vertices settled in
@@ -311,108 +312,222 @@ class Phases {
   bool backward_ = false;
 };
 
-/// Lines 4-9 of one step on the calling thread: takes d_i from `me`'s
-/// frontier (computed by the last seed or scan), gathers A_i and runs
-/// Bellman-Ford substeps until no delta(v) <= d_i changes. Returns d_i;
-/// the caller scans for the next one. Both sequential drivers step through
-/// it; kMeet makes the substeps of a bidirectional run lower mu.
+/// Vertices per chunk of a shared relax phase: large enough to amortize
+/// the cursor's atomic add, small enough to balance a hub-heavy list.
+constexpr std::size_t kRelaxChunk = 64;
+
+/// Total size of the active lists of workers [0, nw).
+std::size_t active_total(const std::vector<Worker>& workers, int nw) {
+  std::size_t total = 0;
+  for (int t = 0; t < nw; ++t) {
+    total += workers[static_cast<std::size_t>(t)].active.size();
+  }
+  return total;
+}
+
+/// Calls `f` on every vertex of the chunks of `list` this worker takes
+/// through `cursor`, until the list is drained. Each kRelaxChunk-vertex
+/// chunk goes to exactly one of the workers sharing the cursor.
+template <typename F>
+void take_chunks(const std::vector<Vertex>& list,
+                 std::atomic<std::size_t>& cursor, F&& f) {
+  const std::size_t size = list.size();
+  // The plain load keeps a drained list's cursor line shared instead of
+  // bouncing it between thieves.
+  while (cursor.load(std::memory_order_relaxed) < size) {
+    const std::size_t begin =
+        cursor.fetch_add(kRelaxChunk, std::memory_order_relaxed);
+    const std::size_t end = std::min(begin + kRelaxChunk, size);
+    for (std::size_t i = begin; i < end; ++i) f(list[i]);
+  }
+}
+
+/// Ends a pass of a step: a team barrier when the workers share the
+/// search, nothing on the calling thread.
+template <bool kShared>
+void sync() {
+  if constexpr (kShared) {
+#pragma omp barrier
+  }
+}
+
+/// Lines 4-9 of one step for worker `tid` of the `nw` that run the search
+/// (kShared: an OpenMP team; otherwise the calling thread alone, nw == 1).
+/// Every worker owns frontier buckets, a claim list and an active list;
+/// `cursors` (kShared only) holds one chunk cursor per active list.
 ///
-/// Traced requests take two clock readings per substep (relax end is
-/// partition start, so the phases tile the substep); untraced runs take
-/// none — the disabled path costs one predictable branch per substep.
-template <bool kMeet>
-Dist step_sequential(Phases& phases, Worker& me, Dist prev_di,
-                     RunStats& local) {
-  const bool timed = phases.timed();
-  ++local.steps;
-  const Dist di = me.pending_di;  // Line 4
+///   Line 4   each worker reads every worker's pending d_i (computed by
+///            the last seed or scan) and gathers A_i from its own buckets;
+///            sync.
+///   substep  the relax phase claims lowerings within d_i and files those
+///            beyond it in the relaxing worker's buckets; sync. Then each
+///            worker turns its claims into its next active list; sync.
+///
+/// A team's relax phase is owner-first: each worker takes kRelaxChunk-
+/// vertex chunks of its own active list through that list's cursor, then
+/// steals chunks from the other workers' cursors until every list is
+/// drained. A worker's active list holds the vertices it claimed, so their
+/// distance and claim words are mostly still in its cache; stealing only
+/// moves the tail of a long list, which is what balances hub vertices.
+/// Every chunk is taken exactly once, whoever takes it, so each active
+/// vertex is relaxed once per substep: claims stay unique and every first
+/// touch is recorded once. Each relax phase opens the claim epoch of the
+/// next one (the seed opened the first), so every substep claims under an
+/// epoch no earlier claim used.
+///
+/// Returns d_i, or kInfDist without stepping when the frontier is empty;
+/// the caller scans for the next d_i. Every decision is taken by every
+/// worker on values no worker writes until after the next sync, so a team
+/// always leaves the loops together. kMeet makes the substeps of a
+/// bidirectional run lower mu.
+///
+/// Traced requests take two clock readings per substep on worker 0 (relax
+/// end is partition start, so the phases tile the substep); untraced runs
+/// take none.
+template <bool kShared, bool kMeet>
+Dist step(Phases& phases, std::vector<Worker>& workers,
+          QueryContext::ChunkCursor* cursors, std::size_t tid, int nw,
+          Dist prev_di, RunStats& local) {
+  // Line 4: d_i = min over the frontier of delta(v) + r(v).
+  Dist di = kInfDist;
+  for (int t = 0; t < nw; ++t) {
+    di = std::min(di, workers[static_cast<std::size_t>(t)].pending_di);
+  }
+  if (di == kInfDist) return di;
+  const bool lead = tid == 0;  // keeps `local` and the claim epoch
+  const bool timed = lead && phases.timed();
+  Worker& me = workers[tid];
+  if (lead) ++local.steps;
   phases.gather(me, di);
-  local.max_active = std::max(local.max_active, me.active.size());
+  // Reset whenever `me.active` is refilled; no worker takes a chunk until
+  // the sync that follows.
+  if constexpr (kShared) cursors[tid].next.store(0, std::memory_order_relaxed);
+  sync<kShared>();
+  std::size_t active = active_total(workers, nw);
+  auto t_relax = timed ? TraceClock::now() : TraceClock::time_point{};
 
   // Lines 5-9: Bellman-Ford substeps until no delta(v) <= d_i changes.
   std::size_t substeps_this_step = 0;
-  while (!me.active.empty()) {
+  while (active > 0) {
     ++substeps_this_step;
-    // One claim epoch per substep: each updated vertex is collected once
-    // no matter how many relaxations hit it.
-    phases.search().next_claim_epoch();
-    const auto t_relax = timed ? TraceClock::now() : TraceClock::time_point{};
+    if (lead) local.max_active = std::max(local.max_active, active);
     std::size_t relaxations = 0;
     std::size_t scanned = 0;
-    for (const Vertex u : me.active) {
-      scanned += phases.relax<false, kMeet>(me, u, di, prev_di, relaxations);
+    const auto relax = [&](Vertex u) {
+      scanned += phases.relax<kShared, kMeet>(me, u, di, prev_di, relaxations);
+    };
+    if constexpr (kShared) {
+      // Own list first, then the others' in ring order.
+      for (std::size_t s = 0; s < static_cast<std::size_t>(nw); ++s) {
+        const std::size_t owner = (tid + s) % static_cast<std::size_t>(nw);
+        take_chunks(workers[owner].active, cursors[owner].next, relax);
+      }
+    } else {
+      for (const Vertex u : me.active) relax(u);
     }
     me.relaxations += relaxations;
     me.edges_scanned += scanned;
+    sync<kShared>();
     const auto t_drain = timed ? TraceClock::now() : TraceClock::time_point{};
-    if (timed) local.relax_ns += phase_ns(t_relax, t_drain);
+    if (lead) {
+      if (timed) local.relax_ns += phase_ns(t_relax, t_drain);
+      phases.search().next_claim_epoch();  // nobody claims until then
+    }
     phases.classify(me);
-    local.max_active = std::max(local.max_active, me.active.size());
-    if (timed) local.partition_ns += phase_ns(t_drain, TraceClock::now());
+    if constexpr (kShared) {
+      cursors[tid].next.store(0, std::memory_order_relaxed);
+    }
+    sync<kShared>();
+    active = active_total(workers, nw);
+    if (timed) {
+      t_relax = TraceClock::now();
+      local.partition_ns += phase_ns(t_drain, t_relax);
+    }
   }
   // Loop iterations equal Algorithm 1's repeat-until iterations: the
   // final iteration relaxes the last-updated vertices and observes no
   // further update with delta <= d_i (the Line 9 exit), so no extra
   // "observation" substep is added.
-  local.substeps += substeps_this_step;
-  local.max_substeps_in_step =
-      std::max(local.max_substeps_in_step, substeps_this_step);
+  if (lead) {
+    local.substeps += substeps_this_step;
+    local.max_substeps_in_step =
+        std::max(local.max_substeps_in_step, substeps_this_step);
+  }
   return di;
 }
 
-/// Algorithm 1 on the calling thread: plain loads/stores, no CAS, no
-/// OpenMP regions — it must be nestable inside an outer parallel region
-/// (the batch scheduler runs one per worker), and it is what a
-/// one-worker context runs.
+/// Algorithm 1 after the seed, for worker `tid` of `nw` (see step()):
+/// steps until the frontier drains or a step boundary meets the run's
+/// goals, scanning for the next d_i in between.
 ///
 /// Targeted early termination: when ctx.has_targets(), the run stops at
 /// the first STEP boundary with every stamped target settled. Vertices
 /// marked settled mid-step can still improve while the annulus converges,
 /// so the check only ever fires between steps, where Theorem 3.1 makes
 /// every settled distance final — the exit is exact.
-void run_sequential(const Graph& g, Vertex source,
-                    const std::vector<Dist>& radius, QueryContext& ctx,
-                    RunStats& local) {
-  Phases phases(g, radius, ctx, ctx.search());
-  std::vector<Worker>& workers = ctx.search().workers(1);
-  Worker& me = workers[0];
-
-  phases.seed(me, source);
+template <bool kShared>
+void step_loop(Phases& phases, std::vector<Worker>& workers,
+               QueryContext::ChunkCursor* cursors, std::size_t tid, int nw,
+               RunStats& local) {
   // Round distance of the previous step (d_{i-1}). Vertices with
   // delta <= prev_di are exactly S_{i-1} (Theorem 3.1): final, safe to skip
   // as relaxation targets. d_0 = 0 covers the source.
   Dist prev_di = 0;
-  // The entry check covers requests whose targets are already settled
-  // (source-only target sets); the per-step check is at the bottom.
-  while (me.pending_di != kInfDist) {
-    if (phases.goals_met(workers, 1)) {
-      local.early_exit = true;
-      break;
+  for (;;) {
+    const Dist di = step<kShared, false>(phases, workers, cursors, tid, nw,
+                                         prev_di, local);
+    if (di == kInfDist) return;  // the frontier is empty
+    // Step boundary: every settled vertex is now final, so a run that has
+    // met its goal — all targets settled, or k vertices for a top-k
+    // request — is done; skip the frontier scan. The counts are stable
+    // until the next gather, which follows the scan's sync.
+    if (phases.goals_met(workers, nw)) {
+      if (tid == 0) local.early_exit = true;
+      return;
     }
-    const Dist di = step_sequential<false>(phases, me, prev_di, local);
-    // Step boundary: every settled vertex is now final (Theorem 3.1), so a
-    // run that has met its goal — all targets settled, or k vertices for a
-    // top-k request — is done; skip the frontier scan entirely.
-    if (phases.goals_met(workers, 1)) {
-      local.early_exit = true;
-      break;
-    }
-    phases.scan(me);
+    phases.scan(workers[tid]);
     prev_di = di;
+    sync<kShared>();
   }
-  phases.finish(workers, 1, local);
 }
 
-/// Two sequential searches that meet (see radius_stepping_meet). Each side
-/// is an ordinary run of Algorithm 1 advanced one whole step at a time, so
-/// at every step boundary the vertices a side has settled are exactly
-/// those within its last step radius, with final distances (Theorem 3.1).
-/// mu starts infinite and is lowered on the original arcs the seeds and
-/// the substeps scan; the run stops at the first boundary where the two
-/// radii reach it, which makes mu = d(source, target)
-/// (docs/ARCHITECTURE.md). Stepping the side with fewer live frontier
-/// vertices keeps the two balls growing at the same cost rather than the
-/// same radius.
+/// Algorithm 1 on num_workers() workers: the seed and the entry check on
+/// the calling thread, then the step loop there (one worker) or in the
+/// query's one OpenMP region. Inside an active region num_workers() is 1,
+/// so a query the batch scheduler runs on one of its workers stays on
+/// that worker.
+void run(const Graph& g, Vertex source, const std::vector<Dist>& radius,
+         QueryContext& ctx, RunStats& local) {
+  const int nw = num_workers();
+  Phases phases(g, radius, ctx, ctx.search());
+  std::vector<Worker>& workers = ctx.search().workers(nw);
+  phases.seed(workers[0], source);
+  // The entry check covers requests whose targets are already settled
+  // (source-only target sets); the loop checks at every step boundary.
+  const bool stepping = workers[0].pending_di != kInfDist;
+  if (!stepping || phases.goals_met(workers, nw)) {
+    local.early_exit = stepping;
+  } else if (nw == 1) {
+    step_loop<false>(phases, workers, nullptr, 0, 1, local);
+  } else {
+    QueryContext::ChunkCursor* cursors = ctx.cursors(nw).data();
+#pragma omp parallel num_threads(nw)
+    step_loop<true>(phases, workers, cursors,
+                    static_cast<std::size_t>(omp_get_thread_num()), nw, local);
+  }
+  phases.finish(workers, nw, local);
+}
+
+/// Two searches that meet (see radius_stepping_meet), on the calling
+/// thread. Each side is an ordinary run of Algorithm 1 advanced one whole
+/// step at a time, so at every step boundary the vertices a side has
+/// settled are exactly those within its last step radius, with final
+/// distances (Theorem 3.1). mu starts infinite and is lowered on the
+/// original arcs the seeds and the substeps scan; the run stops at the
+/// first boundary where the two radii reach it, which makes mu =
+/// d(source, target) (docs/ARCHITECTURE.md). Stepping the side with fewer
+/// live frontier vertices keeps the two balls growing at the same cost
+/// rather than the same radius.
 Meeting run_meet(const Graph& g, Vertex source, Vertex target,
                  const std::vector<Dist>& radius, QueryContext& ctx,
                  RunStats& local) {
@@ -447,173 +562,16 @@ Meeting run_meet(const Graph& g, Vertex source, Vertex target,
       break;
     }
     if (live(f) <= live(b)) {
-      df = step_sequential<true>(fwd, f, df, local);
+      df = step<false, true>(fwd, fw, nullptr, 0, 1, df, local);
       fwd.scan(f);
     } else {
-      db = step_sequential<true>(bwd, b, db, local);
+      db = step<false, true>(bwd, bw, nullptr, 0, 1, db, local);
       bwd.scan(b);
     }
   }
   fwd.finish(fw, 1, local);
   bwd.finish(bw, 1, local);
   return meeting;
-}
-
-/// Vertices per chunk of a parallel relax phase: large enough to amortize
-/// the cursor's atomic add, small enough to balance a hub-heavy list.
-constexpr std::size_t kRelaxChunk = 64;
-
-/// Total size of the active lists of workers [0, nw).
-std::size_t active_total(const std::vector<Worker>& workers, int nw) {
-  std::size_t total = 0;
-  for (int t = 0; t < nw; ++t) {
-    total += workers[static_cast<std::size_t>(t)].active.size();
-  }
-  return total;
-}
-
-/// Calls `f` on every vertex of the chunks of `list` this worker takes
-/// through `cursor`, until the list is drained. Each kRelaxChunk-vertex
-/// chunk goes to exactly one of the workers sharing the cursor.
-template <typename F>
-void take_chunks(const std::vector<Vertex>& list,
-                 std::atomic<std::size_t>& cursor, F&& f) {
-  const std::size_t size = list.size();
-  // The plain load keeps a drained list's cursor line shared instead of
-  // bouncing it between thieves.
-  while (cursor.load(std::memory_order_relaxed) < size) {
-    const std::size_t begin =
-        cursor.fetch_add(kRelaxChunk, std::memory_order_relaxed);
-    const std::size_t end = std::min(begin + kRelaxChunk, size);
-    for (std::size_t i = begin; i < end; ++i) f(list[i]);
-  }
-}
-
-/// Algorithm 1 on `nw` workers in one OpenMP region per query. Each worker
-/// owns frontier buckets, a claim list, and an active list with its chunk
-/// cursor; every pass of a step is split across workers:
-///
-///   Line 4   each worker reads every worker's pending d_i (computed by
-///            the previous scan) and gathers A_i from its own buckets;
-///            barrier.
-///   substep  owner-first relaxation: each worker takes kRelaxChunk-vertex
-///            chunks of its own active list through that list's cursor,
-///            then steals chunks from the other workers' cursors until
-///            every list is drained, claiming lowerings within d_i and
-///            filing those beyond it in its own buckets; barrier. Then
-///            each worker turns its claims into its next active list;
-///            barrier.
-///   boundary every worker evaluates the goals on the same combined
-///            counts, then scans its own buckets for its share of the next
-///            d_i; barrier.
-///
-/// A worker's active list holds the vertices it claimed, so their
-/// distance and claim words are mostly still in its cache; stealing only
-/// moves the tail of a long list, which is what balances hub vertices.
-/// Every chunk is taken exactly once, whoever takes it, so each active
-/// vertex is relaxed once per substep, as under any other split: claims
-/// stay unique and every first touch is recorded once.
-///
-/// Every decision (step loop, substep loop, exit) is taken by every worker
-/// on values no worker writes until after the next barrier, so the team
-/// always leaves the loops together. Same step semantics and early exits
-/// as run_sequential.
-void run_parallel(const Graph& g, Vertex source,
-                  const std::vector<Dist>& radius, QueryContext& ctx,
-                  RunStats& local, int nw) {
-  Search& search = ctx.search();
-  Phases phases(g, radius, ctx, search);
-  std::vector<Worker>& workers = search.workers(nw);
-  std::vector<QueryContext::ChunkCursor>& cursors = ctx.cursors(nw);
-  const bool timed = ctx.trace_phases();
-
-  phases.seed(workers[0], source);
-  // run_sequential's entry check, taken before the region: inside it the
-  // goals are only read at step boundaries.
-  const bool stepping = workers[0].pending_di != kInfDist;
-  if (!stepping || phases.goals_met(workers, nw)) {
-    local.early_exit = stepping;
-    phases.finish(workers, nw, local);
-    return;
-  }
-  // Claims of the first substep need an epoch no earlier claim used; the
-  // lead worker bumps it after every relax phase from then on.
-  search.next_claim_epoch();
-
-#pragma omp parallel num_threads(nw)
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    const bool lead = tid == 0;  // keeps `local` and the claim epoch
-    Worker& me = workers[tid];
-    // Reset whenever `me.active` is refilled; no worker takes a chunk
-    // until the barrier that follows.
-    std::atomic<std::size_t>& my_cursor = cursors[tid].next;
-    Dist prev_di = 0;  // d_{i-1}: delta <= prev_di is S_{i-1}, final
-    for (;;) {
-      // Line 4: d_i = min over the frontier of delta(v) + r(v).
-      Dist di = kInfDist;
-      for (int t = 0; t < nw; ++t) {
-        di = std::min(di, workers[static_cast<std::size_t>(t)].pending_di);
-      }
-      if (di == kInfDist) break;  // the frontier is empty
-      if (lead) ++local.steps;
-      phases.gather(me, di);
-      my_cursor.store(0, std::memory_order_relaxed);
-#pragma omp barrier
-      std::size_t active = active_total(workers, nw);
-      auto t_relax =
-          timed && lead ? TraceClock::now() : TraceClock::time_point{};
-
-      // Lines 5-9: Bellman-Ford substeps until no delta(v) <= d_i changes.
-      std::size_t substeps_this_step = 0;
-      while (active > 0) {
-        ++substeps_this_step;
-        if (lead) local.max_active = std::max(local.max_active, active);
-        std::size_t relaxations = 0;
-        std::size_t scanned = 0;
-        const auto relax = [&](Vertex u) {
-          scanned += phases.relax<true>(me, u, di, prev_di, relaxations);
-        };
-        // Own list first, then the others' in ring order.
-        for (std::size_t s = 0; s < static_cast<std::size_t>(nw); ++s) {
-          const std::size_t owner = (tid + s) % static_cast<std::size_t>(nw);
-          take_chunks(workers[owner].active, cursors[owner].next, relax);
-        }
-        me.relaxations += relaxations;
-        me.edges_scanned += scanned;
-#pragma omp barrier
-        const auto t_drain =
-            timed && lead ? TraceClock::now() : TraceClock::time_point{};
-        if (lead) {
-          if (timed) local.relax_ns += phase_ns(t_relax, t_drain);
-          search.next_claim_epoch();  // nobody claims until the next relax
-        }
-        phases.classify(me);
-        my_cursor.store(0, std::memory_order_relaxed);
-#pragma omp barrier
-        active = active_total(workers, nw);
-        if (timed && lead) {
-          t_relax = TraceClock::now();
-          local.partition_ns += phase_ns(t_drain, t_relax);
-        }
-      }
-      if (lead) {
-        local.substeps += substeps_this_step;
-        local.max_substeps_in_step =
-            std::max(local.max_substeps_in_step, substeps_this_step);
-      }
-      // Step boundary (see run_sequential). The counts are stable until
-      // the next gather, which follows the scan barrier.
-      if (phases.goals_met(workers, nw)) {
-        if (lead) local.early_exit = true;
-        break;
-      }
-      phases.scan(me);
-      prev_di = di;
-#pragma omp barrier
-    }
-  }
-  phases.finish(workers, nw, local);
 }
 
 }  // namespace
@@ -631,12 +589,7 @@ void radius_stepping_partial(const Graph& g, Vertex source,
 
   ctx.begin_query(n);
   RunStats local;
-  const int nw = num_workers();
-  if (ctx.sequential() || nw == 1) {
-    run_sequential(g, source, radius, ctx, local);
-  } else {
-    run_parallel(g, source, radius, ctx, local, nw);
-  }
+  run(g, source, radius, ctx, local);
   local.touched = ctx.search().touched_count();
   if (stats != nullptr) *stats = local;
 }

@@ -1,13 +1,16 @@
 // Radius-Stepping (Algorithm 1) — the paper's primary contribution.
 //
 // The "flat" engine here keeps tentative distances in an atomic array and
-// runs a query in one OpenMP region: each Bellman-Ford substep is a
-// parallel edge-map with WriteMin, and the A_i/B_i partition, the step
-// boundary d_i and the gather run on per-worker lists and distance
-// buckets (the frontier; docs/ARCHITECTURE.md, "The bucketed frontier"),
-// two barriers per substep. This is the engine a practical implementation
-// uses (Algorithm 2's ordered-set form is the test reference in
-// core/rs_bst.hpp and produces identical results).
+// writes Algorithm 1 once, as one step routine for worker t of a team of
+// num_workers(). A team runs a query in one OpenMP region: each
+// Bellman-Ford substep is a parallel edge-map with WriteMin, and the
+// A_i/B_i partition, the step boundary d_i and the gather run on
+// per-worker lists and distance buckets (the frontier;
+// docs/ARCHITECTURE.md, "The bucketed frontier"), two barriers per
+// substep. One worker runs the same routine on the calling thread with
+// plain stores and no barriers. This is the engine a practical
+// implementation uses (Algorithm 2's ordered-set form is the test
+// reference in core/rs_bst.hpp and produces identical results).
 //
 // Given radii from preprocessing (r(v) = r_rho(v) on a (k, rho)-graph) the
 // run obeys the paper's bounds: <= ceil(n/rho) * (1 + ceil(log2(rho * L)))
@@ -37,11 +40,11 @@ std::vector<Dist> radius_stepping(const Graph& g, Vertex source,
 
 /// Context-reusing form: identical results, but all scratch state lives in
 /// `ctx` (zero engine allocations once the context is warm) and distances
-/// are written into `out`. Honors ctx.sequential(): in sequential mode the
-/// whole query runs on the calling thread with no atomics or OpenMP
-/// regions, so it can execute inside an outer source-parallel batch. A
-/// context at num_workers() == 1 runs the same sequential twin.
-/// Always runs to exhaustion (any stale target stamps are cleared).
+/// are written into `out`. At num_workers() == 1 — one worker, or a call
+/// from inside an active OpenMP region such as an outer source-parallel
+/// batch — the whole query runs on the calling thread with no atomic
+/// read-modify-writes and no OpenMP region. Always runs to exhaustion
+/// (any stale target stamps are cleared).
 void radius_stepping(const Graph& g, Vertex source,
                      const std::vector<Dist>& radius, QueryContext& ctx,
                      std::vector<Dist>& out, RunStats* stats = nullptr);
@@ -72,14 +75,14 @@ struct Meeting {
 
 /// One-target serving primitive on a SYMMETRIC (k, rho)-graph whose
 /// original arcs precede the shortcut segment (merge_edges' layout): two
-/// sequential radius-stepping searches on the same graph and radii,
+/// radius-stepping searches on the same graph and radii,
 /// forward from `source` in ctx.search() and backward from `target` in
 /// ctx.backward(). Whole steps alternate, the side with fewer live
 /// frontier vertices stepping next, until a frontier drains or the last
 /// step radii d_f + d_b reach the best connection mu, lowered on original
 /// arcs whose far end the other side has settled (docs/ARCHITECTURE.md,
-/// "Bidirectional one-target exactness"). Always sequential, whatever
-/// ctx.sequential() says. RunStats sum both searches; early_exit is set
+/// "Bidirectional one-target exactness"). Always on the calling thread,
+/// at any worker count. RunStats sum both searches; early_exit is set
 /// only when the meeting rule stopped the run before either frontier
 /// drained. Restore the context with ctx.reset_touched().
 Meeting radius_stepping_meet(const Graph& g, Vertex source, Vertex target,

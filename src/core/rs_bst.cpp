@@ -8,20 +8,19 @@
 #include <omp.h>
 
 #include "parallel/primitives.hpp"
-#include "pset/flat_set.hpp"
 #include "pset/treap.hpp"
 
 namespace rs {
 namespace {
 
 using Key = std::pair<Dist, Vertex>;
+using OrderedSet = Treap<Key>;
 
-/// Algorithm 2 over any ordered set providing empty/min/insert/erase/
-/// split_leq/union_with/subtract/from_sorted/to_vector on Key.
-template <typename OrderedSet>
-std::vector<Dist> radius_stepping_ordered(const Graph& g, Vertex source,
-                                          const std::vector<Dist>& radius,
-                                          RunStats* stats) {
+}  // namespace
+
+std::vector<Dist> radius_stepping_bst(const Graph& g, Vertex source,
+                                      const std::vector<Dist>& radius,
+                                      RunStats* stats) {
   const Vertex n = g.num_vertices();
   if (radius.size() != n) {
     throw std::invalid_argument("radius_stepping_bst: radius size mismatch");
@@ -186,20 +185,6 @@ std::vector<Dist> radius_stepping_ordered(const Graph& g, Vertex source,
       dist.begin(), dist.end(), [](Dist d) { return d != kInfDist; }));
   if (stats != nullptr) *stats = local;
   return dist;
-}
-
-}  // namespace
-
-std::vector<Dist> radius_stepping_bst(const Graph& g, Vertex source,
-                                      const std::vector<Dist>& radius,
-                                      RunStats* stats) {
-  return radius_stepping_ordered<Treap<Key>>(g, source, radius, stats);
-}
-
-std::vector<Dist> radius_stepping_flatset(const Graph& g, Vertex source,
-                                          const std::vector<Dist>& radius,
-                                          RunStats* stats) {
-  return radius_stepping_ordered<FlatSet<Key>>(g, source, radius, stats);
 }
 
 }  // namespace rs

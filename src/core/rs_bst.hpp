@@ -28,11 +28,4 @@ std::vector<Dist> radius_stepping_bst(const Graph& g, Vertex source,
                                       const std::vector<Dist>& radius,
                                       RunStats* stats = nullptr);
 
-/// The same Algorithm 2 on the flat sorted array (pset/flat_set.hpp):
-/// O(n)-copy bulk operations instead of the treap's O(p log q). Identical
-/// results; shows the analysis only needs the ordered-set interface.
-std::vector<Dist> radius_stepping_flatset(const Graph& g, Vertex source,
-                                          const std::vector<Dist>& radius,
-                                          RunStats* stats = nullptr);
-
 }  // namespace rs

@@ -33,58 +33,6 @@ std::vector<Vertex> connected_components(const Graph& g) {
   return comp;
 }
 
-std::vector<Vertex> connected_components_parallel(const Graph& g) {
-  const Vertex n = g.num_vertices();
-  std::vector<std::atomic<Vertex>> label(n);
-  parallel_for(0, n, [&](std::size_t i) {
-    label[i].store(static_cast<Vertex>(i), std::memory_order_relaxed);
-  });
-  // Min-label propagation with pointer-jumping-style shortcutting: each
-  // round pushes the minimum over neighbours, then compresses label chains.
-  bool changed = true;
-  while (changed) {
-    std::atomic<bool> any{false};
-    parallel_for(0, n, [&](std::size_t vi) {
-      const Vertex v = static_cast<Vertex>(vi);
-      Vertex best = label[v].load(std::memory_order_relaxed);
-      for (const Vertex u : g.neighbors(v)) {
-        best = std::min(best, label[u].load(std::memory_order_relaxed));
-      }
-      Vertex cur = label[v].load(std::memory_order_relaxed);
-      while (best < cur) {
-        if (label[v].compare_exchange_weak(cur, best,
-                                           std::memory_order_relaxed)) {
-          any.store(true, std::memory_order_relaxed);
-          break;
-        }
-      }
-    }, /*grain=*/512);
-    // Shortcut: label[v] <- label[label[v]] until stable (cheap compression
-    // pass; safe because labels only decrease).
-    parallel_for(0, n, [&](std::size_t vi) {
-      Vertex l = label[vi].load(std::memory_order_relaxed);
-      Vertex ll = label[l].load(std::memory_order_relaxed);
-      while (ll < l) {
-        l = ll;
-        ll = label[l].load(std::memory_order_relaxed);
-      }
-      label[vi].store(l, std::memory_order_relaxed);
-    }, /*grain=*/512);
-    changed = any.load(std::memory_order_relaxed);
-  }
-  // Densify: first-seen order over vertex ids, matching the sequential
-  // routine's numbering (component of vertex 0 is 0, etc.).
-  std::vector<Vertex> out(n);
-  std::vector<Vertex> dense(n, kNoVertex);
-  Vertex next = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    const Vertex root = label[v].load(std::memory_order_relaxed);
-    if (dense[root] == kNoVertex) dense[root] = next++;
-    out[v] = dense[root];
-  }
-  return out;
-}
-
 bool is_connected(const Graph& g) {
   if (g.num_vertices() == 0) return true;
   const std::vector<Vertex> comp = connected_components(g);

@@ -13,13 +13,6 @@ namespace rs {
 /// Component id per vertex, ids dense in [0, #components).
 std::vector<Vertex> connected_components(const Graph& g);
 
-/// Parallel label propagation: each round every vertex adopts the minimum
-/// label in its closed neighbourhood until a fixed point. Labels are then
-/// densified. Same output as connected_components (component ids may map
-/// differently but partition identically; this one guarantees the minimum
-/// vertex id semantics internally and densifies in first-seen order).
-std::vector<Vertex> connected_components_parallel(const Graph& g);
-
 bool is_connected(const Graph& g);
 
 /// True when, for every pair u != v, the lightest u->v arc weighs the same

@@ -42,7 +42,10 @@ std::atomic<int>& worker_count() {
 }
 }  // namespace
 
-int num_workers() { return worker_count().load(std::memory_order_relaxed); }
+int num_workers() {
+  if (omp_in_parallel()) return 1;
+  return worker_count().load(std::memory_order_relaxed);
+}
 
 void set_num_workers(int n) {
   if (n < 1) n = 1;

@@ -20,7 +20,10 @@ namespace rs {
 
 /// Returns the number of worker threads the parallel primitives will use
 /// (every region they open is capped at this count, whatever the OpenMP
-/// default).
+/// default). Inside an active OpenMP region it is 1: the caller is already
+/// one worker of a team, and a region it opened would get one thread
+/// anyway (OpenMP allows one active level by default), so the primitives
+/// and engines run inline there.
 int num_workers();
 
 /// Sets the number of worker threads (clamped to >= 1). Affects all

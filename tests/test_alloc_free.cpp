@@ -1,8 +1,9 @@
 // Pins the zero-allocation contract of the warm serving hot path by
 // REPLACING the global allocator with a counting one: after a warm-up
-// query, a sequential-mode query through a reused QueryContext must
-// perform ZERO heap allocations in the engine — for a full query, a
-// targeted serve with paths, and a cached serve.
+// query, a one-worker query through a reused QueryContext must perform
+// ZERO heap allocations in the engine — for a full query, a targeted
+// serve with paths, and a cached serve. (A team's OpenMP region is the
+// runtime's to allocate; these pins cover the engine's own state.)
 //
 // The counter only ticks between arm()/disarm(), so gtest's own setup
 // allocations don't pollute the measurement. Measured queries reuse the
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "baseline/dijkstra.hpp"
@@ -79,8 +81,8 @@ Graph test_graph() {
 TEST(AllocFree, WarmSequentialFlatQueryAllocatesNothing) {
   const Graph g = test_graph();
   const auto radius = all_radii(g, 10);
+  const test::WorkerGuard one(1);
   QueryContext ctx;
-  ctx.set_sequential(true);
   std::vector<Dist> out;
   radius_stepping(g, 3, radius, ctx, out);  // warm-up
   ASSERT_EQ(out, dijkstra(g, 3));
@@ -112,8 +114,8 @@ TEST(AllocFree, WarmTargetedServeAllocatesNothing) {
   req.targets = {37, 220, 338};
   req.want_paths = true;
 
+  const test::WorkerGuard one(1);
   QueryContext ctx;
-  ctx.set_sequential(true);
   QueryResponse resp;
   engine.serve(req, ctx, resp);  // warm-up (also builds the transpose)
   const QueryResponse full = engine.serve(test::full_request(3));
@@ -136,11 +138,11 @@ TEST(AllocFree, WarmTargetedServeAllocatesNothing) {
 }
 
 TEST(AllocFree, WarmOneTargetServeAllocatesNothing) {
-  // A one-target serve runs two searches that meet, on a sequential
-  // context and on a default one alike. The backward search is built by
-  // the first such request; after that a warm serve allocates nothing,
-  // with or without a path (both closure walks write into the response's
-  // own path buffer).
+  // A one-target serve runs two searches that meet on the calling thread,
+  // at one worker and at the default worker count alike. The backward
+  // search is built by the first such request; after that a warm serve
+  // allocates nothing, with or without a path (both closure walks write
+  // into the response's own path buffer).
   const Graph g = test_graph();
   PreprocessOptions opts;
   opts.rho = 10;
@@ -148,15 +150,16 @@ TEST(AllocFree, WarmOneTargetServeAllocatesNothing) {
   const SsspEngine engine(g, opts);
   const QueryResponse full = engine.serve(test::full_request(3));
 
-  for (const bool sequential : {true, false}) {
+  for (const bool one_worker : {true, false}) {
     for (const bool paths : {false, true}) {
       QueryRequest req;
       req.source = 3;
       req.targets = {338};
       req.want_paths = paths;
 
+      std::optional<test::WorkerGuard> one;
+      if (one_worker) one.emplace(1);
       QueryContext ctx;
-      ctx.set_sequential(sequential);
       QueryResponse resp;
       engine.serve(req, ctx, resp);  // warm-up (builds the backward search)
       ASSERT_EQ(resp.targets[0].dist, full.dist[338]);
@@ -168,7 +171,7 @@ TEST(AllocFree, WarmOneTargetServeAllocatesNothing) {
         measured = window.count();
       }
       EXPECT_EQ(measured, 0u)
-          << "sequential=" << sequential << " want_paths=" << paths;
+          << "one_worker=" << one_worker << " want_paths=" << paths;
       ASSERT_EQ(resp.targets.size(), 1u);
       EXPECT_EQ(resp.targets[0].dist, full.dist[338]);  // still exact
       EXPECT_TRUE(resp.stats.early_exit);  // the searches met
@@ -198,8 +201,8 @@ TEST(AllocFree, WarmCachedTargetedServeAllocatesNothing) {
   req.source = 3;
   req.targets = {37, 220, 338};
 
+  const test::WorkerGuard one(1);
   QueryContext ctx;
-  ctx.set_sequential(true);
   QueryResponse resp;
   serve::cached_serve(engine, cache, req, ctx, resp);  // owner: builds row
   serve::cached_serve(engine, cache, req, ctx, resp);  // warms the hit path

@@ -1,6 +1,5 @@
-// Extended baselines: direction-optimizing BFS, parallel connected
-// components, random geometric graphs, and the Ullman–Yannakakis hub
-// shortcutting (the paper's Section-6 related-work technique).
+// Extended baselines: random geometric graphs and the Ullman–Yannakakis
+// hub shortcutting (the paper's Section-6 related-work technique).
 #include <gtest/gtest.h>
 
 #include "baseline/bfs.hpp"
@@ -13,57 +12,6 @@
 
 namespace rs {
 namespace {
-
-class DirOptBfsTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(DirOptBfsTest, MatchesPlainBfsEverywhere) {
-  for (const auto& [name, g] : test::unweighted_suite(GetParam())) {
-    std::size_t plain_rounds = 0;
-    std::size_t opt_rounds = 0;
-    const auto plain = bfs(g, 0, &plain_rounds);
-    const auto opt = bfs_direction_optimizing(g, 0, &opt_rounds);
-    EXPECT_EQ(opt, plain) << name;
-    EXPECT_EQ(opt_rounds, plain_rounds) << name;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DirOptBfsTest, ::testing::Range(1, 4));
-
-TEST(DirOptBfs, ForcedBottomUpStillCorrect) {
-  // alpha = 0 forces bottom-up from round one.
-  const Graph g = gen::barabasi_albert(2000, 5, 9);
-  EXPECT_EQ(bfs_direction_optimizing(g, 3, nullptr, 0.0), bfs(g, 3));
-}
-
-TEST(DirOptBfs, ForcedTopDownStillCorrect) {
-  // alpha = 1 never switches.
-  const Graph g = gen::grid2d(30, 30);
-  EXPECT_EQ(bfs_direction_optimizing(g, 7, nullptr, 1.0), bfs(g, 7));
-}
-
-TEST(ParallelCC, MatchesSequentialPartition) {
-  const Graph g = gen::erdos_renyi(2000, 2200, 11);  // several components
-  const auto seq = connected_components(g);
-  const auto par = connected_components_parallel(g);
-  ASSERT_EQ(seq.size(), par.size());
-  // Same partition: labels agree pairwise.
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    for (const Vertex u : g.neighbors(v)) {
-      EXPECT_EQ(par[u], par[v]);
-    }
-  }
-  EXPECT_EQ(seq, par);  // identical densified numbering (first-seen order)
-}
-
-TEST(ParallelCC, SingleComponentAndIsolated) {
-  const Graph connected = gen::grid2d(12, 12);
-  const auto cc = connected_components_parallel(connected);
-  for (const Vertex c : cc) EXPECT_EQ(c, 0u);
-
-  const Graph isolated = build_graph(4, {});
-  const auto iso = connected_components_parallel(isolated);
-  EXPECT_EQ(iso, (std::vector<Vertex>{0, 1, 2, 3}));
-}
 
 TEST(RandomGeometric, StructureAndDeterminism) {
   const Graph g = gen::random_geometric(3000, 0.05, 5);

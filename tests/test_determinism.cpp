@@ -19,16 +19,7 @@
 namespace rs {
 namespace {
 
-/// RAII worker-count override so a failing assertion can't leak a weird
-/// thread count into later tests.
-class WorkerGuard {
- public:
-  explicit WorkerGuard(int n) : before_(num_workers()) { set_num_workers(n); }
-  ~WorkerGuard() { set_num_workers(before_); }
-
- private:
-  int before_;
-};
+using test::WorkerGuard;
 
 constexpr int kManyWorkers = 8;  // oversubscribed on small CI boxes — good
 

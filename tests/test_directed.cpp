@@ -69,7 +69,6 @@ TEST_P(DirectedTest, AllEnginesHandleDirectedGraphs) {
   EXPECT_EQ(radius_stepping(g, src, constant_radii(n, 25)), ref);
   EXPECT_EQ(radius_stepping(g, src, bellman_ford_radii(n)), ref);
   EXPECT_EQ(radius_stepping_bst(g, src, constant_radii(n, 25)), ref);
-  EXPECT_EQ(radius_stepping_flatset(g, src, constant_radii(n, 25)), ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DirectedTest, ::testing::Range(0, 6));

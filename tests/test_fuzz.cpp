@@ -141,19 +141,14 @@ TEST_P(AdversarialFuzzTest, EnginesExactOnDirectedSelfLoopMultigraphs) {
           << c.name << " src " << src;
       ASSERT_EQ(radius_stepping(c.graph, src, bellman_ford_radii(n)), ref)
           << c.name << " src " << src;
-      // Both Algorithm 2 references take the flat engine's step sequence.
+      // The Algorithm 2 reference takes the flat engine's step sequence.
       const auto radius = constant_radii(n, 33);
-      RunStats flat_stats, bst_stats, flatset_stats;
+      RunStats flat_stats, bst_stats;
       ASSERT_EQ(radius_stepping(c.graph, src, radius, &flat_stats), ref)
           << c.name << " src " << src;
       ASSERT_EQ(radius_stepping_bst(c.graph, src, radius, &bst_stats), ref)
           << c.name << " src " << src;
-      ASSERT_EQ(radius_stepping_flatset(c.graph, src, radius, &flatset_stats),
-                ref)
-          << c.name << " src " << src;
       ASSERT_EQ(bst_stats.steps, flat_stats.steps) << c.name << " src " << src;
-      ASSERT_EQ(flatset_stats.steps, flat_stats.steps)
-          << c.name << " src " << src;
     }
   }
 }

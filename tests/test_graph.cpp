@@ -11,6 +11,7 @@
 #include "graph/types.hpp"
 #include "parallel/primitives.hpp"
 #include "parallel/rng.hpp"
+#include "test_util.hpp"
 
 namespace rs {
 namespace {
@@ -170,15 +171,6 @@ std::vector<EdgeTriple> random_triples(Vertex n) {
   return t;
 }
 
-class WorkerCount {
- public:
-  explicit WorkerCount(int n) : before_(num_workers()) { set_num_workers(n); }
-  ~WorkerCount() { set_num_workers(before_); }
-
- private:
-  int before_;
-};
-
 TEST(Builder, RandomTriplesMatchSortReference) {
   const Vertex n = 50'000;
   const std::vector<EdgeTriple> triples = random_triples(n);
@@ -189,7 +181,7 @@ TEST(Builder, RandomTriplesMatchSortReference) {
     opts.remove_self_loops = (mask & 4) != 0;
     const Graph want = reference_build(n, triples, opts);
     for (const int workers : {1, 3, 8}) {
-      const WorkerCount guard(workers);
+      const test::WorkerGuard guard(workers);
       EXPECT_EQ(build_graph(n, triples, opts), want)
           << "symmetrize=" << opts.symmetrize << " dedup=" << opts.dedup
           << " remove_self_loops=" << opts.remove_self_loops
@@ -264,7 +256,7 @@ TEST(MergeEdges, OverlappingBaseMatchesSortReference) {
   all.insert(all.end(), extra.begin(), extra.end());
   const Graph want = reference_build(n, std::move(all), BuildOptions{});
   for (const int workers : {1, 3, 8}) {
-    const WorkerCount guard(workers);
+    const test::WorkerGuard guard(workers);
     const Graph merged = merge_edges(base, extra);
     // The arc set is the reference's; only the order within a list moved.
     EXPECT_EQ(merged.with_target_sorted_adjacency(), want)

@@ -18,11 +18,7 @@
 namespace rs {
 namespace {
 
-/// Restores the global worker count on scope exit.
-struct WorkerGuard {
-  int before = num_workers();
-  ~WorkerGuard() { set_num_workers(before); }
-};
+using test::WorkerGuard;
 
 std::vector<WeightUpdate> random_updates(const Graph& g, std::size_t count,
                                          std::mt19937& rng) {

@@ -16,6 +16,7 @@
 #include "parallel/primitives.hpp"
 #include "parallel/rng.hpp"
 #include "shortcut/shortcut.hpp"
+#include "test_util.hpp"
 
 namespace rs {
 namespace {
@@ -125,7 +126,7 @@ TEST(Integration, ThreadCountSweepIsInvariant) {
   const PreprocessResult pre = preprocess(g, opts);
   const auto ref = radius_stepping(pre.graph, 0, pre.radius);
 
-  const int before = num_workers();
+  const test::WorkerGuard guard;
   for (const int workers : {1, 2, 3, 8}) {
     set_num_workers(workers);
     // Radii and shortcuts must also be schedule-independent.
@@ -134,7 +135,6 @@ TEST(Integration, ThreadCountSweepIsInvariant) {
     EXPECT_EQ(pre2.graph, pre.graph) << workers;
     EXPECT_EQ(radius_stepping(pre2.graph, 0, pre2.radius), ref) << workers;
   }
-  set_num_workers(before);
 }
 
 TEST(Integration, MultiSourceConsistencyTriangleInequality) {

@@ -9,6 +9,7 @@
 
 #include "parallel/rng.hpp"
 #include "parallel/write_min.hpp"
+#include "test_util.hpp"
 
 namespace rs {
 namespace {
@@ -24,14 +25,14 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 TEST(ParallelFor, TeamNeverWiderThanNumWorkers) {
   // The OpenMP default team can be wider than num_workers() (RS_THREADS
   // sets only the latter; anyone may call omp_set_num_threads later).
-  const int before = num_workers();
-  set_num_workers(2);
-  omp_set_num_threads(4);
   std::atomic<int> widest{0};
-  parallel_for(0, 100'000, [&](std::size_t) {
-    write_max(widest, omp_get_num_threads());
-  });
-  set_num_workers(before);
+  {
+    const test::WorkerGuard guard(2);
+    omp_set_num_threads(4);
+    parallel_for(0, 100'000, [&](std::size_t) {
+      write_max(widest, omp_get_num_threads());
+    });
+  }
   EXPECT_GE(widest.load(), 1);
   EXPECT_LE(widest.load(), 2);
 }
@@ -219,11 +220,31 @@ TEST(SplitRng, UniformInUnitInterval) {
 
 TEST(Workers, SetAndRestore) {
   const int before = num_workers();
-  set_num_workers(2);
-  EXPECT_EQ(num_workers(), 2);
-  set_num_workers(0);  // clamps to 1
-  EXPECT_EQ(num_workers(), 1);
-  set_num_workers(before);
+  {
+    const test::WorkerGuard guard(2);
+    EXPECT_EQ(num_workers(), 2);
+    set_num_workers(0);  // clamps to 1
+    EXPECT_EQ(num_workers(), 1);
+  }
+  EXPECT_EQ(num_workers(), before);
+}
+
+TEST(Workers, OneInsideAnActiveRegion) {
+  // A caller inside a team is one worker of it, so the primitives and
+  // engines it calls run inline; a region with one thread is not active.
+  const test::WorkerGuard guard(3);
+  int team = 0;
+  int inside = 0;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    {
+      team = omp_get_num_threads();
+      inside = num_workers();
+    }
+  }
+  EXPECT_EQ(inside, team == 2 ? 1 : 3) << "team of " << team;
+  EXPECT_EQ(num_workers(), 3);
 }
 
 TEST(Env, Int64FallbackAndParse) {

@@ -1,7 +1,7 @@
 // Batch-serving equivalence suite: serve_batch's two-level scheduler and
 // the reusable QueryContext must be invisible to callers — batched results
 // bit-identical to sequential per-source queries, warm contexts identical
-// to fresh ones, sequential engine twins identical to the parallel ones —
+// to fresh ones, one-worker runs identical to a team's —
 // over the weighted suite AND the adversarial (directed / self-loop /
 // multigraph) palette, at several worker counts.
 #include <gtest/gtest.h>
@@ -23,11 +23,7 @@
 namespace rs {
 namespace {
 
-/// Restores the global worker count on scope exit.
-struct WorkerGuard {
-  int before = num_workers();
-  ~WorkerGuard() { set_num_workers(before); }
-};
+using test::WorkerGuard;
 
 /// Engine wrapper that skips preprocessing (constant radii, no shortcuts)
 /// so directed/multigraph inputs stay exactly as built.
@@ -62,7 +58,7 @@ TEST(QueryBatch, MatchesSequentialQueriesOnWeightedSuite) {
       ref.push_back(engine.serve(test::full_request(s)));
     }
 
-    // 1 worker: sequential-twin batch loop; 3 workers: batch narrower than
+    // 1 worker: one-worker batch loop; 3 workers: batch narrower than
     // 8 sources -> source-parallel; 8+: dynamic schedule with idle workers.
     for (const int nw : {1, 3, 8}) {
       set_num_workers(nw);
@@ -177,11 +173,13 @@ TEST(QueryContext, SequentialTwinMatchesParallelEngine) {
   QueryContext par_ctx;
   for (const auto& [name, g] : test::weighted_suite(17)) {
     const auto radius = all_radii(g, 8);
-    QueryContext ctx;
-    ctx.set_sequential(true);
     std::vector<Dist> seq;
     RunStats seq_stats;
-    radius_stepping(g, 1, radius, ctx, seq, &seq_stats);
+    {
+      const WorkerGuard one(1);
+      QueryContext ctx;
+      radius_stepping(g, 1, radius, ctx, seq, &seq_stats);
+    }
     EXPECT_GE(seq_stats.substeps, seq_stats.steps) << name;
     for (const int nw : {2, 3, 8}) {
       set_num_workers(nw);
@@ -202,18 +200,20 @@ TEST(QueryContext, SequentialTwinMatchesParallelEngine) {
 }
 
 TEST(QueryContext, SequentialUnweightedTwinMatches) {
-  // Unit weights give wide distance-tie classes: the sequential twin and
-  // the parallel body must agree on them, and both must equal BFS.
+  // Unit weights give wide distance-tie classes: one worker and a team of
+  // four must agree on them, and both must equal BFS.
   WorkerGuard guard;
   set_num_workers(4);
   for (const auto& [name, g] : test::unweighted_suite(19)) {
     const auto radius = all_radii(g, 6);
     RunStats par_stats, seq_stats;
     const auto par = radius_stepping(g, 0, radius, &par_stats);
-    QueryContext ctx;
-    ctx.set_sequential(true);
     std::vector<Dist> seq;
-    radius_stepping(g, 0, radius, ctx, seq, &seq_stats);
+    {
+      const WorkerGuard one(1);
+      QueryContext ctx;
+      radius_stepping(g, 0, radius, ctx, seq, &seq_stats);
+    }
     EXPECT_EQ(seq, par) << name;
     EXPECT_EQ(seq, bfs(g, 0)) << name;
     EXPECT_EQ(seq_stats.steps, par_stats.steps) << name;
@@ -246,11 +246,13 @@ TEST(RunStats, ZeroRadiiScanEachReachableArcOnce) {
     if (std::count(ref.begin(), ref.end(), kInfDist) == 0) {
       EXPECT_EQ(want, g.num_edges()) << name;
     }
-    QueryContext seq_ctx;
-    seq_ctx.set_sequential(true);
     std::vector<Dist> got;
     RunStats stats;
-    radius_stepping(g, 0, radius, seq_ctx, got, &stats);
+    {
+      const WorkerGuard one(1);
+      QueryContext seq_ctx;
+      radius_stepping(g, 0, radius, seq_ctx, got, &stats);
+    }
     EXPECT_EQ(got, ref) << name;
     EXPECT_EQ(stats.edges_scanned, want) << name << " sequential";
     for (const int nw : {2, 3, 8}) {
@@ -291,8 +293,8 @@ TEST(QueryContext, BaselinesReuseOneContext) {
 }
 
 TEST(QueryContext, BaselinesExactOnAdversarialSuite) {
+  const WorkerGuard one(1);
   QueryContext ctx;
-  ctx.set_sequential(true);
   for (const auto& [name, g] : test::adversarial_suite(7)) {
     const auto ref = dijkstra(g, 1);
     std::vector<Dist> got;

@@ -116,11 +116,8 @@ TEST_P(SubstepBoundTest, MaxSubstepsWithinKPlusTwo) {
   const auto [k, heuristic] = GetParam();
   const Vertex effective_k =
       heuristic == ShortcutHeuristic::kFull1Rho ? 1 : k;
-  const int default_workers = num_workers();
-  struct RestoreWorkers {
-    int n;
-    ~RestoreWorkers() { set_num_workers(n); }
-  } restore{default_workers};
+  const test::WorkerGuard guard;
+  const int default_workers = guard.before();
   // The shipped default rho runs under every check below too.
   for (const Vertex rho : {12u, 64u, PreprocessOptions{}.rho}) {
     std::uint64_t scanned_pruned = 0;
@@ -248,12 +245,10 @@ TEST(RadiusStepping, DeterministicAcrossRunsAndThreadCounts) {
   RunStats s1, s2, s4;
   const auto d1 = radius_stepping(g, 3, radius, &s1);
 
-  const int before = num_workers();
-  set_num_workers(1);
+  const test::WorkerGuard guard(1);
   const auto d2 = radius_stepping(g, 3, radius, &s2);
   set_num_workers(4);
   const auto d4 = radius_stepping(g, 3, radius, &s4);
-  set_num_workers(before);
 
   EXPECT_EQ(d1, d2);
   EXPECT_EQ(d1, d4);

@@ -20,8 +20,9 @@
 namespace rs {
 namespace {
 
-/// Team sizes every flat-engine check below runs at: the sequential twin,
-/// even and odd teams, and an oversubscribed one.
+/// Team sizes every flat-engine check below runs at: one worker (the step
+/// routine on the calling thread), even and odd teams, and an
+/// oversubscribed one.
 constexpr int kTeams[] = {1, 2, 3, 8};
 
 /// Runs the flat engine from `source` at every size in kTeams, on one
@@ -33,7 +34,7 @@ void expect_flat_matches_bst(const Graph& g, Vertex source,
   RunStats bst_stats;
   const auto bst = radius_stepping_bst(g, source, radius, &bst_stats);
   ASSERT_EQ(bst, dijkstra(g, source)) << what;
-  const int before = num_workers();
+  const test::WorkerGuard guard;
   QueryContext ctx;
   std::vector<Dist> flat;
   for (const int team : kTeams) {
@@ -45,7 +46,6 @@ void expect_flat_matches_bst(const Graph& g, Vertex source,
     EXPECT_EQ(stats.settled, bst_stats.settled)
         << what << " workers=" << team;
   }
-  set_num_workers(before);
 }
 
 class EngineEquivalenceTest

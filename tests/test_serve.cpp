@@ -52,11 +52,7 @@
 namespace rs {
 namespace {
 
-/// Restores the global worker count on scope exit.
-struct WorkerGuard {
-  int before = num_workers();
-  ~WorkerGuard() { set_num_workers(before); }
-};
+using test::WorkerGuard;
 
 /// Engine wrapper that skips preprocessing (constant radii, no shortcuts)
 /// so directed/multigraph/unit-weight inputs stay exactly as built.
@@ -298,11 +294,11 @@ TEST(Serve, EarlyExitPathsAreGenuineShortestPaths) {
 
 TEST(Serve, BatchMatchesIndividualServesWithMixedRequests) {
   // The batch contract (SsspEngine::serve_batch): bit-identical to
-  // serve() on a SEQUENTIAL context, which is how the batch runs at one
+  // serve() at one worker, which is how the batch runs each query at one
   // worker and on the request-parallel path (10 requests >= 3 or 8
-  // workers). serve() on an intra-query parallel context runs the
-  // multi-target and full requests in parallel, so at nw > 1 a fresh
-  // serve() must match the batch's distances only.
+  // workers). serve() at several workers runs the multi-target and full
+  // requests on a team, so at nw > 1 a fresh serve() must match the
+  // batch's distances only.
   WorkerGuard guard;
   const Graph g = assign_uniform_weights(gen::road_network(14, 14, 3), 9);
   PreprocessOptions opts;
@@ -325,11 +321,13 @@ TEST(Serve, BatchMatchesIndividualServesWithMixedRequests) {
     requests.push_back(std::move(req));
   }
 
-  QueryContext sequential;
-  sequential.set_sequential(true);
   std::vector<QueryResponse> ref;
-  for (const QueryRequest& req : requests) {
-    ref.push_back(engine.serve(req, sequential));
+  {
+    const WorkerGuard one(1);
+    QueryContext ctx;
+    for (const QueryRequest& req : requests) {
+      ref.push_back(engine.serve(req, ctx));
+    }
   }
 
   for (const int nw : {1, 3, 8}) {
@@ -726,10 +724,11 @@ TEST(TopK, UnitWeightGridWithTies) {
 // --- One target on a shortcut engine: two searches that meet --------------
 
 /// Every route a one-target request can take, each of which runs the two
-/// searches on one thread: a one-worker engine, a set_sequential(true)
-/// context at the default worker count, serve_batch at three workers
-/// (request-parallel, one sequential context per worker: needs at least
-/// three requests), serve() on a default context at four workers, and
+/// searches on one thread: a one-worker engine, serve() from the one
+/// thread a `single` construct picks in an active two-thread OpenMP
+/// region at the default worker count, serve_batch at three workers
+/// (request-parallel, one query per worker: needs at least three
+/// requests), serve() on a default context at four workers, and
 /// serve_batch at four workers one request at a time (a batch narrower
 /// than the team, as a server's). One response list per route, in request
 /// order.
@@ -739,9 +738,10 @@ std::vector<std::vector<QueryResponse>> serve_every_route(
   std::vector<std::vector<QueryResponse>> out(5);
   set_num_workers(1);
   for (const QueryRequest& req : requests) out[0].push_back(engine.serve(req));
-  set_num_workers(guard.before);
+  set_num_workers(guard.before());
   QueryContext ctx;
-  ctx.set_sequential(true);
+#pragma omp parallel num_threads(2)
+#pragma omp single
   for (const QueryRequest& req : requests) {
     out[1].push_back(engine.serve(req, ctx));
   }
@@ -938,10 +938,11 @@ TEST(Bidirectional, EarlyExitWhenTheSearchesMeet) {
 }
 
 TEST(Bidirectional, WarmContextAlternatingSourcesStaysExact) {
-  // One warm sequential context across one-target, two-target and full
+  // One warm one-worker context across one-target, two-target and full
   // requests from alternating sources: after every request reset_touched()
   // (or the full copy) must have restored BOTH searches to all-infinite,
   // or a stale label would leak into the next request.
+  const WorkerGuard one(1);
   const Graph g = assign_uniform_weights(gen::road_network(12, 12, 7), 8);
   PreprocessOptions opts;
   opts.rho = 10;
@@ -949,7 +950,6 @@ TEST(Bidirectional, WarmContextAlternatingSourcesStaysExact) {
   const SsspEngine engine(g, opts);
   const Vertex n = g.num_vertices();
   QueryContext ctx;
-  ctx.set_sequential(true);
   QueryResponse resp;
   for (std::uint64_t i = 0; i < 36; ++i) {
     const auto s = static_cast<Vertex>((i * 29) % n);

@@ -1,6 +1,7 @@
 // Shared helpers for the test suite: a palette of small-but-interesting
 // graphs that the SSSP batteries sweep over, the full-distance request
-// their answers are checked against, and the weight of a returned path.
+// their answers are checked against, the weight of a returned path, and a
+// scoped worker count.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -15,9 +16,28 @@
 #include "graph/graph.hpp"
 #include "graph/stats.hpp"
 #include "graph/weights.hpp"
+#include "parallel/primitives.hpp"
 #include "parallel/rng.hpp"
 
 namespace rs::test {
+
+/// Restores the worker count it found on scope exit, so a failing
+/// assertion cannot leak a worker count into later tests. The int form
+/// also sets `n` workers for the scope.
+class WorkerGuard {
+ public:
+  WorkerGuard() = default;
+  explicit WorkerGuard(int n) { set_num_workers(n); }
+  ~WorkerGuard() { set_num_workers(before_); }
+  WorkerGuard(const WorkerGuard&) = delete;
+  WorkerGuard& operator=(const WorkerGuard&) = delete;
+
+  /// The worker count when the guard was made.
+  int before() const { return before_; }
+
+ private:
+  int before_ = num_workers();
+};
 
 /// A full-distance request from `source`: the exhaustive run that
 /// targeted, batched and cached answers are checked against.
