@@ -5,9 +5,13 @@
 //                      through the incremental path: apply the updates,
 //                      recompute the dirty balls, splice a full
 //                      PreprocessResult (lower is better);
-//   rebuild_speedup    cold full preprocess (warm pool) over that same
-//                      incremental latency — the factor the incremental
-//                      path saves (higher is better, ratio unit);
+//   cold_rebuild_us    wall time of a cold full preprocess (warm pool)
+//                      of the same graph: rebuild_speedup's numerator
+//                      (lower is better);
+//   rebuild_speedup    cold_rebuild_us over that same incremental
+//                      latency — the factor the incremental path saves
+//                      (higher is better, ratio unit); a faster cold
+//                      rebuild lowers it;
 //   churn_read_qps     one-target serve_sync reads per second through
 //                      DynamicSsspService, counting the wall time of the
 //                      apply_updates call that publishes each round's
@@ -88,8 +92,8 @@ int main() {
   print_header("Dynamic weight updates (incremental vs cold rebuild)", s,
                graphs);
   std::printf("rho=%u  k=%u  reps=%d\n\n", rho, k, reps);
-  std::printf("  %-8s  %6s  %14s  %12s  %14s\n", "graph", "batch",
-              "update_us", "speedup", "churn_read_qps");
+  std::printf("  %-8s  %6s  %14s  %14s  %12s  %14s\n", "graph", "batch",
+              "update_us", "cold_us", "speedup", "churn_read_qps");
 
   BenchJson json("gb_dynamic_update", s);
   bool ok = true;
@@ -128,14 +132,16 @@ int main() {
       }
 
       const double update_us = t_inc * 1e6;
+      const double cold_us = t_cold * 1e6;
       const double speedup = t_cold / t_inc;
-      std::printf("  %-8s  %6zu  %14.1f  %11.2fx  %14s\n", name.c_str(),
-                  batch_size, update_us, speedup, "-");
+      std::printf("  %-8s  %6zu  %14.1f  %14.1f  %11.2fx  %14s\n",
+                  name.c_str(), batch_size, update_us, cold_us, speedup, "-");
       const BenchJson::Labels labels{{"graph", name},
                                      {"batch", std::to_string(batch_size)},
                                      {"rho", std::to_string(rho)},
                                      {"k", std::to_string(k)}};
       json.add("update_latency_us", update_us, "us", labels);
+      json.add("cold_rebuild_us", cold_us, "us", labels);
       json.add("rebuild_speedup", speedup, "ratio", labels);
     }
 
@@ -178,8 +184,8 @@ int main() {
         ok = false;
       }
     }
-    std::printf("  %-8s  %6s  %14s  %12s  %14.1f\n", name.c_str(), "-",
-                "-", "-", churn_read_qps);
+    std::printf("  %-8s  %6s  %14s  %14s  %12s  %14.1f\n", name.c_str(),
+                "-", "-", "-", "-", churn_read_qps);
     json.add("churn_read_qps", churn_read_qps, "queries/sec",
              {{"graph", name},
               {"rho", std::to_string(rho)},

@@ -2,7 +2,10 @@
 // term): ball-search throughput, all-radii computation, full
 // preprocessing — cold (fresh PreprocessPool) vs warm (reused pool, the
 // steady state a long-lived serving process lives in) — and the CSR merge
-// that ends every preprocess and every incremental flush.
+// that ends every preprocess and every incremental flush, twice: with
+// every arc of the preprocessed graph as an extra arc (merge_vps), and
+// with only its shortcut arcs, the merge preprocess runs
+// (merge_shortcuts_vps).
 //
 // Self-timed on purpose (no Google Benchmark dependency despite the gb_
 // prefix), like gb_query_throughput: it runs in every environment,
@@ -66,9 +69,9 @@ int main() {
   const auto graphs = shortcut_suite(s);
   print_header("Preprocessing throughput (cold vs warm pool)", s, graphs);
   std::printf("rho=%u  k=%u  reps=%d\n\n", rho, k, reps);
-  std::printf("  %-8s  %12s  %12s  %12s  %12s  %8s  %12s\n", "graph",
+  std::printf("  %-8s  %12s  %12s  %12s  %12s  %8s  %12s  %12s\n", "graph",
               "balls/s", "radii_v/s", "cold_v/s", "warm_v/s", "warm/cold",
-              "merge_v/s");
+              "merge_v/s", "merge_sc_v/s");
 
   BenchJson json("gb_preprocess", s);
   bool ok = true;
@@ -138,7 +141,8 @@ int main() {
     }
 
     // The CSR merge alone: merging the preprocessed graph's arcs into the
-    // original graph rebuilds exactly the preprocessed graph.
+    // original graph rebuilds exactly the preprocessed graph. This row
+    // takes every arc as an extra one.
     Graph merged;
     const double t_merge = best_seconds(reps, [&] {
       merged = merge_edges(g, reference.graph.to_triples());
@@ -148,14 +152,34 @@ int main() {
       ok = false;
     }
 
+    // The merge preprocess runs: only the shortcut segments' arcs.
+    std::vector<EdgeTriple> shortcuts;
+    for (Vertex u = 0; u < g.num_vertices(); ++u) {
+      for (EdgeId e = reference.graph.first_shortcut_arc(u);
+           e < reference.graph.last_arc(u); ++e) {
+        shortcuts.push_back(
+            {u, reference.graph.arc_target(e), reference.graph.arc_weight(e)});
+      }
+    }
+    const double t_merge_shortcuts = best_seconds(reps, [&] {
+      merged = merge_edges(g, shortcuts);
+    });
+    if (!(merged == reference.graph)) {
+      std::fprintf(stderr, "MISMATCH on %s: merge_edges of the shortcuts\n",
+                   name.c_str());
+      ok = false;
+    }
+
     const double balls_rate = static_cast<double>(sources.size()) / t_balls;
     const double radii_vps = n / t_radii;
     const double cold_vps = n / t_cold;
     const double warm_vps = n / t_warm;
     const double merge_vps = n / t_merge;
-    std::printf("  %-8s  %12.1f  %12.1f  %12.1f  %12.1f  %7.2fx  %12.1f\n",
-                name.c_str(), balls_rate, radii_vps, cold_vps, warm_vps,
-                warm_vps / cold_vps, merge_vps);
+    const double merge_shortcuts_vps = n / t_merge_shortcuts;
+    std::printf(
+        "  %-8s  %12.1f  %12.1f  %12.1f  %12.1f  %7.2fx  %12.1f  %12.1f\n",
+        name.c_str(), balls_rate, radii_vps, cold_vps, warm_vps,
+        warm_vps / cold_vps, merge_vps, merge_shortcuts_vps);
 
     const BenchJson::Labels labels{{"graph", name},
                                    {"rho", std::to_string(rho)},
@@ -165,6 +189,8 @@ int main() {
     json.add("preprocess_cold_vps", cold_vps, "vertices/sec", labels);
     json.add("preprocess_warm_vps", warm_vps, "vertices/sec", labels);
     json.add("merge_vps", merge_vps, "vertices/sec", labels);
+    json.add("merge_shortcuts_vps", merge_shortcuts_vps, "vertices/sec",
+             labels);
   }
 
   const std::string path = json.write();

@@ -57,8 +57,8 @@
 // longer than 1 MiB (kMaxLineBytes) gets `error: line too long`; a TCP
 // connection then closes, and stdin skips to the next newline. EOF (or
 // SIGINT/SIGTERM for TCP) drains in-flight requests and prints the
-// serving stats before exiting. A TCP client that hangs up closes only
-// its own connection.
+// serving stats before exiting; under TCP the signal also ends idle
+// connections. A TCP client that hangs up closes only its own connection.
 //
 // With no arguments, runs a self-contained demo: preprocesses a small
 // road network, fires concurrent clients through the daemon, verifies
@@ -75,10 +75,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -380,14 +382,33 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
   std::signal(SIGTERM, on_signal);
   std::fprintf(stderr, "sssp_serve: listening on port %d\n", port);
 
+  // The client sockets still open. A thread takes its socket off the
+  // list before closing it, so the shutdown below never reaches a closed
+  // (or reused) descriptor.
+  std::mutex open_mu;
+  std::vector<int> open;
   std::vector<std::thread> conns;
   while (g_stop == 0) {
     const int client = ::accept(fd, nullptr, nullptr);
     if (client < 0) break;  // listener closed by the signal handler
-    conns.emplace_back([client, &server, dyn] {
+    {
+      const std::lock_guard<std::mutex> lock(open_mu);
+      open.push_back(client);
+    }
+    conns.emplace_back([client, &server, dyn, &open_mu, &open] {
       serve_connection(client, server, dyn);
+      {
+        const std::lock_guard<std::mutex> lock(open_mu);
+        open.erase(std::find(open.begin(), open.end(), client));
+      }
       ::close(client);
     });
+  }
+  // An idle client would keep its thread in read() forever. SHUT_RD makes
+  // that read return 0; a line being answered still gets its reply.
+  {
+    const std::lock_guard<std::mutex> lock(open_mu);
+    for (const int client : open) ::shutdown(client, SHUT_RD);
   }
   for (std::thread& t : conns) t.join();
   if (g_stop == 0) ::close(fd);

@@ -8,6 +8,7 @@
 #include <omp.h>
 
 #include "graph/builder.hpp"
+#include "graph/stats.hpp"
 #include "parallel/primitives.hpp"
 #include "parallel/rng.hpp"
 
@@ -65,6 +66,11 @@ UYShortcutResult uy_preprocess(const Graph& g, Vertex num_hubs,
   const Vertex n = g.num_vertices();
   if (num_hubs == 0 || num_hubs > n) {
     throw std::invalid_argument("uy_preprocess: bad hub count");
+  }
+  // merge_edges adds each hub shortcut in both directions, which only a
+  // symmetric graph's distances allow.
+  if (!is_symmetric(g)) {
+    throw std::invalid_argument("uy_preprocess: needs a symmetric graph");
   }
   if (hop_limit == 0) hop_limit = default_hop_limit(n, num_hubs);
 

@@ -30,7 +30,10 @@ struct UYShortcutResult {
 };
 
 /// Builds the hub shortcut structure. `hop_limit = 0` picks
-/// ceil(2 n ln n / num_hubs), the w.h.p. correctness setting.
+/// ceil(2 n ln n / num_hubs), the w.h.p. correctness setting. Throws
+/// std::invalid_argument for a hub count outside [1, n] or a `g` that is
+/// not symmetric (is_symmetric): the hub shortcuts are merged in both
+/// directions.
 UYShortcutResult uy_preprocess(const Graph& g, Vertex num_hubs,
                                std::uint64_t seed, std::size_t hop_limit = 0);
 

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
+
+#include <omp.h>
 
 #include "parallel/primitives.hpp"
 
@@ -24,29 +25,22 @@ std::uint32_t arc_key(Packed a) { return static_cast<std::uint32_t>(a >> 32); }
 std::uint32_t arc_value(Packed a) { return static_cast<std::uint32_t>(a); }
 
 /// Arcs after the counting sort: vertex u's bucket is [start[u],
-/// start[u + 1]) of `arcs`, each arc packed as (target, weight). `split`
-/// is filled only for a two-part sort (see bucket_arcs).
+/// start[u + 1]) of `arcs`, each arc packed as (target, weight).
 struct Buckets {
   std::vector<EdgeId> start;
-  std::vector<EdgeId> split;
   std::unique_ptr<Packed[]> arcs;
 };
 
 /// Counting sort of `triples` into one bucket per source vertex, with
-/// opts.symmetrize adding each reverse arc to its target's bucket. Given
-/// `first`, triples [first, size) are scattered before triples [0, first),
-/// so u's bucket holds the former's arcs in [start[u], split[u]) and the
-/// latter's in [split[u], start[u + 1]). Frees `triples` once the arcs are
-/// bucketed, which lowers the peak footprint.
+/// opts.symmetrize adding each reverse arc to its target's bucket. Frees
+/// `triples` once the arcs are bucketed, which lowers the peak footprint.
 Buckets bucket_arcs(Vertex n, std::vector<EdgeTriple>& triples,
-                    const BuildOptions& opts,
-                    std::optional<std::size_t> first = std::nullopt) {
+                    const BuildOptions& opts) {
   std::atomic<bool> out_of_range{false};
   // Static blocks: triples usually arrive grouped by source, so each
   // counter stays on one worker.
-  const auto for_each_arc = [&](std::size_t lo, std::size_t hi,
-                                auto&& emit) {
-    parallel_for_blocked(lo, hi, [&](std::size_t i) {
+  const auto for_each_arc = [&](auto&& emit) {
+    parallel_for_blocked(0, triples.size(), [&](std::size_t i) {
       const EdgeTriple& t = triples[i];
       if (t.u >= n || t.v >= n) {
         out_of_range.store(true, std::memory_order_relaxed);
@@ -63,8 +57,7 @@ Buckets bucket_arcs(Vertex n, std::vector<EdgeTriple>& triples,
   const auto bump = [&](Vertex u) {
     return cursor[u].fetch_add(1, std::memory_order_relaxed);
   };
-  const std::size_t nt = triples.size();
-  for_each_arc(0, nt, [&](Vertex u, Packed) { bump(u); });
+  for_each_arc([&](Vertex u, Packed) { bump(u); });
   if (out_of_range.load()) {
     throw std::invalid_argument("build_graph: endpoint out of range");
   }
@@ -82,19 +75,7 @@ Buckets bucket_arcs(Vertex n, std::vector<EdgeTriple>& triples,
 
   // 3. Scatter. Every slot is written, so the array is left uninitialised.
   out.arcs.reset(new Packed[total]);
-  const auto scatter = [&](std::size_t lo, std::size_t hi) {
-    for_each_arc(lo, hi, [&](Vertex u, Packed a) { out.arcs[bump(u)] = a; });
-  };
-  if (first) {
-    scatter(*first, nt);
-    out.split.resize(n);
-    parallel_for(0, n, [&](std::size_t u) {
-      out.split[u] = cursor[u].load(std::memory_order_relaxed);
-    });
-    scatter(0, *first);
-  } else {
-    scatter(0, nt);
-  }
+  for_each_arc([&](Vertex u, Packed a) { out.arcs[bump(u)] = a; });
   std::vector<EdgeTriple>().swap(triples);
   return out;
 }
@@ -106,6 +87,64 @@ Packed* sort_unique_by_target(Packed* lo, Packed* hi) {
   return std::unique(lo, hi, [](Packed a, Packed b) {
     return arc_key(a) == arc_key(b);
   });
+}
+
+/// One worker's scratch in merge_edges: a mark per target id, stamped
+/// per vertex so that it is never cleared, and room to sort a base list
+/// that is out of order. The marks are allocated on first use, so a
+/// worker that meets no extra arc allocates nothing. One cache line
+/// each: every vertex with extra arcs bumps its worker's stamp.
+struct alignas(64) MergeScratch {
+  struct Mark {
+    Vertex stamp = 0;
+    Weight weight = 0;
+  };
+  std::vector<Mark> mark;
+  Vertex stamp = 0;
+  std::vector<Packed> sorted;
+
+  /// A stamp no mark holds yet.
+  Vertex next_stamp(Vertex n) {
+    if (mark.empty()) mark.resize(n);
+    if (++stamp == 0) {
+      std::fill(mark.begin(), mark.end(), Mark{});
+      stamp = 1;
+    }
+    return stamp;
+  }
+};
+
+/// Calls f(target, weight) for u's arcs in g, lightest per target and
+/// self-loops dropped, in target order. A list already in (target,
+/// weight) order, as build_graph leaves it, is read in place; any other
+/// is sorted in `sorted` first.
+template <typename F>
+void for_each_base_arc(const Graph& g, Vertex u, std::vector<Packed>& sorted,
+                       F&& f) {
+  const EdgeId lo = g.first_arc(u);
+  const EdgeId hi = g.last_arc(u);
+  const auto arc = [&](EdgeId e) {
+    return pack_arc(g.arc_target(e), g.arc_weight(e));
+  };
+  const auto emit = [&](std::size_t count, auto&& at) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const Vertex t = arc_key(at(i));
+      if (t != u && (i == 0 || arc_key(at(i - 1)) != t)) {
+        f(t, arc_value(at(i)));
+      }
+    }
+  };
+  EdgeId e = lo + 1;
+  while (e < hi && arc(e - 1) <= arc(e)) ++e;
+  if (e >= hi) {
+    emit(static_cast<std::size_t>(hi - lo),
+         [&](std::size_t i) { return arc(lo + i); });
+    return;
+  }
+  sorted.clear();
+  for (e = lo; e < hi; ++e) sorted.push_back(arc(e));
+  std::sort(sorted.begin(), sorted.end());
+  emit(sorted.size(), [&](std::size_t i) { return sorted[i]; });
 }
 
 }  // namespace
@@ -145,95 +184,86 @@ Graph build_graph(Vertex n, std::vector<EdgeTriple> triples,
 }
 
 Graph merge_edges(const Graph& g, std::vector<EdgeTriple> extra) {
-  // The base graph's arcs are appended to `extra`, and one counting sort
-  // buckets both, base arcs first in each bucket. Both are symmetrized;
-  // `g` is symmetric, so no reverse arc beats the base arc dedup keeps.
+  // Only the extra arcs are bucketed, in both directions; g's arcs are
+  // read in place.
   const Vertex n = g.num_vertices();
-  const std::size_t num_extra = extra.size();
-  extra.resize(num_extra + g.num_edges());
-  parallel_for(0, n, [&](std::size_t v) {
-    for (EdgeId e = g.first_arc(static_cast<Vertex>(v));
-         e < g.last_arc(static_cast<Vertex>(v)); ++e) {
-      extra[num_extra + e] =
-          EdgeTriple{static_cast<Vertex>(v), g.arc_target(e), g.arc_weight(e)};
-    }
-  }, /*grain=*/256);
-  const Buckets b = bucket_arcs(n, extra, BuildOptions{}, num_extra);
+  const Buckets b = bucket_arcs(n, extra, BuildOptions{});
 
-  // Per vertex: dedup the base arcs by target, then walk the extra arcs
-  // in (weight, target) order. The first extra arc to a target is its
+  // Pass 1, per vertex: count the base arcs (marking their targets at a
+  // vertex with extra arcs), then walk the extra arcs in (weight, target)
+  // order. The first extra arc to a target is its
   // lightest: it is kept unless the base arc to that target is at most as
   // heavy, and replaces that base arc when strictly lighter, so the arc
-  // set is the per-pair minimum, as a single dedup would give. Each worker
-  // marks the targets met at the vertex it is merging: owner u + 1, and
-  // the slot of the base arc to that target while an extra arc can still
-  // replace it (kNoVertex once an extra arc holds the target).
-  struct Mark {
-    Vertex owner = 0;
-    Vertex slot = kNoVertex;
-  };
-  constexpr Packed kDropped = ~Packed{0};  // target kNoVertex: never an arc
+  // set is the per-pair minimum. Each kept arc marks its target with
+  // weight 0, which no later arc undercuts. The kept arcs move to the
+  // front of u's bucket.
   std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<EdgeId> shortcut_start(n);
   const int nw = num_workers();
-#pragma omp parallel num_threads(nw)
-  {
-    std::vector<Mark> mark(n);
-#pragma omp for schedule(dynamic, 64)
-    for (std::int64_t su = 0; su < static_cast<std::int64_t>(n); ++su) {
-      const auto u = static_cast<std::size_t>(su);
-      const Vertex owner = static_cast<Vertex>(u) + 1;
-      Packed* base = b.arcs.get() + b.start[u];
-      Packed* shortcut = b.arcs.get() + b.split[u];
-      Packed* const end = b.arcs.get() + b.start[u + 1];
-      Packed* base_end = sort_unique_by_target(base, shortcut);
-      for (Packed* a = base; a != base_end; ++a) {
-        mark[arc_key(*a)] = Mark{owner, static_cast<Vertex>(a - base)};
-      }
-      for (Packed* a = shortcut; a != end; ++a) {
-        *a = pack_arc(arc_value(*a), arc_key(*a));
-      }
-      std::sort(shortcut, end);
-      Packed* shortcut_out = shortcut;
-      bool replaced = false;
-      for (const Packed* a = shortcut; a != end; ++a) {
-        Mark& seen = mark[arc_value(*a)];
-        if (seen.owner == owner) {
-          if (seen.slot == kNoVertex ||
-              arc_value(base[seen.slot]) <= arc_key(*a)) {
-            continue;
-          }
-          base[seen.slot] = kDropped;
-          replaced = true;
-        }
-        seen = Mark{owner, kNoVertex};
-        *shortcut_out++ = *a;
-      }
-      if (replaced) base_end = std::remove(base, base_end, kDropped);
-      shortcut_start[u] = static_cast<EdgeId>(base_end - base);
-      offsets[u] =
-          shortcut_start[u] + static_cast<EdgeId>(shortcut_out - shortcut);
+  std::vector<MergeScratch> scratch(static_cast<std::size_t>(nw));
+#pragma omp parallel for schedule(dynamic, 64) num_threads(nw)
+  for (std::int64_t su = 0; su < static_cast<std::int64_t>(n); ++su) {
+    const auto u = static_cast<Vertex>(su);
+    MergeScratch& mine =
+        scratch[static_cast<std::size_t>(omp_get_thread_num())];
+    Packed* const lo = b.arcs.get() + b.start[u];
+    Packed* const hi = b.arcs.get() + b.start[u + 1];
+    const Vertex stamp = lo == hi ? 0 : mine.next_stamp(n);
+    EdgeId base = 0;
+    for_each_base_arc(g, u, mine.sorted, [&](Vertex t, Weight w) {
+      if (stamp != 0) mine.mark[t] = MergeScratch::Mark{stamp, w};
+      ++base;
+    });
+    for (Packed* a = lo; a != hi; ++a) {
+      *a = pack_arc(arc_value(*a), arc_key(*a));
     }
+    std::sort(lo, hi);
+    Packed* kept = lo;
+    for (const Packed* a = lo; a != hi; ++a) {
+      MergeScratch::Mark& seen = mine.mark[arc_value(*a)];
+      if (seen.stamp == stamp) {
+        if (seen.weight <= arc_key(*a)) continue;
+        --base;  // replaced by this strictly lighter extra arc
+      }
+      seen = MergeScratch::Mark{stamp, 0};
+      *kept++ = *a;
+    }
+    shortcut_start[u] = base;
+    offsets[u] = base + static_cast<EdgeId>(kept - lo);
   }
 
-  // Compact: original segment packed as (target, weight), shortcut
-  // segment as (weight, target).
+  // Pass 2, per vertex: the original segment packed as (target, weight),
+  // skipping the base arcs whose target a kept extra arc holds, then the
+  // shortcut segment from the front of the bucket, packed as (weight,
+  // target).
   const EdgeId m = exclusive_scan(offsets, offsets);
   std::vector<Vertex> targets(m);
   std::vector<Weight> weights(m);
-  parallel_for(0, n, [&](std::size_t u) {
-    shortcut_start[u] += offsets[u];
-    const Packed* arcs = b.arcs.get() + b.start[u];
-    for (EdgeId e = offsets[u]; e < shortcut_start[u]; ++e, ++arcs) {
-      targets[e] = arc_key(*arcs);
-      weights[e] = arc_value(*arcs);
+#pragma omp parallel for schedule(dynamic, 64) num_threads(nw)
+  for (std::int64_t su = 0; su < static_cast<std::int64_t>(n); ++su) {
+    const auto u = static_cast<Vertex>(su);
+    MergeScratch& mine =
+        scratch[static_cast<std::size_t>(omp_get_thread_num())];
+    EdgeId e = offsets[u];
+    const EdgeId cut = e + shortcut_start[u];
+    const Packed* const lo = b.arcs.get() + b.start[u];
+    const Packed* const kept = lo + (offsets[u + 1] - cut);
+    const Vertex stamp = lo == kept ? 0 : mine.next_stamp(n);
+    for (const Packed* a = lo; a != kept; ++a) {
+      mine.mark[arc_value(*a)].stamp = stamp;
     }
-    arcs = b.arcs.get() + b.split[u];
-    for (EdgeId e = shortcut_start[u]; e < offsets[u + 1]; ++e, ++arcs) {
-      targets[e] = arc_value(*arcs);
-      weights[e] = arc_key(*arcs);
+    for_each_base_arc(g, u, mine.sorted, [&](Vertex t, Weight w) {
+      if (stamp != 0 && mine.mark[t].stamp == stamp) return;
+      targets[e] = t;
+      weights[e] = w;
+      ++e;
+    });
+    for (const Packed* a = lo; a != kept; ++a, ++e) {
+      targets[e] = arc_value(*a);
+      weights[e] = arc_key(*a);
     }
-  }, /*grain=*/256);
+    shortcut_start[u] = cut;
+  }
   return Graph(std::move(offsets), std::move(targets), std::move(weights),
                std::move(shortcut_start));
 }

@@ -39,8 +39,11 @@ class ExtraEdges {
 
 PreprocessResult preprocess_global(const Graph& g,
                                    const PreprocessOptions& options) {
-  if (options.rho == 0) throw std::invalid_argument("preprocess_global: rho");
-  if (options.k == 0) throw std::invalid_argument("preprocess_global: k");
+  // The cover rule adds shortcuts whatever options.heuristic names, so the
+  // graph is checked as for a heuristic that adds them.
+  PreprocessOptions checked = options;
+  checked.heuristic = ShortcutHeuristic::kDP;
+  check_preprocess_input(g, checked);
   const Vertex n = g.num_vertices();
   const Vertex k = options.k;
   const Graph gw = g.with_weight_sorted_adjacency();

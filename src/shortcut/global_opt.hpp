@@ -23,6 +23,8 @@ namespace rs {
 /// Like preprocess() with kGreedy/kDP, but globally shared: typically adds
 /// noticeably fewer edges on graphs with overlapping balls. Sequential over
 /// sources (the sharing is inherently order-dependent), deterministic.
+/// Throws as check_preprocess_input does for a heuristic that adds
+/// shortcuts, whatever options.heuristic names: an asymmetric `g` too.
 PreprocessResult preprocess_global(const Graph& g,
                                    const PreprocessOptions& options);
 

@@ -172,9 +172,9 @@ PreprocessResult IncrementalPreprocessor::result() const {
     for (const auto& sc : shortcuts_) {
       all.insert(all.end(), sc.begin(), sc.end());
     }
-    // merge_edges' output depends on the arc multiset alone, so
-    // concatenation order is irrelevant: this is bit-identical to the
-    // cold path's per-worker staging drain.
+    // merge_edges' output depends on the shortcut multiset and the graph
+    // alone, so concatenation order is irrelevant: this is bit-identical
+    // to the cold path's per-worker staging drain.
     out.graph = merge_edges(graph_, std::move(all));
   }
   out.added_edges = out.graph.num_undirected_edges() - before;

@@ -13,15 +13,15 @@
 /// ones into a new PreprocessResult.
 ///
 /// The splice is BIT-IDENTICAL to a cold rebuild on the updated graph,
-/// shortcut segments included: merge_edges() buckets the triples by
-/// source and part (base or shortcut) with a counting sort, then sorts,
-/// dedups and reconciles each vertex's buckets — a function of the arc
-/// multiset alone, insensitive to the order the triples are concatenated
-/// in — and the per-ball triples themselves are recomputed with the same
-/// BallOptions/heuristic as the cold path. The churn suite
-/// (tests/test_incremental.cpp) pins result() == cold preprocess() with
-/// Graph::operator==, which compares the shortcut-segment starts too,
-/// after randomized batches.
+/// shortcut segments included: merge_edges() buckets the shortcut
+/// triples by source with a counting sort, sorts each bucket, and
+/// reconciles it with the vertex's base list read in place — a function
+/// of the shortcut multiset and the graph, insensitive to the order the
+/// triples are concatenated in — and the per-ball triples themselves are
+/// recomputed with the same BallOptions/heuristic as the cold path. The
+/// churn suite (tests/test_incremental.cpp) pins result() == cold
+/// preprocess() with Graph::operator==, which compares the
+/// shortcut-segment starts too, after randomized batches.
 #pragma once
 
 #include <cstddef>

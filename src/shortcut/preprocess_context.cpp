@@ -60,16 +60,12 @@ PreprocessResult preprocess(const Graph& g, const PreprocessOptions& options,
   }
 
   // Drain: each worker copies its own staging buffer to its prefix offset.
-  // The reserve leaves room for merge_edges to append the base graph's
-  // arcs without reallocating.
   const std::size_t slots = pool.size();
   std::vector<std::size_t> offset(slots + 1, 0);
   for (std::size_t w = 0; w < slots; ++w) {
     offset[w + 1] = offset[w] + pool.at(w).staging().size();
   }
-  std::vector<EdgeTriple> all;
-  all.reserve(offset[slots] + g.num_edges());
-  all.resize(offset[slots]);
+  std::vector<EdgeTriple> all(offset[slots]);
 #pragma omp parallel for schedule(static, 1) num_threads(nw)
   for (std::int64_t w = 0; w < static_cast<std::int64_t>(slots); ++w) {
     auto& mine = pool.at(static_cast<std::size_t>(w)).staging();

@@ -74,7 +74,8 @@ PreprocessResult preprocess(const Graph& g, const PreprocessOptions& options);
 
 /// Throws std::invalid_argument for rho or k < 1, or for a `g` that is not
 /// symmetric (is_symmetric) under a heuristic that adds shortcuts, since
-/// merge_edges would symmetrize its arcs. kNone accepts any graph.
+/// merge_edges adds every shortcut in both directions. kNone accepts any
+/// graph.
 void check_preprocess_input(const Graph& g, const PreprocessOptions& options);
 
 /// Reusable scratch for shortcut selection: the ball's shortest-path-tree

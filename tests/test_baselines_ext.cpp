@@ -83,5 +83,13 @@ TEST(UYShortcut, RejectsBadParameters) {
   EXPECT_THROW(uy_query(pre, 9), std::invalid_argument);
 }
 
+TEST(UYShortcut, RejectsDirectedRing) {
+  // merge_edges adds the hub shortcuts in both directions, which over
+  // one-way arcs would shorten distances.
+  const Graph ring = test::one_way_ring(10);
+  EXPECT_THROW(uy_preprocess(ring, 2, 1), std::invalid_argument);
+  EXPECT_THROW(uy_preprocess(ring, 10, 1, 10), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace rs

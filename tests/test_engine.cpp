@@ -121,18 +121,12 @@ TEST(SsspEngine, PathToUnreachableIsEmpty) {
 }
 
 TEST(SsspEngine, ShortcutsRejectDirectedRing) {
-  // merge_edges symmetrizes every arc, so shortcuts over the one-way ring
-  // 0 -> 1 -> ... -> 9 -> 0 would add the reverse arc 0 -> 9 and answer
-  // d(0, 9) = 1 where Dijkstra gives 9. A shortcut-adding heuristic
-  // rejects the ring instead; kNone keeps its arcs and serves it exactly.
-  BuildOptions directed;
-  directed.symmetrize = false;
-  const Vertex n = 10;
-  std::vector<EdgeTriple> edges;
-  for (Vertex v = 0; v < n; ++v) {
-    edges.push_back({v, static_cast<Vertex>((v + 1) % n), 1});
-  }
-  const Graph ring = build_graph(n, std::move(edges), directed);
+  // merge_edges adds every shortcut in both directions, so shortcuts over
+  // the one-way ring 0 -> 1 -> ... -> 9 -> 0 would add reverse arcs such
+  // as 1 -> 9 and answer d(0, 9) below Dijkstra's 9. A shortcut-adding
+  // heuristic rejects the ring instead; kNone keeps its arcs and serves
+  // it exactly.
+  const Graph ring = test::one_way_ring(10);
   ASSERT_EQ(dijkstra(ring, 0)[9], 9u);
   PreprocessOptions opts;
   opts.rho = 4;

@@ -112,5 +112,21 @@ TEST(GlobalOpt, RejectsBadParameters) {
   EXPECT_THROW(preprocess_global(g, opts), std::invalid_argument);
 }
 
+TEST(GlobalOpt, RejectsDirectedRing) {
+  // merge_edges adds the shortcuts in both directions: over one-way arcs
+  // that would shorten distances. The cover rule adds shortcuts whatever
+  // the heuristic names, kNone included.
+  const Graph ring = test::one_way_ring(10);
+  PreprocessOptions opts;
+  opts.rho = 4;
+  opts.k = 2;
+  for (const ShortcutHeuristic h :
+       {ShortcutHeuristic::kDP, ShortcutHeuristic::kNone}) {
+    opts.heuristic = h;
+    EXPECT_THROW(preprocess_global(ring, opts), std::invalid_argument)
+        << to_string(h);
+  }
+}
+
 }  // namespace
 }  // namespace rs

@@ -265,6 +265,132 @@ TEST(MergeEdges, OverlappingBaseMatchesSortReference) {
   }
 }
 
+/// merge_edges by sorting: both arc sets symmetrized and cleaned as
+/// reference_build does, then per vertex and target the base arc stays
+/// unless the lightest extra arc is strictly lighter. Original arcs come
+/// by target, shortcut arcs by (weight, target).
+Graph reference_merge(const Graph& base, std::vector<EdgeTriple> extra) {
+  const Vertex n = base.num_vertices();
+  const Graph b = reference_build(n, base.to_triples(), BuildOptions{});
+  const Graph x = reference_build(n, std::move(extra), BuildOptions{});
+  std::vector<EdgeId> offsets{0};
+  std::vector<EdgeId> starts;
+  std::vector<Vertex> targets;
+  std::vector<Weight> weights;
+  for (Vertex u = 0; u < n; ++u) {
+    std::vector<std::pair<Weight, Vertex>> shortcuts;
+    EdgeId j = x.first_arc(u);
+    for (EdgeId e = b.first_arc(u); e < b.last_arc(u); ++e) {
+      const Vertex t = b.arc_target(e);
+      for (; j < x.last_arc(u) && x.arc_target(j) < t; ++j) {
+        shortcuts.emplace_back(x.arc_weight(j), x.arc_target(j));
+      }
+      if (j < x.last_arc(u) && x.arc_target(j) == t &&
+          x.arc_weight(j++) < b.arc_weight(e)) {
+        shortcuts.emplace_back(x.arc_weight(j - 1), t);
+        continue;
+      }
+      targets.push_back(t);
+      weights.push_back(b.arc_weight(e));
+    }
+    for (; j < x.last_arc(u); ++j) {
+      shortcuts.emplace_back(x.arc_weight(j), x.arc_target(j));
+    }
+    std::sort(shortcuts.begin(), shortcuts.end());
+    starts.push_back(targets.size());
+    for (const auto& [w, t] : shortcuts) {
+      targets.push_back(t);
+      weights.push_back(w);
+    }
+    offsets.push_back(targets.size());
+  }
+  return Graph(std::move(offsets), std::move(targets), std::move(weights),
+               std::move(starts));
+}
+
+/// merge_edges(base, extra) equals reference_merge at 1, 3 and 8 workers.
+void expect_merge_matches_reference(const Graph& base,
+                                    const std::vector<EdgeTriple>& extra) {
+  const Graph want = reference_merge(base, extra);
+  for (const int workers : {1, 3, 8}) {
+    const test::WorkerGuard guard(workers);
+    EXPECT_EQ(merge_edges(base, extra), want) << "workers=" << workers;
+  }
+}
+
+/// Extra arcs over `base`'s pairs: each repeats a base arc, in either
+/// direction, heavier than, as heavy as or strictly lighter than it; some
+/// come twice. Then new pairs, and self-loops. Only vertices below
+/// `busy` get any, so they sit next to vertices with none.
+std::vector<EdgeTriple> overlapping_extra(const Graph& base, Vertex busy,
+                                          std::uint64_t seed) {
+  const SplitRng rng(seed);
+  std::vector<EdgeTriple> extra;
+  std::uint64_t i = 0;
+  for (Vertex u = 0; u < busy; ++u) {
+    for (EdgeId e = base.first_arc(u); e < base.last_arc(u); ++e, ++i) {
+      const Vertex v = base.arc_target(e);
+      const Weight w = base.arc_weight(e);
+      Weight x = w;
+      switch (rng.bounded(0, i, 4)) {
+        case 0:
+          x = w + 1 + static_cast<Weight>(rng.bounded(1, i, 50));
+          break;
+        case 1:
+          x = w > 1 ? w - 1 - static_cast<Weight>(rng.bounded(2, i, w - 1))
+                    : w;
+          break;
+        case 2:
+          continue;
+        default:
+          break;
+      }
+      extra.push_back(i % 2 == 0 ? EdgeTriple{u, v, x} : EdgeTriple{v, u, x});
+      if (i % 7 == 0) extra.push_back(extra.back());
+    }
+    const auto t = static_cast<Vertex>(rng.bounded(3, u, base.num_vertices()));
+    extra.push_back({u, t, static_cast<Weight>(1 + rng.bounded(4, u, 1000))});
+    if (u % 5 == 0) extra.push_back({u, u, 1});
+  }
+  return extra;
+}
+
+TEST(MergeEdges, MatchesReferenceOnTargetSortedBase) {
+  const Vertex n = 50'000;
+  const Graph base = build_graph(n, random_triples(n));
+  // Vertex 7 is random_triples' hub; the busy vertices include it.
+  expect_merge_matches_reference(base, overlapping_extra(base, 2'000, 5));
+}
+
+TEST(MergeEdges, MatchesReferenceOnBaseOutOfTargetOrder) {
+  const Vertex n = 50'000;
+  const Graph base =
+      build_graph(n, random_triples(n)).with_weight_sorted_adjacency();
+  ASSERT_TRUE(is_symmetric(base));
+  expect_merge_matches_reference(base, overlapping_extra(base, 2'000, 6));
+  expect_merge_matches_reference(base, {});
+}
+
+TEST(MergeEdges, MatchesReferenceOnSymmetricMultigraphBase) {
+  // Parallel arcs with other weights and self-loops stay in the base: the
+  // merge keeps the lightest arc per target and drops the loops.
+  BuildOptions multi;
+  multi.dedup = false;
+  multi.remove_self_loops = false;
+  const Vertex n = 50'000;
+  const Graph base = build_graph(n, random_triples(n), multi);
+  ASSERT_TRUE(is_symmetric(base));
+  expect_merge_matches_reference(base, overlapping_extra(base, 2'000, 7));
+  expect_merge_matches_reference(base.with_weight_sorted_adjacency(),
+                                 overlapping_extra(base, 500, 8));
+}
+
+TEST(MergeEdges, RejectsExtraArcOutOfRange) {
+  const Graph g = triangle();
+  EXPECT_THROW(merge_edges(g, {{0, 3, 1}}), std::invalid_argument);
+  EXPECT_THROW(merge_edges(g, {{0, 1, 1}, {3, 0, 1}}), std::invalid_argument);
+}
+
 TEST(MergeEdges, OverlapsResolveByWeight) {
   // Base: 0-1 (5), 0-2 (10), 0-3 (4). Extra: a lighter 0-1, an equal 0-3,
   // a heavier 0-2, and new pairs 0-4 and 0-5.

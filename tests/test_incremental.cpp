@@ -128,7 +128,7 @@ TEST(IncrementalPreprocessor, ChurnBitIdenticalKNone) {
 
 TEST(IncrementalPreprocessor, ChurnBitIdenticalAdversarial) {
   // Directed/multigraph/self-loop inputs. Shortcuts need a symmetric graph
-  // (merge_edges symmetrizes every arc), so the symmetric multigraph
+  // (merge_edges adds every shortcut both ways), so the symmetric multigraph
   // churns under kDP and the directed members under kNone, radii only;
   // kDP rejects those on both paths. (Serving equivalence is covered by
   // the raw-engine dynamic tests.)

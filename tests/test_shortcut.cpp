@@ -109,6 +109,53 @@ TEST_P(DpOptimalityTest, DpMatchesBruteforceOnRandomBalls) {
   }
 }
 
+/// Tree depth of every member of `ball` once the `selected` members hang
+/// off the source directly; the largest of them.
+Vertex depth_after(const Ball& ball,
+                   const std::vector<std::uint32_t>& selected) {
+  const std::size_t b = ball.vertices.size();
+  std::vector<std::uint8_t> has(b, 0);
+  for (const auto idx : selected) has[idx] = 1;
+  std::vector<Vertex> depth(b, 0);
+  Vertex deepest = 0;
+  for (std::size_t i = 1; i < b; ++i) {
+    std::size_t p = 0;
+    while (ball.vertices[p].v != ball.vertices[i].parent) ++p;
+    depth[i] = has[i] ? 1 : depth[p] + 1;
+    deepest = std::max(deepest, depth[i]);
+  }
+  return deepest;
+}
+
+TEST_P(DpOptimalityTest, DpSelectsNothingExactlyWithinKHops) {
+  // A sparse and a denser random graph: deep and shallow balls.
+  const int seed = GetParam();
+  for (const EdgeId m : {EdgeId{26}, EdgeId{40}}) {
+    const Graph g = assign_uniform_weights(
+        largest_component(
+            gen::erdos_renyi(24, m, static_cast<std::uint64_t>(seed))),
+        static_cast<std::uint64_t>(seed) + 200, 1, 20);
+    const Graph gw = g.with_weight_sorted_adjacency();
+    BallSearchWorkspace ws(g.num_vertices());
+    for (Vertex src = 0; src < g.num_vertices(); ++src) {
+      const Ball ball =
+          ws.run(gw, src, BallOptions{14, 0, /*settle_ties=*/false});
+      if (ball.vertices.size() > 18) continue;  // keep 2^B tractable
+      const Vertex depth = depth_after(ball, {});
+      for (Vertex k = 1; k <= std::max<Vertex>(depth, 1); ++k) {
+        const auto dp = select_shortcuts(ball, k, ShortcutHeuristic::kDP);
+        EXPECT_EQ(dp.empty(), depth <= k)
+            << "seed=" << seed << " src=" << src << " k=" << k;
+        if (dp.empty()) continue;
+        EXPECT_EQ(dp.size(), min_shortcuts_bruteforce(ball, k))
+            << "seed=" << seed << " src=" << src << " k=" << k;
+        EXPECT_LE(depth_after(ball, dp), k)
+            << "seed=" << seed << " src=" << src << " k=" << k;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DpOptimalityTest, ::testing::Range(0, 10));
 
 TEST(SelectShortcuts, DpNeverWorseThanGreedy) {

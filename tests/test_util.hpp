@@ -39,6 +39,19 @@ class WorkerGuard {
   int before_ = num_workers();
 };
 
+/// The one-way ring 0 -> 1 -> ... -> n-1 -> 0 with unit weights: a graph
+/// that is not symmetric (is_symmetric), which every shortcut-adding
+/// preprocessor refuses.
+inline Graph one_way_ring(Vertex n) {
+  BuildOptions directed;
+  directed.symmetrize = false;
+  std::vector<EdgeTriple> edges;
+  for (Vertex v = 0; v < n; ++v) {
+    edges.push_back({v, static_cast<Vertex>((v + 1) % n), 1});
+  }
+  return build_graph(n, std::move(edges), directed);
+}
+
 /// A full-distance request from `source`: the exhaustive run that
 /// targeted, batched and cached answers are checked against.
 inline QueryRequest full_request(Vertex source) {
