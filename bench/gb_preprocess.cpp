@@ -1,19 +1,19 @@
 // Preprocessing-cost benchmark (Lemma 4.2's O(m log n + n rho^2) work
-// term): ball-search throughput, all-radii computation, full
-// preprocessing — cold (fresh PreprocessPool) vs warm (reused pool, the
-// steady state a long-lived serving process lives in) — and the CSR merge
-// that ends every preprocess and every incremental flush, twice: with
-// every arc of the preprocessed graph as an extra arc (merge_vps), and
-// with only its shortcut arcs, the merge preprocess runs
+// term): ball-search throughput on one warm context, all-radii
+// computation, a full preprocess() (preprocess_cold_vps: every call
+// builds its own per-worker scratch, as a new process does), and the CSR
+// merge that ends every preprocess and every incremental flush, twice:
+// with every arc of the preprocessed graph as an extra arc (merge_vps),
+// and with only its shortcut arcs, the merge preprocess runs
 // (merge_shortcuts_vps).
 //
 // Self-timed on purpose (no Google Benchmark dependency despite the gb_
 // prefix), like gb_query_throughput: it runs in every environment,
 // including the CI bench-smoke job on runners without libbenchmark, and
 // always writes BENCH_gb_preprocess.json for the perf trajectory. Exits
-// non-zero if the pooled pipeline's output diverges from the plain path or
-// the merge does not rebuild the preprocessed graph, so it doubles as an
-// end-to-end smoke test.
+// non-zero if a timed all_radii or preprocess() diverges from the
+// reference run or the merge does not rebuild the preprocessed graph, so
+// it doubles as an end-to-end smoke test.
 //
 // Knobs: RS_SCALE / RS_THREADS as usual, RS_RHO (ball size) and RS_K (hop
 // bound), both defaulting to PreprocessOptions{}'s, RS_REPS (timing
@@ -67,11 +67,10 @@ int main() {
   const int ball_sources = static_cast<int>(env_int64("RS_BALLS", 256));
 
   const auto graphs = shortcut_suite(s);
-  print_header("Preprocessing throughput (cold vs warm pool)", s, graphs);
+  print_header("Preprocessing throughput", s, graphs);
   std::printf("rho=%u  k=%u  reps=%d\n\n", rho, k, reps);
-  std::printf("  %-8s  %12s  %12s  %12s  %12s  %8s  %12s  %12s\n", "graph",
-              "balls/s", "radii_v/s", "cold_v/s", "warm_v/s", "warm/cold",
-              "merge_v/s", "merge_sc_v/s");
+  std::printf("  %-8s  %12s  %12s  %12s  %12s  %12s\n", "graph", "balls/s",
+              "radii_v/s", "cold_v/s", "merge_v/s", "merge_sc_v/s");
 
   BenchJson json("gb_preprocess", s);
   bool ok = true;
@@ -86,7 +85,8 @@ int main() {
     opts.k = k;
     opts.heuristic = ShortcutHeuristic::kDP;
 
-    // Reference output: the plain (pool-internal) path.
+    // Reference output: the last timed all_radii and preprocess() runs
+    // are checked against it.
     const PreprocessResult reference = preprocess(g, opts);
 
     // Single-context ball rate: the per-ball inner loop in isolation, on
@@ -104,38 +104,21 @@ int main() {
     run_balls();  // warm the context before timing
     const double t_balls = best_seconds(reps, run_balls);
 
-    // all_radii on a warm pool.
-    PreprocessPool radii_pool;
-    std::vector<Dist> radii = all_radii(g, rho, radii_pool);  // warm-up
+    std::vector<Dist> radii;
+    const double t_radii =
+        best_seconds(reps, [&] { radii = all_radii(g, rho); });
     if (radii != reference.radius) {
-      std::fprintf(stderr, "MISMATCH on %s: pooled all_radii != radii\n",
+      std::fprintf(stderr, "MISMATCH on %s: all_radii != radii\n",
                    name.c_str());
       ok = false;
     }
-    const double t_radii = best_seconds(
-        reps, [&] { radii = all_radii(g, rho, radii_pool); });
 
-    // Full preprocess, cold: a fresh pool every repetition (the one-shot
-    // cost a new process pays).
+    // Full preprocess, cold: the one-shot cost a new process pays.
     PreprocessResult result;
-    const double t_cold = best_seconds(reps, [&] {
-      PreprocessPool cold_pool;
-      result = preprocess(g, opts, cold_pool);
-    });
+    const double t_cold =
+        best_seconds(reps, [&] { result = preprocess(g, opts); });
     if (!same_result(result, reference)) {
-      std::fprintf(stderr, "MISMATCH on %s: cold pooled preprocess\n",
-                   name.c_str());
-      ok = false;
-    }
-
-    // Full preprocess, warm: one pool reused across repetitions — the
-    // steady state of a serving process that re-preprocesses periodically.
-    PreprocessPool warm_pool;
-    result = preprocess(g, opts, warm_pool);  // warm-up run
-    const double t_warm =
-        best_seconds(reps, [&] { result = preprocess(g, opts, warm_pool); });
-    if (!same_result(result, reference)) {
-      std::fprintf(stderr, "MISMATCH on %s: warm pooled preprocess\n",
+      std::fprintf(stderr, "MISMATCH on %s: repeated preprocess\n",
                    name.c_str());
       ok = false;
     }
@@ -173,13 +156,11 @@ int main() {
     const double balls_rate = static_cast<double>(sources.size()) / t_balls;
     const double radii_vps = n / t_radii;
     const double cold_vps = n / t_cold;
-    const double warm_vps = n / t_warm;
     const double merge_vps = n / t_merge;
     const double merge_shortcuts_vps = n / t_merge_shortcuts;
-    std::printf(
-        "  %-8s  %12.1f  %12.1f  %12.1f  %12.1f  %7.2fx  %12.1f  %12.1f\n",
-        name.c_str(), balls_rate, radii_vps, cold_vps, warm_vps,
-        warm_vps / cold_vps, merge_vps, merge_shortcuts_vps);
+    std::printf("  %-8s  %12.1f  %12.1f  %12.1f  %12.1f  %12.1f\n",
+                name.c_str(), balls_rate, radii_vps, cold_vps, merge_vps,
+                merge_shortcuts_vps);
 
     const BenchJson::Labels labels{{"graph", name},
                                    {"rho", std::to_string(rho)},
@@ -187,7 +168,6 @@ int main() {
     json.add("ball_rate", balls_rate, "balls/sec", labels);
     json.add("allradii_vps", radii_vps, "vertices/sec", labels);
     json.add("preprocess_cold_vps", cold_vps, "vertices/sec", labels);
-    json.add("preprocess_warm_vps", warm_vps, "vertices/sec", labels);
     json.add("merge_vps", merge_vps, "vertices/sec", labels);
     json.add("merge_shortcuts_vps", merge_shortcuts_vps, "vertices/sec",
              labels);

@@ -1,5 +1,5 @@
 // Parallel-primitive throughput: the building blocks every engine leans on
-// (reduce, scan, pack, WriteMin under contention).
+// (reduce, scan, WriteMin under contention).
 #include <atomic>
 
 #include <benchmark/benchmark.h>
@@ -32,18 +32,6 @@ void BM_ExclusiveScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ExclusiveScan)->Arg(1 << 16)->Arg(1 << 22);
-
-void BM_Pack(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint32_t> in(n);
-  for (std::size_t i = 0; i < n; ++i) in[i] = static_cast<std::uint32_t>(i);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pack(in, [&](std::size_t i) { return (in[i] & 7) == 0; }));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_Pack)->Arg(1 << 16)->Arg(1 << 22);
 
 void BM_WriteMinContended(benchmark::State& state) {
   // All relaxations hammer a small window of cells — worst-case contention

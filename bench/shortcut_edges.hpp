@@ -11,17 +11,15 @@
 // (symmetric picks collapse), which EXPERIMENTS.md quantifies separately.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
 #include "exp_common.hpp"
 #include "graph/graph.hpp"
-#include "shortcut/ball_search.hpp"
+#include "shortcut/preprocess_context.hpp"
 #include "shortcut/shortcut.hpp"
-
-#include <omp.h>
-
-#include "parallel/primitives.hpp"
 
 namespace rs::exp {
 
@@ -47,31 +45,21 @@ inline ShortcutEdgeResult count_shortcut_edges(const Graph& g, Vertex rho,
                                                const std::vector<Vertex>& ks,
                                                ShortcutHeuristic heuristic,
                                                bool settle_ties) {
-  const Graph gw = g.with_weight_sorted_adjacency();
-  const Vertex n = g.num_vertices();
-  const int nw = num_workers();
-
-  std::vector<std::vector<std::uint64_t>> counts(
-      ks.size(), std::vector<std::uint64_t>(static_cast<std::size_t>(nw), 0));
-  const BallOptions opts{rho, 0, settle_ties};
-#pragma omp parallel num_threads(nw)
-  {
-    BallSearchWorkspace ws(n);
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-#pragma omp for schedule(dynamic, 16)
-    for (std::int64_t sv = 0; sv < static_cast<std::int64_t>(n); ++sv) {
-      const Ball ball = ws.run(gw, static_cast<Vertex>(sv), opts);
-      for (std::size_t ki = 0; ki < ks.size(); ++ki) {
-        counts[ki][tid] += select_shortcuts(ball, ks[ki], heuristic).size();
-      }
-    }
-  }
+  std::vector<std::atomic<std::uint64_t>> added(ks.size());
+  PreprocessPool pool;
+  for_each_ball(g.with_weight_sorted_adjacency(), nullptr, g.num_vertices(),
+                BallOptions{rho, 0, settle_ties}, pool,
+                [&](PreprocessContext& ctx, std::size_t, const Ball& ball) {
+                  for (std::size_t ki = 0; ki < ks.size(); ++ki) {
+                    added[ki].fetch_add(
+                        ctx.select(ball, ks[ki], heuristic).size(),
+                        std::memory_order_relaxed);
+                  }
+                });
 
   ShortcutEdgeResult out;
-  for (std::size_t ki = 0; ki < ks.size(); ++ki) {
-    std::uint64_t added = 0;
-    for (const std::uint64_t c : counts[ki]) added += c;
-    out.factor.push_back(static_cast<double>(added) /
+  for (const auto& a : added) {
+    out.factor.push_back(static_cast<double>(a.load()) /
                          static_cast<double>(g.num_undirected_edges()));
   }
   return out;

@@ -15,10 +15,6 @@ namespace rs {
 SsspEngine::SsspEngine(Graph g, const PreprocessOptions& opts)
     : original_(std::move(g)), pre_(preprocess(original_, opts)) {}
 
-SsspEngine::SsspEngine(Graph g, const PreprocessOptions& opts,
-                       PreprocessPool& pool)
-    : original_(std::move(g)), pre_(preprocess(original_, opts, pool)) {}
-
 SsspEngine::SsspEngine(Graph original, PreprocessResult pre)
     : original_(std::move(original)), pre_(std::move(pre)) {
   if (pre_.graph.num_vertices() != original_.num_vertices() ||

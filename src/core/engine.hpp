@@ -36,7 +36,6 @@
 #include "core/stats.hpp"
 #include "graph/graph.hpp"
 #include "parallel/context_pool.hpp"
-#include "shortcut/preprocess_context.hpp"
 #include "shortcut/shortcut.hpp"
 
 namespace rs {
@@ -49,12 +48,6 @@ class SsspEngine {
   /// graph is kept for path reconstruction so paths never use shortcut
   /// edges.
   SsspEngine(Graph g, const PreprocessOptions& opts);
-
-  /// Same, drawing all per-ball preprocessing scratch from a caller-owned
-  /// warm PreprocessPool — the entry point for building many engines
-  /// (parameter sweeps, periodic re-preprocessing, multi-graph serving)
-  /// without paying per-ball allocations after the first build.
-  SsspEngine(Graph g, const PreprocessOptions& opts, PreprocessPool& pool);
 
   /// Wraps an existing preprocessing result (e.g. loaded from disk).
   /// Unless pre.options.heuristic is kNone, `original` must pass

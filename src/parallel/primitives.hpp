@@ -120,14 +120,6 @@ T parallel_reduce(std::size_t begin, std::size_t end, T id, F&& f,
   return acc;
 }
 
-/// Parallel min-reduction of f(i) over [begin, end).
-template <typename T, typename F>
-T parallel_min(std::size_t begin, std::size_t end, T id, F&& f) {
-  return parallel_reduce(
-      begin, end, id, std::forward<F>(f),
-      [](const T& a, const T& b) { return a < b ? a : b; });
-}
-
 /// Parallel sum-reduction of f(i) over [begin, end).
 template <typename T, typename F>
 T parallel_sum(std::size_t begin, std::size_t end, F&& f) {
@@ -180,35 +172,6 @@ T exclusive_scan(const std::vector<T>& in, std::vector<T>& out) {
     }
   }
   return total;
-}
-
-/// Keeps elements of `in` whose index satisfies `pred(i)`, preserving order.
-template <typename T, typename Pred>
-std::vector<T> pack(const std::vector<T>& in, Pred&& pred) {
-  const std::size_t n = in.size();
-  std::vector<std::uint64_t> flags(n);
-  parallel_for(0, n, [&](std::size_t i) { flags[i] = pred(i) ? 1 : 0; });
-  std::vector<std::uint64_t> offs;
-  const std::uint64_t total = exclusive_scan(flags, offs);
-  std::vector<T> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (flags[i]) out[offs[i]] = in[i];
-  });
-  return out;
-}
-
-/// Produces the indices i in [0, n) with `pred(i)` true, in increasing order.
-template <typename Pred>
-std::vector<std::uint32_t> pack_index(std::size_t n, Pred&& pred) {
-  std::vector<std::uint64_t> flags(n);
-  parallel_for(0, n, [&](std::size_t i) { flags[i] = pred(i) ? 1 : 0; });
-  std::vector<std::uint64_t> offs;
-  const std::uint64_t total = exclusive_scan(flags, offs);
-  std::vector<std::uint32_t> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (flags[i]) out[offs[i]] = static_cast<std::uint32_t>(i);
-  });
-  return out;
 }
 
 }  // namespace rs

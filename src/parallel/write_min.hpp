@@ -58,22 +58,4 @@ bool write_max(std::atomic<T>& cell, T value) {
   return false;
 }
 
-/// Packs a (priority, payload) pair into one uint64 so that write_min on the
-/// packed word implements "min by priority, tie-break by payload".
-/// Priority must fit in 40 bits, payload in 24 bits.
-struct PackedMin {
-  static constexpr int kPayloadBits = 24;
-  static constexpr std::uint64_t kPayloadMask = (1ull << kPayloadBits) - 1;
-
-  static std::uint64_t pack(std::uint64_t priority, std::uint32_t payload) {
-    return (priority << kPayloadBits) | (payload & kPayloadMask);
-  }
-  static std::uint64_t priority(std::uint64_t packed) {
-    return packed >> kPayloadBits;
-  }
-  static std::uint32_t payload(std::uint64_t packed) {
-    return static_cast<std::uint32_t>(packed & kPayloadMask);
-  }
-};
-
 }  // namespace rs

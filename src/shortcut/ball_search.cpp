@@ -5,9 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include <omp.h>
-
-#include "parallel/primitives.hpp"
+#include "shortcut/preprocess_context.hpp"
 
 namespace rs {
 
@@ -104,35 +102,40 @@ Ball ball_search(const Graph& g, Vertex source, Vertex rho, Vertex edge_limit) {
   return ws.run(g, source, rho, edge_limit);
 }
 
+std::vector<Dist> all_radii(const Graph& g, Vertex rho) {
+  const Vertex n = g.num_vertices();
+  std::vector<Dist> radius(n, 0);
+  PreprocessPool pool;
+  // Radii only: the tie class never affects r_rho, so stop at the rho-th
+  // pop (far cheaper on unweighted hub graphs than the full §5.1 protocol).
+  for_each_ball(g.with_weight_sorted_adjacency(), nullptr, n,
+                BallOptions{rho, 0, /*settle_ties=*/false}, pool,
+                [&](PreprocessContext&, std::size_t v, const Ball& ball) {
+                  radius[v] = ball.radius;
+                });
+  return radius;
+}
+
 bool radii_enclose_rho(const Graph& g, const std::vector<Dist>& radius,
                        Vertex rho) {
   const Vertex n = g.num_vertices();
   if (radius.size() != n) return false;
-  const Graph gw = g.with_weight_sorted_adjacency();
   std::atomic<bool> ok{true};
-#pragma omp parallel num_threads(num_workers())
-  {
-    BallSearchWorkspace ws(n);
-    Ball ball;
-#pragma omp for schedule(dynamic, 16)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      if (!ok.load(std::memory_order_relaxed)) continue;
-      // Unrestricted edge limit (max Vertex, not n — multigraph vertices
-      // can carry more than n parallel arcs): the check must count the
-      // true ball, and settle_ties makes the count include the whole
-      // boundary class.
-      ws.run(gw, static_cast<Vertex>(v),
-             BallOptions{rho, std::numeric_limits<Vertex>::max(),
-                         /*settle_ties=*/true},
-             ball);
-      // Members within radius[v]:
-      std::size_t inside = 0;
-      for (const BallVertex& bv : ball.vertices) {
-        if (bv.dist <= radius[static_cast<std::size_t>(v)]) ++inside;
-      }
-      if (inside < rho) ok.store(false, std::memory_order_relaxed);
-    }
-  }
+  PreprocessPool pool;
+  // Unrestricted edge limit (max Vertex, not n — multigraph vertices can
+  // carry more than n parallel arcs): the check must count the true ball,
+  // and settle_ties makes the count include the whole boundary class.
+  for_each_ball(g.with_weight_sorted_adjacency(), nullptr, n,
+                BallOptions{rho, std::numeric_limits<Vertex>::max(),
+                            /*settle_ties=*/true},
+                pool, [&](PreprocessContext&, std::size_t v, const Ball& ball) {
+                  // Members within radius[v]:
+                  std::size_t inside = 0;
+                  for (const BallVertex& bv : ball.vertices) {
+                    if (bv.dist <= radius[v]) ++inside;
+                  }
+                  if (inside < rho) ok.store(false, std::memory_order_relaxed);
+                });
   return ok.load();
 }
 

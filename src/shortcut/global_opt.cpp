@@ -1,11 +1,10 @@
 #include "shortcut/global_opt.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
-#include "graph/builder.hpp"
 #include "shortcut/preprocess_context.hpp"
 
 namespace rs {
@@ -28,7 +27,6 @@ class ExtraEdges {
   }
 
   std::vector<EdgeTriple> take_triples() { return std::move(triples_); }
-  std::size_t count() const { return triples_.size(); }
 
  private:
   std::vector<std::vector<std::pair<Vertex, Weight>>> adj_;
@@ -40,7 +38,8 @@ class ExtraEdges {
 PreprocessResult preprocess_global(const Graph& g,
                                    const PreprocessOptions& options) {
   // The cover rule adds shortcuts whatever options.heuristic names, so the
-  // graph is checked as for a heuristic that adds them.
+  // graph is checked, and the result assembled, as for a heuristic that
+  // adds them; the result still reports the caller's options.
   PreprocessOptions checked = options;
   checked.heuristic = ShortcutHeuristic::kDP;
   check_preprocess_input(g, checked);
@@ -48,9 +47,7 @@ PreprocessResult preprocess_global(const Graph& g,
   const Vertex k = options.k;
   const Graph gw = g.with_weight_sorted_adjacency();
 
-  PreprocessResult result;
-  result.options = options;
-  result.radius.assign(n, 0);
+  std::vector<Dist> radius(n, 0);
 
   ExtraEdges extra(n);
   PreprocessContext ctx(n);
@@ -67,7 +64,7 @@ PreprocessResult preprocess_global(const Graph& g,
 
   for (Vertex s = 0; s < n; ++s) {
     const Ball& ball = ctx.ball(gw, s, ball_opts);
-    result.radius[s] = ball.radius;
+    radius[s] = ball.radius;
     const std::size_t b = ball.vertices.size();
     ++stamp;
     for (std::size_t i = 0; i < b; ++i) {
@@ -129,13 +126,9 @@ PreprocessResult preprocess_global(const Graph& g,
     }
   }
 
-  const EdgeId before = g.num_undirected_edges();
-  const std::size_t raw = extra.count();
-  result.graph = merge_edges(g, extra.take_triples());
-  result.added_edges = result.graph.num_undirected_edges() - before;
-  result.added_factor =
-      before == 0 ? 0.0
-                  : static_cast<double>(raw) / static_cast<double>(before);
+  PreprocessResult result =
+      finish_preprocess(g, checked, std::move(radius), extra.take_triples());
+  result.options = options;
   return result;
 }
 

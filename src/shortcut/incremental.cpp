@@ -2,14 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <stdexcept>
 #include <utility>
-
-#include <omp.h>
-
-#include "graph/builder.hpp"
-#include "parallel/primitives.hpp"
 
 namespace rs {
 
@@ -21,12 +15,10 @@ IncrementalPreprocessor::IncrementalPreprocessor(
   check_preprocess_input(graph_, options);
   const Vertex n = graph_.num_vertices();
 
-  std::vector<Vertex> all(n);
-  for (Vertex v = 0; v < n; ++v) all[v] = v;
   members_.resize(n);
   shortcuts_.resize(n);
   radius_.assign(n, 0);
-  compute_balls(graph_, all, members_, shortcuts_, radius_);
+  compute_balls(graph_, nullptr, n, members_, shortcuts_, radius_);
 
   member_of_.resize(n);
   for (Vertex s = 0; s < n; ++s) {
@@ -35,50 +27,27 @@ IncrementalPreprocessor::IncrementalPreprocessor(
 }
 
 void IncrementalPreprocessor::compute_balls(
-    const Graph& base, const std::vector<Vertex>& sources,
+    const Graph& base, const Vertex* sources, std::size_t count,
     std::vector<std::vector<Vertex>>& out_members,
     std::vector<std::vector<EdgeTriple>>& out_shortcuts,
     std::vector<Dist>& out_radius) {
-  const Vertex n = base.num_vertices();
-  const Graph gw = base.with_weight_sorted_adjacency();
-  const BallOptions ball_opts{options_.rho, 0, options_.settle_ties};
-
-  const int nw = num_workers();
-  pool_.ensure(static_cast<std::size_t>(nw));
   // Exceptions may not escape an OpenMP region: record overflow in a flag
-  // and throw after the join instead of aborting the process.
+  // and throw after the pass instead of aborting the process.
   std::atomic<bool> overflow{false};
-#pragma omp parallel num_threads(nw)
-  {
-    PreprocessContext& ctx =
-        pool_.at(static_cast<std::size_t>(omp_get_thread_num()));
-    ctx.reserve(n);
-#pragma omp for schedule(dynamic, 16)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(sources.size());
-         ++i) {
-      const std::size_t slot = static_cast<std::size_t>(i);
-      const Vertex s = sources[slot];
-      const Ball& ball = ctx.ball(gw, s, ball_opts);
-      out_radius[slot] = ball.radius;
-
-      auto& mem = out_members[slot];
-      mem.clear();
-      mem.reserve(ball.vertices.size());
-      for (const BallVertex& bv : ball.vertices) mem.push_back(bv.v);
-
-      auto& sc = out_shortcuts[slot];
-      sc.clear();
-      for (const std::uint32_t idx :
-           ctx.select(ball, options_.k, options_.heuristic)) {
-        const BallVertex& bv = ball.vertices[idx];
-        if (bv.dist > std::numeric_limits<Weight>::max()) {
+  for_each_ball(
+      base.with_weight_sorted_adjacency(), sources, count,
+      BallOptions{options_.rho, 0, options_.settle_ties}, pool_,
+      [&](PreprocessContext& ctx, std::size_t i, const Ball& ball) {
+        out_radius[i] = ball.radius;
+        auto& mem = out_members[i];
+        mem.clear();
+        mem.reserve(ball.vertices.size());
+        for (const BallVertex& bv : ball.vertices) mem.push_back(bv.v);
+        out_shortcuts[i].clear();
+        if (!ctx.append_shortcuts(ball, options_, out_shortcuts[i])) {
           overflow.store(true, std::memory_order_relaxed);
-          continue;
         }
-        sc.push_back(EdgeTriple{s, bv.v, static_cast<Weight>(bv.dist)});
-      }
-    }
-  }
+      });
   if (overflow.load()) {
     throw std::overflow_error("preprocess: shortcut weight overflow");
   }
@@ -116,7 +85,8 @@ IncrementalUpdateStats IncrementalPreprocessor::apply(
   std::vector<std::vector<Vertex>> new_members(dirty.size());
   std::vector<std::vector<EdgeTriple>> new_shortcuts(dirty.size());
   std::vector<Dist> new_radius(dirty.size(), 0);
-  compute_balls(app.graph, dirty, new_members, new_shortcuts, new_radius);
+  compute_balls(app.graph, dirty.data(), dirty.size(), new_members,
+                new_shortcuts, new_radius);
 
   graph_ = std::move(app.graph);
   for (std::size_t i = 0; i < dirty.size(); ++i) {
@@ -157,31 +127,17 @@ std::size_t IncrementalPreprocessor::count_dirty(
 }
 
 PreprocessResult IncrementalPreprocessor::result() const {
-  PreprocessResult out;
-  out.options = options_;
-  out.radius = radius_;
-
-  const EdgeId before = graph_.num_undirected_edges();
-  if (options_.heuristic == ShortcutHeuristic::kNone) {
-    out.graph = graph_;
-  } else {
-    std::size_t total = 0;
-    for (const auto& sc : shortcuts_) total += sc.size();
-    std::vector<EdgeTriple> all;
-    all.reserve(total);
-    for (const auto& sc : shortcuts_) {
-      all.insert(all.end(), sc.begin(), sc.end());
-    }
-    // merge_edges' output depends on the shortcut multiset and the graph
-    // alone, so concatenation order is irrelevant: this is bit-identical
-    // to the cold path's per-worker staging drain.
-    out.graph = merge_edges(graph_, std::move(all));
+  std::size_t total = 0;
+  for (const auto& sc : shortcuts_) total += sc.size();
+  std::vector<EdgeTriple> all;
+  all.reserve(total);
+  for (const auto& sc : shortcuts_) {
+    all.insert(all.end(), sc.begin(), sc.end());
   }
-  out.added_edges = out.graph.num_undirected_edges() - before;
-  out.added_factor = before == 0 ? 0.0
-                                 : static_cast<double>(out.added_edges) /
-                                       static_cast<double>(before);
-  return out;
+  // merge_edges' output depends on the shortcut multiset and the graph
+  // alone, so concatenation order is irrelevant: this is bit-identical to
+  // the cold path's per-worker staging drain.
+  return finish_preprocess(graph_, options_, radius_, std::move(all));
 }
 
 }  // namespace rs

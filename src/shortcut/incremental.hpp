@@ -102,11 +102,13 @@ class IncrementalPreprocessor {
   const std::vector<Dist>& radius() const { return radius_; }
 
  private:
-  /// Recomputes balls for `sources` on `base` into the per-source slots of
-  /// the out arrays (all sized sources.size()). Parallel; throws
+  /// Recomputes the balls of sources[0, count) on `base` (of every vertex
+  /// when `sources` is null) into the per-source slots of the out arrays
+  /// (all sized count), through for_each_ball on the warm pool_. Throws
   /// std::overflow_error on shortcut weight overflow (out arrays then
   /// undefined, nothing committed).
-  void compute_balls(const Graph& base, const std::vector<Vertex>& sources,
+  void compute_balls(const Graph& base, const Vertex* sources,
+                     std::size_t count,
                      std::vector<std::vector<Vertex>>& out_members,
                      std::vector<std::vector<EdgeTriple>>& out_shortcuts,
                      std::vector<Dist>& out_radius);

@@ -1,12 +1,13 @@
 // Exact k-radius computation — the O(nm)-work quantity the paper avoids
 // computing directly (Section 4). Used as the test oracle validating that
-// preprocessing really produces (k, rho)-graphs. Small graphs only.
+// preprocessing really produces (k, rho)-graphs. Small graphs only: each
+// source runs an unrestricted ball search, which settles every reachable
+// vertex in (dist, hops) order and so is the min-hop shortest-path tree.
 #pragma once
 
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "shortcut/preprocess_context.hpp"
 
 namespace rs {
 
@@ -15,20 +16,8 @@ namespace rs {
 /// no such vertex exists.
 Dist k_radius_exact(const Graph& g, Vertex source, Vertex k);
 
-/// Context-reusing form: the full min-hop search runs on `ctx`'s ball
-/// scratch (an unrestricted ball search IS the min-hop Dijkstra tree), so
-/// n-source sweeps perform no per-source allocations once warm. `g` must
-/// have weight-sorted adjacency, like every ball search; the other forms
-/// sort their input themselves.
-Dist k_radius_exact(const Graph& g, Vertex source, Vertex k,
-                    PreprocessContext& ctx);
-
-/// r̄_k for all vertices (n single-source runs, parallelized).
+/// r̄_k for all vertices (n single-source runs, through for_each_ball).
 std::vector<Dist> all_k_radii_exact(const Graph& g, Vertex k);
-
-/// Pooled form: per-worker search state drawn from `pool`.
-std::vector<Dist> all_k_radii_exact(const Graph& g, Vertex k,
-                                    PreprocessPool& pool);
 
 /// Verifies the (k, rho)-graph property (Definition 4): r_rho(v) <= r̄_k(v)
 /// for every v. `radius` must hold r_rho values measured on `g`.

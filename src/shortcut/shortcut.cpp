@@ -1,12 +1,9 @@
 #include "shortcut/shortcut.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
-#include "graph/builder.hpp"
 #include "graph/stats.hpp"
-#include "shortcut/preprocess_context.hpp"
 
 namespace rs {
 
@@ -212,11 +209,6 @@ std::size_t min_shortcuts_bruteforce(const Ball& ball, Vertex k) {
     if (ok) best = count;
   }
   return best;
-}
-
-PreprocessResult preprocess(const Graph& g, const PreprocessOptions& options) {
-  PreprocessPool pool;
-  return preprocess(g, options, pool);
 }
 
 void check_preprocess_input(const Graph& g, const PreprocessOptions& options) {

@@ -26,7 +26,6 @@
 #include "graph/weights.hpp"
 #include "serve/result_cache.hpp"
 #include "shortcut/ball_search.hpp"
-#include "shortcut/kradius.hpp"
 #include "shortcut/preprocess_context.hpp"
 #include "test_util.hpp"
 
@@ -226,24 +225,25 @@ TEST(AllocFree, WarmCachedTargetedServeAllocatesNothing) {
 TEST(AllocFree, WarmPreprocessContextBallLoopAllocatesNothing) {
   // The acceptance pin for the preprocessing pipeline: with a warm
   // PreprocessContext, the full per-ball inner loop of preprocess() — ball
-  // search, shortcut selection, staging append — performs ZERO heap
-  // allocations. The first pass grows every buffer (ball vertex list,
-  // tree CSR, DP tables, stamped maps, staging) to its high-water mark;
-  // the second identical pass must run entirely out of that capacity.
+  // search, then append_shortcuts (shortcut selection and the staging
+  // append) — performs ZERO heap allocations. The first pass grows every
+  // buffer (ball vertex list, tree CSR, DP tables, stamped maps, staging)
+  // to its high-water mark; the second identical pass must run entirely
+  // out of that capacity.
   const Graph g = test_graph().with_weight_sorted_adjacency();
   const Vertex n = g.num_vertices();
   PreprocessContext ctx(n);
-  const BallOptions opts{12, 0, /*settle_ties=*/true};
+  PreprocessOptions options;
+  options.rho = 12;
+  options.k = 2;
+  options.heuristic = ShortcutHeuristic::kDP;
+  const BallOptions opts{options.rho, 0, options.settle_ties};
+  bool appended = true;
   const auto pass = [&] {
     ctx.staging().clear();
     for (Vertex s = 0; s < n; ++s) {
-      const Ball& ball = ctx.ball(g, s, opts);
-      for (const std::uint32_t idx :
-           ctx.select(ball, 2, ShortcutHeuristic::kDP)) {
-        const BallVertex& bv = ball.vertices[idx];
-        ctx.staging().push_back(
-            EdgeTriple{s, bv.v, static_cast<Weight>(bv.dist)});
-      }
+      appended &=
+          ctx.append_shortcuts(ctx.ball(g, s, opts), options, ctx.staging());
     }
   };
   pass();  // warm-up
@@ -257,27 +257,8 @@ TEST(AllocFree, WarmPreprocessContextBallLoopAllocatesNothing) {
     measured = window.count();
   }
   EXPECT_EQ(measured, 0u);
+  EXPECT_TRUE(appended);
   EXPECT_EQ(ctx.staging().size(), staged);
-}
-
-TEST(AllocFree, WarmKRadiusContextSweepAllocatesNothing) {
-  // The k-radius oracle runs full min-hop searches on the same context
-  // scratch: a warm context sweeps sources allocation-free. The context
-  // form takes a weight-sorted graph, like every ball search.
-  const Graph g = test_graph().with_weight_sorted_adjacency();
-  PreprocessContext ctx(g.num_vertices());
-  Dist warm = 0;
-  for (Vertex s = 0; s < 8; ++s) warm ^= k_radius_exact(g, s, 2, ctx);
-
-  std::uint64_t measured;
-  Dist again = 0;
-  {
-    AllocationWindow window;
-    for (Vertex s = 0; s < 8; ++s) again ^= k_radius_exact(g, s, 2, ctx);
-    measured = window.count();
-  }
-  EXPECT_EQ(measured, 0u);
-  EXPECT_EQ(warm, again);
 }
 
 TEST(AllocFree, CountingAllocatorIsLive) {

@@ -319,6 +319,20 @@ TEST(AllRadii, RhoOneGivesAllZeros) {
   for (const Dist r : all_radii(g, 1)) EXPECT_EQ(r, 0u);
 }
 
+TEST(AllRadii, RejectsRhoZero) {
+  // Thrown before the parallel pass opens, so it reaches the caller at any
+  // worker count instead of terminating the process.
+  for (const int workers : {1, 3}) {
+    const test::WorkerGuard guard(workers);
+    EXPECT_THROW(all_radii(gen::chain(5), 0), std::invalid_argument)
+        << workers;
+  }
+}
+
+TEST(KRadius, EmptyGraphGivesNoRadii) {
+  EXPECT_TRUE(all_k_radii_exact(Graph{}, 2).empty());
+}
+
 TEST(RadiiEncloseRho, RhoRadiiAlwaysPass) {
   for (const auto& [name, g] : test::weighted_suite(7)) {
     for (const Vertex rho : {Vertex{2}, Vertex{8}, Vertex{24}}) {
@@ -339,6 +353,16 @@ TEST(RadiiEncloseRho, DetectsTooSmallRadii) {
   EXPECT_FALSE(radii_enclose_rho(g, radius, 8));
   // Size mismatch.
   EXPECT_FALSE(radii_enclose_rho(g, std::vector<Dist>(3, 0), 1));
+}
+
+TEST(RadiiEncloseRho, RejectsRhoZero) {
+  const Graph g = gen::chain(5);
+  for (const int workers : {1, 3}) {
+    const test::WorkerGuard guard(workers);
+    EXPECT_THROW(radii_enclose_rho(g, std::vector<Dist>(5, 0), 0),
+                 std::invalid_argument)
+        << workers;
+  }
 }
 
 TEST(BallSearch, RadiusMonotoneInRho) {

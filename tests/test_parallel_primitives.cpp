@@ -59,17 +59,6 @@ TEST(ParallelReduce, SumMatchesSequential) {
   EXPECT_EQ(got, expect);
 }
 
-TEST(ParallelReduce, MinFindsGlobalMinimum) {
-  const std::size_t n = 99'991;
-  SplitRng rng(3);
-  std::vector<std::uint64_t> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = rng.get(0, i);
-  const std::uint64_t expect = *std::min_element(v.begin(), v.end());
-  EXPECT_EQ(parallel_min(std::size_t{0}, n, ~std::uint64_t{0},
-                         [&](std::size_t i) { return v[i]; }),
-            expect);
-}
-
 TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
   EXPECT_EQ(parallel_sum<int>(10, 10, [](std::size_t) { return 1; }), 0);
 }
@@ -102,31 +91,6 @@ TEST(Scan, InPlaceAliasing) {
   const std::uint64_t total = exclusive_scan(v, v);
   EXPECT_EQ(total, 14u);
   EXPECT_EQ(v, (std::vector<std::uint64_t>{0, 3, 4, 8, 9}));
-}
-
-TEST(Pack, KeepsPredicateOrder) {
-  const std::size_t n = 50'000;
-  std::vector<int> in(n);
-  std::iota(in.begin(), in.end(), 0);
-  const auto out = pack(in, [&](std::size_t i) { return in[i] % 3 == 0; });
-  ASSERT_FALSE(out.empty());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i] % 3, 0);
-    if (i > 0) {
-      EXPECT_LT(out[i - 1], out[i]);
-    }
-  }
-  EXPECT_EQ(out.size(), (n + 2) / 3);
-}
-
-TEST(PackIndex, MatchesManualFilter) {
-  const std::size_t n = 10'000;
-  const auto out = pack_index(n, [](std::size_t i) { return i % 7 == 1; });
-  std::vector<std::uint32_t> expect;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i % 7 == 1) expect.push_back(static_cast<std::uint32_t>(i));
-  }
-  EXPECT_EQ(out, expect);
 }
 
 TEST(WriteMin, LowersAndRejects) {
@@ -164,19 +128,6 @@ TEST(WriteMax, RaisesOnly) {
   EXPECT_TRUE(write_max(cell, 20u));
   EXPECT_FALSE(write_max(cell, 15u));
   EXPECT_EQ(cell.load(), 20u);
-}
-
-TEST(PackedMin, RoundTripsPriorityAndPayload) {
-  const std::uint64_t p = (1ull << 39) + 12345;
-  const std::uint32_t payload = (1u << 23) + 99;
-  const std::uint64_t packed = PackedMin::pack(p, payload);
-  EXPECT_EQ(PackedMin::priority(packed), p);
-  EXPECT_EQ(PackedMin::payload(packed), payload);
-}
-
-TEST(PackedMin, OrdersByPriorityFirst) {
-  EXPECT_LT(PackedMin::pack(1, 0xffffff), PackedMin::pack(2, 0));
-  EXPECT_LT(PackedMin::pack(5, 3), PackedMin::pack(5, 4));
 }
 
 TEST(SplitRng, DeterministicAndSeedSensitive) {

@@ -1,19 +1,23 @@
-// PreprocessContext and the pooled preprocessing pipeline: pooled output
-// must be bit-identical to the plain path, invariant across worker counts
-// (including the adversarial directed multigraphs, radii only), and a pool
-// must be safely reusable across graphs of different sizes — growing and
-// shrinking — without stale-stamp bugs leaking state between runs.
+// PreprocessContext and the shared ball pass (for_each_ball): preprocess()
+// output must be invariant across worker counts (including the adversarial
+// directed multigraphs, radii only), an IncrementalPreprocessor's warm
+// pool must serve batches at changing worker counts, a context must be
+// safely reusable across graphs of different sizes — growing and
+// shrinking — without stale-stamp bugs leaking state between runs, and
+// the pass must hand every source to f exactly once with its own ball.
 #include "shortcut/preprocess_context.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <random>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "graph/stats.hpp"
 #include "graph/weights.hpp"
 #include "parallel/primitives.hpp"
-#include "shortcut/kradius.hpp"
+#include "shortcut/incremental.hpp"
 #include "test_util.hpp"
 
 namespace rs {
@@ -53,23 +57,6 @@ PreprocessOptions opts_for(const Graph& g) {
   return opts;
 }
 
-TEST(PreprocessPool, PooledMatchesPlainAndWarmRerun) {
-  PreprocessPool pool;  // shared across ALL cases: cross-graph reuse too
-  for (const auto& [name, g] : both_suites(13)) {
-    const PreprocessOptions opts = opts_for(g);
-    if (opts.heuristic == ShortcutHeuristic::kNone) {
-      // Rejected before the pool is touched: later cases reuse it.
-      EXPECT_THROW(preprocess(g, small_opts(), pool), std::invalid_argument)
-          << name;
-    }
-    const PreprocessResult plain = preprocess(g, opts);
-    const PreprocessResult pooled = preprocess(g, opts, pool);
-    const PreprocessResult warm = preprocess(g, opts, pool);
-    expect_identical(plain, pooled, name);
-    expect_identical(plain, warm, name + " (warm rerun)");
-  }
-}
-
 TEST(PreprocessPool, WorkerCountInvariantOverBothSuites) {
   // 1-vs-N-worker bit-identical PreprocessResult — including the directed /
   // self-loop / parallel-arc adversarial multigraphs.
@@ -78,53 +65,39 @@ TEST(PreprocessPool, WorkerCountInvariantOverBothSuites) {
     PreprocessResult pre1, preN;
     {
       WorkerGuard guard(1);
-      PreprocessPool pool;
-      pre1 = preprocess(g, opts, pool);
+      pre1 = preprocess(g, opts);
     }
     {
       WorkerGuard guard(kManyWorkers);
-      PreprocessPool pool;
-      preN = preprocess(g, opts, pool);
+      preN = preprocess(g, opts);
     }
     expect_identical(pre1, preN, name);
   }
 }
 
 TEST(PreprocessPool, WorkerCountChangeOnOneWarmPool) {
-  // The same pool serving a wide run, then a 1-worker run, then wide again:
-  // slots beyond the active worker count must not leak staged edges.
+  // One IncrementalPreprocessor's pool serving a wide flush, then a
+  // 1-worker flush, then a wide one again: each result must still be the
+  // cold build of the current graph.
   const PreprocessOptions opts = small_opts();
-  const Graph g = test::weighted_suite(19)[0].graph;
-  const PreprocessResult expected = preprocess(g, opts);
-  PreprocessPool pool;
-  {
-    WorkerGuard guard(kManyWorkers);
-    expect_identical(expected, preprocess(g, opts, pool), "wide");
+  IncrementalPreprocessor inc(test::weighted_suite(19)[0].graph, opts);
+  std::mt19937 rng(19);
+  for (const int workers : {kManyWorkers, 1, kManyWorkers}) {
+    WorkerGuard guard(workers);
+    const Graph& g = inc.graph();
+    std::uniform_int_distribution<Vertex> vertex(0, g.num_vertices() - 1);
+    std::uniform_int_distribution<Weight> weight(1, 150);
+    std::vector<WeightUpdate> batch;
+    for (int i = 0; i < 6; ++i) {
+      const Vertex u = vertex(rng);
+      if (g.degree(u) == 0) continue;
+      batch.push_back(WeightUpdate{u, g.arc_target(g.first_arc(u)),
+                                   weight(rng)});
+    }
+    EXPECT_GT(inc.apply(batch).dirty_balls, 0u) << workers;
+    expect_identical(inc.result(), preprocess(inc.graph(), opts),
+                     "after a batch at " + std::to_string(workers));
   }
-  {
-    WorkerGuard guard(1);
-    expect_identical(expected, preprocess(g, opts, pool), "narrow");
-  }
-  {
-    WorkerGuard guard(kManyWorkers);
-    expect_identical(expected, preprocess(g, opts, pool), "wide again");
-  }
-}
-
-TEST(PreprocessPool, ReuseAcrossGraphSizesGrowShrink) {
-  // big -> small -> big on one pool; every run must match a fresh pool.
-  // Shrinking leaves stale stamps for vertices beyond the small graph;
-  // growing back must not resurrect them.
-  const PreprocessOptions opts = small_opts();
-  const Graph big = assign_uniform_weights(gen::grid2d(22, 20), 3, 1, 100);
-  const Graph small = assign_uniform_weights(gen::grid2d(5, 4), 4, 1, 100);
-  const PreprocessResult big_fresh = preprocess(big, opts);
-  const PreprocessResult small_fresh = preprocess(small, opts);
-
-  PreprocessPool pool;
-  expect_identical(big_fresh, preprocess(big, opts, pool), "big");
-  expect_identical(small_fresh, preprocess(small, opts, pool), "small");
-  expect_identical(big_fresh, preprocess(big, opts, pool), "big again");
 }
 
 TEST(PreprocessContext, BallAndSelectMatchFreshAcrossGraphSizes) {
@@ -165,27 +138,39 @@ TEST(PreprocessContext, BallAndSelectMatchFreshAcrossGraphSizes) {
   check(big, "big again");
 }
 
-TEST(PreprocessPool, PooledRadiiAndKRadiiMatchPlain) {
-  PreprocessPool pool;
-  for (const auto& [name, g] : test::weighted_suite(21)) {
-    EXPECT_EQ(all_radii(g, 8, pool), all_radii(g, 8)) << name;
-    EXPECT_EQ(all_k_radii_exact(g, 2, pool), all_k_radii_exact(g, 2)) << name;
+TEST(PreprocessContext, ForEachBallCallsEverySourceOnce) {
+  // An explicit source list (with a repeat) and the all-vertices form, at
+  // one, three and eight workers: f sees slot i exactly once, with the
+  // ball of its source.
+  const Graph gw = assign_uniform_weights(gen::grid2d(9, 11), 5, 1, 100)
+                       .with_weight_sorted_adjacency();
+  const Vertex n = gw.num_vertices();
+  const BallOptions opts{6, 0, /*settle_ties=*/true};
+  const std::vector<Vertex> sources{n - 1, 3, 0, 3, 42};
+  for (const int workers : {1, 3, kManyWorkers}) {
+    WorkerGuard guard(workers);
+    PreprocessPool pool;
+    for (const bool all : {false, true}) {
+      const std::size_t count = all ? n : sources.size();
+      std::vector<std::atomic<int>> calls(count);
+      std::vector<Dist> radius(count, kInfDist);
+      std::vector<Vertex> source(count, kNoVertex);
+      for_each_ball(gw, all ? nullptr : sources.data(), count, opts, pool,
+                    [&](PreprocessContext&, std::size_t i, const Ball& ball) {
+                      calls[i].fetch_add(1);
+                      radius[i] = ball.radius;
+                      source[i] = ball.source;
+                    });
+      BallSearchWorkspace fresh(n);
+      for (std::size_t i = 0; i < count; ++i) {
+        const Vertex s = all ? static_cast<Vertex>(i) : sources[i];
+        EXPECT_EQ(calls[i].load(), 1) << workers << " " << i;
+        EXPECT_EQ(source[i], s) << workers << " " << i;
+        EXPECT_EQ(radius[i], fresh.run(gw, s, opts).radius)
+            << workers << " " << i;
+      }
+    }
   }
-}
-
-TEST(SsspEngine, PooledConstructorMatchesPlain) {
-  const Graph g = test::weighted_suite(27)[0].graph;
-  PreprocessOptions opts;
-  opts.rho = 12;
-  opts.k = 2;
-  PreprocessPool pool;
-  const SsspEngine plain(g, opts);
-  const SsspEngine pooled(g, opts, pool);
-  const SsspEngine warm(g, opts, pool);
-  expect_identical(plain.preprocessing(), pooled.preprocessing(), "pooled");
-  expect_identical(plain.preprocessing(), warm.preprocessing(), "warm");
-  EXPECT_EQ(plain.serve(test::full_request(3)).dist,
-            warm.serve(test::full_request(3)).dist);
 }
 
 }  // namespace

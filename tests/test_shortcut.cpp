@@ -8,6 +8,7 @@
 #include "baseline/dijkstra.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "shortcut/global_opt.hpp"
 #include "shortcut/kradius.hpp"
 #include "test_util.hpp"
 
@@ -256,21 +257,33 @@ TEST(Preprocess, RadiiMatchAllRadii) {
 }
 
 TEST(Preprocess, AddedFactorAccounting) {
+  // Both producers of merged results: the per-ball heuristic and the global
+  // cover pass, whose raw shortcut triples include duplicates that the
+  // merge collapses.
   const Graph g = assign_uniform_weights(gen::grid2d(12, 12), 8, 1, 1000);
   PreprocessOptions opts;
   opts.rho = 20;
   opts.k = 1;
   opts.heuristic = ShortcutHeuristic::kFull1Rho;
-  const PreprocessResult pre = preprocess(g, opts);
-  EXPECT_EQ(pre.graph.num_undirected_edges(),
-            g.num_undirected_edges() + pre.added_edges);
-  EXPECT_GT(pre.added_edges, 0u);
-  EXPECT_NEAR(pre.added_factor,
-              double(pre.added_edges) / double(g.num_undirected_edges()),
-              1e-12);
-  // At most (rho - 1) shortcuts per source (and usually far fewer are new).
-  EXPECT_LE(pre.added_edges,
-            static_cast<EdgeId>(g.num_vertices()) * (opts.rho - 1));
+  const std::pair<const char*, PreprocessResult> results[] = {
+      {"preprocess", preprocess(g, opts)},
+      {"preprocess_global", preprocess_global(g, opts)}};
+  for (const auto& [name, pre] : results) {
+    EXPECT_EQ(pre.graph.num_undirected_edges(),
+              g.num_undirected_edges() + pre.added_edges)
+        << name;
+    EXPECT_GT(pre.added_edges, 0u) << name;
+    EXPECT_NEAR(pre.added_factor,
+                double(pre.added_edges) / double(g.num_undirected_edges()),
+                1e-12)
+        << name;
+    EXPECT_EQ(pre.options.heuristic, opts.heuristic) << name;
+    // At most (rho - 1) shortcuts per source (and usually far fewer are
+    // new).
+    EXPECT_LE(pre.added_edges,
+              static_cast<EdgeId>(g.num_vertices()) * (opts.rho - 1))
+        << name;
+  }
 }
 
 TEST(Preprocess, LargerKAddsFewerEdges) {
