@@ -75,10 +75,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <iostream>
 #include <limits>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -382,24 +382,37 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
   std::signal(SIGTERM, on_signal);
   std::fprintf(stderr, "sssp_serve: listening on port %d\n", port);
 
-  // The client sockets still open. A thread takes its socket off the
-  // list before closing it, so the shutdown below never reaches a closed
-  // (or reused) descriptor.
-  std::mutex open_mu;
-  std::vector<int> open;
-  std::vector<std::thread> conns;
+  // One entry per connection thread not yet joined. A thread marks itself
+  // done before it closes its socket, so the shutdown below never reaches
+  // a closed (or reused) descriptor. Each accept joins the threads that
+  // are done: a finished thread keeps its stack mapped until it is
+  // joined, and a long-lived daemon serves any number of connections.
+  struct Conn {
+    int fd = -1;
+    bool done = false;
+    std::thread thread;
+  };
+  std::mutex conns_mu;
+  std::list<Conn> conns;  // a thread holds its own entry by reference
   while (g_stop == 0) {
     const int client = ::accept(fd, nullptr, nullptr);
     if (client < 0) break;  // listener closed by the signal handler
-    {
-      const std::lock_guard<std::mutex> lock(open_mu);
-      open.push_back(client);
+    const std::lock_guard<std::mutex> lock(conns_mu);
+    for (auto it = conns.begin(); it != conns.end();) {
+      if (it->done) {
+        it->thread.join();  // past its last lock: only close() is left
+        it = conns.erase(it);
+      } else {
+        ++it;
+      }
     }
-    conns.emplace_back([client, &server, dyn, &open_mu, &open] {
+    Conn& conn = conns.emplace_back();
+    conn.fd = client;
+    conn.thread = std::thread([client, &conn, &server, dyn, &conns_mu] {
       serve_connection(client, server, dyn);
       {
-        const std::lock_guard<std::mutex> lock(open_mu);
-        open.erase(std::find(open.begin(), open.end(), client));
+        const std::lock_guard<std::mutex> done_lock(conns_mu);
+        conn.done = true;
       }
       ::close(client);
     });
@@ -407,10 +420,12 @@ int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
   // An idle client would keep its thread in read() forever. SHUT_RD makes
   // that read return 0; a line being answered still gets its reply.
   {
-    const std::lock_guard<std::mutex> lock(open_mu);
-    for (const int client : open) ::shutdown(client, SHUT_RD);
+    const std::lock_guard<std::mutex> lock(conns_mu);
+    for (const Conn& conn : conns) {
+      if (!conn.done) ::shutdown(conn.fd, SHUT_RD);
+    }
   }
-  for (std::thread& t : conns) t.join();
+  for (Conn& conn : conns) conn.thread.join();
   if (g_stop == 0) ::close(fd);
   return 0;
 }

@@ -14,11 +14,13 @@ duplicate metrics are aggregated by MEDIAN, which is what makes a hard
 gate viable on noisy shared runners).
 
 Metrics are matched by (bench, metric name, sorted labels) and compared
-when the unit has a known direction: rates (queries/sec, vertices/sec,
-balls/sec) and ratios (e.g. the serving cache's hit_rate), where lower =
-slower = regression, and latencies (us, ms), where HIGHER is the
-regression — this is how the serving daemon's
-p50/p99/p999 tail latencies are gated. Two bands:
+when the current run's unit has a known direction: rates (queries/sec,
+vertices/sec, balls/sec) and ratios (e.g. the serving cache's hit_rate),
+where lower = slower = regression, and latencies (us, ms), where HIGHER is
+the regression — this is how the serving daemon's p50/p99/p999 tail
+latencies are gated. A metric whose unit differs between the two runs is
+listed as "unit changed" and not compared: its old value may not even
+point the same way. Two bands:
 
   * a move-for-the-worse beyond --threshold (default 20%) prints a
     REGRESSION warning;
@@ -141,6 +143,7 @@ def main():
 
     regressions = []
     failures = []
+    unit_changed = []
     improvements = 0
     compared = 0
     print(f"{'bench':24} {'metric':20} {'labels':40} "
@@ -148,8 +151,11 @@ def main():
     for key in sorted(base):
         if key not in cur:
             continue
-        (old, unit) = base[key]
-        (new, _) = cur[key]
+        (old, old_unit) = base[key]
+        (new, unit) = cur[key]
+        if unit != old_unit:
+            unit_changed.append((key, old_unit, unit))
+            continue
         if old <= 0:
             continue
         if unit in RATE_UNITS:
@@ -187,6 +193,12 @@ def main():
             print(f"  - {bench} {name} [{label_str(labels)}]")
     if added:
         print(f"\n{len(added)} new metric(s) with no baseline yet.")
+    if unit_changed:
+        print(f"\n{len(unit_changed)} metric(s) with a unit changed "
+              "(not compared):")
+        for (bench, name, labels), old_unit, unit in unit_changed:
+            print(f"  - {bench} {name} [{label_str(labels)}]: "
+                  f"{old_unit!r} -> {unit!r}")
 
     print(f"\ncompared {compared} directional metric(s) (medians): "
           f"{len(failures)} hard failure(s), "

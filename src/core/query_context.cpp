@@ -85,13 +85,6 @@ void QueryContext::finish_query(Vertex n, std::vector<Dist>& out) {
   });
 }
 
-void QueryContext::reset_distances(Vertex n) {
-  std::atomic<Dist>* dist = search_.dist();
-  parallel_for_blocked(0, n, [&](std::size_t v) {
-    dist[v].store(kInfDist, std::memory_order_relaxed);
-  });
-}
-
 std::vector<QueryContext::ChunkCursor>& QueryContext::cursors(int count) {
   const auto wanted = static_cast<std::size_t>(count < 1 ? 1 : count);
   // Atomics cannot move, so growth rebuilds the array, like the distances.

@@ -206,14 +206,8 @@ class QueryContext {
 
   /// Copies distances of [0, n) into `out` and restores the all-infinite
   /// invariant in the same pass. Every begin_query() must be paired with
-  /// exactly one finish_query() OR reset_distances() OR reset_touched().
+  /// exactly one finish_query() OR reset_touched().
   void finish_query(Vertex n, std::vector<Dist>& out);
-
-  /// Restores the all-infinite invariant WITHOUT producing the O(n)
-  /// output copy, by sweeping every entry. Prefer reset_touched() after an
-  /// engine run that recorded first-touches — this full sweep is the
-  /// fallback for distance arrays of unknown provenance.
-  void reset_distances(Vertex n);
 
   /// O(touched) epilogue of both searches (see Search::reset_touched).
   /// Only valid when every inf -> finite transition since the run began

@@ -1,6 +1,6 @@
 /// \file
-/// ResultCache: sharded LRU cache of completed full-distance rows with
-/// single-flight deduplication of concurrent misses.
+/// ResultCache: sharded LRU cache of completed full-distance rows, filled
+/// once per key.
 ///
 /// Millions of clients concentrate their queries on few sources (hub
 /// airports, trending accounts). Radius-Stepping makes ONE query fast;
@@ -16,25 +16,22 @@
 ///    swap bumps the epoch, so every old row silently stops matching; the
 ///    stale entries are reclaimed by LRU pressure or purge_stale().
 ///
-/// Single-flight: when a burst of requests misses the same key at once,
-/// exactly one caller becomes the OWNER (computes the row) and the rest
-/// become WAITERS on a shared future — one computation, N waiters,
-/// instead of N identical engine runs. The owner MUST call fulfill() or
-/// fail(); a forgotten in-flight entry would park its waiters forever.
+/// One fill per key: the first miss on a key FILLS it (computes the full
+/// row, then fulfill() or abandon()). A miss that finds the fill still in
+/// flight is BUSY: nothing waits on the fill, the caller computes its own
+/// answer instead. So the cache never blocks a caller, and a forgotten
+/// fill only costs later misses their row (they stay busy), never a hang.
 ///
 /// Concurrency: keys hash onto independent shards, each a mutex + hash
 /// map + intrusive LRU list of READY entries. A hit is a find + list
-/// splice (allocation-free) under one shard lock. In-flight entries live
-/// in the map but not in the LRU list and never count against capacity;
-/// clear() and purge_stale() only touch ready entries, so a waiter's
-/// future is never invalidated from under it.
+/// splice (allocation-free) under one shard lock. Entries being filled
+/// live in the map but not in the LRU list: they never count against
+/// capacity and are never evicted.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -95,12 +92,14 @@ inline bool cache_eligible(const QueryRequest& req) {
 
 /// Monotonic counters; snapshot via ResultCache::stats().
 struct ResultCacheStats {
-  std::uint64_t hits = 0;                 ///< Ready-row acquisitions.
-  std::uint64_t misses = 0;               ///< Owner acquisitions.
-  std::uint64_t single_flight_waits = 0;  ///< Waiter acquisitions.
-  std::uint64_t evictions = 0;            ///< LRU evictions of ready rows.
+  std::uint64_t hits = 0;    ///< Ready-row acquisitions (kHit).
+  std::uint64_t misses = 0;  ///< Fills started (kFill).
+  /// Busy misses (kBusy): the key was being filled, so the caller computed
+  /// its own answer. perfbench and bench_loadgen report it by this name.
+  std::uint64_t single_flight_waits = 0;
+  std::uint64_t evictions = 0;  ///< LRU evictions of ready rows.
 
-  /// hits / (hits + misses + waits); 0 when nothing was acquired yet.
+  /// hits / (hits + misses + busy misses); 0 before the first acquire.
   double hit_rate() const {
     const std::uint64_t total = hits + misses + single_flight_waits;
     return total == 0 ? 0.0
@@ -110,12 +109,12 @@ struct ResultCacheStats {
 
 /// Outcome of ResultCache::acquire.
 enum class CacheAcquire : std::uint8_t {
-  kHit,     ///< `row` is the ready row.
-  kOwner,   ///< Caller must compute, then fulfill() or fail().
-  kWaiter,  ///< `pending` resolves when the owner fulfills (or rethrows).
+  kHit,   ///< `row` is the ready row.
+  kFill,  ///< Caller computes the row, then fulfill() or abandon().
+  kBusy,  ///< Another caller is filling the key; compute the answer alone.
 };
 
-/// The sharded LRU + single-flight row cache (see the file comment).
+/// The sharded LRU row cache, one fill per key (see the file comment).
 class ResultCache {
  public:
   /// Builds an empty cache with the given sharding/capacity knobs.
@@ -124,45 +123,36 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Hit / owner / waiter resolution for `key` (see CacheAcquire). On
-  /// kHit, `row` is set; on kWaiter, `pending` is set; on kOwner the
-  /// caller owes a fulfill() or fail() for this key.
-  CacheAcquire acquire(const CacheKey& key, RowPtr& row,
-                       std::shared_future<RowPtr>& pending);
+  /// Hit / fill / busy resolution for `key` (see CacheAcquire). On kHit,
+  /// `row` is set; on kFill the caller owes a fulfill() or abandon() for
+  /// this key.
+  CacheAcquire acquire(const CacheKey& key, RowPtr& row);
 
-  /// Publishes the owner's computed row: inserts it as a ready LRU entry
-  /// (evicting beyond capacity) and wakes every waiter with it.
+  /// Publishes a fill's computed row as a ready LRU entry (evicting beyond
+  /// capacity). Does nothing unless `key` is still being filled: an
+  /// abandoned fill, or one finished after purge_stale() dropped its
+  /// epoch, publishes nothing instead of parking a row no request can
+  /// match.
   void fulfill(const CacheKey& key, RowPtr row);
 
-  /// Owner's failure path: drops the in-flight entry and propagates `err`
-  /// to every waiter. The key is then missable again.
-  void fail(const CacheKey& key, std::exception_ptr err);
+  /// A fill's failure path: drops the entry being filled, so the next miss
+  /// on `key` fills it again.
+  void abandon(const CacheKey& key);
 
-  /// Ready-row lookup without single-flight bookkeeping (refreshes LRU
-  /// position). Null on miss or while the key is only in flight.
-  RowPtr lookup(const CacheKey& key);
-
-  /// Drops every READY row with graph_epoch < min_epoch — the eager
-  /// reclamation hook SsspServer::swap_engine() runs (stale rows can never
-  /// match again; this just frees their memory early). In-flight entries
-  /// are left alone.
+  /// Drops every entry with graph_epoch < min_epoch, ready or being
+  /// filled — the reclamation hook SsspServer::swap_engine() runs (stale
+  /// keys can never match again; this frees their memory early).
   void purge_stale(std::uint64_t min_epoch);
 
-  /// Drops every ready row (in-flight entries are left for their owners).
-  void clear();
-
-  /// Snapshot of the monotonic hit/miss/wait/eviction counters.
+  /// Snapshot of the monotonic hit/miss/busy/eviction counters.
   ResultCacheStats stats() const;
 
-  /// Ready rows currently resident (in-flight entries excluded).
+  /// Ready rows currently resident (fills in flight excluded).
   std::size_t size() const;
 
  private:
   struct Entry {
-    RowPtr row;  // non-null == ready
-    // In-flight machinery; the promise is boxed so Entry stays movable.
-    std::shared_ptr<std::promise<RowPtr>> promise;
-    std::shared_future<RowPtr> future;
+    RowPtr row;                             // null while being filled
     std::list<CacheKey>::iterator lru_pos;  // valid iff ready
   };
 
@@ -192,7 +182,7 @@ class ResultCache {
 
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> waits_{0};
+  std::atomic<std::uint64_t> busy_{0};
   std::atomic<std::uint64_t> evictions_{0};
 };
 
@@ -201,15 +191,5 @@ class ResultCache {
 /// heap allocation. Marks the response served_from_cache.
 void answer_from_row(const QueryRequest& req, const CachedRow& row,
                      QueryResponse& resp);
-
-/// Blocking cache-aware serve: hit -> projection; owner -> one
-/// full-distance engine run published for everyone; waiter -> block on the
-/// owner's row. Non-eligible requests pass straight through to the
-/// engine. This is the single-threaded / test-harness entry point; the
-/// serving daemon (serve/server.hpp) integrates the same primitives
-/// around its micro-batching instead.
-void cached_serve(const SsspEngine& engine, ResultCache& cache,
-                  const QueryRequest& req, QueryContext& ctx,
-                  QueryResponse& resp);
 
 }  // namespace rs::serve

@@ -82,8 +82,8 @@ SsspServer::SsspServer(std::shared_ptr<const SsspEngine> engine,
                                    "Requests answered from a cached row")),
       cache_misses_(metrics_.counter(
           "rs_cache_misses_total", {},
-          "Cache-eligible requests that had to compute (owners + "
-          "single-flight waiters)")),
+          "Cache-eligible requests that had to compute (fills + busy "
+          "misses)")),
       swaps_(metrics_.counter("rs_engine_swaps_total", {},
                               "swap_engine() publications")),
       traced_(metrics_.counter("rs_traced_requests_total", {},
@@ -154,46 +154,31 @@ SubmitStatus SsspServer::submit(QueryRequest req,
 
   // Cache fast path: a hit is answered HERE, on the client thread —
   // O(|targets|) straight off the cached row, skipping the queue, the
-  // batcher, and the engine entirely. Misses enter the queue
-  // carrying their single-flight role.
+  // batcher, and the engine entirely. A miss enters the queue, as the
+  // key's fill or as a busy miss that runs as it came.
   if (cache_ != nullptr && cache_eligible(pending.request)) {
-    const CacheKey key = key_for(*eng, pending.request);
+    pending.key = key_for(*eng, pending.request);
     RowPtr row;
-    std::shared_future<RowPtr> pending_row;
-    switch (cache_->acquire(key, row, pending_row)) {
-      case CacheAcquire::kHit: {
-        cache_hits_.add();
-        accepted_.add(1, std::memory_order_release);
-        QueryResponse resp;
-        answer_from_row(pending.request, *row, resp);
-        complete(pending, std::move(resp));
-        result = std::move(fut);
-        return SubmitStatus::kAccepted;
-      }
-      case CacheAcquire::kOwner:
-        cache_misses_.add();
-        pending.role = CacheRole::kOwner;
-        pending.key = key;
-        break;
-      case CacheAcquire::kWaiter:
-        cache_misses_.add();
-        pending.role = CacheRole::kWaiter;
-        pending.key = key;
-        pending.pending_row = std::move(pending_row);
-        break;
+    const CacheAcquire got = cache_->acquire(pending.key, row);
+    if (got == CacheAcquire::kHit) {
+      cache_hits_.add();
+      accepted_.add(1, std::memory_order_release);
+      QueryResponse resp;
+      answer_from_row(pending.request, *row, resp);
+      complete(pending, std::move(resp));
+      result = std::move(fut);
+      return SubmitStatus::kAccepted;
     }
+    cache_misses_.add();
+    pending.fill = got == CacheAcquire::kFill;
   }
 
-  const CacheRole role = pending.role;
+  const bool fill = pending.fill;
   const CacheKey key = pending.key;
   if (marks_enabled_) pending.t_enqueued = std::chrono::steady_clock::now();
   if (!queue_.try_push(std::move(pending))) {
-    // An owner that never enters the queue would park its waiters
-    // forever; release the in-flight entry before rejecting.
-    if (role == CacheRole::kOwner) {
-      cache_->fail(key, std::make_exception_ptr(std::runtime_error(
-                            "SsspServer: owning request rejected")));
-    }
+    // A fill that never runs frees its key for the next miss.
+    if (fill) cache_->abandon(key);
     // A closed queue and a full queue both fail the push; report the one
     // the caller can act on.
     if (stopping_.load(std::memory_order_acquire)) {
@@ -428,65 +413,50 @@ void SsspServer::execute(std::vector<Pending>& batch) {
   // the same engine snapshot (a swap mid-batch affects only later
   // batches).
   const std::shared_ptr<const SsspEngine> eng = engine_.pin();
-  // Assemble the engine batch: direct requests as-is, cache OWNERS
-  // upgraded to full-distance runs so their row can be published for
-  // every waiter. Waiters run nothing — their row is coming from an owner.
+  // One engine request per pending entry: a cache fill runs as a
+  // full-distance request so its row can be published; every other
+  // request, busy misses included, runs as it came.
   std::vector<QueryRequest> requests;
-  std::vector<std::size_t> exec_idx;  // batch index per engine request
   requests.reserve(batch.size());
-  exec_idx.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Pending& p = batch[i];
-    switch (p.role) {
-      case CacheRole::kWaiter:
-        break;
-      case CacheRole::kOwner: {
-        QueryRequest full;
-        full.source = p.request.source;
-        full.want_full_distances = true;
-        full.trace = p.request.trace;
-        exec_idx.push_back(i);
-        requests.push_back(std::move(full));
-        break;
-      }
-      case CacheRole::kDirect: {
-        exec_idx.push_back(i);
-        requests.push_back(std::move(p.request));
-        break;
-      }
+  for (Pending& p : batch) {
+    if (p.fill) {
+      QueryRequest full;
+      full.source = p.request.source;
+      full.want_full_distances = true;
+      full.trace = p.request.trace;
+      requests.push_back(std::move(full));
+    } else {
+      requests.push_back(std::move(p.request));
     }
   }
-
-  const auto finish_error = [&](Pending& p, std::exception_ptr err) {
-    if (p.role == CacheRole::kOwner) cache_->fail(p.key, err);
-    p.promise.set_exception(err);
-    {
-      std::lock_guard<std::mutex> lock(drain_mutex_);
-      completed_.add(1, std::memory_order_release);
-    }
-    drain_cv_.notify_all();
-  };
 
   if (marks_enabled_) {
     const auto t_exec = std::chrono::steady_clock::now();
     for (Pending& p : batch) p.t_exec = t_exec;
   }
   std::vector<QueryResponse> responses;
-  bool failed = false;
-  if (!requests.empty()) {
-    try {
-      responses = eng->serve_batch(requests);
-    } catch (...) {
-      // Requests were validated at admission, so this is unexpected (e.g.
-      // bad_alloc) — but every promise must still be completed, and every
-      // owned in-flight cache entry released (its waiters — here or in
-      // other batches — inherit the failure through the shared future).
-      failed = true;
-      const std::exception_ptr err = std::current_exception();
-      for (const std::size_t i : exec_idx) finish_error(batch[i], err);
+  std::exception_ptr err;
+  try {
+    responses = eng->serve_batch(requests);
+  } catch (...) {
+    err = std::current_exception();
+  }
+  batches_.add();
+  max_batch_.record_max(static_cast<double>(requests.size()));
+  if (err != nullptr) {
+    // Requests were validated at admission, so this is unexpected (e.g.
+    // bad_alloc) — but every promise must still be completed, and every
+    // fill abandoned so the next miss on its key fills it again.
+    for (Pending& p : batch) {
+      if (p.fill) cache_->abandon(p.key);
+      p.promise.set_exception(err);
+      {
+        std::lock_guard<std::mutex> lock(drain_mutex_);
+        completed_.add(1, std::memory_order_release);
+      }
+      drain_cv_.notify_all();
     }
-    batches_.add();
-    max_batch_.record_max(static_cast<double>(requests.size()));
+    return;
   }
   if (marks_enabled_) {
     const auto t_done = std::chrono::steady_clock::now();
@@ -495,67 +465,28 @@ void SsspServer::execute(std::vector<Pending>& batch) {
 
   // Live Theorem 3.2 check on every engine run (cache hits ran none).
   const std::size_t bound = substep_bound(*eng);
-  const auto check_substeps = [&](const RunStats& stats) {
-    if (bound != 0 && stats.max_substeps_in_step > bound) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    Pending& p = batch[i];
+    QueryResponse& r = responses[i];
+    if (bound != 0 && r.stats.max_substeps_in_step > bound) {
       substep_bound_exceeded_.add();
     }
-  };
-  if (!failed) {
-    for (std::size_t j = 0; j < exec_idx.size(); ++j) {
-      Pending& p = batch[exec_idx[j]];
-      QueryResponse& r = responses[j];
-      check_substeps(r.stats);
-      if (p.role == CacheRole::kOwner) {
-        // Publish the row FIRST (waiters in this very batch read it just
-        // below), then answer the owner's original targeted request from
-        // it — the owner computed, so served_from_cache stays false.
-        auto row = std::make_shared<CachedRow>();
-        row->source = p.request.source;
-        row->graph_epoch = r.graph_epoch;
-        row->dist = std::move(r.dist);
-        row->stats = r.stats;
-        cache_->fulfill(p.key, row);
-        QueryResponse resp;
-        answer_from_row(p.request, *row, resp);
-        resp.served_from_cache = false;
-        complete(p, std::move(resp));
-      } else {
-        complete(p, std::move(r));
-      }
+    if (!p.fill) {
+      complete(p, std::move(r));
+      continue;
     }
-  }
-
-  // Waiters last: their owner was either fulfilled above or lives in
-  // another micro-batch. A ready future is the single-flight win; a
-  // non-ready one means the owner is still queued — possibly behind THIS
-  // batcher — so blocking could deadlock: serve directly instead (the
-  // duplicated computation is the price of never stalling the pipeline).
-  for (Pending& p : batch) {
-    if (p.role != CacheRole::kWaiter) continue;
-    try {
-      if (p.pending_row.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready) {
-        const RowPtr row = p.pending_row.get();  // rethrows owner failure
-        QueryResponse resp;
-        answer_from_row(p.request, *row, resp);
-        // The shared row replaced the engine run: zero-width engine span,
-        // the row read lands in `respond`.
-        if (marks_enabled_) {
-          p.t_engine_done = p.t_exec = std::chrono::steady_clock::now();
-        }
-        complete(p, std::move(resp));
-      } else {
-        if (marks_enabled_) p.t_exec = std::chrono::steady_clock::now();
-        QueryResponse resp = eng->serve(p.request);
-        check_substeps(resp.stats);
-        if (marks_enabled_) {
-          p.t_engine_done = std::chrono::steady_clock::now();
-        }
-        complete(p, std::move(resp));
-      }
-    } catch (...) {
-      finish_error(p, std::current_exception());
-    }
+    // Publish the row, then answer the fill's own targeted request from
+    // it — the fill computed, so served_from_cache stays false.
+    auto row = std::make_shared<CachedRow>();
+    row->source = p.request.source;
+    row->graph_epoch = r.graph_epoch;
+    row->dist = std::move(r.dist);
+    row->stats = r.stats;
+    cache_->fulfill(p.key, row);
+    QueryResponse resp;
+    answer_from_row(p.request, *row, resp);
+    resp.served_from_cache = false;
+    complete(p, std::move(resp));
   }
 }
 

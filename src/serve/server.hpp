@@ -30,6 +30,13 @@
 /// widen by themselves; when idle a lone request goes straight to the
 /// engine.
 ///
+/// Result cache (ServerOptions::enable_cache): every request takes one
+/// of two paths. A hit is answered at submit time from a cached row; any
+/// other request runs in its micro-batch's one serve_batch call. The
+/// first miss on a (source, epoch) runs there as a full-distance request
+/// and publishes the row; a miss that finds that fill in flight runs as
+/// it came, beside it. Nothing waits on another request's row.
+///
 /// Admission control: requests are validated at submit time (kInvalid) so
 /// a bad request is rejected alone instead of poisoning its micro-batch,
 /// and the bounded queue sheds load (kQueueFull) instead of queueing
@@ -112,10 +119,10 @@ struct ServerOptions {
   /// Hot-source result cache (serve/result_cache.hpp). Cache-eligible
   /// requests (kTargets, no paths) that hit a cached full-distance row
   /// are answered synchronously AT SUBMIT TIME — no queue, no batching,
-  /// no engine run: O(|targets|) per hit. Misses are computed once per
-  /// (source, graph_epoch) and shared single-flight: the first
-  /// miss is upgraded to a full-distance run whose row every concurrent
-  /// duplicate reuses.
+  /// no engine run: O(|targets|) per hit. The first miss on a (source,
+  /// graph_epoch) fills it: it runs as a full-distance request and its
+  /// row is published. A miss while that fill is in flight is busy and
+  /// runs as it came.
   bool enable_cache = false;
   /// Sharding/capacity knobs for the cache (used iff enable_cache).
   ResultCacheOptions cache;
@@ -146,8 +153,8 @@ struct ServerStats {
   std::uint64_t batches = 0;            ///< serve_batch calls issued.
   std::uint64_t max_batch = 0;          ///< Widest micro-batch so far.
   std::uint64_t cache_hits = 0;         ///< Answered from a cached row.
-  std::uint64_t cache_misses = 0;       ///< Owner + single-flight-waiter
-                                        ///< acquisitions (0, cache off).
+  std::uint64_t cache_misses = 0;       ///< Fills + busy misses
+                                        ///< (0 with the cache off).
   /// graph_epoch() of the currently-published engine snapshot.
   std::uint64_t epoch = 0;
   /// swap_engine() calls that have published a successor engine.
@@ -264,18 +271,14 @@ class SsspServer {
   void swap_engine(std::shared_ptr<const SsspEngine> next);
 
  private:
-  /// How a request's answer is produced. Cache hits never reach the
-  /// queue; owners and waiters carry their single-flight obligations
-  /// through the batcher.
-  enum class CacheRole : std::uint8_t { kDirect, kOwner, kWaiter };
-
   struct Pending {
     QueryRequest request;
     std::promise<QueryResponse> promise;
     std::chrono::steady_clock::time_point accepted_at;
-    CacheRole role = CacheRole::kDirect;
-    CacheKey key;                              // kOwner/kWaiter
-    std::shared_future<RowPtr> pending_row;    // kWaiter
+    /// The request fills `key` in the result cache: it runs as a
+    /// full-distance request and owes the cache a fulfill or abandon.
+    bool fill = false;
+    CacheKey key;
 
     /// Sampled for a span breakdown (ServerOptions::trace_sample).
     bool traced = false;

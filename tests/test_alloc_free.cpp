@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <optional>
 #include <vector>
@@ -185,10 +186,10 @@ TEST(AllocFree, WarmOneTargetServeAllocatesNothing) {
 
 TEST(AllocFree, WarmCachedTargetedServeAllocatesNothing) {
   // The PR 7 acceptance pin: a warm CACHED targeted serve — the row
-  // resident, the response reused — performs ZERO heap allocations. The
-  // hit path is a shard-map find plus an LRU list splice, and
-  // answer_from_row projects the targets into the response's existing
-  // capacity.
+  // resident, the response reused — performs ZERO heap allocations. This
+  // is the server's submit-time hit path: acquire is a shard-map find
+  // plus an LRU list splice, and answer_from_row projects the targets
+  // into the response's existing capacity.
   const Graph g = test_graph();
   PreprocessOptions opts;
   opts.rho = 10;
@@ -201,21 +202,36 @@ TEST(AllocFree, WarmCachedTargetedServeAllocatesNothing) {
   req.targets = {37, 220, 338};
 
   const test::WorkerGuard one(1);
-  QueryContext ctx;
+  // Fill the key once, as the server's batcher does for a first miss.
+  const QueryResponse full = engine.serve(test::full_request(3));
+  serve::RowPtr row;
+  ASSERT_EQ(cache.acquire(serve::key_for(engine, req), row),
+            serve::CacheAcquire::kFill);
+  auto filled = std::make_shared<serve::CachedRow>();
+  filled->source = req.source;
+  filled->graph_epoch = full.graph_epoch;
+  filled->dist = full.dist;
+  filled->stats = full.stats;
+  cache.fulfill(serve::key_for(engine, req), filled);
+
   QueryResponse resp;
-  serve::cached_serve(engine, cache, req, ctx, resp);  // owner: builds row
-  serve::cached_serve(engine, cache, req, ctx, resp);  // warms the hit path
+  ASSERT_EQ(cache.acquire(serve::key_for(engine, req), row),
+            serve::CacheAcquire::kHit);
+  serve::answer_from_row(req, *row, resp);  // warms the response
   ASSERT_TRUE(resp.served_from_cache);
 
   std::uint64_t measured;
   {
     AllocationWindow window;
-    serve::cached_serve(engine, cache, req, ctx, resp);
+    if (cache.acquire(serve::key_for(engine, req), row) ==
+        serve::CacheAcquire::kHit) {
+      serve::answer_from_row(req, *row, resp);
+    }
     measured = window.count();
   }
   EXPECT_EQ(measured, 0u);
+  EXPECT_EQ(cache.stats().hits, 2u);
 
-  const QueryResponse full = engine.serve(test::full_request(3));
   ASSERT_EQ(resp.targets.size(), req.targets.size());
   for (const TargetResult& tr : resp.targets) {
     ASSERT_EQ(tr.dist, full.dist[tr.target]);  // still exact when warm

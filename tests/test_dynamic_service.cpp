@@ -246,7 +246,7 @@ TEST(DynamicService, CachePurgedAcrossSwap) {
   DynamicSsspService svc(g, options);
   const auto targets = spread_targets(g, 3);
 
-  // Warm the cache on epoch 1 (owner run + a submit-time hit).
+  // Warm the cache on epoch 1 (a fill + a submit-time hit).
   (void)svc.server().serve_sync(targeted(5, targets));
   const QueryResponse hit = svc.server().serve_sync(targeted(5, targets));
   EXPECT_TRUE(hit.served_from_cache);

@@ -18,7 +18,7 @@
 //    produce exact answers and consistent counters;
 //  * caching layer — repeats of a cache-eligible request are answered at
 //    submit time from the result cache, a parked burst of identical
-//    misses resolves to ONE owner plus single-flight waiters, and
+//    misses gives ONE fill and busy misses that run as they came, and
 //    swap_engine() re-keys the cache for the successor engine.
 //
 // The pause/resume hook makes the queue-full and coalescing scenarios
@@ -402,10 +402,10 @@ TEST(Server, CacheAnswersRepeatsAtSubmitTime) {
   EXPECT_EQ(after.cache_misses, 1u);
 }
 
-TEST(Server, CacheSingleFlightDeduplicatesABurstOfMisses) {
+TEST(Server, CacheFillsOnceForABurstOfMisses) {
   // With the batchers parked, 8 identical requests are admitted before
-  // any serving happens: the first must become the sole cache OWNER and
-  // the other 7 single-flight WAITERS — one engine computation total.
+  // any serving happens: the first must FILL the key and the other 7 be
+  // BUSY misses that run as they came, in the same micro-batch.
   const SsspEngine engine = small_engine();
   ServerOptions opts;
   opts.enable_cache = true;
@@ -420,20 +420,23 @@ TEST(Server, CacheSingleFlightDeduplicatesABurstOfMisses) {
   }
   const auto flight = server.cache_stats();
   EXPECT_EQ(flight.misses, 1u);
-  EXPECT_EQ(flight.single_flight_waits, 7u);
+  EXPECT_EQ(flight.single_flight_waits, 7u);  // the busy misses
   EXPECT_EQ(flight.hits, 0u);
 
   server.resume();
   for (auto& fut : futures) {
     const QueryResponse got = fut.get();
+    EXPECT_FALSE(got.served_from_cache);
     EXPECT_EQ(got.targets[0].dist, want.targets[0].dist);
   }
   server.drain();
   EXPECT_EQ(server.stats().completed, 8u);
+  EXPECT_EQ(server.stats().cache_misses, 8u);
 
-  // The row is resident now: a ninth request is a submit-time hit.
+  // The fill published its row: a ninth request is a submit-time hit.
   const QueryResponse ninth = server.serve_sync(req);
   EXPECT_TRUE(ninth.served_from_cache);
+  EXPECT_EQ(ninth.targets[0].dist, want.targets[0].dist);
   EXPECT_EQ(server.cache_stats().hits, 1u);
 }
 
@@ -725,7 +728,7 @@ TEST(Observability, CacheHitTraceIsOneSynchronousSpan) {
   SsspServer server(engine, opts);
 
   const QueryRequest req = p2p(engine, 9);
-  (void)server.serve_sync(req);  // owner: computes + caches
+  (void)server.serve_sync(req);  // fill: computes + caches
   const QueryResponse hit = server.serve_sync(req);
   server.drain();
 
