@@ -6,9 +6,10 @@
 //            (baseline);
 //   ctx    — the same sequential loop over one warm QueryContext
 //            (zero-allocation hot path, intra-query parallelism);
-//   batch  — engine.serve_batch(): the two-level scheduler (source-parallel
-//            across the per-worker context pool when the batch is at least
-//            as wide as the worker count).
+//   batch  — engine.serve_batch() over one warm WorkerPool kept across
+//            reps: the two-level scheduler (source-parallel across the
+//            pool's per-worker contexts when the batch is at least as wide
+//            as the worker count).
 //
 // Metric names seq_qps / ctx_qps / batch_qps. Every strategy's distances
 // are checked against fresh per-source serves.
@@ -37,6 +38,7 @@
 #include "core/engine.hpp"
 #include "core/query_context.hpp"
 #include "exp_common.hpp"
+#include "parallel/context_pool.hpp"
 #include "parallel/primitives.hpp"
 #include "parallel/rng.hpp"
 #include "parallel/timer.hpp"
@@ -141,9 +143,13 @@ int main() {
       }
     };
 
-    // The two-level batch scheduler.
+    // The two-level batch scheduler, on one pool as a server's batcher
+    // keeps it (a pool per call would time context construction).
+    WorkerPool<QueryContext> pool;
     std::vector<QueryResponse> batch_results;
-    const auto run_batch = [&] { batch_results = engine.serve_batch(full); };
+    const auto run_batch = [&] {
+      batch_results = engine.serve_batch(full, pool);
+    };
 
     // Warm-up (also materializes every result for the equality check).
     run_seq();

@@ -12,31 +12,30 @@
 
 namespace rs {
 
+namespace {
+
+/// SsspEngine::transpose_ for (original, pre).
+Graph transpose_for_paths(const Graph& original, const PreprocessResult& pre) {
+  return pre.options.heuristic == ShortcutHeuristic::kNone
+             ? original.transposed()
+             : Graph{};
+}
+
+}  // namespace
+
 SsspEngine::SsspEngine(Graph g, const PreprocessOptions& opts)
-    : original_(std::move(g)), pre_(preprocess(original_, opts)) {}
+    : original_(std::move(g)),
+      pre_(preprocess(original_, opts)),
+      transpose_(transpose_for_paths(original_, pre_)) {}
 
 SsspEngine::SsspEngine(Graph original, PreprocessResult pre)
-    : original_(std::move(original)), pre_(std::move(pre)) {
+    : original_(std::move(original)),
+      pre_(std::move(pre)),
+      transpose_(transpose_for_paths(original_, pre_)) {
   if (pre_.graph.num_vertices() != original_.num_vertices() ||
       pre_.radius.size() != original_.num_vertices()) {
     throw std::invalid_argument("SsspEngine: preprocessing/graph mismatch");
   }
-}
-
-SsspEngine::SsspEngine(const SsspEngine& other)
-    : original_(other.original_),
-      pre_(other.pre_),
-      graph_epoch_(other.graph_epoch_) {}
-
-SsspEngine& SsspEngine::operator=(const SsspEngine& other) {
-  if (this != &other) {
-    original_ = other.original_;
-    pre_ = other.pre_;
-    graph_epoch_ = other.graph_epoch_;
-    batch_pools_ = std::make_unique<BatchPools>();
-    transpose_ = std::make_unique<TransposeCache>();
-  }
-  return *this;
 }
 
 SsspEngine SsspEngine::next_epoch(const SsspEngine& prior, Graph original,
@@ -65,23 +64,16 @@ void SsspEngine::validate(const QueryRequest& req) const {
   }
 }
 
-const Graph& SsspEngine::path_graph(Graph& local) const {
+const Graph& SsspEngine::path_graph() const {
   // A shortcut engine's input passed is_symmetric: the lightest arc of
   // each pair weighs the same both ways, and only a lightest arc can
   // close d(u) + w = d(v), so the graph's own arcs are its in-arcs.
-  if (pre_.options.heuristic != ShortcutHeuristic::kNone) return original_;
-  if (transpose_ != nullptr) {
-    std::call_once(transpose_->once,
-                   [&] { transpose_->graph = original_.transposed(); });
-    return transpose_->graph;
-  }
-  // Moved-from engine: stay correct, skip the cache.
-  local = original_.transposed();
-  return local;
+  return pre_.options.heuristic == ShortcutHeuristic::kNone ? transpose_
+                                                            : original_;
 }
 
 void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
-                           const Graph* in_arcs, QueryResponse& resp) const {
+                           QueryResponse& resp) const {
   const Vertex n = pre_.graph.num_vertices();
   resp.source = req.source;
   resp.stats = RunStats{};
@@ -105,7 +97,7 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
   // worker count (core/request.hpp says why).
   if (early && req.targets.size() == 1 &&
       pre_.options.heuristic != ShortcutHeuristic::kNone) {
-    serve_meet(req, ctx, in_arcs, resp);
+    serve_meet(req, ctx, resp);
     return;
   }
   if (early) {
@@ -152,15 +144,15 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
       tr.path.clear();
     }
   }
-  if (req.want_paths && in_arcs != nullptr) {
+  if (req.want_paths) {
     const auto dist_of = [&search](Vertex v) { return search.read_dist(v); };
     for (TargetResult& tr : resp.targets) {
       if (tr.dist != kInfDist) {
         // Distances are identical on the original graph (shortcuts
         // preserve them), so the walk over the original's in-arcs never
         // uses a shortcut edge.
-        extract_path_by_closure(*in_arcs, req.source, tr.target, dist_of,
-                                tr.path);
+        extract_path_by_closure(path_graph(), req.source, tr.target,
+                                dist_of, tr.path);
       }
     }
   }
@@ -178,7 +170,7 @@ void SsspEngine::run_serve(const QueryRequest& req, QueryContext& ctx,
 }
 
 void SsspEngine::serve_meet(const QueryRequest& req, QueryContext& ctx,
-                            const Graph* in_arcs, QueryResponse& resp) const {
+                            QueryResponse& resp) const {
   const Meeting meeting =
       radius_stepping_meet(pre_.graph, req.source, req.targets[0],
                            pre_.radius, ctx, &resp.stats);
@@ -187,19 +179,19 @@ void SsspEngine::serve_meet(const QueryRequest& req, QueryContext& ctx,
   tr.target = req.targets[0];
   tr.dist = meeting.dist;
   tr.path.clear();
-  if (req.want_paths && in_arcs != nullptr && meeting.dist != kInfDist) {
+  if (req.want_paths && meeting.dist != kInfDist) {
     // source .. forward, then backward .. target. Both ends of the
     // meeting arc are settled with exact distances in their own search,
     // and on a symmetric graph the backward search's closure walk from
     // `backward` runs along a shortest path to the target.
     const QueryContext::Search& fs = ctx.search();
     const QueryContext::Search& bs = ctx.backward();
-    append_closure_walk(*in_arcs, meeting.forward, req.source,
+    append_closure_walk(path_graph(), meeting.forward, req.source,
                         [&fs](Vertex v) { return fs.read_dist(v); }, tr.path);
     std::reverse(tr.path.begin(), tr.path.end());
     // A meeting at one vertex (source == target) starts both walks there.
     if (meeting.forward == meeting.backward) tr.path.pop_back();
-    append_closure_walk(*in_arcs, meeting.backward, tr.target,
+    append_closure_walk(path_graph(), meeting.backward, tr.target,
                         [&bs](Vertex v) { return bs.read_dist(v); }, tr.path);
   }
   ctx.reset_touched();
@@ -220,60 +212,25 @@ QueryResponse SsspEngine::serve(const QueryRequest& req,
 void SsspEngine::serve(const QueryRequest& req, QueryContext& ctx,
                        QueryResponse& resp) const {
   validate(req);
-  Graph local;
-  // The in-arcs are only ever read for an actual result's path.
-  const bool paths = req.want_paths && (req.kind == RequestKind::kTopK ||
-                                        !req.targets.empty());
-  run_serve(req, ctx, paths ? &path_graph(local) : nullptr, resp);
+  run_serve(req, ctx, resp);
 }
 
 std::vector<QueryResponse> SsspEngine::serve_batch(
     const std::vector<QueryRequest>& requests) const {
+  WorkerPool<QueryContext> pool;
+  return serve_batch(requests, pool);
+}
+
+std::vector<QueryResponse> SsspEngine::serve_batch(
+    const std::vector<QueryRequest>& requests,
+    WorkerPool<QueryContext>& pool) const {
   const std::size_t batch = requests.size();
   std::vector<QueryResponse> out(batch);
   if (batch == 0) return out;
 
   // Validate everything up front: nothing may throw inside the parallel
   // region below.
-  bool any_paths = false;
-  for (const QueryRequest& req : requests) {
-    validate(req);
-    any_paths = any_paths ||
-                (req.want_paths && (req.kind == RequestKind::kTopK ||
-                                    !req.targets.empty()));
-  }
-  // All workers share the one path graph; build it before they run.
-  Graph local;
-  const Graph* in_arcs = any_paths ? &path_graph(local) : nullptr;
-
-  // Lease a warm context pool slot for this batch: try-lock an existing
-  // slot, or grow the slot set by one so every concurrent batch gets a
-  // dedicated pool that stays warm for future batches. Only a moved-from
-  // engine falls back to a cold batch-local pool.
-  WorkerPool<QueryContext> local_pool;
-  WorkerPool<QueryContext>* leased = &local_pool;
-  std::unique_lock<std::mutex> lease;
-  if (batch_pools_ != nullptr) {
-    BatchPools& pools = *batch_pools_;
-    // grow_mutex also serializes the slot scan: deque growth never moves
-    // existing slots, but the scan must not race the emplace itself. The
-    // critical section is tiny — try-locks never wait on a running batch.
-    std::lock_guard<std::mutex> grow(pools.grow_mutex);
-    for (BatchPoolSlot& slot : pools.slots) {
-      std::unique_lock<std::mutex> l(slot.mutex, std::try_to_lock);
-      if (l.owns_lock()) {
-        lease = std::move(l);
-        leased = &slot.pool;
-        break;
-      }
-    }
-    if (!lease.owns_lock()) {
-      BatchPoolSlot& slot = pools.slots.emplace_back();
-      lease = std::unique_lock<std::mutex>(slot.mutex);
-      leased = &slot.pool;
-    }
-  }
-  WorkerPool<QueryContext>& pool = *leased;
+  for (const QueryRequest& req : requests) validate(req);
 
   const int nw = num_workers();
   if (nw > 1 && batch >= static_cast<std::size_t>(nw)) {
@@ -285,7 +242,7 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
     for (std::int64_t i = 0; i < static_cast<std::int64_t>(batch); ++i) {
       QueryContext& ctx =
           pool.at(static_cast<std::size_t>(omp_get_thread_num()));
-      run_serve(requests[static_cast<std::size_t>(i)], ctx, in_arcs,
+      run_serve(requests[static_cast<std::size_t>(i)], ctx,
                 out[static_cast<std::size_t>(i)]);
     }
     return out;
@@ -296,7 +253,7 @@ std::vector<QueryResponse> SsspEngine::serve_batch(
   pool.ensure(1);
   QueryContext& ctx = pool.at(0);
   for (std::size_t i = 0; i < batch; ++i) {
-    run_serve(requests[i], ctx, in_arcs, out[i]);
+    run_serve(requests[i], ctx, out[i]);
   }
   return out;
 }

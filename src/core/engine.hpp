@@ -14,21 +14,23 @@
 ///
 /// Serving hot path: serve() with a caller-owned QueryContext (and a
 /// reused QueryResponse) answers warm targeted requests with zero heap
-/// allocations; serve_batch() runs the multi-source regime preprocessing
-/// is amortized over (§5.4) with two-level parallelism —
-/// request-parallel across a per-worker context pool when the batch is at
-/// least as wide as the worker count, intra-query parallelism otherwise.
+/// allocations; serve_batch() with a caller-owned WorkerPool runs the
+/// multi-source regime preprocessing is amortized over (§5.4) with
+/// two-level parallelism — request-parallel across the pool's per-worker
+/// contexts when the batch is at least as wide as the worker count,
+/// intra-query parallelism otherwise.
 ///
-/// Dynamic graphs: engines are immutable-after-publish snapshots. A live
-/// deployment wraps each engine in a shared_ptr, serves through
-/// SnapshotSwap pins (graph/graph_swap.hpp), and produces successors with
-/// next_epoch() — the epoch stamp keeps cache invalidation exact across
-/// swaps.
+/// An engine is an immutable value: it holds no scratch and builds
+/// nothing lazily, so any number of callers serve from one engine at once,
+/// and a context or pool warmed on one engine serves its successors (the
+/// same vertices, new weights) warm.
+/// Dynamic graphs: a live deployment wraps each engine in a shared_ptr,
+/// serves through SnapshotSwap pins (graph/graph_swap.hpp), and produces
+/// successors with next_epoch() — the epoch stamp keeps cache
+/// invalidation exact across swaps.
 #pragma once
 
-#include <deque>
-#include <memory>
-#include <mutex>
+#include <cstdint>
 #include <vector>
 
 #include "core/query_context.hpp"
@@ -57,16 +59,6 @@ class SsspEngine {
   /// over it. Only vertex counts are checked here. A hand-built result
   /// over a directed graph must set kNone (PreprocessResult{} says kDP).
   SsspEngine(Graph original, PreprocessResult pre);
-
-  /// Copies keep the epoch but get their own (cold) context pool and
-  /// (kNone) transpose cache.
-  SsspEngine(const SsspEngine& other);
-  /// Copy assignment: same rules as the copy constructor.
-  SsspEngine& operator=(const SsspEngine& other);
-  /// Moves transfer the warm pool with the engine.
-  SsspEngine(SsspEngine&&) = default;
-  /// Move assignment: transfers the warm pool with the engine.
-  SsspEngine& operator=(SsspEngine&&) = default;
 
   /// Builds the successor snapshot of `prior` for a graph swap: a fresh
   /// engine over (original, pre) whose graph_epoch() is
@@ -103,8 +95,9 @@ class SsspEngine {
   ///
   /// Scheduling: with W workers and B requests, B >= W runs
   /// request-parallel (one query per worker, on that worker alone, with
-  /// contexts from an internal per-worker pool); B < W keeps the batch
-  /// loop sequential and lets each query use intra-query parallelism.
+  /// that worker's context from `pool`); B < W keeps the batch loop
+  /// sequential on pool.at(0) and lets each query use intra-query
+  /// parallelism.
   ///
   /// Contract: bit-identical (distances, paths, RunStats) to per-request
   /// serve() at one worker whenever the batch runs each query on one
@@ -112,12 +105,16 @@ class SsspEngine {
   /// runs on the calling thread at any worker count (core/request.hpp),
   /// so it is bit-identical to serve() whatever W and B are.
   ///
-  /// Thread-safe: each concurrent batch leases its own warm context-pool
-  /// slot (the slot set grows to the peak concurrency and stays warm), so
-  /// a serving daemon running parallel micro-batches never re-pays
-  /// context construction. Path reconstruction shares one path graph
-  /// (path_graph(); a kNone engine's cached transpose is built once,
-  /// before the parallel region).
+  /// `pool` is the caller's, like serve()'s context: one batch at a time
+  /// per pool. A warm pool builds no contexts, on this engine or on any
+  /// engine over no more vertices, such as a successor from next_epoch().
+  /// Concurrent batches on one engine each bring their own pool.
+  std::vector<QueryResponse> serve_batch(
+      const std::vector<QueryRequest>& requests,
+      WorkerPool<QueryContext>& pool) const;
+
+  /// Same over a fresh pool: every call builds its contexts. Use the pool
+  /// form on the serving path.
   std::vector<QueryResponse> serve_batch(
       const std::vector<QueryRequest>& requests) const;
 
@@ -147,9 +144,8 @@ class SsspEngine {
  private:
   /// Request execution into `resp`. Validation must have happened already
   /// — this is the noexcept-in-practice body run inside parallel regions.
-  /// `in_arcs` (path_graph()) must be non-null when req.want_paths.
   void run_serve(const QueryRequest& req, QueryContext& ctx,
-                 const Graph* in_arcs, QueryResponse& resp) const;
+                 QueryResponse& resp) const;
 
   /// run_serve's one-target form on a shortcut engine, on the calling
   /// thread: a forward and a backward search that meet
@@ -157,55 +153,21 @@ class SsspEngine {
   /// is the forward closure to the meeting arc, then the backward closure
   /// from it, written into the response's own path buffer.
   void serve_meet(const QueryRequest& req, QueryContext& ctx,
-                  const Graph* in_arcs, QueryResponse& resp) const;
+                  QueryResponse& resp) const;
 
   /// The graph whose out-arcs are the original graph's in-arcs, which
-  /// path walks read (extract_path_by_closure). A shortcut engine's
-  /// original graph is symmetric and serves itself. A kNone engine's may
-  /// be directed: it gets the cached transpose (built at most once,
-  /// shared by all path reconstructions), or on a moved-from engine, whose
-  /// cache is gone, a transpose built into `local`.
-  const Graph& path_graph(Graph& local) const;
+  /// path walks read (extract_path_by_closure): transpose_ on a kNone
+  /// engine, whose graph may be directed, and the symmetric original
+  /// graph itself on a shortcut engine.
+  const Graph& path_graph() const;
 
   Graph original_;
   PreprocessResult pre_;
+  // original_.transposed() on a kNone engine, built with the engine;
+  // empty on a shortcut engine.
+  Graph transpose_;
   // Set once, at construction (next_epoch bumps the successor's).
   std::uint64_t graph_epoch_ = 1;
-
-  // Reusable per-worker context pools for serve_batch, boxed so the
-  // engine stays movable despite the mutexes. Each concurrent batch
-  // LEASES one slot for its duration: serve_batch try-locks the existing
-  // slots and, when all are busy, grows the set by one — so N concurrent
-  // batches end up with N dedicated pools that each stay warm for the
-  // next batch to lease. (The pre-PR6 design had a single slot whose
-  // try-lock loser fell back to a cold batch-local pool: under a serving
-  // daemon running concurrent micro-batches that re-paid full context
-  // construction on every collision.) Slots live in a deque so growth
-  // never moves a leased slot; the scan-or-grow runs under grow_mutex,
-  // which is never held while waiting on a slot (try-lock only), so
-  // acquisition cannot deadlock or block behind a running batch. Null
-  // only in a moved-from engine, which serve_batch tolerates by using a
-  // batch-local pool.
-  struct BatchPoolSlot {
-    std::mutex mutex;
-    WorkerPool<QueryContext> pool;
-  };
-  struct BatchPools {
-    std::mutex grow_mutex;
-    std::deque<BatchPoolSlot> slots;
-  };
-  std::unique_ptr<BatchPools> batch_pools_ = std::make_unique<BatchPools>();
-
-  // Lazily-built transpose of a kNone engine's original graph: path
-  // reconstruction walks INCOMING arcs (directed-correct parents), and
-  // every want_paths serve shares one transpose. Boxed for movability;
-  // built at most once.
-  struct TransposeCache {
-    std::once_flag once;
-    Graph graph;
-  };
-  std::unique_ptr<TransposeCache> transpose_ =
-      std::make_unique<TransposeCache>();
 };
 
 }  // namespace rs

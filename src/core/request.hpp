@@ -32,7 +32,7 @@
 ///    the O(n) dist vector is neither copied nor allocated) and optional
 ///    paths are expanded by a targeted backward walk over the original
 ///    graph's in-arcs (the graph itself on a shortcut engine, whose graph
-///    is symmetric; a cached transpose on a kNone engine). The request
+///    is symmetric; a kNone engine's transpose, built with it). The request
 ///    epilogue is O(touched), not O(n): the engine records first-touches
 ///    in its relax loop and the context resets exactly those entries
 ///    (QueryContext::reset_touched), so an early-terminated request does

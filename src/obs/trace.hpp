@@ -34,9 +34,12 @@
 #pragma once
 
 #include <array>
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace rs::obs {
 
@@ -117,12 +120,24 @@ struct TraceBuffer {
 };
 
 /// Parses the RS_TRACE environment knob: unset/0 = off, N = trace every
-/// Nth request. Mirrors the RS_THREADS convention.
+/// Nth request. Mirrors the RS_THREADS convention (parse_worker_count):
+/// garbage, trailing junk, a negative value or one above 2^32 - 1 warns
+/// on stderr and gives 0 instead of wrapping.
 inline std::uint32_t trace_sample_from_env() {
   const char* env = std::getenv("RS_TRACE");
   if (env == nullptr || *env == '\0') return 0;
-  const long v = std::strtol(env, nullptr, 10);
-  return v > 0 ? static_cast<std::uint32_t>(v) : 0;
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(env, &end, 10);
+  if (end == env || *end != '\0' || errno == ERANGE || v < 0 || v > kMax) {
+    std::fprintf(stderr,
+                 "[rs] warning: RS_TRACE=\"%s\" is not a count in [0, %u]; "
+                 "tracing stays off\n",
+                 env, kMax);
+    return 0;
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 }  // namespace rs::obs

@@ -8,8 +8,9 @@
 //
 // Concurrency contract: ensure() is called from one thread before the
 // parallel region; inside the region each worker touches only at(its own
-// id). The pool itself performs no locking — callers that share a pool
-// across batches serialize on their own mutex (see SsspEngine).
+// id). The pool itself performs no locking: it serves one batch at a time,
+// so each concurrent caller owns its own (SsspEngine::serve_batch takes
+// the caller's; each SsspServer batcher keeps one).
 #pragma once
 
 #include <cstddef>

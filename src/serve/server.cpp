@@ -281,6 +281,14 @@ void SsspServer::swap_engine(std::shared_ptr<const SsspEngine> next) {
     throw std::invalid_argument("SsspServer::swap_engine: null engine");
   }
   const std::uint64_t epoch = next->graph_epoch();
+  // Check and publish as one step, so racing swaps publish in epoch order.
+  std::lock_guard<std::mutex> lock(swap_mutex_);
+  if (epoch <= engine_.pin()->graph_epoch()) {
+    // Cache rows are keyed by epoch: a successor that does not raise it
+    // would be answered from the rows of the graph it replaces.
+    throw std::invalid_argument(
+        "SsspServer::swap_engine: epoch does not grow");
+  }
   engine_.publish(std::move(next));
   // Rows keyed to older epochs can never match again (epochs only grow);
   // reclaim their memory eagerly.
@@ -302,6 +310,9 @@ void SsspServer::batcher_loop() {
   // the reservation however large max_batch is.
   std::vector<Pending> batch;
   batch.reserve(std::min(opts_.max_batch, queue_.capacity()));
+  // This batcher's contexts: they stay warm across every batch and every
+  // engine swap, since nothing in them depends on the graph's weights.
+  WorkerPool<QueryContext> pool;
   for (;;) {
     // Parked while paused — but once stopping, fall through and keep
     // draining: pop_batch returns false only when closed AND empty.
@@ -316,7 +327,7 @@ void SsspServer::batcher_loop() {
       const auto t_popped = std::chrono::steady_clock::now();
       for (Pending& p : batch) p.t_popped = t_popped;
     }
-    execute(batch);
+    execute(batch, pool);
   }
 }
 
@@ -408,7 +419,8 @@ void SsspServer::complete(Pending& p, QueryResponse&& resp) {
   drain_cv_.notify_all();
 }
 
-void SsspServer::execute(std::vector<Pending>& batch) {
+void SsspServer::execute(std::vector<Pending>& batch,
+                         WorkerPool<QueryContext>& pool) {
   // One pin per micro-batch: every request in the batch is served from
   // the same engine snapshot (a swap mid-batch affects only later
   // batches).
@@ -437,7 +449,7 @@ void SsspServer::execute(std::vector<Pending>& batch) {
   std::vector<QueryResponse> responses;
   std::exception_ptr err;
   try {
-    responses = eng->serve_batch(requests);
+    responses = eng->serve_batch(requests, pool);
   } catch (...) {
     err = std::current_exception();
   }

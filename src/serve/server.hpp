@@ -23,12 +23,12 @@
 ///
 /// Micro-batching is work-conserving: a batcher blocks until a request is
 /// queued, takes everything queued at that instant (up to max_batch) in
-/// one pop, and hands the whole batch to SsspEngine::serve_batch — which
-/// runs it request-parallel over a leased warm context pool. It never
-/// waits for more: requests that arrive while a batch runs form the next
-/// batch. Under load the queue refills while the engine works, so batches
-/// widen by themselves; when idle a lone request goes straight to the
-/// engine.
+/// one pop, and hands the whole batch to SsspEngine::serve_batch over the
+/// batcher's own context pool, which stays warm for the batcher's whole
+/// life, across every engine swap. It never waits for more: requests that
+/// arrive while a batch runs form the next batch. Under load the queue
+/// refills while the engine works, so batches widen by themselves; when
+/// idle a lone request goes straight to the engine.
 ///
 /// Result cache (ServerOptions::enable_cache): every request takes one
 /// of two paths. A hit is answered at submit time from a cached row; any
@@ -74,10 +74,12 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/query_context.hpp"
 #include "core/request.hpp"
 #include "graph/graph_swap.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parallel/context_pool.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/result_cache.hpp"
 
@@ -107,8 +109,8 @@ struct ServerOptions {
   std::size_t max_batch = 64;
 
   /// Number of batcher threads pulling micro-batches concurrently. Each
-  /// concurrent batch leases its own warm context pool inside the engine,
-  /// so >1 batchers trade per-batch width for pipeline overlap.
+  /// batcher owns its context pool, so >1 batchers trade per-batch width
+  /// for pipeline overlap.
   int batchers = 1;
 
   /// Start with batchers parked (see pause()). Requests queue but are not
@@ -266,8 +268,10 @@ class SsspServer {
   /// without a quiescent point: in-flight submits and micro-batches
   /// finish on the snapshot they pinned; the old engine is destroyed when
   /// its last pin drops. Purges cache rows of epochs older than `next`'s
-  /// (a stale key can never match again — free its memory eagerly). Build
-  /// `next` with SsspEngine::next_epoch so the epoch strictly increases.
+  /// (a stale key can never match again — free its memory eagerly).
+  /// Throws std::invalid_argument, and keeps the published engine, unless
+  /// next->graph_epoch() exceeds the published one: build `next` with
+  /// SsspEngine::next_epoch.
   void swap_engine(std::shared_ptr<const SsspEngine> next);
 
  private:
@@ -294,8 +298,9 @@ class SsspServer {
   };
 
   void batcher_loop();
-  /// Serves one micro-batch and fulfills its promises. Never throws.
-  void execute(std::vector<Pending>& batch);
+  /// Serves one micro-batch on the batcher's `pool` and fulfills its
+  /// promises. Never throws.
+  void execute(std::vector<Pending>& batch, WorkerPool<QueryContext>& pool);
   /// Blocks while paused. Returns false when the server is stopping.
   bool wait_not_paused();
 
@@ -312,6 +317,8 @@ class SsspServer {
   // pins once per micro-batch, and swap_engine publishes a successor.
   // Never null after construction.
   SnapshotSwap<SsspEngine> engine_;
+  // Serializes swap_engine's epoch check with its publish.
+  std::mutex swap_mutex_;
   const ServerOptions opts_;
 
   // THE counter source of truth: every ServerStats field is a registry

@@ -2,8 +2,10 @@
 // REPLACING the global allocator with a counting one: after a warm-up
 // query, a one-worker query through a reused QueryContext must perform
 // ZERO heap allocations in the engine — for a full query, a targeted
-// serve with paths, and a cached serve. (A team's OpenMP region is the
-// runtime's to allocate; these pins cover the engine's own state.)
+// serve with paths, and a cached serve — and a batch over a warm pool
+// allocates only its outputs, on the engine it was warmed on and on that
+// engine's successor alike. (A team's OpenMP region is the runtime's to
+// allocate; these pins cover the engine's own state.)
 //
 // The counter only ticks between arm()/disarm(), so gtest's own setup
 // allocations don't pollute the measurement. Measured queries reuse the
@@ -25,6 +27,7 @@
 #include "core/radius_stepping.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
+#include "parallel/context_pool.hpp"
 #include "serve/result_cache.hpp"
 #include "shortcut/ball_search.hpp"
 #include "shortcut/preprocess_context.hpp"
@@ -102,7 +105,7 @@ TEST(AllocFree, WarmTargetedServeAllocatesNothing) {
   // ZERO heap allocations end to end. The response vectors are the only
   // O(|targets|) state and they keep their capacity across requests; the
   // target stamps, the early-exit bookkeeping, the per-target reads, and
-  // the transpose-walk path expansion all run out of warmed storage.
+  // the closure-walk path expansion all run out of warmed storage.
   const Graph g = test_graph();
   PreprocessOptions opts;
   opts.rho = 10;
@@ -117,7 +120,7 @@ TEST(AllocFree, WarmTargetedServeAllocatesNothing) {
   const test::WorkerGuard one(1);
   QueryContext ctx;
   QueryResponse resp;
-  engine.serve(req, ctx, resp);  // warm-up (also builds the transpose)
+  engine.serve(req, ctx, resp);  // warm-up
   const QueryResponse full = engine.serve(test::full_request(3));
   for (const TargetResult& tr : resp.targets) {
     ASSERT_EQ(tr.dist, full.dist[tr.target]);
@@ -181,6 +184,55 @@ TEST(AllocFree, WarmOneTargetServeAllocatesNothing) {
         EXPECT_EQ(resp.targets[0].path.back(), 338u);
       }
     }
+  }
+}
+
+TEST(AllocFree, WarmPoolServesASuccessorEpochWithoutBuildingContexts) {
+  // A context depends on nothing an epoch changes, so the pool a server's
+  // batcher keeps across engine swaps serves the successor's first batch
+  // as warm as the next batch on the engine it was warmed on: the only
+  // allocations are the outputs, one vector plus one target list per
+  // response.
+  const Graph g = test_graph();
+  PreprocessOptions opts;
+  opts.rho = 10;
+  opts.k = 2;
+  const SsspEngine engine(g, opts);
+  std::vector<QueryRequest> requests;
+  for (const Vertex t : {37u, 220u, 338u}) {
+    QueryRequest req;
+    req.source = 3;
+    req.targets = {t};
+    requests.push_back(std::move(req));
+  }
+
+  const test::WorkerGuard one(1);
+  WorkerPool<QueryContext> pool;
+  (void)engine.serve_batch(requests, pool);  // warm-up
+  std::uint64_t warm;
+  {
+    AllocationWindow window;
+    (void)engine.serve_batch(requests, pool);
+    warm = window.count();
+  }
+  EXPECT_LE(warm, 1 + requests.size());
+
+  const SsspEngine successor = SsspEngine::next_epoch(
+      engine, engine.original_graph(), engine.preprocessing());
+  std::vector<QueryResponse> got;
+  std::uint64_t first;
+  {
+    AllocationWindow window;
+    got = successor.serve_batch(requests, pool);
+    first = window.count();
+  }
+  EXPECT_EQ(first, warm);
+  const QueryResponse full = engine.serve(test::full_request(3));
+  ASSERT_EQ(got.size(), requests.size());
+  for (const QueryResponse& resp : got) {
+    EXPECT_EQ(resp.graph_epoch, 2u);
+    ASSERT_EQ(resp.targets.size(), 1u);
+    EXPECT_EQ(resp.targets[0].dist, full.dist[resp.targets[0].target]);
   }
 }
 

@@ -215,6 +215,15 @@ TEST(TraceEnv, SampleParsesUnsetZeroAndPositive) {
   EXPECT_EQ(trace_sample_from_env(), 16u);
   ::setenv("RS_TRACE", "-3", 1);
   EXPECT_EQ(trace_sample_from_env(), 0u);
+  ::setenv("RS_TRACE", "4294967295", 1);
+  EXPECT_EQ(trace_sample_from_env(), 4294967295u);
+  // Out of range or not a number: off, never wrapped or truncated.
+  ::setenv("RS_TRACE", "4294967297", 1);
+  EXPECT_EQ(trace_sample_from_env(), 0u);
+  ::setenv("RS_TRACE", "4294967296", 1);
+  EXPECT_EQ(trace_sample_from_env(), 0u);
+  ::setenv("RS_TRACE", "10x", 1);
+  EXPECT_EQ(trace_sample_from_env(), 0u);
   ::unsetenv("RS_TRACE");
 }
 

@@ -45,6 +45,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
+#include "parallel/context_pool.hpp"
 #include "parallel/primitives.hpp"
 #include "shortcut/shortcut.hpp"
 #include "test_util.hpp"
@@ -548,12 +549,11 @@ TEST(Serve, TouchedResetRestoresContextInvariantAcrossRequests) {
 }
 
 TEST(Serve, ConcurrentServeBatchesStayExact) {
-  // Satellite of PR 6: concurrent serve_batch callers used to race the
-  // engine's single batch-pool try-lock — the loser silently fell back to
-  // a cold batch-local pool. Now each concurrent batch leases its own
-  // warm slot; this stress pins that N threads hammering serve_batch on
-  // ONE engine stay exact (run under ASan/TSan-less CI with RS_THREADS=8
-  // to shake scheduling).
+  // N threads hammer serve_batch on ONE const engine, each over its own
+  // pool as the server's batchers do, and must stay exact. The engine
+  // holds no mutable state, so the threads share only read-only graph
+  // data: CI's TSan leg runs this test, where any state left in the
+  // engine shows as a race (run it at RS_THREADS=8 to shake scheduling).
   const Graph g = assign_uniform_weights(gen::road_network(13, 13, 2), 6);
   PreprocessOptions opts;
   opts.rho = 12;
@@ -584,8 +584,10 @@ TEST(Serve, ConcurrentServeBatchesStayExact) {
   std::vector<std::thread> threads;
   for (int b = 0; b < kThreads; ++b) {
     threads.emplace_back([&, b] {
+      WorkerPool<QueryContext> pool;
       for (int round = 0; round < kRounds; ++round) {
-        const std::vector<QueryResponse> got = engine.serve_batch(batches[b]);
+        const std::vector<QueryResponse> got =
+            engine.serve_batch(batches[b], pool);
         for (std::size_t i = 0; i < got.size(); ++i) {
           for (std::size_t t = 0; t < got[i].targets.size(); ++t) {
             if (got[i].targets[t].dist != want[b][i].targets[t].dist) {

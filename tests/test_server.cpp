@@ -19,7 +19,8 @@
 //  * caching layer — repeats of a cache-eligible request are answered at
 //    submit time from the result cache, a parked burst of identical
 //    misses gives ONE fill and busy misses that run as they came, and
-//    swap_engine() re-keys the cache for the successor engine.
+//    swap_engine() re-keys the cache for the successor engine and refuses
+//    one whose epoch does not grow.
 //
 // The pause/resume hook makes the queue-full and coalescing scenarios
 // deterministic: with batchers parked, submissions buffer instead of
@@ -37,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/dijkstra.hpp"
 #include "core/engine.hpp"
 #include "core/radii.hpp"
 #include "graph/generators.hpp"
@@ -529,6 +531,49 @@ TEST(Server, SwapEngineRepublishesWithoutQuiescence) {
   EXPECT_EQ(after.graph_epoch, 2u);
   EXPECT_EQ(after.targets[0].dist, second->serve(req).targets[0].dist);
   EXPECT_TRUE(server.serve_sync(req).served_from_cache);
+}
+
+TEST(Server, SwapEngineRefusesAnEpochThatDoesNotGrow) {
+  // Cache rows are keyed by (source, epoch): a successor published at the
+  // same epoch would be answered from the replaced graph's rows.
+  const Graph g1 =
+      assign_uniform_weights(gen::road_network(12, 12, 3), 7, 1, 100);
+  const Graph g2 =
+      assign_uniform_weights(gen::road_network(12, 12, 3), 8, 1, 100);
+  PreprocessOptions popts;
+  popts.rho = 12;
+  popts.k = 2;
+  auto first = std::make_shared<const SsspEngine>(g1, popts);
+  ServerOptions opts;
+  opts.enable_cache = true;
+  SsspServer server(first, opts);
+
+  QueryRequest req;
+  req.source = 3;
+  req.targets = {g1.num_vertices() - 1};
+  const Vertex t = req.targets[0];
+  ASSERT_NE(dijkstra(g1, 3)[t], dijkstra(g2, 3)[t]);
+  (void)server.serve_sync(req);  // fills the row for source 3, epoch 1
+  ASSERT_TRUE(server.serve_sync(req).served_from_cache);
+
+  // A fresh engine over new weights is epoch 1 again: refused, and the
+  // published engine stays.
+  const auto same_epoch = std::make_shared<const SsspEngine>(g2, popts);
+  EXPECT_THROW(server.swap_engine(same_epoch), std::invalid_argument);
+  EXPECT_EQ(server.engine_snapshot().get(), first.get());
+  EXPECT_EQ(server.stats().swaps, 0u);
+  const QueryResponse cached = server.serve_sync(req);
+  EXPECT_TRUE(cached.served_from_cache);
+  EXPECT_EQ(cached.targets[0].dist,
+            dijkstra(server.engine_snapshot()->original_graph(), 3)[t]);
+
+  // A next_epoch successor is still accepted and answers for its graph.
+  server.swap_engine(std::make_shared<const SsspEngine>(
+      SsspEngine::next_epoch(*first, g2, preprocess(g2, popts))));
+  EXPECT_EQ(server.stats().epoch, 2u);
+  const QueryResponse after = server.serve_sync(req);
+  EXPECT_FALSE(after.served_from_cache);
+  EXPECT_EQ(after.targets[0].dist, dijkstra(g2, 3)[t]);
 }
 
 TEST(Server, EngineSnapshotKeepsOldEpochAliveAcrossSwap) {
