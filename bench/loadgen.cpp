@@ -23,7 +23,8 @@
 //
 // Each mode gets a fresh SsspServer so its latency histogram is not
 // polluted by the other mode; the engine underneath is shared, and each
-// server's batchers build their contexts on their first batches.
+// server's workers (num_workers() of them, one request at a time each)
+// build their contexts on their first requests.
 // Every response is verified against full-SSSP reference distances, so
 // the driver doubles as an end-to-end concurrency smoke test.
 //
@@ -31,8 +32,7 @@
 // mode, default 4096), RS_CLIENTS (closed-loop client threads, default
 // 8), RS_TARGETS (targets per request, default 1), RS_RHO (preprocess
 // rho, default PreprocessOptions{}'s), RS_QUEUE (queue capacity, 1024),
-// RS_MAX_BATCH (64), RS_BATCHERS (2), RS_RATE
-// (open-loop offered qps, 0 = auto), RS_TOPK (k for the top-k loop,
+// RS_RATE (open-loop offered qps, 0 = auto), RS_TOPK (k for the top-k loop,
 // default 8), RS_TRACE (trace every Nth request through the server's span
 // pipeline, 0 = off — for measuring tracing overhead under load).
 #include <algorithm>
@@ -134,7 +134,6 @@ ClosedResult run_closed(const SsspEngine& engine, ServerOptions opts,
                         const std::vector<QueryRequest>& requests,
                         const VerifySlot& check, std::uint64_t total,
                         int clients, obs::Histogram::Snapshot* latency,
-                        ServerStats* stats,
                         const std::vector<std::size_t>* schedule = nullptr,
                         const std::vector<QueryRequest>* warm = nullptr) {
   SsspServer server(engine, opts);
@@ -163,7 +162,6 @@ ClosedResult run_closed(const SsspEngine& engine, ServerOptions opts,
   const double seconds = timer.seconds();
   server.drain();
   if (latency != nullptr) *latency = server.latency().snapshot();
-  if (stats != nullptr) *stats = server.stats();
   ClosedResult out;
   out.qps = static_cast<double>(total) / seconds;
   out.ok = ok.load();
@@ -250,9 +248,6 @@ int main() {
   ServerOptions opts;
   opts.queue_capacity =
       static_cast<std::size_t>(env_int64("RS_QUEUE", 1024));
-  opts.max_batch =
-      static_cast<std::size_t>(env_int64("RS_MAX_BATCH", 64));
-  opts.batchers = static_cast<int>(env_int64("RS_BATCHERS", 2));
   opts.trace_sample = rs::obs::trace_sample_from_env();
   if (opts.trace_sample != 0) {
     std::printf("tracing: every %u%s request\n\n", opts.trace_sample,
@@ -268,10 +263,9 @@ int main() {
               s.name.c_str(), graph_name.c_str(), g.num_vertices(),
               static_cast<std::size_t>(g.num_edges()));
   std::printf(
-      "requests=%llu clients=%d targets=%d queue=%zu max_batch=%zu "
-      "batchers=%d mode=%s\n\n",
+      "requests=%llu clients=%d targets=%d queue=%zu workers=%d mode=%s\n\n",
       static_cast<unsigned long long>(total), clients, targets_per,
-      opts.queue_capacity, opts.max_batch, opts.batchers, mode.c_str());
+      opts.queue_capacity, num_workers(), mode.c_str());
 
   PreprocessOptions popts;
   popts.rho = rho;
@@ -295,8 +289,7 @@ int main() {
   const BenchJson::Labels labels{
       {"graph", graph_name},
       {"clients", std::to_string(clients)},
-      {"targets", std::to_string(targets_per)},
-      {"max_batch", std::to_string(opts.max_batch)}};
+      {"targets", std::to_string(targets_per)}};
   bool ok = true;
 
   const VerifySlot check_targets = [&](const QueryResponse& resp,
@@ -306,24 +299,21 @@ int main() {
 
   if (mode == "closed" || mode == "both") {
     obs::Histogram::Snapshot lat;
-    ServerStats stats;
     const ClosedResult r = run_closed(engine, opts, requests, check_targets,
-                                      total, clients, &lat, &stats);
+                                      total, clients, &lat);
     ok = ok && r.ok;
     const auto p50 = lat.value_at_quantile(0.50);
     const auto p99 = lat.value_at_quantile(0.99);
     const auto p999 = lat.value_at_quantile(0.999);
     std::printf("closed-loop: %10.1f qps   p50=%llu us  p99=%llu us  "
-                "p999=%llu us  mean_batch=%.2f  batches=%llu\n",
+                "p999=%llu us\n",
                 r.qps, static_cast<unsigned long long>(p50),
                 static_cast<unsigned long long>(p99),
-                static_cast<unsigned long long>(p999), stats.mean_batch(),
-                static_cast<unsigned long long>(stats.batches));
+                static_cast<unsigned long long>(p999));
     json.add("closed_qps", r.qps, "queries/sec", labels);
     json.add("p50_us", static_cast<double>(p50), "us", labels);
     json.add("p99_us", static_cast<double>(p99), "us", labels);
     json.add("p999_us", static_cast<double>(p999), "us", labels);
-    json.add("mean_batch", stats.mean_batch(), "x", labels);
 
     // Hot-source regime: cache-enabled server, Zipf(s=1.0) source skew,
     // one warm pass over the pool before the timer. Steady state is all
@@ -333,10 +323,9 @@ int main() {
     hot_opts.enable_cache = true;
     const std::vector<std::size_t> schedule =
         zipf_schedule(total, requests.size(), /*seed=*/90210);
-    ServerStats hot_stats;
     const ClosedResult hot =
         run_closed(engine, hot_opts, requests, check_targets, total, clients,
-                   nullptr, &hot_stats, &schedule, &requests);
+                   nullptr, &schedule, &requests);
     ok = ok && hot.ok;
     std::printf("hot closed-loop (zipf s=1.0, cache on): %10.1f qps   "
                 "hit_rate=%.3f (%.1fx uncached)\n",
@@ -381,8 +370,7 @@ int main() {
       return true;
     };
     const ClosedResult tk = run_closed(engine, opts, topk_requests,
-                                       check_topk, total, clients, nullptr,
-                                       nullptr);
+                                       check_topk, total, clients, nullptr);
     ok = ok && tk.ok;
     std::printf("topk closed-loop (k=%zu): %10.1f qps\n", k, tk.qps);
     json.add("topk_qps", tk.qps, "queries/sec", labels);
@@ -396,7 +384,7 @@ int main() {
       const ClosedResult cal =
           run_closed(engine, opts, requests, check_targets,
                      std::max<std::uint64_t>(total / 4, 32), clients,
-                     nullptr, nullptr);
+                     nullptr);
       ok = ok && cal.ok;
       rate = 0.7 * cal.qps;
       if (rate < 1.0) rate = 1.0;

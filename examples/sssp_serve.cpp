@@ -8,11 +8,11 @@
 //   sssp_serve g.gr --rho 32 --k 9               # preprocess in-process
 //   sssp_serve g.gr --rho 32 --k 9 --dynamic 1   # + live weight updates
 //
-// Daemon flags (integer ranges in brackets): --port P (TCP listener,
-// [0, 65535]; 0, the default, serves stdin), --queue N (admission queue
-// depth, [1, 2^20], default 1024), --max-batch N (micro-batch cap,
-// [1, 2^20], default 64), --batchers N (batcher threads, [1, 64],
-// default 1), --cache 0|1 (hot-source result cache, default 0),
+// The daemon serves one request at a time on each of its worker threads;
+// RS_THREADS sets how many. Daemon flags (integer ranges in brackets):
+// --port P (TCP listener, [0, 65535]; 0, the default, serves stdin),
+// --queue N (admission queue depth, [1, 2^20], default 1024), --cache
+// 0|1 (hot-source result cache, default 0),
 // --dynamic 0|1 (live weight updates; requires in-process preprocessing,
 // default 0), --trace-sample N (trace every Nth request, [0, 2^32 - 1],
 // 0 = off; default from the RS_TRACE env var), --slow-query-us N (log
@@ -356,8 +356,8 @@ void serve_connection(int client, SsspServer& server,
 }
 
 /// Blocking TCP front-end: line protocol, one thread per connection. All
-/// connections feed the same server, so requests from different clients
-/// coalesce into shared micro-batches.
+/// connections feed the same server, whose workers serve requests from
+/// every client side by side.
 int tcp_serve(SsspServer& server, rs::serve::DynamicSsspService* dyn,
               int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -481,8 +481,6 @@ int demo() {
 
   ServerOptions opts;
   opts.queue_capacity = 256;
-  opts.max_batch = 16;
-  opts.batchers = 2;
   opts.enable_cache = true;  // demo doubles as a cache-coherence smoke
   SsspServer server(engine, opts);
 
@@ -634,9 +632,6 @@ int main(int argc, char** argv) {
     ServerOptions opts;
     opts.queue_capacity = static_cast<std::size_t>(
         get_checked(args, "--queue", 1024, 1, kMaxDepth));
-    opts.max_batch = static_cast<std::size_t>(
-        get_checked(args, "--max-batch", 64, 1, kMaxDepth));
-    opts.batchers = static_cast<int>(get_checked(args, "--batchers", 1, 1, 64));
     opts.enable_cache = get_checked(args, "--cache", 0, 0, 1) != 0;
     const long trace_env = rs::obs::trace_sample_from_env();
     opts.trace_sample = static_cast<std::uint32_t>(

@@ -121,8 +121,7 @@ class SsspEngine {
   /// Throws std::invalid_argument unless the source, every target and
   /// the top-k fields are valid for this preprocessing. serve/serve_batch
   /// call it implicitly; admission layers (serve/server.hpp) call it at
-  /// accept time so one bad request is rejected on its own instead of
-  /// failing the micro-batch it would have been coalesced into.
+  /// accept time so a bad request is rejected before it is queued.
   void validate(const QueryRequest& req) const;
 
   /// The input graph (no shortcuts) — the one paths are expressed in.

@@ -16,10 +16,11 @@
 //
 // A context is single-owner state: one query at a time, run by as many
 // workers as num_workers() answers where the query starts. That is 1 on
-// a one-worker setting and inside an active OpenMP region, such as the
-// batch scheduler's one query per worker. A team keeps each worker's
-// lists, frontier buckets and counters in its own cache-line-aligned
-// WorkerScratch, so workers growing their lists never share a line.
+// a one-worker setting and inside any OpenMP region, such as the batch
+// scheduler's one query per worker or a server worker's own one-thread
+// region. A team keeps each worker's lists, frontier buckets and counters
+// in its own cache-line-aligned WorkerScratch, so workers growing their
+// lists never share a line.
 //
 // The radius-stepping working set of one search (distances, stamps,
 // worker lists) is a Search. Every query runs search(); a bidirectional

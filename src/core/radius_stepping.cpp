@@ -493,9 +493,8 @@ void step_loop(Phases& phases, std::vector<Worker>& workers,
 
 /// Algorithm 1 on num_workers() workers: the seed and the entry check on
 /// the calling thread, then the step loop there (one worker) or in the
-/// query's one OpenMP region. Inside an active region num_workers() is 1,
-/// so a query the batch scheduler runs on one of its workers stays on
-/// that worker.
+/// query's one OpenMP region. Inside any region num_workers() is 1, so a
+/// query the batch scheduler or a server worker runs stays on its thread.
 void run(const Graph& g, Vertex source, const std::vector<Dist>& radius,
          QueryContext& ctx, RunStats& local) {
   const int nw = num_workers();

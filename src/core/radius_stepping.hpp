@@ -41,10 +41,10 @@ std::vector<Dist> radius_stepping(const Graph& g, Vertex source,
 /// Context-reusing form: identical results, but all scratch state lives in
 /// `ctx` (zero engine allocations once the context is warm) and distances
 /// are written into `out`. At num_workers() == 1 — one worker, or a call
-/// from inside an active OpenMP region such as an outer source-parallel
-/// batch — the whole query runs on the calling thread with no atomic
-/// read-modify-writes and no OpenMP region. Always runs to exhaustion
-/// (any stale target stamps are cleared).
+/// from inside any OpenMP region such as an outer source-parallel batch
+/// or a server worker's — the whole query runs on the calling thread with
+/// no atomic read-modify-writes and no OpenMP region. Always runs to
+/// exhaustion (any stale target stamps are cleared).
 void radius_stepping(const Graph& g, Vertex source,
                      const std::vector<Dist>& radius, QueryContext& ctx,
                      std::vector<Dist>& out, RunStats* stats = nullptr);

@@ -5,9 +5,9 @@
 // hold a Histogram for any magnitude-style quantity.
 //
 // The record path is the constraint: it runs once per served request, from
-// the batcher thread, and must never allocate or take a lock — one bucket
-// index computation (a bit-scan and a shift) and three relaxed fetch_adds
-// (bucket, total, sum). All storage is a fixed std::array of atomic
+// every worker thread at once, and must never allocate or take a lock —
+// one bucket index computation (a bit-scan and a shift) and three relaxed
+// fetch_adds (bucket, total, sum). All storage is a fixed std::array of atomic
 // counters sized at compile time, so a histogram is ~15 KiB and records
 // values across the full uint64 range with bounded relative error.
 //
@@ -20,7 +20,7 @@
 // counters — and scan cumulative counts; reads are control-path only
 // (stats endpoints, exporters, BENCH emission), so their allocation is
 // fine. merge() folds another histogram in bucket-wise, which is how the
-// registry aggregates per-batcher (or per-shard) histograms into one
+// registry aggregates per-worker (or per-shard) histograms into one
 // exported distribution.
 #pragma once
 
@@ -123,7 +123,7 @@ class Histogram {
   }
 
   /// Folds `other` into this histogram bucket-wise — how the registry
-  /// aggregates per-batcher histograms into one exported distribution.
+  /// aggregates per-worker histograms into one exported distribution.
   /// Concurrent record()s on either side land in one histogram or the
   /// other but are never lost or double-counted.
   void merge(const Histogram& other) noexcept {

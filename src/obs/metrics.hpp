@@ -69,7 +69,7 @@ class Gauge {
     return v_.load(std::memory_order_relaxed);
   }
   /// Monotone-max update (CAS loop; wait-free in the common no-update
-  /// case) — for high-watermark gauges like the widest micro-batch.
+  /// case) — for high-watermark gauges.
   void record_max(double v) noexcept {
     double cur = v_.load(std::memory_order_relaxed);
     while (v > cur && !v_.compare_exchange_weak(

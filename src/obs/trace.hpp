@@ -8,11 +8,10 @@
 ///   depth 0 (contiguous — they tile the end-to-end latency exactly):
 ///     admission    validate + cache consult + enqueue, on the client
 ///                  thread
-///     queue_wait   enqueued -> popped by a batcher
-///     batch_form   popped -> micro-batch handed to the engine (the
-///                  drained batch's bookkeeping and the engine request
-///                  list; the batcher never waits for more work here)
-///     engine       SsspEngine::serve_batch for the request's batch
+///     queue_wait   enqueued -> popped by a worker
+///     batch_form   popped -> engine call (the engine pin; the worker
+///                  never waits for more work here)
+///     engine       SsspEngine::serve for the request
 ///     respond      engine done -> promise fulfilled (cache publication,
 ///                  row reads, completion bookkeeping)
 ///   depth 1 (inside `engine`; duration-only — their start is the engine
@@ -48,8 +47,8 @@ namespace rs::obs {
 enum class SpanId : std::uint8_t {
   kAdmission,  ///< submit(): validate + cache consult + enqueue.
   kQueueWait,  ///< BoundedQueue residence time.
-  kBatchForm,  ///< Popped -> engine call: micro-batch assembly.
-  kEngine,     ///< serve_batch for the request's micro-batch.
+  kBatchForm,  ///< Popped -> engine call.
+  kEngine,     ///< SsspEngine::serve for the request.
   kRespond,    ///< Engine done -> promise fulfilled.
   kCacheHit,   ///< Synchronous cached answer at submit time.
   kRelax,      ///< Engine detail: relaxation substeps.

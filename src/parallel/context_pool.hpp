@@ -10,7 +10,7 @@
 // parallel region; inside the region each worker touches only at(its own
 // id). The pool itself performs no locking: it serves one batch at a time,
 // so each concurrent caller owns its own (SsspEngine::serve_batch takes
-// the caller's; each SsspServer batcher keeps one).
+// the caller's).
 #pragma once
 
 #include <cstddef>

@@ -43,7 +43,7 @@ std::atomic<int>& worker_count() {
 }  // namespace
 
 int num_workers() {
-  if (omp_in_parallel()) return 1;
+  if (omp_get_level() > 0) return 1;
   return worker_count().load(std::memory_order_relaxed);
 }
 

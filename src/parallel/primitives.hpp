@@ -20,10 +20,9 @@ namespace rs {
 
 /// Returns the number of worker threads the parallel primitives will use
 /// (every region they open is capped at this count, whatever the OpenMP
-/// default). Inside an active OpenMP region it is 1: the caller is already
-/// one worker of a team, and a region it opened would get one thread
-/// anyway (OpenMP allows one active level by default), so the primitives
-/// and engines run inline there.
+/// default). Inside any OpenMP region it is 1, even a one-thread one: the
+/// caller is one worker of a team (a server worker runs its loop in a
+/// region of its own), so the primitives and engines run inline there.
 int num_workers();
 
 /// Sets the number of worker threads (clamped to >= 1). Affects all

@@ -70,7 +70,7 @@ class DynamicSsspService {
   struct Options {
     /// Ball/shortcut parameters for the (incremental) preprocessing.
     PreprocessOptions preprocess;
-    /// Daemon configuration (queue, batching, cache).
+    /// Daemon configuration (queue, cache, tracing).
     ServerOptions server;
     /// Background flush timer: when nonzero, a flusher thread wakes every
     /// this many milliseconds and flushes whatever is staged. 0 disables

@@ -1,5 +1,5 @@
 // Bounded MPMC queue: the admission buffer between client threads and the
-// daemon's batcher threads (serve/server.hpp).
+// daemon's worker threads (serve/server.hpp).
 //
 // The capacity bound IS the backpressure mechanism: try_push never blocks
 // and never grows the buffer — when the ring is full the push fails and
@@ -8,24 +8,19 @@
 // status instead of queueing unboundedly and blowing the tail latency of
 // everything behind it).
 //
-// Consumers get one call, pop_batch(): block until anything is buffered,
-// then take everything buffered (up to a cap) under that one lock. That
-// is the whole micro-batching rule — a batcher never waits for more work
-// than is already there, and whatever arrives while its batch runs forms
-// the next batch. close() wakes everyone; pop_batch drains whatever is
+// Consumers get one call, pop(): block until anything is buffered, then
+// take the oldest item. close() wakes everyone; pop drains whatever is
 // still buffered before reporting closed, so shutdown never drops an
 // accepted request.
 //
 // A mutex + condvar ring, not a lock-free queue, on purpose: the critical
 // section is a handful of instructions, contention is bounded by the
 // request rate (thousands/s, not millions/s — each item is a full SSSP
-// query), and an idle batcher needs a blocking wait that a condvar gives
+// query), and an idle worker needs a blocking wait that a condvar gives
 // for free. The ring storage is allocated once at construction; push and
-// pop_batch move items in and out without allocating (given an `out`
-// vector with room for the batch).
+// pop move items in and out without allocating.
 #pragma once
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
@@ -45,32 +40,36 @@ class BoundedQueue {
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
   /// Admits `item` unless the queue is full or closed. Never blocks.
-  bool try_push(T&& item) {
+  bool try_push(T&& item) { return try_push(std::move(item), [] {}); }
+
+  /// try_push that runs `on_admit()` once the item is in, under the
+  /// queue's lock, so before any consumer can pop it: whatever the
+  /// callback counts happens before the item's consumer runs.
+  template <typename OnAdmit>
+  bool try_push(T&& item, OnAdmit&& on_admit) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (closed_ || count_ == ring_.size()) return false;
       ring_[(head_ + count_) % ring_.size()] = std::move(item);
       ++count_;
+      on_admit();
     }
     not_empty_.notify_one();
     return true;
   }
 
-  /// Blocks until an item is buffered, then appends every buffered item
-  /// to `out` in FIFO order — at most `max` (0 counts as 1), at least
-  /// one. Returns false, appending nothing, only when the queue is closed
-  /// and empty: buffered items always drain before closure is reported.
-  /// One call hands over at most capacity() items.
-  bool pop_batch(std::vector<T>& out, std::size_t max) {
+  /// Blocks until an item is buffered, then moves the oldest into `out`.
+  /// Returns false, leaving `out` untouched, only when the queue is
+  /// closed and empty: buffered items always drain before closure is
+  /// reported.
+  bool pop(T& out) {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [&] { return count_ > 0 || closed_; });
-    const std::size_t take = std::min(count_, std::max<std::size_t>(max, 1));
-    for (std::size_t i = 0; i < take; ++i) {
-      out.push_back(std::move(ring_[head_]));
-      head_ = (head_ + 1) % ring_.size();
-    }
-    count_ -= take;
-    return take > 0;
+    if (count_ == 0) return false;
+    out = std::move(ring_[head_]);
+    head_ = (head_ + 1) % ring_.size();
+    --count_;
+    return true;
   }
 
   /// Rejects all future pushes and wakes every blocked pop. Idempotent.

@@ -1,6 +1,5 @@
 #include "serve/server.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
@@ -8,6 +7,7 @@
 #include <utility>
 
 #include "obs/export.hpp"
+#include "parallel/primitives.hpp"
 
 namespace rs::serve {
 
@@ -75,9 +75,7 @@ SsspServer::SsspServer(std::shared_ptr<const SsspEngine> engine,
                                           {{"reason", "shutdown"}},
                                           "Rejected requests by reason")),
       batches_(metrics_.counter("rs_batches_total", {},
-                                "serve_batch calls issued")),
-      max_batch_(metrics_.gauge("rs_batch_max_width", {},
-                                "Widest micro-batch so far")),
+                                "Engine runs issued")),
       cache_hits_(metrics_.counter("rs_cache_hits_total", {},
                                    "Requests answered from a cached row")),
       cache_misses_(metrics_.counter(
@@ -108,10 +106,15 @@ SsspServer::SsspServer(std::shared_ptr<const SsspEngine> engine,
     cache_ = std::make_unique<ResultCache>(opts_.cache);
   }
   paused_ = opts_.start_paused;
-  const int n = opts_.batchers < 1 ? 1 : opts_.batchers;
-  batchers_.reserve(static_cast<std::size_t>(n));
+  const int n = num_workers();
+  workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    batchers_.emplace_back([this] { batcher_loop(); });
+    workers_.emplace_back([this] {
+      // Inside a region num_workers() is 1, so every engine run of this
+      // worker stays on this thread and opens no team.
+#pragma omp parallel num_threads(1)
+      worker_loop();
+    });
   }
 }
 
@@ -126,8 +129,7 @@ SubmitStatus SsspServer::submit(QueryRequest req,
   // One pin for the whole admission path: validation and the cache key
   // come from the same snapshot even if a swap lands mid-submit.
   const std::shared_ptr<const SsspEngine> eng = engine_.pin();
-  // Validate at the edge: a bad request is rejected on its own, before it
-  // can be coalesced into (and poison) a micro-batch.
+  // Validate at the edge: a bad request is rejected before it is queued.
   try {
     eng->validate(req);
   } catch (const std::invalid_argument&) {
@@ -154,7 +156,7 @@ SubmitStatus SsspServer::submit(QueryRequest req,
 
   // Cache fast path: a hit is answered HERE, on the client thread —
   // O(|targets|) straight off the cached row, skipping the queue, the
-  // batcher, and the engine entirely. A miss enters the queue, as the
+  // workers, and the engine entirely. A miss enters the queue, as the
   // key's fill or as a busy miss that runs as it came.
   if (cache_ != nullptr && cache_eligible(pending.request)) {
     pending.key = key_for(*eng, pending.request);
@@ -176,7 +178,10 @@ SubmitStatus SsspServer::submit(QueryRequest req,
   const bool fill = pending.fill;
   const CacheKey key = pending.key;
   if (marks_enabled_) pending.t_enqueued = std::chrono::steady_clock::now();
-  if (!queue_.try_push(std::move(pending))) {
+  // Counted under the queue's lock, before a worker can pop and complete
+  // the request, so completed_ never runs ahead of accepted_.
+  const auto admit = [this] { accepted_.add(1, std::memory_order_release); };
+  if (!queue_.try_push(std::move(pending), admit)) {
     // A fill that never runs frees its key for the next miss.
     if (fill) cache_->abandon(key);
     // A closed queue and a full queue both fail the push; report the one
@@ -188,7 +193,6 @@ SubmitStatus SsspServer::submit(QueryRequest req,
     rejected_full_.add();
     return SubmitStatus::kQueueFull;
   }
-  accepted_.add(1, std::memory_order_release);
   result = std::move(fut);
   return SubmitStatus::kAccepted;
 }
@@ -219,33 +223,34 @@ void SsspServer::resume() {
 void SsspServer::drain() {
   std::unique_lock<std::mutex> lock(drain_mutex_);
   drain_cv_.wait(lock, [&] {
-    return completed_.value(std::memory_order_acquire) ==
-           accepted_.value(std::memory_order_acquire);
+    // completed_ first: every completion it counts was admitted before.
+    const std::uint64_t done = completed_.value(std::memory_order_acquire);
+    return done == accepted_.value(std::memory_order_acquire);
   });
 }
 
 void SsspServer::shutdown() {
   std::call_once(shutdown_once_, [&] {
     stopping_.store(true, std::memory_order_release);
-    // Unpark the batchers so a paused server still drains its backlog.
+    // Unpark the workers so a paused server still drains its backlog.
     resume();
     // close() stops pushes but pops keep draining the buffer, so every
-    // accepted request is served before the batchers see "closed+empty".
+    // accepted request is served before the workers see "closed+empty".
     queue_.close();
-    for (std::thread& t : batchers_) t.join();
-    batchers_.clear();
+    for (std::thread& t : workers_) t.join();
+    workers_.clear();
   });
 }
 
 ServerStats SsspServer::stats() const {
   ServerStats s;
+  // completed_ before accepted_, so in_flight() cannot wrap.
+  s.completed = completed_.value(std::memory_order_acquire);
   s.accepted = accepted_.value(std::memory_order_acquire);
   s.rejected_full = rejected_full_.value();
   s.rejected_invalid = rejected_invalid_.value();
   s.rejected_shutdown = rejected_shutdown_.value();
-  s.completed = completed_.value(std::memory_order_acquire);
   s.batches = batches_.value();
-  s.max_batch = static_cast<std::uint64_t>(max_batch_.value());
   s.cache_hits = cache_hits_.value();
   s.cache_misses = cache_misses_.value();
   s.epoch = engine_.pin()->graph_epoch();
@@ -261,9 +266,9 @@ std::string SsspServer::export_metrics(MetricsFormat format) const {
   // (Reference members make this legal from a const method; the gauges
   // are registry cells, not server state.)
   epoch_gauge_.set(static_cast<double>(engine_.pin()->graph_epoch()));
-  in_flight_gauge_.set(
-      static_cast<double>(accepted_.value(std::memory_order_acquire) -
-                          completed_.value(std::memory_order_acquire)));
+  const std::uint64_t completed = completed_.value(std::memory_order_acquire);
+  in_flight_gauge_.set(static_cast<double>(
+      accepted_.value(std::memory_order_acquire) - completed));
   return format == MetricsFormat::kJson ? obs::to_json(metrics_)
                                         : obs::to_prometheus(metrics_);
 }
@@ -305,29 +310,18 @@ bool SsspServer::wait_not_paused() {
   return !stopping_.load(std::memory_order_acquire);
 }
 
-void SsspServer::batcher_loop() {
-  // One pop_batch hands over at most the queue's capacity, so that bounds
-  // the reservation however large max_batch is.
-  std::vector<Pending> batch;
-  batch.reserve(std::min(opts_.max_batch, queue_.capacity()));
-  // This batcher's contexts: they stay warm across every batch and every
-  // engine swap, since nothing in them depends on the graph's weights.
-  WorkerPool<QueryContext> pool;
+void SsspServer::worker_loop() {
+  // This worker's context: it stays warm across every request and every
+  // engine swap, since nothing in it depends on the graph's weights.
+  QueryContext ctx;
+  Pending p;
   for (;;) {
     // Parked while paused — but once stopping, fall through and keep
-    // draining: pop_batch returns false only when closed AND empty.
+    // draining: pop returns false only when closed AND empty.
     wait_not_paused();
-
-    // Work-conserving: take whatever is queued the moment anything is,
-    // never wait for more. Requests that arrive while this batch runs
-    // form the next one.
-    batch.clear();
-    if (!queue_.pop_batch(batch, opts_.max_batch)) break;
-    if (marks_enabled_) {
-      const auto t_popped = std::chrono::steady_clock::now();
-      for (Pending& p : batch) p.t_popped = t_popped;
-    }
-    execute(batch, pool);
+    if (!queue_.pop(p)) break;
+    if (marks_enabled_) p.t_popped = std::chrono::steady_clock::now();
+    execute(p, ctx);
   }
 }
 
@@ -410,6 +404,10 @@ void SsspServer::complete(Pending& p, QueryResponse&& resp) {
     assemble_trace(p, resp, now, static_cast<std::uint64_t>(us.count()));
   }
   p.promise.set_value(std::move(resp));
+  count_completion();
+}
+
+void SsspServer::count_completion() {
   // Advance completed_ under the drain mutex so a drainer that just
   // checked the counters cannot go to sleep and miss this notification.
   {
@@ -419,87 +417,57 @@ void SsspServer::complete(Pending& p, QueryResponse&& resp) {
   drain_cv_.notify_all();
 }
 
-void SsspServer::execute(std::vector<Pending>& batch,
-                         WorkerPool<QueryContext>& pool) {
-  // One pin per micro-batch: every request in the batch is served from
-  // the same engine snapshot (a swap mid-batch affects only later
-  // batches).
+void SsspServer::execute(Pending& p, QueryContext& ctx) {
+  // One pin per request: a swap mid-run affects only later requests.
   const std::shared_ptr<const SsspEngine> eng = engine_.pin();
-  // One engine request per pending entry: a cache fill runs as a
-  // full-distance request so its row can be published; every other
-  // request, busy misses included, runs as it came.
-  std::vector<QueryRequest> requests;
-  requests.reserve(batch.size());
-  for (Pending& p : batch) {
+  if (marks_enabled_) p.t_exec = std::chrono::steady_clock::now();
+  batches_.add();
+  QueryResponse r;
+  try {
     if (p.fill) {
+      // A cache fill runs as a full-distance request so its row can be
+      // published; every other request, busy misses included, runs as it
+      // came.
       QueryRequest full;
       full.source = p.request.source;
       full.want_full_distances = true;
       full.trace = p.request.trace;
-      requests.push_back(std::move(full));
+      eng->serve(full, ctx, r);
     } else {
-      requests.push_back(std::move(p.request));
+      eng->serve(p.request, ctx, r);
     }
-  }
-
-  if (marks_enabled_) {
-    const auto t_exec = std::chrono::steady_clock::now();
-    for (Pending& p : batch) p.t_exec = t_exec;
-  }
-  std::vector<QueryResponse> responses;
-  std::exception_ptr err;
-  try {
-    responses = eng->serve_batch(requests, pool);
   } catch (...) {
-    err = std::current_exception();
-  }
-  batches_.add();
-  max_batch_.record_max(static_cast<double>(requests.size()));
-  if (err != nullptr) {
-    // Requests were validated at admission, so this is unexpected (e.g.
-    // bad_alloc) — but every promise must still be completed, and every
-    // fill abandoned so the next miss on its key fills it again.
-    for (Pending& p : batch) {
-      if (p.fill) cache_->abandon(p.key);
-      p.promise.set_exception(err);
-      {
-        std::lock_guard<std::mutex> lock(drain_mutex_);
-        completed_.add(1, std::memory_order_release);
-      }
-      drain_cv_.notify_all();
-    }
+    // The run failed alone (e.g. a request the engine swapped in since
+    // admission no longer accepts): its promise carries the exception,
+    // and a fill frees its key so the next miss fills it again.
+    if (p.fill) cache_->abandon(p.key);
+    p.promise.set_exception(std::current_exception());
+    count_completion();
     return;
   }
-  if (marks_enabled_) {
-    const auto t_done = std::chrono::steady_clock::now();
-    for (Pending& p : batch) p.t_engine_done = t_done;
-  }
+  if (marks_enabled_) p.t_engine_done = std::chrono::steady_clock::now();
 
   // Live Theorem 3.2 check on every engine run (cache hits ran none).
   const std::size_t bound = substep_bound(*eng);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Pending& p = batch[i];
-    QueryResponse& r = responses[i];
-    if (bound != 0 && r.stats.max_substeps_in_step > bound) {
-      substep_bound_exceeded_.add();
-    }
-    if (!p.fill) {
-      complete(p, std::move(r));
-      continue;
-    }
-    // Publish the row, then answer the fill's own targeted request from
-    // it — the fill computed, so served_from_cache stays false.
-    auto row = std::make_shared<CachedRow>();
-    row->source = p.request.source;
-    row->graph_epoch = r.graph_epoch;
-    row->dist = std::move(r.dist);
-    row->stats = r.stats;
-    cache_->fulfill(p.key, row);
-    QueryResponse resp;
-    answer_from_row(p.request, *row, resp);
-    resp.served_from_cache = false;
-    complete(p, std::move(resp));
+  if (bound != 0 && r.stats.max_substeps_in_step > bound) {
+    substep_bound_exceeded_.add();
   }
+  if (!p.fill) {
+    complete(p, std::move(r));
+    return;
+  }
+  // Publish the row, then answer the fill's own targeted request from
+  // it — the fill computed, so served_from_cache stays false.
+  auto row = std::make_shared<CachedRow>();
+  row->source = p.request.source;
+  row->graph_epoch = r.graph_epoch;
+  row->dist = std::move(r.dist);
+  row->stats = r.stats;
+  cache_->fulfill(p.key, row);
+  QueryResponse resp;
+  answer_from_row(p.request, *row, resp);
+  resp.served_from_cache = false;
+  complete(p, std::move(resp));
 }
 
 std::string format_stats_line(const SsspServer& server) {
@@ -509,7 +477,7 @@ std::string format_stats_line(const SsspServer& server) {
   std::snprintf(
       buf, sizeof(buf),
       "accepted=%llu completed=%llu shed=%llu invalid=%llu shutdown=%llu "
-      "batches=%llu mean_batch=%.2f max_batch=%llu cache_hits=%llu "
+      "batches=%llu mean_batch=%.2f cache_hits=%llu "
       "cache_misses=%llu epoch=%llu swaps=%llu in_flight=%llu p50_us=%llu "
       "p99_us=%llu p999_us=%llu traced=%llu slow=%llu",
       static_cast<unsigned long long>(s.accepted),
@@ -518,7 +486,6 @@ std::string format_stats_line(const SsspServer& server) {
       static_cast<unsigned long long>(s.rejected_invalid),
       static_cast<unsigned long long>(s.rejected_shutdown),
       static_cast<unsigned long long>(s.batches), s.mean_batch(),
-      static_cast<unsigned long long>(s.max_batch),
       static_cast<unsigned long long>(s.cache_hits),
       static_cast<unsigned long long>(s.cache_misses),
       static_cast<unsigned long long>(s.epoch),

@@ -3,47 +3,47 @@
 ///
 /// \code
 ///   auto engine = std::make_shared<SsspEngine>(graph, opts);
-///   SsspServer server(engine, {.queue_capacity = 1024, .max_batch = 64});
+///   SsspServer server(engine, {.queue_capacity = 1024});
 ///   std::future<QueryResponse> fut;
 ///   if (server.submit(std::move(req), fut) == SubmitStatus::kAccepted) {
 ///     QueryResponse resp = fut.get();
 ///   }
-///   server.shutdown();  // stop accepting, drain in-flight, join batchers
+///   server.shutdown();  // stop accepting, drain in-flight, join workers
 /// \endcode
 ///
 /// Architecture (one request's life):
 ///
 /// \verbatim
-///   client threads ──submit()──► BoundedQueue ──pop_batch──► batcher(s)
-///        │ validate + admission      (backpressure)        │ everything
-///        │ control at the edge                             │ queued, up
-///        ▼                                                 ▼ to max_batch
-///   SubmitStatus / future ◄──promise◄── engine.serve_batch(micro-batch)
+///   client threads ──submit()──► BoundedQueue ──pop──► worker threads
+///        │ validate + admission      (backpressure)      │ one request
+///        │ control at the edge                           │ at a time
+///        ▼                                               ▼
+///   SubmitStatus / future ◄──promise◄── engine.serve(request, ctx)
 /// \endverbatim
 ///
-/// Micro-batching is work-conserving: a batcher blocks until a request is
-/// queued, takes everything queued at that instant (up to max_batch) in
-/// one pop, and hands the whole batch to SsspEngine::serve_batch over the
-/// batcher's own context pool, which stays warm for the batcher's whole
-/// life, across every engine swap. It never waits for more: requests that
-/// arrive while a batch runs form the next batch. Under load the queue
-/// refills while the engine works, so batches widen by themselves; when
-/// idle a lone request goes straight to the engine.
+/// The server is its workers: it starts num_workers() worker threads
+/// when it is built. Each worker pops the oldest queued request, serves
+/// it with SsspEngine::serve on its own QueryContext and its own thread,
+/// and pops the next. The context stays warm for the worker's whole
+/// life, across every engine swap. A worker runs its loop inside a
+/// one-thread OpenMP region, where num_workers() is 1, so nothing the
+/// engine runs for a request opens a team: requests run side by side,
+/// one per worker, and none waits for another to finish.
 ///
 /// Result cache (ServerOptions::enable_cache): every request takes one
 /// of two paths. A hit is answered at submit time from a cached row; any
-/// other request runs in its micro-batch's one serve_batch call. The
-/// first miss on a (source, epoch) runs there as a full-distance request
-/// and publishes the row; a miss that finds that fill in flight runs as
-/// it came, beside it. Nothing waits on another request's row.
+/// other request runs on a worker. The first miss on a (source, epoch)
+/// runs there as a full-distance request and publishes the row; a miss
+/// that finds that fill in flight runs as it came, on another worker.
+/// Nothing waits on another request's row.
 ///
 /// Admission control: requests are validated at submit time (kInvalid) so
-/// a bad request is rejected alone instead of poisoning its micro-batch,
-/// and the bounded queue sheds load (kQueueFull) instead of queueing
-/// without limit. Both rejections are cheap constant-time paths.
+/// a bad request is rejected before it is queued, and the bounded queue
+/// sheds load (kQueueFull) instead of queueing without limit. Both
+/// rejections are cheap constant-time paths.
 ///
 /// Live graph swaps: the server holds its engine in a SnapshotSwap
-/// (graph/graph_swap.hpp). Every submit and every micro-batch pins the
+/// (graph/graph_swap.hpp). Every submit and every engine run pins the
 /// snapshot ONCE and serves entirely from it, so swap_engine() can
 /// publish a successor (built with SsspEngine::next_epoch) mid-traffic:
 /// in-flight work finishes on the old epoch, new work starts on the new
@@ -53,12 +53,12 @@
 /// Lifecycle: counter-based in-flight tracking (accepted vs completed)
 /// drives drain() — block until everything admitted so far has completed
 /// — and shutdown() = stop admitting, close the queue (buffered requests
-/// still drain), join the batchers. A request's promise is always
-/// completed: with a response, or with an exception if its batch failed.
+/// still drain), join the workers. A request's promise is always
+/// completed: with a response, or with the exception its own run threw.
 ///
 /// Every completion records end-to-end latency (submit to promise
-/// fulfillment, queueing and coalescing included — the number a client
-/// actually experiences) into an allocation-free obs::Histogram.
+/// fulfillment, queueing included — the number a client actually
+/// experiences) into an allocation-free obs::Histogram.
 #pragma once
 
 #include <atomic>
@@ -79,7 +79,6 @@
 #include "graph/graph_swap.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/context_pool.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/result_cache.hpp"
 
@@ -103,24 +102,14 @@ struct ServerOptions {
   /// Admission buffer depth; pushes beyond it are rejected kQueueFull.
   std::size_t queue_capacity = 1024;
 
-  /// Micro-batch size cap. 0 and 1 disable coalescing entirely. One
-  /// batch never exceeds queue_capacity either (it is taken from the
-  /// queue in one pop).
-  std::size_t max_batch = 64;
-
-  /// Number of batcher threads pulling micro-batches concurrently. Each
-  /// batcher owns its context pool, so >1 batchers trade per-batch width
-  /// for pipeline overlap.
-  int batchers = 1;
-
-  /// Start with batchers parked (see pause()). Requests queue but are not
-  /// served until resume() — how tests set up deterministic queue-full
-  /// and coalescing scenarios.
+  /// Start with the workers parked (see pause()). Requests queue but are
+  /// not served until resume() — how tests set up deterministic
+  /// queue-full and cache-fill scenarios.
   bool start_paused = false;
 
   /// Hot-source result cache (serve/result_cache.hpp). Cache-eligible
   /// requests (kTargets, no paths) that hit a cached full-distance row
-  /// are answered synchronously AT SUBMIT TIME — no queue, no batching,
+  /// are answered synchronously AT SUBMIT TIME — no queue, no worker,
   /// no engine run: O(|targets|) per hit. The first miss on a (source,
   /// graph_epoch) fills it: it runs as a full-distance request and its
   /// row is published. A miss while that fill is in flight is busy and
@@ -152,8 +141,8 @@ struct ServerStats {
   std::uint64_t rejected_invalid = 0;   ///< kInvalid rejections.
   std::uint64_t rejected_shutdown = 0;  ///< kShuttingDown rejections.
   std::uint64_t completed = 0;          ///< Promises fulfilled.
-  std::uint64_t batches = 0;            ///< serve_batch calls issued.
-  std::uint64_t max_batch = 0;          ///< Widest micro-batch so far.
+  std::uint64_t batches = 0;            ///< Engine runs (one per request
+                                        ///< a worker served).
   std::uint64_t cache_hits = 0;         ///< Answered from a cached row.
   std::uint64_t cache_misses = 0;       ///< Fills + busy misses
                                         ///< (0 with the cache off).
@@ -169,7 +158,8 @@ struct ServerStats {
 
   /// Requests admitted but not yet completed (queued or being served).
   std::uint64_t in_flight() const { return accepted - completed; }
-  /// Mean micro-batch width — the coalescing factor under load.
+  /// Completions per engine run: 1 with the cache off, above 1 as
+  /// submit-time hits answer requests without a run.
   double mean_batch() const {
     return batches == 0 ? 0.0
                         : static_cast<double>(completed) /
@@ -187,9 +177,10 @@ enum class MetricsFormat : std::uint8_t {
 class SsspServer {
  public:
   /// Non-owning form: the engine must outlive the server and must not be
-  /// mutated while serving. Batcher threads start immediately (parked if
-  /// opts.start_paused). swap_engine() works from here too — it simply
-  /// publishes an owning successor over the borrowed original.
+  /// mutated while serving. The num_workers() worker threads start
+  /// immediately (parked if opts.start_paused). swap_engine() works from
+  /// here too — it simply publishes an owning successor over the borrowed
+  /// original.
   explicit SsspServer(const SsspEngine& engine, ServerOptions opts = {});
 
   /// Owning form — the one dynamic deployments use: the server shares
@@ -205,21 +196,21 @@ class SsspServer {
   SsspServer& operator=(const SsspServer&) = delete;
 
   /// Admission: validates, then enqueues. On kAccepted, `result` is a
-  /// future fulfilled when the request's micro-batch completes (with the
-  /// response, or the batch's exception). On any rejection `result` is
-  /// untouched and nothing was enqueued.
+  /// future fulfilled when a worker has served the request (with the
+  /// response, or the exception its run threw). On any rejection `result`
+  /// is untouched and nothing was enqueued.
   SubmitStatus submit(QueryRequest req, std::future<QueryResponse>& result);
 
   /// Convenience blocking call: submit + wait. Throws std::runtime_error
   /// on admission rejection (message names the SubmitStatus).
   QueryResponse serve_sync(QueryRequest req);
 
-  /// Parks the batchers after their current micro-batch: admitted
-  /// requests keep queueing but none are served until resume(). The
-  /// deterministic-test hook (fill the queue, assert coalescing) and an
+  /// Parks each worker after its current request: admitted requests keep
+  /// queueing but no new one is started until resume(). The
+  /// deterministic-test hook (fill the queue, then serve) and an
   /// operational pressure valve (e.g. while swapping the engine).
   void pause();
-  /// Unparks the batchers; the inverse of pause().
+  /// Unparks the workers; the inverse of pause().
   void resume();
 
   /// Blocks until in_flight() reaches zero — every request admitted
@@ -229,7 +220,7 @@ class SsspServer {
   void drain();
 
   /// Stops admission, lets the queue drain (buffered requests are still
-  /// served), joins the batchers. Idempotent; safe to call concurrently.
+  /// served), joins the workers. Idempotent; safe to call concurrently.
   void shutdown();
 
   /// Snapshot of every monotonic counter (plus the live epoch). Reads the
@@ -265,7 +256,7 @@ class SsspServer {
   std::shared_ptr<const SsspEngine> engine_snapshot() const;
 
   /// Publishes `next` as the engine for all FUTURE work, mid-traffic and
-  /// without a quiescent point: in-flight submits and micro-batches
+  /// without a quiescent point: in-flight submits and engine runs
   /// finish on the snapshot they pinned; the old engine is destroyed when
   /// its last pin drops. Purges cache rows of epochs older than `next`'s
   /// (a stale key can never match again — free its memory eagerly).
@@ -297,15 +288,17 @@ class SsspServer {
     std::chrono::steady_clock::time_point t_engine_done{};
   };
 
-  void batcher_loop();
-  /// Serves one micro-batch on the batcher's `pool` and fulfills its
-  /// promises. Never throws.
-  void execute(std::vector<Pending>& batch, WorkerPool<QueryContext>& pool);
+  void worker_loop();
+  /// Serves one request on the worker's `ctx` and fulfills its promise.
+  /// Never throws.
+  void execute(Pending& p, QueryContext& ctx);
   /// Blocks while paused. Returns false when the server is stopping.
   bool wait_not_paused();
 
   /// Completes one request (latency record + promise + drain counters).
   void complete(Pending& p, QueryResponse&& resp);
+  /// Counts one fulfilled promise and wakes drain().
+  void count_completion();
 
   /// Builds the traced span breakdown (and serves the slow-query log)
   /// for one completing request. `now` is the completion instant.
@@ -313,8 +306,8 @@ class SsspServer {
                       std::chrono::steady_clock::time_point now,
                       std::uint64_t e2e_us);
 
-  // The published engine snapshot: submit pins once per request, execute
-  // pins once per micro-batch, and swap_engine publishes a successor.
+  // The published engine snapshot: submit and execute each pin once per
+  // request, and swap_engine publishes a successor.
   // Never null after construction.
   SnapshotSwap<SsspEngine> engine_;
   // Serializes swap_engine's epoch check with its publish.
@@ -333,7 +326,6 @@ class SsspServer {
   obs::Counter& rejected_invalid_;
   obs::Counter& rejected_shutdown_;
   obs::Counter& batches_;
-  obs::Gauge& max_batch_;  // high-watermark (record_max)
   obs::Counter& cache_hits_;
   obs::Counter& cache_misses_;
   obs::Counter& swaps_;
@@ -354,22 +346,24 @@ class SsspServer {
   std::unique_ptr<ResultCache> cache_;
 
   BoundedQueue<Pending> queue_;
-  std::vector<std::thread> batchers_;
+  std::vector<std::thread> workers_;
 
   // Admission gate. Set by shutdown() before the queue closes, so submit
   // can distinguish "full" from "shutting down".
   std::atomic<bool> stopping_{false};
 
-  // Pause gate for the batchers.
+  // Pause gate for the workers.
   std::mutex pause_mutex_;
   std::condition_variable pause_cv_;
   bool paused_ = false;
 
   // In-flight tracking: accepted_ counts successful admissions,
   // completed_ counts fulfilled promises (both registry counters, see
-  // above); drain() waits for the gap to close. completed_ is only
-  // advanced under drain_mutex_ (then notified), so a drainer cannot
-  // miss the final wakeup.
+  // above); drain() waits for the gap to close. accepted_ is advanced
+  // under the queue's lock, before a worker can pop the request, so a
+  // reader that loads completed_ first never sees more completions than
+  // admissions. completed_ is only advanced under drain_mutex_ (then
+  // notified), so a drainer cannot miss the final wakeup.
   std::mutex drain_mutex_;
   std::condition_variable drain_cv_;
 
@@ -381,9 +375,9 @@ class SsspServer {
 /// `name=value`, making the line greppable and keeping the CLI, the
 /// fixture tests, and the README metric table in lockstep:
 ///
-///   accepted=5 completed=5 shed=0 invalid=0 shutdown=0 batches=2
-///   mean_batch=2.50 max_batch=4 cache_hits=1 cache_misses=4 epoch=1
-///   swaps=0 in_flight=0 p50_us=42 p99_us=91 p999_us=91 traced=0 slow=0
+///   accepted=5 completed=5 shed=0 invalid=0 shutdown=0 batches=4
+///   mean_batch=1.25 cache_hits=1 cache_misses=4 epoch=1 swaps=0
+///   in_flight=0 p50_us=42 p99_us=91 p999_us=91 traced=0 slow=0
 ///
 /// Every value is read from the server's MetricsRegistry — the same cells
 /// the `metrics` exposition renders — so the two can never disagree.

@@ -182,7 +182,7 @@ TEST(Workers, SetAndRestore) {
 
 TEST(Workers, OneInsideAnActiveRegion) {
   // A caller inside a team is one worker of it, so the primitives and
-  // engines it calls run inline; a region with one thread is not active.
+  // engines it calls run inline, whatever size the team came out.
   const test::WorkerGuard guard(3);
   int team = 0;
   int inside = 0;
@@ -194,7 +194,19 @@ TEST(Workers, OneInsideAnActiveRegion) {
       inside = num_workers();
     }
   }
-  EXPECT_EQ(inside, team == 2 ? 1 : 3) << "team of " << team;
+  EXPECT_EQ(inside, 1) << "team of " << team;
+  EXPECT_EQ(num_workers(), 3);
+}
+
+TEST(Workers, OneInsideAnyRegion) {
+  // A server worker runs its loop in a one-thread region of its own. That
+  // region is not active, but the engines it calls must still stay on its
+  // thread instead of opening a team under it.
+  const test::WorkerGuard guard(3);
+  int inside = 0;
+#pragma omp parallel num_threads(1)
+  inside = num_workers();
+  EXPECT_EQ(inside, 1);
   EXPECT_EQ(num_workers(), 3);
 }
 

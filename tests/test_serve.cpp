@@ -550,7 +550,7 @@ TEST(Serve, TouchedResetRestoresContextInvariantAcrossRequests) {
 
 TEST(Serve, ConcurrentServeBatchesStayExact) {
   // N threads hammer serve_batch on ONE const engine, each over its own
-  // pool as the server's batchers do, and must stay exact. The engine
+  // pool as concurrent direct callers do, and must stay exact. The engine
   // holds no mutable state, so the threads share only read-only graph
   // data: CI's TSan leg runs this test, where any state left in the
   // engine shows as a race (run it at RS_THREADS=8 to shake scheduling).

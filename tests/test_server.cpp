@@ -6,25 +6,24 @@
 //    fulfilled, including requests still queued when shutdown is called;
 //  * admission control — a full queue rejects with kQueueFull (and only
 //    the overflowing request), an out-of-range request with kInvalid
-//    (validated at the edge, never coalesced into a batch), a stopped
-//    server with kShuttingDown;
-//  * micro-batching — N requests buffered when a batcher wakes coalesce
-//    into ONE serve_batch call (asserted via ServerStats.batches), a
-//    max_batch beyond the queue capacity still serves, and coalescing is
-//    invisible in the answers;
+//    (validated at the edge, never queued), a stopped server with
+//    kShuttingDown;
+//  * one request per worker — a request the engine rejects after a swap
+//    fails alone, and the request queued beside it is answered;
 //  * histogram — quantiles match a sorted-sample oracle within the
 //    documented 1/32 relative error, across magnitudes;
-//  * concurrency — many closed-loop clients against multiple batchers
-//    produce exact answers and consistent counters;
+//  * concurrency — many closed-loop clients against several workers
+//    produce exact answers and consistent counters, and a poll racing
+//    them never sees more completions than admissions;
 //  * caching layer — repeats of a cache-eligible request are answered at
 //    submit time from the result cache, a parked burst of identical
 //    misses gives ONE fill and busy misses that run as they came, and
 //    swap_engine() re-keys the cache for the successor engine and refuses
 //    one whose epoch does not grow.
 //
-// The pause/resume hook makes the queue-full and coalescing scenarios
-// deterministic: with batchers parked, submissions buffer instead of
-// racing the consumer.
+// The pause/resume hook makes the queue-full, cache-fill and swap
+// scenarios deterministic: with the workers parked, submissions buffer
+// instead of racing the consumers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,6 +45,7 @@
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
 #include "shortcut/shortcut.hpp"
+#include "test_util.hpp"
 
 namespace rs {
 namespace {
@@ -82,70 +82,60 @@ TEST(BoundedQueue, PushPopOrderCapacityAndClose) {
   EXPECT_FALSE(q.try_push(4));  // full: backpressure, not blocking
   EXPECT_EQ(q.size(), 3u);
 
-  std::vector<int> out;
-  EXPECT_TRUE(q.pop_batch(out, 1));
-  EXPECT_EQ(out, std::vector<int>({1}));  // FIFO
+  int out = 0;
+  EXPECT_TRUE(q.pop(out));
+  EXPECT_EQ(out, 1);  // FIFO
   EXPECT_TRUE(q.try_push(4));  // slot freed
 
   q.close();
   EXPECT_FALSE(q.try_push(5));  // closed rejects pushes...
-  out.clear();
-  EXPECT_TRUE(q.pop_batch(out, 1));  // ...but buffered items still drain
-  EXPECT_EQ(out, std::vector<int>({2}));
-  EXPECT_TRUE(q.pop_batch(out, 1));
-  EXPECT_TRUE(q.pop_batch(out, 1));
-  EXPECT_EQ(out, std::vector<int>({2, 3, 4}));
-  EXPECT_FALSE(q.pop_batch(out, 1));  // closed AND empty
-  EXPECT_EQ(out.size(), 3u);
+  std::vector<int> drained;
+  while (q.pop(out)) drained.push_back(out);  // ...but buffered items drain
+  EXPECT_EQ(drained, std::vector<int>({2, 3, 4}));
+  EXPECT_FALSE(q.pop(out));  // closed AND empty: `out` is left alone
+  EXPECT_EQ(out, 4);
 }
 
-TEST(BoundedQueue, PopBatchTakesBufferedItemsUpToMax) {
+TEST(BoundedQueue, PopDrainsAcrossTheWrapPointAndWakesAParkedConsumer) {
   BoundedQueue<int> q(6);
   for (int i = 1; i <= 6; ++i) ASSERT_TRUE(q.try_push(int{i}));
-
-  std::vector<int> out;
-  EXPECT_TRUE(q.pop_batch(out, 4));  // the max cut, in FIFO order
-  EXPECT_EQ(out, std::vector<int>({1, 2, 3, 4}));
-  EXPECT_EQ(q.size(), 2u);
-
-  out.clear();
-  EXPECT_TRUE(q.pop_batch(out, 0));  // max 0 still takes one item
-  EXPECT_EQ(out, std::vector<int>({5}));
+  int out = 0;
+  for (int i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(q.pop(out));
+    EXPECT_EQ(out, i);
+  }
 
   ASSERT_TRUE(q.try_push(7));
   ASSERT_TRUE(q.try_push(8));
   q.close();
-  out.clear();
   // Everything buffered, after close, across the ring's wrap point.
-  EXPECT_TRUE(q.pop_batch(out, 64));
-  EXPECT_EQ(out, std::vector<int>({6, 7, 8}));
+  std::vector<int> drained;
+  while (q.pop(out)) drained.push_back(out);
+  EXPECT_EQ(drained, std::vector<int>({6, 7, 8}));
   EXPECT_EQ(q.size(), 0u);
-  EXPECT_FALSE(q.pop_batch(out, 64));  // false only once closed AND empty
-  EXPECT_EQ(out.size(), 3u);
 
-  // A consumer parked in pop_batch on an empty queue receives the next
-  // push, then false once the queue is closed and drained.
+  // A consumer parked in pop on an empty queue receives the next push,
+  // then false once the queue is closed and drained.
   BoundedQueue<int> live(4);
-  std::vector<int> got;
+  int got = 0;
   bool first = false;
   bool second = true;
   std::thread consumer([&] {
-    first = live.pop_batch(got, 4);
-    second = live.pop_batch(got, 4);
+    first = live.pop(got);
+    second = live.pop(got);
   });
   EXPECT_TRUE(live.try_push(11));
   live.close();
   consumer.join();
   EXPECT_TRUE(first);
   EXPECT_FALSE(second);
-  EXPECT_EQ(got, std::vector<int>({11}));
+  EXPECT_EQ(got, 11);
 }
 
 TEST(Server, DrainWithRequestsInFlightThenShutdown) {
   const SsspEngine engine = small_engine();
   ServerOptions opts;
   opts.start_paused = true;  // everything below queues deterministically
-  opts.max_batch = 4;
   SsspServer server(engine, opts);
 
   constexpr std::uint64_t kRequests = 10;
@@ -191,7 +181,7 @@ TEST(Server, ShutdownServesRequestsStillQueued) {
     ASSERT_EQ(server.submit(p2p(engine, i), fut), SubmitStatus::kAccepted);
     futures.push_back(std::move(fut));
   }
-  // No resume: shutdown itself must unpark the batchers and drain the
+  // No resume: shutdown itself must unpark the workers and drain the
   // buffered requests before joining — an accepted request is a promise.
   server.shutdown();
   for (std::uint64_t i = 0; i < futures.size(); ++i) {
@@ -253,76 +243,44 @@ TEST(Server, InvalidRequestRejectedAtAdmission) {
             engine.serve(p2p(engine, 2)).targets[0].dist);
 }
 
-TEST(Server, BufferedRequestsCoalesceIntoOneBatch) {
-  const SsspEngine engine = small_engine();
+TEST(Server, RequestFailsAloneAfterSwapToASmallerEngine) {
+  // Admission validated both requests against the 8x8 graph; the swap to
+  // a 4x4 successor strands b's source. Each request runs on its own, so
+  // only b fails, and a is answered on the new epoch.
+  PreprocessOptions popts;
+  popts.rho = 8;
+  popts.k = 2;
+  const Graph big =
+      assign_uniform_weights(gen::road_network(8, 8, 3), 7, 1, 100);
+  const Graph small =
+      assign_uniform_weights(gen::road_network(4, 4, 3), 7, 1, 100);
+  const auto first = std::make_shared<const SsspEngine>(big, popts);
   ServerOptions opts;
   opts.start_paused = true;
-  opts.max_batch = 32;
-  // The batcher takes exactly what is already buffered and never waits —
-  // with everything queued before resume, that is one deterministic
-  // micro-batch.
-  opts.batchers = 1;
-  SsspServer server(engine, opts);
+  SsspServer server(first, opts);
 
-  constexpr std::uint64_t kRequests = 12;
-  std::vector<std::future<QueryResponse>> futures(kRequests);
-  for (std::uint64_t i = 0; i < kRequests; ++i) {
-    ASSERT_EQ(server.submit(p2p(engine, i), futures[i]),
-              SubmitStatus::kAccepted);
-  }
+  QueryRequest a;
+  a.source = 0;
+  a.targets = {small.num_vertices() - 1};
+  QueryRequest b;
+  b.source = 60;
+  b.targets = {1};
+  std::future<QueryResponse> fa;
+  std::future<QueryResponse> fb;
+  ASSERT_EQ(server.submit(a, fa), SubmitStatus::kAccepted);
+  ASSERT_EQ(server.submit(b, fb), SubmitStatus::kAccepted);
+  server.swap_engine(std::make_shared<const SsspEngine>(
+      SsspEngine::next_epoch(*first, small, preprocess(small, popts))));
   server.resume();
+
+  QueryResponse got;
+  ASSERT_NO_THROW(got = fa.get());
+  EXPECT_EQ(got.graph_epoch, 2u);
+  ASSERT_EQ(got.targets.size(), 1u);
+  EXPECT_EQ(got.targets[0].dist, dijkstra(small, 0)[a.targets[0]]);
+  EXPECT_THROW(fb.get(), std::invalid_argument);
   server.drain();
-
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.batches, 1u) << "coalescing failed: " << stats.batches
-                               << " serve_batch calls for " << kRequests
-                               << " buffered requests";
-  EXPECT_EQ(stats.max_batch, kRequests);
-  EXPECT_DOUBLE_EQ(stats.mean_batch(), static_cast<double>(kRequests));
-  for (std::uint64_t i = 0; i < kRequests; ++i) {  // coalescing is invisible
-    EXPECT_EQ(futures[i].get().targets[0].dist,
-              engine.serve(p2p(engine, i)).targets[0].dist);
-  }
-}
-
-TEST(Server, MaxBatchBoundsCoalescing) {
-  const SsspEngine engine = small_engine();
-  ServerOptions opts;
-  opts.start_paused = true;
-  opts.max_batch = 4;
-  opts.batchers = 1;
-  SsspServer server(engine, opts);
-
-  std::vector<std::future<QueryResponse>> futures(10);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    ASSERT_EQ(server.submit(p2p(engine, i), futures[i]),
-              SubmitStatus::kAccepted);
-  }
-  server.resume();
-  server.drain();
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.max_batch, 4u);
-  EXPECT_EQ(stats.batches, 3u);  // 4 + 4 + 2
-}
-
-TEST(Server, MaxBatchAboveQueueCapacityServes) {
-  // One pop hands over at most the queue's capacity, so a max_batch far
-  // beyond it (here too large to ever reserve) must serve like any other.
-  const SsspEngine engine = small_engine();
-  ServerOptions opts;
-  opts.queue_capacity = 8;
-  opts.max_batch = std::numeric_limits<std::size_t>::max();
-  SsspServer server(engine, opts);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    const QueryResponse got = server.serve_sync(p2p(engine, i));
-    const QueryResponse want = engine.serve(p2p(engine, i));
-    ASSERT_EQ(got.targets.size(), 1u);
-    EXPECT_EQ(got.targets[0].dist, want.targets[0].dist) << "request " << i;
-  }
-  // The promise is fulfilled before the completion counter advances;
-  // drain() closes the gap.
-  server.drain();
-  EXPECT_EQ(server.stats().completed, 3u);
+  EXPECT_EQ(server.stats().completed, 2u);
 }
 
 TEST(Server, ServeSyncThrowsOnRejection) {
@@ -332,13 +290,8 @@ TEST(Server, ServeSyncThrowsOnRejection) {
   EXPECT_THROW(server.serve_sync(p2p(engine, 0)), std::runtime_error);
 }
 
-TEST(Server, ConcurrentClientsAgainstMultipleBatchersStayExact) {
+TEST(Server, ConcurrentClientsAgainstSeveralWorkersStayExact) {
   const SsspEngine engine = small_engine();
-  ServerOptions opts;
-  opts.max_batch = 8;
-  opts.batchers = 3;
-  SsspServer server(engine, opts);
-
   constexpr int kClients = 8;
   constexpr std::uint64_t kPerClient = 25;
   // References computed up front: the client loops must not touch the
@@ -347,6 +300,11 @@ TEST(Server, ConcurrentClientsAgainstMultipleBatchersStayExact) {
   for (std::uint64_t i = 0; i < want.size(); ++i) {
     want[i] = engine.serve(p2p(engine, i)).targets[0].dist;
   }
+  // Three workers whatever RS_THREADS says, raised only now: nothing on
+  // this thread opens a team while the guard holds, so at RS_THREADS=1
+  // (the TSan leg) the only concurrency is the server's own threads.
+  const test::WorkerGuard three(3);
+  SsspServer server(engine, {});
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> clients;
@@ -368,7 +326,56 @@ TEST(Server, ConcurrentClientsAgainstMultipleBatchersStayExact) {
   EXPECT_EQ(stats.accepted, kClients * kPerClient);
   EXPECT_EQ(stats.completed, kClients * kPerClient);
   EXPECT_EQ(server.latency().count(), kClients * kPerClient);
-  EXPECT_GE(stats.batches, 1u);
+  EXPECT_EQ(stats.batches, kClients * kPerClient);
+}
+
+TEST(Server, InFlightNeverWrapsUnderLoad) {
+  // Tiny top-k requests complete within microseconds of admission. A
+  // request is counted as accepted before a worker can pop it, and
+  // stats() reads completed first, so a poll racing them never sees more
+  // completions than admissions (in_flight() would wrap to ~1.8e19).
+  const Graph g =
+      assign_uniform_weights(gen::road_network(6, 6, 3), 11, 1, 100);
+  PreprocessOptions popts;
+  popts.rho = 8;
+  popts.k = 2;
+  const SsspEngine engine(g, popts);
+  SsspServer server(engine, {});
+
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 20000;
+  std::atomic<bool> done{false};
+  std::uint64_t polls = 0;
+  std::uint64_t wrapped = 0;
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const ServerStats s = server.stats();
+      ++polls;
+      if (s.completed > s.accepted) ++wrapped;
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        QueryRequest req;
+        req.source = static_cast<Vertex>((c * 7 + i) % g.num_vertices());
+        req.kind = RequestKind::kTopK;
+        req.k = 4;
+        (void)server.serve_sync(std::move(req));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  done.store(true, std::memory_order_release);
+  poller.join();
+  server.drain();
+
+  EXPECT_EQ(wrapped, 0u) << "completed > accepted in " << wrapped << " of "
+                         << polls << " polls";
+  EXPECT_EQ(server.stats().in_flight(), 0u);
+  EXPECT_EQ(server.stats().completed,
+            static_cast<std::uint64_t>(kClients) * kPerClient);
 }
 
 TEST(Server, CacheAnswersRepeatsAtSubmitTime) {
@@ -405,9 +412,9 @@ TEST(Server, CacheAnswersRepeatsAtSubmitTime) {
 }
 
 TEST(Server, CacheFillsOnceForABurstOfMisses) {
-  // With the batchers parked, 8 identical requests are admitted before
+  // With the workers parked, 8 identical requests are admitted before
   // any serving happens: the first must FILL the key and the other 7 be
-  // BUSY misses that run as they came, in the same micro-batch.
+  // BUSY misses that run as they came.
   const SsspEngine engine = small_engine();
   ServerOptions opts;
   opts.enable_cache = true;
@@ -489,7 +496,7 @@ TEST(Server, FormatStatsLinePrintsEveryCounter) {
   // fixture test of the daemon's `stats` verb rides on this line too.
   for (const char* token :
        {"accepted=2", "completed=2", "shed=0", "invalid=0", "shutdown=0",
-        "batches=", "mean_batch=", "max_batch=", "cache_hits=1",
+        "batches=", "mean_batch=", "cache_hits=1",
         "cache_misses=1", "epoch=1", "swaps=0",
         "in_flight=0", "p50_us=", "p99_us=", "p999_us="}) {
     EXPECT_NE(line.find(token), std::string::npos)
@@ -630,7 +637,7 @@ TEST(ObsHistogram, QuantilesMatchSortedSampleOracle) {
     x ^= x >> 7;
     x ^= x << 17;
     // Mostly small values with a long tail — the shape of a latency
-    // distribution under micro-batching.
+    // distribution under load.
     const std::uint64_t v =
         (i % 10 == 0) ? 1000 + x % 100000 : 50 + x % 400;
     samples.push_back(v);
